@@ -1,31 +1,27 @@
-"""Simulation-core scaling benchmark: N clients, three rebalancers, shards.
+"""Simulation-core scaling benchmark: N clients, a contended rig, shards.
 
-The multi-client harness is where the O(flows × links) full recompute stops
-being affordable: every flow arrival/departure/pause re-rates *every* flow
-and reschedules *every* completion event, so session cost grows
-quadratically with client count.  The incremental rebalancer bounds each
-trigger to the affected link/flow component, coalesces same-instant
-triggers, epsilon-gates event rescheduling, vectorizes large water-filling
-passes — and, in the window-capped steady state this workload lives in,
-skips the flush entirely (``fast_rated``).  The batched rebalancer layers
-the array-dispatch flush on top (bit-identical event stream to
-incremental, checked by ``repro.analysis determinism``).
+Every flow arrival/departure/pause is a rebalance trigger; the network's
+incremental rebalancer bounds each one to the affected link/flow component,
+coalesces same-instant triggers, epsilon-gates event rescheduling,
+vectorizes large water-filling passes — and, in the window-capped steady
+state the scaling ladder lives in, skips the flush entirely
+(``fast_rated``).
 
-The three regimes — **scaling** (fleet-size ladder × three arms),
-**contended** (a thin 40 Mb/s WAN with big windows, lighting up the
-flush/coalesce/vectorize machinery) and **sharded** (the fleet partitioned
-into independent depot groups) — are declared as points of the builtin
+The four regimes — **scaling** (fleet-size ladder), **contended** (a thin
+40 Mb/s WAN with big windows, lighting up the flush/coalesce/vectorize
+machinery and the array admission path), **sharded** (the fleet partitioned
+into independent depot groups) and **cross_shard** (0/10/30 % of clients
+routed over the shared backbone) — are declared as points of the builtin
 ``scale`` sweep spec; this file executes that spec through the sweep
 engine (sequentially, so the quarantined per-run wall clocks stay honest)
 and asserts on the merged ``BENCH_scale.json``:
 
-* the arms are *equivalent*: same per-client access counts (allocation
-  equality to 1e-9 is covered by ``tests/lon/test_network_properties.py``,
-  bit-equality of event streams by the determinism suite);
-* incremental and batched are never slower than full recompute, and at
-  the largest N of a full-scale run incremental is >= 3x faster;
-* the contended regime exercises the vectorized, coalesced, and batched
-  flush paths (all counters > 0);
+* every fleet size delivers every access, and every trigger either flushed
+  a dirty component or was absorbed by the quiet-link fast path;
+* the contended regime exercises the vectorized fill, trigger coalescing
+  and batched admission (all counters > 0);
+* sharding and crossing preserve the workload, and crossing traffic costs
+  at most 1.5x the link-disjoint CPU seconds;
 * the sharded curve reaches 100k events/s — or, on hosts too slow for
   the absolute bar, >= 3x the single-shard throughput — at >= 4 shards.
 
@@ -50,80 +46,59 @@ def test_multiclient_scaling(report):
     wall = doc["wall_clock"]
     print(f"wrote {result.artifact_path}")
 
-    scaling = [r for r in result.rows if r["regime"] == "scaling"]
-    contended = {
-        (f"full/{r['admission']}" if r["rebalance"] == "full"
-         else r["rebalance"]): r
-        for r in result.rows if r["regime"] == "contended"
-    }
+    scaling = {r["n_clients"]: r for r in result.rows
+               if r["regime"] == "scaling"}
+    contended = next(r for r in result.rows if r["regime"] == "contended")
     sharded = [r for r in result.rows if r["regime"] == "sharded"]
     cross = {str(r["cross_fraction"]): r for r in result.rows
              if r["regime"] == "cross_shard"}
     client_counts = doc["client_counts"]
-    arms = ("incremental", "batched", "full")
     n_max = client_counts[-1]
-    by_key = {(r["n_clients"], r["rebalance"]): r for r in scaling}
     wall_runs = wall["runs"]
 
     # --- report ----------------------------------------------------------
     lines = [
         f"Multi-client scaling (case 3, {'small' if _SMALL else 'full'} "
-        f"scale, {len(client_counts)} fleet sizes x {len(arms)} rebalance "
-        "arms)",
-        f"{'N':>4} {'arm':<12} {'wall s':>9} {'events':>9} "
-        f"{'events/s':>10} {'speedup':>8}",
+        f"scale, {len(client_counts)} fleet sizes)",
+        f"{'N':>4} {'wall s':>9} {'events':>9} {'events/s':>10}",
     ]
     for n in client_counts:
-        for arm in arms:
-            r = by_key[(n, arm)]
-            w = wall_runs[f"{n}/{arm}"]
-            speedup = (wall["speedups"][str(n)] if arm == "incremental"
-                       else 1.0)
-            lines.append(
-                f"{n:>4} {arm:<12} {w['wall_s']:>9.4f} "
-                f"{r['events_fired']:>9} "
-                f"{w['events_per_second']:>10.0f} "
-                f"{speedup:>7.2f}x"
-            )
-    lines.append("")
-    lines.append(f"Contended regime ({doc['contended']['n_clients']} "
-                 "clients, 40 Mb/s WAN, 256 KiB windows, 2 KiB blocks):")
-    contended_runs = doc["contended"]["runs"]
-    contended_walls = wall["contended"]
-    for key, st in contended_runs.items():
-        w = contended_walls[key]
+        w = wall_runs[str(n)]
         lines.append(
-            f"  {key:<12} wall={w['wall_s']:.4f}s "
-            f"ev/s={w['events_per_second']:.0f} "
-            f"recomputes={st['recomputes']} "
-            f"full={st['full_recomputes']} "
-            f"vectorized={st['vectorized']} coalesced={st['coalesced']} "
-            f"adm_batches={st['admission_batches_flushed']} "
-            f"adm_coalesced={st['admission_submissions_coalesced']} "
-            f"adm_scalar={st['admission_scalar_fallbacks']}"
+            f"{n:>4} {w['wall_s']:>9.4f} {scaling[n]['events_fired']:>9} "
+            f"{w['events_per_second']:>10.0f}"
         )
-    lines.append(f"  admission batching speedup (full/off -> full/on): "
-                 f"{wall['admission_speedup']:.2f}x")
     lines.append("")
-    if "cross_shard" in doc:
-        xs = doc["cross_shard"]
+    st = doc["contended"]
+    w = wall["contended"][str(st["n_clients"])]
+    lines.append(f"Contended regime ({st['n_clients']} "
+                 "clients, 40 Mb/s WAN, 256 KiB windows, 2 KiB blocks):")
+    lines.append(
+        f"  wall={w['wall_s']:.4f}s ev/s={w['events_per_second']:.0f} "
+        f"recomputes={st['recomputes']} "
+        f"vectorized={st['vectorized']} coalesced={st['coalesced']} "
+        f"adm_batches={st['admission_batches_flushed']} "
+        f"adm_coalesced={st['admission_submissions_coalesced']} "
+        f"adm_scalar={st['admission_scalar_fallbacks']}"
+    )
+    lines.append("")
+    xs = doc["cross_shard"]
+    lines.append(
+        f"Cross-shard traffic ({xs['n_clients']} clients, "
+        f"{xs['n_shards']} shards, backbone boundary link):")
+    lines.append(f"{'frac':>6} {'events':>9} {'cpu s':>8} {'events/s':>10} "
+                 f"{'windows':>8} {'oversub':>8}")
+    for frac in map(str, xs["fractions"]):
+        r = xs["runs"][frac]
+        w = wall["cross_shard"][frac]
         lines.append(
-            f"Cross-shard traffic ({xs['n_clients']} clients, "
-            f"{xs['n_shards']} shards, backbone boundary link):")
-        lines.append(f"{'frac':>6} {'events':>9} {'events/s':>10} "
-                     f"{'windows':>8} {'oversub':>8}")
-        for frac in map(str, xs["fractions"]):
-            r = xs["runs"][frac]
-            w = wall["cross_shard"][frac]
-            lines.append(
-                f"{frac:>6} {r['events_fired']:>9} "
-                f"{w['events_per_second']:>10.0f} "
-                f"{r.get('boundary_windows', 0):>8} "
-                f"{r.get('boundary_max_oversubscription', 0.0):>8.3f}"
-            )
-        lines.append("")
-    lines.append(f"Sharded fleet ({n_max} clients, batched arm, "
-                 "sequential workers):")
+            f"{frac:>6} {r['events_fired']:>9} {w['cpu_s']:>8.3f} "
+            f"{w['events_per_second']:>10.0f} "
+            f"{r.get('boundary_windows', 0):>8} "
+            f"{r.get('boundary_max_oversubscription', 0.0):>8.3f}"
+        )
+    lines.append("")
+    lines.append(f"Sharded fleet ({n_max} clients, sequential workers):")
     lines.append(f"{'S':>4} {'events':>9} {'makespan s':>11} {'cpu s':>8} "
                  f"{'events/s':>10} {'ev/s-core':>10}")
     for row in sharded:
@@ -138,87 +113,42 @@ def test_multiclient_scaling(report):
 
     # --- assertions -------------------------------------------------------
     for n in client_counts:
-        inc = by_key[(n, "incremental")]
-        bat = by_key[(n, "batched")]
-        full = by_key[(n, "full")]
-        # equivalence: all three arms deliver every access for every client
-        assert inc["accesses"] == bat["accesses"] == full["accesses"]
-        assert inc["per_client_accesses"] == bat["per_client_accesses"] \
-            == full["per_client_accesses"]
-        # the incremental arms actually ran incrementally: no whole-network
-        # recomputes, every trigger either flushed a dirty component or was
-        # absorbed outright by the quiet-link fast path
-        for arm_row in (inc, bat):
-            assert arm_row["full_recomputes"] == 0
-            assert arm_row["recomputes"] + arm_row["fast_rated"] > 0
-        # the batched arm really dispatched through the array flush
-        assert bat["batched_flushes"] == bat["recomputes"]
-        assert full["recomputes"] == 0
-        assert full["full_recomputes"] > 0
+        row = scaling[n]
+        # every client delivered its whole trace, and every trigger either
+        # flushed a dirty component or was absorbed by the quiet fast path
+        assert len(set(row["per_client_accesses"])) == 1
+        assert row["recomputes"] + row["fast_rated"] > 0
 
     # contended regime proves the optimized paths are live, not dead code
-    for arm in ("incremental", "batched"):
-        st = contended[arm]
-        assert st["vectorized"] > 0, f"{arm}: vectorized water-fill is dead"
-        assert st["coalesced"] > 0, f"{arm}: trigger coalescing is dead"
-        # the admission plan formed real batches (satellite: the
-        # vectorized submission path is live in the contended regime)
-        assert st["admission_batches_flushed"] > 0, (
-            f"{arm}: admission batching is dead")
-        assert st["admission_submissions_coalesced"] > 0
-    assert contended["batched"]["batched_flushes"] > 0
-    assert contended["batched"]["batch_flows"] > 0
-    assert (contended["incremental"]["per_client_accesses"]
-            == contended["batched"]["per_client_accesses"])
-
-    # admission batching A/B under the full recompute: same deliveries,
-    # same event stream size, and the off arm really ran scalar
-    adm_on, adm_off = contended["full/on"], contended["full/off"]
-    assert adm_on["accesses"] == adm_off["accesses"]
-    assert adm_on["events_fired"] == adm_off["events_fired"]
-    assert adm_on["per_client_accesses"] == adm_off["per_client_accesses"]
-    assert adm_on["admission_batches_flushed"] > 0
-    assert adm_off["admission_batches_flushed"] == 0
-    assert adm_off["admission_scalar_fallbacks"] > 0
-    # coalescing the per-submission recomputes is the measured win
-    assert adm_on["full_recomputes"] < adm_off["full_recomputes"]
-    min_speedup = 1.2 if _SMALL else 1.3
-    assert wall["admission_speedup"] >= min_speedup, (
-        f"admission batching speedup {wall['admission_speedup']:.2f}x "
-        f"< {min_speedup}x in the contended full-recompute regime")
+    assert contended["vectorized"] > 0, "vectorized water-fill is dead"
+    assert contended["coalesced"] > 0, "trigger coalescing is dead"
+    assert contended["admission_batches_flushed"] > 0, (
+        "admission batching is dead")
+    assert contended["admission_submissions_coalesced"] > 0
 
     # cross-shard axis: every fraction still delivers the whole workload;
     # crossing fractions exchanged boundary loads at the barrier
-    if cross:
-        for frac, row in cross.items():
-            assert row["accesses"] == by_key[(n_max, "batched")]["accesses"]
-            if float(frac) > 0.0:
-                assert row.get("boundary_windows", 0) > 0, (
-                    f"{frac}: boundary exchange never ran")
-                assert row["boundary_staleness_bound"] > 0.0
-            else:
-                assert "boundary_windows" not in row
+    for frac, row in cross.items():
+        assert row["accesses"] == scaling[n_max]["accesses"]
+        if float(frac) > 0.0:
+            assert row.get("boundary_windows", 0) > 0, (
+                f"{frac}: boundary exchange never ran")
+            assert row["boundary_staleness_bound"] > 0.0
+        else:
+            assert "boundary_windows" not in row
+    # ... and costs CPU in proportion to its work: the lockstep driver
+    # interleaves shards, and per-shard walls must not count the siblings
+    disjoint_cpu = wall["cross_shard"]["0.0"]["cpu_s"]
+    for frac, w in wall["cross_shard"].items():
+        assert w["cpu_s"] <= 1.5 * disjoint_cpu + 0.05, (
+            f"cross-shard {frac}: cpu {w['cpu_s']:.3f}s vs "
+            f"{disjoint_cpu:.3f}s link-disjoint")
 
     # sharding preserves the workload (every access delivered) ...
     for row in sharded:
-        assert row["accesses"] == by_key[(n_max, "batched")]["accesses"]
+        assert row["accesses"] == scaling[n_max]["accesses"]
 
-    # perf: incremental/batched must never lose to the full recompute
-    # (10% + 50 ms noise allowance at the tiny end where both are
-    # sub-second)
-    for n in client_counts:
-        full_wall = wall_runs[f"{n}/full"]["wall_s"]
-        for arm in ("incremental", "batched"):
-            w = wall_runs[f"{n}/{arm}"]["wall_s"]
-            assert w <= full_wall * 1.10 + 0.05, (
-                f"{arm} slower than full at N={n}: "
-                f"{w:.4f}s vs {full_wall:.4f}s"
-            )
     if not _SMALL:
-        assert wall["speedup_at_max"] >= 3.0, (
-            f"incremental speedup at N={n_max} is "
-            f"{wall['speedup_at_max']:.2f}x, expected >= 3x"
-        )
         # ... and scales throughput: at >= 4 shards the fleet clears 100k
         # events/s, or on hosts too slow for the absolute bar, >= 3x the
         # single-shard rate
@@ -249,27 +179,21 @@ def _profile_main(argv=None):
     parser.add_argument("--top", type=int, default=25,
                         help="rows of the cumulative-time table to print")
     parser.add_argument("--clients", type=int, default=counts[-1])
-    parser.add_argument("--rebalance", default="incremental",
-                        choices=["incremental", "batched", "full"])
     parser.add_argument("--regime", default="scaling",
                         choices=["scaling", "contended"])
-    parser.add_argument("--admission", default="on", choices=["on", "off"],
-                        help="vectorized admission batching arm")
     args = parser.parse_args(argv)
     if not args.profile:
         parser.error("this entry point only supports --profile; "
                      "run the benchmark itself via pytest")
 
     source = _scale_source()
-    config = _scale_config(args.regime, args.clients, args.rebalance,
-                           seed=7, admission=args.admission)
+    config = _scale_config(args.regime, args.clients, seed=7)
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_multiclient_session(source, config)
     profiler.disable()
     adm = result.admission
-    print(f"{args.clients} clients / {args.regime} / {args.rebalance} / "
-          f"admission={args.admission}: "
+    print(f"{args.clients} clients / {args.regime}: "
           f"{result.events_fired} events in {result.wall_seconds:.3f}s "
           f"({result.events_per_second:.0f} events/s)")
     print(f"admission: batches_flushed={adm['batches_flushed']} "

@@ -15,10 +15,9 @@ shows three things:
    share in-flight WAN downloads through the scheduler's registry instead
    of fetching the same view set N times;
 3. simulation throughput: the incremental rebalancer keeps events cheap as
-   the flow count scales (compare --rebalance full).
+   the flow count scales.
 
-Run:  python examples/multiclient_browsing.py [--clients 16]
-      [--rebalance incremental|full] [--same-path]
+Run:  python examples/multiclient_browsing.py [--clients 16] [--same-path]
 """
 
 import argparse
@@ -38,8 +37,6 @@ def main() -> None:
     ap.add_argument("--accesses", type=int, default=15,
                     help="view-set accesses per client")
     ap.add_argument("--resolution", type=int, default=64)
-    ap.add_argument("--rebalance", default="incremental",
-                    choices=["incremental", "full"])
     ap.add_argument("--same-path", action="store_true",
                     help="all clients walk the same cursor trace "
                          "(maximum cross-client sharing)")
@@ -51,7 +48,6 @@ def main() -> None:
         base=SessionConfig(
             case=args.case,
             n_accesses=args.accesses,
-            network_rebalance=args.rebalance,
         ),
         n_clients=args.clients,
         seed_stride=0 if args.same_path else 101,
@@ -59,7 +55,7 @@ def main() -> None:
     )
 
     print(f"== {args.clients} clients, case {args.case}, "
-          f"{args.accesses} accesses each, rebalance={args.rebalance} ==")
+          f"{args.accesses} accesses each ==")
     result = run_multiclient_session(source, config)
 
     print(f"\n{'client':<10}{'accesses':>9}{'hit rate':>10}"
@@ -79,12 +75,11 @@ def main() -> None:
           f"{agg['wall_seconds']} s wall "
           f"({agg['events_fired']} events, "
           f"{agg['events_per_second']:.0f} events/s)")
-    print(f"rebalancer: {agg['rebalance_recomputes']} incremental passes "
+    print(f"rebalancer: {agg['rebalance_recomputes']} flush passes "
           f"({agg['rebalance_coalesced']} triggers coalesced, "
           f"{agg['rebalance_vectorized']} vectorized, "
           f"{agg['rebalance_all_capped']} all-capped), "
           f"{agg['rebalance_fast_rated']} quiet-link triggers absorbed, "
-          f"{agg['rebalance_full_recomputes']} full passes, "
           f"{agg['queue_compactions']} heap compactions")
 
 

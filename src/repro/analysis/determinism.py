@@ -296,7 +296,6 @@ def multiclient_fingerprint(
     resolution: int = 32,
     n_accesses: int = 10,
     case: int = 3,
-    rebalance: str = "incremental",
     rig_hook: Optional[Callable[["MultiClientRig"], None]] = None,
 ) -> RunFingerprint:
     """Fingerprint one seeded N-client rig (default 8 clients).
@@ -304,8 +303,6 @@ def multiclient_fingerprint(
     The N-client regime is where the hazards live: shared-scheduler
     rebalances, cross-client dedup and staggered starts all multiply the
     same-timestamp ties that set-iteration order could silently break.
-    ``rebalance`` selects the network re-rating mode, so cross-mode
-    equivalence (batched vs incremental) is a fingerprint comparison.
     """
     from ..lightfield.lattice import CameraLattice
     from ..lightfield.source import SyntheticSource
@@ -321,7 +318,6 @@ def multiclient_fingerprint(
         trace_seed=seed,
         tracing=True,
         cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
-        network_rebalance=rebalance,
     )
     config = MultiClientConfig(base=base, n_clients=n_clients)
     lattice = CameraLattice(n_theta=12, n_phi=24, l=3)
@@ -338,7 +334,7 @@ def multiclient_fingerprint(
     breakdown = result.per_client[0].breakdown()
     return RunFingerprint(
         label=(f"multiclient(n={n_clients},case={case},"
-               f"seed={seed},res={resolution},rebalance={rebalance})"),
+               f"seed={seed},res={resolution})"),
         seed=seed,
         n_events=len(events),
         event_hash=_digest(events),
@@ -358,7 +354,6 @@ def sharded_fingerprint(
     resolution: int = 32,
     n_accesses: int = 10,
     case: int = 3,
-    rebalance: str = "incremental",
     cross_shard_fraction: float = 0.0,
 ) -> RunFingerprint:
     """Fingerprint a sharded fleet (merged per-shard streams).
@@ -384,7 +379,6 @@ def sharded_fingerprint(
         n_accesses=n_accesses,
         trace_seed=seed,
         cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
-        network_rebalance=rebalance,
     )
     config = MultiClientConfig(
         base=base, n_clients=n_clients,
@@ -401,7 +395,7 @@ def sharded_fingerprint(
     breakdown = result.per_client[0].breakdown()
     return RunFingerprint(
         label=(f"sharded(n={n_clients},shards={n_shards},"
-               f"workers={workers},seed={seed},rebalance={rebalance},"
+               f"workers={workers},seed={seed},"
                f"cross={cross_shard_fraction})"),
         seed=seed,
         n_events=len(events),

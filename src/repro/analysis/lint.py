@@ -123,7 +123,7 @@ SIM_PACKAGE_FRAGMENTS = (
 _SCHEDULING_CALLS = frozenset({
     "schedule", "schedule_in", "heappush", "transfer", "submit",
     "pause_flow", "resume_flow", "cancel_flow", "set_flow_weight",
-    "_poke", "_reschedule", "_rebalance_full", "flush", "_retire",
+    "_poke", "_reschedule", "flush", "_retire",
 })
 
 #: function-name fragments that imply scheduling/rebalancing context even

@@ -196,7 +196,6 @@ def cmd_multiclient(args) -> int:
             case=args.case,
             n_accesses=args.accesses,
             trace_seed=args.seed,
-            network_rebalance=args.rebalance,
             tracing=tracing,
         ),
         n_clients=args.clients,
@@ -245,8 +244,7 @@ def cmd_multiclient(args) -> int:
           + (f", fleet mean latency {agg['mean_latency']} s"
              if 'mean_latency' in agg else ""))
     shard_note = (f", {agg['n_shards']} shards x {agg['workers']} workers"
-                  if 'n_shards' in agg else
-                  f", rebalance={agg['rebalance']}")
+                  if 'n_shards' in agg else "")
     print(f"simulated {agg['sim_seconds']} s in {agg['wall_seconds']} s wall "
           f"({agg['events_fired']} events, "
           f"{agg['events_per_second']:.0f} events/s"
@@ -515,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--stagger", type=float, default=1.0,
                     help="per-client start delay in seconds")
     mc.add_argument("--lattice", default="12x24x3")
-    mc.add_argument("--rebalance", default="incremental",
-                    choices=["incremental", "batched", "full"],
-                    help="network re-rating strategy")
     mc.add_argument("--shards", type=int, default=1,
                     help="partition the fleet into N independent shards "
                          "(clients pinned to per-shard depot groups); "

@@ -164,8 +164,7 @@ def assemble_observability(
 # BENCH_scale.json
 # ----------------------------------------------------------------------
 _CONTENDED_KEYS = ("accesses", "events_fired", "recomputes", "vectorized",
-                   "coalesced", "batched_flushes", "batch_flows",
-                   "full_recomputes", "admission_batches_flushed",
+                   "coalesced", "admission_batches_flushed",
                    "admission_submissions_coalesced",
                    "admission_scalar_fallbacks")
 
@@ -173,12 +172,12 @@ _CONTENDED_KEYS = ("accesses", "events_fired", "recomputes", "vectorized",
 def assemble_scale(
     spec: SweepSpec, rows: List[Row], walls: List[Wall]
 ) -> Assembled:
-    """Three regimes (scaling / contended / sharded) -> the scale curve.
+    """Four regimes (scaling / contended / sharded / cross-shard) -> the
+    scale curve.
 
-    Reproduces the committed key structure the regression guard reads:
-    ``wall_clock.runs["<N>/<arm>"]``, ``wall_clock.sharded["<S>"]`` and the
-    ``speedups`` map (full-recompute wall over incremental wall per fleet
-    size).
+    Reproduces the key structure the regression guard reads:
+    ``wall_clock.runs["<N>"]``, ``wall_clock.contended["<N>"]``,
+    ``wall_clock.sharded["<S>"]`` and ``wall_clock.cross_shard["<frac>"]``.
     """
     scaling = [(r, w) for r, w in zip(rows, walls)
                if r.get("regime") == "scaling"]
@@ -189,59 +188,23 @@ def assemble_scale(
     cross = [(r, w) for r, w in zip(rows, walls)
              if r.get("regime") == "cross_shard"]
 
-    client_counts = sorted({int(r["n_clients"]) for r, _ in scaling})  # type: ignore[arg-type]
-    n_max = client_counts[-1] if client_counts else 0
     payload: Dict[str, object] = {
         "benchmark": "multiclient_scaling",
         "case": 3,
-        "client_counts": client_counts,
+        "client_counts": sorted({int(r["n_clients"]) for r, _ in scaling}),  # type: ignore[arg-type]
         "runs": [{k: v for k, v in r.items() if k != "regime"}
                  for r, _ in scaling],
     }
-    wall_runs: Dict[str, object] = {}
-    wall_by_key: Dict[Tuple[int, str], Dict[str, object]] = {}
-    for r, w in scaling:
-        key = (int(r["n_clients"]), str(r["rebalance"]))  # type: ignore[arg-type]
-        wall_by_key[key] = dict(w or {})
-        wall_runs[f"{key[0]}/{key[1]}"] = wall_by_key[key]
-    speedups: Dict[str, float] = {}
-    for n in client_counts:
-        full = float(wall_by_key.get((n, "full"), {}).get("wall_s", 0.0))  # type: ignore[arg-type]
-        inc = float(wall_by_key.get((n, "incremental"), {}).get("wall_s", 0.0))  # type: ignore[arg-type]
-        speedups[str(n)] = round(full / inc, 2) if inc else 1.0
-
-    def _contended_key(r: Row) -> str:
-        # the full-recompute rows carry the admission A/B; incremental
-        # and batched keep their historical single-arm keys
-        if str(r["rebalance"]) == "full":
-            return f"full/{r.get('admission', 'on')}"
-        return str(r["rebalance"])
-
-    contended_walls: Dict[str, Dict[str, object]] = {}
-    if contended:
-        payload["contended"] = {
-            "n_clients": contended[0][0]["n_clients"],
-            "runs": {
-                _contended_key(r): {
-                    k: r[k] for k in _CONTENDED_KEYS if k in r
-                }
-                for r, _ in contended
-            },
-        }
-        contended_walls = {
-            _contended_key(r): dict(w or {}) for r, w in contended
-        }
-
     wall: Dict[str, object] = {
-        "runs": wall_runs,
-        "speedups": speedups,
-        "speedup_at_max": speedups.get(str(n_max), 1.0),
+        "runs": {str(r["n_clients"]): dict(w or {}) for r, w in scaling},
     }
-    if contended_walls:
-        wall["contended"] = contended_walls
-        on = float(contended_walls.get("full/on", {}).get("wall_s", 0.0))  # type: ignore[union-attr]
-        off = float(contended_walls.get("full/off", {}).get("wall_s", 0.0))  # type: ignore[union-attr]
-        wall["admission_speedup"] = round(off / on, 2) if on else 1.0
+    if contended:
+        row, w = contended[0]
+        payload["contended"] = {
+            "n_clients": row["n_clients"],
+            **{k: row[k] for k in _CONTENDED_KEYS if k in row},
+        }
+        wall["contended"] = {str(row["n_clients"]): dict(w or {})}
     if sharded:
         payload["sharded"] = {
             "n_clients": sharded[0][0]["n_clients"],

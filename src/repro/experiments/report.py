@@ -243,35 +243,30 @@ def _section_scale(doc: BenchDoc) -> str:
     for r in doc.get("runs", []):  # type: ignore[union-attr]
         if not isinstance(r, Mapping):
             continue
-        key = f"{r.get('n_clients')}/{r.get('rebalance')}"
-        w = wall_runs.get(key, {})
+        w = wall_runs.get(str(r.get("n_clients")), {})
         assert isinstance(w, Mapping)
         rows.append({
-            "N": r.get("n_clients"), "arm": r.get("rebalance"),
+            "N": r.get("n_clients"),
             "events": r.get("events_fired"), "sim s": r.get("sim_s"),
             "wall s": w.get("wall_s"),
             "events/s": w.get("events_per_second"),
         })
     parts = [_rows_table(rows, columns=[
-        "N", "arm", "events", "sim s", "wall s", "events/s"])]
-    speedups = wall.get("speedups")
-    if isinstance(speedups, Mapping):
-        parts.append("")
-        parts.append(md_table(
-            ["fleet size", "incremental speedup vs full"],
-            [[n, s] for n, s in sorted(
-                speedups.items(), key=lambda kv: int(kv[0]))],
-        ))
-    sharded = wall.get("sharded")
-    if isinstance(sharded, Mapping):
-        parts.append("")
-        parts.append(md_table(
-            ["shards", "makespan s", "cpu s", "events/s", "events/s-core"],
-            [[s, w.get("makespan_s"), w.get("cpu_s"),
-              w.get("events_per_second"), w.get("events_per_core_second")]
-             for s, w in sorted(sharded.items(), key=lambda kv: int(kv[0]))
-             if isinstance(w, Mapping)],
-        ))
+        "N", "events", "sim s", "wall s", "events/s"])]
+    for key, label in (("sharded", "shards"),
+                       ("cross_shard", "cross-shard fraction")):
+        tiers = wall.get(key)
+        if isinstance(tiers, Mapping):
+            parts.append("")
+            parts.append(md_table(
+                [label, "makespan s", "cpu s", "events/s", "events/s-core"],
+                [[s, w.get("makespan_s"), w.get("cpu_s"),
+                  w.get("events_per_second"),
+                  w.get("events_per_core_second")]
+                 for s, w in sorted(tiers.items(),
+                                    key=lambda kv: float(kv[0]))
+                 if isinstance(w, Mapping)],
+            ))
     return "\n".join(parts)
 
 

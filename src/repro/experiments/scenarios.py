@@ -405,22 +405,12 @@ def _scale_source() -> SyntheticSource:
     return _source(64, CameraLattice(n_theta=30, n_phi=60, l=3))
 
 
-def _scale_config(
-    regime: str,
-    n_clients: int,
-    rebalance: str,
-    seed: int,
-    admission: str = "on",
-) -> "object":
+def _scale_config(regime: str, n_clients: int, seed: int) -> "object":
     from ..lon import gbps, mbps
     from ..streaming.multiclient import MultiClientConfig
 
     from .config import scale_small
 
-    # "on" admits same-timestamp submission batches through the
-    # vectorized AdmissionPlan (the SessionConfig default threshold);
-    # "off" forces every submission down the scalar path
-    sched_threshold = 6 if admission == "on" else 10**9
     if regime == "contended":
         # bandwidth-scarce flash crowds: big windows over a thin WAN
         # defeat the quiet fast paths (flushes/coalescing/vectorized
@@ -441,9 +431,6 @@ def _scale_config(
             staging_concurrency=24,
             staging_streams=12,
             prefetch_policy="all-neighbors",
-            network_rebalance=rebalance,
-            network_vectorize_threshold=12,
-            scheduler_vectorize_threshold=sched_threshold,
         )
     else:
         # window-capped steady state: the quiet fast path dominates
@@ -460,26 +447,17 @@ def _scale_config(
             staging_concurrency=16,
             staging_streams=4,
             prefetch_policy="all-neighbors",
-            network_rebalance=rebalance,
-            scheduler_vectorize_threshold=sched_threshold,
         )
     return MultiClientConfig(
         base=base, n_clients=n_clients, seed_stride=101, start_stagger=0.25,
     )
 
 
-def multiclient_point(
-    regime: str,
-    n_clients: int,
-    rebalance: str,
-    seed: int = 7,
-    admission: str = "on",
-) -> Row:
-    """One (fleet size × rebalance × admission arm) scale-curve cell."""
+def multiclient_point(regime: str, n_clients: int, seed: int = 7) -> Row:
+    """One fleet size of the scale curve (or the contended rig)."""
     from ..streaming.multiclient import run_multiclient_session
 
-    config = _scale_config(regime, n_clients, rebalance, seed,
-                           admission=admission)
+    config = _scale_config(regime, n_clients, seed)
     result = run_multiclient_session(_scale_source(), config)  # type: ignore[arg-type]
     agg = result.aggregate()
     reb = result.rebalance
@@ -487,8 +465,6 @@ def multiclient_point(
     return {
         "regime": regime,
         "n_clients": n_clients,
-        "rebalance": rebalance,
-        "admission": admission,
         "admission_batches_flushed": adm.get("batches_flushed", 0),
         "admission_submissions_coalesced": adm.get(
             "submissions_coalesced", 0),
@@ -499,11 +475,8 @@ def multiclient_point(
         "per_client_accesses": [len(m.accesses) for m in result.per_client],
         "mean_latency_s": agg["mean_latency"],
         "recomputes": reb["recomputes"],
-        "full_recomputes": reb["full_recomputes"],
         "coalesced": reb["coalesced"],
         "vectorized": reb["vectorized"],
-        "batched_flushes": reb["batched_flushes"],
-        "batch_flows": reb["batch_flows"],
         "fast_rated": reb["fast_rated"],
         "all_capped": reb["all_capped"],
         "queue_compactions": agg["queue_compactions"],
@@ -517,7 +490,6 @@ def multiclient_point(
 def sharded_point(
     regime: str,
     n_clients: int,
-    rebalance: str,
     n_shards: int,
     seed: int = 7,
     cross_fraction: float = 0.0,
@@ -535,7 +507,7 @@ def sharded_point(
 
     from ..lon.shard import run_sharded_session
 
-    config = _scale_config("scaling", n_clients, rebalance, seed)
+    config = _scale_config("scaling", n_clients, seed)
     if cross_fraction:
         config = dc_replace(config, cross_shard_fraction=cross_fraction)  # type: ignore[type-var]
     sharded = run_sharded_session(
@@ -545,7 +517,6 @@ def sharded_point(
     row: Row = {
         "regime": regime,
         "n_clients": n_clients,
-        "rebalance": rebalance,
         "n_shards": n_shards,
         "cross_fraction": cross_fraction,
         "events_fired": sharded.events_fired,

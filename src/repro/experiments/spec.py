@@ -263,7 +263,7 @@ _A = "repro.experiments.assemble"
 
 
 def _scale_points() -> List[Dict[str, object]]:
-    """The three-regime point list behind ``BENCH_scale.json``."""
+    """The four-regime point list behind ``BENCH_scale.json``."""
     from .config import scale_small
 
     small = scale_small()
@@ -272,22 +272,12 @@ def _scale_points() -> List[Dict[str, object]]:
     contended = 8 if small else 64
     points: List[Dict[str, object]] = []
     for n in client_counts:
-        for arm in ("incremental", "batched", "full"):
-            points.append({"regime": "scaling", "n_clients": n,
-                           "rebalance": arm})
-    for arm in ("incremental", "batched"):
-        points.append({"regime": "contended", "n_clients": contended,
-                       "rebalance": arm})
-    # admission-batching A/B: full-recompute rebalancing is where the
-    # scalar path pays one synchronous recompute per submission, so the
-    # coalesced batch flush is measured there (on vs off)
-    for adm in ("on", "off"):
-        points.append({"regime": "contended", "n_clients": contended,
-                       "rebalance": "full", "admission": adm})
+        points.append({"regime": "scaling", "n_clients": n})
+    points.append({"regime": "contended", "n_clients": contended})
     for s in shard_counts:
         points.append({
             "regime": "sharded", "n_clients": client_counts[-1],
-            "rebalance": "batched", "n_shards": s,
+            "n_shards": s,
             SCENARIO_KEY: f"{_S}.sharded_point",
         })
     # cross-shard traffic axis: same fleet at max shards, 0/10/30% of
@@ -295,7 +285,7 @@ def _scale_points() -> List[Dict[str, object]]:
     for frac in (0.0, 0.1, 0.3):
         points.append({
             "regime": "cross_shard", "n_clients": client_counts[-1],
-            "rebalance": "batched", "n_shards": shard_counts[-1],
+            "n_shards": shard_counts[-1],
             "cross_fraction": frac,
             SCENARIO_KEY: f"{_S}.sharded_point",
         })
@@ -387,7 +377,7 @@ def builtin_specs() -> Dict[str, SweepSpec]:
         # -- multiclient / shard scale curve (BENCH_scale.json) -----------
         SweepSpec(
             name="scale",
-            title="Multi-client scaling — rebalance arms and shard curve",
+            title="Multi-client scaling — fleet sizes, contended rig, shards",
             scenario=f"{_S}.multiclient_point",
             points=_scale_points(),
             artifact="scale",

@@ -25,30 +25,22 @@ Routing is shortest-path by latency over a :mod:`networkx` graph.  Transfers
 deliver their completion callback after ``path propagation latency +
 serialization time at the allocated rate``.
 
-Three rebalancing modes govern how re-rating scales (``rebalance=``):
+Re-rating is incremental.  Per-link flow membership is tracked; a change
+marks its links dirty, triggers at the same timestamp coalesce into one
+recompute (a flush event), water-filling runs only over the connected
+component of links/flows reachable from the dirty set (all-capped shortcut,
+scalar fill, or the numpy incidence-matrix fill from
+:data:`VECTORIZE_MIN_FLOWS` flows up), and completion events are
+rescheduled only for flows whose rate moved beyond :data:`RATE_EPSILON`.
+A trigger whose links all keep TCP-window cap-sum headroom skips the flush
+entirely (the quiet-link fast path).  Rates and completion events are
+authoritative once :meth:`Network.flush` has run — which happens
+automatically before any event at a later timestamp fires; synchronous
+callers inspecting ``Flow.rate`` right after a change should call
+``flush()`` first.
 
-* ``"incremental"`` (default) — per-link flow membership is tracked; a
-  change marks its links dirty, triggers at the same timestamp coalesce
-  into one recompute (a flush event), water-filling runs only over the
-  connected component of links/flows reachable from the dirty set, large
-  components take a vectorized numpy path, and completion events are
-  rescheduled only for flows whose rate moved beyond ``rate_epsilon``.
-  Rates and completion events are authoritative once :meth:`Network.flush`
-  has run — which happens automatically before any event at a later
-  timestamp fires; synchronous callers inspecting ``Flow.rate`` right
-  after a change should call ``flush()`` first.
-* ``"batched"`` — incremental's trigger/coalescing machinery with an
-  array-based flush: every dirty component triggered at one timestamp is
-  gathered into one stacked flow set, drain detection / settling /
-  epsilon gating / completion-ETA computation all run as contiguous
-  numpy array operations, and only flows that genuinely need a new
-  completion event touch python objects.  The per-flow arithmetic is
-  written to be bit-identical to the incremental path (same expressions,
-  same evaluation order), so a batched run fingerprints identically to
-  an incremental run under ``repro.analysis determinism``.
-* ``"full"`` — every change synchronously recomputes all flows and
-  reschedules every completion event (O(flows × links) per change); kept
-  as the reference implementation and the benchmark baseline.
+The whole-network recompute this design is proven against lives test-side
+(``tests/lon/reference_network.py``); there is no mode or threshold option.
 """
 
 from __future__ import annotations
@@ -80,13 +72,20 @@ __all__ = [
     "NoRouteError",
     "RebalanceStats",
     "AdmissionPlan",
-    "REBALANCE_MODES",
+    "RATE_EPSILON",
+    "VECTORIZE_MIN_FLOWS",
     "mbps",
     "gbps",
 ]
 
-#: accepted values for ``Network(rebalance=...)``
-REBALANCE_MODES = ("incremental", "batched", "full")
+#: relative rate change below which a flow keeps its completion event (the
+#: drain check self-corrects sub-epsilon drift in either direction)
+RATE_EPSILON = 1e-9
+
+#: component size (flows) from which water-filling takes the numpy
+#: incidence-matrix path: indistinguishable from the scalar fill at ~70
+#: flows/flush, 10-45 % faster at ~350 (DESIGN.md section 10)
+VECTORIZE_MIN_FLOWS = 24
 
 
 def mbps(x: float) -> float:
@@ -208,10 +207,11 @@ class Flow:
 class RebalanceStats:
     """Counters sizing the rebalancer's work (for benchmarks and tests)."""
 
-    recomputes: int = 0          # incremental flush passes that did work
-    full_recomputes: int = 0     # whole-network recomputes (full mode)
+    recomputes: int = 0          # flush passes that did work
+    full_recomputes: int = 0     # whole-network recomputes: 0 in production,
+                                 # counted by the test-side reference oracle
     coalesced: int = 0           # triggers absorbed into a pending flush
-    component_flows: int = 0     # flows water-filled by incremental passes
+    component_flows: int = 0     # flows water-filled by flush passes
     flows_rerated: int = 0       # flows whose allocated rate changed
     events_rescheduled: int = 0  # completion events cancelled + reissued
     vectorized: int = 0          # recomputes that took the numpy path
@@ -219,8 +219,6 @@ class RebalanceStats:
                                  # fast path (no water-filling rounds)
     fast_rated: int = 0          # triggers absorbed without any flush: the
                                  # flow's links all had cap-sum headroom
-    batched_flushes: int = 0     # flushes that took the array-dispatch path
-    batch_flows: int = 0         # flows settled/gated through array ops
 
 
 class AdmissionPlan:
@@ -243,18 +241,8 @@ class AdmissionPlan:
     remaining items are re-read live from the row state, which the
     authoritative per-item ``_admit`` accounting keeps exact either way.
 
-    Under ``full`` rebalance mode there is no quiet fast path (every
-    scalar ``transfer`` pokes a synchronous :meth:`Network._rebalance_full`),
-    so the plan instead defers the recompute: flows commit without
-    re-rating and :meth:`finish` feeds one coalesced full rebalance for
-    the whole batch.  Same-timestamp full rebalances are idempotent on
-    settle/max-min state, so rates, completion times and transfer
-    outcomes stay bit-equal to the scalar path's per-submission
-    recomputes — only the recompute count (and hence the granularity of
-    ``rerated`` rate-change history under tracing) is coarser.
-
     ``vector_ok`` is False when the batch cannot be planned (no TCP
-    window outside full mode, a same-node or unroutable item);
+    window, a same-node or unroutable item);
     :meth:`admit` then simply delegates to scalar ``transfer``.
     """
 
@@ -262,7 +250,6 @@ class AdmissionPlan:
         "net", "items", "vector_ok", "degraded",
         "_links", "_props", "_caps", "_etas",
         "_row_ids", "_row_arrs", "_quiet_flags",
-        "_full", "_full_pokes",
     )
 
     def __init__(self, net: "Network",
@@ -278,8 +265,6 @@ class AdmissionPlan:
         self._row_ids: List[Tuple[int, ...]] = []
         self._row_arrs: List[np.ndarray] = []
         self._quiet_flags: Optional[np.ndarray] = None
-        self._full = False
-        self._full_pokes = 0
 
     def skip(self) -> None:
         """Note that a planned item admitted nothing.
@@ -288,21 +273,6 @@ class AdmissionPlan:
         present, so the rest of the batch re-reads live row state.
         """
         self.degraded = True
-
-    def finish(self) -> None:
-        """Flush the one coalesced recompute a full-mode batch deferred.
-
-        No-op outside full rebalance mode (the incremental/batched flush
-        event already coalesces same-timestamp pokes) and for plans that
-        admitted nothing.  The deferred pokes land as a single
-        :meth:`Network._rebalance_full`, replacing the scalar path's
-        one-recompute-per-submission cascade with bit-equal final rates.
-        """
-        if self._full and self._full_pokes:
-            # one recompute stands in for this many scalar ones
-            self.net.stats.coalesced += self._full_pokes - 1
-            self._full_pokes = 0
-            self.net._rebalance_full()
 
     def admit(
         self,
@@ -330,18 +300,6 @@ class AdmissionPlan:
         flow.link_rows = self._row_arrs[j]
         net._flows[flow.fid] = flow
         net._admit(flow)
-        if self._full:
-            # scalar transfer would _poke -> synchronous _rebalance_full
-            # right here; defer it so finish() recomputes once for the
-            # whole batch.  A degraded plan reverts to the scalar poke
-            # (the immediate recompute also re-rates any flows deferred
-            # so far, so nothing stays stale past this point).
-            if self.degraded:
-                self._full_pokes = 0
-                net._poke(self._row_ids[j])
-            else:
-                self._full_pokes += 1
-            return flow
         if self.degraded:
             quiet = net._quiet(flow)
         else:
@@ -378,39 +336,20 @@ class Network:
     RPC_OVERHEAD = 0.0005
 
     def __init__(self, queue: EventQueue,
-                 tcp_window: Optional[float] = None,
-                 rebalance: str = "incremental",
-                 rate_epsilon: float = 1e-9,
-                 vectorize_threshold: int = 24) -> None:
+                 tcp_window: Optional[float] = None) -> None:
         """``tcp_window`` (bytes) caps each flow at window/RTT — the
         single-stream TCP throughput ceiling that makes multi-stream LoRS
         downloads and third-party staging worthwhile.  None = uncapped.
-
-        ``rebalance`` selects the re-rating strategy (see module docstring);
-        ``rate_epsilon`` is the relative rate change below which a flow's
-        completion event is left in place (the drain check self-corrects);
-        ``vectorize_threshold`` is the component size (flows) at which
-        water-filling switches to the numpy incidence-matrix path.
         """
-        if rebalance not in REBALANCE_MODES:
-            raise ValueError(
-                f"rebalance must be one of {REBALANCE_MODES}, "
-                f"got {rebalance!r}"
-            )
-        if rate_epsilon < 0:
-            raise ValueError("rate_epsilon must be non-negative")
         self.queue = queue
         self.tcp_window = tcp_window
-        self.rebalance_mode = rebalance
-        self.rate_epsilon = rate_epsilon
-        self.vectorize_threshold = vectorize_threshold
         self.stats = RebalanceStats()
         self.graph = nx.Graph()
         self._links: Dict[FrozenSet[str], Link] = {}
         # admitted flows by stable fid (insertion order = admission order,
-        # which the full-recompute iteration depends on).  A dict rather
-        # than a list: membership tests and removal on the trigger path
-        # are O(1) int hashes instead of O(n) scans.
+        # which the reference oracle's iteration depends on).  A dict
+        # rather than a list: membership tests and removal on the trigger
+        # path are O(1) int hashes instead of O(n) scans.
         self._flows: Dict[int, Flow] = {}
         self._fid_counter = itertools.count()
         self._route_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
@@ -429,8 +368,8 @@ class Network:
             Tuple[Tuple[FrozenSet[str], ...], float, float,
                   Tuple[int, ...], np.ndarray],
         ] = {}
-        # incremental-rebalance state: link row -> ids of *contending*
-        # flows (admitted, not paused, not drained), the dirty row seeds,
+        # rebalance state: link row -> ids of *contending* flows
+        # (admitted, not paused, not drained), the dirty row seeds,
         # and the pending same-timestamp flush.  Links are identified by
         # their stable int row from ``_row_of`` so the hot closure walk
         # hashes ints, not frozensets.
@@ -745,8 +684,7 @@ class Network:
         """
         plan = AdmissionPlan(self, list(items))
         n = len(plan.items)
-        full = self.rebalance_mode == "full"
-        if n == 0 or (not full and self.tcp_window is None):
+        if n == 0 or self.tcp_window is None:
             return plan
         # per-pair plan cache: path, propagation, TCP rate cap and link
         # rows resolve once per (src, dst) across *all* batches (the
@@ -770,10 +708,7 @@ class Network:
                 except NoRouteError:
                     return plan
                 ids = tuple(self._row_of[lk] for lk in links)
-                cap = (
-                    float("inf") if self.tcp_window is None
-                    else self.tcp_window / max(2.0 * prop, 1e-6)
-                )
+                cap = self.tcp_window / max(2.0 * prop, 1e-6)
                 hit = (links, prop, cap, ids, np.array(ids, dtype=np.intp))
                 plan_cache[pair] = hit
             links_list.append(hit[0])
@@ -781,55 +716,45 @@ class Network:
             caps_list.append(hit[2])
             row_ids.append(hit[3])
             row_arrs.append(hit[4])
-        if full:
-            # full mode pins _quiet to False, so no verdicts or ETAs are
-            # needed: every item commits "loud" and finish() feeds one
-            # coalesced _rebalance_full for the batch.
-            plan._quiet_flags = np.zeros(n, dtype=bool)
-            plan._etas = [0.0] * n
-            plan._full = True
-        else:
-            # initial rate seeding: the scalar expressions, elementwise
-            caps = np.array(caps_list, dtype=float)
-            sizes = np.fromiter(
-                (it[2] for it in plan.items), dtype=float, count=n
-            )
-            ser = sizes / caps
-            now = self.queue.now
-            etas = np.maximum(now + ser, now)
-            # interleaved quiet verdicts: walk the batch once,
-            # accumulating each row's simulated cap-sum load from its
-            # live value in item order — the same left-fold float
-            # accumulation scalar _admit performs, so every verdict
-            # equals the interleaved scalar _quiet answer.  A row that
-            # crosses its bandwidth stays over for the rest of the batch
-            # (cap-sum load only grows during pure admission), exactly
-            # like the live _row_over latch.
-            capload, unc, over, bw = (
-                self._row_capload, self._row_unc,
-                self._row_over, self._row_bw,
-            )
-            sim: Dict[int, float] = {}
-            flags = np.empty(n, dtype=bool)
-            for i in range(n):
-                cap = caps_list[i]
-                quiet = True
-                for r in row_ids[i]:
-                    if unc[r] > 0 or over[r]:
-                        quiet = False  # over before the batch even starts
-                        continue
-                    load = sim.get(r)
-                    if load is None:
-                        load = capload[r]
-                    load += cap
-                    sim[r] = load
-                    if load > bw[r]:
-                        quiet = False
-                flags[i] = quiet
-            plan._quiet_flags = flags
-            # plain floats: np scalars must not leak into event
-            # timestamps (fingerprints call float.hex()) or flow math
-            plan._etas = [float(e) for e in etas]
+        # initial rate seeding: the scalar expressions, elementwise
+        caps = np.array(caps_list, dtype=float)
+        sizes = np.fromiter(
+            (it[2] for it in plan.items), dtype=float, count=n
+        )
+        ser = sizes / caps
+        now = self.queue.now
+        etas = np.maximum(now + ser, now)
+        # interleaved quiet verdicts: walk the batch once, accumulating each
+        # row's simulated cap-sum load from its live value in item order —
+        # the same left-fold float accumulation scalar _admit performs, so
+        # every verdict equals the interleaved scalar _quiet answer.  A row
+        # that crosses its bandwidth stays over for the rest of the batch
+        # (cap-sum load only grows during pure admission), exactly like the
+        # live _row_over latch.
+        capload, unc, over, bw = (
+            self._row_capload, self._row_unc, self._row_over, self._row_bw,
+        )
+        sim: Dict[int, float] = {}
+        flags = np.empty(n, dtype=bool)
+        for i in range(n):
+            cap = caps_list[i]
+            quiet = True
+            for r in row_ids[i]:
+                if unc[r] > 0 or over[r]:
+                    quiet = False  # over before the batch even starts
+                    continue
+                load = sim.get(r)
+                if load is None:
+                    load = capload[r]
+                load += cap
+                sim[r] = load
+                if load > bw[r]:
+                    quiet = False
+            flags[i] = quiet
+        plan._quiet_flags = flags
+        # plain floats: np scalars must not leak into event timestamps
+        # (fingerprints call float.hex()) or flow math
+        plan._etas = [float(e) for e in etas]
         plan._links = links_list
         plan._props = props
         plan._caps = caps_list
@@ -917,7 +842,7 @@ class Network:
             else:
                 self._poke(self._rows_for(flow))
 
-    # -- incremental-rebalance bookkeeping -------------------------------
+    # -- rebalance bookkeeping -------------------------------------------
     def _rows_for(self, flow: Flow) -> Tuple[int, ...]:
         """The flow's path as stable link-table row ids (cached)."""
         rows = flow.link_row_ids
@@ -976,8 +901,6 @@ class Network:
         must evaluate this *before* an expel (the rows' pre-removal state
         is what proves nobody was constrained) and *after* an admit.
         """
-        if self.rebalance_mode == "full":
-            return False
         row_over = self._row_over
         for row in self._rows_for(flow):
             if row_over[row]:
@@ -992,14 +915,10 @@ class Network:
     def _poke(self, rows: Iterable[int]) -> None:
         """Register a rebalance trigger for the given link rows.
 
-        Full mode recomputes synchronously (the seed behaviour).
-        Incremental mode marks the links dirty and arms one flush event at
-        the current timestamp, coalescing every further trigger at this
-        instant into a single recompute.
+        Marks the links dirty and arms one flush event at the current
+        timestamp, coalescing every further trigger at this instant into a
+        single recompute.
         """
-        if self.rebalance_mode == "full":
-            self._rebalance_full()
-            return
         self._dirty.update(rows)
         if self._flush_event is None:
             self._flush_event = self.queue.schedule(
@@ -1057,9 +976,6 @@ class Network:
             return
         self.stats.recomputes += 1
         self.stats.component_flows += len(comp)
-        if self.rebalance_mode == "batched":
-            self._flush_batched(comp, now)
-            return
         # Settling is lazy: between rate changes the linear-drain invariant
         # keeps ``remaining`` exact as of ``last_update``, so only flows
         # that drained en route or whose rate is about to change need
@@ -1075,7 +991,7 @@ class Network:
             else:
                 live.append(f)
         rates = self._component_rates(live)
-        eps = self.rate_epsilon
+        eps = RATE_EPSILON
         for f in live:
             new = rates.get(f.fid, 0.0)
             old = f.rate
@@ -1092,119 +1008,6 @@ class Network:
                     and abs(new - old) <= eps * max(abs(new), abs(old))):
                 continue
             self._reschedule(f, now)
-
-    def _flush_batched(self, comp: List[Flow], now: float) -> None:
-        """Array-dispatch flush over the whole coalesced flow set.
-
-        Every dirty component triggered at this timestamp arrives stacked
-        in ``comp``; drain detection, settling, the epsilon gate and the
-        completion ETAs all run as contiguous numpy operations, and only
-        flows that genuinely need a new completion event touch python
-        objects again.  Water-filling itself goes through the same
-        :meth:`_component_rates` dispatch as incremental mode.
-
-        Parity contract: each per-flow arithmetic expression below is the
-        same expression, evaluated in the same order, as the scalar path
-        in :meth:`flush` / :meth:`_settle_flow` / :meth:`_reschedule`, and
-        events are scheduled in the same flow order — so a batched run is
-        bit-identical to an incremental run (the determinism suite holds
-        this line).
-        """
-        self.stats.batched_flushes += 1
-        self.stats.batch_flows += len(comp)
-        n = len(comp)
-        rem = np.empty(n, dtype=float)
-        rate = np.empty(n, dtype=float)
-        lu = np.empty(n, dtype=float)
-        dead = np.empty(n, dtype=bool)
-        for i, f in enumerate(comp):
-            rem[i] = f.remaining
-            rate[i] = f.rate
-            lu[i] = f.last_update
-            dead[i] = f.drained_at is not None
-        # scalar path: rem -= rate * (now - last_update) when rate > 0
-        dead |= np.where(rate > 0.0, rem - rate * (now - lu), rem) <= 1e-9
-        if dead.any():
-            live: List[Flow] = []
-            for i, f in enumerate(comp):
-                if dead[i]:
-                    self._settle_flow(f, now)
-                    self._retire(f)
-                else:
-                    live.append(f)
-            alive = ~dead
-            rem = rem[alive]
-            rate = rate[alive]
-            lu = lu[alive]
-        else:
-            live = comp
-        rates = self._component_rates(live)
-        if not live:
-            return
-        m = len(live)
-        new = np.fromiter(
-            (rates.get(f.fid, 0.0) for f in live), dtype=float, count=m
-        )
-        old = rate
-        # vectorized _settle_flow at the *old* rate (live flows all have
-        # drained_at None — drained ones were retired above)
-        dt = now - lu
-        pos = rate > 0.0
-        t_drain = lu + rem / np.where(pos, rate, 1.0)
-        drained_now = (dt > 0.0) & pos & (t_drain <= now + 1e-12)
-        rem_settled = np.where(
-            dt > 0.0,
-            np.where(drained_now, 0.0,
-                     np.maximum(0.0, rem - rate * dt)),
-            rem,
-        )
-        changed = new != old
-        for i in np.flatnonzero(changed):
-            f = live[i]
-            if dt[i] > 0.0:
-                if drained_now[i]:
-                    f.drained_at = float(t_drain[i])
-                f.remaining = float(rem_settled[i])
-                f.last_update = now
-            f.rate = float(new[i])
-            self.stats.flows_rerated += 1
-            if f.on_rate_change is not None:
-                f.on_rate_change(f, float(old[i]))
-        # epsilon gate + completion ETAs as array ops; flows whose events
-        # survive the gate never touch python again this flush
-        has_event = np.fromiter(
-            (f._completion_event is not None for f in live),
-            dtype=bool, count=m,
-        )
-        eps = self.rate_epsilon
-        keep = has_event & (
-            np.abs(new - old) <= eps * np.maximum(np.abs(new), np.abs(old))
-        )
-        need = np.flatnonzero(~keep)
-        if not len(need):
-            return
-        # unchanged flows reschedule from their unsettled remaining, the
-        # same bytes the scalar _reschedule would read off the object
-        rem_final = np.where(changed & (dt > 0.0), rem_settled, rem)
-        ser = np.where(
-            np.isinf(new), 0.0,
-            rem_final / np.where(new > 0.0, new, 1.0),
-        )
-        eta = np.maximum(now + ser, now)
-        queue = self.queue
-        for i in need:
-            f = live[i]
-            if f._completion_event is not None:
-                queue.cancel(f._completion_event)
-                f._completion_event = None
-            if new[i] <= 0.0:
-                continue  # stalled; re-armed when a trigger frees bandwidth
-            f._completion_event = queue.schedule(
-                float(eta[i]),
-                lambda fl=f: self._drain_check(fl),
-                f"flow:{f.label}",
-            )
-            self.stats.events_rescheduled += 1
 
     def _settle_flow(self, f: Flow, now: float) -> None:
         """Drain one flow's progress up to ``now`` at its current rate."""
@@ -1246,7 +1049,7 @@ class Network:
         capped = self._rates_all_capped(flows)
         if capped is not None:
             return capped
-        if len(flows) >= self.vectorize_threshold:
+        if len(flows) >= VECTORIZE_MIN_FLOWS:
             self.stats.vectorized += 1
             return self._rates_vectorized(flows)
         return self._rates_scalar(flows)
@@ -1300,8 +1103,8 @@ class Network:
             w = weight[fid]
             for lk in f.path_links:
                 if lk not in caps:
-                    # effective row bandwidth, not Link.bandwidth: all
-                    # three water-fill paths must see the same capacity,
+                    # effective row bandwidth, not Link.bandwidth: every
+                    # water-fill path must see the same capacity,
                     # including any cross-shard remote-load reservation
                     caps[lk] = self._row_bw[self._row_of[lk]]
                     members[lk] = []
@@ -1428,62 +1231,9 @@ class Network:
             unassigned &= ~assigned
         return {f.fid: float(r) for f, r in zip(flows, rates)}
 
-    # -- full recompute (reference + benchmark baseline) ------------------
-    def _settle(self, now: float) -> None:
-        """Drain every flow's progress up to ``now`` at its current rate."""
-        for f in self._flows.values():
-            self._settle_flow(f, now)
-
-    def _maxmin_rates(self) -> Dict[int, float]:
-        """Weighted max-min fair rate for every contending flow."""
-        return self._rates_scalar(
-            f for f in self._flows.values()
-            if f.drained_at is None and not f.paused
-        )
-
-    def _rebalance_full(self) -> None:
-        """Recompute all rates and reschedule every completion event."""
-        now = self.queue.now
-        self.stats.full_recomputes += 1
-        self._settle(now)
-        # retire any flow whose bytes drained since the last event; its
-        # delivery is pinned at drained_at + propagation.
-        for f in [f for f in self._flows.values()
-                  if f.drained_at is not None or f.remaining <= 1e-9]:
-            self._retire(f)
-        rates = self._maxmin_rates()
-        for f in list(self._flows.values()):
-            old_rate = f.rate
-            f.rate = rates.get(f.fid, 0.0)
-            if f.on_rate_change is not None and f.rate != old_rate:
-                f.on_rate_change(f, old_rate)
-            if f._completion_event is not None:
-                self.queue.cancel(f._completion_event)
-                f._completion_event = None
-            if f.rate <= 0:
-                continue  # stalled; will be rescheduled on next rebalance
-            serialization = (
-                0.0 if f.rate == float("inf") else f.remaining / f.rate
-            )
-            f._completion_event = self.queue.schedule(
-                max(now + serialization, now),
-                lambda fl=f: self._drain_check(fl),
-                f"flow:{f.label}",
-            )
-
     # -- drain / delivery --------------------------------------------------
     def _drain_check(self, flow: Flow) -> None:
         if flow.done or flow.failed:
-            return
-        if self.rebalance_mode == "full":
-            self._settle(self.queue.now)
-            if flow.fid in self._flows and flow.remaining > 1e-6:
-                # rates changed since this event was scheduled; re-arm
-                self._rebalance_full()
-                return
-            if flow.fid in self._flows:
-                self._retire(flow)
-                self._rebalance_full()
             return
         if flow.fid not in self._flows:
             return
@@ -1537,8 +1287,6 @@ class Network:
                 self.stats.fast_rated += 1
             else:
                 self._poke(self._rows_for(flow))
-        elif self.rebalance_mode == "full":
-            self._poke(self._rows_for(flow))  # seed parity: recompute anyway
         if flow.on_fail is not None:
             flow.on_fail(flow, exc)
 

@@ -52,6 +52,7 @@ __all__ = [
     "TransferScheduler",
     "DEFAULT_CLASS_WEIGHTS",
     "SCHEDULING_POLICIES",
+    "BATCH_MIN_SPECS",
 ]
 
 
@@ -76,6 +77,10 @@ DEFAULT_CLASS_WEIGHTS: Dict[Priority, float] = {
 
 #: recognized scheduling policies (the experiment ablation knob).
 SCHEDULING_POLICIES = ("off", "weighted", "strict")
+
+#: batch size (specs) from which :meth:`TransferScheduler.submit_batch`
+#: takes the array admission path; smaller batches loop scalar ``submit``
+BATCH_MIN_SPECS = 6
 
 
 class CancelToken:
@@ -350,13 +355,6 @@ class TransferScheduler:
         Observability tracer; per-transfer spans are opened under the parent
         span passed to :meth:`submit`.  Defaults to the shared disabled
         tracer (no spans, negligible overhead).
-    vectorize_threshold:
-        Batch size (specs) at which :meth:`submit_batch` switches from the
-        scalar per-spec loop to array admission (class counting, weight
-        assignment, dedup-key hashing and initial rate seeding as numpy
-        operations feeding one coalesced rebalance flush).  Mirrors
-        ``Network(vectorize_threshold=...)`` for the water-fill; both
-        paths are bit-identical, this only moves the crossover.
     """
 
     def __init__(
@@ -366,15 +364,12 @@ class TransferScheduler:
         weights: Optional[Dict[Priority, float]] = None,
         on_event: Optional[Callable[[TransferEvent], None]] = None,
         tracer: Optional[Tracer] = None,
-        vectorize_threshold: int = 6,
     ) -> None:
         if policy not in SCHEDULING_POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {policy!r}; "
                 f"choose from {SCHEDULING_POLICIES}"
             )
-        if vectorize_threshold < 2:
-            raise ValueError("vectorize_threshold must be >= 2")
         self.network = network
         self.policy = policy
         self.weights = dict(DEFAULT_CLASS_WEIGHTS)
@@ -385,7 +380,6 @@ class TransferScheduler:
                 raise ValueError(f"weight for {prio!r} must be positive")
         self.on_event = on_event
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.vectorize_threshold = vectorize_threshold
         self.registry = InFlightRegistry()
         self.stats = SchedulerStats()
         self._active: List[TransferHandle] = []
@@ -438,24 +432,16 @@ class TransferScheduler:
     ) -> List[TransferHandle]:
         """Admit a same-timestamp batch of transfers, vectorized.
 
-        Below ``vectorize_threshold`` specs (or under the ``strict``
+        Below :data:`BATCH_MIN_SPECS` specs (or under the ``strict``
         policy, whose pause/resume interleaving is inherently scalar) this
         is exactly a loop of :meth:`submit` calls.  At or above it, class
         counting, weight assignment, dedup-key hashing and initial rate
         seeding run as numpy array operations over the whole batch
         (:meth:`Network.admission_plan`), feeding the network's single
-        coalesced rebalance flush.  Under incremental/batched rebalance,
-        event streams, transfer events, stats other than the batch
-        counters, and every float are bit-identical to the scalar loop —
-        the property suite and ``compare_fingerprints`` hold this line.
-        Under ``full`` rebalance the batch defers the scalar path's
-        per-submission synchronous recompute into one coalesced
-        ``_rebalance_full`` (the perf point of batching there): final
-        rates, completion times and transfer outcomes stay bit-equal,
-        but the intermediate recompute count — and with it
-        ``full_recomputes`` and traced ``rerated`` granularity — is
-        coarser, the same observable-equality standard the
-        batched-vs-incremental rebalancer meets.
+        coalesced rebalance flush.  Event streams, transfer events, stats
+        other than the batch counters, and every float are bit-identical
+        to the scalar loop — the property suite and
+        ``compare_fingerprints`` hold this line.
 
         Handles are returned in spec order.  Like :meth:`submit`,
         ``NoRouteError`` propagates from the offending spec's position;
@@ -465,7 +451,7 @@ class TransferScheduler:
         n = len(specs)
         if n == 0:
             return []
-        if n < self.vectorize_threshold or self.policy == "strict":
+        if n < BATCH_MIN_SPECS or self.policy == "strict":
             self.stats.scalar_fallbacks += n
             seen: Set[str] = set()
             return [
@@ -552,7 +538,6 @@ class TransferScheduler:
                     self._submit_spec(s, run_seen, admit,
                                       on_skip=plan.skip)
                 )
-        plan.finish()
         return handles
 
     def _admit_scalar(

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -264,6 +264,8 @@ class ShardResult:
     shard_id: int
     n_clients: int
     client_index_base: int
+    #: host seconds this shard's simulation loop was running; barrier
+    #: waits and sibling shards' turns (lockstep driver) are not counted
     wall_seconds: float
     events_fired: int
     sim_seconds: float
@@ -556,14 +558,20 @@ def _shard_session(
     caps = {lk: net.link_capacity(*lk) for lk in links}
     boundary: Optional[Dict[str, float]] = None
     yield {}  # setup complete — the driver may start its clock
-    # measuring how fast the *simulator* runs, not simulated time
+    # measuring how fast the *simulator* runs, not simulated time.  The
+    # interval closes across every yield: under the lockstep driver the
+    # sibling shards run there, and counting their time once per shard
+    # inflated ``ShardedResult.cpu_seconds`` n_shards-fold.
+    wall = 0.0
     t0 = time.perf_counter()  # repro: allow[SIM001]
     t = 0.0
     while t < horizon:
         t = min(t + window, horizon)
         rig.queue.run_until(t, max_events=200_000_000)
         own = {lk: net.link_load(*lk) for lk in links}
+        wall += time.perf_counter() - t0  # repro: allow[SIM001]
         remote = yield own
+        t0 = time.perf_counter()  # repro: allow[SIM001]
         if remote is not None:
             if boundary is None:
                 boundary = {
@@ -593,7 +601,7 @@ def _shard_session(
     for sampler in rig.samplers:
         sampler.stop()
     rig.queue.run_until(horizon + settle_seconds, max_events=200_000_000)
-    wall = time.perf_counter() - t0  # repro: allow[SIM001]
+    wall += time.perf_counter() - t0  # repro: allow[SIM001]
     if rig.tracer is not None:
         rig.tracer.finish_open()
     telemetry: Optional[WorkerTelemetry] = None
@@ -617,7 +625,6 @@ def _shard_session(
         # strip live handles: metrics must cross the process boundary
         m.tracer = None
         m.obs = None
-    stats = rig.network.stats
     return ShardResult(
         shard_id=shard_id,
         n_clients=config.n_clients,
@@ -625,19 +632,7 @@ def _shard_session(
         wall_seconds=wall,
         events_fired=rig.queue.fired_total,
         sim_seconds=rig.queue.now,
-        rebalance={
-            "recomputes": stats.recomputes,
-            "full_recomputes": stats.full_recomputes,
-            "coalesced": stats.coalesced,
-            "component_flows": stats.component_flows,
-            "flows_rerated": stats.flows_rerated,
-            "events_rescheduled": stats.events_rescheduled,
-            "vectorized": stats.vectorized,
-            "all_capped": stats.all_capped,
-            "fast_rated": stats.fast_rated,
-            "batched_flushes": stats.batched_flushes,
-            "batch_flows": stats.batch_flows,
-        },
+        rebalance=asdict(rig.network.stats),
         queue_compactions=rig.queue.compactions,
         deduped_transfers=rig.scheduler.registry.stats.deduped,
         promoted_transfers=rig.scheduler.registry.stats.promoted,

@@ -17,15 +17,14 @@ many-consumer contention regime the single-client harness cannot produce.
 
 Scale is the point: with dozens of clients the simulation core itself is the
 bottleneck, which is what the incremental rebalancer in
-:mod:`repro.lon.network` (``SessionConfig.network_rebalance``) and the
-compacting event queue are for.  ``benchmarks/bench_text_multiclient.py``
-measures both arms on this harness.
+:mod:`repro.lon.network` and the compacting event queue are for.
+``benchmarks/bench_text_multiclient.py`` measures it on this harness.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..lightfield.source import ViewSetSource
@@ -171,7 +170,6 @@ class MultiClientResult:
         )
         return {
             "n_clients": len(self.per_client),
-            "rebalance": self.config.base.network_rebalance,
             "accesses": n,
             "mean_latency": round(mean_latency, 4),
             "hit_rate": round(hits / n, 3) if n else 0.0,
@@ -200,9 +198,7 @@ def build_multiclient_rig(
     """
     base = config.base
     queue = EventQueue()
-    net = Network(queue, tcp_window=base.tcp_window,
-                  rebalance=base.network_rebalance,
-                  vectorize_threshold=base.network_vectorize_threshold)
+    net = Network(queue, tcp_window=base.tcp_window)
 
     # --- shared topology --------------------------------------------------
     base_idx = config.client_index_base
@@ -259,7 +255,6 @@ def build_multiclient_rig(
         obs = MetricsRegistry(namespace=config.obs_namespace)
     scheduler = TransferScheduler(
         net, policy=base.scheduling_policy, tracer=tracer,
-        vectorize_threshold=base.scheduler_vectorize_threshold,
     )
     lors = LoRS(queue, net, lbone, scheduler=scheduler)
 
@@ -397,7 +392,7 @@ def run_multiclient_session(
     ``settle_seconds`` bounds how long after the last client's final cursor
     sample the simulation may drain outstanding fetches.  Wall time covers
     the simulation loop only (not rig construction), which is what the
-    scale benchmark compares across rebalance arms.
+    scale benchmark reports.
     """
     rig = build_multiclient_rig(source, config)
     if rig_hook is not None:
@@ -433,26 +428,13 @@ def run_multiclient_session(
         if staging is not None:
             m.staged_count = staging.stats.staged
             m.staged_bytes = staging.stats.bytes_staged
-    stats = rig.network.stats
     return MultiClientResult(
         config=config,
         per_client=rig.metrics,
         wall_seconds=wall,
         events_fired=rig.queue.fired_total,
         sim_seconds=rig.queue.now,
-        rebalance={
-            "recomputes": stats.recomputes,
-            "full_recomputes": stats.full_recomputes,
-            "coalesced": stats.coalesced,
-            "component_flows": stats.component_flows,
-            "flows_rerated": stats.flows_rerated,
-            "events_rescheduled": stats.events_rescheduled,
-            "vectorized": stats.vectorized,
-            "all_capped": stats.all_capped,
-            "fast_rated": stats.fast_rated,
-            "batched_flushes": stats.batched_flushes,
-            "batch_flows": stats.batch_flows,
-        },
+        rebalance=asdict(rig.network.stats),
         queue_compactions=rig.queue.compactions,
         deduped_transfers=rig.scheduler.registry.stats.deduped,
         promoted_transfers=rig.scheduler.registry.stats.promoted,

@@ -24,7 +24,7 @@ from ..lightfield.source import ViewSetSource
 from ..lon.ibp import Depot
 from ..lon.lbone import LBone
 from ..lon.lors import LoRS
-from ..lon.network import REBALANCE_MODES, Network, gbps, mbps
+from ..lon.network import Network, gbps, mbps
 from ..lon.scheduler import SCHEDULING_POLICIES, TransferScheduler
 from ..lon.simtime import EventQueue
 from ..obs.metrics import MetricsRegistry
@@ -119,18 +119,6 @@ class SessionConfig:
     tracing: bool = False
     #: sampler period in simulated seconds (link utilization, queue depths)
     sample_period: float = 0.5
-    #: flow re-rating strategy (see repro.lon.network): "incremental"
-    #: recomputes only the affected link/flow component per change;
-    #: "batched" adds the array-dispatch flush on top of incremental;
-    #: "full" is the O(flows × links) reference recompute
-    network_rebalance: str = "incremental"
-    #: component size (flows) at which a water-fill takes the numpy path
-    #: instead of the scalar loop (forwarded to Network)
-    network_vectorize_threshold: int = 24
-    #: same-timestamp submission count at which the scheduler admits the
-    #: batch through the vectorized plan instead of per-spec scalar
-    #: bookkeeping (forwarded to TransferScheduler); bit-equal either way
-    scheduler_vectorize_threshold: int = 6
 
     def __post_init__(self) -> None:
         if self.case not in (1, 2, 3):
@@ -139,14 +127,6 @@ class SessionConfig:
             raise ValueError(
                 f"scheduling_policy must be one of {SCHEDULING_POLICIES}"
             )
-        if self.network_rebalance not in REBALANCE_MODES:
-            raise ValueError(
-                f"network_rebalance must be one of {REBALANCE_MODES}"
-            )
-        if self.network_vectorize_threshold < 2:
-            raise ValueError("network_vectorize_threshold must be >= 2")
-        if self.scheduler_vectorize_threshold < 2:
-            raise ValueError("scheduler_vectorize_threshold must be >= 2")
 
 
 @dataclass
@@ -175,9 +155,7 @@ class SessionRig:
 def build_rig(source: ViewSetSource, config: SessionConfig) -> SessionRig:
     """Wire every component for the configured case (no events run yet)."""
     queue = EventQueue()
-    net = Network(queue, tcp_window=config.tcp_window,
-                  rebalance=config.network_rebalance,
-                  vectorize_threshold=config.network_vectorize_threshold)
+    net = Network(queue, tcp_window=config.tcp_window)
 
     # --- topology -----------------------------------------------------
     lan_hosts = ["client", "agent"] + [
@@ -223,7 +201,6 @@ def build_rig(source: ViewSetSource, config: SessionConfig) -> SessionRig:
         on_event=(metrics.record_transfer_event
                   if config.record_transfer_events else None),
         tracer=tracer,
-        vectorize_threshold=config.scheduler_vectorize_threshold,
     )
     lors = LoRS(queue, net, lbone, scheduler=scheduler)
 

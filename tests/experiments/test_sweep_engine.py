@@ -319,29 +319,36 @@ class TestAssemblers:
         rows = []
         walls = []
         for n in (1, 2):
-            for arm, wall_s in (("incremental", 1.0), ("batched", 1.5),
-                                ("full", 4.0)):
-                rows.append({
-                    "regime": "scaling", "n_clients": n, "rebalance": arm,
-                    "events_fired": 100 * n, "accesses": 8 * n,
-                    "recomputes": 1, "vectorized": 0, "coalesced": 0,
-                    "batched_flushes": 0, "batch_flows": 0,
-                })
-                walls.append({"wall_s": wall_s * n,
-                              "events_per_second": 100.0 / wall_s})
-        rows.append({"regime": "sharded", "n_clients": 2, "rebalance":
-                     "batched", "n_shards": 2, "events_fired": 200,
-                     "accesses": 16})
+            rows.append({
+                "regime": "scaling", "n_clients": n,
+                "events_fired": 100 * n, "accesses": 8 * n,
+                "recomputes": 1, "vectorized": 0, "coalesced": 0,
+            })
+            walls.append({"wall_s": 1.0 * n, "events_per_second": 100.0})
+        rows.append({"regime": "contended", "n_clients": 2,
+                     "events_fired": 900, "accesses": 16, "recomputes": 40,
+                     "vectorized": 30, "coalesced": 70,
+                     "per_client_accesses": [8, 8]})
+        walls.append({"wall_s": 3.0, "events_per_second": 300.0})
+        rows.append({"regime": "sharded", "n_clients": 2, "n_shards": 2,
+                     "events_fired": 200, "accesses": 16})
         walls.append({"makespan_s": 0.5, "cpu_s": 0.9,
                       "events_per_second": 400.0,
                       "events_per_core_second": 222.2})
         payload, wall = assemble_scale(spec, rows, walls)
         assert payload["client_counts"] == [1, 2]
-        assert set(wall["runs"]) == {f"{n}/{a}" for n in (1, 2)
-                                     for a in ("incremental", "batched",
-                                               "full")}
-        assert wall["speedups"] == {"1": 4.0, "2": 4.0}
-        assert wall["speedup_at_max"] == 4.0
+        assert [r["n_clients"] for r in payload["runs"]] == [1, 2]
+        assert all("regime" not in r for r in payload["runs"])
+        assert set(wall) == {"runs", "contended", "sharded"}
+        assert wall["runs"] == {
+            "1": {"wall_s": 1.0, "events_per_second": 100.0},
+            "2": {"wall_s": 2.0, "events_per_second": 100.0},
+        }
+        assert payload["contended"] == {
+            "n_clients": 2, "events_fired": 900, "accesses": 16,
+            "recomputes": 40, "vectorized": 30, "coalesced": 70,
+        }
+        assert wall["contended"]["2"]["events_per_second"] == 300.0
         assert payload["sharded"]["events_fired"] == {"2": 200}
         assert wall["sharded"]["2"]["makespan_s"] == 0.5
 

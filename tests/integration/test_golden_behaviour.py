@@ -1,0 +1,115 @@
+"""Cross-commit golden: the simulator's answers, pinned as recorded digests.
+
+Every other equivalence check in the suite compares two things *inside one
+commit* (array vs scalar admission, workers vs lockstep, production vs the
+reference oracle).  This module is the check across commits: two small rigs
+whose ``events_fired`` and sha256 over the float-hex access latencies were
+recorded at the commit *before* the rebalancer collapsed to one path
+(64e692a, ``network_rebalance="incremental"``, thresholds 24/6).  A PR that
+claims "same behaviour" — deleting a mode, a fast path, a knob — must leave
+them untouched; a PR that changes behaviour on purpose re-records them and
+says why.
+
+The contended rig has flushed components on both sides of
+``VECTORIZE_MIN_FLOWS`` and array admission batches; the crossing rig runs
+the lockstep driver with ``set_remote_load`` re-rating every window.
+Decompression cost is modeled, so nothing here depends on the host's speed
+(a different numpy/BLAS build may move last-ulp sums in the vectorized
+fill: re-record with ``python tests/integration/test_golden_behaviour.py``).
+"""
+
+import hashlib
+
+from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
+from repro.lightfield import CameraLattice, SyntheticSource
+from repro.lon import gbps, mbps
+from repro.lon.shard import run_sharded_session
+from repro.streaming import (
+    MultiClientConfig,
+    SessionConfig,
+    run_multiclient_session,
+)
+
+GOLDEN = {
+    "contended": (
+        3030,
+        "6dc46395d3425509d2b76237974e6bdd3234bae83d1b4b74358b24ebca3d4f11",
+    ),
+    "crossing": (
+        4844,
+        "244ec55a8f9acd9e1520d832652d9ac7cbe27fdae2bc3ecfc539d961323e0b7e",
+    ),
+}
+
+
+def _source():
+    return SyntheticSource(CameraLattice(n_theta=12, n_phi=24, l=3),
+                           resolution=64, seed=2003)
+
+
+def _digest(result):
+    latencies = "\n".join(a.total_latency.hex()
+                          for m in result.per_client for a in m.accesses)
+    return (result.events_fired,
+            hashlib.sha256(latencies.encode()).hexdigest())
+
+
+def run_contended():
+    """2 clients on a thin WAN with wide stream fans (flushes do work)."""
+    config = MultiClientConfig(
+        base=SessionConfig(
+            case=3, n_accesses=6, trace_seed=7,
+            wan_bandwidth=mbps(40.0), wan_latency=0.08,
+            depot_access_bandwidth=mbps(50.0), tcp_window=256 * 1024,
+            block_size=2048,
+            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
+            max_streams=8, staging_concurrency=24, staging_streams=12,
+            prefetch_policy="all-neighbors",
+        ),
+        n_clients=2, seed_stride=101, start_stagger=0.25,
+    )
+    return run_multiclient_session(_source(), config)
+
+
+def run_crossing():
+    """2 shards in lockstep, 10 % of clients (one per shard) on a thin
+    shared backbone that both saturate: every 0.5 s window exchanges a
+    nonzero remote load and re-rates the local crossing flows."""
+    config = MultiClientConfig(
+        base=SessionConfig(
+            case=3, n_accesses=6, trace_seed=7,
+            wan_bandwidth=gbps(2.0), wan_latency=0.08,
+            depot_access_bandwidth=mbps(400.0), tcp_window=64 * 1024,
+            block_size=16 * 1024,
+            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
+            staging_concurrency=16, staging_streams=4,
+            prefetch_policy="all-neighbors",
+        ),
+        n_clients=12, seed_stride=101, start_stagger=0.25,
+        cross_shard_fraction=0.1, backbone_bandwidth=mbps(1.0),
+    )
+    return run_sharded_session(_source(), config, n_shards=2, workers=1,
+                               window=0.5)
+
+
+def test_contended_rig_matches_recorded_digest():
+    result = run_contended()
+    # the rig is only a witness if the rebalancer took both fills
+    stats = result.rebalance
+    assert 0 < stats["vectorized"] < stats["recomputes"] - stats["all_capped"]
+    assert result.admission["batches_flushed"] > 0
+    assert _digest(result) == GOLDEN["contended"]
+
+
+def test_crossing_lockstep_rig_matches_recorded_digest():
+    result = run_crossing()
+    # a witness only if remote load was exchanged and flows re-rated
+    assert result.aggregate()["boundary_max_oversubscription"] > 0.0
+    assert result.rebalance_totals()["recomputes"] > 0
+    assert _digest(result) == GOLDEN["crossing"]
+
+
+if __name__ == "__main__":
+    for name, run in (("contended", run_contended),
+                      ("crossing", run_crossing)):
+        print(f'    "{name}": {_digest(run())!r},')

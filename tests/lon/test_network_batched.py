@@ -1,4 +1,4 @@
-"""Unit tests for trigger coalescing and the batched array flush.
+"""Unit tests for trigger coalescing and the coalesced flush.
 
 The scaling benchmark drives these paths at fleet size; this module pins
 the accounting down at the smallest scale that can exercise it, so a
@@ -9,9 +9,11 @@ regression shows up as a named assertion instead of a dead counter in
 from repro.lon.network import Network, mbps
 from repro.lon.simtime import EventQueue
 
+from .reference_network import ReferenceNetwork
 
-def star(queue, n_leaves=4, bandwidth=mbps(10), **kw):
-    net = Network(queue, **kw)
+
+def star(queue, n_leaves=4, bandwidth=mbps(10), cls=Network):
+    net = cls(queue)
     for i in range(n_leaves):
         net.add_link(f"leaf{i}", "hub", bandwidth, 0.001)
     return net
@@ -49,7 +51,7 @@ class TestCoalescing:
 
     def test_full_mode_never_coalesces(self):
         q = EventQueue()
-        net = star(q, rebalance="full")
+        net = star(q, cls=ReferenceNetwork)
         net.transfer("leaf0", "leaf1", 500_000, lambda f: None)
         net.transfer("leaf2", "leaf1", 500_000, lambda f: None)
         assert net.stats.coalesced == 0
@@ -57,74 +59,46 @@ class TestCoalescing:
         q.run()
 
 
-class TestBatchedFlush:
-    def _contended(self, mode):
-        """Saturated hub: every flush really re-rates the component."""
+class TestContendedFlush:
+    def test_saturated_hub_takes_the_vectorized_fill(self, monkeypatch):
+        """Saturated hub: every flush really re-rates the 12-flow
+        component, and with the crossover lowered under its size the
+        numpy fill takes it."""
+        monkeypatch.setattr("repro.lon.network.VECTORIZE_MIN_FLOWS", 4)
         q = EventQueue()
-        net = star(q, n_leaves=6, bandwidth=mbps(5), rebalance=mode,
-                   vectorize_threshold=4)
+        net = star(q, n_leaves=6, bandwidth=mbps(5))
         done = []
         for i in range(12):
             net.transfer(f"leaf{i % 3}", f"leaf{3 + i % 3}",
                          200_000 + 40_000 * i,
                          lambda f: done.append(f.finish_time))
         q.run()
-        return net, done
-
-    def test_batched_flushes_and_batch_flows_counted(self):
-        net, done = self._contended("batched")
-        assert len(done) == 12
-        assert net.stats.batched_flushes > 0
-        # every flush dispatched through the array path, none fell back
-        assert net.stats.batched_flushes == net.stats.recomputes
-        # the array pass saw the whole coalesced flow set, not singletons
-        assert net.stats.batch_flows > net.stats.batched_flushes
-
-    def test_incremental_mode_never_batch_flushes(self):
-        net, done = self._contended("incremental")
         assert len(done) == 12
         assert net.stats.recomputes > 0
-        assert net.stats.batched_flushes == 0
-        assert net.stats.batch_flows == 0
-
-    def test_batched_completions_bit_equal_to_incremental(self):
-        _, inc = self._contended("incremental")
-        _, bat = self._contended("batched")
-        assert [t.hex() for t in inc] == [t.hex() for t in bat]
-
-    def test_batched_stats_match_incremental_stats(self):
-        """The array flush must fire the same recompute/reschedule pattern
-        as the scalar loop it replaces — same triggers, same epsilon
-        gating, same vectorized water-fill dispatch."""
-        inc_net, _ = self._contended("incremental")
-        bat_net, _ = self._contended("batched")
-        for field in ("recomputes", "coalesced", "vectorized",
-                      "flows_rerated", "events_rescheduled",
-                      "component_flows"):
-            assert getattr(bat_net.stats, field) == \
-                getattr(inc_net.stats, field), field
+        assert net.stats.vectorized > 0
+        assert net.stats.full_recomputes == 0
 
 
 class TestFullModeAdmissionPlan:
-    """Full rebalance has no quiet fast path — every scalar transfer pays
-    a synchronous ``_rebalance_full``.  An admission plan defers those
-    into one ``finish()`` flush; same-timestamp full recomputes are
-    idempotent on settle/max-min state, so completions stay bit-equal."""
+    """The reference oracle has no quiet fast path and no deferred flush:
+    its admission plan is a pass-through, every admit pays a synchronous
+    full recompute exactly like scalar ``transfer``."""
 
     ITEMS = [("leaf0", "leaf3", 300_000), ("leaf1", "leaf4", 500_000),
              ("leaf2", "leaf5", 250_000), ("leaf0", "leaf4", 400_000)]
 
-    def _run(self, batched):
+    def _run(self, batched, skip_after_first=False):
         q = EventQueue()
-        net = star(q, n_leaves=6, bandwidth=mbps(5), rebalance="full")
+        net = star(q, n_leaves=6, bandwidth=mbps(5), cls=ReferenceNetwork)
         done = []
         if batched:
             plan = net.admission_plan(self.ITEMS)
-            assert plan.vector_ok
+            assert not plan.vector_ok
             for j in range(len(self.ITEMS)):
                 plan.admit(j, lambda f: done.append(f.finish_time),
                            None, f"x{j}", 1.0)
-            plan.finish()
+                if skip_after_first and j == 0:
+                    plan.skip()  # a mid-batch divergence degrades the plan
         else:
             for j, (src, dst, size) in enumerate(self.ITEMS):
                 net.transfer(src, dst, size,
@@ -134,34 +108,12 @@ class TestFullModeAdmissionPlan:
         return net, done
 
     def test_completions_bit_equal_to_scalar(self):
-        _, scalar = self._run(batched=False)
-        _, batched = self._run(batched=True)
+        s_net, scalar = self._run(batched=False)
+        b_net, batched = self._run(batched=True)
         assert [t.hex() for t in scalar] == [t.hex() for t in batched]
-
-    def test_one_flush_replaces_per_item_recomputes(self):
-        s_net, _ = self._run(batched=False)
-        b_net, _ = self._run(batched=True)
-        # scalar: one synchronous recompute per admit; batched: one for
-        # the whole plan (completion-time recomputes are identical)
-        saved = len(self.ITEMS) - 1
-        assert s_net.stats.full_recomputes - b_net.stats.full_recomputes \
-            == saved
-        assert b_net.stats.coalesced == saved
+        assert s_net.stats.full_recomputes == b_net.stats.full_recomputes
 
     def test_degraded_plan_reverts_to_scalar_pokes(self):
-        q = EventQueue()
-        net = star(q, n_leaves=6, bandwidth=mbps(5), rebalance="full")
-        done = []
-        plan = net.admission_plan(self.ITEMS)
-        plan.admit(0, lambda f: done.append(f.finish_time), None, "x0", 1.0)
-        plan.skip()  # a mid-batch divergence degrades the plan...
-        for j in range(1, len(self.ITEMS)):
-            plan.admit(j, lambda f: done.append(f.finish_time),
-                       None, f"x{j}", 1.0)
-        plan.finish()
-        q.run()
-        # ...so later admits poke immediately and nothing stays deferred
         _, scalar = self._run(batched=False)
-        assert [t.hex() for t in done] == [t.hex() for t in scalar]
-
-
+        _, degraded = self._run(batched=True, skip_after_first=True)
+        assert [t.hex() for t in degraded] == [t.hex() for t in scalar]

@@ -9,8 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lon.network import REBALANCE_MODES, Network, mbps
+from repro.lon.network import VECTORIZE_MIN_FLOWS, Network, mbps
 from repro.lon.simtime import EventQueue
+
+from .reference_network import ReferenceNetwork
 
 
 def star_network(queue, n_leaves, bandwidth, tcp_window=None, **kw):
@@ -265,67 +267,53 @@ class TestFairnessProperties:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_incremental_matches_full_water_filling(self, seed):
-        """All three rebalance modes allocate identical rates (1e-9) under
-        the same randomized op sequence and deliver the same completions at
-        the same times; the batched array flush is *bit*-equal to the
-        incremental path it re-dispatches."""
+        """Production and the reference oracle allocate identical rates
+        (1e-9) under the same randomized op sequence and deliver the same
+        completions at the same times."""
         results = {}
-        for mode in REBALANCE_MODES:
+        for net_cls in (Network, ReferenceNetwork):
             rng = np.random.default_rng(seed)
             q = EventQueue()
-            net = Network(q, rebalance=mode)
+            net = net_cls(q)
             hosts = random_topology(net, rng, n_hosts=8, n_hubs=3)
             flows = apply_op_sequence(net, q, rng, hosts, n_ops=20)
             snapshot = [
                 (f.label, f.paused, round(f.rate, 6))
                 for f in net.active_flows
             ]
-            exact = [
-                (f.label, f.paused, f.rate.hex())
-                for f in net.active_flows
-            ]
             q.run()
-            results[mode] = {
+            results[net_cls] = {
                 "snapshot": snapshot,
-                "exact": exact,
                 "finish": [
                     (f.size, f.weight, None if f.finish_time is None
                      else round(f.finish_time, 6))
                     for f in flows
                 ],
-                "finish_exact": [
-                    (f.size, f.weight, None if f.finish_time is None
-                     else f.finish_time.hex())
-                    for f in flows
-                ],
             }
-        inc, bat, full = (results["incremental"], results["batched"],
-                          results["full"])
-        # batched reuses the incremental dispatch, so it must be bit-equal
-        assert bat["exact"] == inc["exact"]
-        assert bat["finish_exact"] == inc["finish_exact"]
-        # incremental vs full: rate allocations identical within 1e-9
-        # relative, deliveries at the same (rounded) simulated instants
-        for other in (inc, bat):
-            assert len(other["snapshot"]) == len(full["snapshot"])
-            for (l1, p1, r1), (l2, p2, r2) in zip(
-                sorted(other["snapshot"]), sorted(full["snapshot"])
-            ):
-                assert (l1, p1) == (l2, p2)
-                assert abs(r1 - r2) <= 1e-9 * max(abs(r1), abs(r2), 1.0)
-            assert other["finish"] == full["finish"]
+        inc, full = results[Network], results[ReferenceNetwork]
+        # rate allocations identical within 1e-9 relative, deliveries at
+        # the same (rounded) simulated instants
+        assert len(inc["snapshot"]) == len(full["snapshot"])
+        for (l1, p1, r1), (l2, p2, r2) in zip(
+            sorted(inc["snapshot"]), sorted(full["snapshot"])
+        ):
+            assert (l1, p1) == (l2, p2)
+            assert abs(r1 - r2) <= 1e-9 * max(abs(r1), abs(r2), 1.0)
+        assert inc["finish"] == full["finish"]
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        n=st.integers(min_value=25, max_value=40),
+        n=st.integers(min_value=VECTORIZE_MIN_FLOWS - 4,
+                      max_value=VECTORIZE_MIN_FLOWS + 16),
     )
     @settings(max_examples=15, deadline=None)
     def test_vectorized_water_fill_matches_scalar(self, seed, n):
-        """Above vectorize_threshold the numpy path must agree with the
-        scalar reference on the same component (1e-9 relative)."""
+        """On both sides of the pinned crossover the numpy fill, and
+        whichever fill the flush picked by size, must agree with the
+        scalar reference on the same flows (1e-9 relative)."""
         rng = np.random.default_rng(seed)
         q = EventQueue()
-        net = Network(q, vectorize_threshold=10**9)  # force scalar
+        net = Network(q)
         hosts = random_topology(net, rng, n_hosts=10, n_hubs=4)
         flows = []
         for _ in range(n):
@@ -338,5 +326,7 @@ class TestFairnessProperties:
         scalar = net._rates_scalar(flows)
         vec = net._rates_vectorized(flows)
         assert set(scalar) == set(vec)
-        for fid, r in scalar.items():
-            assert abs(vec[fid] - r) <= 1e-9 * max(abs(r), 1.0)
+        for f in flows:
+            r = scalar[f.fid]
+            assert abs(vec[f.fid] - r) <= 1e-9 * max(abs(r), 1.0)
+            assert abs(f.rate - r) <= 1e-9 * max(abs(r), 1.0)

@@ -13,10 +13,12 @@ import pytest
 from repro.lon.network import Network, mbps
 from repro.lon.simtime import EventQueue
 
+from .reference_network import ReferenceNetwork
 
-def capped_net(window=64 * 1024, bandwidth=mbps(800), rebalance="incremental"):
+
+def capped_net(window=64 * 1024, bandwidth=mbps(800), cls=Network):
     q = EventQueue()
-    net = Network(q, tcp_window=window, rebalance=rebalance)
+    net = cls(q, tcp_window=window)
     net.add_link("a", "b", bandwidth=bandwidth, latency=0.05)
     return q, net
 
@@ -60,7 +62,7 @@ class TestQuietFastPath:
 
     def test_uncapped_flow_disables_quiet_path(self):
         q = EventQueue()
-        net = Network(q, tcp_window=None, rebalance="incremental")
+        net = Network(q, tcp_window=None)
         net.add_link("a", "b", bandwidth=mbps(100), latency=0.01)
         net.transfer("a", "b", 1 << 20, lambda f: None)
         # an uncapped flow can always be constrained: must flush
@@ -70,7 +72,7 @@ class TestQuietFastPath:
         assert net.stats.recomputes >= 1
 
     def test_full_mode_never_takes_the_fast_path(self):
-        q, net = capped_net(rebalance="full")
+        q, net = capped_net(cls=ReferenceNetwork)
         net.transfer("a", "b", 1 << 20, lambda f: None)
         q.run()
         assert net.stats.fast_rated == 0

@@ -1,16 +1,15 @@
 """Batched admission (``TransferScheduler.submit_batch``) equivalence.
 
-Two equality standards, matching the two rebalance families:
+The array path must be *bit-identical* to a loop of scalar submits — same
+transfer events at the same times, same completion floats, same network
+stats — across priority mixes, dedup collisions, pre-tripped tokens and
+mid-batch cancellations (the hypothesis properties below).  On the
+reference oracle, whose admission plan is a pass-through, a batch falls
+back to scalar submits with the same completions.
 
-* under ``incremental``/``batched`` rebalance the array path must be
-  *bit-identical* to a loop of scalar submits — same transfer events at
-  the same times, same completion floats, same network stats — across
-  priority mixes, dedup collisions, pre-tripped tokens and mid-batch
-  cancellations (the hypothesis properties below);
-* under ``full`` rebalance the batch coalesces the scalar path's
-  per-submission synchronous recomputes into one flush: final rates and
-  completion times stay bit-equal while ``full_recomputes`` drops — the
-  observable-equality standard ``rebalance="batched"`` set in PR 6.
+Which path a batch takes is decided by its size against
+``BATCH_MIN_SPECS``; the scenarios here are 2-12 specs, so each arm pins
+the constant (``ARRAY`` / ``SCALAR``) around ``submit_batch``.
 
 Plus the registry regression the batch work exposed: a cancel teardown
 that synchronously resubmits its key must not have the fresh entry torn
@@ -23,8 +22,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +37,8 @@ from repro.lon.scheduler import (
 )
 from repro.lon.simtime import EventQueue
 
+from .reference_network import ReferenceNetwork
+
 N_LEAVES = 6
 KEY_POOL = [f"vs-{k}" for k in range(4)]
 
@@ -45,8 +46,17 @@ KEY_POOL = [f"vs-{k}" for k in range(4)]
 TOK_NONE, TOK_TRIPPED, TOK_LIVE = 0, 1, 2
 
 
-def star(queue, rebalance="incremental", tcp_window=128 * 1024):
-    net = Network(queue, rebalance=rebalance, tcp_window=tcp_window)
+# crossover values that force every drawn batch down one path
+ARRAY, SCALAR = 2, 10**9
+
+
+def batch_min_specs(n):
+    """Pin the array-admission crossover for the enclosed submissions."""
+    return mock.patch("repro.lon.scheduler.BATCH_MIN_SPECS", n)
+
+
+def star(queue, cls=Network, tcp_window=128 * 1024):
+    net = cls(queue, tcp_window=tcp_window)
     for i in range(N_LEAVES):
         net.add_link(f"leaf{i}", "hub", mbps(20), 0.002)
     return net
@@ -76,11 +86,11 @@ scenario_st = st.tuples(
 )
 
 
-def run_scenario(drawn, threshold, rebalance):
+def run_scenario(drawn, min_specs, cls=Network):
     """One full deterministic run; returns every observable stream."""
     rows, held, cancel_pair = drawn
     q = EventQueue()
-    net = star(q, rebalance=rebalance)
+    net = star(q, cls=cls)
     events = []
     done = []
 
@@ -117,12 +127,12 @@ def run_scenario(drawn, threshold, rebalance):
                 and ev.label == trip[0]:
             trip[1].cancel()
 
-    sched = TransferScheduler(net, policy="weighted", on_event=on_event,
-                              vectorize_threshold=threshold)
+    sched = TransferScheduler(net, policy="weighted", on_event=on_event)
     for k, is_held in zip(KEY_POOL, held):
         if is_held:
             sched.registry.register(k, "staging", Priority.STAGING)
-    handles = sched.submit_batch(specs)
+    with batch_min_specs(min_specs):
+        handles = sched.submit_batch(specs)
     q.run()
     return {
         "events": events,
@@ -144,15 +154,14 @@ OBSERVABLES = ("events", "done", "states", "registry", "sched", "net")
 
 
 class TestBatchedEqualsScalar:
-    @pytest.mark.parametrize("rebalance", ["incremental", "batched"])
     @given(drawn=scenario_st)
     @settings(max_examples=20, deadline=None)
-    def test_batched_bit_equal_to_scalar(self, rebalance, drawn):
+    def test_batched_bit_equal_to_scalar(self, drawn):
         """Array admission is a pure reformulation: priority mixes, dedup
         collisions (intra-batch and vs the registry), pre-tripped tokens
         and mid-batch cancellations all land on identical streams."""
-        scalar = run_scenario(drawn, threshold=10**9, rebalance=rebalance)
-        batched = run_scenario(drawn, threshold=2, rebalance=rebalance)
+        scalar = run_scenario(drawn, SCALAR)
+        batched = run_scenario(drawn, ARRAY)
         for key in OBSERVABLES:
             assert batched[key] == scalar[key], key
         # and the arms really differed in which path they took
@@ -167,15 +176,15 @@ class TestBatchedEqualsScalar:
         rows, _held, _cancel_pair = drawn
         q = EventQueue()
         net = star(q)
-        sched = TransferScheduler(net, policy="strict",
-                                  vectorize_threshold=2)
+        sched = TransferScheduler(net, policy="strict")
         specs = [
             TransferSpec(f"leaf{src}", f"leaf{(src + off) % N_LEAVES}",
                          size, lambda f: None, label=f"s{i}",
                          priority=Priority(prio))
             for i, (src, off, size, prio, _k, _t) in enumerate(rows)
         ]
-        sched.submit_batch(specs)
+        with batch_min_specs(ARRAY):
+            sched.submit_batch(specs)
         q.run()
         assert sched.stats.batches_flushed == 0
         assert sched.stats.scalar_fallbacks == len(rows)
@@ -194,19 +203,16 @@ def _duplicate_key_batch():
 
 class TestBatchAccounting:
     def test_intra_batch_duplicate_suppressed_once(self):
-        out = run_scenario(_duplicate_key_batch(), threshold=2,
-                           rebalance="incremental")
+        out = run_scenario(_duplicate_key_batch(), ARRAY)
         assert out["states"] == ["completed", "cancelled",
                                  "completed", "completed"]
         assert out["registry"][1] == 1  # exactly one dedup
-        scalar = run_scenario(_duplicate_key_batch(), threshold=10**9,
-                              rebalance="incremental")
+        scalar = run_scenario(_duplicate_key_batch(), SCALAR)
         for k in OBSERVABLES:
             assert out[k] == scalar[k], k
 
     def test_class_histogram_counts_whole_batch(self):
-        out = run_scenario(_duplicate_key_batch(), threshold=2,
-                           rebalance="incremental")
+        out = run_scenario(_duplicate_key_batch(), ARRAY)
         sched = out["scheduler"]
         assert sched.stats.batches_flushed == 1
         assert sched.stats.submissions_coalesced == 4
@@ -217,23 +223,17 @@ class TestBatchAccounting:
 
     def test_below_threshold_is_scalar(self):
         rows, held, _ = _duplicate_key_batch()
-        out = run_scenario((rows[:2], held, None), threshold=3,
-                           rebalance="incremental")
+        out = run_scenario((rows[:2], held, None), 3)
         sched = out["scheduler"]
         assert sched.stats.batches_flushed == 0
         assert sched.stats.scalar_fallbacks == 2
 
     def test_empty_batch_is_a_noop(self):
         q = EventQueue()
-        sched = TransferScheduler(star(q), vectorize_threshold=2)
+        sched = TransferScheduler(star(q))
         assert sched.submit_batch([]) == []
         assert sched.stats.batches_flushed == 0
         assert sched.stats.scalar_fallbacks == 0
-
-    def test_threshold_below_two_rejected(self):
-        q = EventQueue()
-        with pytest.raises(ValueError):
-            TransferScheduler(star(q), vectorize_threshold=1)
 
 
 class TestDedupHashStability:
@@ -254,12 +254,12 @@ class TestDedupHashStability:
         from repro.lon.simtime import EventQueue
 
         q = EventQueue()
-        net = Network(q, rebalance="incremental")
+        net = Network(q)
         for i in range(6):
             net.add_link(f"leaf{i}", "hub", mbps(20), 0.002)
         events, done = [], []
         sched = TransferScheduler(
-            net, policy="weighted", vectorize_threshold=2,
+            net, policy="weighted",
             on_event=lambda ev: events.append(
                 (ev.time.hex(), ev.label, ev.event)),
         )
@@ -268,6 +268,9 @@ class TestDedupHashStability:
             ("leaf1", "leaf3", 200_000, 2, "vs-0"),
             ("leaf2", "leaf5", 150_000, 1, None),
             ("leaf3", "leaf4", 120_000, 3, "vs-1"),
+            # six specs: BATCH_MIN_SPECS, so the array pre-pass runs
+            ("leaf4", "leaf0", 110_000, 1, None),
+            ("leaf5", "leaf2", 90_000, 2, None),
         ]
         specs = [
             TransferSpec(src, dst, size,
@@ -304,8 +307,7 @@ class TestDedupHashStability:
         for out in (a, b):
             del out["seed"]
         assert a == b
-        assert a["states"] == ["completed", "cancelled",
-                               "completed", "completed"]
+        assert a["states"] == ["completed", "cancelled"] + ["completed"] * 4
         assert a["deduped"] == 1
 
     def test_no_key_sentinels_never_dedup(self):
@@ -318,37 +320,29 @@ class TestDedupHashStability:
             (2, 3, 150_000, 1, None, TOK_NONE),
             (3, 1, 120_000, 3, None, TOK_NONE),
         ]
-        out = run_scenario((rows, [False] * 4, None), threshold=2,
-                           rebalance="incremental")
+        out = run_scenario((rows, [False] * 4, None), ARRAY)
         assert out["states"] == ["completed"] * 4
         assert out["registry"][1] == 0  # nothing deduped
 
 
 class TestFullModeCoalescing:
-    """The perf point of the batch: one recompute per flush, not per spec."""
+    """On the oracle a batch cannot be planned: it admits spec by spec."""
 
-    def _arm(self, threshold):
+    def _arm(self, min_specs):
         drawn = ([
             (i % N_LEAVES, 1 + i % 3, 100_000 + 40_000 * i, i % 4,
              None, TOK_NONE)
             for i in range(8)
         ], [False] * 4, None)
-        return run_scenario(drawn, threshold=threshold, rebalance="full")
+        return run_scenario(drawn, min_specs, cls=ReferenceNetwork)
 
     def test_completions_bit_equal_scalar_vs_batched(self):
-        scalar, batched = self._arm(10**9), self._arm(2)
+        scalar, batched = self._arm(SCALAR), self._arm(ARRAY)
         assert batched["done"] == scalar["done"]
         assert batched["states"] == scalar["states"]
-
-    def test_batch_coalesces_the_per_submission_recomputes(self):
-        scalar, batched = self._arm(10**9), self._arm(2)
-        s_net, b_net = scalar["network"], batched["network"]
-        # scalar admission pays one synchronous full recompute per spec;
-        # the batch defers them into finish()'s single flush
-        assert b_net.stats.full_recomputes < s_net.stats.full_recomputes
-        assert s_net.stats.full_recomputes - b_net.stats.full_recomputes == 7
-        assert b_net.stats.coalesced > 0
-        assert s_net.stats.coalesced == 0
+        sched = batched["scheduler"]
+        assert sched.stats.batches_flushed == 0
+        assert sched.stats.scalar_fallbacks == 8
 
 
 class TestRegistryCancelResubmit:

@@ -158,15 +158,3 @@ class TestWorkerEquivalence:
                                 workers=2, resolution=32, n_accesses=6),
         )
         assert report.ok, report.render()
-
-    def test_sharded_rebalance_modes_agree(self):
-        """Batched vs incremental equivalence survives sharding."""
-        report = compare_fingerprints(
-            sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
-                                workers=1, resolution=32, n_accesses=6,
-                                rebalance="incremental"),
-            sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
-                                workers=1, resolution=32, n_accesses=6,
-                                rebalance="batched"),
-        )
-        assert report.ok, report.render()

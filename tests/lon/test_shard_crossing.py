@@ -14,6 +14,7 @@ baseline; this module covers what ``cross_shard_fraction > 0`` adds:
 """
 
 import multiprocessing as mp
+import time
 
 import pytest
 
@@ -233,6 +234,19 @@ class TestCrossingRuns:
         agg = result.aggregate()
         assert "boundary_windows" not in agg
         assert "boundary_staleness_bound" not in agg
+
+    def test_lockstep_shard_walls_do_not_count_the_siblings(self):
+        """Regression: each shard's wall interval stayed open across the
+        lockstep driver's yields, so it spanned every sibling's turn and
+        ``cpu_seconds`` read n_shards times the run (2.8x the outside
+        wall on this rig, 0.6x once fixed)."""
+        source = _source()
+        t0 = time.perf_counter()
+        result = run_sharded_session(
+            source, _config(16, 0.1), n_shards=8, workers=1)
+        outside = time.perf_counter() - t0
+        assert any(s.boundary is not None for s in result.shards)
+        assert result.cpu_seconds <= 1.1 * outside
 
     def test_crossing_workers_bit_equal_to_lockstep(self):
         """The headline: with 30% of clients on the shared backbone the

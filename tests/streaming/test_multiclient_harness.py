@@ -2,8 +2,8 @@
 
 Covers the wiring (per-client components, shared fabric, staggered
 traces), the end-to-end run (every client's accesses delivered, fleet
-aggregate consistent), and the rebalancer-arm equivalence the scale
-benchmark relies on.
+aggregate consistent), and equivalence with the reference-oracle network
+at harness level.
 """
 
 import pytest
@@ -16,6 +16,8 @@ from repro.streaming.multiclient import (
     run_multiclient_session,
 )
 from repro.streaming.session import SessionConfig
+
+from ..lon.reference_network import ReferenceNetwork
 
 
 def small_source():
@@ -87,7 +89,7 @@ def test_run_session_delivers_every_access():
     assert result.events_fired > 0
     assert result.events_per_second > 0
     assert result.sim_seconds > 0
-    # incremental is the default arm and must never fall back
+    # production never does a whole-network recompute
     assert agg["rebalance_full_recomputes"] == 0
     assert (agg["rebalance_recomputes"] + agg["rebalance_fast_rated"]) > 0
 
@@ -108,13 +110,13 @@ def test_zero_stride_clients_walk_the_same_path():
     assert result.deduped_transfers > 0
 
 
-def test_incremental_and_full_arms_are_equivalent():
+def test_incremental_and_full_arms_are_equivalent(monkeypatch):
     source = small_source()
-    results = {}
-    for arm in ("incremental", "full"):
-        config = small_config(n_clients=3, network_rebalance=arm)
-        results[arm] = run_multiclient_session(source, config)
-    inc, full = results["incremental"], results["full"]
+    config = small_config(n_clients=3)
+    inc = run_multiclient_session(source, config)
+    monkeypatch.setattr(
+        "repro.streaming.multiclient.Network", ReferenceNetwork)
+    full = run_multiclient_session(source, config)
     assert [len(m.accesses) for m in inc.per_client] == \
            [len(m.accesses) for m in full.per_client]
     for m_inc, m_full in zip(inc.per_client, full.per_client):
