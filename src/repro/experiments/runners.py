@@ -256,40 +256,50 @@ def text_fps(
     modes: Sequence[str] = ("quadrilinear", "uv-nearest", "nearest"),
     frames: int = 8,
     volume_size: int = 32,
+    seed: int = 7,
 ) -> List[Row]:
-    """Measure novel-view synthesis rate from a resident view set.
+    """Measure novel-view synthesis rate while browsing one view set.
 
     The paper claims >30 fps "due to the simplistic nature of light field
-    rendering algorithms ... even at large image resolutions of 500x500"
-    (on 2003 OpenGL-class lookups; our pure-numpy client may miss the target
-    at the top resolution — the measured value is reported either way).
+    rendering algorithms ... even at large image resolutions of 500x500".
+    Each mode renders the same seeded path of ``frames`` cameras orbiting
+    inside the view set's window, starting from an empty texel store, so
+    the figure includes the synthesizer's table upkeep (one row fill, a
+    residency check per frame) — not one camera replayed on warm tables.
+    The measured value is reported whether or not it meets the claim.
     """
     vol = neg_hip(size=volume_size)
     tf = preset("neghip")
     lat = CameraLattice(n_theta=12, n_phi=24, l=3)
+    key = (2, 3)
+    theta, phi = lat.viewset_center(key)
+    rng = np.random.default_rng(seed)
+    reach = (lat.l - 1) / 2.0 - 0.5   # stay inside the view set's cameras
+    offsets = rng.uniform(-reach, reach, size=(frames, 2))
     rows: List[Row] = []
     for res in resolutions:
         builder = LightFieldBuilder(
             vol, tf, lat, resolution=res, workers=1,
             settings=RenderSettings(shaded=False),
         )
-        key = (2, 3)
-        vs = builder.render_viewset(key)
-        provider = DictProvider({key: vs})
-        theta, phi = lat.viewset_center(key)
-        for mode in modes:
-            synth = LightFieldSynthesizer(
-                lat, builder.spheres, res, provider, interpolation=mode
-            )
-            cam = orbit_camera(
-                theta + 0.02, phi + 0.03,
+        provider = DictProvider({key: builder.render_viewset(key)})
+        path = [
+            orbit_camera(
+                theta + dth * lat.theta_step, phi + dph * lat.phi_step,
                 radius=builder.spheres.r_outer * 2,
                 resolution=res,
                 fov_deg=builder.spheres.camera_fov_deg() * 0.5,
             )
-            synth.render(cam)  # warm the atlas
+            for dth, dph in offsets
+        ]
+        for mode in modes:
+            synth = LightFieldSynthesizer(
+                lat, builder.spheres, res, provider, interpolation=mode
+            )
+            synth.render(path[0])      # warm the process, not the tables
+            synth.invalidate_cache()
             with wall_timer() as t:
-                for _ in range(frames):
+                for cam in path:
                     synth.render(cam)
             dt = t.seconds / frames
             rows.append({

@@ -86,7 +86,7 @@ class ZlibCodec:
             raise CodecError(f"payload is not {self.tag!r}-coded")
         t0 = time.perf_counter()
         try:
-            raw = zlib.decompress(payload[2:])
+            raw = zlib.decompress(memoryview(payload)[2:])
         except zlib.error as exc:
             raise CodecError(f"zlib decode failed: {exc}") from exc
         vs = ViewSet.from_bytes(raw)
@@ -137,18 +137,18 @@ class DeltaZlibCodec:
             raise CodecError(f"payload is not {self.tag!r}-coded")
         t0 = time.perf_counter()
         try:
-            raw = zlib.decompress(payload[2:])
+            raw = zlib.decompress(memoryview(payload)[2:])
         except zlib.error as exc:
             raise CodecError(f"zlib decode failed: {exc}") from exc
         if len(raw) < 16:
             raise CodecError("truncated delta payload")
-        vi, vj, l, r = np.frombuffer(raw[:16], dtype=np.int32)
+        vi, vj, l, r = np.frombuffer(raw, dtype=np.int32, count=4)
         expected = l * l * r * r * 3
         if len(raw) - 16 != expected:
             raise CodecError(
                 f"delta payload is {len(raw) - 16} bytes, expected {expected}"
             )
-        delta = np.frombuffer(raw[16:], dtype=np.uint8).reshape(l * l, -1)
+        delta = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(l * l, -1)
         flat = np.cumsum(delta.astype(np.uint64), axis=0).astype(np.uint8)
         images = flat.reshape(l, l, r, r, 3)
         vs = ViewSet(key=(int(vi), int(vj)), images=images)

@@ -14,12 +14,17 @@ table lookup operations" — this module implements those lookups, vectorized:
    the remaining weights renormalize, so a missing neighbor degrades
    smoothly instead of leaving holes.
 
-Performance: all resident sample views a frame touches are gathered into a
-per-frame *camera atlas* (one ``(K, r, r, 3)`` array plus ``(K, 3)`` basis
-vectors), after which every ray/corner is pure fancy-indexed numpy — there is
-no per-camera Python loop on the hot path.  The atlas is cached and reused
-while the camera stays over the same view sets, which is exactly the locality
-view sets exist to create.
+Performance: the tables are keyed by the storage block, the view set.  A
+*view-set texel store* holds one flat ``uint8`` buffer with one row per view
+set the recent frames touched (its pixel block, copied in once per ``ViewSet``
+object) and a camera-code → byte-offset table; the camera bases of the whole
+lattice are twelve contiguous ``float32`` tables built once.  A frame asks the
+provider for the handful of view sets its corner cameras touch, refills a row
+only if the provider now hands over a different object (so residency changes
+need no manual invalidation, and an ordinary frame copies nothing), and then
+every corner is the same few ``take`` calls on planar arrays: reproject, tap,
+blend — absent cameras ride along at weight 0.  No per-camera Python loop, no
+per-frame ``np.unique``, no three-index fancy gathers.
 
 Interpolation modes trade fidelity for speed, mirroring the paper's "table
 lookup" fast path:
@@ -32,11 +37,11 @@ lookup" fast path:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
 
-from ..render.camera import Camera, look_at
+from ..render.camera import Camera
 from .lattice import CameraLattice, ViewSetKey
 from .sphere import TwoSphere, angles_to_cartesian
 from .viewset import ViewSet
@@ -86,19 +91,127 @@ class SynthesisResult:
     missing_keys: Set[ViewSetKey] = field(default_factory=set)
 
 
-@dataclass
-class _Atlas:
-    """Per-frame gather tables for the cameras a render touches."""
+def _lattice_bases(lattice: CameraLattice, radius: float) -> np.ndarray:
+    """``(12, n_cameras)`` float32: eye, right, up, forward (xyz each).
 
-    code_to_slot: Dict[int, int]
-    slot_lut: np.ndarray  # (n_theta*n_phi,) intp, -1 where absent
-    images: np.ndarray   # (K, r, r, 3) uint8
-    eyes: np.ndarray     # (K, 3) float32
-    rights: np.ndarray
-    ups: np.ndarray
-    forwards: np.ndarray
-    present: np.ndarray  # (K,) bool — camera's view set was resident
-    missing_keys: Set[ViewSetKey]
+    The whole lattice at once — every sample-view camera sits on the outer
+    sphere looking at the origin, +z up except next to the poles — so row
+    ``k`` is one contiguous per-camera table indexed by camera code.
+    """
+    i, j = np.divmod(np.arange(lattice.n_cameras), lattice.n_phi)
+    theta = (i + 0.5) * lattice.theta_step
+    eye = angles_to_cartesian(theta, j * lattice.phi_step, radius)
+    forward = -eye / np.linalg.norm(eye, axis=1, keepdims=True)
+    up = np.where(
+        (np.abs(np.cos(theta)) > 0.999)[:, None],
+        [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+    )
+    right = np.cross(forward, up)
+    right /= np.linalg.norm(right, axis=1, keepdims=True)
+    true_up = np.cross(right, forward)
+    return np.ascontiguousarray(
+        np.concatenate([eye, right, true_up, forward], axis=1).T,
+        dtype=np.float32,
+    )
+
+
+class _TexelStore:
+    """Sample-view texels of the view sets recent frames touched.
+
+    One flat ``uint8`` buffer, one row per view set (its ``(l, l, r, r, 3)``
+    block, copied in when the store first sees that ``ViewSet`` object), and
+    two tables indexed by camera code: ``base``, the byte offset of the
+    camera's image in the buffer, and ``present``.  An absent camera keeps a
+    valid base (0) so the kernel can tap it unconditionally at weight 0.
+    A row keeps the ``ViewSet`` it was filled from alive until it is released
+    — that object is what the next frame's identity check compares against.
+    """
+
+    def __init__(self, lattice: CameraLattice, resolution: int) -> None:
+        self.lattice = lattice
+        self.resolution = resolution
+        self.view_bytes = resolution * resolution * 3
+        self.row_bytes = lattice.l * lattice.l * self.view_bytes
+        self.texels = np.empty(0, dtype=np.uint8)
+        self.base = np.zeros(lattice.n_cameras, dtype=np.intp)
+        self.present = np.zeros(lattice.n_cameras, dtype=bool)
+        self._row_of: Dict[ViewSetKey, int] = {}
+        self._filled_from: List[Optional[ViewSet]] = []  # per row; None: free
+
+    def sync(
+        self, provider: ViewSetProvider, keys: List[ViewSetKey]
+    ) -> Set[ViewSetKey]:
+        """Bring the rows of ``keys`` in line with the provider.
+
+        A row is (re)filled only when the provider hands over a different
+        object than the one it was filled from, so an ordinary frame copies
+        nothing.  Returns the keys that are not resident.
+        """
+        missing: Set[ViewSetKey] = set()
+        for key in keys:
+            vs = provider.get_resident(key)
+            row = self._row_of.get(key)
+            if row is not None:
+                if self._filled_from[row] is vs:
+                    continue
+                self._release(key)
+            if vs is None:
+                missing.add(key)
+            else:
+                self._fill(key, vs, keep=keys)
+        return missing
+
+    def _camera_codes(self, key: ViewSetKey) -> List[int]:
+        """Codes of a view set's cameras, in the order its block stores them."""
+        n_phi = self.lattice.n_phi
+        return [
+            i * n_phi + j for i, j in self.lattice.cameras_in_viewset(key)
+        ]
+
+    def _release(self, key: ViewSetKey) -> int:
+        row = self._row_of.pop(key)
+        self._filled_from[row] = None
+        codes = self._camera_codes(key)
+        self.present[codes] = False
+        self.base[codes] = 0
+        return row
+
+    def _fill(
+        self, key: ViewSetKey, vs: ViewSet, keep: List[ViewSetKey]
+    ) -> None:
+        l, r = self.lattice.l, self.resolution
+        if vs.images.shape != (l, l, r, r, 3):
+            raise ValueError(
+                f"view set {key} is {vs.l}x{vs.l} views at resolution "
+                f"{vs.resolution}, synthesizer expects {l}x{l} at {r}"
+            )
+        row = self._free_row(keep)
+        start = row * self.row_bytes
+        self.texels[start:start + self.row_bytes] = vs.images.reshape(-1)
+        self._row_of[key] = row
+        self._filled_from[row] = vs
+        codes = self._camera_codes(key)
+        self.present[codes] = True
+        self.base[codes] = start + np.arange(l * l) * self.view_bytes
+
+    def _free_row(self, keep: List[ViewSetKey]) -> int:
+        """A free row; else one no key in ``keep`` uses; else a new one.
+
+        The buffer therefore grows only when a single frame touches more
+        view sets than it has rows.
+        """
+        for row, source in enumerate(self._filled_from):
+            if source is None:
+                return row
+        for key in self._row_of:
+            if key not in keep:
+                return self._release(key)
+        row = len(self._filled_from)
+        self._filled_from.append(None)
+        grown = np.empty((row + 1) * self.row_bytes, dtype=np.uint8)
+        grown[:self.texels.size] = self.texels
+        self.texels = grown
+        return row
 
 
 class LightFieldSynthesizer:
@@ -126,14 +239,21 @@ class LightFieldSynthesizer:
         self.background = float(background)
         self.interpolation = interpolation
         self._tan_half = np.tan(np.radians(spheres.camera_fov_deg()) / 2.0)
-        self._atlas: Optional[_Atlas] = None
-        self._atlas_codes: FrozenSet[int] = frozenset()
+        self._bases = _lattice_bases(lattice, spheres.r_outer)
+        i, j = np.divmod(np.arange(lattice.n_cameras), lattice.n_phi)
+        self._viewset_of_code = (
+            (i // lattice.l) * lattice.n_viewsets[1] + j // lattice.l
+        )
+        self._store = _TexelStore(lattice, self.resolution)
 
     # ------------------------------------------------------------------
     def invalidate_cache(self) -> None:
-        """Drop the camera atlas (call after residency changes)."""
-        self._atlas = None
-        self._atlas_codes = frozenset()
+        """Drop every row of the texel store.
+
+        Never needed for correctness — residency is re-checked every frame
+        — only to give the memory back.
+        """
+        self._store = _TexelStore(self.lattice, self.resolution)
 
     def render(self, camera: Camera) -> SynthesisResult:
         """Synthesize the frame seen by ``camera``."""
@@ -152,200 +272,135 @@ class LightFieldSynthesizer:
 
         Returns ``(colors (N,3) float32, coverage, missing view-set keys)``.
         Coverage is the fraction of volume-intersecting rays whose blend
-        had full weight support (1.0 when everything needed was resident).
+        had full weight support (1.0 when everything needed was resident);
+        the missing keys are the non-resident view sets *these* rays touch.
         """
         origins = np.asarray(origins, dtype=np.float64)
         dirs = np.asarray(dirs, dtype=np.float64)
-        n = len(origins)
-        colors = np.full((n, 3), self.background, dtype=np.float32)
-        p_in_all, u, v, valid = self.spheres.project_rays(origins, dirs)
+        colors = np.full(
+            (len(origins), 3), self.background, dtype=np.float32
+        )
+        p_in, u, v, valid = self.spheres.project_rays(origins, dirs)
         if not valid.any():
             return colors, 1.0, set()
-        vidx = np.nonzero(valid)[0]
-        p_in = p_in_all[vidx].astype(np.float32)
-
+        vidx = np.flatnonzero(valid)
         corners = self._corner_cameras(u[vidx], v[vidx])
-        corner_codes = [
-            ci * self.lattice.n_phi + cj for ci, cj, _ in corners
-        ]
-        atlas = self._ensure_atlas(corner_codes)
+        store = self._store
+        missing = store.sync(self.provider, self._touched_viewsets(corners))
+        if not store.present.any():     # no texels at all to tap
+            return colors, 0.0, missing
 
-        acc = np.zeros((len(vidx), 3), dtype=np.float32)
+        points = np.ascontiguousarray(p_in[vidx].T, dtype=np.float32)
+        acc = np.zeros((3, len(vidx)), dtype=np.float32)
         wsum = np.zeros(len(vidx), dtype=np.float32)
-        for (_ci, _cj, w), code in zip(corners, corner_codes):
-            slots = atlas.slot_lut[code]
-            ok = atlas.present[slots]
-            if not ok.any():
-                continue
-            sel = np.nonzero(ok)[0]
-            samples = self._sample_atlas(atlas, slots[sel], p_in[sel])
-            wf = w[sel].astype(np.float32)
-            acc[sel] += wf[:, None] * samples
-            wsum[sel] += wf
-
+        for code, w in corners:
+            wf = w.astype(np.float32) * store.present.take(code)
+            acc += self._sample(code, points) * wf
+            wsum += wf
         have = wsum > 1e-6
-        out_valid = np.full(
-            (len(vidx), 3), self.background, dtype=np.float32
-        )
-        out_valid[have] = acc[have] / wsum[have, None]
-        colors[vidx] = out_valid
-        coverage = float(np.mean(wsum > 0.999)) if len(vidx) else 1.0
-        return colors, coverage, atlas.missing_keys
+        acc *= np.float32(1.0 / 255.0) / np.where(have, wsum, np.float32(1.0))
+        if not have.all():
+            acc[:, ~have] = self.background
+        colors[vidx] = acc.T
+        return colors, float(np.mean(wsum > 0.999)), missing
 
     # ------------------------------------------------------------------
     # lattice corner selection
     # ------------------------------------------------------------------
-    def _corner_cameras(self, u: np.ndarray, v: np.ndarray):
-        """(ci, cj, weight) triples for the configured interpolation mode."""
+    def _corner_cameras(
+        self, u: np.ndarray, v: np.ndarray
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """(camera code, weight) pairs for the configured interpolation."""
+        n_theta, n_phi = self.lattice.n_theta, self.lattice.n_phi
         fi, fj = self.lattice.continuous_index(u, v)
         if self.interpolation in ("uv-nearest", "nearest"):
-            i = np.clip(np.rint(fi), 0, self.lattice.n_theta - 1).astype(
-                np.intp
-            )
-            j = np.rint(fj).astype(np.intp) % self.lattice.n_phi
-            return [(i, j, np.ones(len(fi)))]
-        i0 = np.clip(np.floor(fi).astype(np.intp), 0,
-                     self.lattice.n_theta - 1)
-        i1 = np.minimum(i0 + 1, self.lattice.n_theta - 1)
+            i = np.clip(np.rint(fi), 0, n_theta - 1).astype(np.intp)
+            j = np.rint(fj).astype(np.intp) % n_phi
+            return [(i * n_phi + j, np.ones(len(fi)))]
+        i0 = np.clip(np.floor(fi).astype(np.intp), 0, n_theta - 1)
+        i1 = np.minimum(i0 + 1, n_theta - 1)
         wi = np.clip(fi - i0, 0.0, 1.0)
-        j0 = np.floor(fj).astype(np.intp) % self.lattice.n_phi
-        j1 = (j0 + 1) % self.lattice.n_phi
+        j0 = np.floor(fj).astype(np.intp) % n_phi
+        j1 = (j0 + 1) % n_phi
         wj = np.clip(fj - np.floor(fj), 0.0, 1.0)
+        i0 *= n_phi
+        i1 *= n_phi
         return [
-            (i0, j0, (1 - wi) * (1 - wj)),
-            (i0, j1, (1 - wi) * wj),
-            (i1, j0, wi * (1 - wj)),
-            (i1, j1, wi * wj),
+            (i0 + j0, (1 - wi) * (1 - wj)),
+            (i0 + j1, (1 - wi) * wj),
+            (i1 + j0, wi * (1 - wj)),
+            (i1 + j1, wi * wj),
         ]
 
-    # ------------------------------------------------------------------
-    # atlas construction
-    # ------------------------------------------------------------------
-    def _ensure_atlas(self, corner_codes: List[np.ndarray]) -> _Atlas:
-        """Fast-path atlas check: rebuild only if a new camera appears.
+    def _touched_viewsets(
+        self, corners: List[Tuple[np.ndarray, np.ndarray]]
+    ) -> List[ViewSetKey]:
+        """Keys of the view sets holding any corner camera."""
+        cols = self.lattice.n_viewsets[1]
+        touched = np.zeros(self.lattice.n_viewsets[0] * cols, dtype=bool)
+        for code, _ in corners:
+            touched[self._viewset_of_code.take(code)] = True
+        return [divmod(int(c), cols) for c in np.flatnonzero(touched)]
 
-        Membership is tested through the cached LUT (no np.unique on the hot
-        path); a single unknown code triggers a rebuild with the exact set.
+    # ------------------------------------------------------------------
+    # vectorized reprojection + texel taps
+    # ------------------------------------------------------------------
+    def _sample(self, code: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Reproject ``points`` into each ray's camera and tap its image.
+
+        ``points`` is planar ``(3, N)`` float32; so is the result, one row
+        per colour channel, in texel units (0..255).
         """
-        atlas = self._atlas
-        if atlas is not None:
-            for code in corner_codes:
-                if (atlas.slot_lut[code] < 0).any():
-                    break
-            else:
-                return atlas
-        codes = frozenset(
-            int(c) for code in corner_codes for c in np.unique(code)
+        ex, ey, ez, rx, ry, rz, ux, uy, uz, fx, fy, fz = (
+            lut.take(code) for lut in self._bases
         )
-        union = codes | self._atlas_codes
-        # keep the atlas from growing without bound during a long session:
-        # past ~2 view sets' worth of cameras, restart from what's needed now
-        cap = 2 * self.lattice.l * self.lattice.l + 16
-        return self._get_atlas(union if len(union) <= cap else codes)
-
-    def _get_atlas(self, codes: FrozenSet[int]) -> _Atlas:
-        if self._atlas is not None and codes <= self._atlas_codes:
-            return self._atlas
-        r = self.resolution
-        code_list = sorted(codes)
-        K = len(code_list)
-        images = np.zeros((K, r, r, 3), dtype=np.uint8)
-        eyes = np.zeros((K, 3), dtype=np.float32)
-        rights = np.zeros((K, 3), dtype=np.float32)
-        ups = np.zeros((K, 3), dtype=np.float32)
-        forwards = np.zeros((K, 3), dtype=np.float32)
-        present = np.zeros(K, dtype=bool)
-        missing: Set[ViewSetKey] = set()
-        viewset_cache: Dict[ViewSetKey, Optional[ViewSet]] = {}
-        for slot, code in enumerate(code_list):
-            i = code // self.lattice.n_phi
-            j = code % self.lattice.n_phi
-            key = self.lattice.viewset_of(i, j)
-            if key not in viewset_cache:
-                viewset_cache[key] = self.provider.get_resident(key)
-            vs = viewset_cache[key]
-            theta, phi = self.lattice.angles(i, j)
-            eye = angles_to_cartesian(
-                np.array(theta), np.array(phi), self.spheres.r_outer
-            )
-            up = np.array([0.0, 0.0, 1.0])
-            if abs(np.cos(theta)) > 0.999:
-                up = np.array([1.0, 0.0, 0.0])
-            right, true_up, forward = look_at(eye, np.zeros(3), up)
-            eyes[slot], rights[slot] = eye, right
-            ups[slot], forwards[slot] = true_up, forward
-            if vs is None:
-                missing.add(key)
-                continue
-            img = vs.view_for_camera(i, j)
-            if img.shape[0] != r:
-                raise ValueError(
-                    f"view set {key} resolution {img.shape[0]} != "
-                    f"synthesizer resolution {r}"
-                )
-            images[slot] = img
-            present[slot] = True
-        slot_lut = np.full(
-            self.lattice.n_theta * self.lattice.n_phi, -1, dtype=np.intp
-        )
-        for s_, c_ in enumerate(code_list):
-            slot_lut[c_] = s_
-        atlas = _Atlas(
-            code_to_slot={c: s for s, c in enumerate(code_list)},
-            slot_lut=slot_lut,
-            images=images,
-            eyes=eyes,
-            rights=rights,
-            ups=ups,
-            forwards=forwards,
-            present=present,
-            missing_keys=missing,
-        )
-        self._atlas = atlas
-        self._atlas_codes = codes
-        return atlas
-
-    # ------------------------------------------------------------------
-    # vectorized reprojection + image sampling
-    # ------------------------------------------------------------------
-    def _sample_atlas(
-        self, atlas: _Atlas, slots: np.ndarray, points: np.ndarray
-    ) -> np.ndarray:
-        """Reproject ``points`` into each ray's camera and sample its image."""
-        rel = points - atlas.eyes[slots]
-        z = np.einsum("ij,ij->i", rel, atlas.forwards[slots])
-        z = np.maximum(z, np.float32(1e-9))
+        relx, rely, relz = points[0] - ex, points[1] - ey, points[2] - ez
+        z = relx * fx + rely * fy + relz * fz
+        np.maximum(z, np.float32(1e-9), out=z)
         inv = 1.0 / (z * np.float32(self._tan_half))
-        x = np.einsum("ij,ij->i", rel, atlas.rights[slots]) * inv
-        y = np.einsum("ij,ij->i", rel, atlas.ups[slots]) * inv
+        x = (relx * rx + rely * ry + relz * rz) * inv
+        y = (relx * ux + rely * uy + relz * uz) * inv
         r = self.resolution
         px = (x + 1.0) * (0.5 * r) - 0.5
         py = (1.0 - y) * (0.5 * r) - 0.5
         np.clip(px, 0.0, r - 1.0, out=px)
         np.clip(py, 0.0, r - 1.0, out=py)
-        img = atlas.images
-        if self.interpolation == "nearest":
-            xi = np.rint(px).astype(np.intp)
-            yi = np.rint(py).astype(np.intp)
-            return img[slots, yi, xi].astype(np.float32) * np.float32(
-                1.0 / 255.0
-            )
-        x0 = np.floor(px).astype(np.intp)
-        y0 = np.floor(py).astype(np.intp)
-        if r > 1:
-            np.minimum(x0, r - 2, out=x0)
-            np.minimum(y0, r - 2, out=y0)
-        fx = (px - x0).astype(np.float32)[:, None]
-        fy = (py - y0).astype(np.float32)[:, None]
-        x1 = x0 + 1 if r > 1 else x0
-        y1 = y0 + 1 if r > 1 else y0
-        c00 = img[slots, y0, x0].astype(np.float32)
-        c01 = img[slots, y0, x1].astype(np.float32)
-        c10 = img[slots, y1, x0].astype(np.float32)
-        c11 = img[slots, y1, x1].astype(np.float32)
-        top = c00 + (c01 - c00) * fx
-        bot = c10 + (c11 - c10) * fx
-        return (top + (bot - top) * fy) * np.float32(1.0 / 255.0)
+        nearest = self.interpolation == "nearest"
+        if nearest:
+            x0, y0 = np.rint(px), np.rint(py)
+        else:  # top-left tap of the 2x2 footprint, kept inside the image
+            x0 = np.minimum(np.floor(px), max(r - 2, 0))
+            y0 = np.minimum(np.floor(py), max(r - 2, 0))
+        # byte index of each ray's (first) texel, one row per channel
+        tap = y0.astype(np.intp)
+        tap *= r
+        tap += x0.astype(np.intp)
+        tap *= 3
+        tap += self._store.base.take(code)
+        tap = tap + np.arange(3)[:, None]
+        texels = self._store.texels
+        c00 = texels.take(tap).astype(np.float32)
+        if nearest:
+            return c00
+        dx, dy = (3, 3 * r) if r > 1 else (0, 0)
+        tap += dx
+        c01 = texels.take(tap).astype(np.float32)
+        tap += dy
+        c11 = texels.take(tap).astype(np.float32)
+        tap -= dx
+        c10 = texels.take(tap).astype(np.float32)
+        px -= x0
+        py -= y0
+        c01 -= c00
+        c01 *= px
+        c01 += c00          # top row at px
+        c11 -= c10
+        c11 *= px
+        c11 += c10          # bottom row at px
+        c11 -= c01
+        c11 *= py
+        c11 += c01
+        return c11
 
     # ------------------------------------------------------------------
     def required_viewsets(
@@ -355,15 +410,8 @@ class LightFieldSynthesizer:
         _, _, u, v, valid = self.spheres.ray_to_stuv(
             np.asarray(origins, float), np.asarray(dirs, float)
         )
-        keys: Set[ViewSetKey] = set()
         if not valid.any():
-            return keys
-        for ci, cj, _ in self._corner_cameras(u[valid], v[valid]):
-            for code in np.unique(ci * self.lattice.n_phi + cj):
-                keys.add(
-                    self.lattice.viewset_of(
-                        int(code) // self.lattice.n_phi,
-                        int(code) % self.lattice.n_phi,
-                    )
-                )
-        return keys
+            return set()
+        return set(
+            self._touched_viewsets(self._corner_cameras(u[valid], v[valid]))
+        )

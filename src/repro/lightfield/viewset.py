@@ -112,15 +112,17 @@ class ViewSet:
         if version != _VERSION:
             raise ViewSetFormatError(f"unsupported version {version}")
         expected = l * l * r * r * 3
-        payload = blob[_HEADER.size:]
-        if len(payload) != expected:
+        got = len(blob) - _HEADER.size
+        if got != expected:
             raise ViewSetFormatError(
-                f"payload is {len(payload)} bytes, expected {expected}"
+                f"payload is {got} bytes, expected {expected}"
             )
         images = (
-            np.frombuffer(payload, dtype=np.uint8)
+            np.frombuffer(
+                blob, dtype=np.uint8, count=expected, offset=_HEADER.size
+            )
             .reshape(l, l, r, r, 3)
-            .copy()  # own the memory; blob may be a transient buffer
+            .copy()  # the one copy: own the memory, blob may be transient
         )
         return cls(key=(vi, vj), images=images)
 

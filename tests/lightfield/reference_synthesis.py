@@ -1,0 +1,145 @@
+"""Test-side oracle: the straightforward gather synthesizer.
+
+This is the implementation ``repro.lightfield.synthesis`` shipped before the
+view-set texel store, with the caching taken out: every frame builds the
+exact set of cameras it touches (``np.unique``), a ``look_at`` per camera, a
+copy of every camera image, and samples with three-index fancy gathers and
+einsums.  It is slow and obviously right, which is the point — nothing under
+``src/``, ``benchmarks/`` or ``examples/`` imports it.
+"""
+
+from typing import Set, Tuple
+
+import numpy as np
+
+from repro.lightfield.lattice import CameraLattice, ViewSetKey
+from repro.lightfield.sphere import TwoSphere, angles_to_cartesian
+from repro.lightfield.synthesis import ViewSetProvider
+from repro.render.camera import look_at
+
+
+def _corner_cameras(lattice: CameraLattice, mode: str, u, v):
+    """(ci, cj, weight) triples for an interpolation mode."""
+    fi, fj = lattice.continuous_index(u, v)
+    if mode in ("uv-nearest", "nearest"):
+        i = np.clip(np.rint(fi), 0, lattice.n_theta - 1).astype(np.intp)
+        j = np.rint(fj).astype(np.intp) % lattice.n_phi
+        return [(i, j, np.ones(len(fi)))]
+    i0 = np.clip(np.floor(fi).astype(np.intp), 0, lattice.n_theta - 1)
+    i1 = np.minimum(i0 + 1, lattice.n_theta - 1)
+    wi = np.clip(fi - i0, 0.0, 1.0)
+    j0 = np.floor(fj).astype(np.intp) % lattice.n_phi
+    j1 = (j0 + 1) % lattice.n_phi
+    wj = np.clip(fj - np.floor(fj), 0.0, 1.0)
+    return [
+        (i0, j0, (1 - wi) * (1 - wj)),
+        (i0, j1, (1 - wi) * wj),
+        (i1, j0, wi * (1 - wj)),
+        (i1, j1, wi * wj),
+    ]
+
+
+def reference_render_rays(
+    lattice: CameraLattice,
+    spheres: TwoSphere,
+    resolution: int,
+    provider: ViewSetProvider,
+    origins: np.ndarray,
+    dirs: np.ndarray,
+    background: float = 0.0,
+    interpolation: str = "quadrilinear",
+) -> Tuple[np.ndarray, float, Set[ViewSetKey]]:
+    """``(colors (N,3) float32, coverage, missing view-set keys)``."""
+    r = resolution
+    tan_half = np.tan(np.radians(spheres.camera_fov_deg()) / 2.0)
+    origins = np.asarray(origins, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    colors = np.full((len(origins), 3), background, dtype=np.float32)
+    p_in_all, u, v, valid = spheres.project_rays(origins, dirs)
+    if not valid.any():
+        return colors, 1.0, set()
+    vidx = np.nonzero(valid)[0]
+    p_in = p_in_all[vidx].astype(np.float32)
+    corners = _corner_cameras(lattice, interpolation, u[vidx], v[vidx])
+    corner_codes = [ci * lattice.n_phi + cj for ci, cj, _ in corners]
+
+    # gather tables for exactly the cameras this frame touches
+    code_list = sorted(
+        {int(c) for code in corner_codes for c in np.unique(code)}
+    )
+    K = len(code_list)
+    images = np.zeros((K, r, r, 3), dtype=np.uint8)
+    eyes = np.zeros((K, 3), dtype=np.float32)
+    rights = np.zeros((K, 3), dtype=np.float32)
+    ups = np.zeros((K, 3), dtype=np.float32)
+    forwards = np.zeros((K, 3), dtype=np.float32)
+    present = np.zeros(K, dtype=bool)
+    missing: Set[ViewSetKey] = set()
+    slot_lut = np.full(lattice.n_cameras, -1, dtype=np.intp)
+    for slot, code in enumerate(code_list):
+        slot_lut[code] = slot
+        i, j = divmod(code, lattice.n_phi)
+        theta, phi = lattice.angles(i, j)
+        eye = angles_to_cartesian(
+            np.array(theta), np.array(phi), spheres.r_outer
+        )
+        up = np.array([0.0, 0.0, 1.0])
+        if abs(np.cos(theta)) > 0.999:
+            up = np.array([1.0, 0.0, 0.0])
+        right, true_up, forward = look_at(eye, np.zeros(3), up)
+        eyes[slot], rights[slot] = eye, right
+        ups[slot], forwards[slot] = true_up, forward
+        key = lattice.viewset_of(i, j)
+        vs = provider.get_resident(key)
+        if vs is None:
+            missing.add(key)
+            continue
+        images[slot] = vs.view_for_camera(i, j)
+        present[slot] = True
+
+    acc = np.zeros((len(vidx), 3), dtype=np.float32)
+    wsum = np.zeros(len(vidx), dtype=np.float32)
+    for (_ci, _cj, w), code in zip(corners, corner_codes):
+        slots = slot_lut[code]
+        sel = np.nonzero(present[slots])[0]
+        if not len(sel):
+            continue
+        s = slots[sel]
+        rel = p_in[sel] - eyes[s]
+        z = np.einsum("ij,ij->i", rel, forwards[s])
+        z = np.maximum(z, np.float32(1e-9))
+        inv = 1.0 / (z * np.float32(tan_half))
+        x = np.einsum("ij,ij->i", rel, rights[s]) * inv
+        y = np.einsum("ij,ij->i", rel, ups[s]) * inv
+        px = np.clip((x + 1.0) * (0.5 * r) - 0.5, 0.0, r - 1.0)
+        py = np.clip((1.0 - y) * (0.5 * r) - 0.5, 0.0, r - 1.0)
+        if interpolation == "nearest":
+            xi = np.rint(px).astype(np.intp)
+            yi = np.rint(py).astype(np.intp)
+            samples = images[s, yi, xi].astype(np.float32)
+        else:
+            x0 = np.floor(px).astype(np.intp)
+            y0 = np.floor(py).astype(np.intp)
+            if r > 1:
+                np.minimum(x0, r - 2, out=x0)
+                np.minimum(y0, r - 2, out=y0)
+            fx = (px - x0).astype(np.float32)[:, None]
+            fy = (py - y0).astype(np.float32)[:, None]
+            x1 = x0 + 1 if r > 1 else x0
+            y1 = y0 + 1 if r > 1 else y0
+            c00 = images[s, y0, x0].astype(np.float32)
+            c01 = images[s, y0, x1].astype(np.float32)
+            c10 = images[s, y1, x0].astype(np.float32)
+            c11 = images[s, y1, x1].astype(np.float32)
+            top = c00 + (c01 - c00) * fx
+            bot = c10 + (c11 - c10) * fx
+            samples = top + (bot - top) * fy
+        wf = w[sel].astype(np.float32)
+        acc[sel] += wf[:, None] * (samples * np.float32(1.0 / 255.0))
+        wsum[sel] += wf
+
+    have = wsum > 1e-6
+    out = np.full((len(vidx), 3), background, dtype=np.float32)
+    out[have] = acc[have] / wsum[have, None]
+    colors[vidx] = out
+    return colors, float(np.mean(wsum > 0.999)), missing

@@ -1,10 +1,12 @@
-"""Tests for synthesizer interpolation modes and atlas caching."""
+"""Tests for synthesizer interpolation modes and the view-set texel store."""
 
+import numpy as np
 import pytest
 
 from repro.lightfield.build import LightFieldBuilder
 from repro.lightfield.lattice import CameraLattice
 from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
+from repro.lightfield.viewset import ViewSet
 from repro.render.camera import orbit_camera
 from repro.render.image import rmse
 from repro.render.raycast import RenderSettings
@@ -72,28 +74,68 @@ class TestInterpolationModes:
             )
 
 
+class CountingProvider(DictProvider):
+    """A DictProvider that records which keys it was asked for."""
+
+    def __init__(self, viewsets):
+        super().__init__(viewsets)
+        self.asked = []
+
+    def get_resident(self, key):
+        self.asked.append(key)
+        return super().get_resident(key)
+
+
+def _missing(synth, prov, cam):
+    """The non-resident view sets ``cam``'s corner cameras touch."""
+    return {
+        k for k in synth.required_viewsets(*cam.rays())
+        if prov.get_resident(k) is None
+    }
+
+
 class TestAtlasCache:
-    def test_repeat_render_reuses_atlas(self, scene):
+    """The view-set texel store, seen only through public behaviour."""
+
+    def test_repeat_render_copies_nothing(self, scene):
         db, provider = scene
+        prov = CountingProvider(
+            {k: ViewSet(k, db.get_viewset(k).images.copy())
+             for k in db.keys()}
+        )
         synth = LightFieldSynthesizer(
-            db.lattice, db.spheres, db.resolution, provider
+            db.lattice, db.spheres, db.resolution, prov
         )
         cam = camera_for(db)
-        synth.render(cam)
-        atlas1 = synth._atlas
-        synth.render(cam)
-        assert synth._atlas is atlas1  # unchanged codes: cache hit
+        first = synth.render(cam).image
+        # a frame asks only for the view sets its corner cameras touch
+        needed = synth.required_viewsets(*cam.rays())
+        assert sorted(prov.asked) == sorted(needed)
+        # a row is filled once per ViewSet *object*: scribbling over the
+        # same object's pixels is not seen ...
+        vs = prov.get_resident((2, 3))
+        vs.images[:] = 255 - vs.images
+        np.testing.assert_array_equal(synth.render(cam).image, first)
+        # ... handing over a new object is
+        prov.add(ViewSet((2, 3), vs.images))
+        assert not np.array_equal(synth.render(cam).image, first)
 
-    def test_new_cameras_trigger_rebuild(self, scene):
+    def test_moving_camera_picks_up_new_viewsets(self, scene):
         db, provider = scene
         synth = LightFieldSynthesizer(
             db.lattice, db.spheres, db.resolution, provider
         )
-        synth.render(camera_for(db, dph=0.01))
-        atlas1 = synth._atlas
-        # move far enough to need cameras outside the first atlas
-        synth.render(camera_for(db, dph=0.30))
-        assert synth._atlas is not atlas1
+        # far enough apart to need view sets outside the first frame's,
+        # then back again: rows are reused, evicted and refilled
+        path = [camera_for(db, dph=dph) for dph in (0.01, 0.30, -0.25, 0.01)]
+        for cam in path:
+            fresh = LightFieldSynthesizer(
+                db.lattice, db.spheres, db.resolution, provider
+            )
+            got, want = synth.render(cam), fresh.render(cam)
+            np.testing.assert_array_equal(got.image, want.image)
+            assert got.coverage == want.coverage
+            assert got.missing_keys == want.missing_keys
 
     def test_invalidate_cache_after_residency_change(self, scene):
         db, provider = scene
@@ -106,12 +148,14 @@ class TestAtlasCache:
         cam = camera_for(db)
         r1 = synth.render(cam)
         assert (2, 3) in r1.missing_keys
-        # the view set arrives; without invalidation the atlas is stale
+        # the view set arrives; dropping every row is allowed, not needed
         prov.add(db.get_viewset((2, 3)))
         synth.invalidate_cache()
         r2 = synth.render(cam)
         assert (2, 3) not in r2.missing_keys
         assert r2.coverage >= r1.coverage
+        synth.invalidate_cache()
+        np.testing.assert_array_equal(synth.render(cam).image, r2.image)
 
     def test_resolution_mismatch_detected(self, scene):
         db, provider = scene
@@ -120,3 +164,61 @@ class TestAtlasCache:
         )
         with pytest.raises(ValueError):
             synth.render(camera_for(db))
+
+
+class TestResidencyChanges:
+    """Regressions: the old camera atlas went stale until invalidated."""
+
+    def test_added_viewset_seen_without_invalidate(self, scene):
+        db, provider = scene
+        prov = DictProvider({k: db.get_viewset(k) for k in db.keys()
+                             if k != (2, 3)})
+        synth = LightFieldSynthesizer(
+            db.lattice, db.spheres, db.resolution, prov
+        )
+        cam = camera_for(db)
+        before = synth.render(cam)
+        assert (2, 3) in before.missing_keys and before.coverage < 0.999
+        prov.add(db.get_viewset((2, 3)))
+        after = synth.render(cam)
+        assert after.missing_keys == _missing(synth, prov, cam)
+        assert (2, 3) not in after.missing_keys
+        assert after.coverage > before.coverage
+        full = LightFieldSynthesizer(
+            db.lattice, db.spheres, db.resolution, provider
+        ).render(cam)
+        np.testing.assert_array_equal(after.image, full.image)
+
+    def test_removed_viewset_seen_without_invalidate(self, scene):
+        db, provider = scene
+        prov = DictProvider({k: db.get_viewset(k) for k in db.keys()})
+        synth = LightFieldSynthesizer(
+            db.lattice, db.spheres, db.resolution, prov
+        )
+        cam = camera_for(db)
+        before = synth.render(cam)
+        assert (2, 3) not in before.missing_keys
+        prov.remove((2, 3))
+        after = synth.render(cam)
+        assert (2, 3) in after.missing_keys
+        assert after.coverage < before.coverage
+        fresh = LightFieldSynthesizer(
+            db.lattice, db.spheres, db.resolution, prov
+        ).render(cam)
+        np.testing.assert_array_equal(after.image, fresh.image)
+
+    def test_missing_keys_are_this_frames_only(self, scene):
+        db, provider = scene
+        prov = DictProvider({k: db.get_viewset(k) for k in db.keys()
+                             if k != (2, 2)})
+        synth = LightFieldSynthesizer(
+            db.lattice, db.spheres, db.resolution, prov,
+            interpolation="uv-nearest",
+        )
+        over_hole = camera_for(db, dph=-0.25)
+        elsewhere = camera_for(db, dph=0.30)
+        assert (2, 2) in synth.render(over_hole).missing_keys
+        # the union atlas kept reporting (2, 2) from the earlier frame
+        later = synth.render(elsewhere)
+        assert later.missing_keys == _missing(synth, prov, elsewhere)
+        assert (2, 2) not in later.missing_keys

@@ -95,6 +95,26 @@ class TestViewSet:
         with pytest.raises(ViewSetFormatError):
             ViewSet.from_bytes(blob[:-1])
 
+    @pytest.mark.parametrize("delta", [-1, +1])
+    def test_from_bytes_size_error_names_sizes(self, delta):
+        vs = random_viewset()
+        blob = vs.to_bytes()
+        blob = blob[:-1] if delta < 0 else blob + b"\x00"
+        with pytest.raises(
+            ViewSetFormatError,
+            match=f"payload is {vs.nbytes + delta} bytes, "
+                  f"expected {vs.nbytes}",
+        ):
+            ViewSet.from_bytes(blob)
+
+    def test_from_bytes_does_not_alias_callers_buffer(self):
+        vs = random_viewset()
+        buf = bytearray(vs.to_bytes())
+        back = ViewSet.from_bytes(buf)
+        assert back.images.flags.owndata and back.images.flags.writeable
+        buf[-1] ^= 0xFF     # the caller recycles its receive buffer
+        assert back == vs
+
     @given(
         l=st.integers(1, 4), r=st.integers(1, 16), seed=st.integers(0, 100)
     )
@@ -144,6 +164,14 @@ class TestCodecs:
         vs = ViewSet(key=(0, 0), images=images)
         result = ZlibCodec().compress(vs)
         assert result.ratio > 3.0
+
+    @pytest.mark.parametrize("codec_cls", [ZlibCodec, DeltaZlibCodec])
+    def test_decompress_bytes_like(self, codec_cls):
+        vs = random_viewset()
+        payload = codec_cls().compress(vs).payload
+        for view in (bytearray(payload), memoryview(payload)):
+            back, _ = codec_cls().decompress(view)
+            assert back == vs and back.images.flags.writeable
 
     def test_wrong_tag_rejected(self):
         vs = random_viewset()
