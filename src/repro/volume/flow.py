@@ -4,7 +4,8 @@ Light fields capture *appearance*, so visualizing a vector field through
 this system means deriving renderable scalar volumes from it.  This module
 provides that bridge:
 
-* :class:`VectorField` — a dense 3-D vector field with trilinear sampling;
+* :class:`VectorField` — a dense 3-D vector field, sampled by the grid
+  module's trilinear kernel (:func:`repro.volume.grid.trilinear`);
 * derived scalar volumes: :func:`vorticity_magnitude` (the classic tornado
   look), :func:`helicity` and :func:`speed` — each returns a
   :class:`~repro.volume.grid.VolumeGrid` ready for the light field builder;
@@ -23,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .grid import VolumeGrid
+from .grid import VolumeGrid, trilinear
 from .synthetic import lattice_points
 
 __all__ = [
@@ -71,38 +72,13 @@ class VectorField:
     def sample(self, points: np.ndarray) -> np.ndarray:
         """Trilinear vector interpolation at ``(N, 3)`` world points.
 
-        Outside the bounds the field is zero (particles stop).
+        The same kernel as :meth:`VolumeGrid.sample
+        <repro.volume.grid.VolumeGrid.sample>`, run over three-component
+        cells — so the faces carry the same rounding tolerance: a point
+        1 ulp past a face reads the boundary plane.  Outside the bounds the
+        field is zero (particles stop).
         """
-        pts = np.asarray(points, dtype=np.float64)
-        idx = (pts + self._half_size) / self._voxel
-        nx, ny, nz = self.shape
-        inside = (
-            (idx[:, 0] >= 0) & (idx[:, 0] <= nx - 1)
-            & (idx[:, 1] >= 0) & (idx[:, 1] <= ny - 1)
-            & (idx[:, 2] >= 0) & (idx[:, 2] <= nz - 1)
-        )
-        out = np.zeros((len(pts), 3), dtype=np.float32)
-        if not inside.any():
-            return out
-        p = idx[inside]
-        i0 = np.floor(p).astype(np.intp)
-        i0[:, 0] = np.clip(i0[:, 0], 0, nx - 2)
-        i0[:, 1] = np.clip(i0[:, 1], 0, ny - 2)
-        i0[:, 2] = np.clip(i0[:, 2], 0, nz - 2)
-        f = (p - i0).astype(np.float32)
-        x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
-        d = self.data
-        fx = f[:, 0:1]
-        fy = f[:, 1:2]
-        fz = f[:, 2:3]
-        c00 = d[x0, y0, z0] * (1 - fx) + d[x0 + 1, y0, z0] * fx
-        c10 = d[x0, y0 + 1, z0] * (1 - fx) + d[x0 + 1, y0 + 1, z0] * fx
-        c01 = d[x0, y0, z0 + 1] * (1 - fx) + d[x0 + 1, y0, z0 + 1] * fx
-        c11 = d[x0, y0 + 1, z0 + 1] * (1 - fx) + d[x0 + 1, y0 + 1, z0 + 1] * fx
-        c0 = c00 * (1 - fy) + c10 * fy
-        c1 = c01 * (1 - fy) + c11 * fy
-        out[inside] = c0 * (1 - fz) + c1 * fz
-        return out
+        return trilinear(self.data, self._half_size, self._voxel, points)
 
     def curl(self) -> VectorField:
         """The discrete curl (central differences), as a new field."""

@@ -8,6 +8,17 @@ sampling primitives the ray caster needs.
 
 All sampling functions take ``(N, 3)`` arrays of world-space points and return
 per-point values/gradients; there are no per-point Python loops.
+
+Every lookup in the package goes through one flat-index kernel, in two
+halves: :func:`axis_terms` turns world coordinates into per-axis *(inside
+flag, flat base index, float32 fraction)* rows, and :func:`lerp_cells`
+gathers the eight corners with one ``take`` on the flattened grid and blends
+them in a fixed order.  :func:`trilinear` is the two composed;
+``VolumeGrid.gradient`` composes them itself so that a lookup offset along
+one axis recomputes that axis's terms only, and
+:class:`~repro.volume.flow.VectorField` runs the same kernel over
+three-component cells.  ``tests/volume/reference_trilinear.py`` keeps the
+straightforward per-lookup formulation the kernel must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +28,102 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["VolumeGrid"]
+__all__ = ["VolumeGrid", "axis_terms", "lerp_cells", "trilinear"]
+
+
+def _as_points(points: np.ndarray) -> np.ndarray:
+    """``points`` as a float64 ``(N, 3)`` array, or ``ValueError``."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be (N, 3), got shape {pts.shape}")
+    return pts
+
+
+def axis_terms(
+    coords: np.ndarray,
+    half_size: np.ndarray,
+    voxel: float,
+    shape: Tuple[int, ...],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis lookup terms for planar world coordinates ``(..., 3, N)``.
+
+    Returns ``(inside, base, frac)``, each C-contiguous and shaped like
+    ``coords``: along axis ``a``, ``inside[..., a, :]`` says the coordinate
+    is within the grid (faces included), ``base[..., a, :]`` is the lower
+    neighbour's index times that axis's stride in the flattened grid, and
+    ``frac[..., a, :]`` is the float32 weight of the upper neighbour.  The
+    axes are independent, so the base index of a cell is the sum of its
+    three ``base`` rows and a point is inside iff all three flags are set —
+    which is what lets a lookup that moves along one axis reuse the other
+    two axes' rows.
+    """
+    hi = (np.array(shape, dtype=np.float64) - 1.0)[:, None]
+    idx = np.add(coords, half_size[:, None], out=np.empty(coords.shape))
+    idx /= voxel
+    # tolerate float rounding at the faces: a point computed as lying on
+    # the bounding box (e.g. a ray's exact exit t) may land 1 ulp past
+    # it, and must sample the boundary plane, not the vacuum sentinel
+    eps = 1e-6
+    inside = (idx >= -eps) & (idx <= hi + eps)
+    # fmax/fmin clamp like np.clip but send a NaN coordinate (flagged
+    # outside above) to cell 0 instead of an out-of-range index
+    p = np.fmin(np.fmax(idx, 0.0), hi)
+    i0 = np.minimum(np.floor(p), hi - 1.0)
+    frac = (p - i0).astype(np.float32)
+    strides = np.array([[shape[1] * shape[2]], [shape[2]], [1]], dtype=np.intp)
+    return inside, i0.astype(np.intp) * strides, frac
+
+
+def lerp_cells(
+    cells: np.ndarray,
+    shape: Tuple[int, ...],
+    base: np.ndarray,
+    inside: np.ndarray,
+    fx: np.ndarray,
+    fy: np.ndarray,
+    fz: np.ndarray,
+) -> np.ndarray:
+    """Gather the eight corners of each cell and blend them x, then y, then z.
+
+    ``cells`` is the grid flattened over its three spatial axes (``(M,)``
+    scalars or ``(M, k)`` vectors), ``base`` the flat index of each cell's
+    lowest corner, ``inside`` the vacuum mask (False reads 0) and
+    ``fx, fy, fz`` the float32 upper-neighbour weights, each broadcastable
+    against ``base`` (plus the component axis for vector cells).  The blend
+    order and the ``lo * (1 - f) + hi * f`` form are fixed: float32
+    rounding depends on both, and rendered frames are pinned bit for bit.
+    """
+    sy, sx = shape[2], shape[1] * shape[2]  # (nx, ny, nz) C order
+    # corner c = 4*dx + 2*dy + dz, so each blend halves the leading axis
+    corners = np.array(
+        [0, 1, sy, sy + 1, sx, sx + 1, sx + sy, sx + sy + 1], dtype=np.intp
+    ).reshape((8,) + (1,) * base.ndim)
+    c = cells.take(base + corners, axis=0)
+    c = c[:4] * (1 - fx) + c[4:] * fx
+    c = c[:2] * (1 - fy) + c[2:] * fy
+    out: np.ndarray = c[0] * (1 - fz) + c[1] * fz
+    if not inside.all():
+        out[~inside] = 0.0
+    return out
+
+
+def trilinear(
+    data: np.ndarray, half_size: np.ndarray, voxel: float, points: np.ndarray
+) -> np.ndarray:
+    """Trilinear lookup of ``(N, 3)`` world points in a centered grid.
+
+    ``data`` is ``(nx, ny, nz)`` or ``(nx, ny, nz, k)``; its flat view is
+    taken here, per call (O(1) on a C-contiguous array), so edits to the
+    caller's array are never missed.  Points outside the grid read 0.
+    """
+    shape = data.shape[:3]
+    inside, base, frac = axis_terms(_as_points(points).T, half_size, voxel, shape)
+    if data.ndim == 4:
+        frac = frac[..., None]
+    return lerp_cells(
+        data.reshape((-1,) + data.shape[3:]), shape,
+        base[0] + base[1] + base[2], inside[0] & inside[1] & inside[2], *frac,
+    )
 
 
 @dataclass
@@ -98,63 +204,39 @@ class VolumeGrid:
         Points outside the bounding box return 0 (vacuum), which is how the
         ray caster composites empty space without branching.
         """
-        idx = self.world_to_index(points)
-        nx, ny, nz = self.data.shape
-        # tolerate float rounding at the faces: a point computed as lying on
-        # the bounding box (e.g. a ray's exact exit t) may land 1 ulp past
-        # it, and must sample the boundary plane, not the vacuum sentinel
-        eps = 1e-6
-        inside = (
-            (idx[:, 0] >= -eps) & (idx[:, 0] <= nx - 1 + eps)
-            & (idx[:, 1] >= -eps) & (idx[:, 1] <= ny - 1 + eps)
-            & (idx[:, 2] >= -eps) & (idx[:, 2] <= nz - 1 + eps)
-        )
-        out = np.zeros(len(idx), dtype=np.float32)
-        if not inside.any():
-            return out
-        p = np.clip(
-            idx[inside], 0.0, np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-        )
-        i0 = np.floor(p).astype(np.intp)
-        i0[:, 0] = np.clip(i0[:, 0], 0, nx - 2)
-        i0[:, 1] = np.clip(i0[:, 1], 0, ny - 2)
-        i0[:, 2] = np.clip(i0[:, 2], 0, nz - 2)
-        f = (p - i0).astype(np.float32)
-        x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
-        d = self.data
-        c000 = d[x0, y0, z0]
-        c100 = d[x0 + 1, y0, z0]
-        c010 = d[x0, y0 + 1, z0]
-        c110 = d[x0 + 1, y0 + 1, z0]
-        c001 = d[x0, y0, z0 + 1]
-        c101 = d[x0 + 1, y0, z0 + 1]
-        c011 = d[x0, y0 + 1, z0 + 1]
-        c111 = d[x0 + 1, y0 + 1, z0 + 1]
-        fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-        c00 = c000 * (1 - fx) + c100 * fx
-        c10 = c010 * (1 - fx) + c110 * fx
-        c01 = c001 * (1 - fx) + c101 * fx
-        c11 = c011 * (1 - fx) + c111 * fx
-        c0 = c00 * (1 - fy) + c10 * fy
-        c1 = c01 * (1 - fy) + c11 * fy
-        out[inside] = c0 * (1 - fz) + c1 * fz
-        return out
+        return trilinear(self.data, self._half_size, self._voxel, points)
 
     def gradient(self, points: np.ndarray, h: Optional[float] = None) -> np.ndarray:
         """Central-difference gradient of the field at ``(N, 3)`` points.
 
-        Used for shading normals.  ``h`` defaults to half a voxel.
+        Used for shading normals.  ``h`` defaults to half a voxel.  The six
+        ``±h`` lookups share one :func:`axis_terms` pass: the pair along an
+        axis takes that axis's rows from the offset coordinates and the
+        other two axes' rows from the unmoved ones.
         """
-        pts = np.asarray(points, dtype=np.float64)
+        pts = _as_points(points)
         if h is None:
             h = self._voxel * 0.5
+        shape = self.shape
+        cells = self.data.reshape(-1)
+        # coords[0] the points themselves, [1] all axes +h, [2] all axes -h
+        coords = np.add(
+            pts.T, np.array([0.0, h, -h])[:, None, None],
+            out=np.empty((3, 3, len(pts))),
+        )
+        inside, base, frac = axis_terms(coords, self._half_size, self._voxel, shape)
         grad = np.empty((len(pts), 3), dtype=np.float32)
         for axis in range(3):
-            dp = np.zeros(3)
-            dp[axis] = h
-            grad[:, axis] = (self.sample(pts + dp) - self.sample(pts - dp)) / (
-                2.0 * h
+            b, c = (axis + 1) % 3, (axis + 2) % 3
+            f = list(frac[0])
+            f[axis] = frac[1:, axis]
+            plus, minus = lerp_cells(
+                cells, shape,
+                base[1:, axis] + (base[0, b] + base[0, c]),
+                inside[1:, axis] & (inside[0, b] & inside[0, c]),
+                *f,
             )
+            grad[:, axis] = (plus - minus) / (2.0 * h)
         return grad
 
     # ------------------------------------------------------------------

@@ -42,6 +42,16 @@ class TestVectorField:
         v = f.sample(np.array([[5.0, 0.0, 0.0]]))
         np.testing.assert_array_equal(v[0], [0, 0, 0])
 
+    def test_point_on_a_face_reads_the_boundary_not_vacuum(self):
+        """``(1 + 1) / (2 / 49)`` rounds to 49.00000000000001 > 49: without
+        a face tolerance the corner of a 50^3 field sampled as vacuum, and
+        a streamline arriving there stopped."""
+        f = uniform_field((1.0, 1.0, 1.0), n=50)
+        corner = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0]])
+        np.testing.assert_array_equal(f.sample(corner), np.ones((2, 3)))
+        past = np.nextafter(corner, np.sign(corner) * np.inf)
+        np.testing.assert_array_equal(f.sample(past), np.ones((2, 3)))
+
     def test_curl_of_rigid_rotation(self):
         """v = omega x r has curl = 2*omega everywhere."""
         n = 16
