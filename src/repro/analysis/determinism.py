@@ -31,13 +31,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:
-    from ..lon.scheduler import TransferEvent, TransferScheduler
-    from ..lon.simtime import Event, EventQueue
     from ..streaming.multiclient import MultiClientRig
-    from ..streaming.session import SessionConfig, SessionRig
+    from ..streaming.session import (
+        EventRecord,
+        SessionConfig,
+        SessionRig,
+        TransferRecord,
+    )
 
 __all__ = [
     "RunFingerprint",
@@ -56,12 +59,6 @@ MODELED_CPU_SECONDS_PER_BYTE = 2e-9
 
 #: per-stage latency statistics, as SessionMetrics.breakdown() returns
 Breakdown = Dict[str, Dict[str, Dict[str, float]]]
-
-#: an event-stream record: (time.hex(), seq, label)
-EventRecord = Tuple[str, int, str]
-
-#: a transfer-lifecycle record: (time.hex(), label, priority, event, detail)
-TransferRecord = Tuple[str, str, str, str, str]
 
 
 def _canonical(obj: object) -> str:
@@ -190,27 +187,6 @@ def check_determinism(
 # ----------------------------------------------------------------------
 # scenario fingerprints
 # ----------------------------------------------------------------------
-def _attach_collectors(queue: EventQueue, scheduler: TransferScheduler,
-                       events: List[EventRecord],
-                       transfers: List[TransferRecord]) -> None:
-    """Hang the stream collectors off a wired rig's queue + scheduler."""
-
-    def on_fire(ev: Event) -> None:
-        events.append((ev.time.hex(), ev.seq, ev.label))
-
-    queue.on_fire = on_fire
-    prev = scheduler.on_event
-
-    def on_event(tev: TransferEvent) -> None:
-        transfers.append((
-            tev.time.hex(), tev.label, tev.priority, tev.event, tev.detail,
-        ))
-        if prev is not None:
-            prev(tev)
-
-    scheduler.on_event = on_event
-
-
 def session_fingerprint(
     seed: int = 7,
     resolution: int = 32,
@@ -228,7 +204,11 @@ def session_fingerprint(
     """
     from ..lightfield.lattice import CameraLattice
     from ..lightfield.source import SyntheticSource
-    from ..streaming.session import SessionConfig, run_session
+    from ..streaming.session import (
+        SessionConfig,
+        attach_stream_collectors,
+        run_session,
+    )
 
     if config is None:
         config = SessionConfig(
@@ -252,7 +232,7 @@ def session_fingerprint(
     breakdown_box: Breakdown = {}
 
     def hook(rig: SessionRig) -> None:
-        _attach_collectors(rig.queue, rig.lors.scheduler, events, transfers)
+        attach_stream_collectors(rig.queue, rig.lors.scheduler, events, transfers)
         if rig_hook is not None:
             rig_hook(rig)
 
@@ -310,7 +290,7 @@ def multiclient_fingerprint(
         MultiClientConfig,
         run_multiclient_session,
     )
-    from ..streaming.session import SessionConfig
+    from ..streaming.session import SessionConfig, attach_stream_collectors
 
     base = SessionConfig(
         case=case,
@@ -326,7 +306,7 @@ def multiclient_fingerprint(
     transfers: List[TransferRecord] = []
 
     def hook(rig: MultiClientRig) -> None:
-        _attach_collectors(rig.queue, rig.scheduler, events, transfers)
+        attach_stream_collectors(rig.queue, rig.scheduler, events, transfers)
         if rig_hook is not None:
             rig_hook(rig)
 

@@ -45,13 +45,6 @@ from .spec import (
 )
 from .runners import (
     StreamingSuite,
-    ablation_agent_cache,
-    ablation_codec,
-    ablation_prefetch_policy,
-    ablation_scheduling,
-    ablation_staging,
-    ablation_stripe_width,
-    ablation_viewset_size,
     access_rate_stats,
     fig07_database_size,
     demand_miss_latency,
@@ -69,13 +62,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "WALL_CLOCK_KEY",
-    "ablation_agent_cache",
-    "ablation_codec",
-    "ablation_prefetch_policy",
-    "ablation_scheduling",
-    "ablation_staging",
-    "ablation_stripe_width",
-    "ablation_viewset_size",
     "access_rate_stats",
     "banner",
     "bench_document",

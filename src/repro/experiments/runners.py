@@ -14,11 +14,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..lightfield.build import LightFieldBuilder
-from ..lightfield.compression import DeltaZlibCodec, ZlibCodec
+from ..lightfield.compression import ZlibCodec
 from ..lightfield.lattice import CameraLattice
 from ..lightfield.source import SyntheticSource
 from ..lightfield.synthesis import DictProvider, LightFieldSynthesizer
-from ..lon.scheduler import SCHEDULING_POLICIES
 from ..render.camera import orbit_camera
 from ..render.raycast import RenderSettings
 from ..streaming.metrics import AccessSource, SessionMetrics
@@ -38,13 +37,6 @@ __all__ = [
     "text_fps",
     "access_rate_stats",
     "qgr_sweep",
-    "ablation_prefetch_policy",
-    "ablation_scheduling",
-    "ablation_staging",
-    "ablation_stripe_width",
-    "ablation_codec",
-    "ablation_viewset_size",
-    "ablation_agent_cache",
     "observability_overhead",
 ]
 
@@ -361,119 +353,6 @@ def qgr_sweep(
     return rows
 
 
-# ----------------------------------------------------------------------
-# ablations
-# ----------------------------------------------------------------------
-def ablation_prefetch_policy(
-    suite: StreamingSuite, resolution: int, case: int = 2
-) -> List[Row]:
-    """Quadrant vs all-neighbors vs none (miss rate vs extraneous fetches)."""
-    rows: List[Row] = []
-    for policy in ("quadrant", "all-neighbors", "none"):
-        m = suite.run(case, resolution, prefetch_policy=policy)
-        rows.append({
-            "policy": policy,
-            "hit_rate": m.hit_rate(),
-            "wan_rate": m.wan_rate(),
-            "mean_latency_s": m.mean_latency(),
-            "prefetches": m.prefetch_issued,
-        })
-    return rows
-
-
-def ablation_staging(
-    suite: StreamingSuite, resolution: int
-) -> List[Row]:
-    """Proximity vs FIFO staging order, and staging concurrency sweep."""
-    rows: List[Row] = []
-    for order in ("proximity", "fifo"):
-        for conc in (1, 4, 8):
-            m = suite.run(3, resolution, staging_order=order,
-                          staging_concurrency=conc)
-            rows.append({
-                "order": order,
-                "concurrency": conc,
-                "initial_phase": m.initial_phase_length(),
-                "wan_rate": m.wan_rate(),
-                "mean_latency_s": m.mean_latency(),
-                "staged": m.staged_count,
-            })
-    return rows
-
-
-def ablation_stripe_width(
-    suite: StreamingSuite, resolution: int
-) -> List[Row]:
-    """LoRS striping: single-depot vs striped WAN placement (case 2)."""
-    rows: List[Row] = []
-    for width in (1, 2, 3):
-        m = suite.run(2, resolution, stripe_width=width,
-                      block_size=256 * 1024)
-        wan = [a.comm_latency for a in m.accesses
-               if a.source is AccessSource.WAN_DEPOT]
-        rows.append({
-            "stripe_width": width,
-            "mean_wan_fetch_s": float(np.mean(wan)) if wan else 0.0,
-            "wan_rate": m.wan_rate(),
-            "mean_latency_s": m.mean_latency(),
-        })
-    return rows
-
-
-def ablation_codec(
-    resolution: int = 200, volume_size: int = 32
-) -> List[Row]:
-    """zlib levels and the delta predictor: ratio vs (de)compression time."""
-    vol = neg_hip(size=volume_size)
-    tf = preset("neghip")
-    lat = CameraLattice(n_theta=12, n_phi=24, l=3)
-    builder = LightFieldBuilder(
-        vol, tf, lat, resolution=resolution, workers=1,
-        settings=RenderSettings(shaded=False),
-    )
-    vs = builder.render_viewset((2, 3))
-    rows: List[Row] = []
-    for name, codec in (
-        ("zlib-1", ZlibCodec(level=1)),
-        ("zlib-6", ZlibCodec(level=6)),
-        ("zlib-9", ZlibCodec(level=9)),
-        ("delta-zlib-6", DeltaZlibCodec(level=6)),
-    ):
-        result = codec.compress(vs)
-        _, dec_s = codec.decompress(result.payload)
-        rows.append({
-            "codec": name,
-            "level": result.level,
-            "ratio": result.ratio,
-            "payload_mb": result.compressed_size / 1e6,
-            WALL_CLOCK_KEY: {
-                "compress_s": result.compress_seconds,
-                "decompress_s": dec_s,
-            },
-        })
-    return rows
-
-
-def ablation_agent_cache(
-    suite: StreamingSuite, resolution: int, case: int = 2
-) -> List[Row]:
-    """Client-agent cache budget vs hit rate (LRU pressure sweep)."""
-    payload = len(suite.source(resolution).payload((0, 0)))
-    rows: List[Row] = []
-    for budget_payloads in (2, 6, None):
-        cache = None if budget_payloads is None else (
-            budget_payloads * payload
-        )
-        m = suite.run(case, resolution, agent_cache_bytes=cache)
-        rows.append({
-            "cache_payloads": budget_payloads or "unbounded",
-            "hit_rate": m.hit_rate(),
-            "wan_rate": m.wan_rate(),
-            "mean_latency_s": m.mean_latency(),
-        })
-    return rows
-
-
 def demand_miss_latency(m: SessionMetrics) -> Tuple[float, int]:
     """Mean client latency over accesses that missed every local tier.
 
@@ -489,39 +368,6 @@ def demand_miss_latency(m: SessionMetrics) -> Tuple[float, int]:
     if not pool:
         return 0.0, 0
     return sum(a.total_latency for a in pool) / len(pool), len(pool)
-
-
-def ablation_scheduling(
-    suite: StreamingSuite, resolution: int
-) -> List[Row]:
-    """Transfer-scheduling policy ablation on the Figure-9 topology.
-
-    Four arms: staging off entirely (case 2), then aggressive staging
-    (case 3) under each scheduling policy — priority-blind equal sharing
-    ("off"), weighted max-min by class ("weighted") and demand-strict
-    preemption ("strict").  The interesting comparison is demand-miss
-    latency: priorities should recover (most of) the interference that
-    background staging inflicts on foreground misses.
-    """
-    arms = [("staging-off", 2, "weighted")]
-    arms += [(f"staging+{p}", 3, p) for p in SCHEDULING_POLICIES]
-    rows: List[Row] = []
-    for label, case, policy in arms:
-        m = suite.run(case, resolution, scheduling_policy=policy)
-        miss_latency, misses = demand_miss_latency(m)
-        rows.append({
-            "arm": label,
-            "policy": policy,
-            "staging": case == 3,
-            "misses": misses,
-            "demand_miss_latency_s": miss_latency,
-            "mean_latency_s": m.mean_latency(),
-            "initial_phase": m.initial_phase_length(),
-            "deduped": m.deduped,
-            "promoted": m.promoted_transfers,
-            "cancelled": m.cancelled_transfers,
-        })
-    return rows
 
 
 def observability_overhead(
@@ -572,32 +418,3 @@ def observability_overhead(
             "ratio": round(traced / untraced, 4) if untraced > 0 else 0.0,
         },
     }
-
-
-def ablation_viewset_size(
-    resolution: int = 128, volume_size: int = 32
-) -> List[Row]:
-    """The locality knob: view-set edge l (window size) vs transfer unit.
-
-    Larger l = bigger, fewer transfers (better WAN efficiency, coarser
-    residency); smaller l = finer granularity but more misses.  Reports the
-    per-transfer size and how many view sets a 58-access trace touches.
-    """
-    from ..streaming.trace import standard_trace
-
-    rows: List[Row] = []
-    for l, (nt, npz) in ((2, (12, 24)), (3, (12, 24)), (6, (36, 72))):
-        lat = CameraLattice(n_theta=nt, n_phi=npz, l=l)
-        src = SyntheticSource(lat, resolution=resolution)
-        payload = src.payload((nt // l // 2, 0))
-        trace = standard_trace(lat, n_accesses=30, seed=7)
-        accesses = trace.viewset_accesses(lat)
-        rows.append({
-            "l": l,
-            "window_deg": l * np.degrees(lat.theta_step),
-            "payload_mb": len(payload) / 1e6,
-            "distinct_viewsets_in_trace": len(set(accesses)),
-            "bytes_for_trace_mb":
-                len(payload) * len(set(accesses)) / 1e6,
-        })
-    return rows

@@ -1,59 +1,56 @@
 """Sharded parallel simulation: one logical client fleet, many rigs.
 
-The multi-client harness (:mod:`repro.streaming.multiclient`) wires every
-client onto one shared fabric, which is the right model when clients
-contend for one WAN bottleneck — but it serializes the whole fleet through
-a single event queue.  At population scale the paper's premise flips:
-depot fleets are provisioned per site, and clients pinned to different
-depot groups never share a link.  This module exploits exactly that
-structure: the fleet is partitioned into **shards** (contiguous client
-blocks, each with its own LAN + WAN depot group, network, and event
-queue), shards run independently — in worker processes when requested —
-and their results merge deterministically.
+The fleet entry point (:mod:`repro.streaming.multiclient`) puts every
+client on one shared fabric — right when clients contend for one WAN
+bottleneck, but the whole fleet then runs through a single event queue.
+At population scale depot fleets are provisioned per site and clients
+pinned to different depot groups never share a link, so the fleet is
+partitioned into **shards**: contiguous client blocks, each wired as its
+own testbed and driven by the same session engine
+(:func:`~repro.streaming.session.run_testbed`) window by window — in
+worker processes when requested — with results merged deterministically.
+This module adds only what is shard-specific: the partition, fault
+scheduling and the flight recorder, the boundary exchange between
+windows, telemetry export, and the drivers.
 
-Because shards share no simulated state, the partition *is* the
-synchronization model: conservative time-window lockstep (workers advance
-their queues window by window behind a barrier, the
-:mod:`repro.render.parallel` fork/spawn pattern applied to simulation)
-bounds skew between workers without ever changing what fires when.  A
-windowed run fires the same events, in the same order, at the same times
-as a single ``run_until`` — so ``workers=N`` is bit-identical to
-``workers=1``, which is what the determinism suite checks
+Synchronization is conservative time-window lockstep: workers advance one
+window, then wait at a barrier.  Windows only bound skew — a windowed run
+fires the same events, in the same order, at the same times as a single
+``run_until`` — so ``workers=N`` is bit-identical to ``workers=1``
 (:func:`repro.analysis.determinism.sharded_fingerprint`).
 
-Fleets no longer have to be link-disjoint.  When
+Fleets need not be link-disjoint.  With
 ``MultiClientConfig.cross_shard_fraction > 0`` every shard's crossing
-clients put load on a *shared* campus backbone (``xs-switch`` <->
-``wan-router``); shards then run a two-phase exchange at the existing
-barrier — publish own boundary load, wait, read the siblings' total,
-wait — and reserve the remote total against the link's effective
-bandwidth (:meth:`~repro.lon.network.Network.set_remote_load`).  The
-remote figure is at most one window stale (the bounded-staleness
-contract; the peak ``(own + remote) / capacity`` oversubscription is
-*measured* into :attr:`ShardResult.boundary`, not assumed away), and
-because the sequential ``workers=1`` driver runs the identical protocol
-in the identical shard order, ``workers=N`` stays bit-identical to the
-sequential reference in the crossing case too.  Disjoint fleets
-(``cross_shard_fraction == 0``) skip the exchange entirely and remain
-byte-identical to the original single-wait lockstep.
+clients load a *shared* campus backbone (``xs-switch`` <->
+``wan-router``); shards then run a two-phase exchange at the barrier —
+publish own boundary load, wait, read the siblings' total, wait — and
+reserve the remote total against the link's effective bandwidth
+(:meth:`~repro.lon.network.Network.set_remote_load`).  The remote figure
+is at most one window stale (the bounded-staleness contract; the peak
+``(own + remote) / capacity`` oversubscription is *measured* into
+:attr:`ShardResult.boundary`), and the sequential ``workers=1`` driver
+runs the identical protocol in the identical shard order, so the
+crossing case stays bit-identical too.  Disjoint fleets skip the
+exchange entirely.
 
-Merge semantics: per-client metrics concatenate in shard order (the
-contiguous partition preserves global client order); event/transfer
-fingerprint streams concatenate the same way; counters sum; wall-clock is
-the slowest shard (parallel makespan) with per-shard times retained for
-the events/s-per-core curve in ``BENCH_scale.json``.
+Merge semantics: per-client metrics and fingerprint streams concatenate
+in shard order (the contiguous partition preserves global client order);
+counters sum; wall-clock is the slowest shard (parallel makespan) with
+per-shard times retained for the events/s-per-core curve in
+``BENCH_scale.json``.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from threading import BrokenBarrierError
 from typing import (
     Any,
     Callable,
     Dict,
     Generator,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -68,7 +65,17 @@ from ..streaming.metrics import SessionMetrics
 from ..streaming.multiclient import (
     MultiClientConfig,
     build_multiclient_rig,
+    fleet_summary,
+    fleet_traces,
 )
+from ..streaming.session import (
+    EventRecord,
+    RunTotals,
+    TransferRecord,
+    attach_stream_collectors,
+    run_testbed,
+)
+from .faults import DepotOutage
 
 #: plain-data fault spec, picklable into worker processes:
 #: ``{"kind": "depot-outage", "depot": str, "start": float,
@@ -99,10 +106,6 @@ DEFAULT_WINDOW = 30.0
 #: seconds a worker will wait at the window barrier before declaring the
 #: fleet broken (a sibling died mid-window)
 BARRIER_TIMEOUT = 600.0
-
-# typing alias for the picklable per-shard stream records
-EventRecord = Tuple[str, int, str]
-TransferRecord = Tuple[str, str, str, str, str]
 
 #: a boundary link as an ordered node pair
 BoundaryLink = Tuple[str, str]
@@ -258,24 +261,17 @@ def partition_clients(
 
 
 @dataclass
-class ShardResult:
-    """Everything one shard reports back (plain picklable data)."""
+class ShardResult(RunTotals):
+    """Everything one shard reports back (plain picklable data).
+
+    ``wall_seconds`` counts this shard's simulation loop only: barrier
+    waits, the boundary exchange and sibling shards' turns (lockstep
+    driver) are outside it.
+    """
 
     shard_id: int
     n_clients: int
     client_index_base: int
-    #: host seconds this shard's simulation loop was running; barrier
-    #: waits and sibling shards' turns (lockstep driver) are not counted
-    wall_seconds: float
-    events_fired: int
-    sim_seconds: float
-    rebalance: Dict[str, int]
-    queue_compactions: int
-    deduped_transfers: int
-    promoted_transfers: int
-    #: scheduler admission counters (batches flushed, submissions
-    #: coalesced, scalar fallbacks) — the vectorized-path liveness signal
-    admission: Dict[str, int] = field(default_factory=dict)
     #: boundary-exchange measurements (crossing runs only): window count,
     #: staleness bound (seconds), max own/remote load and the peak
     #: oversubscription ratio ``(own + remote) / capacity``
@@ -297,23 +293,27 @@ class ShardResult:
     access_log: Optional[List[AccessLogRecord]] = None
 
 
+def _sum_counts(counts: Iterable[Dict[str, int]]) -> Dict[str, int]:
+    """Key-wise sum of counter dicts (a zero count keeps its key)."""
+    out: Dict[str, int] = {}
+    for d in counts:
+        for k, v in d.items():
+            out[k] = out.get(k, 0) + v
+    return out
+
+
 @dataclass
-class ShardedResult:
-    """Deterministic merge of every shard's result."""
+class ShardedResult(RunTotals):
+    """Deterministic merge of every shard's result (:func:`merge_shards`).
+
+    As :class:`RunTotals` it reads fleet-wide: counters sum over the
+    shards, ``wall_seconds`` is the parallel makespan (the slowest shard's
+    simulation loop) and ``sim_seconds`` the farthest horizon reached.
+    """
 
     shards: List[ShardResult]
     workers: int
     window: float
-
-    @property
-    def events_fired(self) -> int:
-        """Total events fired across the fleet."""
-        return sum(s.events_fired for s in self.shards)
-
-    @property
-    def wall_seconds(self) -> float:
-        """Parallel makespan: the slowest shard's simulation loop."""
-        return max(s.wall_seconds for s in self.shards)
 
     @property
     def cpu_seconds(self) -> float:
@@ -321,50 +321,26 @@ class ShardedResult:
         return sum(s.wall_seconds for s in self.shards)
 
     @property
-    def sim_seconds(self) -> float:
-        """Simulated horizon reached (max across shards)."""
-        return max(s.sim_seconds for s in self.shards)
-
-    @property
-    def events_per_second(self) -> float:
-        """Fleet events/s against the parallel makespan."""
-        wall = self.wall_seconds
-        return self.events_fired / wall if wall else 0.0
-
-    @property
     def per_client(self) -> List[SessionMetrics]:
         """Per-client metrics in global client order."""
         return [m for s in self.shards for m in s.per_client]
 
-    def rebalance_totals(self) -> Dict[str, int]:
-        """Key-wise sum of every shard's rebalance counters."""
-        out: Dict[str, int] = {}
+    def _per_shard(self, attr: str, missing: str) -> List[Any]:
+        """Every shard's optional ``attr`` in shard order; all must have it."""
         for s in self.shards:
-            for k, v in s.rebalance.items():
-                out[k] = out.get(k, 0) + v
-        return out
+            if getattr(s, attr) is None:
+                raise ValueError(f"shard {s.shard_id} {missing}")
+        return [getattr(s, attr) for s in self.shards]
 
     def merged_events(self) -> List[EventRecord]:
         """Event streams concatenated in shard order (fingerprint input)."""
-        out: List[EventRecord] = []
-        for s in self.shards:
-            if s.events is None:
-                raise ValueError(
-                    f"shard {s.shard_id} did not collect event streams"
-                )
-            out.extend(s.events)
-        return out
+        return [r for stream in self._per_shard(
+            "events", "did not collect event streams") for r in stream]
 
     def merged_transfers(self) -> List[TransferRecord]:
         """Transfer streams concatenated in shard order."""
-        out: List[TransferRecord] = []
-        for s in self.shards:
-            if s.transfers is None:
-                raise ValueError(
-                    f"shard {s.shard_id} did not collect transfer streams"
-                )
-            out.extend(s.transfers)
-        return out
+        return [r for stream in self._per_shard(
+            "transfers", "did not collect transfer streams") for r in stream]
 
     def stitched(self) -> FleetTrace:
         """Merge every shard's telemetry into one fleet timeline.
@@ -374,15 +350,9 @@ class ShardedResult:
         stitcher re-bases ids, annotates spans with their worker, and
         merges registries with exact histogram merge.
         """
-        telems: List[WorkerTelemetry] = []
-        for s in self.shards:
-            if s.telemetry is None:
-                raise ValueError(
-                    f"shard {s.shard_id} ran without tracing; "
-                    "enable config.base.tracing to stitch a fleet trace"
-                )
-            telems.append(s.telemetry)
-        return stitch(telems)
+        return stitch(self._per_shard(
+            "telemetry", "ran without tracing; enable config.base.tracing "
+                         "to stitch a fleet trace"))
 
     @property
     def flight_dumps(self) -> List[str]:
@@ -390,41 +360,12 @@ class ShardedResult:
         return [p for s in self.shards for p in s.flight_dumps]
 
     def aggregate(self) -> Dict[str, object]:
-        """Fleet-level summary in the MultiClientResult.aggregate() shape."""
-        accesses = [a for m in self.per_client for a in m.accesses]
-        n = len(accesses)
-        mean_latency = (
-            sum(a.total_latency for a in accesses) / n if n else 0.0
-        )
-        out: Dict[str, object] = {
-            "n_clients": sum(s.n_clients for s in self.shards),
-            "accesses": n,
-            "mean_latency": round(mean_latency, 4),
-            "n_shards": len(self.shards),
-            "workers": self.workers,
-            "events_fired": self.events_fired,
-            "events_per_second": round(self.events_per_second, 1),
-            "wall_seconds": round(self.wall_seconds, 3),
-            "cpu_seconds": round(self.cpu_seconds, 3),
-            "sim_seconds": round(self.sim_seconds, 2),
-            "queue_compactions": sum(
-                s.queue_compactions for s in self.shards
-            ),
-            "deduped_transfers": sum(
-                s.deduped_transfers for s in self.shards
-            ),
-            "promoted_transfers": sum(
-                s.promoted_transfers for s in self.shards
-            ),
-        }
-        for k, v in self.rebalance_totals().items():
-            out[f"rebalance_{k}"] = v
-        admission: Dict[str, int] = {}
-        for s in self.shards:
-            for k, n_adm in s.admission.items():
-                admission[k] = admission.get(k, 0) + n_adm
-        for k, n_adm in admission.items():
-            out[f"admission_{k}"] = n_adm
+        """:func:`~repro.streaming.multiclient.fleet_summary` plus the
+        shard layout and, for crossing runs, the boundary measurements."""
+        out = fleet_summary(self.per_client, self)
+        out["n_shards"] = len(self.shards)
+        out["workers"] = self.workers
+        out["cpu_seconds"] = round(self.cpu_seconds, 3)
         bounds = [s.boundary for s in self.shards if s.boundary is not None]
         if bounds:
             out["boundary_staleness_bound"] = self.window
@@ -437,63 +378,62 @@ class ShardedResult:
         return out
 
 
-def _global_horizon(
-    source: ViewSetSource,
-    config: MultiClientConfig,
-    settle_seconds: float,
-) -> float:
-    """The fleet-wide simulated stop time.
-
-    Every barrier-synchronized worker must walk the same window sequence,
-    so the horizon is derived from *all* clients' traces (regenerated
-    here — trace synthesis is deterministic and cheap), not each shard's
-    local subset.
-    """
-    from ..streaming.trace import standard_trace
-
-    base = config.base
-    longest = 0.0
-    for i in range(config.n_clients):
-        g = config.client_index_base + i
-        trace = standard_trace(
-            source.lattice,
-            n_accesses=base.n_accesses,
-            step_period=base.step_period,
-            seed=base.trace_seed + g * config.seed_stride,
-            heading_noise=base.heading_noise,
-        ).shifted(g * config.start_stagger)
-        longest = max(longest, trace.duration)
-    return longest + settle_seconds
-
-
-def _shard_config(
-    config: MultiClientConfig, start: int, count: int, shard_id: int = 0
-) -> MultiClientConfig:
-    """The sub-fleet config for one shard (global identity preserved).
-
-    The shard's registry namespace (``shard<N>``) keeps its metric names
-    distinct in a merged fleet registry — the same depot group names
-    recur in every shard's rig.
-    """
-    return replace(
-        config,
-        n_clients=count,
-        client_index_base=config.client_index_base + start,
-        obs_namespace=f"shard{shard_id}",
+def merge_shards(
+    shards: List[ShardResult], workers: int, window: float
+) -> ShardedResult:
+    """Merge per-shard results, given in shard order, into the fleet's."""
+    return ShardedResult(
+        wall_seconds=max(s.wall_seconds for s in shards),
+        events_fired=sum(s.events_fired for s in shards),
+        sim_seconds=max(s.sim_seconds for s in shards),
+        rebalance=_sum_counts(s.rebalance for s in shards),
+        queue_compactions=sum(s.queue_compactions for s in shards),
+        deduped_transfers=sum(s.deduped_transfers for s in shards),
+        promoted_transfers=sum(s.promoted_transfers for s in shards),
+        admission=_sum_counts(s.admission for s in shards),
+        shards=shards, workers=workers, window=window,
     )
+
+
+def _validate(
+    window: float, faults: Optional[List[FaultSpec]],
+    n_shards: Optional[int] = None,
+) -> None:
+    """Reject a bad window or fault spec before any rig or process exists.
+
+    ``n_shards`` bounds a spec's ``"shard"`` key; a standalone shard does
+    not know its fleet's size and passes ``None``.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    for fault in faults or ():
+        kind = fault.get("kind", "depot-outage")
+        if kind != "depot-outage":
+            raise ValueError(f"unknown fault kind {kind!r}")
+        missing = [k for k in ("depot", "start", "duration") if k not in fault]
+        if missing:
+            raise ValueError(f"fault spec {fault!r} lacks {missing}")
+        shard = fault.get("shard")
+        if shard is not None and n_shards is not None and not (
+            isinstance(shard, int) and 0 <= shard < n_shards
+        ):
+            raise ValueError(
+                f"fault spec {fault!r} names shard {shard!r}; "
+                f"the fleet has shards 0..{n_shards - 1}"
+            )
 
 
 def _shard_session(
     source: ViewSetSource,
     config: MultiClientConfig,
     shard_id: int,
+    links: Tuple[BoundaryLink, ...],
     settle_seconds: float,
     window: float,
     collect_streams: bool,
     horizon: Optional[float],
     faults: Optional[List[FaultSpec]],
     flight_dir: Optional[str],
-    links: Tuple[BoundaryLink, ...],
 ) -> Generator[
     Dict[BoundaryLink, float],
     Optional[Dict[BoundaryLink, float]],
@@ -501,16 +441,15 @@ def _shard_session(
 ]:
     """One shard's windowed run as a coroutine.
 
-    Setup runs up to the first (empty) yield.  Each later resume advances
-    one window and yields this shard's boundary-link loads; the driver
-    sends back the remote total per link (``None`` when no exchange is
-    active), which is applied through
-    :meth:`~repro.lon.network.Network.set_remote_load` before the next
-    window runs — so every remote figure is at most one window stale.
-    The :class:`ShardResult` is the generator's return value.
+    The first resume wires the rig; every resume advances the session
+    engine (:func:`~repro.streaming.session.run_testbed`) one window and
+    yields this shard's boundary-link loads.  The driver sends back the
+    remote total per link (``None`` when no exchange is active), which is
+    applied through :meth:`~repro.lon.network.Network.set_remote_load`
+    before the next window runs — so every remote figure is at most one
+    window stale.  The :class:`ShardResult` is the generator's return value.
     """
-    from ..analysis.determinism import _attach_collectors
-
+    _validate(window, faults)
     rig = build_multiclient_rig(source, config)
     worker_label = config.obs_namespace or f"shard{shard_id}"
     recorder: Optional[FlightRecorder] = None
@@ -518,92 +457,58 @@ def _shard_session(
         recorder = FlightRecorder(worker=worker_label)
         recorder.attach(rig.tracer)
     for fault in faults or ():
-        if "shard" in fault and int(fault["shard"]) != shard_id:  # type: ignore[arg-type]
+        if fault.get("shard", shard_id) != shard_id:
             continue
-        kind = str(fault.get("kind", "depot-outage"))
-        if kind != "depot-outage":
-            raise ValueError(f"unknown fault kind {kind!r}")
         depot = str(fault["depot"])
         neighbor = str(
             fault.get("neighbor")
             or ("lan-switch" if depot.startswith("lan-") else "wan-router")
         )
-        from .faults import DepotOutage
-
         DepotOutage(rig.network, depot, neighbor).schedule(
             rig.queue,
             float(fault["start"]),  # type: ignore[arg-type]
             float(fault["duration"]),  # type: ignore[arg-type]
             recorder=recorder,
         )
-    # synthesize (and cache) every payload up front: dataset generation is
-    # not simulation work and must not pollute the wall-time measurement
-    for key in source.lattice.all_viewsets():
-        source.payload(key)
-    events: List[EventRecord] = []
-    transfers: List[TransferRecord] = []
+    events: Optional[List[EventRecord]] = None
+    transfers: Optional[List[TransferRecord]] = None
     if collect_streams:
-        _attach_collectors(rig.queue, rig.scheduler, events, transfers)
-    for staging in rig.stagings:
-        staging.start()
-    for sampler in rig.samplers:
-        sampler.start()
-    for client, trace in zip(rig.clients, rig.traces):
-        client.schedule_trace(trace)
-    if horizon is None:
-        horizon = max(t.duration for t in rig.traces) + settle_seconds
-    if window <= 0:
-        raise ValueError("window must be positive")
+        events, transfers = [], []
+        attach_stream_collectors(rig.queue, rig.scheduler, events, transfers)
     net = rig.network
     caps = {lk: net.link_capacity(*lk) for lk in links}
     boundary: Optional[Dict[str, float]] = None
-    yield {}  # setup complete — the driver may start its clock
-    # measuring how fast the *simulator* runs, not simulated time.  The
-    # interval closes across every yield: under the lockstep driver the
-    # sibling shards run there, and counting their time once per shard
-    # inflated ``ShardedResult.cpu_seconds`` n_shards-fold.
-    wall = 0.0
-    t0 = time.perf_counter()  # repro: allow[SIM001]
-    t = 0.0
-    while t < horizon:
-        t = min(t + window, horizon)
-        rig.queue.run_until(t, max_events=200_000_000)
+    run = run_testbed(rig, settle_seconds, horizon, window)
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            totals: RunTotals = stop.value
+            break
         own = {lk: net.link_load(*lk) for lk in links}
-        wall += time.perf_counter() - t0  # repro: allow[SIM001]
         remote = yield own
-        t0 = time.perf_counter()  # repro: allow[SIM001]
-        if remote is not None:
-            if boundary is None:
-                boundary = {
-                    "windows": 0.0,
-                    "staleness_bound": window,
-                    "max_own_load": 0.0,
-                    "max_remote_load": 0.0,
-                    "max_oversubscription": 0.0,
-                }
-            boundary["windows"] += 1.0
-            for lk in links:
-                o = own.get(lk, 0.0)
-                r = remote.get(lk, 0.0)
-                boundary["max_own_load"] = max(boundary["max_own_load"], o)
-                boundary["max_remote_load"] = max(
-                    boundary["max_remote_load"], r
+        if remote is None:
+            continue
+        if boundary is None:
+            boundary = {
+                "windows": 0.0,
+                "staleness_bound": window,
+                "max_own_load": 0.0,
+                "max_remote_load": 0.0,
+                "max_oversubscription": 0.0,
+            }
+        boundary["windows"] += 1.0
+        for lk in links:
+            o = own.get(lk, 0.0)
+            r = remote.get(lk, 0.0)
+            boundary["max_own_load"] = max(boundary["max_own_load"], o)
+            boundary["max_remote_load"] = max(boundary["max_remote_load"], r)
+            if caps[lk] > 0.0:
+                boundary["max_oversubscription"] = max(
+                    boundary["max_oversubscription"], (o + r) / caps[lk]
                 )
-                if caps[lk] > 0.0:
-                    boundary["max_oversubscription"] = max(
-                        boundary["max_oversubscription"],
-                        (o + r) / caps[lk],
-                    )
-                if net.has_link(*lk):
-                    net.set_remote_load(lk[0], lk[1], r)
-    for staging in rig.stagings:
-        staging.stop()
-    for sampler in rig.samplers:
-        sampler.stop()
-    rig.queue.run_until(horizon + settle_seconds, max_events=200_000_000)
-    wall += time.perf_counter() - t0  # repro: allow[SIM001]
-    if rig.tracer is not None:
-        rig.tracer.finish_open()
+            if net.has_link(*lk):
+                net.set_remote_load(lk[0], lk[1], r)
     telemetry: Optional[WorkerTelemetry] = None
     if rig.tracer is not None:
         telemetry = export_telemetry(worker_label, rig.tracer, rig.obs)
@@ -614,38 +519,19 @@ def _shard_session(
             flight_dumps = recorder.write_dumps(
                 flight_dir, prefix=worker_label
             )
-    for m, agent, staging in zip(
-        rig.metrics, rig.client_agents,
-        rig.stagings if rig.stagings else [None] * len(rig.metrics),
-    ):
-        m.prefetch_used = agent.stats.prefetch_hits
-        if staging is not None:
-            m.staged_count = staging.stats.staged
-            m.staged_bytes = staging.stats.bytes_staged
+    for m in rig.metrics:
         # strip live handles: metrics must cross the process boundary
         m.tracer = None
         m.obs = None
     return ShardResult(
+        **vars(totals),
         shard_id=shard_id,
         n_clients=config.n_clients,
         client_index_base=config.client_index_base,
-        wall_seconds=wall,
-        events_fired=rig.queue.fired_total,
-        sim_seconds=rig.queue.now,
-        rebalance=asdict(rig.network.stats),
-        queue_compactions=rig.queue.compactions,
-        deduped_transfers=rig.scheduler.registry.stats.deduped,
-        promoted_transfers=rig.scheduler.registry.stats.promoted,
-        admission={
-            "batches_flushed": rig.scheduler.stats.batches_flushed,
-            "submissions_coalesced":
-                rig.scheduler.stats.submissions_coalesced,
-            "scalar_fallbacks": rig.scheduler.stats.scalar_fallbacks,
-        },
         boundary=boundary,
-        per_client=list(rig.metrics),
-        events=events if collect_streams else None,
-        transfers=transfers if collect_streams else None,
+        per_client=rig.metrics,
+        events=events,
+        transfers=transfers,
         telemetry=telemetry,
         flight_dumps=flight_dumps,
     )
@@ -691,12 +577,11 @@ def run_shard(
     freezes the telemetry that preceded it, and ``flight_dir`` (when
     given) receives one dump file per trigger.
     """
-    links = exchange.links if exchange is not None else ()
     session = _shard_session(
-        source, config, shard_id, settle_seconds, window, collect_streams,
-        horizon, faults, flight_dir, links,
+        source, config, shard_id,
+        exchange.links if exchange is not None else (),
+        settle_seconds, window, collect_streams, horizon, faults, flight_dir,
     )
-    next(session)  # run setup
     remote: Optional[Dict[BoundaryLink, float]] = None
     while True:
         try:
@@ -721,15 +606,9 @@ def run_shard(
 
 def _run_lockstep(
     source: ViewSetSource,
-    config: MultiClientConfig,
-    blocks: List[Tuple[int, int]],
+    configs: List[MultiClientConfig],
     exchange: BoundaryExchange,
-    settle_seconds: float,
-    window: float,
-    collect_streams: bool,
-    horizon: float,
-    faults: Optional[List[FaultSpec]],
-    flight_dir: Optional[str],
+    **options: Any,
 ) -> List[ShardResult]:
     """Sequential reference for the crossing case.
 
@@ -739,15 +618,9 @@ def _run_lockstep(
     order, so ``workers=N`` is bit-identical to this driver.
     """
     sessions = [
-        _shard_session(
-            source, _shard_config(config, start, count, sid), sid,
-            settle_seconds, window, collect_streams, horizon, faults,
-            flight_dir, exchange.links,
-        )
-        for sid, (start, count) in enumerate(blocks)
+        _shard_session(source, cfg, sid, exchange.links, **options)
+        for sid, cfg in enumerate(configs)
     ]
-    for session in sessions:
-        next(session)  # run setup
     n = len(sessions)
     remotes: List[Optional[Dict[BoundaryLink, float]]] = [None] * n
     while True:
@@ -779,35 +652,29 @@ def _worker(
     source: ViewSetSource,
     config: MultiClientConfig,
     shard_id: int,
-    settle_seconds: float,
-    window: float,
-    collect_streams: bool,
     barrier: Any,
-    horizon: float,
-    faults: Optional[List[FaultSpec]],
-    flight_dir: Optional[str],
     exchange: Optional[BoundaryExchange],
     out: Any,
+    options: Dict[str, Any],
 ) -> None:
-    """Worker-process entry point: run one shard, ship the result back."""
+    """Worker-process entry point: run one shard, ship the result back.
+
+    A shard that raises breaks the barrier, so its siblings fail fast
+    instead of waiting out ``BARRIER_TIMEOUT``; they report no error of
+    their own — the shard that raised reports why.
+    """
     try:
         result = run_shard(
             source, config, shard_id,
-            settle_seconds=settle_seconds, window=window,
-            collect_streams=collect_streams, barrier=barrier,
-            horizon=horizon, faults=faults, flight_dir=flight_dir,
-            exchange=exchange,
-        )
+            barrier=barrier, exchange=exchange, **options)
         out.put((shard_id, result, None))
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
+    except BrokenBarrierError:
+        out.put((shard_id, None, None))
+    except BaseException as exc:
+        barrier.abort()
         out.put((shard_id, None, repr(exc)))
-
-
-def _default_exchange_factory(
-    n_shards: int, ctx: Optional[Any]
-) -> BoundaryExchange:
-    """The stock exchange — shared ``mp.Array`` cells when ``ctx`` given."""
-    return BoundaryExchange(n_shards, ctx=ctx)
+        if not isinstance(exc, Exception):
+            raise
 
 
 def run_sharded_session(
@@ -835,7 +702,8 @@ def run_sharded_session(
 
     ``faults``/``flight_dir`` forward to every shard (see
     :func:`run_shard`); a fault spec carrying a ``"shard"`` key only
-    fires in that shard.
+    fires in that shard.  ``window`` and every fault spec are checked
+    here, before a rig is built or a process started.
 
     ``exchange_factory`` replaces the default
     ``BoundaryExchange(n_shards, ctx=ctx)`` construction (``ctx`` is
@@ -850,33 +718,43 @@ def run_sharded_session(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, len(blocks))
-    horizon = _global_horizon(source, config, settle_seconds)
+    _validate(window, faults, len(blocks))
+    # each shard keeps its clients' global identity; its registry namespace
+    # keeps metric names distinct in a merged fleet registry (the same depot
+    # group names recur in every shard's rig)
+    configs = [
+        replace(config, n_clients=count,
+                client_index_base=config.client_index_base + start,
+                obs_namespace=f"shard{shard_id}")
+        for shard_id, (start, count) in enumerate(blocks)
+    ]
+    # every barrier-synchronized worker must walk the same window sequence,
+    # so the stop time comes from all clients' traces, not a shard's own
+    horizon = max(
+        t.duration for t in fleet_traces(source.lattice, config)
+    ) + settle_seconds
+    options: Dict[str, Any] = dict(
+        settle_seconds=settle_seconds, window=window,
+        collect_streams=collect_streams, horizon=horizon,
+        faults=faults, flight_dir=flight_dir,
+    )
     # shards only interact when crossing clients put load on a shared
     # boundary link; disjoint fleets keep the exchange-free fast path
     crossing = config.cross_shard_fraction > 0.0 and len(blocks) > 1
 
-    if exchange_factory is None:
-        exchange_factory = _default_exchange_factory
+    make_exchange = exchange_factory or (
+        lambda n, ctx: BoundaryExchange(n, ctx=ctx))
 
-    if workers == 1 or len(blocks) == 1:
+    if workers == 1:
         if crossing:
             shards = _run_lockstep(
-                source, config, blocks, exchange_factory(len(blocks), None),
-                settle_seconds, window, collect_streams, horizon,
-                faults, flight_dir,
-            )
-            return ShardedResult(shards=shards, workers=1, window=window)
-        shards = [
-            run_shard(
-                source, _shard_config(config, start, count, shard_id),
-                shard_id,
-                settle_seconds=settle_seconds, window=window,
-                collect_streams=collect_streams, horizon=horizon,
-                faults=faults, flight_dir=flight_dir,
-            )
-            for shard_id, (start, count) in enumerate(blocks)
-        ]
-        return ShardedResult(shards=shards, workers=1, window=window)
+                source, configs, make_exchange(len(blocks), None), **options)
+        else:
+            shards = [
+                run_shard(source, cfg, shard_id, **options)
+                for shard_id, cfg in enumerate(configs)
+            ]
+        return merge_shards(shards, 1, window)
 
     available = mp.get_all_start_methods()
     if start_method is not None and start_method not in available:
@@ -889,35 +767,34 @@ def run_sharded_session(
     # one process per shard; the barrier holds every worker to the same
     # window so no shard runs unboundedly ahead of its siblings
     barrier = ctx.Barrier(len(blocks))
-    exchange = (
-        exchange_factory(len(blocks), ctx) if crossing else None
-    )
+    exchange = make_exchange(len(blocks), ctx) if crossing else None
     out = ctx.Queue()
     procs: List[Any] = []
-    for shard_id, (start, count) in enumerate(blocks):
+    for shard_id, cfg in enumerate(configs):
         p = ctx.Process(
             target=_worker,
-            args=(
-                source, _shard_config(config, start, count, shard_id),
-                shard_id,
-                settle_seconds, window, collect_streams, barrier,
-                horizon, faults, flight_dir, exchange, out,
-            ),
+            args=(source, cfg, shard_id, barrier, exchange, out, options),
             name=f"shard-{shard_id}",
         )
         p.start()
         procs.append(p)
     results: Dict[int, ShardResult] = {}
-    error: Optional[str] = None
+    errors: Dict[int, str] = {}
     for _ in procs:
         shard_id, result, err = out.get()
         if err is not None:
-            error = error or f"shard {shard_id} failed: {err}"
-        else:
+            errors[shard_id] = err
+        elif result is not None:
             results[shard_id] = result
     for p in procs:
         p.join()
-    if error is not None:
-        raise RuntimeError(error)
-    shards = [results[i] for i in range(len(blocks))]
-    return ShardedResult(shards=shards, workers=workers, window=window)
+    if errors:
+        first = min(errors)
+        raise RuntimeError(f"shard {first} failed: {errors[first]}")
+    if len(results) < len(blocks):
+        raise RuntimeError(
+            "shard barrier broken: a worker died or waited out "
+            f"BARRIER_TIMEOUT ({BARRIER_TIMEOUT:.0f} s)"
+        )
+    return merge_shards(
+        [results[i] for i in range(len(blocks))], workers, window)

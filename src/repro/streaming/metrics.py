@@ -69,11 +69,15 @@ class SessionMetrics:
     staged_bytes: int = 0
     scheduling_policy: str = ""
     transfer_events: List[TransferEvent] = field(default_factory=list)
+    #: the scheduler's registry counts, filled in by ``run_session`` only.
+    #: A fleet's consoles share one scheduler, so these stay 0 on
+    #: ``per_client[i]`` and the counts are reported fleet-wide on the result
+    #: (``deduped_transfers``/``promoted_transfers``).
     deduped: int = 0                # cross-layer duplicate fetches suppressed
     promoted_transfers: int = 0     # background transfers promoted to DEMAND
     cancelled_transfers: int = 0    # transfers cancelled as no longer useful
-    #: the session's tracer / metrics registry, wired by build_rig when
-    #: observability is on (None otherwise); breakdown() reads the tracer
+    #: the session's tracer / metrics registry, set by the testbed wiring
+    #: when observability is on (None otherwise); breakdown() reads the tracer
     tracer: Optional[Tracer] = None
     obs: Optional[MetricsRegistry] = None
     _seen_indices: Set[int] = field(default_factory=set, repr=False)
@@ -215,8 +219,8 @@ class SessionMetrics:
     def breakdown(self) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Per-stage latency statistics from the session's trace.
 
-        Requires the session to have run with tracing on (``build_rig``
-        wires the tracer in); returns
+        Requires the session to have run with tracing on (the testbed
+        wiring sets the tracer); returns
         ``{source: {stage: {count, mean, p50, p95, total}}}`` — the
         trace-report table as data.  Empty when no tracer was attached.
         """

@@ -1,32 +1,46 @@
-"""Experiment harness: Cases 1, 2 and 3 of Section 4.2/4.3.
+"""The session engine, and the single-console entry point to it.
 
-Builds the whole system over the simulated network and runs an orchestrated
-cursor trace:
+One function wires the paper's testbed (:func:`wire_testbed`) and one
+generator runs a wired testbed through its lifecycle
+(:func:`run_testbed`); every way of running a session is a thin caller of
+those two:
 
-* **Case 1** — the LFD is stored on depots in the client's LAN ("really
-  local area streaming ... the ideal case");
-* **Case 2** — the LFD lives on three striped depots in California and is
-  fetched across the WAN with client-agent prefetching only;
-* **Case 3** — as Case 2, plus aggressive two-stage prestaging onto a LAN
-  depot.
+* :func:`run_session` (here) — one console named ``client``/``agent``:
+  **Case 1** (the LFD on depots in the client's LAN, "really local area
+  streaming ... the ideal case"), **Case 2** (three striped depots in
+  California, client-agent prefetching only) or **Case 3** (Case 2 plus
+  aggressive two-stage prestaging onto a LAN depot);
+* :func:`repro.streaming.multiclient.run_multiclient_session` — N consoles
+  ``client-g``/``agent-g`` on the same fabric;
+* :func:`repro.lon.shard.run_sharded_session` — the fleet partitioned into
+  rigs that advance window by window and exchange boundary loads.
 
-Topology (matching the paper's testbed): client + client agent + four LAN
-depots on a 1 Gb/s department LAN; a WAN path to California (shared
+Topology (matching the paper's testbed): consoles + client agents + four
+LAN depots on a 1 Gb/s department LAN; a WAN path to California (shared
 bottleneck); three server depots + DVS + server agent at the remote site.
+Section 3.5 allows "one client agent per console and several consoles per
+LAN", so the single-console session is the fleet's N = 1 case, not a
+second testbed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+import time
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..lightfield.lattice import CameraLattice
 from ..lightfield.source import ViewSetSource
 from ..lon.ibp import Depot
 from ..lon.lbone import LBone
 from ..lon.lors import LoRS
 from ..lon.network import Network, gbps, mbps
-from ..lon.scheduler import SCHEDULING_POLICIES, TransferScheduler
-from ..lon.simtime import EventQueue
+from ..lon.scheduler import (
+    SCHEDULING_POLICIES,
+    TransferEvent,
+    TransferScheduler,
+)
+from ..lon.simtime import Event, EventQueue
 from ..obs.metrics import MetricsRegistry
 from ..obs.samplers import PeriodicSampler, standard_samplers
 from ..obs.tracer import Tracer
@@ -39,7 +53,28 @@ from .server import ServerAgent
 from .staging import StagingPump
 from .trace import CursorTrace, standard_trace
 
-__all__ = ["SessionConfig", "SessionRig", "run_session", "build_rig"]
+__all__ = [
+    "Console",
+    "EventRecord",
+    "RunTotals",
+    "SessionConfig",
+    "SessionRig",
+    "Testbed",
+    "TransferRecord",
+    "attach_stream_collectors",
+    "build_rig",
+    "finish",
+    "run_session",
+    "run_testbed",
+    "session_trace",
+    "wire_testbed",
+]
+
+#: an event-stream record: ``(time.hex(), seq, label)``
+EventRecord = Tuple[str, int, str]
+
+#: a transfer-lifecycle record: ``(time.hex(), label, priority, event, detail)``
+TransferRecord = Tuple[str, str, str, str, str]
 
 
 @dataclass
@@ -129,44 +164,133 @@ class SessionConfig:
             )
 
 
-@dataclass
-class SessionRig:
-    """All live components of a wired session (for tests and examples)."""
+@dataclass(frozen=True)
+class Console:
+    """One console's place on the testbed: its names and what it browses."""
 
-    config: SessionConfig
+    #: global client index; picks the console's staging depot
+    index: int
+    client_node: str
+    agent_node: str
+    case_name: str
+    trace: CursorTrace
+    #: attached to the ``xs-switch`` campus backbone, not the department LAN
+    crossing: bool = False
+
+
+@dataclass
+class Testbed:
+    """All live components of a wired testbed, one list entry per console.
+
+    ``stagings`` is empty unless the case is 3, and then parallel to
+    ``clients`` like every other per-console list.
+    """
+
     queue: EventQueue
     network: Network
     lbone: LBone
     lors: LoRS
+    scheduler: TransferScheduler
     dvs: DVSServer
     server_agent: ServerAgent
-    client_agent: ClientAgent
-    client: Client
-    metrics: SessionMetrics
-    staging: Optional[StagingPump]
+    clients: List[Client]
+    client_agents: List[ClientAgent]
+    metrics: List[SessionMetrics]
+    stagings: List[StagingPump]
+    traces: List[CursorTrace]
     lan_depots: List[Depot]
     wan_depots: List[Depot]
-    trace: CursorTrace
     tracer: Optional[Tracer] = None
     obs: Optional[MetricsRegistry] = None
     samplers: List[PeriodicSampler] = field(default_factory=list)
 
 
-def build_rig(source: ViewSetSource, config: SessionConfig) -> SessionRig:
-    """Wire every component for the configured case (no events run yet)."""
+@dataclass
+class RunTotals:
+    """Whole-run accounting; every entry point's result record extends it."""
+
+    #: host seconds inside the simulation loop (not wiring, not the
+    #: caller's turn between windows)
+    wall_seconds: float
+    events_fired: int
+    sim_seconds: float
+    rebalance: Dict[str, int]
+    queue_compactions: int
+    #: shared-scheduler registry effects: cross-console dedup + promotions
+    deduped_transfers: int
+    promoted_transfers: int
+    #: scheduler admission counters (batches flushed, submissions
+    #: coalesced, scalar fallbacks) — proves the array path is live
+    admission: Dict[str, int]
+
+    @property
+    def events_per_second(self) -> float:
+        """Simulation throughput: events fired per wall-clock second."""
+        return self.events_fired / self.wall_seconds if self.wall_seconds else 0.0
+
+
+def session_trace(
+    lattice: CameraLattice, config: SessionConfig,
+    seed_offset: int = 0, delay: float = 0.0,
+) -> CursorTrace:
+    """The standard cursor trace of ``config``, reseeded and delayed."""
+    return standard_trace(
+        lattice,
+        n_accesses=config.n_accesses,
+        step_period=config.step_period,
+        seed=config.trace_seed + seed_offset,
+        heading_noise=config.heading_noise,
+    ).shifted(delay)
+
+
+def wire_testbed(
+    source: ViewSetSource,
+    config: SessionConfig,
+    consoles: Sequence[Console],
+    backbone_bandwidth: Optional[float] = None,
+    backbone_latency: Optional[float] = None,
+    obs_namespace: str = "",
+) -> Testbed:
+    """Wire the testbed for ``consoles`` (no events run yet).
+
+    Every console and agent hangs off the department LAN switch, so N
+    consoles contend for the same WAN bottleneck — the shared-infrastructure
+    regime the paper argues depots are for.  Crossing consoles live on a
+    second campus switch with its own backbone uplink (``None`` = the WAN
+    figure); with none crossing no node or link is added.
+    ``obs_namespace`` prefixes every metric name of a traced testbed.
+    """
     queue = EventQueue()
     net = Network(queue, tcp_window=config.tcp_window)
 
     # --- topology -----------------------------------------------------
-    lan_hosts = ["client", "agent"] + [
-        f"lan-depot-{i}" for i in range(config.n_lan_depots)
-    ]
+    lan_hosts = [f"lan-depot-{i}" for i in range(config.n_lan_depots)]
+    xs_hosts: List[str] = []
+    for console in consoles:
+        side = xs_hosts if console.crossing else lan_hosts
+        side += [console.client_node, console.agent_node]
     net.add_node("lan-switch")
     for h in lan_hosts:
         net.add_link(h, "lan-switch", config.lan_bandwidth,
                      config.lan_latency)
     net.add_link("lan-switch", "wan-router", config.wan_bandwidth,
                  config.wan_latency)
+    if xs_hosts:
+        # the uplink is the link every shard's crossing traffic shares,
+        # so sharded runs must exchange its load at barriers (lon.shard)
+        net.add_node("xs-switch")
+        for h in xs_hosts:
+            net.add_link(h, "xs-switch", config.lan_bandwidth,
+                         config.lan_latency)
+        net.add_link("xs-switch", "lan-switch", config.lan_bandwidth,
+                     config.lan_latency)
+        net.add_link(
+            "xs-switch", "wan-router",
+            (config.wan_bandwidth if backbone_bandwidth is None
+             else backbone_bandwidth),
+            (config.wan_latency if backbone_latency is None
+             else backbone_latency),
+        )
     wan_hosts = [f"ca-depot-{i}" for i in range(config.n_wan_depots)]
     wan_hosts += ["server", "dvs"]
     for h in wan_hosts:
@@ -184,23 +308,10 @@ def build_rig(source: ViewSetSource, config: SessionConfig) -> SessionRig:
         d = Depot(f"ca-depot-{i}", queue, capacity=config.depot_capacity)
         lbone.register(d, location="california")
         wan_depots.append(d)
-    metrics = SessionMetrics(
-        case_name=f"case{config.case}", resolution=source.resolution,
-        scheduling_policy=config.scheduling_policy,
-    )
-    tracer: Optional[Tracer] = None
-    obs: Optional[MetricsRegistry] = None
-    if config.tracing:
-        tracer = Tracer(queue.clock, enabled=True)
-        obs = MetricsRegistry()
-        metrics.tracer = tracer
-        metrics.obs = obs
+    tracer = Tracer(queue.clock, enabled=True) if config.tracing else None
+    obs = MetricsRegistry(namespace=obs_namespace) if config.tracing else None
     scheduler = TransferScheduler(
-        net,
-        policy=config.scheduling_policy,
-        on_event=(metrics.record_transfer_event
-                  if config.record_transfer_events else None),
-        tracer=tracer,
+        net, policy=config.scheduling_policy, tracer=tracer,
     )
     lors = LoRS(queue, net, lbone, scheduler=scheduler)
 
@@ -222,87 +333,251 @@ def build_rig(source: ViewSetSource, config: SessionConfig) -> SessionRig:
     )
     server_agent.pre_distribute()
 
-    # --- client side ------------------------------------------------------
-    client_agent = ClientAgent(
-        node="agent",
-        queue=queue,
-        network=net,
-        lors=lors,
-        dvs=dvs,
-        dvs_node="dvs",
-        lattice=source.lattice,
-        server_agents={"server": server_agent},
-        cache_bytes=config.agent_cache_bytes,
-        max_streams=config.max_streams,
-        prefetch_cancel_beyond=config.prefetch_cancel_beyond,
-        tracer=tracer,
+    # --- consoles ---------------------------------------------------------
+    bed = Testbed(
+        queue=queue, network=net, lbone=lbone, lors=lors,
+        scheduler=scheduler, dvs=dvs, server_agent=server_agent,
+        clients=[], client_agents=[], metrics=[], stagings=[], traces=[],
+        lan_depots=lan_depots, wan_depots=wan_depots,
+        tracer=tracer, obs=obs,
     )
-    staging: Optional[StagingPump] = None
-    if config.case == 3:
-        staging = StagingPump(
+    for console in consoles:
+        metrics = SessionMetrics(
+            case_name=console.case_name, resolution=source.resolution,
+            scheduling_policy=config.scheduling_policy,
+        )
+        metrics.tracer = tracer
+        metrics.obs = obs
+        agent = ClientAgent(
+            node=console.agent_node,
             queue=queue,
+            network=net,
             lors=lors,
             dvs=dvs,
-            agent=client_agent,
-            lan_depot=lan_depots[0],
+            dvs_node="dvs",
             lattice=source.lattice,
-            max_concurrent=config.staging_concurrency,
-            streams_per_copy=config.staging_streams,
-            order=config.staging_order,
-            cancel_beyond=config.staging_cancel_beyond,
+            server_agents={"server": server_agent},
+            cache_bytes=config.agent_cache_bytes,
+            max_streams=config.max_streams,
+            prefetch_cancel_beyond=config.prefetch_cancel_beyond,
             tracer=tracer,
         )
-    policy = policy_by_name(config.prefetch_policy)
-    client = Client(
-        node="client",
-        queue=queue,
-        network=net,
-        agent=client_agent,
-        lattice=source.lattice,
-        metrics=metrics,
-        resident_capacity=config.resident_capacity,
-        policy=policy,
-        cpu_scale=config.cpu_scale,
-        cpu_seconds_per_byte=config.cpu_seconds_per_byte,
-        on_cursor=(staging.update_cursor if staging is not None else None),
-        tracer=tracer,
-    )
-    trace = config.trace if config.trace is not None else standard_trace(
-        source.lattice,
-        n_accesses=config.n_accesses,
-        step_period=config.step_period,
-        seed=config.trace_seed,
-        heading_noise=config.heading_noise,
-    )
-    samplers: List[PeriodicSampler] = []
+        staging: Optional[StagingPump] = None
+        if config.case == 3:
+            staging = StagingPump(
+                queue=queue,
+                lors=lors,
+                dvs=dvs,
+                agent=agent,
+                lan_depot=lan_depots[console.index % len(lan_depots)],
+                lattice=source.lattice,
+                max_concurrent=config.staging_concurrency,
+                streams_per_copy=config.staging_streams,
+                order=config.staging_order,
+                cancel_beyond=config.staging_cancel_beyond,
+                tracer=tracer,
+            )
+            bed.stagings.append(staging)
+        bed.clients.append(Client(
+            node=console.client_node,
+            queue=queue,
+            network=net,
+            agent=agent,
+            lattice=source.lattice,
+            metrics=metrics,
+            resident_capacity=config.resident_capacity,
+            policy=policy_by_name(config.prefetch_policy),
+            cpu_scale=config.cpu_scale,
+            cpu_seconds_per_byte=config.cpu_seconds_per_byte,
+            on_cursor=(staging.update_cursor if staging is not None
+                       else None),
+            tracer=tracer,
+        ))
+        bed.client_agents.append(agent)
+        bed.metrics.append(metrics)
+        bed.traces.append(console.trace)
     if tracer is not None and obs is not None:
-        samplers = standard_samplers(
+        bed.samplers = standard_samplers(
             queue, tracer, obs,
             network=net,
             scheduler=scheduler,
             depots=lan_depots + wan_depots,
-            agent=client_agent,
+            agent=bed.client_agents,
             period=config.sample_period,
         )
+    return bed
+
+
+def attach_stream_collectors(
+    queue: EventQueue, scheduler: TransferScheduler,
+    events: List[EventRecord], transfers: List[TransferRecord],
+) -> None:
+    """Append every fired event and transfer-lifecycle record of a wired
+    testbed to ``events``/``transfers`` (the determinism fingerprints'
+    input).  Attach before the run starts; an ``on_event`` observer already
+    on the scheduler keeps being called."""
+
+    def on_fire(ev: Event) -> None:
+        events.append((ev.time.hex(), ev.seq, ev.label))
+
+    queue.on_fire = on_fire
+    prev = scheduler.on_event
+
+    def on_event(tev: TransferEvent) -> None:
+        transfers.append((
+            tev.time.hex(), tev.label, tev.priority, tev.event, tev.detail,
+        ))
+        if prev is not None:
+            prev(tev)
+
+    scheduler.on_event = on_event
+
+
+def run_testbed(
+    bed: Testbed,
+    settle_seconds: float,
+    horizon: Optional[float] = None,
+    window: Optional[float] = None,
+) -> Generator[None, None, RunTotals]:
+    """Run a wired testbed through its whole lifecycle, window by window.
+
+    Starts staging and samplers, schedules every console's trace, advances
+    the queue to ``horizon`` (default: the last cursor sample plus
+    ``settle_seconds``) in steps of ``window`` (default: one step) with a
+    ``yield`` after each, then stops staging and samplers so the queue
+    terminates, drains for another ``settle_seconds``, closes open spans and
+    writes each console's end-of-run figures onto its metrics.  The return
+    value is the run's :class:`RunTotals`.
+
+    Intermediate horizons never change what fires when: a windowed run
+    fires the same events in the same order at the same times as a single
+    ``run_until``.  The ``yield`` is where a caller interleaves other
+    testbeds or applies an outside input between windows.
+    """
+    if horizon is None:
+        horizon = max(tr.duration for tr in bed.traces) + settle_seconds
+    if window is None:
+        window = horizon
+    if window <= 0:
+        raise ValueError("window must be positive")
+    for staging in bed.stagings:
+        staging.start()
+    for sampler in bed.samplers:
+        sampler.start()
+    for client, trace in zip(bed.clients, bed.traces):
+        client.schedule_trace(trace)
+    # measuring how fast the *simulator* runs, not simulated time: the
+    # reading never feeds back into the event stream.  The interval is
+    # closed across every yield — a lockstep caller runs the sibling
+    # testbeds there, and their time is not this one's.
+    wall = 0.0
+    t = 0.0
+    while t < horizon:
+        t = min(t + window, horizon)
+        t0 = time.perf_counter()  # repro: allow[SIM001]
+        bed.queue.run_until(t, max_events=200_000_000)
+        wall += time.perf_counter() - t0  # repro: allow[SIM001]
+        yield
+    t0 = time.perf_counter()  # repro: allow[SIM001]
+    for staging in bed.stagings:
+        staging.stop()
+    for sampler in bed.samplers:
+        sampler.stop()
+    bed.queue.run_until(horizon + settle_seconds, max_events=200_000_000)
+    wall += time.perf_counter() - t0  # repro: allow[SIM001]
+    if bed.tracer is not None:
+        bed.tracer.finish_open()
+    for metrics, agent in zip(bed.metrics, bed.client_agents):
+        metrics.prefetch_used = agent.stats.prefetch_hits
+    for metrics, staging in zip(bed.metrics, bed.stagings):
+        metrics.staged_count = staging.stats.staged
+        metrics.staged_bytes = staging.stats.bytes_staged
+    sched = bed.scheduler
+    return RunTotals(
+        wall_seconds=wall,
+        events_fired=bed.queue.fired_total,
+        sim_seconds=bed.queue.now,
+        rebalance=asdict(bed.network.stats),
+        queue_compactions=bed.queue.compactions,
+        deduped_transfers=sched.registry.stats.deduped,
+        promoted_transfers=sched.registry.stats.promoted,
+        admission={
+            "batches_flushed": sched.stats.batches_flushed,
+            "submissions_coalesced": sched.stats.submissions_coalesced,
+            "scalar_fallbacks": sched.stats.scalar_fallbacks,
+        },
+    )
+
+
+def finish(run: Generator[None, None, RunTotals]) -> RunTotals:
+    """Drive :func:`run_testbed` to the end with nothing between windows."""
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            totals: RunTotals = stop.value
+            return totals
+
+
+@dataclass
+class SessionRig:
+    """All live components of a wired single-console session."""
+
+    config: SessionConfig
+    queue: EventQueue
+    network: Network
+    lbone: LBone
+    lors: LoRS
+    dvs: DVSServer
+    server_agent: ServerAgent
+    client_agent: ClientAgent
+    client: Client
+    metrics: SessionMetrics
+    staging: Optional[StagingPump]
+    lan_depots: List[Depot]
+    wan_depots: List[Depot]
+    trace: CursorTrace
+    tracer: Optional[Tracer] = None
+    obs: Optional[MetricsRegistry] = None
+    samplers: List[PeriodicSampler] = field(default_factory=list)
+
+
+def _wire_single(source: ViewSetSource, config: SessionConfig) -> Testbed:
+    """The testbed with one console, ``client`` behind ``agent``."""
+    trace = config.trace if config.trace is not None else session_trace(
+        source.lattice, config)
+    bed = wire_testbed(source, config, [
+        Console(0, "client", "agent", f"case{config.case}", trace)])
+    if config.record_transfer_events:
+        bed.scheduler.on_event = bed.metrics[0].record_transfer_event
+    return bed
+
+
+def _session_rig(config: SessionConfig, bed: Testbed) -> SessionRig:
     return SessionRig(
         config=config,
-        queue=queue,
-        network=net,
-        lbone=lbone,
-        lors=lors,
-        dvs=dvs,
-        server_agent=server_agent,
-        client_agent=client_agent,
-        client=client,
-        metrics=metrics,
-        staging=staging,
-        lan_depots=lan_depots,
-        wan_depots=wan_depots,
-        trace=trace,
-        tracer=tracer,
-        obs=obs,
-        samplers=samplers,
+        queue=bed.queue,
+        network=bed.network,
+        lbone=bed.lbone,
+        lors=bed.lors,
+        dvs=bed.dvs,
+        server_agent=bed.server_agent,
+        client_agent=bed.client_agents[0],
+        client=bed.clients[0],
+        metrics=bed.metrics[0],
+        staging=bed.stagings[0] if bed.stagings else None,
+        lan_depots=bed.lan_depots,
+        wan_depots=bed.wan_depots,
+        trace=bed.traces[0],
+        tracer=bed.tracer,
+        obs=bed.obs,
+        samplers=bed.samplers,
     )
+
+
+def build_rig(source: ViewSetSource, config: SessionConfig) -> SessionRig:
+    """Wire every component for the configured case (no events run yet)."""
+    return _session_rig(config, _wire_single(source, config))
 
 
 def run_session(
@@ -318,28 +593,14 @@ def run_session(
     called with the wired :class:`SessionRig` before any event runs — the
     determinism checker uses it to attach event-stream observers.
     """
-    rig = build_rig(source, config)
+    bed = _wire_single(source, config)
     if rig_hook is not None:
-        rig_hook(rig)
-    if rig.staging is not None:
-        rig.staging.start()
-    for sampler in rig.samplers:
-        sampler.start()
-    rig.client.schedule_trace(rig.trace)
-    horizon = rig.trace.duration + settle_seconds
-    rig.queue.run_until(horizon)
-    if rig.staging is not None:
-        rig.staging.stop()
-        rig.metrics.staged_count = rig.staging.stats.staged
-        rig.metrics.staged_bytes = rig.staging.stats.bytes_staged
-    for sampler in rig.samplers:
-        sampler.stop()
-    rig.queue.run_until(horizon + settle_seconds)
-    if rig.tracer is not None:
-        rig.tracer.finish_open()
-    rig.metrics.prefetch_used = rig.client_agent.stats.prefetch_hits
-    sched = rig.lors.scheduler
-    rig.metrics.deduped = sched.registry.stats.deduped
-    rig.metrics.promoted_transfers = sched.registry.stats.promoted
-    rig.metrics.cancelled_transfers = sched.stats.cancelled
-    return rig.metrics
+        rig_hook(_session_rig(config, bed))
+    totals = finish(run_testbed(bed, settle_seconds))
+    # the scheduler serves this console alone, so its registry counts are
+    # the session's own
+    metrics = bed.metrics[0]
+    metrics.deduped = totals.deduped_transfers
+    metrics.promoted_transfers = totals.promoted_transfers
+    metrics.cancelled_transfers = bed.scheduler.stats.cancelled
+    return metrics

@@ -1,0 +1,52 @@
+"""The simulator packages never import the tools built on top of them.
+
+``repro.analysis`` and ``repro.experiments`` observe and drive the
+simulator; an import the other way would let a checker or a sweep spec
+change what it measures.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+SIMULATOR = ("lon", "streaming", "obs", "lightfield", "render", "volume")
+TOOLS = ("analysis", "experiments")
+
+
+def _imported_packages(path, package):
+    """Top-level ``repro`` subpackages imported anywhere in ``path``
+    (absolute or relative, module level or inside a function)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                # resolve ``from ..x import y`` against the file's package
+                anchor = package.split(".")
+                anchor = anchor[:len(anchor) + 1 - node.level]
+                base = ".".join(anchor + ([base] if base else []))
+            # ``from .. import analysis`` names the package as an alias
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+def test_simulator_packages_do_not_import_the_tools():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for sub in SIMULATOR:
+        for path in sorted((root / sub).rglob("*.py")):
+            package = ".".join(
+                ("repro",) + path.relative_to(root).parent.parts)
+            for tool in sorted(_imported_packages(path, package)
+                               & set(TOOLS)):
+                offenders.append(f"{path.relative_to(root)} -> repro.{tool}")
+    assert offenders == []

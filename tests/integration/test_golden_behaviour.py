@@ -20,6 +20,8 @@ fill: re-record with ``python tests/integration/test_golden_behaviour.py``).
 
 import hashlib
 
+import pytest
+
 from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lon import gbps, mbps
@@ -28,6 +30,7 @@ from repro.streaming import (
     MultiClientConfig,
     SessionConfig,
     run_multiclient_session,
+    run_session,
 )
 
 GOLDEN = {
@@ -38,6 +41,22 @@ GOLDEN = {
     "crossing": (
         4844,
         "244ec55a8f9acd9e1520d832652d9ac7cbe27fdae2bc3ecfc539d961323e0b7e",
+    ),
+    # single-console sessions, recorded at 8774343 (the commit before
+    # run_session became the N = 1 case of the fleet engine)
+    "case1": (
+        323,
+        "91e89e248ce71db944916688b79227a80c0c717b287df1f3039f1f89754d3599",
+    ),
+    "case2": (
+        296,
+        "9f5a63893b7224cf04a9db914cce17b7b6137db2a1e3b794c3d3596f10099cf1",
+    ),
+    # same latencies as Case 2: at 64 x 64 the agent's prefetcher already
+    # hides the WAN, so staging only adds events
+    "case3": (
+        429,
+        "9f5a63893b7224cf04a9db914cce17b7b6137db2a1e3b794c3d3596f10099cf1",
     ),
 }
 
@@ -51,6 +70,19 @@ def _digest(result):
     latencies = "\n".join(a.total_latency.hex()
                           for m in result.per_client for a in m.accesses)
     return (result.events_fired,
+            hashlib.sha256(latencies.encode()).hexdigest())
+
+
+def run_single(case):
+    """The paper's Case 1, 2 or 3 for one console, 20 accesses."""
+    config = SessionConfig(
+        case=case, n_accesses=20,
+        cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
+    )
+    rigs = []
+    metrics = run_session(_source(), config, rig_hook=rigs.append)
+    latencies = "\n".join(a.total_latency.hex() for a in metrics.accesses)
+    return (rigs[0].queue.fired_total,
             hashlib.sha256(latencies.encode()).hexdigest())
 
 
@@ -105,11 +137,18 @@ def test_crossing_lockstep_rig_matches_recorded_digest():
     result = run_crossing()
     # a witness only if remote load was exchanged and flows re-rated
     assert result.aggregate()["boundary_max_oversubscription"] > 0.0
-    assert result.rebalance_totals()["recomputes"] > 0
+    assert result.rebalance["recomputes"] > 0
     assert _digest(result) == GOLDEN["crossing"]
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_single_session_matches_recorded_digest(case):
+    assert run_single(case) == GOLDEN[f"case{case}"]
 
 
 if __name__ == "__main__":
     for name, run in (("contended", run_contended),
                       ("crossing", run_crossing)):
         print(f'    "{name}": {_digest(run())!r},')
+    for case in (1, 2, 3):
+        print(f'    "case{case}": {run_single(case)!r},')

@@ -158,3 +158,43 @@ class TestWorkerEquivalence:
                                 workers=2, resolution=32, n_accesses=6),
         )
         assert report.ok, report.render()
+
+
+class TestFailures:
+    """A bad call or a dying worker ends in a prompt, localized error."""
+
+    def test_failed_worker_does_not_stall_its_siblings(self, monkeypatch):
+        """Shard 1's outage names a depot its rig does not have, so that
+        worker alone raises at sim time 1.0; its sibling must not sit out
+        the barrier timeout before the parent can report it."""
+        import time
+
+        from repro.lon import shard
+
+        monkeypatch.setattr(shard, "BARRIER_TIMEOUT", 30.0)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="shard 1 failed"):
+            run_sharded_session(
+                _source(), _config(4), n_shards=2, workers=2,
+                start_method="fork",  # workers inherit the patched timeout
+                faults=[{"kind": "depot-outage", "depot": "no-such-depot",
+                         "start": 1.0, "duration": 1.0, "shard": 1}])
+        assert time.perf_counter() - started < 15.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kwargs", [
+        {"window": 0.0},
+        {"faults": [{"kind": "depot-crash", "depot": "lan-depot-0",
+                     "start": 1.0, "duration": 1.0}]},
+        {"faults": [{"depot": "lan-depot-0", "start": 1.0}]},
+        {"faults": [{"start": 1.0, "duration": 1.0}]},
+        {"faults": [{"depot": "lan-depot-0", "start": 1.0, "duration": 1.0,
+                     "shard": 2}]},
+    ], ids=["window", "kind", "no-duration", "no-depot", "shard-range"])
+    def test_malformed_call_is_rejected_before_anything_is_built(
+            self, workers, kwargs):
+        # nothing may touch the source: a rig build or a worker start
+        # would fail on this one with an AttributeError instead
+        with pytest.raises(ValueError):
+            run_sharded_session(
+                object(), _config(4), n_shards=2, workers=workers, **kwargs)

@@ -115,7 +115,7 @@ def test_incremental_and_full_arms_are_equivalent(monkeypatch):
     config = small_config(n_clients=3)
     inc = run_multiclient_session(source, config)
     monkeypatch.setattr(
-        "repro.streaming.multiclient.Network", ReferenceNetwork)
+        "repro.streaming.session.Network", ReferenceNetwork)
     full = run_multiclient_session(source, config)
     assert [len(m.accesses) for m in inc.per_client] == \
            [len(m.accesses) for m in full.per_client]
