@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.experiments import format_table, run_sweep, spec_named
+from repro.experiments import md_table, run_sweep, spec_named
 
 _SMALL = os.environ.get("REPRO_SCALE", "default") == "small"
 
@@ -35,14 +35,14 @@ def ablations():
 
 def test_ablation_prefetch_policy(ablations, report):
     rows = ablations["families"]["prefetch"]
-    table = format_table(
+    table = md_table(
         headers=["policy", "hit rate", "wan rate", "mean latency s",
                  "prefetches"],
         rows=[[r["policy"], r["hit_rate"], r["wan_rate"],
                r["mean_latency_s"], r["prefetches"]] for r in rows],
-        title="Ablation — prefetch policy (case 2)",
     )
-    report("ablation_prefetch_policy", table)
+    report("ablation_prefetch_policy",
+           f"Ablation — prefetch policy (case 2)\n\n{table}")
     by = {r["policy"]: r for r in rows}
     # no prefetch must be the worst on hit rate; quadrant beats none
     assert by["none"]["hit_rate"] <= by["quadrant"]["hit_rate"]
@@ -52,15 +52,15 @@ def test_ablation_prefetch_policy(ablations, report):
 
 def test_ablation_staging(ablations, report):
     rows = ablations["families"]["staging"]
-    table = format_table(
+    table = md_table(
         headers=["order", "concurrency", "initial phase", "wan rate",
                  "mean latency s", "staged"],
         rows=[[r["order"], r["concurrency"], r["initial_phase"],
                r["wan_rate"], r["mean_latency_s"], r["staged"]]
               for r in rows],
-        title="Ablation — staging order and concurrency (case 3)",
     )
-    report("ablation_staging", table)
+    report("ablation_staging",
+           f"Ablation — staging order and concurrency (case 3)\n\n{table}")
     prox = [r for r in rows if r["order"] == "proximity"]
     fifo = [r for r in rows if r["order"] == "fifo"]
     # cursor-proximity staging localizes the useful view sets sooner:
@@ -72,14 +72,14 @@ def test_ablation_staging(ablations, report):
 
 def test_ablation_stripe_width(ablations, report):
     rows = ablations["families"]["stripe"]
-    table = format_table(
+    table = md_table(
         headers=["stripe width", "mean WAN fetch s", "wan rate",
                  "mean latency s"],
         rows=[[r["stripe_width"], r["mean_wan_fetch_s"], r["wan_rate"],
                r["mean_latency_s"]] for r in rows],
-        title="Ablation — LoRS stripe width (case 2)",
     )
-    report("ablation_stripe_width", table)
+    report("ablation_stripe_width",
+           f"Ablation — LoRS stripe width (case 2)\n\n{table}")
     by = {r["stripe_width"]: r for r in rows}
     # multi-stream striping makes individual WAN fetches no slower (and
     # typically faster) than single-depot placement
@@ -92,15 +92,15 @@ def test_ablation_stripe_width(ablations, report):
 def test_ablation_codec(ablations, report):
     rows = ablations["families"]["codec"]
     walls = ablations["wall_clock"]["codec"]
-    table = format_table(
+    table = md_table(
         headers=["codec", "ratio", "compress s", "decompress s",
                  "payload MB"],
         rows=[[r["codec"], r["ratio"], walls[r["codec"]]["compress_s"],
                walls[r["codec"]]["decompress_s"], r["payload_mb"]]
               for r in rows],
-        title="Ablation — view-set codec",
     )
-    report("ablation_codec", table)
+    report("ablation_codec",
+           f"Ablation — view-set codec\n\n{table}")
     by = {r["codec"]: r for r in rows}
     # higher zlib level never compresses worse
     assert by["zlib-9"]["ratio"] >= by["zlib-1"]["ratio"] * 0.99
@@ -114,14 +114,14 @@ def test_ablation_codec(ablations, report):
 
 def test_ablation_agent_cache(ablations, report):
     rows = ablations["families"]["agent_cache"]
-    table = format_table(
+    table = md_table(
         headers=["cache (payloads)", "hit rate", "wan rate",
                  "mean latency s"],
         rows=[[r["cache_payloads"], r["hit_rate"], r["wan_rate"],
                r["mean_latency_s"]] for r in rows],
-        title="Ablation — client-agent cache budget (case 2)",
     )
-    report("ablation_agent_cache", table)
+    report("ablation_agent_cache",
+           f"Ablation — client-agent cache budget (case 2)\n\n{table}")
     by = {r["cache_payloads"]: r for r in rows}
     # a starved cache cannot out-hit an unbounded one
     assert by[2]["hit_rate"] <= by["unbounded"]["hit_rate"] + 1e-9
@@ -129,15 +129,15 @@ def test_ablation_agent_cache(ablations, report):
 
 def test_ablation_viewset_size(ablations, report):
     rows = ablations["families"]["viewset_size"]
-    table = format_table(
+    table = md_table(
         headers=["l", "window deg", "payload MB",
                  "distinct viewsets in trace", "bytes for trace MB"],
         rows=[[r["l"], r["window_deg"], r["payload_mb"],
                r["distinct_viewsets_in_trace"], r["bytes_for_trace_mb"]]
               for r in rows],
-        title="Ablation — view-set edge length l (locality knob)",
     )
-    report("ablation_viewset_size", table)
+    report("ablation_viewset_size",
+           f"Ablation — view-set edge length l (locality knob)\n\n{table}")
     by = {r["l"]: r for r in rows}
     # bigger l => bigger transfer unit
     assert by[6]["payload_mb"] > by[2]["payload_mb"]

@@ -4,20 +4,10 @@ Paper shape: same as Figure 9 — the initial phase at 300² is still a single
 access; Case 3 tracks Case 1 and Case 2 keeps paying WAN latency.
 """
 
-
-from bench_fig09_latency_200 import _assert_paper_shape, _report_latency
-from repro.experiments import experiment_resolutions
+from bench_fig09_latency_200 import latency_figure
 
 
-def test_fig10_latency_300(benchmark, suite, report):
-    resolution = experiment_resolutions()[1]
-    _report_latency(suite, resolution, report, "fig10_latency_300")
-    m1, m2, m3 = _assert_paper_shape(suite, resolution)
+def test_fig10_latency_300(benchmark, latency, report):
+    by = latency_figure(latency, report, benchmark, 1, "fig10_latency_300")
     # mid resolution: initial phase still short relative to the run
-    assert m3.initial_phase_length() <= len(m3.accesses) // 3
-
-    result = benchmark.pedantic(
-        lambda: suite.run(3, resolution, trace_seed=13),
-        rounds=1, iterations=1,
-    )
-    assert len(result.accesses) > 0
+    assert by[3]["initial_phase"] <= by[3]["accesses"] // 3

@@ -9,30 +9,22 @@ disappears from the access stream.
 
 import os
 
-from bench_fig09_latency_200 import _assert_paper_shape, _report_latency
-from repro.experiments import experiment_resolutions
+from bench_fig09_latency_200 import latency_figure
 
 _SMALL = os.environ.get("REPRO_SCALE", "default") == "small"
 
 
-def test_fig11_latency_500(benchmark, suite, report):
-    res_all = experiment_resolutions()
-    resolution = res_all[2]
-    _report_latency(suite, resolution, report, "fig11_latency_500")
-    m1, m2, m3 = _assert_paper_shape(suite, resolution)
+def test_fig11_latency_500(benchmark, latency, report):
+    by = latency_figure(latency, report, benchmark, 2, "fig11_latency_500")
     # the top-resolution initial phase must be much longer than at the
     # lowest resolution (paper: 33 accesses vs 1); at smoke scale the
     # payloads are too small for the contrast to appear
-    low = suite.run(3, res_all[0]).initial_phase_length()
-    high = m3.initial_phase_length()
+    lowest = latency.spec.axes["resolution"][0]
+    low = next(r["initial_phase"] for r in latency.rows
+               if r["case"] == "case3" and r["resolution"] == lowest)
+    high = by[3]["initial_phase"]
     if _SMALL:
         assert high >= low
     else:
         assert high > low
         assert high >= 5
-
-    result = benchmark.pedantic(
-        lambda: suite.run(3, resolution, trace_seed=13),
-        rounds=1, iterations=1,
-    )
-    assert len(result.accesses) > 0

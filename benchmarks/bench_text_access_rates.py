@@ -4,58 +4,33 @@ Paper @500²: during the initial phase, 28% of accesses reach the WAN with a
 LAN depot (Case 3) versus 69% without one (Case 2); hit rates are 33% vs
 28%.  The decisive comparison — staging strictly reduces WAN traffic — must
 reproduce; the absolute percentages depend on trace and simulator
-calibration.
+calibration.  The rates are the ``access_rates`` table of the merged
+``latency`` sweep.
 """
 
 import os
 
-
-from repro.experiments import (
-    access_rate_stats,
-    experiment_resolutions,
-    format_table,
-)
+from repro.experiments import execute_run
+from repro.experiments.report import access_rate_table
 
 _SMALL = os.environ.get("REPRO_SCALE", "default") == "small"
 
 
-def test_text_access_rates(benchmark, suite, report):
-    resolutions = experiment_resolutions()
-    rows = [access_rate_stats(suite, res) for res in resolutions]
-    table = format_table(
-        headers=[
-            "res", "case2 WAN%", "case3 WAN%", "case2 hit%", "case3 hit%",
-            "case2 phase", "case3 phase", "paper WAN% (c2/c3 @500)",
-        ],
-        rows=[
-            [
-                r["resolution"],
-                100 * r["case2_wan_rate_initial"],
-                100 * r["case3_wan_rate_initial"],
-                100 * r["case2_hit_rate_initial"],
-                100 * r["case3_hit_rate_initial"],
-                r["case2_initial_phase"],
-                r["case3_initial_phase"],
-                f"{100 * r['paper_case2_wan']:.0f}/"
-                f"{100 * r['paper_case3_wan']:.0f}",
-            ]
-            for r in rows
-        ],
-        title="Section 4.3 — initial-phase access statistics",
-    )
-    report("text_access_rates", table)
+def test_text_access_rates(benchmark, latency, report):
+    report("text_access_rates", access_rate_table(latency.doc))
 
-    top = rows[-1]
+    top = latency.doc["access_rates"][-1]
     # who-wins: the LAN depot reduces initial-phase WAN traffic
-    assert (
-        top["case3_wan_rate_initial"] <= top["case2_wan_rate_initial"]
-    )
+    assert top["case3_wan_rate_initial"] <= top["case2_wan_rate_initial"]
     # and overall WAN rates keep the same ordering (strict at full scale)
-    m2 = suite.run(2, top["resolution"])
-    m3 = suite.run(3, top["resolution"])
+    wan = {r["case"]: r["wan_rate"] for r in latency.rows
+           if r["resolution"] == top["resolution"]}
     if _SMALL:
-        assert m3.wan_rate() <= m2.wan_rate()
+        assert wan["case3"] <= wan["case2"]
     else:
-        assert m3.wan_rate() < m2.wan_rate()
+        assert wan["case3"] < wan["case2"]
 
-    benchmark(access_rate_stats, suite, resolutions[0])
+    # representative kernel: the lowest-resolution Case-3 session again
+    run = next(r for r in latency.runs if r.point["case"] == 3)
+    benchmark.pedantic(lambda: execute_run(run.scenario, run.params),
+                       rounds=1, iterations=1)

@@ -1,14 +1,13 @@
 """Section 4.1 text claims: generation time and per-view-set sizes.
 
 Paper: the full database takes 2-4.5 h on 32 processors (dominated by I/O)
-and compressed view sets run 1.2 MB (200²) to 7.8 MB (600²).  We time real
-view-set generation, extrapolate to 288 view sets / 32 workers, and check
-the measured per-view-set sizes against the quoted band.
-
-``test_generation_acceleration`` executes the builtin ``generation`` sweep
-spec (macrocell kernel vs brute marcher, the zlib level sweep, and the
-per-view-set timing) through the sweep engine, which merges the runs into
-``BENCH_generation.json`` at the repo root.
+and compressed view sets run 1.2 MB (200²) to 7.8 MB (600²).  The builtin
+``generation`` sweep times real view-set generation and extrapolates to 288
+view sets / 32 workers, races the macrocell kernel against the brute
+marcher, and sweeps the zlib levels; this module runs it **once**
+(module-scoped fixture), which merges the runs into
+``BENCH_generation.json`` at the repo root, and each test asserts on its
+own part of the merged document.
 """
 
 import os
@@ -17,79 +16,65 @@ import pytest
 
 from repro.experiments import (
     PAPER,
-    format_table,
+    execute_run,
+    md_table,
     run_sweep,
     spec_named,
-    text_generation_time,
 )
 
 _SMALL = os.environ.get("REPRO_SCALE", "default") == "small"
-RESOLUTION = 64 if _SMALL else 200
 
 
 @pytest.fixture(scope="module")
-def gen_stats():
-    return text_generation_time(
-        resolution=RESOLUTION, volume_size=32, sample_viewsets=2, workers=1
-    )
+def generation():
+    """The merged generation sweep (one engine run for both tests)."""
+    result = run_sweep(spec_named("generation"), workers=1)
+    print(f"wrote {result.artifact_path}")
+    return result
 
 
-def test_text_generation(benchmark, gen_stats, report):
-    wall = gen_stats["wall_clock"]
-    table = format_table(
+def test_text_generation(benchmark, generation, report):
+    stats = generation.doc["viewset_generation"]
+    wall = generation.doc["wall_clock"]
+    lo, hi = PAPER.generation_hours_band
+    table = md_table(
         headers=["metric", "measured", "paper"],
         rows=[
-            ["resolution", gen_stats["resolution"], "200-600"],
-            ["s per view set (1 worker)",
-             wall["seconds_per_viewset"], "-"],
-            ["full DB hours (32 cpu)",
-             wall["full_db_hours_on_32cpu"],
-             f"{PAPER.generation_hours_band[0]}-"
-             f"{PAPER.generation_hours_band[1]}"],
-            ["compression ratio", gen_stats["compression_ratio"],
-             "5-7"],
+            ["resolution", stats["resolution"], "200-600"],
+            ["s per view set (1 worker)", wall["seconds_per_viewset"], "-"],
+            ["full DB hours (32 cpu)", wall["full_db_hours_on_32cpu"],
+             f"{lo}-{hi}"],
+            ["compression ratio", stats["compression_ratio"], "5-7"],
         ],
-        title="Section 4.1 — database generation time",
     )
-    report("text_generation", table)
+    report("text_generation",
+           f"Section 4.1 — database generation time\n\n{table}")
 
     assert wall["seconds_per_viewset"] > 0
-    assert gen_stats["compression_ratio"] > 2.0
+    assert stats["compression_ratio"] > 2.0
     # our numpy generator extrapolates to within a couple orders of
     # magnitude of the paper's 32-CPU cluster; the lower edge accounts for
     # macrocell empty-space skipping, which the paper's generator lacked
     if not _SMALL:
         assert 0.005 < wall["full_db_hours_on_32cpu"] < 50
 
-    # representative kernel: rendering one sample view
-    from repro.lightfield import CameraLattice, LightFieldBuilder
-    from repro.render.raycast import RenderSettings
-    from repro.volume import neg_hip, preset
-
-    builder = LightFieldBuilder(
-        neg_hip(size=32), preset("neghip"), CameraLattice(72, 144, 6),
-        resolution=RESOLUTION, workers=1,
-        settings=RenderSettings(shaded=False),
+    # representative kernel: generating one view set
+    run = generation.runs[-1]
+    row = benchmark.pedantic(
+        lambda: execute_run(run.scenario,
+                            {**run.params, "sample_viewsets": 1}),
+        rounds=1, iterations=1,
     )
-    cam = builder.camera_for(36, 72)
-    frame = benchmark(builder.renderer._inline.render, cam)
-    assert frame.shape == (RESOLUTION, RESOLUTION, 3)
+    assert row["views_rendered"] == 36
 
 
-def test_generation_acceleration(report):
-    """Brute vs macrocell-accelerated generator kernel on the negHip scene.
-
-    Runs the builtin ``generation`` sweep: wall-clock per sample view,
-    marched steps per ray before/after, empty-macrocell fraction, speedup,
-    the zlib speed/ratio sweep, and the per-view-set generation timing —
-    merged by the engine into BENCH_generation.json.
-    """
-    result = run_sweep(spec_named("generation"), workers=1)
-    doc = result.doc
+def test_generation_acceleration(generation, report):
+    """Brute vs macrocell-accelerated generator kernel on the negHip scene:
+    wall-clock per sample view, marched steps per ray before/after,
+    empty-macrocell fraction, speedup, and the zlib speed/ratio sweep."""
+    doc = generation.doc
     wall = doc["wall_clock"]
-    print(f"wrote {result.artifact_path}")
-
-    report("generation_acceleration", format_table(
+    table = md_table(
         headers=["metric", "brute", "accelerated"],
         rows=[
             ["s / view", wall["brute_seconds_per_view"],
@@ -99,8 +84,9 @@ def test_generation_acceleration(report):
             ["speedup", 1.0, wall["speedup"]],
             ["max |err|", 0.0, doc["max_abs_error"]],
         ],
-        title="Generator kernel — macrocell empty-space skipping",
-    ))
+    )
+    report("generation_acceleration",
+           "Generator kernel — macrocell empty-space skipping\n\n" + table)
 
     # the macrocell classification must be effective on this scene and the
     # skipping lossless (ISSUE tolerance: 1e-3; in practice it is exact)

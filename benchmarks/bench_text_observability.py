@@ -25,7 +25,7 @@ costs under ``wall_clock["fleet"]``.
 
 from typing import Mapping
 
-from repro.experiments import observability_overhead, run_sweep, spec_named
+from repro.experiments import execute_run, run_sweep, spec_named
 
 
 def test_observability_overhead(benchmark, report):
@@ -76,9 +76,10 @@ def test_observability_overhead(benchmark, report):
         assert 0.0 <= tier["load_skew_gini"] < 1.0, key
         assert fleet_wall[key]["ratio"] < 10.0, key
 
+    # representative kernel: a shorter session point, traced and untraced
+    run = result.runs[0]
     benchmark.pedantic(
-        lambda: observability_overhead(
-            resolution=48, n_accesses=10, repeats=1
-        ),
+        lambda: execute_run(run.scenario,
+                            {**run.params, "n_accesses": 10, "repeats": 1}),
         rounds=1, iterations=1,
     )

@@ -2,46 +2,32 @@
 
 Paper: "The QGR of case 2, direct streaming and prefetching across WAN, is
 significantly slower than the QGR's in case 1 and 3" — i.e. with a LAN depot
-the user can move much faster before latency stops being hidden.  We re-time
-the same spatial cursor paths at several speeds and report the steady-state
-fraction of accesses whose latency stayed hidden; the collapse point is the
-QGR.
+the user can move much faster before latency stops being hidden.  The
+builtin ``qgr`` sweep re-times the same spatial cursor paths at several
+speeds (one run per case × speed × trace seed) and its assembler averages
+the steady-state hidden-latency fraction over the seeds; the collapse point
+is the QGR.
 """
 
-import os
+from repro.experiments import execute_run, render_section, run_sweep, spec_named
 
 
-from repro.experiments import experiment_resolutions, format_table, qgr_sweep
+def test_text_qgr(benchmark, report):
+    spec = spec_named("qgr")
+    result = run_sweep(spec, workers=1)
+    print(f"wrote {result.artifact_path}")
+    report("text_qgr", render_section(spec.artifact, result.doc))
 
-_SMALL = os.environ.get("REPRO_SCALE", "default") == "small"
-
-
-def test_text_qgr(benchmark, suite, report):
-    res = experiment_resolutions()[0]
-    speeds = (1.0, 2.0, 4.0)
-    rows = qgr_sweep(
-        suite, res, speeds=speeds,
-        seeds=(7, 11) if _SMALL else (7, 11, 13),
-        n_accesses=20 if _SMALL else 40,
-    )
-    table = format_table(
-        headers=["case", "cursor speed x", "hidden fraction"],
-        rows=[[f"case {r['case']}", r["speed"], r["hidden_fraction"]]
-              for r in rows],
-        title=f"Section 4.2 — QGR sweep @ {res} (hidden-latency fraction)",
-    )
-    report("text_qgr", table)
-
-    by = {(r["case"], r["speed"]): r["hidden_fraction"] for r in rows}
+    by = {(r["case"], r["speed"]): r["hidden_fraction"]
+          for r in result.doc["rows"]}
+    speeds = spec.axes["speed"]
     # at the highest tested speed, the LAN depot must hide at least as much
     # latency as direct WAN streaming — case 3's QGR is the faster one
-    top_speed = speeds[-1]
-    assert by[(3, top_speed)] >= by[(2, top_speed)] - 0.05
+    assert by[(3, speeds[-1])] >= by[(2, speeds[-1])] - 0.05
     # and case 3 sustains a high hidden fraction across the sweep
     assert min(by[(3, s)] for s in speeds) >= 0.5
 
-    benchmark.pedantic(
-        lambda: qgr_sweep(suite, res, speeds=(2.0,), seeds=(7,),
-                          n_accesses=15),
-        rounds=1, iterations=1,
-    )
+    # representative kernel: one re-timed Case-2 session
+    run = result.runs[0]
+    benchmark.pedantic(lambda: execute_run(run.scenario, run.params),
+                       rounds=1, iterations=1)

@@ -21,26 +21,26 @@ an artifact).
 
 import os
 
-from repro.experiments import format_table, run_sweep, spec_named
+from repro.experiments import md_table, run_sweep, spec_named
 
 _SMALL = os.environ.get("REPRO_SCALE", "default") == "small"
 _TRACE_OUT = os.environ.get("REPRO_TRACE_OUT")
 
 
-def test_scheduling_policies(benchmark, suite, report):
+def test_scheduling_policies(benchmark, report):
     spec = spec_named("scheduling")
     result = run_sweep(spec, workers=1)
     res = spec.fixed["resolution"]
     rows = result.rows
-    table = format_table(
+    table = md_table(
         headers=["arm", "misses", "demand miss s", "mean latency s",
                  "initial phase", "deduped", "promoted", "cancelled"],
         rows=[[r["arm"], r["misses"], round(r["demand_miss_latency_s"], 4),
                round(r["mean_latency_s"], 4), r["initial_phase"],
                r["deduped"], r["promoted"], r["cancelled"]] for r in rows],
-        title=f"Transfer scheduling — demand-miss latency @ {res}",
     )
-    report("scheduling_policies", table)
+    report("scheduling_policies",
+           f"Transfer scheduling — demand-miss latency @ {res}\n\n{table}")
     print(f"wrote {result.artifact_path}")
     by = {r["arm"]: r for r in rows}
 
@@ -73,9 +73,18 @@ def test_scheduling_policies(benchmark, suite, report):
     )
 
     if _TRACE_OUT:
+        from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
+        from repro.experiments import experiment_lattice
+        from repro.lightfield import SyntheticSource
         from repro.obs import write_chrome_trace
+        from repro.streaming import SessionConfig, run_session
 
-        m = suite.run(3, res, tracing=True)
+        m = run_session(
+            SyntheticSource(experiment_lattice(), resolution=res),
+            SessionConfig(
+                case=3, tracing=True,
+                cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE),
+        )
         n = write_chrome_trace(
             m.tracer, _TRACE_OUT,
             metrics_snapshot=m.obs.snapshot() if m.obs else None,

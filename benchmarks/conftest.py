@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Figures 8-12 and the Section 4.3 statistics all derive from the same nine
-streaming sessions (Cases 1-3 × three resolutions), so one memoized
-:class:`StreamingSuite` is shared session-wide.  Every benchmark writes its
+Figures 9-12 and the Section 4.3 statistics all derive from the same nine
+streaming sessions (Cases 1-3 × three resolutions), so the builtin
+``latency`` sweep runs once per pytest session and every one of those
+benchmarks reads its merged result.  Every benchmark writes its
 paper-style table/series to ``benchmarks/results/`` so the regenerated data
 survives pytest's output capture.
 """
@@ -10,29 +11,25 @@ survives pytest's output capture.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
-
 import pytest
 
-from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
-from repro.experiments import StreamingSuite, write_bench
+from repro.experiments import SweepResult, run_sweep, spec_named
 
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
-def suite() -> StreamingSuite:
-    """The memoized 3-case × 3-resolution streaming suite.
+def latency() -> SweepResult:
+    """The ``latency`` sweep: 3 cases × 3 resolutions, run once.
 
     Decompression cost is *modeled* (``cpu_seconds_per_byte``) rather than
-    measured, so every sim-time statistic the suite produces — and every
-    compared field in the ``BENCH_*.json`` artifacts built from it — is
+    measured, so every number in the merged ``BENCH_latency.json`` is
     bit-identical across machines and runs.
     """
-    return StreamingSuite(config_overrides={
-        "cpu_seconds_per_byte": MODELED_CPU_SECONDS_PER_BYTE,
-    })
+    result = run_sweep(spec_named("latency"), workers=1)
+    print(f"wrote {result.artifact_path}")
+    return result
 
 
 @pytest.fixture(scope="session")
@@ -49,37 +46,5 @@ def report(results_dir, request):
         path = results_dir / f"{name}.txt"
         path.write_text(text + "\n")
         print(text)
-
-    return _write
-
-
-@pytest.fixture()
-def bench_json():
-    """Write a machine-readable ``BENCH_<name>.json`` at the repo root.
-
-    Unlike the human-oriented ``report`` tables (which live in the
-    gitignored ``benchmarks/results/``), these JSON artifacts are meant to
-    be committed so perf regressions show up in review diffs.  That only
-    works if a no-change rerun produces a byte-identical file, so the
-    contract is strict:
-
-    * ``payload`` may contain **only deterministic fields** — sim-time
-      statistics, counts, modeled costs — reproducible from the stamped
-      seed;
-    * host wall-clock measurements go in ``wall_clock``, serialized under
-      a top-level key of the same name that reviewers (and any automated
-      comparison) ignore;
-    * every artifact is stamped with the seed and scale that produced it,
-      so a diff that *does* appear is attributable.
-
-    The writer itself is :func:`repro.experiments.write_bench` — the same
-    single artifact layer the sweep engine uses — so the meta header and
-    serialization can never drift between the two paths.
-    """
-
-    def _write(name: str, payload: dict,
-               wall_clock: Optional[dict] = None) -> None:
-        path = write_bench(name, payload, wall_clock, out_dir=REPO_ROOT)
-        print(f"wrote {path}")
 
     return _write

@@ -18,7 +18,7 @@ Run:  python examples/extensions.py
 
 import numpy as np
 
-from repro.experiments import format_table
+from repro.experiments import md_table
 from repro.lightfield import CameraLattice, MultiFieldAtlas, SyntheticSource
 from repro.streaming import SessionConfig, build_rig
 from repro.streaming.metrics import AccessSource, SessionMetrics
@@ -90,7 +90,7 @@ def time_varying() -> None:
             "on" if temporal_prefetch else "off",
             len(flips), hidden, f"{mean_flip:.3f}",
         ])
-    print(format_table(
+    print(md_table(
         headers=["temporal prefetch", "timestep flips", "hidden flips",
                  "mean flip latency s"],
         rows=rows,

@@ -24,7 +24,7 @@ Chrome/Perfetto trace (render with ``python -m repro trace-report``).
 import argparse
 from pathlib import Path
 
-from repro.experiments import format_table
+from repro.experiments import md_table
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.obs import write_chrome_trace
 from repro.streaming import SessionConfig, run_session, standard_trace
@@ -94,7 +94,7 @@ def main() -> None:
         rows.append([
             name, capacity, cpu_scale, m.hit_rate(), m.mean_latency(),
         ])
-    print(format_table(
+    print(md_table(
         headers=["device", "resident view sets", "cpu scale",
                  "hit rate", "mean latency s"],
         rows=rows,
@@ -108,7 +108,7 @@ def main() -> None:
     for case in (2, 3):
         for speed, hidden, mean in qgr_sweep(source, case, speeds, bases):
             table_rows.append([f"case {case}", speed, hidden, mean])
-    print(format_table(
+    print(md_table(
         headers=["case", "cursor speed x", "hidden fraction",
                  "mean latency s"],
         rows=table_rows,

@@ -20,7 +20,7 @@ Chrome trace (load it in Perfetto / chrome://tracing, or render it with
 import argparse
 from pathlib import Path
 
-from repro.experiments import format_series, format_table
+from repro.experiments import format_series, md_table
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lon import SCHEDULING_POLICIES
 from repro.obs import write_chrome_trace
@@ -91,13 +91,13 @@ def main() -> None:
         ))
         print()
 
-    print(format_table(
+    print(f"Cases 1-3 summary, scheduling={args.scheduling} "
+          "(paper: case 3 converges to case 1)\n")
+    print(md_table(
         headers=["case", "accesses", "hit rate", "wan rate",
                  "initial phase", "mean s", "steady s", "deduped",
                  "promoted"],
         rows=rows,
-        title=(f"Cases 1-3 summary, scheduling={args.scheduling} "
-               "(paper: case 3 converges to case 1)"),
     ))
 
 

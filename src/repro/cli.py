@@ -140,7 +140,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_session(args) -> int:
-    from .experiments import format_table
+    from .experiments import md_table
     from .lightfield import SyntheticSource
     from .obs import write_chrome_trace
     from .streaming import SessionConfig, run_session
@@ -171,7 +171,7 @@ def cmd_session(args) -> int:
                 metrics_snapshot=m.obs.snapshot() if m.obs else None,
             )
             print(f"case {case}: wrote {n} trace events -> {out}")
-    print(format_table(
+    print(md_table(
         headers=["case", "accesses", "hit rate", "wan rate",
                  "initial phase", "mean s", "steady s"],
         rows=rows,
@@ -180,7 +180,7 @@ def cmd_session(args) -> int:
 
 
 def cmd_multiclient(args) -> int:
-    from .experiments import format_table
+    from .experiments import md_table
     from .lightfield import SyntheticSource
     from .streaming import (
         MultiClientConfig,
@@ -236,7 +236,7 @@ def cmd_multiclient(args) -> int:
         s = m.summary()
         rows.append([s["case"], s["accesses"], s["hit_rate"], s["wan_rate"],
                      s["mean_latency_s"]])
-    print(format_table(
+    print(md_table(
         headers=["client", "accesses", "hit rate", "wan rate", "mean s"],
         rows=rows,
     ))
@@ -261,7 +261,7 @@ def cmd_trace_report(args) -> int:
 
 
 def cmd_fleet_report(args) -> int:
-    from .experiments import format_table
+    from .experiments import md_table
     from .lightfield import SyntheticSource
     from .lon.shard import FaultSpec, run_sharded_session
     from .obs import (
@@ -319,7 +319,7 @@ def cmd_fleet_report(args) -> int:
     agg = sharded.aggregate()
 
     print("# fleet report\n")
-    print(format_table(
+    print(md_table(
         headers=["clients", "shards", "accesses", "QGR",
                  "miss p50 s", "miss p99 s", "misses"],
         rows=[[fh.n_clients, len(sharded.shards), fh.accesses,
@@ -332,7 +332,7 @@ def cmd_fleet_report(args) -> int:
 
     print("\n## depot load\n")
     total = sum(d.bytes_served for d in fh.depots) or 1.0
-    print(format_table(
+    print(md_table(
         headers=["depot", "bytes served", "share", "queue peak"],
         rows=[[d.name, int(d.bytes_served),
                f"{d.bytes_served / total:.1%}", int(d.queue_depth_peak)]
@@ -348,7 +348,7 @@ def cmd_fleet_report(args) -> int:
           f"(error budget {slo.target.error_budget:.3f})")
     print(f"good fraction {d['good_fraction']}, budget consumed "
           f"{d['budget_consumed']}x — **{d['verdict']}**\n")
-    print(format_table(
+    print(md_table(
         headers=["window", "factor", "long burn", "short burn", "firing"],
         rows=[[f"{w['long_s']:.0f}s/{w['short_s']:.0f}s", w["factor"],
                w["long_burn"], w["short_burn"],
@@ -384,7 +384,7 @@ def _sweep_spec(args):
 
 
 def cmd_sweep_list(args) -> int:
-    from .experiments import builtin_specs, format_table
+    from .experiments import builtin_specs, md_table
 
     rows = []
     for name, spec in sorted(builtin_specs().items()):
@@ -394,7 +394,7 @@ def cmd_sweep_list(args) -> int:
             f"BENCH_{spec.artifact}.json" if spec.artifact else "-",
             spec.title or "-",
         ])
-    print(format_table(
+    print(md_table(
         headers=["spec", "runs", "artifact", "title"], rows=rows,
     ))
     return 0

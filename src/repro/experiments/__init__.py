@@ -1,6 +1,8 @@
-"""Experiments: drivers, the declarative sweep engine, and reporting.
+"""Experiments: the declarative sweep engine and its report layer.
 
-Layer map (ISSUE 7's refactor):
+Every Section-4 figure and text claim of the paper, and every committed
+``BENCH_*.json``, is one builtin spec run the same way:
+spec -> scenario -> assemble -> report.  Layer map:
 
 * :mod:`.spec` — declarative :class:`SweepSpec` (axes/points × seeds →
   deterministic run list), loadable from TOML/JSON, builtin registry;
@@ -12,9 +14,7 @@ Layer map (ISSUE 7's refactor):
 * :mod:`.scenarios` / :mod:`.assemble` — per-run callables and the pure
   row-merge step reproducing each committed ``BENCH_*.json`` shape;
 * :mod:`.report` — merged artifacts → markdown with paper-vs-measured
-  tables;
-* :mod:`.runners` — the original per-figure drivers (still the backbone
-  of the figure benchmarks and examples).
+  tables (``md_table`` is the one table renderer).
 """
 
 from .artifacts import (
@@ -33,9 +33,8 @@ from .config import (
     scale_name,
     scale_small,
 )
-from .executor import SweepResult, run_sweep
-from .report import render_report
-from .reporting import banner, format_series, format_table
+from .executor import SweepResult, execute_run, run_sweep
+from .report import format_series, md_table, render_report, render_section
 from .spec import (
     RunSpec,
     SweepSpec,
@@ -43,47 +42,30 @@ from .spec import (
     load_spec_file,
     spec_named,
 )
-from .runners import (
-    StreamingSuite,
-    access_rate_stats,
-    fig07_database_size,
-    demand_miss_latency,
-    observability_overhead,
-    qgr_sweep,
-    text_fps,
-    text_generation_time,
-)
 
 __all__ = [
     "BENCH_FORMAT",
     "PAPER",
     "RunSpec",
-    "StreamingSuite",
     "SweepResult",
     "SweepSpec",
     "WALL_CLOCK_KEY",
-    "access_rate_stats",
-    "banner",
     "bench_document",
     "bench_path",
     "builtin_specs",
-    "demand_miss_latency",
+    "execute_run",
     "experiment_lattice",
     "experiment_resolutions",
-    "fig07_database_size",
     "format_series",
-    "format_table",
     "load_spec_file",
-    "observability_overhead",
+    "md_table",
     "payload_fingerprint",
-    "qgr_sweep",
     "render_report",
+    "render_section",
     "run_sweep",
     "scale_name",
     "scale_small",
     "spec_named",
-    "text_fps",
-    "text_generation_time",
     "wall_timer",
     "write_bench",
 ]

@@ -204,14 +204,11 @@ def bench_path(name: str, out_dir: Union[str, Path, None] = None) -> Path:
 
 def write_bench(
     name: str,
-    payload: Mapping[str, object],
-    wall_clock: Optional[Mapping[str, object]] = None,
+    doc: Mapping[str, object],
     out_dir: Union[str, Path, None] = None,
-    meta_extra: Optional[Mapping[str, object]] = None,
-    seed: Optional[int] = None,
 ) -> Path:
-    """Write ``BENCH_<name>.json`` and return its path."""
-    doc = bench_document(payload, wall_clock, meta_extra, seed=seed)
+    """Write a :func:`bench_document` as ``BENCH_<name>.json``; returns
+    its path."""
     path = bench_path(name, out_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(render_bench(doc))

@@ -16,14 +16,19 @@ guard, EXPERIMENTS.md tables, report rendering) keep their keys.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from statistics import median
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..streaming.metrics import AccessSource
+from .config import PAPER
 from .spec import SweepSpec
 
 __all__ = [
     "assemble_ablations",
     "assemble_generation",
+    "assemble_latency",
     "assemble_observability",
+    "assemble_qgr",
     "assemble_scale",
     "assemble_scheduling",
     "default_assemble",
@@ -57,6 +62,102 @@ def default_assemble(
         }
     }
     return payload, wall
+
+
+# ----------------------------------------------------------------------
+# BENCH_latency.json (Figures 9-12, Section 4.3)
+# ----------------------------------------------------------------------
+#: what Section 4.3 counts as a hit / as a WAN access (``AccessSource`` is
+#: a str enum: members compare equal to the serialized ``source`` series)
+_HIT_SOURCES = (AccessSource.AGENT_CACHE, AccessSource.CLIENT_RESIDENT)
+_WAN_SOURCES = (AccessSource.WAN_DEPOT, AccessSource.SERVER_RUNTIME)
+
+
+def _rate(sources: Sequence[object], pool: Tuple[AccessSource, ...]) -> float:
+    if not sources:
+        return 0.0
+    return sum(1 for s in sources if s in pool) / len(sources)
+
+
+def _comm(row: Row, source: AccessSource) -> List[float]:
+    """The row's communication latencies of accesses served by ``source``."""
+    comm: List[float] = row["comm_s"]  # type: ignore[assignment]
+    sources: List[str] = row["source"]  # type: ignore[assignment]
+    return [c for c, s in zip(comm, sources) if s == source]
+
+
+def assemble_latency(
+    spec: SweepSpec, rows: List[Row], walls: List[Wall]
+) -> Assembled:
+    """Nine sessions -> the rows plus the two cross-case tables.
+
+    ``comm_tiers`` (Figure 12) are medians attributed as the paper's
+    panels do: hits from any case (floored at the hit tier so a log axis
+    can show them), the LAN-depot tier from Case 3 (where staging feeds
+    it), the WAN tier from Case 2 (pure wide-area fetches — Case 3's
+    "WAN" accesses can be partially staged mixes).  ``access_rates``
+    (Section 4.3) compare Cases 2 and 3 over Case 3's initial phase.
+    """
+    by: Dict[Tuple[object, object], Row] = {
+        (r["case"], r["resolution"]): r for r in rows
+    }
+    tiers: List[Row] = []
+    rates: List[Row] = []
+    for res in dict.fromkeys(r["resolution"] for r in rows):
+        c1, c2, c3 = (by[(f"case{k}", res)] for k in (1, 2, 3))
+        hits = [max(v, PAPER.tier_hit)
+                for row in (c1, c2, c3)
+                for v in _comm(row, AccessSource.AGENT_CACHE)]
+        lan = _comm(c3, AccessSource.LAN_DEPOT)
+        wan = _comm(c2, AccessSource.WAN_DEPOT)
+        tiers.append({
+            "resolution": res,
+            "hit_s": median(hits) if hits else 0.0,
+            "lan_depot_s": median(lan) if lan else 0.0,
+            "wan_s": median(wan) if wan else 0.0,
+        })
+        phase3 = max(int(c3["initial_phase"]), 1)  # type: ignore[call-overload]
+        src2: List[str] = c2["source"]  # type: ignore[assignment]
+        src3: List[str] = c3["source"]  # type: ignore[assignment]
+        rates.append({
+            "resolution": res,
+            "case2_wan_rate_initial": _rate(src2[:phase3], _WAN_SOURCES),
+            "case3_wan_rate_initial": _rate(src3[:phase3], _WAN_SOURCES),
+            "case2_hit_rate_initial": _rate(src2[:phase3], _HIT_SOURCES),
+            "case3_hit_rate_initial": _rate(src3[:phase3], _HIT_SOURCES),
+            "case2_initial_phase": c2["initial_phase"],
+            "case3_initial_phase": phase3,
+        })
+    payload: Dict[str, object] = {
+        "benchmark": "latency",
+        "rows": rows,
+        "comm_tiers": tiers,
+        "access_rates": rates,
+    }
+    return payload, None
+
+
+# ----------------------------------------------------------------------
+# BENCH_qgr.json (Section 4.2)
+# ----------------------------------------------------------------------
+def assemble_qgr(
+    spec: SweepSpec, rows: List[Row], walls: List[Wall]
+) -> Assembled:
+    """Per-seed hidden fractions -> their mean per (case, speed)."""
+    n = len(spec.seeds)
+    means: List[Row] = [
+        {"case": group[0]["case"], "speed": group[0]["speed"],
+         "hidden_fraction": sum(
+             float(r["hidden_fraction"]) for r in group) / n}  # type: ignore[arg-type]
+        for group in (rows[i:i + n] for i in range(0, len(rows), n))
+    ]
+    payload: Dict[str, object] = {
+        "benchmark": "qgr",
+        "resolution": spec.fixed.get("resolution"),
+        "seeds": list(spec.seeds),
+        "rows": means,
+    }
+    return payload, None
 
 
 # ----------------------------------------------------------------------

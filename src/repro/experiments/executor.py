@@ -27,14 +27,14 @@ from __future__ import annotations
 import multiprocessing as mp
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from .artifacts import (
     bench_document,
-    bench_path,
     payload_fingerprint,
     render_bench,
     split_wall_clock,
+    write_bench,
 )
 from .checkpoint import CheckpointStore
 from .spec import RunSpec, SweepSpec, resolve_dotted
@@ -83,10 +83,6 @@ class SweepResult:
     def rendered(self) -> str:
         """The artifact text exactly as :func:`write_bench` serializes it."""
         return render_bench(self.doc)
-
-
-def _default_assemble_ref() -> str:
-    return "repro.experiments.assemble.default_assemble"
 
 
 def _pool_worker(jobs: "mp.queues.Queue[object]",
@@ -226,7 +222,8 @@ def run_sweep(
         result.rows.append(row)
         result.walls.append(wall)
 
-    assembler = resolve_dotted(spec.assemble or _default_assemble_ref())
+    assembler = resolve_dotted(
+        spec.assemble or "repro.experiments.assemble.default_assemble")
     assembled = assembler(spec, result.rows, result.walls)
     if (not isinstance(assembled, tuple) or len(assembled) != 2
             or not isinstance(assembled[0], dict)):
@@ -241,8 +238,6 @@ def run_sweep(
     )
 
     if write_artifact and spec.artifact:
-        result.artifact_path = bench_path(spec.artifact, out_dir)
-        result.artifact_path.parent.mkdir(parents=True, exist_ok=True)
-        result.artifact_path.write_text(result.rendered())
+        result.artifact_path = write_bench(spec.artifact, result.doc, out_dir)
         say(f"wrote {result.artifact_path}")
     return result

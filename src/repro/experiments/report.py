@@ -15,11 +15,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .artifacts import WALL_CLOCK_KEY, bench_path, payload_fingerprint
 from .config import PAPER
+from .spec import builtin_specs
 
 __all__ = [
+    "access_rate_table",
+    "comm_tier_table",
+    "format_series",
+    "latency_table",
     "load_bench",
     "md_table",
     "render_report",
+    "render_section",
     "report_sections",
 ]
 
@@ -68,6 +74,20 @@ def md_table(
     return "\n".join(lines)
 
 
+def format_series(
+    name: str,
+    values: Sequence[float],
+    per_line: int = 10,
+    fmt: str = "{:.3f}",
+) -> str:
+    """A labelled numeric series, wrapped for terminals."""
+    chunks = []
+    for i in range(0, len(values), per_line):
+        row = "  ".join(fmt.format(v) for v in values[i:i + per_line])
+        chunks.append(f"  [{i + 1:>3}] {row}")
+    return f"{name} ({len(values)} points):\n" + "\n".join(chunks)
+
+
 def _rows_table(rows: Sequence[Mapping[str, object]],
                 columns: Optional[Sequence[str]] = None) -> str:
     """A table over homogeneous dict rows (columns default to union)."""
@@ -106,40 +126,122 @@ def _section_generic(name: str, doc: BenchDoc) -> str:
     return body
 
 
+def _dict_rows(doc: BenchDoc, key: str) -> List[Mapping[str, object]]:
+    rows = doc.get(key, [])
+    assert isinstance(rows, list)
+    return [r for r in rows if isinstance(r, Mapping)]
+
+
+def _wall_runs(doc: BenchDoc) -> Mapping[str, Mapping[str, object]]:
+    """``wall_clock.runs`` of a default-assembled artifact, by run label."""
+    wall = doc.get(WALL_CLOCK_KEY, {})
+    assert isinstance(wall, Mapping)
+    runs = wall.get("runs", {})
+    assert isinstance(runs, Mapping)
+    return runs
+
+
+def latency_table(doc: BenchDoc, resolution: Optional[int] = None) -> str:
+    """Figures 9-11: one row per session (optionally one resolution's)."""
+    rows = sorted(
+        (r for r in _dict_rows(doc, "rows")
+         if resolution is None or r.get("resolution") == resolution),
+        key=lambda r: (r.get("resolution"), r.get("case")),
+    )
+    return _rows_table(rows, columns=[
+        "resolution", "case", "accesses", "hit_rate", "wan_rate",
+        "initial_phase", "mean_latency_s", "steady_latency_s", "staged",
+        "modeled_decompress_s",
+    ])
+
+
+def comm_tier_table(doc: BenchDoc) -> str:
+    """Figure 12: median communication latency per tier."""
+    lo, hi = PAPER.tier_lan_depot
+    return md_table(
+        ["resolution", "hit tier s", "LAN-depot tier s", "WAN tier s"],
+        [["paper", PAPER.tier_hit, f"{lo}-{hi}", f"~{PAPER.tier_wan:.0f}"]]
+        + [[r.get("resolution"), r.get("hit_s"), r.get("lan_depot_s"),
+            r.get("wan_s")] for r in _dict_rows(doc, "comm_tiers")],
+    )
+
+
+def access_rate_table(doc: BenchDoc) -> str:
+    """Section 4.3: WAN-access and hit rates over Case 3's initial phase."""
+    return md_table(
+        ["resolution", "case2 WAN", "case3 WAN", "case2 hit", "case3 hit",
+         "case2 phase", "case3 phase"],
+        [["paper @500²", PAPER.wan_rate_initial_case2,
+          PAPER.wan_rate_initial_case3, PAPER.hit_rate_initial_case2,
+          PAPER.hit_rate_initial_case3, "—", PAPER.initial_phase_500]]
+        + [[r.get("resolution"), r.get("case2_wan_rate_initial"),
+            r.get("case3_wan_rate_initial"),
+            r.get("case2_hit_rate_initial"),
+            r.get("case3_hit_rate_initial"), r.get("case2_initial_phase"),
+            r.get("case3_initial_phase")]
+           for r in _dict_rows(doc, "access_rates")],
+    )
+
+
 def _section_latency(doc: BenchDoc) -> str:
-    rows = [r for r in doc.get("rows", []) if isinstance(r, Mapping)]  # type: ignore[union-attr]
-    parts = [_rows_table(rows, columns=[
-        "case", "resolution", "accesses", "hit_rate", "wan_rate",
-        "initial_phase", "mean_latency_s", "steady_latency_s",
-        "wan_rate_initial", "hit_rate_initial",
-    ])]
-    top = max((int(r["resolution"]) for r in rows  # type: ignore[arg-type]
-               if "resolution" in r), default=0)
-    by_case = {
-        str(r.get("case")): r for r in rows
-        if r.get("resolution") == top
-    }
-    c2 = next((r for k, r in by_case.items() if "2" in k), None)
-    c3 = next((r for k, r in by_case.items() if "3" in k), None)
-    if c2 and c3:
-        parts.append("")
-        parts.append("Paper comparison (initial phase, top resolution "
-                     f"{top}² here vs 500² in the paper):")
-        parts.append(md_table(
-            ["metric", "measured c2", "paper c2", "measured c3",
-             "paper c3"],
-            [
-                ["WAN access rate", c2.get("wan_rate_initial"),
-                 PAPER.wan_rate_initial_case2,
-                 c3.get("wan_rate_initial"),
-                 PAPER.wan_rate_initial_case3],
-                ["hit rate", c2.get("hit_rate_initial"),
-                 PAPER.hit_rate_initial_case2,
-                 c3.get("hit_rate_initial"),
-                 PAPER.hit_rate_initial_case3],
-            ],
-        ))
-    return "\n".join(parts)
+    return "\n".join([
+        "Figures 9-11 — client latency, one row per session:", "",
+        latency_table(doc), "",
+        "Figure 12 — communication-latency tiers (medians):", "",
+        comm_tier_table(doc), "",
+        "Section 4.3 — access rates over Case 3's initial phase:", "",
+        access_rate_table(doc),
+    ])
+
+
+def _section_database_size(doc: BenchDoc) -> str:
+    rows = []
+    for r in _dict_rows(doc, "rows"):
+        paper = PAPER.fig7_sizes_gb.get(
+            int(r["resolution"]), ("—", "—"))  # type: ignore[call-overload]
+        rows.append([
+            r.get("resolution"), paper[0], r.get("total_uncompressed_gb"),
+            paper[1], r.get("total_compressed_gb"), r.get("ratio"),
+            r.get("viewset_compressed_mb"),
+        ])
+    lo, hi = PAPER.compression_ratio_band
+    return md_table(
+        ["resolution", "paper raw GB", "raw GB", "paper zlib GB", "zlib GB",
+         f"ratio (paper {lo:.0f}-{hi:.0f})", "view set zlib MB"], rows)
+
+
+def _section_decompression(doc: BenchDoc) -> str:
+    walls = _wall_runs(doc)
+    return md_table(
+        ["resolution", "view sets", "payload MB", "modelled s",
+         "measured mean inflate s", "measured max s"],
+        [[r.get("resolution"), r.get("viewsets"), r.get("payload_mb"),
+          r.get("modeled_decompress_s"),
+          walls.get(str(r.get("resolution")), {}).get("mean_inflate_s"),
+          walls.get(str(r.get("resolution")), {}).get("max_inflate_s")]
+         for r in _dict_rows(doc, "rows")],
+    )
+
+
+def _section_fps(doc: BenchDoc) -> str:
+    walls = _wall_runs(doc)
+    rows = _dict_rows(doc, "rows")
+    modes = list(dict.fromkeys(r.get("mode") for r in rows))
+    return md_table(
+        ["resolution"] + [f"{m} fps" for m in modes] + ["paper"],
+        [[res] + [walls.get(f"{res}/{m}", {}).get("fps") for m in modes]
+         + [f">{PAPER.fps_claim:.0f} fps"]
+         for res in dict.fromkeys(r.get("resolution") for r in rows)],
+    )
+
+
+def _section_qgr(doc: BenchDoc) -> str:
+    return (
+        f"Hidden-latency fraction at {doc.get('resolution')}², mean over "
+        f"trace seeds {_cell(doc.get('seeds'))}:\n\n"
+        + _rows_table(_dict_rows(doc, "rows"),
+                      columns=["case", "speed", "hidden_fraction"])
+    )
 
 
 def _section_generation(doc: BenchDoc) -> str:
@@ -284,18 +386,12 @@ def _section_ablations(doc: BenchDoc) -> str:
     return "\n".join(parts).rstrip()
 
 
-_SECTION_TITLES = {
-    "latency": "Figures 9-12 — client latency (Cases 1-3)",
-    "generation": "Section 4.1 — database generation",
-    "streaming": "Transfer scheduling — demand-miss latency by policy",
-    "observability": "Observability overhead",
-    "scale": "Multi-client scaling and sharded fleets",
-    "ablations": "Design-choice ablations",
-    "smoke": "Sweep-engine smoke",
-}
-
 _RENDERERS = {
+    "database_size": _section_database_size,
+    "decompression": _section_decompression,
     "latency": _section_latency,
+    "fps": _section_fps,
+    "qgr": _section_qgr,
     "generation": _section_generation,
     "streaming": _section_scheduling,
     "observability": _section_observability,
@@ -304,22 +400,24 @@ _RENDERERS = {
 }
 
 
+def render_section(name: str, doc: BenchDoc) -> str:
+    """One artifact document as a titled markdown section."""
+    meta = doc.get("meta", {})
+    assert isinstance(meta, Mapping)
+    spec = builtin_specs().get(str(meta.get("spec")))
+    title = spec.title if spec is not None and spec.title else name
+    renderer = _RENDERERS.get(name)
+    body = renderer(doc) if renderer else _section_generic(name, doc)
+    return f"## {title}\n\n{_meta_line(doc)}\n\n{body}"
+
+
 def report_sections(
     names: Sequence[str], out_dir: Union[str, Path, None] = None
 ) -> List[str]:
     """One rendered markdown section per artifact that exists on disk."""
-    sections = []
-    for name in names:
-        doc = load_bench(name, out_dir)
-        if doc is None:
-            continue
-        title = _SECTION_TITLES.get(name, name)
-        renderer = _RENDERERS.get(name)
-        body = renderer(doc) if renderer else _section_generic(name, doc)
-        sections.append(
-            f"## {title}\n\n{_meta_line(doc)}\n\n{body}"
-        )
-    return sections
+    docs = ((name, load_bench(name, out_dir)) for name in names)
+    return [render_section(name, doc) for name, doc in docs
+            if doc is not None]
 
 
 def render_report(

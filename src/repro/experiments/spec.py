@@ -9,9 +9,9 @@ rows assemble into one BENCH artifact — without saying anything about
 Specs come from three places, all equivalent:
 
 * the **builtin registry** (:func:`builtin_specs` / :func:`spec_named`) —
-  the paper's Figure 7-12 suites, the multiclient/shard scale curve and
-  the scheduler/prefetch/staging ablations, i.e. every committed
-  ``BENCH_*.json`` expressed declaratively;
+  every Section-4 figure and text claim of the paper, the multiclient/shard
+  scale curve and the scheduler/prefetch/staging ablations, i.e. every
+  committed ``BENCH_*.json`` expressed declaratively;
 * a **TOML or JSON file** (:func:`load_spec_file`) with the same fields;
 * inline construction in tests.
 
@@ -36,7 +36,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "RunSpec",
     "SweepSpec",
     "builtin_specs",
-    "expand_spec",
     "load_spec_file",
     "resolve_dotted",
     "spec_named",
@@ -54,9 +52,6 @@ __all__ = [
 
 #: reserved per-point key overriding the spec-level scenario
 SCENARIO_KEY = "_scenario"
-
-#: a scenario callable: keyword params -> one JSON-serializable result row
-Scenario = Callable[..., Dict[str, object]]
 
 
 def resolve_dotted(dotted: str) -> Callable[..., object]:
@@ -206,11 +201,6 @@ class SweepSpec:
         return out
 
 
-def expand_spec(spec: SweepSpec) -> List[RunSpec]:
-    """Module-level alias of :meth:`SweepSpec.expand` (executor import)."""
-    return spec.expand()
-
-
 # ----------------------------------------------------------------------
 # file loading
 # ----------------------------------------------------------------------
@@ -308,24 +298,62 @@ def builtin_specs() -> Dict[str, SweepSpec]:
         # -- CI smoke: the minimal two-axis sweep ------------------------
         SweepSpec(
             name="smoke",
-            title="Sweep-engine smoke (cases × resolutions)",
-            scenario=f"{_S}.session_point",
+            title="Sweep-engine smoke",
+            scenario=f"{_S}.latency_point",
             axes={"case": [2, 3], "resolution": resolutions[:2]},
-            fixed={"n_accesses": 10, "n_theta": 9, "n_phi": 18, "l": 3},
+            fixed={"n_accesses": 10, "lattice": [9, 18, 3]},
             artifact="smoke",
         ),
         # -- Figures 9-12 + Section 4.3 (the latency suite) --------------
         SweepSpec(
             name="latency",
-            title="Figures 9-12 — client latency per access, Cases 1-3",
+            title="Figures 9-12, Section 4.3 — latency per access (Cases 1-3)",
             scenario=f"{_S}.latency_point",
             axes={"case": [1, 2, 3], "resolution": resolutions},
             artifact="latency",
+            assemble=f"{_A}.assemble_latency",
         ),
-        # -- Figure 7 + Section 4.1 (generation) -------------------------
+        # -- Figure 7 (database size on real renders) ---------------------
+        SweepSpec(
+            name="database_size",
+            title="Figure 7 — database size vs sample resolution",
+            scenario=f"{_S}.database_size_point",
+            axes={"resolution": ([64, 128] if small
+                                 else [200, 300, 400, 500, 600])},
+            artifact="database_size",
+        ),
+        # -- Figure 8 (real inflate beside the modelled cost) -------------
+        SweepSpec(
+            name="decompression",
+            title="Figure 8 — decompression time per view set",
+            scenario=f"{_S}.decompression_point",
+            axes={"resolution": resolutions},
+            artifact="decompression",
+        ),
+        # -- Section 4.2 (client frame rate; every number host-timed) -----
+        SweepSpec(
+            name="fps",
+            title="Section 4.2 — client synthesis rate",
+            scenario=f"{_S}.fps_point",
+            axes={"resolution": [64, 128] if small else [200, 300, 500],
+                  "mode": ["quadrilinear", "uv-nearest", "nearest"]},
+            artifact="fps",
+        ),
+        # -- Section 4.2 (QGR: re-timed cursor paths, mean over seeds) ----
+        SweepSpec(
+            name="qgr",
+            title="Section 4.2 — Quality Guaranteed Rate",
+            scenario=f"{_S}.qgr_point",
+            axes={"case": [2, 3], "speed": [1.0, 2.0, 4.0]},
+            fixed={"resolution": res0, "n_accesses": 20 if small else 40},
+            seeds=(7, 11) if small else (7, 11, 13),
+            artifact="qgr",
+            assemble=f"{_A}.assemble_qgr",
+        ),
+        # -- Section 4.1 (generation) -------------------------------------
         SweepSpec(
             name="generation",
-            title="Generation — kernel speedup, zlib sweep, view-set time",
+            title="Section 4.1 — database generation",
             scenario=f"{_S}.generation_zlib_point",
             points=[
                 {"stage": "kernel", SCENARIO_KEY: f"{_S}.generation_kernel_point"},
@@ -358,8 +386,7 @@ def builtin_specs() -> Dict[str, SweepSpec]:
         # bit-identical across scales — small just runs fewer of them.
         SweepSpec(
             name="observability",
-            title="Observability — traced vs untraced cost, "
-                  "session and fleet",
+            title="Observability overhead",
             scenario=f"{_S}.observability_point",
             points=(
                 [{
@@ -377,7 +404,7 @@ def builtin_specs() -> Dict[str, SweepSpec]:
         # -- multiclient / shard scale curve (BENCH_scale.json) -----------
         SweepSpec(
             name="scale",
-            title="Multi-client scaling — fleet sizes, contended rig, shards",
+            title="Multi-client scaling and sharded fleets",
             scenario=f"{_S}.multiclient_point",
             points=_scale_points(),
             artifact="scale",
@@ -386,7 +413,7 @@ def builtin_specs() -> Dict[str, SweepSpec]:
         # -- the design-choice ablations (BENCH_ablations.json) -----------
         SweepSpec(
             name="ablations",
-            title="Ablations — prefetch, staging, striping, codec, cache, l",
+            title="Design-choice ablations",
             scenario="",
             points=(
                 [{"family": "prefetch", "policy": p, "case": 2,

@@ -57,14 +57,14 @@ __all__ = [
 ]
 
 #: interactivity threshold (seconds) behind the QGR criterion — matches
-#: the sweep engine's ``qgr_sweep``
+#: the ``qgr`` sweep spec's ``qgr_point`` scenario
 QGR_THRESHOLD_S = 0.25
 
 #: accesses with index <= warmup are excluded from steady-state figures
 QGR_WARMUP = 5
 
 #: sources that missed every local tier (the demand-miss pool, matching
-#: ``repro.experiments.runners.demand_miss_latency``).  These are the
+#: ``SessionMetrics.demand_miss_latency``).  These are the
 #: *values* of :class:`repro.streaming.metrics.AccessSource` — a str enum,
 #: so ``record.source in MISS_SOURCES`` compares by string — spelled out
 #: here to keep this module import-cycle-free (a test pins the mapping).

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..lon.scheduler import TransferEvent
 
@@ -195,6 +195,23 @@ class SessionMetrics:
                             AccessSource.SERVER_RUNTIME)
         )
         return wan / len(pool)
+
+    def demand_miss_latency(self) -> Tuple[float, int]:
+        """Mean client latency over accesses that missed every local tier.
+
+        These are the transfers that actually contend with background
+        staging and prefetch traffic, so they isolate the scheduling
+        policy's effect.  Returns ``(mean_seconds, miss_count)``;
+        ``(0.0, 0)`` if no misses.
+        """
+        pool = [
+            a for a in self.accesses
+            if a.source not in (AccessSource.AGENT_CACHE,
+                                AccessSource.CLIENT_RESIDENT)
+        ]
+        if not pool:
+            return 0.0, 0
+        return sum(a.total_latency for a in pool) / len(pool), len(pool)
 
     def initial_phase_length(self) -> int:
         """Index of the last WAN/server access (0 if none).

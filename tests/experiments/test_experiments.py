@@ -1,45 +1,44 @@
-"""Tests for the experiment drivers and reporting utilities."""
+"""Tests for the figure scenarios, the scaling knobs and table rendering."""
 
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments import run_sweep, spec_named
+from repro.experiments.artifacts import payload_fingerprint
 from repro.experiments.config import (
     PAPER,
     experiment_lattice,
     experiment_resolutions,
     scale_name,
 )
-from repro.experiments.reporting import banner, format_series, format_table
-from repro.experiments.runners import (
-    StreamingSuite,
-    fig07_database_size,
-    text_fps,
-    text_generation_time,
+from repro.experiments.report import format_series, md_table
+from repro.experiments.scenarios import (
+    _source,
+    codec_arm,
+    database_size_point,
+    fps_point,
+    generation_viewset_point,
+    viewset_size_arm,
 )
-from repro.experiments.scenarios import codec_arm, viewset_size_arm
 from repro.lightfield.lattice import CameraLattice
 
 
 class TestReporting:
     def test_table_alignment(self):
-        out = format_table(["a", "bee"], [[1, 2.5], [10, 0.001]])
-        lines = out.strip().splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("a")
-        # all rows the same width structure
-        assert len(set(len(l.rstrip()) for l in lines[2:])) <= 2
-
-    def test_table_with_title(self):
-        out = format_table(["x"], [[1]], title="Figure N")
-        assert "Figure N" in out
+        out = md_table(["a", "bee"], [[1, 2.5], [10, 0.001], [True, [3, 4]]])
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert lines[0] == "| a | bee |"
+        # every line is one markdown row with the same number of cells
+        assert {line.count("|") for line in lines} == {3}
+        assert lines[2:] == ["| 1 | 2.50 |", "| 10 | 0.001 |",
+                             "| yes | 3, 4 |"]
 
     def test_series_wraps(self):
         out = format_series("s", list(range(25)), per_line=10)
         assert out.count("\n") == 3
         assert "[ 11]" in out
-
-    def test_banner(self):
-        assert banner("hello").startswith("\n=== hello ")
 
 
 class TestConfig:
@@ -69,71 +68,143 @@ class TestConfig:
         assert len(experiment_resolutions()) == 3
 
 
+#: the tiny rig of the golden below: 6x12 l=3 lattice, 12 accesses
+_TINY = {"n_accesses": 12, "lattice": [6, 12, 3]}
+
+#: sha256 over the float-hex per-access latency and comm series of the
+#: 3 cases x (32, 48) on the tiny rig, captured at PR 15 through the
+#: memoizing per-figure suite class that PR 16 deleted — the sweep engine
+#: changed who runs the sessions, not what they compute
+LATENCY_GOLDEN = (
+    "72544880a711e8830b162296e0f52dd395d4204730f8443013ede02af0d96e8c"
+)
+
+
 @pytest.fixture(scope="module")
-def small_suite():
-    return StreamingSuite(
-        lattice=CameraLattice(n_theta=6, n_phi=12, l=3),
-        resolutions=(32, 48),
-        config_overrides={"n_accesses": 12},
+def tiny_latency():
+    spec = replace(
+        spec_named("latency"),
+        axes={"case": [1, 2, 3], "resolution": [32, 48]}, fixed=_TINY,
     )
+    return run_sweep(spec, write_artifact=False)
 
 
-class TestStreamingSuite:
-    def test_run_is_memoized(self, small_suite):
-        a = small_suite.run(1, 32)
-        b = small_suite.run(1, 32)
-        assert a is b
+class TestFigureSpecs:
+    def test_latency_series_golden(self, tiny_latency):
+        series = [[int(r["case"][-1]), r["resolution"], r["latency_s"],
+                   r["comm_s"]] for r in tiny_latency.rows]
+        assert [s[:2] for s in series] == [
+            [case, res] for case in (1, 2, 3) for res in (32, 48)]
+        assert payload_fingerprint(series) == LATENCY_GOLDEN
 
-    def test_overrides_bypass_cache(self, small_suite):
-        a = small_suite.run(1, 32)
-        b = small_suite.run(1, 32, trace_seed=99)
-        assert a is not b
+    def test_series_lengths(self, tiny_latency):
+        for row in tiny_latency.rows:
+            assert row["accesses"] == 12
+            for key in ("latency_s", "comm_s", "source"):
+                assert len(row[key]) == 12
 
-    def test_source_shared(self, small_suite):
-        assert small_suite.source(32) is small_suite.source(32)
+    def test_three_cases(self, tiny_latency):
+        assert ({r["case"] for r in tiny_latency.rows}
+                == {"case1", "case2", "case3"})
 
-    def test_fig08_series_lengths(self, small_suite):
-        series = small_suite.fig08_decompression((32,))
-        assert len(series[32]) == 12
+    def test_comm_series_nonnegative(self, tiny_latency):
+        for row in tiny_latency.rows:
+            assert all(v >= 0 for v in row["comm_s"])
+            # comm is one component of the client-observed wait
+            assert all(c <= t for c, t in
+                       zip(row["comm_s"], row["latency_s"]))
 
-    def test_latency_figure_has_three_cases(self, small_suite):
-        data = small_suite.latency_figure(32)
-        assert set(data) == {1, 2, 3}
+    def test_source_shared(self):
+        lat = CameraLattice(n_theta=6, n_phi=12, l=3)
+        assert _source(32, lat) is _source(32, lat)
+        assert _source(32, lat) is not _source(48, lat)
 
-    def test_fig12_floors_compatible(self, small_suite):
-        data = small_suite.fig12_comm_latency(32)
-        for values in data.values():
-            assert all(v >= 0 for v in values)
+    def test_modeled_decompress_averages_over_fetches(self, tiny_latency):
+        # every fetched payload is charged bytes x the modeled constant,
+        # so the mean over fetches is one payload's cost — not diluted by
+        # the zero-cost hits
+        from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
+
+        lat = CameraLattice(n_theta=6, n_phi=12, l=3)
+        for row in tiny_latency.rows:
+            sizes = [len(_source(row["resolution"], lat).payload((i, j)))
+                     for i in range(2) for j in range(4)]
+            lo = min(sizes) * MODELED_CPU_SECONDS_PER_BYTE
+            hi = max(sizes) * MODELED_CPU_SECONDS_PER_BYTE
+            assert lo - 1e-6 <= row["modeled_decompress_s"] <= hi + 1e-6
+
+    def test_assembled_cross_case_tables(self, tiny_latency):
+        doc = tiny_latency.doc
+        assert [t["resolution"] for t in doc["comm_tiers"]] == [32, 48]
+        for tier in doc["comm_tiers"]:
+            assert tier["hit_s"] == PAPER.tier_hit     # floored hits
+            assert tier["wan_s"] > 100 * tier["hit_s"]
+        by = {(r["case"], r["resolution"]): r for r in tiny_latency.rows}
+        for rates in doc["access_rates"]:
+            res = rates["resolution"]
+            phase3 = max(by[("case3", res)]["initial_phase"], 1)
+            assert rates["case3_initial_phase"] == phase3
+            head = by[("case2", res)]["source"][:phase3]
+            assert rates["case2_wan_rate_initial"] == (
+                sum(s in ("wan", "server") for s in head) / len(head))
+
+    def test_qgr_assembler_means_over_seeds(self):
+        # (case 2, 4x speed, 48², threshold 0.1 s) on the tiny rig: the
+        # value PR 15's ``qgr_sweep`` printed for seeds (7, 11, 13)
+        spec = replace(
+            spec_named("qgr"), axes={"case": [2], "speed": [4.0]},
+            seeds=(7, 11, 13),
+            fixed={**_TINY, "resolution": 48, "threshold": 0.1},
+        )
+        result = run_sweep(spec, write_artifact=False)
+        assert [r["seed"] for r in result.rows] == [7, 11, 13]
+        (mean,) = result.doc["rows"]
+        assert (mean["case"], mean["speed"]) == (2, 4.0)
+        assert mean["hidden_fraction"].hex() == "0x1.b6db6db6db6dcp-1"
+        assert mean["hidden_fraction"] == sum(
+            r["hidden_fraction"] for r in result.rows) / 3
+
+    def test_decompression_quarantines_the_real_inflate(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        result = run_sweep(
+            spec_named("decompression").with_overrides(
+                fixed={"repeats": 1}),
+            write_artifact=False,
+        )
+        modeled = [r["modeled_decompress_s"] for r in result.rows]
+        assert modeled == sorted(modeled) and modeled[0] > 0
+        for row, wall in zip(result.rows, result.walls):
+            assert "mean_inflate_s" not in row
+            assert 0 < wall["mean_inflate_s"] <= wall["max_inflate_s"]
 
 
 class TestDrivers:
     def test_fig07_rows_structure(self):
-        rows = fig07_database_size(
-            resolutions=(16, 32), volume_size=16,
-            lattice=CameraLattice(12, 24, 3), sample_viewsets=1,
-        )
+        rows = [database_size_point(res, volume_size=16) for res in (16, 32)]
         assert [r["resolution"] for r in rows] == [16, 32]
         for r in rows:
             assert r["viewset_raw_mb"] > 0
             assert r["ratio"] > 1.0
+            assert r["wall_clock"]["compress_s_per_viewset"] >= 0
         # quadratic growth in raw size
         assert rows[1]["viewset_raw_mb"] == pytest.approx(
             4 * rows[0]["viewset_raw_mb"], rel=0.05
         )
 
     def test_text_generation_structure(self):
-        stats = text_generation_time(
+        stats = generation_viewset_point(
             resolution=16, volume_size=16, sample_viewsets=1
         )
+        assert stats["views_rendered"] == 36
         # host timings live under the quarantined wall_clock section
         assert stats["wall_clock"]["seconds_per_viewset"] > 0
         assert stats["wall_clock"]["full_db_hours_on_32cpu"] > 0
 
     def test_text_fps_rows(self):
-        rows = text_fps(resolutions=(32,), modes=("nearest",), frames=2,
-                        volume_size=16)
-        assert len(rows) == 1
-        assert rows[0]["wall_clock"]["fps"] > 0
+        row = fps_point(32, "nearest", frames=2, volume_size=16)
+        assert (row["resolution"], row["mode"], row["frames"]) == (
+            32, "nearest", 2)
+        assert row["wall_clock"]["fps"] > 0
 
     def test_ablation_codec_rows(self):
         # the arms BENCH_ablations.json's codec family is built from

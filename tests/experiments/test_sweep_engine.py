@@ -142,7 +142,8 @@ class TestSpec:
         specs = builtin_specs()
         artifacts = {s.artifact for s in specs.values()}
         assert {"generation", "streaming", "observability", "scale",
-                "ablations", "latency", "smoke"} <= artifacts
+                "ablations", "latency", "smoke", "database_size",
+                "decompression", "fps", "qgr"} <= artifacts
         with pytest.raises(KeyError, match="builtin specs"):
             spec_named("nope")
 
@@ -176,14 +177,15 @@ class TestArtifacts:
             bench_document({"wall_clock": {}})
 
     def test_write_bench_stamps_meta_and_is_byte_stable(self, tmp_path):
-        path = write_bench("t", {"v": 1}, {"wall_s": 0.1},
-                           out_dir=tmp_path, seed=3)
+        def document():
+            return bench_document({"v": 1}, {"wall_s": 0.1}, seed=3)
+
+        path = write_bench("t", document(), out_dir=tmp_path)
         doc = json.loads(path.read_text())
         assert doc["meta"]["format"] == "repro-bench/1"
         assert doc["meta"]["seed"] == 3
         assert doc["v"] == 1 and doc["wall_clock"] == {"wall_s": 0.1}
-        again = write_bench("t", {"v": 1}, {"wall_s": 0.1},
-                            out_dir=tmp_path, seed=3)
+        again = write_bench("t", document(), out_dir=tmp_path)
         assert path.read_bytes() == again.read_bytes()
 
 
@@ -402,7 +404,8 @@ def test_cli_sweep_list(argv):
     )
     assert out.returncode == 0, out.stderr
     for name in ("smoke", "latency", "generation", "scheduling", "scale",
-                 "ablations"):
+                 "ablations", "database_size", "decompression", "fps",
+                 "qgr"):
         assert name in out.stdout
 
 

@@ -1,0 +1,66 @@
+"""Every Section-4 result is a sweep spec, and only a sweep spec.
+
+DESIGN §4 indexes the paper's figures and text claims; each must name the
+builtin spec that regenerates it, every builtin spec must resolve to real
+callables, and no benchmark may run sessions on its own beside the engine.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+from repro.experiments.spec import SCENARIO_KEY, builtin_specs, resolve_dotted
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: what a benchmark would need to run sessions beside the engine (the
+#: per-figure driver module and its memoizing suite class are deleted,
+#: so importing those fails on its own)
+FORBIDDEN = {"run_session", "SessionConfig"}
+
+#: the one sanctioned direct session: ``REPRO_TRACE_OUT``'s traced run,
+#: whose product is a Chrome trace, not a number
+ALLOWED = {"bench_text_scheduler.py": {"run_session", "SessionConfig"}}
+
+
+def _experiment_index():
+    """``(exp id, last column)`` of every row of DESIGN §4's table."""
+    text = (REPO_ROOT / "DESIGN.md").read_text()
+    section = text.split("## 4. Experiment index", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split("|")
+            for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0][0].strip() == "Exp id"
+    return [(cells[0].strip(), cells[-1]) for cells in rows[1:]]
+
+
+def test_every_experiment_names_a_builtin_spec():
+    specs = set(builtin_specs())
+    index = _experiment_index()
+    assert len(index) >= 11           # Fig 7-12, four text claims, ablations
+    for exp_id, target in index:
+        named = set(re.findall(r"`([a-z_]+)`", target)) & specs
+        assert named, f"DESIGN §4 row {exp_id!r} names no builtin spec"
+
+
+def test_every_builtin_spec_resolves():
+    for spec in builtin_specs().values():
+        scenarios = {spec.scenario} | {
+            str(p[SCENARIO_KEY]) for p in (spec.points or [])
+            if SCENARIO_KEY in p}
+        for dotted in scenarios - {""}:
+            assert callable(resolve_dotted(dotted)), (spec.name, dotted)
+        if spec.assemble:
+            assert callable(resolve_dotted(spec.assemble)), spec.name
+        assert spec.expand(), spec.name
+
+
+def test_benchmarks_run_sessions_only_through_the_engine():
+    offenders = []
+    for path in sorted((REPO_ROOT / "benchmarks").glob("*.py")):
+        allowed = ALLOWED.get(path.name, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                for bad in sorted(names & FORBIDDEN - allowed):
+                    offenders.append(f"{path.name} imports {bad}")
+    assert offenders == []
