@@ -73,7 +73,6 @@ def test_scheduling_policies(benchmark, report):
     )
 
     if _TRACE_OUT:
-        from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
         from repro.experiments import experiment_lattice
         from repro.lightfield import SyntheticSource
         from repro.obs import write_chrome_trace
@@ -81,9 +80,7 @@ def test_scheduling_policies(benchmark, report):
 
         m = run_session(
             SyntheticSource(experiment_lattice(), resolution=res),
-            SessionConfig(
-                case=3, tracing=True,
-                cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE),
+            SessionConfig(case=3, tracing=True),
         )
         n = write_chrome_trace(
             m.tracer, _TRACE_OUT,

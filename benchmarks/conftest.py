@@ -23,9 +23,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def latency() -> SweepResult:
     """The ``latency`` sweep: 3 cases × 3 resolutions, run once.
 
-    Decompression cost is *modeled* (``cpu_seconds_per_byte``) rather than
-    measured, so every number in the merged ``BENCH_latency.json`` is
-    bit-identical across machines and runs.
+    Simulated time is the sessions' only clock (decompression is charged
+    at ``cpu_seconds_per_byte``), so every number in the merged
+    ``BENCH_latency.json`` is bit-identical across machines and runs.
     """
     result = run_sweep(spec_named("latency"), workers=1)
     print(f"wrote {result.artifact_path}")

@@ -9,8 +9,9 @@ movement at which prefetching still hides all network latency.
 
 This example:
 
-1. models a PDA (tiny display, resident_capacity=1, slow CPU via cpu_scale)
-   and a workstation, and compares their session latencies;
+1. models a PDA (tiny display, resident_capacity=1, slow CPU via a larger
+   cpu_seconds_per_byte) and a workstation, and compares their session
+   latencies;
 2. sweeps the cursor speed to locate the QGR for Cases 2 and 3 — showing
    the paper's claim that the QGR with a LAN depot is far faster than
    direct WAN streaming.
@@ -73,15 +74,18 @@ def main() -> None:
 
     print("== device classes ==")
     rows = []
-    for name, capacity, cpu_scale in (
-        ("PDA", 1, 20.0),          # no cache beyond the current view set
-        ("laptop", 2, 4.0),
-        ("workstation", 6, 1.0),
+    workstation = SessionConfig().cpu_seconds_per_byte
+    for name, capacity, cpu_seconds_per_byte in (
+        # no cache beyond the current view set, a CPU 20x slower
+        ("PDA", 1, 20 * workstation),
+        ("laptop", 2, 4 * workstation),
+        ("workstation", 6, workstation),
     ):
         m = run_session(
             source,
             SessionConfig(case=3, n_accesses=args.accesses,
-                          resident_capacity=capacity, cpu_scale=cpu_scale,
+                          resident_capacity=capacity,
+                          cpu_seconds_per_byte=cpu_seconds_per_byte,
                           tracing=args.trace is not None),
         )
         if args.trace is not None and m.tracer is not None:
@@ -92,10 +96,11 @@ def main() -> None:
             n = write_chrome_trace(m.tracer, out)
             print(f"{name}: {n} trace events -> {out}")
         rows.append([
-            name, capacity, cpu_scale, m.hit_rate(), m.mean_latency(),
+            name, capacity, cpu_seconds_per_byte * 1e9, m.hit_rate(),
+            m.mean_latency(),
         ])
     print(md_table(
-        headers=["device", "resident view sets", "cpu scale",
+        headers=["device", "resident view sets", "cpu ns/byte",
                  "hit rate", "mean latency s"],
         rows=rows,
     ))

@@ -21,9 +21,9 @@ component that scheduled it.
 Floats are encoded with ``float.hex()`` so the comparison is bit-exact: a
 nondeterminism source that perturbs a timestamp by one ulp is still caught.
 
-Sessions are fingerprinted with ``cpu_seconds_per_byte`` set, so client
-decompression cost is modeled instead of measured — without it every run
-trivially diverges on host timing (see ``SessionConfig``).
+Nothing is overridden to make a run comparable: simulated time is the
+simulator's only clock (client decompression is charged from a model, see
+:mod:`repro.streaming.client`), so any ``SessionConfig`` replays exactly.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ __all__ = [
     "multiclient_fingerprint",
     "sharded_fingerprint",
 ]
-
-#: modeled decompression cost used by the canned fingerprint configs —
-#: roughly a 2003-era workstation inflating zlib at ~500 MB/s
-MODELED_CPU_SECONDS_PER_BYTE = 2e-9
 
 #: per-stage latency statistics, as SessionMetrics.breakdown() returns
 Breakdown = Dict[str, Dict[str, Dict[str, float]]]
@@ -198,9 +194,10 @@ def session_fingerprint(
     """Fingerprint one seeded single-client session.
 
     ``config`` overrides the canned :class:`SessionConfig` entirely (it is
-    copied and forced deterministic: tracing on, modeled CPU).  ``rig_hook``
-    runs after the collectors attach — tests use it to inject deliberate
-    perturbations and prove the checker catches them.
+    copied with tracing on — the breakdown is read off the spans — and
+    otherwise run as is).  ``rig_hook`` runs after the collectors attach —
+    tests use it to inject deliberate perturbations and prove the checker
+    catches them.
     """
     from ..lightfield.lattice import CameraLattice
     from ..lightfield.source import SyntheticSource
@@ -216,15 +213,7 @@ def session_fingerprint(
             n_accesses=n_accesses,
             trace_seed=seed,
         )
-    config = replace(
-        config,
-        tracing=True,
-        cpu_seconds_per_byte=(
-            config.cpu_seconds_per_byte
-            if config.cpu_seconds_per_byte is not None
-            else MODELED_CPU_SECONDS_PER_BYTE
-        ),
-    )
+    config = replace(config, tracing=True)
     lattice = CameraLattice(n_theta=12, n_phi=24, l=3)
     source = SyntheticSource(lattice, resolution=resolution, seed=2003)
     events: List[EventRecord] = []
@@ -297,7 +286,6 @@ def multiclient_fingerprint(
         n_accesses=n_accesses,
         trace_seed=seed,
         tracing=True,
-        cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
     )
     config = MultiClientConfig(base=base, n_clients=n_clients)
     lattice = CameraLattice(n_theta=12, n_phi=24, l=3)
@@ -358,7 +346,6 @@ def sharded_fingerprint(
         case=case,
         n_accesses=n_accesses,
         trace_seed=seed,
-        cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
     )
     config = MultiClientConfig(
         base=base, n_clients=n_clients,

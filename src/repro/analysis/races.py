@@ -50,7 +50,6 @@ from ..lon.shard import (
 )
 from ..streaming.multiclient import MultiClientConfig
 from ..streaming.session import SessionConfig
-from .determinism import MODELED_CPU_SECONDS_PER_BYTE
 
 __all__ = [
     "Conflict",
@@ -349,10 +348,7 @@ def _stress_rig(
         CameraLattice(n_theta=9, n_phi=18, l=3), resolution=resolution
     )
     config = MultiClientConfig(
-        base=SessionConfig(
-            case=3, n_accesses=accesses, trace_seed=seed,
-            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
-        ),
+        base=SessionConfig(case=3, n_accesses=accesses, trace_seed=seed),
         n_clients=clients, seed_stride=101, start_stagger=0.25,
         cross_shard_fraction=cross,
     )

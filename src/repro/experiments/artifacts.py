@@ -158,14 +158,14 @@ def bench_meta(
     seed: Optional[int] = None,
 ) -> Dict[str, object]:
     """The stamped ``meta`` header: format, scale, seed, modeled costs."""
-    from ..analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
     from ..streaming.session import SessionConfig
 
+    defaults = SessionConfig()
     meta: Dict[str, object] = {
         "format": BENCH_FORMAT,
         "scale": os.environ.get("REPRO_SCALE", "default"),
-        "seed": SessionConfig().trace_seed if seed is None else seed,
-        "cpu_seconds_per_byte": MODELED_CPU_SECONDS_PER_BYTE,
+        "seed": defaults.trace_seed if seed is None else seed,
+        "cpu_seconds_per_byte": defaults.cpu_seconds_per_byte,
     }
     if extra:
         meta.update(extra)

@@ -28,10 +28,10 @@ from typing import (
     TypeVar,
 )
 
-from ..analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
 from ..lightfield.lattice import CameraLattice
 from ..lightfield.source import SyntheticSource
 from ..obs.health import QGR_THRESHOLD_S, fleet_qgr
+from ..streaming.client import CPU_SECONDS_PER_BYTE
 from ..streaming.metrics import SessionMetrics
 from ..streaming.session import SessionConfig, run_session, session_trace
 from .artifacts import WALL_CLOCK_KEY, wall_timer
@@ -95,10 +95,9 @@ def _run(
     lattice: Optional[CameraLattice] = None,
     **overrides: object,
 ) -> SessionMetrics:
-    """One deterministic session (modeled decompression cost)."""
+    """One session of ``case`` at ``resolution`` on the memoized source."""
     cfg = SessionConfig(
         case=case, trace_seed=seed,
-        cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
         **overrides,  # type: ignore[arg-type]
     )
     return run_session(_source(resolution, lattice), cfg)
@@ -177,9 +176,9 @@ def decompression_point(resolution: int, seed: int = 7, repeats: int = 3) -> Row
     """Inflate the view sets the session trace visits, for real.
 
     The deterministic row has what the simulator charges for the same
-    bytes (``MODELED_CPU_SECONDS_PER_BYTE``); the measured inflate time
-    of this host (best of ``repeats`` per payload) is quarantined beside
-    it.
+    bytes (``streaming.client.CPU_SECONDS_PER_BYTE``); the measured inflate
+    time of this host (best of ``repeats`` per payload) is quarantined
+    beside it.
     """
     from ..lightfield.compression import codec_for_payload
 
@@ -198,7 +197,7 @@ def decompression_point(resolution: int, seed: int = 7, repeats: int = 3) -> Row
         "viewsets": len(payloads),
         "payload_mb": round(mean_bytes / 1e6, 4),
         "modeled_decompress_s": round(
-            mean_bytes * MODELED_CPU_SECONDS_PER_BYTE, 6),
+            mean_bytes * CPU_SECONDS_PER_BYTE, 6),
         WALL_CLOCK_KEY: {
             "mean_inflate_s": round(sum(inflate) / len(inflate), 6),
             "max_inflate_s": round(max(inflate), 6),
@@ -306,8 +305,8 @@ def fleet_observability_point(
     tail latency (from the exact merge of per-shard histograms) and depot
     load skew.
 
-    The rig is deliberately **pinned** — 9×18 l=3 lattice, resolution 48,
-    modeled CPU — independent of ``REPRO_SCALE``: payload rows must be
+    The rig is deliberately **pinned** — 9×18 l=3 lattice, resolution 48 —
+    independent of ``REPRO_SCALE``: payload rows must be
     bit-identical across scales so CI (small) can hold the committed
     (default-scale) figures to tight drift bounds on the shared client
     tiers.  Only the tier list in the spec varies with scale.
@@ -326,7 +325,6 @@ def fleet_observability_point(
                 case=3,
                 n_accesses=n_accesses,
                 trace_seed=seed,
-                cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
                 tracing=tracing,
             ),
             n_clients=n_clients,
@@ -678,7 +676,6 @@ def _scale_config(regime: str, n_clients: int, seed: int) -> "object":
             depot_access_bandwidth=mbps(50.0),
             tcp_window=256 * 1024,
             block_size=2048,
-            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
             max_streams=8,
             staging_concurrency=24,
             staging_streams=12,
@@ -695,7 +692,6 @@ def _scale_config(regime: str, n_clients: int, seed: int) -> "object":
             depot_access_bandwidth=mbps(400.0),
             tcp_window=8 * 1024,
             block_size=256 * 1024,
-            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
             staging_concurrency=16,
             staging_streams=4,
             prefetch_policy="all-neighbors",

@@ -5,10 +5,10 @@ relative latencies of three storage tiers: the client agent's in-memory cache
 (~1e-4 s), a depot on the client's LAN (~1e-2..1e-1 s) and depots across the
 WAN (~1 s).  Rather than sleeping for real seconds, every network and storage
 operation in this reproduction advances a shared :class:`SimClock` through a
-:class:`EventQueue`.  CPU costs that are genuinely paid on this machine
-(decompression, rendering) are measured in wall-clock time and *injected* into
-the simulation as service times, so client-observed latency composes both —
-exactly what the paper measures at the client.
+:class:`EventQueue`.  CPU costs enter the same way — client decompression is
+a modelled service time of ``bytes x seconds-per-byte`` — so client-observed
+latency composes brokering, communication and decompression as the paper
+measures it at the client, and no host-clock reading ever reaches the queue.
 
 The design is a classic calendar queue: events are ``(time, seq, callback)``
 triples ordered by time with a monotonically increasing sequence number as the

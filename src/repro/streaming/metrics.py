@@ -48,7 +48,7 @@ class AccessRecord:
     source: AccessSource
     request_time: float             # sim time the client asked
     comm_latency: float             # data-access time at the client agent
-    decompress_seconds: float       # client-side zlib inflate (wall clock)
+    decompress_seconds: float       # client-side zlib inflate (sim, modelled)
     total_latency: float            # client-observed wait
 
     def __post_init__(self) -> None:

@@ -88,10 +88,9 @@ class MultiClientConfig:
     #: only on the *global* index — sharded runs see the same split.  0.0
     #: adds no nodes or links (bit-identical to the classic topology).
     cross_shard_fraction: float = 0.0
-    #: backbone uplink calibration for the ``xs-switch`` ↔ ``wan-router``
-    #: link (None = reuse ``base.wan_bandwidth`` / ``base.wan_latency``)
+    #: bandwidth of the ``xs-switch`` ↔ ``wan-router`` backbone uplink
+    #: (None = ``base.wan_bandwidth``); its latency is ``base.wan_latency``
     backbone_bandwidth: Optional[float] = None
-    backbone_latency: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_clients < 1:
@@ -196,7 +195,7 @@ def build_multiclient_rig(
     ]
     bed = wire_testbed(
         source, base, consoles, config.backbone_bandwidth,
-        config.backbone_latency, config.obs_namespace)
+        config.obs_namespace)
     return MultiClientRig(**vars(bed), config=config)
 
 

@@ -45,7 +45,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.samplers import PeriodicSampler, standard_samplers
 from ..obs.tracer import Tracer
 from .agent import ClientAgent
-from .client import Client
+from .client import CPU_SECONDS_PER_BYTE, Client
 from .dvs import DVSServer
 from .metrics import SessionMetrics
 from .prefetch import policy_by_name
@@ -84,13 +84,9 @@ class SessionConfig:
     case: int = 3                      # 1, 2 or 3
     n_accesses: int = 58               # the paper's request count
     trace_seed: int = 7
-    step_period: float = 0.6           # seconds between cursor samples
-    heading_noise: float = 0.9         # cursor unpredictability (radians/step)
     trace: Optional[CursorTrace] = None  # override the standard trace
 
-    # network calibration (defaults model the 2003 testbed)
-    lan_bandwidth: float = gbps(1.0)
-    lan_latency: float = 0.0002
+    # WAN calibration (defaults model the 2003 testbed)
     #: raw shared WAN path.  60 Mb/s calibrates staging so the whole
     #: database localizes within a session: nearly instantly relative to the
     #: cursor at 200² and over roughly half the trace at 500² — the paper's
@@ -105,10 +101,6 @@ class SessionConfig:
 
     # placement
     stripe_width: int = 3
-    replicas: int = 1
-    n_wan_depots: int = 3
-    n_lan_depots: int = 4
-    depot_capacity: int = 16 << 30
 
     # placement block size: one block per ~1 MB keeps 200² view sets to a
     # single WAN stream (the paper's observed ~1 s accesses) while larger
@@ -119,11 +111,9 @@ class SessionConfig:
     agent_cache_bytes: Optional[int] = None
     max_streams: int = 4
     resident_capacity: int = 2
-    cpu_scale: float = 1.0
-    #: model decompression CPU as seconds/byte instead of measuring host
-    #: wall time (None = measure).  Set for bit-reproducible runs — the
-    #: determinism checker requires it.
-    cpu_seconds_per_byte: Optional[float] = None
+    #: simulated seconds of console CPU charged per arriving payload byte;
+    #: a larger value models a slower client (``examples/pda_client.py``)
+    cpu_seconds_per_byte: float = CPU_SECONDS_PER_BYTE
     prefetch_policy: str = "quadrant"
 
     # staging (case 3): concurrency x streams bounds aggressive-staging
@@ -147,13 +137,9 @@ class SessionConfig:
     #: cancel in-flight prefetches farther than this grid distance from the
     #: cursor on a retarget (None = never cancel)
     prefetch_cancel_beyond: Optional[int] = 2
-    #: record per-transfer lifecycle events on the session metrics
-    record_transfer_events: bool = True
     #: enable end-to-end tracing + periodic samplers (repro.obs); off by
     #: default — the disabled tracer's overhead is a no-op method call
     tracing: bool = False
-    #: sampler period in simulated seconds (link utilization, queue depths)
-    sample_period: float = 0.5
 
     def __post_init__(self) -> None:
         if self.case not in (1, 2, 3):
@@ -229,6 +215,23 @@ class RunTotals:
         return self.events_fired / self.wall_seconds if self.wall_seconds else 0.0
 
 
+#: the session's cursor pacing: seconds between samples and heading noise
+#: in radians per step.  "The standard trace" has a second pacing —
+#: ``standard_trace()``'s own defaults, 0.35 s / 0.55 rad, which
+#: ``experiments.scenarios.qgr_point`` and ``viewset_size_arm`` run; left
+#: apart because aligning either moves committed fingerprints.
+STEP_PERIOD = 0.6
+HEADING_NOISE = 0.9
+
+#: the 2003 testbed the sessions model: a 1 Gb/s department LAN holding four
+#: depots, three striped depots in California, 16 GB each
+LAN_BANDWIDTH = gbps(1.0)
+LAN_LATENCY = 0.0002
+N_LAN_DEPOTS = 4
+N_WAN_DEPOTS = 3
+DEPOT_CAPACITY = 16 << 30
+
+
 def session_trace(
     lattice: CameraLattice, config: SessionConfig,
     seed_offset: int = 0, delay: float = 0.0,
@@ -237,9 +240,9 @@ def session_trace(
     return standard_trace(
         lattice,
         n_accesses=config.n_accesses,
-        step_period=config.step_period,
+        step_period=STEP_PERIOD,
         seed=config.trace_seed + seed_offset,
-        heading_noise=config.heading_noise,
+        heading_noise=HEADING_NOISE,
     ).shifted(delay)
 
 
@@ -248,7 +251,6 @@ def wire_testbed(
     config: SessionConfig,
     consoles: Sequence[Console],
     backbone_bandwidth: Optional[float] = None,
-    backbone_latency: Optional[float] = None,
     obs_namespace: str = "",
 ) -> Testbed:
     """Wire the testbed for ``consoles`` (no events run yet).
@@ -256,23 +258,23 @@ def wire_testbed(
     Every console and agent hangs off the department LAN switch, so N
     consoles contend for the same WAN bottleneck — the shared-infrastructure
     regime the paper argues depots are for.  Crossing consoles live on a
-    second campus switch with its own backbone uplink (``None`` = the WAN
-    figure); with none crossing no node or link is added.
+    second campus switch with its own backbone uplink (bandwidth ``None`` =
+    the WAN figure; latency always the WAN's); with none crossing no node or
+    link is added.
     ``obs_namespace`` prefixes every metric name of a traced testbed.
     """
     queue = EventQueue()
     net = Network(queue, tcp_window=config.tcp_window)
 
     # --- topology -----------------------------------------------------
-    lan_hosts = [f"lan-depot-{i}" for i in range(config.n_lan_depots)]
+    lan_hosts = [f"lan-depot-{i}" for i in range(N_LAN_DEPOTS)]
     xs_hosts: List[str] = []
     for console in consoles:
         side = xs_hosts if console.crossing else lan_hosts
         side += [console.client_node, console.agent_node]
     net.add_node("lan-switch")
     for h in lan_hosts:
-        net.add_link(h, "lan-switch", config.lan_bandwidth,
-                     config.lan_latency)
+        net.add_link(h, "lan-switch", LAN_BANDWIDTH, LAN_LATENCY)
     net.add_link("lan-switch", "wan-router", config.wan_bandwidth,
                  config.wan_latency)
     if xs_hosts:
@@ -280,18 +282,15 @@ def wire_testbed(
         # so sharded runs must exchange its load at barriers (lon.shard)
         net.add_node("xs-switch")
         for h in xs_hosts:
-            net.add_link(h, "xs-switch", config.lan_bandwidth,
-                         config.lan_latency)
-        net.add_link("xs-switch", "lan-switch", config.lan_bandwidth,
-                     config.lan_latency)
+            net.add_link(h, "xs-switch", LAN_BANDWIDTH, LAN_LATENCY)
+        net.add_link("xs-switch", "lan-switch", LAN_BANDWIDTH, LAN_LATENCY)
         net.add_link(
             "xs-switch", "wan-router",
             (config.wan_bandwidth if backbone_bandwidth is None
              else backbone_bandwidth),
-            (config.wan_latency if backbone_latency is None
-             else backbone_latency),
+            config.wan_latency,
         )
-    wan_hosts = [f"ca-depot-{i}" for i in range(config.n_wan_depots)]
+    wan_hosts = [f"ca-depot-{i}" for i in range(N_WAN_DEPOTS)]
     wan_hosts += ["server", "dvs"]
     for h in wan_hosts:
         net.add_link(h, "wan-router", config.depot_access_bandwidth, 0.002)
@@ -299,13 +298,13 @@ def wire_testbed(
     # --- storage fabric -------------------------------------------------
     lbone = LBone(net)
     lan_depots = []
-    for i in range(config.n_lan_depots):
-        d = Depot(f"lan-depot-{i}", queue, capacity=config.depot_capacity)
+    for i in range(N_LAN_DEPOTS):
+        d = Depot(f"lan-depot-{i}", queue, capacity=DEPOT_CAPACITY)
         lbone.register(d, location="knoxville")
         lan_depots.append(d)
     wan_depots = []
-    for i in range(config.n_wan_depots):
-        d = Depot(f"ca-depot-{i}", queue, capacity=config.depot_capacity)
+    for i in range(N_WAN_DEPOTS):
+        d = Depot(f"ca-depot-{i}", queue, capacity=DEPOT_CAPACITY)
         lbone.register(d, location="california")
         wan_depots.append(d)
     tracer = Tracer(queue.clock, enabled=True) if config.tracing else None
@@ -327,7 +326,6 @@ def wire_testbed(
         source=source,
         depots=home_depots,
         stripe_width=min(config.stripe_width, len(home_depots)),
-        replicas=config.replicas,
         block_size=config.block_size,
         tracer=tracer,
     )
@@ -387,7 +385,6 @@ def wire_testbed(
             metrics=metrics,
             resident_capacity=config.resident_capacity,
             policy=policy_by_name(config.prefetch_policy),
-            cpu_scale=config.cpu_scale,
             cpu_seconds_per_byte=config.cpu_seconds_per_byte,
             on_cursor=(staging.update_cursor if staging is not None
                        else None),
@@ -403,7 +400,6 @@ def wire_testbed(
             scheduler=scheduler,
             depots=lan_depots + wan_depots,
             agent=bed.client_agents,
-            period=config.sample_period,
         )
     return bed
 
@@ -548,8 +544,7 @@ def _wire_single(source: ViewSetSource, config: SessionConfig) -> Testbed:
         source.lattice, config)
     bed = wire_testbed(source, config, [
         Console(0, "client", "agent", f"case{config.case}", trace)])
-    if config.record_transfer_events:
-        bed.scheduler.on_event = bed.metrics[0].record_transfer_event
+    bed.scheduler.on_event = bed.metrics[0].record_transfer_event
     return bed
 
 

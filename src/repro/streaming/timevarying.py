@@ -24,6 +24,7 @@ from ..lon.network import Network
 from ..lon.scheduler import Priority
 from ..lon.simtime import EventQueue
 from .agent import ClientAgent
+from .client import CPU_SECONDS_PER_BYTE, RESIDENT_SWAP_LATENCY
 from .dvs import DVSServer
 from .metrics import AccessRecord, AccessSource, SessionMetrics
 from .trace import CursorTrace
@@ -119,7 +120,9 @@ class TemporalClient:
     display needs changes — either because the user crossed a boundary or
     because the animation advanced.  Prefetch covers both axes: the spatial
     quadrant neighbors at the current timestep, plus the current view set
-    at the next timestep.
+    at the next timestep.  Arriving bytes are priced as
+    :class:`~repro.streaming.client.Client` prices them:
+    ``len(payload) * CPU_SECONDS_PER_BYTE`` simulated seconds of inflation.
     """
 
     def __init__(
@@ -252,7 +255,8 @@ class TemporalClient:
                 index=index, viewset_id=vid,
                 source=AccessSource.CLIENT_RESIDENT,
                 request_time=t0, comm_latency=0.0,
-                decompress_seconds=0.0, total_latency=1e-4,
+                decompress_seconds=0.0,
+                total_latency=RESIDENT_SWAP_LATENCY,
             ))
             return
         pending = self._outstanding.get(vid)
@@ -266,13 +270,22 @@ class TemporalClient:
                        comm: float) -> None:
             self.agent.lors.scheduler.submit(
                 self.agent.node, self.node, len(payload),
-                on_complete=lambda fl: complete(payload, source, comm),
+                on_complete=lambda fl: finish(payload, source, comm),
                 label=f"to-client:{vid}",
                 priority=Priority.DEMAND,
             )
 
+        def finish(payload: bytes, source: AccessSource,
+                   comm: float) -> None:
+            decompress = len(payload) * CPU_SECONDS_PER_BYTE
+            self.queue.schedule_in(
+                decompress,
+                lambda: complete(payload, source, comm, decompress),
+                f"decompress:{vid}",
+            )
+
         def complete(payload: bytes, source: AccessSource,
-                     comm: float) -> None:
+                     comm: float, decompress: float) -> None:
             waiters = self._outstanding.pop(vid, [(index, t0)])
             self._keep(vid, payload)
             now = self.queue.now
@@ -280,7 +293,8 @@ class TemporalClient:
                 self.metrics.record(AccessRecord(
                     index=w_index, viewset_id=vid, source=source,
                     request_time=w_t0, comm_latency=comm,
-                    decompress_seconds=0.0, total_latency=now - w_t0,
+                    decompress_seconds=decompress,
+                    total_latency=now - w_t0,
                 ))
 
         self.queue.schedule_in(

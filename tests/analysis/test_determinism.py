@@ -16,6 +16,7 @@ from repro.analysis.determinism import (
     multiclient_fingerprint,
     session_fingerprint,
 )
+from repro.streaming.session import SessionConfig
 
 # small-but-real settings: enough traffic to exercise the scheduler, fast
 # enough for tier-1
@@ -48,6 +49,17 @@ class TestSessionDeterminism:
         a = session_fingerprint(seed=7, resolution=16, n_accesses=6)
         b = session_fingerprint(seed=8, resolution=16, n_accesses=6)
         assert a.combined != b.combined
+
+    def test_a_callers_config_is_fingerprinted_as_is(self):
+        """No override inside the checker: the default config replays
+        exactly, and the caller's CPU model is the one that runs."""
+        def fp(**kw):
+            return session_fingerprint(
+                resolution=16,
+                config=SessionConfig(case=1, n_accesses=6, **kw))
+
+        assert fp().combined == fp().combined
+        assert fp(cpu_seconds_per_byte=0.0).combined != fp().combined
 
     def test_needs_at_least_two_runs(self):
         with pytest.raises(ValueError):

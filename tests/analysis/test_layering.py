@@ -39,14 +39,26 @@ def _imported_packages(path, package):
     return found
 
 
-def test_simulator_packages_do_not_import_the_tools():
+def _offenders(packages, forbidden):
+    """``file -> repro.<package>`` for every forbidden import under
+    ``packages``."""
     root = Path(repro.__file__).parent
     offenders = []
-    for sub in SIMULATOR:
+    for sub in packages:
         for path in sorted((root / sub).rglob("*.py")):
             package = ".".join(
                 ("repro",) + path.relative_to(root).parent.parts)
             for tool in sorted(_imported_packages(path, package)
-                               & set(TOOLS)):
+                               & set(forbidden)):
                 offenders.append(f"{path.relative_to(root)} -> repro.{tool}")
-    assert offenders == []
+    return offenders
+
+
+def test_simulator_packages_do_not_import_the_tools():
+    assert _offenders(SIMULATOR, TOOLS) == []
+
+
+def test_experiments_do_not_import_the_checkers():
+    """A sweep's numbers come from the simulator alone; the checkers in
+    ``repro.analysis`` verify them from outside."""
+    assert _offenders(("experiments",), ("analysis",)) == []

@@ -123,14 +123,14 @@ class TestFigureSpecs:
         # every fetched payload is charged bytes x the modeled constant,
         # so the mean over fetches is one payload's cost — not diluted by
         # the zero-cost hits
-        from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
+        from repro.streaming.client import CPU_SECONDS_PER_BYTE
 
         lat = CameraLattice(n_theta=6, n_phi=12, l=3)
         for row in tiny_latency.rows:
             sizes = [len(_source(row["resolution"], lat).payload((i, j)))
                      for i in range(2) for j in range(4)]
-            lo = min(sizes) * MODELED_CPU_SECONDS_PER_BYTE
-            hi = max(sizes) * MODELED_CPU_SECONDS_PER_BYTE
+            lo = min(sizes) * CPU_SECONDS_PER_BYTE
+            hi = max(sizes) * CPU_SECONDS_PER_BYTE
             assert lo - 1e-6 <= row["modeled_decompress_s"] <= hi + 1e-6
 
     def test_assembled_cross_case_tables(self, tiny_latency):

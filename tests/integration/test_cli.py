@@ -86,6 +86,17 @@ class TestSession:
         assert "case 1" in out and "case 2" in out
         assert "hit rate" in out
 
+    def test_session_output_is_byte_identical_run_to_run(self, capsys):
+        """The front end needs no opt-in to be reproducible: simulated time
+        is the only clock behind every number it prints."""
+        outs = []
+        for _ in range(2):
+            assert main(["session", "--cases", "1,2,3", "--accesses", "8",
+                         "--resolution", "32", "--lattice", "6x12x3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "case 3" in outs[0]
+
 
 class TestMulticlientTrace:
     def test_unsharded_trace_artifact(self, tmp_path, capsys):

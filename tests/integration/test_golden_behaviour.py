@@ -22,7 +22,6 @@ import hashlib
 
 import pytest
 
-from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lon import gbps, mbps
 from repro.lon.shard import run_sharded_session
@@ -75,10 +74,7 @@ def _digest(result):
 
 def run_single(case):
     """The paper's Case 1, 2 or 3 for one console, 20 accesses."""
-    config = SessionConfig(
-        case=case, n_accesses=20,
-        cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
-    )
+    config = SessionConfig(case=case, n_accesses=20)
     rigs = []
     metrics = run_session(_source(), config, rig_hook=rigs.append)
     latencies = "\n".join(a.total_latency.hex() for a in metrics.accesses)
@@ -94,7 +90,6 @@ def run_contended():
             wan_bandwidth=mbps(40.0), wan_latency=0.08,
             depot_access_bandwidth=mbps(50.0), tcp_window=256 * 1024,
             block_size=2048,
-            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
             max_streams=8, staging_concurrency=24, staging_streams=12,
             prefetch_policy="all-neighbors",
         ),
@@ -113,7 +108,6 @@ def run_crossing():
             wan_bandwidth=gbps(2.0), wan_latency=0.08,
             depot_access_bandwidth=mbps(400.0), tcp_window=64 * 1024,
             block_size=16 * 1024,
-            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
             staging_concurrency=16, staging_streams=4,
             prefetch_policy="all-neighbors",
         ),

@@ -18,7 +18,6 @@ processes.
 import pytest
 
 from repro.analysis.determinism import (
-    MODELED_CPU_SECONDS_PER_BYTE,
     compare_fingerprints,
     sharded_fingerprint,
 )
@@ -68,7 +67,6 @@ def _source():
 
 
 def _config(n_clients, **base_kw):
-    base_kw.setdefault("cpu_seconds_per_byte", MODELED_CPU_SECONDS_PER_BYTE)
     return MultiClientConfig(
         base=SessionConfig(case=3, n_accesses=6, trace_seed=11, **base_kw),
         n_clients=n_clients,
@@ -158,6 +156,25 @@ class TestWorkerEquivalence:
                                 workers=2, resolution=32, n_accesses=6),
         )
         assert report.ok, report.render()
+
+
+    def test_default_config_needs_no_knob_to_agree(self):
+        """Worker processes and the sequential loop agree on every latency
+        bit with the library's default ``SessionConfig``."""
+        source = _source()
+        config = MultiClientConfig(
+            base=SessionConfig(case=3, n_accesses=6), n_clients=8)
+        runs = [
+            run_sharded_session(source, config, n_shards=4, workers=workers)
+            for workers in (1, 2)
+        ]
+        latencies = [
+            [a.total_latency.hex() for m in run.per_client
+             for a in m.accesses]
+            for run in runs
+        ]
+        assert latencies[0] == latencies[1]
+        assert len(latencies[0]) == 8 * 6
 
 
 class TestFailures:

@@ -19,7 +19,6 @@ import time
 import pytest
 
 from repro.analysis.determinism import (
-    MODELED_CPU_SECONDS_PER_BYTE,
     compare_fingerprints,
     sharded_fingerprint,
 )
@@ -137,9 +136,7 @@ def _source():
 
 def _config(n_clients, cross, **kw):
     return MultiClientConfig(
-        base=SessionConfig(
-            case=3, n_accesses=6, trace_seed=11,
-            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE),
+        base=SessionConfig(case=3, n_accesses=6, trace_seed=11),
         n_clients=n_clients, seed_stride=101, start_stagger=0.25,
         cross_shard_fraction=cross, **kw)
 

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lon.shard import run_sharded_session
 from repro.obs import LogHistogram, fleet_health, merged_histogram_state
@@ -25,9 +24,7 @@ def _source():
 def _config(n_clients=8, tracing=True, n_accesses=8):
     return MultiClientConfig(
         base=SessionConfig(
-            case=3, n_accesses=n_accesses, trace_seed=7,
-            cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE,
-            tracing=tracing,
+            case=3, n_accesses=n_accesses, trace_seed=7, tracing=tracing,
         ),
         n_clients=n_clients, seed_stride=101, start_stagger=0.25,
     )

@@ -1,11 +1,15 @@
 """Focused tests for the client console's residency and access logic."""
 
+import numpy as np
 import pytest
 
+from repro.lightfield.compression import codec_for_payload
 from repro.lightfield.lattice import CameraLattice
 from repro.lightfield.source import SyntheticSource
+from repro.lightfield.viewset import ViewSet
+from repro.streaming import client as client_module
 from repro.streaming.metrics import AccessSource
-from repro.streaming.session import SessionConfig, build_rig
+from repro.streaming.session import SessionConfig, build_rig, run_session
 from repro.streaming.trace import CursorSample, CursorTrace
 
 
@@ -64,7 +68,69 @@ class TestClientResidency:
         with pytest.raises(ValueError):
             build_rig(source, SessionConfig(case=1, resident_capacity=0))
         with pytest.raises(ValueError):
-            build_rig(source, SessionConfig(case=1, cpu_scale=0.0))
+            build_rig(source,
+                      SessionConfig(case=1, cpu_seconds_per_byte=-1e-9))
+        # free inflation is a legal model
+        build_rig(source, SessionConfig(case=1, cpu_seconds_per_byte=0.0))
+
+
+class TestDecodeOnDemand:
+    """The console holds payloads; pixels exist only once asked for."""
+
+    def test_get_resident_decodes_once_and_keeps_the_object(self, rig):
+        lattice = rig.client.lattice
+        rig.client.schedule_trace(samples_for_keys(lattice, [(1, 2)]))
+        rig.queue.run_until(60.0)
+        first = rig.client.get_resident((1, 2))
+        assert rig.client.get_resident((1, 2)) is first
+        payload = rig.server_agent.source.payload((1, 2))
+        expected, _ = codec_for_payload(payload).decompress(payload)
+        assert np.array_equal(first.images, expected.images)
+
+    def test_eviction_drops_payloads_that_were_never_decoded(
+            self, monkeypatch):
+        inflated = []
+
+        def counting(payload):
+            inflated.append(len(payload))
+            return codec_for_payload(payload)
+
+        monkeypatch.setattr(client_module, "codec_for_payload", counting)
+        lattice = CameraLattice(n_theta=6, n_phi=12, l=3)
+        source = SyntheticSource(lattice, resolution=32)
+        rig = build_rig(source, SessionConfig(case=1, resident_capacity=2))
+        rig.client.schedule_trace(samples_for_keys(
+            lattice, [(0, 0), (0, 1), (0, 2)], period=3.0))
+        rig.queue.run_until(60.0)
+        assert rig.client.resident_keys() == [(0, 1), (0, 2)]
+        assert rig.client.get_resident((0, 0)) is None
+        assert inflated == []
+        assert rig.client.get_resident((0, 2)).key == (0, 2)
+        assert len(inflated) == 1
+
+    def test_reading_pixels_does_not_move_simulated_time(self):
+        """A run whose every cursor sample reads the current pixels fires
+        the same events at the same times as one that never decodes."""
+        lattice = CameraLattice(n_theta=6, n_phi=12, l=3)
+        source = SyntheticSource(lattice, resolution=32)
+
+        def run(read_pixels: bool):
+            decoded, rigs = [], []
+
+            def hook(rig):
+                rigs.append(rig)
+                if read_pixels:
+                    rig.client.on_cursor = lambda key: decoded.append(
+                        rig.client.get_resident(key))
+
+            m = run_session(source, SessionConfig(case=1, n_accesses=12),
+                            rig_hook=hook)
+            return ([a.total_latency.hex() for a in m.accesses],
+                    rigs[0].queue.fired_total, decoded)
+
+        plain, reading = run(False), run(True)
+        assert reading[:2] == plain[:2]
+        assert any(isinstance(vs, ViewSet) for vs in reading[2])
 
 
 class TestAccessAccounting:

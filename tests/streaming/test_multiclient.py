@@ -12,7 +12,12 @@ from repro.lightfield.source import SyntheticSource
 from repro.streaming.client import Client
 from repro.streaming.metrics import AccessSource, SessionMetrics
 from repro.streaming.prefetch import NoPrefetchPolicy
-from repro.streaming.session import SessionConfig, build_rig
+from repro.streaming.session import (
+    LAN_BANDWIDTH,
+    LAN_LATENCY,
+    SessionConfig,
+    build_rig,
+)
 from repro.streaming.trace import CursorSample, CursorTrace
 
 
@@ -22,8 +27,7 @@ def shared_rig():
     source = SyntheticSource(lattice, resolution=32)
     rig = build_rig(source, SessionConfig(case=2))
     # a second console on the same LAN, brokered by the same agent
-    rig.network.add_link("client2", "lan-switch",
-                         rig.config.lan_bandwidth, rig.config.lan_latency)
+    rig.network.add_link("client2", "lan-switch", LAN_BANDWIDTH, LAN_LATENCY)
     metrics2 = SessionMetrics(case_name="client2", resolution=32)
     client2 = Client(
         node="client2",
@@ -72,8 +76,7 @@ class TestMultiClient:
             source, SessionConfig(case=2, prefetch_policy="none")
         )
         rig.network.add_link("client2", "lan-switch",
-                             rig.config.lan_bandwidth,
-                             rig.config.lan_latency)
+                             LAN_BANDWIDTH, LAN_LATENCY)
         metrics2 = SessionMetrics(case_name="client2", resolution=32)
         client2 = Client(
             node="client2", queue=rig.queue, network=rig.network,

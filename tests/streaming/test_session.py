@@ -104,16 +104,15 @@ class TestSessionKnobs:
         assert nopf.hit_rate() <= base.hit_rate()
         assert nopf.wan_rate() >= base.wan_rate()
 
-    def test_cpu_scale_inflates_latency(self, source):
+    def test_cpu_seconds_per_byte_inflates_latency(self, source):
         slow = run_session(
             source,
-            SessionConfig(case=1, n_accesses=15, trace_seed=5,
-                          cpu_scale=50.0),
+            SessionConfig(
+                case=1, n_accesses=15, trace_seed=5,
+                cpu_seconds_per_byte=50 * SessionConfig().cpu_seconds_per_byte),
         )
         fast = run_session(
-            source,
-            SessionConfig(case=1, n_accesses=15, trace_seed=5,
-                          cpu_scale=1.0),
+            source, SessionConfig(case=1, n_accesses=15, trace_seed=5),
         )
         assert slow.mean_latency() > fast.mean_latency()
 

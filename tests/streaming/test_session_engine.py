@@ -10,7 +10,6 @@ names, the ``config.trace`` override, per-console scheduler counts.
 
 import pytest
 
-from repro.analysis.determinism import MODELED_CPU_SECONDS_PER_BYTE
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lon.shard import run_sharded_session
 from repro.streaming import (
@@ -31,9 +30,7 @@ def _source():
 
 
 def _config(case, **kw):
-    return SessionConfig(
-        case=case, n_accesses=10,
-        cpu_seconds_per_byte=MODELED_CPU_SECONDS_PER_BYTE, **kw)
+    return SessionConfig(case=case, n_accesses=10, **kw)
 
 
 def _observed(events_fired, metrics):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.lightfield.lattice import CameraLattice
 from repro.lightfield.source import SyntheticSource
+from repro.streaming.client import CPU_SECONDS_PER_BYTE
 from repro.streaming.metrics import AccessSource, SessionMetrics
 from repro.streaming.session import SessionConfig, build_rig
 from repro.streaming.timevarying import (
@@ -102,6 +103,9 @@ class TestTemporalSession:
         assert vids[0] == "t0:vs-1-2"
         assert "t1:vs-1-2" in vids
         assert "t2:vs-1-2" in vids
+        # arriving bytes are priced as the static client prices them
+        assert metrics.accesses[0].decompress_seconds == (
+            len(tv_source.payload(0, (1, 2))) * CPU_SECONDS_PER_BYTE)
 
     def test_temporal_prefetch_hides_animation_latency(self, tv_source,
                                                        lattice):
