@@ -2,10 +2,11 @@
 
 Every flow arrival/departure/pause is a rebalance trigger; the network's
 incremental rebalancer bounds each one to the affected link/flow component,
-coalesces same-instant triggers, epsilon-gates event rescheduling,
-vectorizes large water-filling passes — and, in the window-capped steady
-state the scaling ladder lives in, skips the flush entirely
-(``fast_rated``).
+coalesces same-instant triggers, hands the component to the rate kernel
+(``repro.lon.rates``: loop fill below 24 flows, numpy fill from there up —
+timed on its own by ``bench_rate_kernel.py``), epsilon-gates event
+rescheduling — and, in the window-capped steady state the scaling ladder
+lives in, skips the flush entirely (``fast_rated``).
 
 The four regimes — **scaling** (fleet-size ladder), **contended** (a thin
 40 Mb/s WAN with big windows, lighting up the flush/coalesce/vectorize
@@ -19,7 +20,9 @@ and asserts on the merged ``BENCH_scale.json``:
 * every fleet size delivers every access, and every trigger either flushed
   a dirty component or was absorbed by the quiet-link fast path;
 * the contended regime exercises the vectorized fill, trigger coalescing
-  and batched admission (all counters > 0);
+  and batched admission (all counters > 0), and its row carries the three
+  counters that explain its cost (``component_flows``, ``flows_rerated``,
+  ``events_rescheduled``: flows per flush, reschedules per fired event);
 * sharding and crossing preserve the workload, and crossing traffic costs
   at most 1.5x the link-disjoint CPU seconds;
 * the sharded curve reaches 100k events/s — or, on hosts too slow for
@@ -77,6 +80,9 @@ def test_multiclient_scaling(report):
         f"  wall={w['wall_s']:.4f}s ev/s={w['events_per_second']:.0f} "
         f"recomputes={st['recomputes']} "
         f"vectorized={st['vectorized']} coalesced={st['coalesced']} "
+        f"flows/flush={st['component_flows'] / st['recomputes']:.1f} "
+        f"reschedules/event="
+        f"{st['events_rescheduled'] / st['events_fired']:.2f} "
         f"adm_batches={st['admission_batches_flushed']} "
         f"adm_coalesced={st['admission_submissions_coalesced']} "
         f"adm_scalar={st['admission_scalar_fallbacks']}"
@@ -125,6 +131,9 @@ def test_multiclient_scaling(report):
     assert contended["admission_batches_flushed"] > 0, (
         "admission batching is dead")
     assert contended["admission_submissions_coalesced"] > 0
+    # ... and the row explains its own cost
+    assert doc["contended"]["component_flows"] > 0
+    assert doc["contended"]["events_rescheduled"] > 0
 
     # cross-shard axis: every fraction still delivers the whole workload;
     # crossing fractions exchanged boundary loads at the barrier

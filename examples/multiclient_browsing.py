@@ -77,8 +77,7 @@ def main() -> None:
           f"{agg['events_per_second']:.0f} events/s)")
     print(f"rebalancer: {agg['rebalance_recomputes']} flush passes "
           f"({agg['rebalance_coalesced']} triggers coalesced, "
-          f"{agg['rebalance_vectorized']} vectorized, "
-          f"{agg['rebalance_all_capped']} all-capped), "
+          f"{agg['rebalance_vectorized']} vectorized), "
           f"{agg['rebalance_fast_rated']} quiet-link triggers absorbed, "
           f"{agg['queue_compactions']} heap compactions")
 

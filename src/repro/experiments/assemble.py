@@ -265,7 +265,8 @@ def assemble_observability(
 # BENCH_scale.json
 # ----------------------------------------------------------------------
 _CONTENDED_KEYS = ("accesses", "events_fired", "recomputes", "vectorized",
-                   "coalesced", "admission_batches_flushed",
+                   "coalesced", "component_flows", "flows_rerated",
+                   "events_rescheduled", "admission_batches_flushed",
                    "admission_submissions_coalesced",
                    "admission_scalar_fallbacks")
 

@@ -355,6 +355,26 @@ def _section_scale(doc: BenchDoc) -> str:
         })
     parts = [_rows_table(rows, columns=[
         "N", "events", "sim s", "wall s", "events/s"])]
+    contended = doc.get("contended")
+    if isinstance(contended, Mapping) and "events_rescheduled" in contended:
+        # where a bandwidth-limited fleet's host time goes: how many flows
+        # each flush re-rates, and how many completion events that
+        # re-arms per event that actually fires (DESIGN.md section 10)
+        tiers = wall.get("contended", {})
+        assert isinstance(tiers, Mapping)
+        w = tiers.get(str(contended.get("n_clients")), {})
+        assert isinstance(w, Mapping)
+        fired = contended["events_fired"]
+        flushes = contended["recomputes"]
+        parts.append("")
+        parts.append(md_table(
+            ["contended N", "events", "flushes", "flows/flush",
+             "reschedules/event", "wall s", "events/s"],
+            [[contended.get("n_clients"), fired, flushes,
+              round(contended["component_flows"] / flushes, 1),
+              round(contended["events_rescheduled"] / fired, 2),
+              w.get("wall_s"), w.get("events_per_second")]],
+        ))
     for key, label in (("sharded", "shards"),
                        ("cross_shard", "cross-shard fraction")):
         tiers = wall.get(key)

@@ -726,7 +726,9 @@ def multiclient_point(regime: str, n_clients: int, seed: int = 7) -> Row:
         "coalesced": reb["coalesced"],
         "vectorized": reb["vectorized"],
         "fast_rated": reb["fast_rated"],
-        "all_capped": reb["all_capped"],
+        "component_flows": reb["component_flows"],
+        "flows_rerated": reb["flows_rerated"],
+        "events_rescheduled": reb["events_rescheduled"],
         "queue_compactions": agg["queue_compactions"],
         WALL_CLOCK_KEY: {
             "wall_s": round(result.wall_seconds, 4),

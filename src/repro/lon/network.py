@@ -27,17 +27,18 @@ serialization time at the allocated rate``.
 
 Re-rating is incremental.  Per-link flow membership is tracked; a change
 marks its links dirty, triggers at the same timestamp coalesce into one
-recompute (a flush event), water-filling runs only over the connected
-component of links/flows reachable from the dirty set (all-capped shortcut,
-scalar fill, or the numpy incidence-matrix fill from
-:data:`VECTORIZE_MIN_FLOWS` flows up), and completion events are
-rescheduled only for flows whose rate moved beyond :data:`RATE_EPSILON`.
-A trigger whose links all keep TCP-window cap-sum headroom skips the flush
-entirely (the quiet-link fast path).  Rates and completion events are
-authoritative once :meth:`Network.flush` has run — which happens
-automatically before any event at a later timestamp fires; synchronous
-callers inspecting ``Flow.rate`` right after a change should call
-``flush()`` first.
+recompute (a flush event), and the flush hands only the connected component
+of links/flows reachable from the dirty set to the rate kernel
+(:func:`repro.lon.rates.maxmin_rates`: link capacities, per-flow row-id
+paths, weights and TCP-window ceilings in, rates out — this class is the
+flow table around it and computes no allocation itself).  Completion events
+are rescheduled only for flows whose rate moved beyond
+:data:`RATE_EPSILON`.  A trigger whose links all keep TCP-window cap-sum
+headroom skips the flush entirely (the quiet-link fast path).  Rates and
+completion events are authoritative once :meth:`Network.flush` has run —
+which happens automatically before any event at a later timestamp fires;
+synchronous callers inspecting ``Flow.rate`` right after a change should
+call ``flush()`` first.
 
 The whole-network recompute this design is proven against lives test-side
 (``tests/lon/reference_network.py``); there is no mode or threshold option.
@@ -62,6 +63,7 @@ from typing import (
 import networkx as nx
 import numpy as np
 
+from .rates import maxmin_rates
 from .simtime import Event, EventQueue
 
 __all__ = [
@@ -73,7 +75,6 @@ __all__ = [
     "RebalanceStats",
     "AdmissionPlan",
     "RATE_EPSILON",
-    "VECTORIZE_MIN_FLOWS",
     "mbps",
     "gbps",
 ]
@@ -81,11 +82,6 @@ __all__ = [
 #: relative rate change below which a flow keeps its completion event (the
 #: drain check self-corrects sub-epsilon drift in either direction)
 RATE_EPSILON = 1e-9
-
-#: component size (flows) from which water-filling takes the numpy
-#: incidence-matrix path: indistinguishable from the scalar fill at ~70
-#: flows/flush, 10-45 % faster at ~350 (DESIGN.md section 10)
-VECTORIZE_MIN_FLOWS = 24
 
 
 def mbps(x: float) -> float:
@@ -104,6 +100,10 @@ class NetworkError(RuntimeError):
 
 class NoRouteError(NetworkError):
     """No path exists between the requested endpoints."""
+
+
+#: (path link keys, one-way propagation latency, link row ids)
+_ResolvedPath = Tuple[Tuple[FrozenSet[str], ...], float, Tuple[int, ...]]
 
 
 @dataclass
@@ -159,6 +159,11 @@ class Flow:
     fid: int = field(default=-1, init=False)
     rate_cap: float = float("inf")  # TCP window / RTT ceiling
     weight: float = 1.0             # share of weighted max-min fairness
+    #: ``path_links`` as stable rows of the network's link table: what the
+    #: membership sets, the component walk and the rate kernel key on (int
+    #: hashing beats frozenset hashing); ``path_links`` stays the public
+    #: identity.  Immutable, like the path and the table rows themselves.
+    link_row_ids: Tuple[int, ...] = field(default=(), repr=False)
     remaining: float = field(init=False)
     rate: float = field(default=0.0, init=False)
     last_update: float = field(default=0.0, init=False)
@@ -175,17 +180,6 @@ class Flow:
     #: record — starting/cancelling flows from the hook is undefined.
     on_rate_change: Optional[Callable[["Flow", float], None]] = field(
         default=None, init=False
-    )
-    #: cached numpy row indices of path_links in the network's global link
-    #: table (filled lazily by the vectorized water-fill; never changes
-    #: because a flow's path and the link table rows are both immutable)
-    link_rows: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False
-    )
-    #: same rows as a plain int tuple, used by the membership/BFS
-    #: bookkeeping where int hashing beats frozenset hashing
-    link_row_ids: Optional[Tuple[int, ...]] = field(
-        default=None, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -214,9 +208,9 @@ class RebalanceStats:
     component_flows: int = 0     # flows water-filled by flush passes
     flows_rerated: int = 0       # flows whose allocated rate changed
     events_rescheduled: int = 0  # completion events cancelled + reissued
-    vectorized: int = 0          # recomputes that took the numpy path
-    all_capped: int = 0          # recomputes resolved by the window-cap
-                                 # fast path (no water-filling rounds)
+    vectorized: int = 0          # recomputes that took the numpy fill
+    all_capped: int = 0          # always 0 (the all-capped pre-pass is gone);
+                                 # perf/layers.py reads the field by name
     fast_rated: int = 0          # triggers absorbed without any flush: the
                                  # flow's links all had cap-sum headroom
 
@@ -248,8 +242,7 @@ class AdmissionPlan:
 
     __slots__ = (
         "net", "items", "vector_ok", "degraded",
-        "_links", "_props", "_caps", "_etas",
-        "_row_ids", "_row_arrs", "_quiet_flags",
+        "_links", "_props", "_caps", "_etas", "_row_ids", "_quiet_flags",
     )
 
     def __init__(self, net: "Network",
@@ -263,7 +256,6 @@ class AdmissionPlan:
         self._caps: List[float] = []
         self._etas: List[float] = []
         self._row_ids: List[Tuple[int, ...]] = []
-        self._row_arrs: List[np.ndarray] = []
         self._quiet_flags: Optional[np.ndarray] = None
 
     def skip(self) -> None:
@@ -290,14 +282,12 @@ class AdmissionPlan:
                                 on_fail=on_fail, label=label, weight=weight)
         now = net.queue.now
         flow = Flow(src, dst, size, self._links[j], on_complete, on_fail,
-                    label, weight=weight)
+                    label, rate_cap=self._caps[j], weight=weight,
+                    link_row_ids=self._row_ids[j])
         flow.fid = next(net._fid_counter)
         flow.start_time = now
         flow.last_update = now
         flow.prop_latency = self._props[j]
-        flow.rate_cap = self._caps[j]
-        flow.link_row_ids = self._row_ids[j]
-        flow.link_rows = self._row_arrs[j]
         net._flows[flow.fid] = flow
         net._admit(flow)
         if self.degraded:
@@ -353,21 +343,11 @@ class Network:
         self._flows: Dict[int, Flow] = {}
         self._fid_counter = itertools.count()
         self._route_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        # (path links, propagation latency) per endpoint pair: transfer()
-        # and rpc_delay() resolve their whole path in one dict hit instead
-        # of re-walking link objects per call
-        self._path_cache: Dict[
-            Tuple[str, str], Tuple[Tuple[FrozenSet[str], ...], float]
-        ] = {}
-        # admission-plan per-pair cache: (path links, propagation latency,
-        # TCP-window rate cap, link row ids, row-id ndarray).  Everything
-        # here is route- and window-derived (never load-derived), so it
-        # invalidates exactly with the path cache.
-        self._plan_cache: Dict[
-            Tuple[str, str],
-            Tuple[Tuple[FrozenSet[str], ...], float, float,
-                  Tuple[int, ...], np.ndarray],
-        ] = {}
+        # (path links, propagation latency, link row ids) per endpoint
+        # pair: transfer(), admission_plan() and rpc_delay() resolve their
+        # whole path in one dict hit instead of re-walking link objects per
+        # call.  Route-derived only, so it invalidates with the route cache.
+        self._path_cache: Dict[Tuple[str, str], _ResolvedPath] = {}
         # rebalance state: link row -> ids of *contending* flows
         # (admitted, not paused, not drained), the dirty row seeds,
         # and the pending same-timestamp flush.  Links are identified by
@@ -376,12 +356,12 @@ class Network:
         self._members: Dict[int, Set[int]] = {}
         self._dirty: Set[int] = set()
         self._flush_event: Optional[Event] = None
-        # stable global link rows for the vectorized water-fill: each link
-        # key gets a permanent row index and a bandwidth slot, so per-call
-        # incidence construction is pure numpy indexing
+        # stable global link rows: each link key gets a permanent row
+        # index and an *effective* bandwidth slot (physical minus any
+        # cross-shard remote load) — the capacity table the rate kernel
+        # reads
         self._row_of: Dict[FrozenSet[str], int] = {}
         self._row_bw: List[float] = []
-        self._row_bw_arr: Optional[np.ndarray] = None
         # per-row admission accounting for the quiet fast path: the sum of
         # member TCP-window ceilings, the number of uncapped members, and
         # whether the row could possibly constrain anyone ("over": some
@@ -409,7 +389,6 @@ class Network:
         self.graph.add_edge(a, b, latency=latency)
         self._route_cache.clear()
         self._path_cache.clear()
-        self._plan_cache.clear()
         row = self._row_of.get(link.key)
         if row is None:
             self._row_of[link.key] = len(self._row_bw)
@@ -423,7 +402,6 @@ class Network:
                 self._row_unc[row] > 0
                 or self._row_capload[row] > link.bandwidth
             )
-        self._row_bw_arr = None
         return link
 
     def link_between(self, a: str, b: str) -> Link:
@@ -445,7 +423,6 @@ class Network:
         link.up = up
         self._route_cache.clear()
         self._path_cache.clear()
-        self._plan_cache.clear()
         if up:
             self.graph.add_edge(a, b, latency=link.latency)
         else:
@@ -472,15 +449,14 @@ class Network:
         self._route_cache[key] = path
         return path
 
-    def _resolve_path(
-        self, src: str, dst: str
-    ) -> Tuple[Tuple[FrozenSet[str], ...], float]:
-        """(path link keys, one-way propagation latency), cached.
+    def _resolve_path(self, src: str, dst: str) -> _ResolvedPath:
+        """(path link keys, one-way propagation latency, link row ids),
+        cached.
 
-        transfer() and rpc_delay() both need the same two facts about an
-        endpoint pair; resolving them through one dict hit keeps the
-        per-call cost off the hot path (the cache is invalidated with the
-        route cache on any topology change).
+        transfer(), admission_plan() and rpc_delay() need the same facts
+        about an endpoint pair; resolving them through one dict hit keeps
+        the per-call cost off the hot path (the cache is invalidated with
+        the route cache on any topology change).
         """
         key = (src, dst)
         hit = self._path_cache.get(key)
@@ -496,7 +472,7 @@ class Network:
         latency = 0.0
         for lk in links:
             latency += self._links[lk].latency
-        entry = (links, latency)
+        entry = (links, latency, tuple(self._row_of[lk] for lk in links))
         self._path_cache[key] = entry
         return entry
 
@@ -523,20 +499,26 @@ class Network:
         water-filling rounds down).
         """
         self.flush()
-        inf = float("inf")
         out: Dict[Tuple[str, str], float] = {}
         for key, link in self._links.items():
             if not link.up:
                 out[(link.a, link.b)] = 0.0
                 continue
-            load = 0.0
-            # sorted: float accumulation order must not depend on set order
-            for fid in sorted(self._members.get(self._row_of[key], ())):
-                rate = self._flows[fid].rate
-                if 0 < rate < inf:
-                    load += rate
+            load = self._row_load(self._row_of[key])
             out[(link.a, link.b)] = min(1.0, load / link.bandwidth)
         return out
+
+    def _row_load(self, row: int) -> float:
+        """Allocated rate over one link row (bytes/s), as of the last
+        flush."""
+        inf = float("inf")
+        load = 0.0
+        # sorted: float accumulation order must not depend on set order
+        for fid in sorted(self._members.get(row, ())):
+            rate = self._flows[fid].rate
+            if 0 < rate < inf:
+                load += rate
+        return load
 
     # ------------------------------------------------------------------
     # cross-shard boundary links
@@ -559,14 +541,7 @@ class Network:
         if key not in self._links:
             return 0.0
         self.flush()
-        inf = float("inf")
-        load = 0.0
-        # sorted: float accumulation order must not depend on set order
-        for fid in sorted(self._members.get(self._row_of[key], ())):
-            rate = self._flows[fid].rate
-            if 0 < rate < inf:
-                load += rate
-        return load
+        return self._row_load(self._row_of[key])
 
     def set_remote_load(self, a: str, b: str, load: float) -> None:
         """Reserve remote (cross-shard) load on a boundary link.
@@ -590,7 +565,6 @@ class Network:
         if eff == self._row_bw[row]:
             return
         self._row_bw[row] = eff
-        self._row_bw_arr = None
         self._row_over[row] = (
             self._row_unc[row] > 0 or self._row_capload[row] > eff
         )
@@ -645,9 +619,9 @@ class Network:
             )
             return flow
 
-        links, prop_latency = self._resolve_path(src, dst)
+        links, prop_latency, rows = self._resolve_path(src, dst)
         flow = Flow(src, dst, size, links, on_complete, on_fail, label,
-                    weight=weight)
+                    weight=weight, link_row_ids=rows)
         flow.fid = next(self._fid_counter)
         flow.start_time = now
         flow.last_update = now
@@ -665,7 +639,7 @@ class Network:
             self.stats.fast_rated += 1
             self._reschedule(flow, now)
         else:
-            self._poke(self._rows_for(flow))
+            self._poke(rows)
         return flow
 
     def admission_plan(
@@ -686,36 +660,23 @@ class Network:
         n = len(plan.items)
         if n == 0 or self.tcp_window is None:
             return plan
-        # per-pair plan cache: path, propagation, TCP rate cap and link
-        # rows resolve once per (src, dst) across *all* batches (the
-        # common case — one batch drains one depot, and depots recur).
-        # The cap is the exact scalar expression so cached and uncached
-        # admissions stay bit-equal.
-        plan_cache = self._plan_cache
         links_list: List[Tuple[FrozenSet[str], ...]] = []
         props: List[float] = []
         caps_list: List[float] = []
         row_ids: List[Tuple[int, ...]] = []
-        row_arrs: List[np.ndarray] = []
         for src, dst, size in plan.items:
             if src == dst or size < 0:
                 return plan
-            pair = (src, dst)
-            hit = plan_cache.get(pair)
-            if hit is None:
-                try:
-                    links, prop = self._resolve_path(src, dst)
-                except NoRouteError:
-                    return plan
-                ids = tuple(self._row_of[lk] for lk in links)
-                cap = self.tcp_window / max(2.0 * prop, 1e-6)
-                hit = (links, prop, cap, ids, np.array(ids, dtype=np.intp))
-                plan_cache[pair] = hit
-            links_list.append(hit[0])
-            props.append(hit[1])
-            caps_list.append(hit[2])
-            row_ids.append(hit[3])
-            row_arrs.append(hit[4])
+            try:
+                links, prop, rows = self._resolve_path(src, dst)
+            except NoRouteError:
+                return plan
+            links_list.append(links)
+            props.append(prop)
+            # the exact scalar expression of transfer(), per item, so
+            # planned and scalar admissions stay bit-equal
+            caps_list.append(self.tcp_window / max(2.0 * prop, 1e-6))
+            row_ids.append(rows)
         # initial rate seeding: the scalar expressions, elementwise
         caps = np.array(caps_list, dtype=float)
         sizes = np.fromiter(
@@ -759,7 +720,6 @@ class Network:
         plan._props = props
         plan._caps = caps_list
         plan._row_ids = row_ids
-        plan._row_arrs = row_arrs
         plan.vector_ok = True
         return plan
 
@@ -777,7 +737,7 @@ class Network:
             if quiet:
                 self.stats.fast_rated += 1
             else:
-                self._poke(self._rows_for(flow))
+                self._poke(flow.link_row_ids)
 
     def pause_flow(self, flow: Flow) -> None:
         """Take a flow out of bandwidth contention, keeping its progress.
@@ -806,7 +766,7 @@ class Network:
         if quiet:
             self.stats.fast_rated += 1
         else:
-            self._poke(self._rows_for(flow))
+            self._poke(flow.link_row_ids)
 
     def resume_flow(self, flow: Flow) -> None:
         """Re-admit a paused flow to bandwidth contention."""
@@ -825,7 +785,7 @@ class Network:
                 flow.on_rate_change(flow, 0.0)
             self._reschedule(flow, self.queue.now)
         else:
-            self._poke(self._rows_for(flow))
+            self._poke(flow.link_row_ids)
 
     def set_flow_weight(self, flow: Flow, weight: float) -> None:
         """Change a flow's fair-share weight mid-transfer (re-rates peers)."""
@@ -840,18 +800,9 @@ class Network:
                 # weight: nothing to re-rate
                 self.stats.fast_rated += 1
             else:
-                self._poke(self._rows_for(flow))
+                self._poke(flow.link_row_ids)
 
     # -- rebalance bookkeeping -------------------------------------------
-    def _rows_for(self, flow: Flow) -> Tuple[int, ...]:
-        """The flow's path as stable link-table row ids (cached)."""
-        rows = flow.link_row_ids
-        if rows is None:
-            row_of = self._row_of
-            rows = tuple(row_of[lk] for lk in flow.path_links)
-            flow.link_row_ids = rows
-        return rows
-
     def _admit(self, flow: Flow) -> None:
         """Add a contending flow to its links' membership sets."""
         fid = flow.fid
@@ -860,7 +811,7 @@ class Network:
         capload, unc, over, bw = (
             self._row_capload, self._row_unc, self._row_over, self._row_bw,
         )
-        for row in self._rows_for(flow):
+        for row in flow.link_row_ids:
             self._members.setdefault(row, set()).add(fid)
             if finite:
                 capload[row] += cap
@@ -869,26 +820,33 @@ class Network:
             over[row] = unc[row] > 0 or capload[row] > bw[row]
 
     def _expel(self, flow: Flow) -> None:
-        """Drop a flow from membership (paused, drained or gone)."""
+        """Drop a flow from membership (paused, drained or gone).
+
+        Only rows the flow is actually a member of are touched: a paused
+        flow was expelled when it paused, and cancelling or failing it
+        must not take its ceiling off the row accounting a second time.
+        (Membership, not ``flow.paused``: a flow paused in the instant it
+        drained is still a member until it retires.)
+        """
         fid = flow.fid
         cap = flow.rate_cap
         finite = cap != float("inf")
         capload, unc, over, bw = (
             self._row_capload, self._row_unc, self._row_over, self._row_bw,
         )
-        for row in self._rows_for(flow):
+        for row in flow.link_row_ids:
             fids = self._members.get(row)
-            if fids is not None:
-                fids.discard(fid)
-                if not fids:
-                    del self._members[row]
-            if finite:
+            if fids is None or fid not in fids:
+                continue
+            fids.remove(fid)
+            if not fids:
+                del self._members[row]
+                capload[row] = 0.0  # idle row: shed any float drift
+                unc[row] = 0
+            elif finite:
                 capload[row] -= cap
             else:
                 unc[row] -= 1
-            if row not in self._members:
-                capload[row] = 0.0  # idle row: shed any float drift
-                unc[row] = 0
             over[row] = unc[row] > 0 or capload[row] > bw[row]
 
     def _quiet(self, flow: Flow) -> bool:
@@ -902,7 +860,7 @@ class Network:
         is what proves nobody was constrained) and *after* an admit.
         """
         row_over = self._row_over
-        for row in self._rows_for(flow):
+        for row in flow.link_row_ids:
             if row_over[row]:
                 return False
         return True
@@ -990,10 +948,15 @@ class Network:
                 self._retire(f)
             else:
                 live.append(f)
-        rates = self._component_rates(live)
+        rates, vectorized = maxmin_rates(
+            self._row_bw,
+            [f.link_row_ids for f in live],
+            [f.weight for f in live],
+            [f.rate_cap for f in live],
+        )
+        self.stats.vectorized += vectorized
         eps = RATE_EPSILON
-        for f in live:
-            new = rates.get(f.fid, 0.0)
+        for f, new in zip(live, rates):
             old = f.rate
             if new != old:
                 self._settle_flow(f, now)
@@ -1043,194 +1006,6 @@ class Network:
         )
         self.stats.events_rescheduled += 1
 
-    # -- water-filling ----------------------------------------------------
-    def _component_rates(self, flows: List[Flow]) -> Dict[int, float]:
-        """Weighted max-min fair rates for one closed component."""
-        capped = self._rates_all_capped(flows)
-        if capped is not None:
-            return capped
-        if len(flows) >= VECTORIZE_MIN_FLOWS:
-            self.stats.vectorized += 1
-            return self._rates_vectorized(flows)
-        return self._rates_scalar(flows)
-
-    def _rates_all_capped(
-        self, flows: List[Flow]
-    ) -> Optional[Dict[int, float]]:
-        """Fast path: every flow pinned at its TCP-window ceiling.
-
-        When each flow has a finite ``rate_cap`` and no physical link is
-        oversubscribed even with every member at its cap, max-min fairness
-        assigns exactly ``rate_cap`` to everyone (each virtual cap link
-        saturates before any shared link does).  This is the steady state
-        of a well-provisioned WAN with window-limited streams — detecting
-        it costs one pass over the component, no water-filling rounds.
-        """
-        inf = float("inf")
-        load: Dict[int, float] = {}
-        for f in flows:
-            cap = f.rate_cap
-            if cap == inf:
-                return None
-            rows = f.link_row_ids
-            if rows is None:
-                rows = self._rows_for(f)
-            for row in rows:
-                load[row] = load.get(row, 0.0) + cap
-        row_bw = self._row_bw
-        for row, total in load.items():
-            if total > row_bw[row]:
-                return None
-        self.stats.all_capped += 1
-        return {f.fid: f.rate_cap for f in flows}
-
-    def _rates_scalar(self, flows: Iterable[Flow]) -> Dict[int, float]:
-        """Water-filling over an explicit flow set (reference path).
-
-        Each bottleneck link's capacity is split proportionally to flow
-        weights; with all weights 1.0 this is the classic equal-share
-        max-min allocation.
-        """
-        active = {f.fid: f for f in flows}
-        weight = {fid: f.weight for fid, f in active.items()}
-        caps: Dict[object, float] = {}
-        members: Dict[object, List[int]] = {}
-        # per-link sum of still-unassigned member weights, maintained
-        # decrementally so level selection is O(links) per round instead
-        # of O(links x members)
-        live_weight: Dict[object, float] = {}
-        for fid, f in active.items():
-            w = weight[fid]
-            for lk in f.path_links:
-                if lk not in caps:
-                    # effective row bandwidth, not Link.bandwidth: every
-                    # water-fill path must see the same capacity,
-                    # including any cross-shard remote-load reservation
-                    caps[lk] = self._row_bw[self._row_of[lk]]
-                    members[lk] = []
-                    live_weight[lk] = 0.0
-                members[lk].append(fid)
-                live_weight[lk] += w
-            if f.rate_cap != float("inf"):
-                # a flow's TCP-window ceiling is a virtual single-flow link
-                # (level = cap/weight, share = level*weight = rate_cap)
-                cap_key = ("cap", fid)
-                caps[cap_key] = f.rate_cap
-                members[cap_key] = [fid]
-                live_weight[cap_key] = w
-        rates: Dict[int, float] = {}
-        unassigned = set(active)
-        while unassigned:
-            # water level currently offered by each constrained link: the
-            # per-unit-weight rate if the link alone were the bottleneck
-            best_level = None
-            for lk, lw in live_weight.items():
-                if lw <= 1e-15:
-                    continue
-                level = caps[lk] / lw
-                if best_level is None or level < best_level:
-                    best_level = level
-            if best_level is None:
-                # remaining flows traverse no capacity-constrained link
-                for fid in unassigned:
-                    rates[fid] = float("inf")
-                break
-            # saturate every link sitting exactly at the water level in one
-            # round: uniform-window uncongested fleets (all levels equal)
-            # then finish in a single pass instead of one round per flow
-            best_links = [
-                lk for lk, lw in live_weight.items()
-                if lw > 1e-15 and caps[lk] / lw == best_level
-            ]
-            for best_link in best_links:
-                for fid in members[best_link]:
-                    if fid not in unassigned:
-                        continue
-                    w = weight[fid]
-                    share = best_level * w
-                    rates[fid] = share
-                    unassigned.discard(fid)
-                    for lk in active[fid].path_links:
-                        if lk != best_link:
-                            caps[lk] = max(0.0, caps[lk] - share)
-                            if lk in live_weight:
-                                live_weight[lk] -= w
-                    cap_key = ("cap", fid)
-                    if cap_key != best_link and cap_key in live_weight:
-                        live_weight[cap_key] = 0.0
-                caps[best_link] = 0.0
-                live_weight.pop(best_link, None)
-                members.pop(best_link, None)
-        return rates
-
-    def _rates_vectorized(self, flows: List[Flow]) -> Dict[int, float]:
-        """Water-filling over a links×flows incidence matrix (numpy).
-
-        Used for large components, where the python inner loop dominates;
-        results match :meth:`_rates_scalar` up to float summation order.
-        """
-        n = len(flows)
-        bw = self._row_bw_arr
-        if bw is None:
-            bw = self._row_bw_arr = np.array(self._row_bw, dtype=float)
-        row_of = self._row_of
-        rows_parts: List[np.ndarray] = []
-        lens = np.empty(n, dtype=np.intp)
-        weights = np.empty(n, dtype=float)
-        flow_caps = np.empty(n, dtype=float)
-        for fi, f in enumerate(flows):
-            r = f.link_rows
-            if r is None:
-                r = np.fromiter(
-                    (row_of[lk] for lk in f.path_links),
-                    dtype=np.intp, count=len(f.path_links),
-                )
-                f.link_rows = r
-            rows_parts.append(r)
-            lens[fi] = len(r)
-            weights[fi] = f.weight
-            flow_caps[fi] = f.rate_cap
-        global_rows = np.concatenate(rows_parts)
-        cols = np.repeat(np.arange(n), lens)
-        uniq, inv = np.unique(global_rows, return_inverse=True)
-        m = len(uniq)
-        # TCP-window ceilings are virtual single-flow links appended below
-        # the physical rows (level = cap/weight, share = rate_cap)
-        capped = np.flatnonzero(np.isfinite(flow_caps))
-        k = len(capped)
-        incidence = np.zeros((m + k, n), dtype=float)
-        incidence[inv, cols] = 1.0
-        caps = bw[uniq]
-        if k:
-            incidence[m + np.arange(k), capped] = 1.0
-            caps = np.concatenate([caps, flow_caps[capped]])
-        live_link = np.ones(m + k, dtype=bool)
-        unassigned = np.ones(n, dtype=bool)
-        rates = np.full(n, np.inf)
-        while unassigned.any():
-            live_weight = incidence @ (weights * unassigned)
-            candidates = live_link & (live_weight > 0)
-            if not candidates.any():
-                break  # leftovers traverse no constrained link: rate inf
-            levels = np.where(
-                candidates,
-                caps / np.where(live_weight > 0, live_weight, 1.0),
-                np.inf,
-            )
-            level = float(levels.min())
-            # every link already sitting at the water level saturates in
-            # this round (uniform-cap fleets collapse to a single pass)
-            bottlenecks = levels == level
-            assigned = (incidence[bottlenecks].any(axis=0)) & unassigned
-            share = level * weights
-            rates[assigned] = share[assigned]
-            caps -= incidence @ np.where(assigned, share, 0.0)
-            np.maximum(caps, 0.0, out=caps)
-            caps[bottlenecks] = 0.0
-            live_link &= ~bottlenecks
-            unassigned &= ~assigned
-        return {f.fid: float(r) for f, r in zip(flows, rates)}
-
     # -- drain / delivery --------------------------------------------------
     def _drain_check(self, flow: Flow) -> None:
         if flow.done or flow.failed:
@@ -1249,7 +1024,7 @@ class Network:
         if quiet:
             self.stats.fast_rated += 1
         else:
-            self._poke(self._rows_for(flow))
+            self._poke(flow.link_row_ids)
 
     def _retire(self, flow: Flow) -> None:
         """Remove a fully drained flow and schedule its delivery."""
@@ -1286,7 +1061,7 @@ class Network:
             if quiet:
                 self.stats.fast_rated += 1
             else:
-                self._poke(self._rows_for(flow))
+                self._poke(flow.link_row_ids)
         if flow.on_fail is not None:
             flow.on_fail(flow, exc)
 

@@ -1,0 +1,177 @@
+"""Weighted max-min fair rates: the rate problem with no simulator in it.
+
+One input form.  ``capacity`` is a table of bandwidths (bytes/second)
+indexed by row id, ``paths`` holds one tuple of row ids per flow,
+``weights`` one positive fair-share weight per flow and ``caps`` one rate
+ceiling per flow (``inf`` = none; in the simulator the TCP window / RTT
+limit).  :func:`maxmin_rates` returns the allocation in flow order.  The
+flows are expected to form a closed component — rows they do not touch are
+never read — but nothing here knows what a flow, a link or an event is.
+
+Both fills run the same water-filling rounds.  Every unsaturated row
+offers a *level*: its remaining capacity per unit of still-unassigned
+member weight.  Every unassigned capped flow offers ``cap / weight``.  The
+lowest offer is the round's water level; every row and ceiling sitting
+exactly on it saturates, their flows are fixed at ``level * weight``, that
+share comes off the other rows they cross, and the next round runs on what
+is left.  Flows nothing constrains end at ``inf``.  A component whose
+ceilings all fit under its rows is simply the cheap case: one round per
+distinct ``cap / weight``, no row ever saturates.
+
+:func:`fill_loop` keeps per-row state in dicts and updates it
+decrementally; :func:`fill_numpy` runs each round as array operations over
+a rows x flows incidence matrix, with the ceilings as one per-flow vector
+(never as extra rows: ``k`` capped flows would make the matrix, and the
+fill, quadratic).  They agree to float summation order; the loop is faster
+on small components, numpy on large ones (``benchmarks/
+bench_rate_kernel.py``, DESIGN.md section 10).
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
+__all__ = ["VECTORIZE_MIN_FLOWS", "maxmin_rates", "fill_loop", "fill_numpy"]
+
+#: component size (flows) from which :func:`maxmin_rates` takes the numpy
+#: fill (crossover measured in DESIGN.md section 10)
+VECTORIZE_MIN_FLOWS = 24
+
+#: unassigned member weight at or below which a row offers no level (the
+#: decremental sum of a fully assigned row is float residue, not zero)
+_NO_WEIGHT = 1e-15
+
+_INF = float("inf")
+
+Paths = Sequence[Tuple[int, ...]]
+
+
+def maxmin_rates(
+    capacity: Sequence[float],
+    paths: Paths,
+    weights: Sequence[float],
+    caps: Sequence[float],
+) -> Tuple[List[float], bool]:
+    """Weighted max-min fair rates in flow order, and whether the numpy
+    fill computed them (components of :data:`VECTORIZE_MIN_FLOWS` flows or
+    more)."""
+    vectorized = len(paths) >= VECTORIZE_MIN_FLOWS
+    fill = fill_numpy if vectorized else fill_loop
+    return fill(capacity, paths, weights, caps), vectorized
+
+
+def fill_loop(
+    capacity: Sequence[float],
+    paths: Paths,
+    weights: Sequence[float],
+    caps: Sequence[float],
+) -> List[float]:
+    """Water-filling with dict state, for small components.
+
+    Within a round, saturated rows are taken in first-seen order (their
+    members in flow order), then ceilings in flow order: shares come off
+    the surviving rows in that order, which fixes the float result.
+    """
+    room: Dict[int, float] = {}          # row -> capacity not yet handed out
+    live: Dict[int, float] = {}          # unsaturated row -> unassigned weight
+    members: Dict[int, List[int]] = {}
+    ceiling: Dict[int, float] = {}       # unassigned capped flow -> cap / weight
+    for i, path in enumerate(paths):
+        w = weights[i]
+        for row in path:
+            if row not in room:
+                room[row] = capacity[row]
+                members[row] = []
+                live[row] = 0.0
+            members[row].append(i)
+            live[row] += w
+        if caps[i] != _INF:
+            ceiling[i] = caps[i] / w
+    rates = [_INF] * len(paths)
+    fixed = [False] * len(paths)
+
+    def fix(i: int, level: float, at: int) -> None:
+        """Pin flow ``i`` at the water level reached on row ``at``."""
+        w = weights[i]
+        share = level * w
+        rates[i] = share
+        fixed[i] = True
+        ceiling.pop(i, None)
+        for row in paths[i]:
+            if row != at and row in live:
+                room[row] = max(0.0, room[row] - share)
+                live[row] -= w
+
+    left = len(paths)
+    while left:
+        offers = [(room[row] / lw, row)
+                  for row, lw in live.items() if lw > _NO_WEIGHT]
+        level = min(chain((lv for lv, _ in offers), ceiling.values()),
+                    default=_INF)
+        if level == _INF:
+            break  # the rest cross no constrained row and have no ceiling
+        rows_at = [row for lv, row in offers if lv == level]
+        flows_at = [i for i, lv in ceiling.items() if lv == level]
+        for row in rows_at:
+            for i in members[row]:
+                if not fixed[i]:
+                    fix(i, level, row)
+                    left -= 1
+            del live[row]
+        for i in flows_at:
+            if not fixed[i]:
+                fix(i, level, -1)
+                left -= 1
+    return rates
+
+
+def fill_numpy(
+    capacity: Sequence[float],
+    paths: Paths,
+    weights: Sequence[float],
+    caps: Sequence[float],
+) -> List[float]:
+    """Water-filling as array rounds over a rows x flows incidence matrix,
+    for large components where the python inner loop dominates."""
+    n = len(paths)
+    lens = np.fromiter(map(len, paths), dtype=np.intp, count=n)
+    rows = np.fromiter(chain.from_iterable(paths), dtype=np.intp,
+                       count=int(lens.sum()))
+    uniq, inv = np.unique(rows, return_inverse=True)
+    incidence = np.zeros((len(uniq), n))
+    incidence[inv, np.repeat(np.arange(n), lens)] = 1.0
+    room = np.array([capacity[row] for row in uniq.tolist()], dtype=float)
+    w = np.array(weights, dtype=float)
+    ceiling = np.array(caps, dtype=float) / w
+    live_row = np.ones(len(uniq), dtype=bool)
+    unassigned = np.ones(n, dtype=bool)
+    rates = np.full(n, np.inf)
+    while unassigned.any():
+        live_weight = incidence @ (w * unassigned)
+        offering = live_row & (live_weight > 0)
+        levels = np.where(
+            offering,
+            room / np.where(live_weight > 0, live_weight, 1.0),
+            np.inf,
+        )
+        open_ceiling = np.where(unassigned, ceiling, np.inf)
+        level = min(float(levels.min(initial=np.inf)),
+                    float(open_ceiling.min()))
+        if level == _INF:
+            break  # the rest cross no constrained row and have no ceiling
+        saturated = levels == level
+        assigned = unassigned & (
+            incidence[saturated].any(axis=0) | (open_ceiling == level)
+        )
+        share = level * w
+        rates[assigned] = share[assigned]
+        room -= incidence @ np.where(assigned, share, 0.0)
+        np.maximum(room, 0.0, out=room)
+        room[saturated] = 0.0
+        live_row &= ~saturated
+        unassigned &= ~assigned
+    out: List[float] = rates.tolist()  # plain floats, never np scalars
+    return out

@@ -6,6 +6,7 @@ change what it measures.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import repro
@@ -62,3 +63,19 @@ def test_experiments_do_not_import_the_checkers():
     """A sweep's numbers come from the simulator alone; the checkers in
     ``repro.analysis`` verify them from outside."""
     assert _offenders(("experiments",), ("analysis",)) == []
+
+
+def test_rate_kernel_imports_only_stdlib_and_numpy():
+    """``lon/rates.py`` is the rate problem and nothing else: no ``Flow``,
+    ``Network`` or ``EventQueue`` can reach it, so it can be tested and
+    benchmarked on bare lists."""
+    tree = ast.parse((Path(repro.__file__).parent / "lon" / "rates.py")
+                     .read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in lon/rates.py"
+            imported.add((node.module or "").split(".")[0])
+    assert imported <= set(sys.stdlib_module_names) | {"numpy"}, imported

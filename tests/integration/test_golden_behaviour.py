@@ -122,7 +122,7 @@ def test_contended_rig_matches_recorded_digest():
     result = run_contended()
     # the rig is only a witness if the rebalancer took both fills
     stats = result.rebalance
-    assert 0 < stats["vectorized"] < stats["recomputes"] - stats["all_capped"]
+    assert 0 < stats["vectorized"] < stats["recomputes"]
     assert result.admission["batches_flushed"] > 0
     assert _digest(result) == GOLDEN["contended"]
 

@@ -64,7 +64,7 @@ class TestContendedFlush:
         """Saturated hub: every flush really re-rates the 12-flow
         component, and with the crossover lowered under its size the
         numpy fill takes it."""
-        monkeypatch.setattr("repro.lon.network.VECTORIZE_MIN_FLOWS", 4)
+        monkeypatch.setattr("repro.lon.rates.VECTORIZE_MIN_FLOWS", 4)
         q = EventQueue()
         net = star(q, n_leaves=6, bandwidth=mbps(5))
         done = []

@@ -6,13 +6,19 @@ flush event; tests that inspect ``Flow.rate`` synchronously call
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lon.network import VECTORIZE_MIN_FLOWS, Network, mbps
+from repro.lon.network import Network, mbps
+from repro.lon.rates import VECTORIZE_MIN_FLOWS, fill_numpy
 from repro.lon.simtime import EventQueue
 
-from .reference_network import ReferenceNetwork
+from .reference_network import (
+    ReferenceNetwork,
+    accounting_matches_membership,
+    reference_maxmin_rates,
+)
 
 
 def star_network(queue, n_leaves, bandwidth, tcp_window=None, **kw):
@@ -140,7 +146,9 @@ def random_topology(net, rng, n_hosts, n_hubs):
 
 
 def apply_op_sequence(net, q, rng, hosts, n_ops):
-    """Drive a reproducible mixed sequence of flow operations."""
+    """Drive a reproducible mixed sequence of flow operations (the mix
+    cancels paused flows too), holding the quiet-link row accounting to the
+    membership sets after every one."""
     flows = []
     for _ in range(n_ops):
         op = rng.integers(0, 10)
@@ -165,6 +173,7 @@ def apply_op_sequence(net, q, rng, hosts, n_ops):
                 live[int(rng.integers(0, len(live)))],
                 float(rng.choice([0.5, 2.0, 8.0])),
             )
+        assert accounting_matches_membership(net)
         # advance sim time a random hop so settles/drains interleave
         q.run_until(q.now + float(rng.uniform(0.0, 0.05)))
     net.flush()
@@ -210,6 +219,24 @@ class TestFairnessProperties:
                 loads[lk] = loads.get(lk, 0.0) + f.rate
         for lk, load in loads.items():
             assert load <= net._links[lk].bandwidth * (1 + 1e-9)
+
+    @pytest.mark.parametrize("tcp_window", [None, 64 * 1024])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_row_accounting_survives_the_op_mix(self, tcp_window, seed):
+        """Capload / uncapped count / over flag equal what the membership
+        sets say after every transfer, cancel, pause, resume and reweight
+        (asserted inside ``apply_op_sequence``) and at quiescence."""
+        rng = np.random.default_rng(seed)
+        q = EventQueue()
+        net = Network(q, tcp_window=tcp_window)
+        hosts = random_topology(net, rng, n_hosts=8, n_hubs=3)
+        flows = apply_op_sequence(net, q, rng, hosts, n_ops=30)
+        for f in flows:
+            net.resume_flow(f)
+        q.run()
+        assert accounting_matches_membership(net)
+        assert not net._members
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -310,7 +337,7 @@ class TestFairnessProperties:
     def test_vectorized_water_fill_matches_scalar(self, seed, n):
         """On both sides of the pinned crossover the numpy fill, and
         whichever fill the flush picked by size, must agree with the
-        scalar reference on the same flows (1e-9 relative)."""
+        oracle's scalar fill on the same flows (1e-9 relative)."""
         rng = np.random.default_rng(seed)
         q = EventQueue()
         net = Network(q)
@@ -323,10 +350,10 @@ class TestFairnessProperties:
                 weight=float(rng.choice([0.5, 1.0, 2.0])),
             ))
         net.flush()
-        scalar = net._rates_scalar(flows)
-        vec = net._rates_vectorized(flows)
-        assert set(scalar) == set(vec)
-        for f in flows:
-            r = scalar[f.fid]
-            assert abs(vec[f.fid] - r) <= 1e-9 * max(abs(r), 1.0)
+        problem = (net._row_bw, [f.link_row_ids for f in flows],
+                   [f.weight for f in flows], [f.rate_cap for f in flows])
+        scalar = reference_maxmin_rates(*problem)
+        vec = fill_numpy(*problem)
+        for f, r, v in zip(flows, scalar, vec):
+            assert abs(v - r) <= 1e-9 * max(abs(r), 1.0)
             assert abs(f.rate - r) <= 1e-9 * max(abs(r), 1.0)

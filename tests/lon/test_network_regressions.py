@@ -5,6 +5,8 @@ import pytest
 from repro.lon.network import Network, mbps
 from repro.lon.simtime import EventQueue
 
+from .reference_network import accounting_matches_membership
+
 
 class TestDrainTailRebalance:
     def test_rebalance_during_drain_does_not_strand_flows(self):
@@ -75,3 +77,73 @@ class TestSameTimestampOrdering:
         assert finish["one"] == pytest.approx(0.5, abs=1e-6)
         # the second flow gets the full link: another 0.5 s
         assert finish["two"] == pytest.approx(1.0, abs=1e-3)
+
+
+class TestPausedFlowAccounting:
+    """``pause_flow`` expels the flow from its rows; cancelling or failing
+    it afterwards used to expel it a second time, taking its ceiling (or
+    its uncapped count) off the quiet-link accounting twice — so a row with
+    a live member could read as idle and answer later triggers as quiet."""
+
+    def _sharing_row_ab(self, tcp_window):
+        """a - b - c: f1 rides a-b, f2 rides a-b-c."""
+        q = EventQueue()
+        net = Network(q, tcp_window=tcp_window)
+        net.add_link("a", "b", mbps(800), 0.02)
+        net.add_link("b", "c", mbps(800), 0.02)
+        f1 = net.transfer("a", "b", 10_000_000, lambda f: None)
+        f2 = net.transfer("a", "c", 10_000_000, lambda f: None)
+        net.flush()
+        return net, f1, f2
+
+    def test_cancel_paused_capped_flow_keeps_survivor_ceiling(self):
+        net, f1, f2 = self._sharing_row_ab(64 * 1024)
+        assert (f1.rate_cap, f2.rate_cap) == (1_638_400.0, 819_200.0)
+        net.pause_flow(f2)
+        net.cancel_flow(f2)
+        # was 1 638 400 + 819 200 - 2 x 819 200: f1's ceiling half gone
+        assert net._row_capload[f1.link_row_ids[0]] == 1_638_400.0
+        assert accounting_matches_membership(net)
+
+    def test_cancel_paused_uncapped_flow_keeps_row_constrained(self):
+        net, f1, f2 = self._sharing_row_ab(None)
+        net.pause_flow(f2)
+        net.cancel_flow(f2)
+        row = f1.link_row_ids[0]
+        # was 0 / False with f1 still an uncapped member of the row
+        assert net._row_unc[row] == 1
+        assert net._row_over[row]
+        assert accounting_matches_membership(net)
+
+    @pytest.mark.parametrize("tcp_window", [None, 64 * 1024])
+    def test_link_down_fails_paused_flow_once(self, tcp_window):
+        net, f1, f2 = self._sharing_row_ab(tcp_window)
+        failed = []
+        f2.on_fail = lambda f, exc: failed.append(f)
+        net.pause_flow(f2)
+        net.set_link_up("b", "c", False)
+        assert failed == [f2]
+        assert net.active_flows == (f1,)
+        assert accounting_matches_membership(net)
+
+    def test_flow_paused_in_its_drain_instant_still_retires(self):
+        """Membership, not the ``paused`` flag, decides what an expel
+        touches: a flow paused at the instant it drained is still a member
+        and must come off the accounting when it retires."""
+        q = EventQueue()
+        net = Network(q, tcp_window=64 * 1024)
+        net.add_link("a", "b", mbps(800), 0.02)
+        done, flows = [], []
+        # scheduled first, so at t=1 it fires before the drain check
+        q.schedule(1.0, lambda: net.pause_flow(flows[0]))
+        flows.append(
+            net.transfer("a", "b", 1_638_400, done.append))  # drains at t=1
+        f = flows[0]
+        q.run_until(1.0 - 1e-9)
+        assert q.step()  # the pause alone
+        assert f.paused and f.drained_at == 1.0
+        assert f.fid in net._members[f.link_row_ids[0]]
+        q.run()
+        assert done == [f]
+        assert accounting_matches_membership(net)
+        assert not net._members

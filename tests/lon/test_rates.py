@@ -1,0 +1,186 @@
+"""The rate kernel against an oracle that is not itself.
+
+``repro.lon.rates`` is checked here on bare rate problems — capacities,
+row-id paths, weights, ceilings; no ``Network``, no ``Flow`` — against
+``reference_maxmin_rates`` (the old production scalar fill, test-side
+since the kernel was extracted) and against the max-min conditions
+themselves.  Components are drawn through a seeded generator so that 200
+flows stay cheap to build: capacities and ceilings come from small pools,
+which makes same-level ties (several rows, several ceilings in one round)
+the common case rather than the rare one.
+"""
+
+from math import isclose
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.lon import rates
+from repro.lon.rates import fill_loop, fill_numpy, maxmin_rates
+from repro.lon.scheduler import DEFAULT_CLASS_WEIGHTS
+
+from .reference_network import reference_maxmin_rates
+
+INF = float("inf")
+CLASS_WEIGHTS = tuple(DEFAULT_CLASS_WEIGHTS.values())   # 8, 2, 1, 0.5
+
+
+def component(seed, n_flows, n_rows, weights, caps):
+    """One random rate problem ``(capacity, paths, weights, caps)``."""
+    rng = np.random.default_rng(seed)
+    pool = rng.uniform(1e5, 1e7, size=3)
+    capacity = [float(pool[i]) for i in rng.integers(0, 3, size=n_rows)]
+    paths = []
+    for _ in range(n_flows):
+        hops = int(rng.integers(0, min(4, n_rows) + 1))  # 0: an empty path
+        paths.append(tuple(
+            int(r) for r in rng.choice(n_rows, size=hops, replace=False)))
+    if weights == "class":
+        w = [float(x) for x in rng.choice(CLASS_WEIGHTS, size=n_flows)]
+    else:
+        w = [float(x) for x in rng.uniform(0.1, 9.0, size=n_flows)]
+    ceilings = [float(x) for x in rng.uniform(1e4, 3e6, size=3)]
+    if caps != "finite":
+        ceilings.append(INF)
+    if caps == "inf":
+        c = [INF] * n_flows
+    else:
+        c = [ceilings[i]
+             for i in rng.integers(0, len(ceilings), size=n_flows)]
+    return capacity, paths, w, c
+
+
+sizes = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_flows=st.integers(min_value=1, max_value=200),
+    n_rows=st.integers(min_value=1, max_value=30),
+)
+components = dict(caps=st.sampled_from(["finite", "inf", "mixed"]), **sizes)
+
+
+class TestAgainstTheOracle:
+    @given(weights=st.sampled_from(["class", "any"]), **components)
+    @settings(max_examples=60, deadline=None)
+    def test_loop_fill_is_the_oracle_bit_for_bit(
+            self, seed, n_flows, n_rows, caps, weights):
+        """Ceilings as a per-flow level instead of ``("cap", fid)`` dict
+        entries is a change of representation, not of arithmetic."""
+        problem = component(seed, n_flows, n_rows, weights, caps)
+        assert ([r.hex() for r in fill_loop(*problem)]
+                == [r.hex() for r in reference_maxmin_rates(*problem)])
+
+    @given(weights=st.sampled_from(["class", "any"]), **components)
+    @settings(max_examples=60, deadline=None)
+    def test_maxmin_rates_matches_the_oracle(
+            self, seed, n_flows, n_rows, caps, weights):
+        """Whichever fill the entry point picks by size: bit-equal to the
+        oracle below the crossover, float summation order from it up
+        (1e-12 on class weights — see ``test_loop_and_numpy_fills_agree``
+        — and 1e-9 on arbitrary ones)."""
+        problem = component(seed, n_flows, n_rows, weights, caps)
+        got, vectorized = maxmin_rates(*problem)
+        want = reference_maxmin_rates(*problem)
+        assert vectorized == (n_flows >= rates.VECTORIZE_MIN_FLOWS)
+        if not vectorized:
+            assert got == want
+        rel = 1e-12 if weights == "class" else 1e-9
+        assert all(isclose(g, w, rel_tol=rel) for g, w in zip(got, want))
+
+    @given(**components)
+    @settings(max_examples=60, deadline=None)
+    def test_loop_and_numpy_fills_agree(self, seed, n_flows, n_rows, caps):
+        """To 1e-12 on class weights — *not* bit for bit.  The loop takes
+        each fixed share off a surviving row one at a time, numpy takes
+        their sum off at once: ``capacity=[10, 30]``,
+        ``paths=[(0, 1), (0, 1), (1,)]``, ``weights=[8, 0.5, 8]``, no
+        ceilings — row 0 fixes flows 0 and 1 at 9.411764705882353 and
+        0.5882352941176471, and flow 2 then gets
+        ``(30 - 9.41...) - 0.588... = 19.999999999999996`` from the loop
+        but ``30 - (9.41... + 0.588...) = 20.0`` from numpy."""
+        problem = component(seed, n_flows, n_rows, "class", caps)
+        assert all(isclose(a, b, rel_tol=1e-12) for a, b in
+                   zip(fill_loop(*problem), fill_numpy(*problem)))
+
+    def test_the_recorded_bit_difference_still_stands(self):
+        problem = ([10.0, 30.0], [(0, 1), (0, 1), (1,)],
+                   [8.0, 0.5, 8.0], [INF] * 3)
+        assert fill_loop(*problem)[2] == 19.999999999999996
+        assert fill_numpy(*problem)[2] == 20.0
+
+
+class TestMaxMinConditions:
+    @given(weights=st.sampled_from(["class", "any"]),
+           fill=st.sampled_from([fill_loop, fill_numpy]), **components)
+    @settings(max_examples=80, deadline=None)
+    def test_feasible_and_every_flow_bottlenecked(
+            self, seed, n_flows, n_rows, caps, weights, fill):
+        """No row over capacity, and each flow is at its ceiling or crosses
+        a saturated row on which nobody has a higher ``rate / weight``."""
+        capacity, paths, w, c = component(seed, n_flows, n_rows, weights,
+                                          caps)
+        got = fill(capacity, paths, w, c)
+        load = {}
+        for path, rate in zip(paths, got):
+            for row in path:
+                load[row] = load.get(row, 0.0) + rate
+        for row, total in load.items():
+            assert total <= capacity[row] * (1 + 1e-9)
+        saturated = {row for row, total in load.items()
+                     if total >= capacity[row] * (1 - 1e-9)}
+        top = {}   # row -> highest rate / weight among its members
+        for i, path in enumerate(paths):
+            for row in path:
+                top[row] = max(top.get(row, 0.0), got[i] / w[i])
+        for i, path in enumerate(paths):
+            if not path:
+                # nothing but the flow's own ceiling can hold it
+                assert isclose(got[i], c[i], rel_tol=1e-12)
+                continue
+            assert 0.0 < got[i] <= c[i] * (1 + 1e-12)
+            if isclose(got[i], c[i], rel_tol=1e-9):
+                continue
+            level = got[i] / w[i]
+            assert any(row in saturated and top[row] <= level * (1 + 1e-9)
+                       for row in path), f"flow {i} has no bottleneck"
+
+    @given(fill=st.sampled_from([fill_loop, fill_numpy]), **sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_all_capped_component_gets_exactly_its_ceilings(
+            self, seed, n_flows, n_rows, fill):
+        """Ceilings that fit under every row are the fill's cheap case —
+        what the deleted all-capped pre-pass used to answer."""
+        _, paths, w, c = component(seed, n_flows, n_rows, "class", "finite")
+        capacity = [1.0] * n_rows
+        for path, cap in zip(paths, c):
+            for row in path:
+                capacity[row] += cap * 1.001
+        assert fill(capacity, paths, w, c) == c
+
+
+class TestEdges:
+    def test_empty_component(self):
+        assert maxmin_rates([5.0], [], [], []) == ([], False)
+        assert fill_numpy([5.0], [], [], []) == []
+
+    @pytest.mark.parametrize("fill", [fill_loop, fill_numpy])
+    def test_empty_paths_are_unconstrained(self, fill):
+        assert fill([5.0], [(), (0,), ()], [1.0, 2.0, 1.0],
+                    [INF, INF, 3.0]) == [INF, 5.0, 3.0]
+
+    @pytest.mark.parametrize("fill", [fill_loop, fill_numpy])
+    def test_row_and_ceiling_tie_in_one_round(self, fill):
+        """Row 0 (capacity 8 over weights 1 + 1) and flow 2's ceiling both
+        sit at level 4: one round saturates both, and flow 1 — fixed by
+        the row — is not fixed again by its own (also level-4) ceiling."""
+        problem = ([8.0, 100.0], [(0, 1), (0, 1), (1,)],
+                   [1.0, 1.0, 2.0], [INF, 4.0, 8.0])
+        assert fill(*problem) == [4.0, 4.0, 8.0]
+        assert fill(*problem) == reference_maxmin_rates(*problem)
+
+    @pytest.mark.parametrize("fill", [fill_loop, fill_numpy])
+    def test_rows_outside_the_component_are_never_read(self, fill):
+        capacity = [float("nan")] * 5 + [6.0]
+        assert fill(capacity, [(5,), (5,)], [1.0, 2.0],
+                    [INF, INF]) == [2.0, 4.0]
