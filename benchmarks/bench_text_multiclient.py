@@ -22,7 +22,8 @@ and asserts on the merged ``BENCH_scale.json``:
 * the contended regime exercises the vectorized fill, trigger coalescing
   and batched admission (all counters > 0), and its row carries the three
   counters that explain its cost (``component_flows``, ``flows_rerated``,
-  ``events_rescheduled``: flows per flush, reschedules per fired event);
+  ``events_rescheduled``: flows per flush, drain checks armed per fired
+  event — at most one, or per-member re-arming is back);
 * sharding and crossing preserve the workload, and crossing traffic costs
   at most 1.5x the link-disjoint CPU seconds;
 * the sharded curve reaches 100k events/s — or, on hosts too slow for
@@ -81,7 +82,7 @@ def test_multiclient_scaling(report):
         f"recomputes={st['recomputes']} "
         f"vectorized={st['vectorized']} coalesced={st['coalesced']} "
         f"flows/flush={st['component_flows'] / st['recomputes']:.1f} "
-        f"reschedules/event="
+        f"armed/event="
         f"{st['events_rescheduled'] / st['events_fired']:.2f} "
         f"adm_batches={st['admission_batches_flushed']} "
         f"adm_coalesced={st['admission_submissions_coalesced']} "
@@ -133,7 +134,10 @@ def test_multiclient_scaling(report):
     assert contended["admission_submissions_coalesced"] > 0
     # ... and the row explains its own cost
     assert doc["contended"]["component_flows"] > 0
-    assert doc["contended"]["events_rescheduled"] > 0
+    # exact and noise-free: a flush arms one drain check per calendar, so
+    # fewer get armed than events fire; one per flushed member would not be
+    assert (0 < doc["contended"]["events_rescheduled"]
+            <= doc["contended"]["events_fired"])
 
     # cross-shard axis: every fraction still delivers the whole workload;
     # crossing fractions exchanged boundary loads at the barrier

@@ -358,8 +358,8 @@ def _section_scale(doc: BenchDoc) -> str:
     contended = doc.get("contended")
     if isinstance(contended, Mapping) and "events_rescheduled" in contended:
         # where a bandwidth-limited fleet's host time goes: how many flows
-        # each flush re-rates, and how many completion events that
-        # re-arms per event that actually fires (DESIGN.md section 10)
+        # each flush re-rates, and how many drain checks get armed on the
+        # queue per event that actually fires (DESIGN.md section 10)
         tiers = wall.get("contended", {})
         assert isinstance(tiers, Mapping)
         w = tiers.get(str(contended.get("n_clients")), {})
@@ -369,7 +369,7 @@ def _section_scale(doc: BenchDoc) -> str:
         parts.append("")
         parts.append(md_table(
             ["contended N", "events", "flushes", "flows/flush",
-             "reschedules/event", "wall s", "events/s"],
+             "armed/event", "wall s", "events/s"],
             [[contended.get("n_clients"), fired, flushes,
               round(contended["component_flows"] / flushes, 1),
               round(contended["events_rescheduled"] / fired, 2),

@@ -18,8 +18,8 @@ the paper's evaluation depends on:
 * **pause/resume**: a flow can be taken out of bandwidth contention without
   losing its progress (strict-preemption scheduling) and resumed later;
 * **dynamic re-rating**: whenever a flow starts, finishes, pauses, resumes or
-  changes weight, affected flow rates are recomputed and completion events
-  rescheduled.
+  changes weight, affected flow rates are recomputed and their drain
+  deadlines with them.
 
 Routing is shortest-path by latency over a :mod:`networkx` graph.  Transfers
 deliver their completion callback after ``path propagation latency +
@@ -31,14 +31,22 @@ recompute (a flush event), and the flush hands only the connected component
 of links/flows reachable from the dirty set to the rate kernel
 (:func:`repro.lon.rates.maxmin_rates`: link capacities, per-flow row-id
 paths, weights and TCP-window ceilings in, rates out — this class is the
-flow table around it and computes no allocation itself).  Completion events
-are rescheduled only for flows whose rate moved beyond
-:data:`RATE_EPSILON`.  A trigger whose links all keep TCP-window cap-sum
-headroom skips the flush entirely (the quiet-link fast path).  Rates and
-completion events are authoritative once :meth:`Network.flush` has run —
-which happens automatically before any event at a later timestamp fires;
-synchronous callers inspecting ``Flow.rate`` right after a change should
-call ``flush()`` first.
+flow table around it and computes no allocation itself).  A flow whose rate
+moved beyond :data:`RATE_EPSILON` gets a new drain deadline, and the flush
+puts the flows it rated on one **completion calendar**: only the member(s)
+due first hold a queue event.  When it fires, the retire pokes the next
+flush, which regroups the survivors — so a trigger in a bandwidth-limited
+component, where every rate moves, costs one armed event instead of a
+cancel and a re-issue per member.  A calendar left with members and nothing
+armed (its armed member was cancelled, paused, failed, re-armed on its own,
+or regrouped without them) arms its next member at once, or when the flush
+pending at that instant ends.  A trigger whose links all keep TCP-window
+cap-sum headroom skips the flush entirely (the quiet-link fast path) and
+the flow it rates holds its own event.  Rates and deadlines are
+authoritative once :meth:`Network.flush` has run — which happens
+automatically before any event at a later timestamp fires; synchronous
+callers inspecting ``Flow.rate`` right after a change should call
+``flush()`` first.
 
 The whole-network recompute this design is proven against lives test-side
 (``tests/lon/reference_network.py``); there is no mode or threshold option.
@@ -79,7 +87,7 @@ __all__ = [
     "gbps",
 ]
 
-#: relative rate change below which a flow keeps its completion event (the
+#: relative rate change below which a flow keeps its drain deadline (the
 #: drain check self-corrects sub-epsilon drift in either direction)
 RATE_EPSILON = 1e-9
 
@@ -171,7 +179,20 @@ class Flow:
     finish_time: Optional[float] = field(default=None, init=False)
     prop_latency: float = field(default=0.0, init=False)
     drained_at: Optional[float] = field(default=None, init=False)
+    #: the queue event this flow holds: its drain check while it contends
+    #: (armed for it alone, or as the member of its calendar due first — a
+    #: calendar member due later holds none), then its delivery
     _completion_event: Optional[Event] = field(default=None, init=False)
+    #: when the last byte leaves the bottleneck at the current rate: the
+    #: time of the drain check.  Meaningful while ``_calendar`` is set.
+    deadline: float = field(default=0.0, init=False)
+    #: order in which calendar deadlines were set: breaks an exact tie the
+    #: way the queue's ``seq`` did when every flow held an event
+    _due_seq: int = field(default=0, init=False, repr=False)
+    #: the completion calendar the last flush put this flow on, if any
+    _calendar: Optional["_Calendar"] = field(
+        default=None, init=False, repr=False
+    )
     done: bool = field(default=False, init=False)
     failed: bool = field(default=False, init=False)
     paused: bool = field(default=False, init=False)
@@ -197,6 +218,25 @@ class Flow:
         return self.finish_time - self.start_time
 
 
+class _Calendar:
+    """Drain deadlines of the flows one flush rated together.
+
+    Only the member(s) due first hold a queue event.  When it fires, the
+    retire pokes a flush that moves the survivors onto a fresh calendar, so
+    a trigger costs one armed event rather than one per member; members a
+    flush leaves behind are re-armed by :meth:`Network._rearm`.
+    """
+
+    __slots__ = ("members", "armed")
+
+    def __init__(self) -> None:
+        #: in the flush's component order; a flow that has since left is
+        #: told apart by ``flow._calendar is not self``
+        self.members: List[Flow] = []
+        #: members currently holding a drain-check event
+        self.armed: int = 0
+
+
 @dataclass
 class RebalanceStats:
     """Counters sizing the rebalancer's work (for benchmarks and tests)."""
@@ -207,7 +247,8 @@ class RebalanceStats:
     coalesced: int = 0           # triggers absorbed into a pending flush
     component_flows: int = 0     # flows water-filled by flush passes
     flows_rerated: int = 0       # flows whose allocated rate changed
-    events_rescheduled: int = 0  # completion events cancelled + reissued
+    events_rescheduled: int = 0  # drain checks armed on the queue (one per
+                                 # ``schedule``, by a flush or for one flow)
     vectorized: int = 0          # recomputes that took the numpy fill
     all_capped: int = 0          # always 0 (the all-capped pre-pass is gone);
                                  # perf/layers.py reads the field by name
@@ -301,7 +342,8 @@ class AdmissionPlan:
             net.stats.flows_rerated += 1
             net.stats.fast_rated += 1
             # scalar _reschedule with the precomputed ETA: a brand-new
-            # flow has no event to cancel and a finite positive rate
+            # flow holds no event, sits on no calendar and has a finite
+            # positive rate
             flow._completion_event = net.queue.schedule(
                 self._etas[j],
                 lambda fl=flow: net._drain_check(fl),
@@ -356,6 +398,10 @@ class Network:
         self._members: Dict[int, Set[int]] = {}
         self._dirty: Set[int] = set()
         self._flush_event: Optional[Event] = None
+        # completion calendars: those whose last armed member left (others
+        # may still sit on them), and the last ``Flow._due_seq`` handed out
+        self._unarmed: List[_Calendar] = []
+        self._due_seq = 0
         # stable global link rows: each link key gets a permanent row
         # index and an *effective* bandwidth slot (physical minus any
         # cross-shard remote load) — the capacity table the rate kernel
@@ -402,6 +448,8 @@ class Network:
                 self._row_unc[row] > 0
                 or self._row_capload[row] > link.bandwidth
             )
+            if row in self._members:
+                self._poke((row,))
         return link
 
     def link_between(self, a: str, b: str) -> Link:
@@ -728,16 +776,11 @@ class Network:
         if flow.done or flow.failed:
             return
         flow.failed = True
-        if flow._completion_event is not None:
-            self.queue.cancel(flow._completion_event)
-            flow._completion_event = None
+        self._disarm(flow)
         if flow.fid in self._flows:
             quiet = self._quiet(flow)
             self._remove(flow)
-            if quiet:
-                self.stats.fast_rated += 1
-            else:
-                self._poke(flow.link_row_ids)
+            self._released(flow, quiet)
 
     def pause_flow(self, flow: Flow) -> None:
         """Take a flow out of bandwidth contention, keeping its progress.
@@ -758,15 +801,10 @@ class Network:
         self._expel(flow)
         old_rate = flow.rate
         flow.rate = 0.0
-        if flow._completion_event is not None:
-            self.queue.cancel(flow._completion_event)
-            flow._completion_event = None
+        self._disarm(flow)
         if flow.on_rate_change is not None and old_rate != 0.0:
             flow.on_rate_change(flow, old_rate)
-        if quiet:
-            self.stats.fast_rated += 1
-        else:
-            self._poke(flow.link_row_ids)
+        self._released(flow, quiet)
 
     def resume_flow(self, flow: Flow) -> None:
         """Re-admit a paused flow to bandwidth contention."""
@@ -899,9 +937,13 @@ class Network:
         if self._flush_event is not None:
             self.queue.cancel(self._flush_event)
             self._flush_event = None
-        if not self._dirty:
-            return
-        now = self.queue.now
+        if self._dirty:
+            self._rebalance(self.queue.now)
+        self._rearm()
+
+    def _rebalance(self, now: float) -> None:
+        """Re-rate the component(s) reachable from the dirty rows and put
+        their flows on one completion calendar."""
         # closure: walk the bipartite link/flow graph from the dirty seeds;
         # the component is closed (its flows touch only its links and vice
         # versa), so water-filling it in isolation matches a global pass
@@ -911,9 +953,9 @@ class Network:
         comp: List[Flow] = []
         seen: Set[int] = set()
         # sorted: the BFS visit order decides the order flows are appended
-        # to ``comp`` and therefore the order completion events are
-        # rescheduled — same-timestamp ties break by schedule order, so set
-        # iteration here would leak hash-seed state into the event stream
+        # to ``comp`` and therefore the order their deadlines are set —
+        # exact ties fire in that order, so set iteration here would leak
+        # hash-seed state into the event stream
         stack = sorted(row for row in self._dirty if row in members)
         self._dirty.clear()
         while stack:
@@ -956,6 +998,10 @@ class Network:
         )
         self.stats.vectorized += vectorized
         eps = RATE_EPSILON
+        inf = float("inf")
+        cal = _Calendar()
+        joined = cal.members
+        due_seq = self._due_seq
         for f, new in zip(live, rates):
             old = f.rate
             if new != old:
@@ -964,13 +1010,90 @@ class Network:
                 self.stats.flows_rerated += 1
                 if f.on_rate_change is not None:
                     f.on_rate_change(f, old)
-            # epsilon gate: identical (or nearly identical) rates keep
-            # their completion event — the drain check self-corrects any
-            # sub-epsilon drift in either direction
-            if (f._completion_event is not None
-                    and abs(new - old) <= eps * max(abs(new), abs(old))):
-                continue
-            self._reschedule(f, now)
+            due = f._completion_event is not None or f._calendar is not None
+            if due and abs(new - old) <= eps * max(abs(new), abs(old)):
+                # epsilon gate: identical (or nearly identical) rates keep
+                # their deadline — the drain check self-corrects any
+                # sub-epsilon drift in either direction.  A flow holding an
+                # event keeps that too, and its seat: whoever stays behind
+                # on that calendar is due no earlier
+                if f._completion_event is not None:
+                    continue
+            else:
+                if f._completion_event is not None:
+                    self._disarm(f)
+                if new <= 0.0:
+                    f._calendar = None
+                    continue  # stalled; due once a flush frees bandwidth
+                f.deadline = max(
+                    now + (0.0 if new == inf else f.remaining / new), now
+                )
+                due_seq += 1
+                f._due_seq = due_seq
+            f._calendar = cal
+            joined.append(f)
+        self._due_seq = due_seq
+        self._arm(cal)
+
+    def _arm(self, cal: _Calendar) -> None:
+        """Schedule the drain check of the member(s) of ``cal`` due first."""
+        members = cal.members
+        if not members:
+            return
+        first = min([f.deadline for f in members])
+        # exact on purpose: members tied at one float each fire their own
+        # event, in the order their deadlines were set, as when every flow
+        # held one
+        tied = [f for f in members
+                if f.deadline == first]  # repro: allow[SIM005]
+        if len(tied) > 1:
+            tied.sort(key=lambda f: f._due_seq)
+        for f in tied:
+            self._schedule_drain_check(f, first)
+        cal.armed = len(tied)
+
+    def _schedule_drain_check(self, f: Flow, at: float) -> None:
+        """Put ``f``'s drain check on the queue: the event fires when the
+        last byte leaves the bottleneck; the flow then stops consuming
+        bandwidth and delivery happens one propagation delay later."""
+        f._completion_event = self.queue.schedule(
+            at, lambda fl=f: self._drain_check(fl), f"flow:{f.label}"
+        )
+        self.stats.events_rescheduled += 1
+
+    def _rearm(self) -> None:
+        """Re-arm the calendars left with members but no armed event (the
+        armed one was retired, cancelled, paused, failed, re-armed on its
+        own or regrouped without them).  Waits for a flush pending at this
+        instant: it may regroup those members first, and ends here."""
+        if self._unarmed and self._flush_event is None:
+            unarmed, self._unarmed = self._unarmed, []
+            for cal in unarmed:
+                cal.members = [f for f in cal.members if f._calendar is cal]
+                self._arm(cal)
+
+    def _disarm(self, f: Flow) -> None:
+        """Cancel the event ``f`` holds, if any, and take it off its
+        calendar."""
+        cal, f._calendar = f._calendar, None
+        ev = f._completion_event
+        if ev is not None:
+            self.queue.cancel(ev)
+            f._completion_event = None
+            if cal is not None:
+                cal.armed -= 1
+                if cal.armed == 0:
+                    self._unarmed.append(cal)
+
+    def _released(self, flow: Flow, quiet: bool) -> None:
+        """A flow just left contention: re-rate the survivors on its rows
+        unless none of them was constrained (``quiet``, read before it
+        left), and re-arm a calendar it left without an armed member."""
+        if quiet:
+            self.stats.fast_rated += 1
+        else:
+            self._poke(flow.link_row_ids)
+        self._rearm()
 
     def _settle_flow(self, f: Flow, now: float) -> None:
         """Drain one flow's progress up to ``now`` at its current rate."""
@@ -987,24 +1110,15 @@ class Network:
             f.last_update = now
 
     def _reschedule(self, f: Flow, now: float) -> None:
-        """Re-arm one flow's completion event from its current rate."""
-        if f._completion_event is not None:
-            self.queue.cancel(f._completion_event)
-            f._completion_event = None
+        """Arm one flow's own drain check from its current rate (a flow
+        rated without a flush sits on no calendar)."""
+        self._disarm(f)
         if f.rate <= 0:
             return  # stalled; re-armed when a trigger frees bandwidth
         serialization = (
             0.0 if f.rate == float("inf") else f.remaining / f.rate
         )
-        # the event fires when the last byte leaves the bottleneck; the
-        # flow then stops consuming bandwidth and delivery happens one
-        # propagation delay later.
-        f._completion_event = self.queue.schedule(
-            max(now + serialization, now),
-            lambda fl=f: self._drain_check(fl),
-            f"flow:{f.label}",
-        )
-        self.stats.events_rescheduled += 1
+        self._schedule_drain_check(f, max(now + serialization, now))
 
     # -- drain / delivery --------------------------------------------------
     def _drain_check(self, flow: Flow) -> None:
@@ -1018,13 +1132,11 @@ class Network:
             # sub-epsilon rate drift left the old event slightly early;
             # re-arm from the exact remaining bytes
             self._reschedule(flow, now)
+            self._rearm()
             return
         quiet = self._quiet(flow)
         self._retire(flow)
-        if quiet:
-            self.stats.fast_rated += 1
-        else:
-            self._poke(flow.link_row_ids)
+        self._released(flow, quiet)
 
     def _retire(self, flow: Flow) -> None:
         """Remove a fully drained flow and schedule its delivery."""
@@ -1032,8 +1144,7 @@ class Network:
         if flow.drained_at is None:
             flow.drained_at = now
         self._remove(flow)
-        if flow._completion_event is not None:
-            self.queue.cancel(flow._completion_event)
+        self._disarm(flow)
         # keep the delivery event on the flow so a late cancel_flow() during
         # the propagation tail still suppresses on_complete
         flow._completion_event = self.queue.schedule(
@@ -1052,16 +1163,11 @@ class Network:
         if flow.done or flow.failed:
             return
         flow.failed = True
-        if flow._completion_event is not None:
-            self.queue.cancel(flow._completion_event)
-            flow._completion_event = None
+        self._disarm(flow)
         if flow.fid in self._flows:
             quiet = self._quiet(flow)
             self._remove(flow)
-            if quiet:
-                self.stats.fast_rated += 1
-            else:
-                self._poke(flow.link_row_ids)
+            self._released(flow, quiet)
         if flow.on_fail is not None:
             flow.on_fail(flow, exc)
 

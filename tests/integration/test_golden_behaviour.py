@@ -16,6 +16,12 @@ the lockstep driver with ``set_remote_load`` re-rating every window.
 Decompression cost is modeled, so nothing here depends on the host's speed
 (a different numpy/BLAS build may move last-ulp sums in the vectorized
 fill: re-record with ``python tests/integration/test_golden_behaviour.py``).
+
+``CONTENDED_STREAM`` is the stronger witness for the contended rig: every
+fired event's ``(time, label)`` in firing order, recorded at ffc09b5 — the
+commit before completion events moved onto calendars — through the public
+``EventQueue.on_fire``.  ``seq`` is left out on purpose: arming one event per
+calendar renumbers it and nothing else.
 """
 
 import hashlib
@@ -60,6 +66,13 @@ GOLDEN = {
 }
 
 
+#: sha256 over ``f"{ev.time.hex()} {ev.label}\n"`` of the contended rig's
+#: fired events, in order
+CONTENDED_STREAM = (
+    "f7d8faefef41ba3d423bc1a4501211a3efe30f976e0323fff4065f8bfffafbc1"
+)
+
+
 def _source():
     return SyntheticSource(CameraLattice(n_theta=12, n_phi=24, l=3),
                            resolution=64, seed=2003)
@@ -82,7 +95,7 @@ def run_single(case):
             hashlib.sha256(latencies.encode()).hexdigest())
 
 
-def run_contended():
+def run_contended(rig_hook=None):
     """2 clients on a thin WAN with wide stream fans (flushes do work)."""
     config = MultiClientConfig(
         base=SessionConfig(
@@ -95,7 +108,18 @@ def run_contended():
         ),
         n_clients=2, seed_stride=101, start_stagger=0.25,
     )
-    return run_multiclient_session(_source(), config)
+    return run_multiclient_session(_source(), config, rig_hook=rig_hook)
+
+
+def contended_stream():
+    """(events fired, sha256 of the ordered ``(time, label)`` stream)."""
+    sha = hashlib.sha256()
+
+    def observe(rig):
+        rig.queue.on_fire = lambda ev: sha.update(
+            f"{ev.time.hex()} {ev.label}\n".encode())
+
+    return run_contended(rig_hook=observe).events_fired, sha.hexdigest()
 
 
 def run_crossing():
@@ -127,6 +151,10 @@ def test_contended_rig_matches_recorded_digest():
     assert _digest(result) == GOLDEN["contended"]
 
 
+def test_contended_rig_fires_the_recorded_event_stream():
+    assert contended_stream() == (GOLDEN["contended"][0], CONTENDED_STREAM)
+
+
 def test_crossing_lockstep_rig_matches_recorded_digest():
     result = run_crossing()
     # a witness only if remote load was exchanged and flows re-rated
@@ -146,3 +174,4 @@ if __name__ == "__main__":
         print(f'    "{name}": {_digest(run())!r},')
     for case in (1, 2, 3):
         print(f'    "case{case}": {run_single(case)!r},')
+    print(f'CONTENDED_STREAM = "{contended_stream()[1]}"')

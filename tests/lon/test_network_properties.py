@@ -145,10 +145,69 @@ def random_topology(net, rng, n_hosts, n_hubs):
     return hosts
 
 
+def calendar_covers_every_flow(net):
+    """The completion calendar, as an invariant instead of a convention.
+
+    Every admitted, unpaused, undrained flow with a positive rate either
+    holds its own drain-check event or sits on a calendar whose armed
+    event is due no later than the flow's deadline; a calendar with
+    members has something armed once no flush is pending; all events armed
+    for one calendar share one timestamp (one per calendar, plus exact
+    ties), so the heap holds no more live ``flow:`` events than that.  An
+    event counts as held while it fires (``on_fire`` runs before the
+    callback lets go of it).  Asserts, then returns True.
+    """
+    def holds(f):
+        ev = f._completion_event
+        return ev is not None and not ev.cancelled
+
+    settled = net._flush_event is None
+    seated = {}
+    single = 0
+    for f in net._flows.values():
+        cal = f._calendar
+        if cal is not None:
+            assert any(m is f for m in cal.members), f"{f.fid}: seat, no entry"
+            seated.setdefault(id(cal), (cal, []))[1].append(f)
+            if holds(f):
+                assert f._completion_event.time == f.deadline
+        elif holds(f):
+            single += 1
+        if f.drained_at is None:
+            if f.paused or f.rate <= 0:
+                assert cal is None and f._completion_event is None, (
+                    f"{f.fid}: out of contention but still due")
+            else:
+                assert cal is not None or holds(f), (
+                    f"{f.fid}: rate {f.rate} and nothing due")
+    armed_total = 0
+    for cal, members in seated.values():
+        armed = [m for m in members if holds(m)]
+        assert cal.armed == len(armed)
+        if settled:
+            assert armed, "calendar with members and nothing armed"
+        times = {m._completion_event.time for m in armed}
+        assert len(times) <= 1, "more than one armed deadline on a calendar"
+        for t in times:
+            assert all(t <= m.deadline for m in members)
+        armed_total += len(armed)
+    if settled:
+        assert not net._unarmed
+    # read only: what is really still in the heap
+    heap = net.queue._heap  # repro: allow[SIM003]
+    live = sum(1 for _, _, ev in heap
+               if not ev.cancelled and ev.label.startswith("flow:"))
+    assert live <= armed_total + single
+    return True
+
+
 def apply_op_sequence(net, q, rng, hosts, n_ops):
     """Drive a reproducible mixed sequence of flow operations (the mix
     cancels paused flows too), holding the quiet-link row accounting to the
-    membership sets after every one."""
+    membership sets and the completion calendar to its invariant after
+    every one — and, through ``on_fire``, at every event fired from here
+    until the caller has drained the queue."""
+    q.on_fire = lambda ev: calendar_covers_every_flow(net)
     flows = []
     for _ in range(n_ops):
         op = rng.integers(0, 10)
@@ -174,6 +233,7 @@ def apply_op_sequence(net, q, rng, hosts, n_ops):
                 float(rng.choice([0.5, 2.0, 8.0])),
             )
         assert accounting_matches_membership(net)
+        assert calendar_covers_every_flow(net)
         # advance sim time a random hop so settles/drains interleave
         q.run_until(q.now + float(rng.uniform(0.0, 0.05)))
     net.flush()
@@ -357,3 +417,218 @@ class TestFairnessProperties:
         for f, r, v in zip(flows, scalar, vec):
             assert abs(v - r) <= 1e-9 * max(abs(r), 1.0)
             assert abs(f.rate - r) <= 1e-9 * max(abs(r), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the completion calendar: the ways it loses its armed member, ties, stalls
+# ---------------------------------------------------------------------------
+def armed_member(net):
+    """The one flow holding the armed event of a calendar with company."""
+    armed = [f for f in net.active_flows
+             if f._calendar is not None and f._completion_event is not None]
+    assert len(armed) == 1 and len(armed[0]._calendar.members) > 1
+    return armed[0]
+
+
+def finish_times(net_cls, script, tcp_window=None):
+    """Run ``script(net, q) -> flows`` on a fresh a - b - c line and drain
+    it; production is held to the calendar invariant at every event."""
+    q = EventQueue()
+    net = net_cls(q, tcp_window=tcp_window)
+    net.add_link("a", "b", mbps(80), 0.01)
+    net.add_link("b", "c", mbps(80), 0.01)
+    q.on_fire = lambda ev: calendar_covers_every_flow(net)
+    flows = script(net, q)
+    q.run()
+    assert calendar_covers_every_flow(net)
+    return [f.finish_time for f in flows]
+
+
+def matches_oracle(script, tcp_window=None):
+    got = finish_times(Network, script, tcp_window)
+    want = finish_times(ReferenceNetwork, script, tcp_window)
+    assert got == pytest.approx(want, abs=1e-9)
+    return got
+
+
+class TestCompletionCalendar:
+    """A flush arms one drain check per calendar; these are the ways a
+    calendar is left with members and nothing armed, each against the
+    oracle, which keeps one event per flow.  The second departure of each
+    capped run leaves rows with headroom (no flush): the immediate re-arm."""
+
+    WINDOWS = [None, 64 * 1024]  # capped: 3 276 800 B/s over a - b
+
+    @staticmethod
+    def _shared_row(net, sizes=(1, 2, 3, 4)):
+        return [net.transfer("a", "b", mb * 1_000_000, lambda f: None)
+                for mb in sizes]
+
+    def test_split_component_rearms_the_half_not_regrouped(self):
+        """f1 on row 1, f2 on row 2, a bridge on both.  The bridge finishes
+        and one flush regroups f1 and f2 together; f1 finishes and its
+        flush reaches only row 1 — f2 must still be armed."""
+        def script(net, q):
+            f1 = net.transfer("a", "b", 2_000_000, lambda f: None)
+            f2 = net.transfer("b", "c", 3_000_000, lambda f: None)
+            bridge = net.transfer("a", "c", 1_000_000, lambda f: None)
+            if type(net) is Network:
+                q.run_until(0.25)  # the bridge has drained, f1 has not
+                assert bridge.drained_at is not None
+                assert f1._calendar is f2._calendar
+                assert armed_member(net) is f1
+            return [f1, f2, bridge]
+
+        f1, f2, bridge = matches_oracle(script)
+        assert bridge < f1 < f2
+
+    @pytest.mark.parametrize("tcp_window", WINDOWS)
+    def test_cancel_of_the_armed_member(self, tcp_window):
+        def script(net, q):
+            flows = self._shared_row(net)
+            for victim, at in zip(flows, (0.05, 0.1)):
+                q.run_until(at)
+                if type(net) is Network:
+                    assert armed_member(net) is victim
+                net.cancel_flow(victim)
+                assert calendar_covers_every_flow(net)
+            return flows[2:]
+
+        matches_oracle(script, tcp_window)
+
+    @pytest.mark.parametrize("tcp_window", WINDOWS)
+    def test_pause_then_resume_of_the_armed_member(self, tcp_window):
+        """What the scheduler's strict policy does to a background flow."""
+        def script(net, q):
+            flows = self._shared_row(net)
+            for victim, at in zip(flows, (0.05, 0.1)):
+                q.run_until(at)
+                if type(net) is Network:
+                    assert armed_member(net) is victim
+                net.pause_flow(victim)
+                assert calendar_covers_every_flow(net)
+            q.run_until(0.5)
+            for victim in flows[:2]:
+                net.resume_flow(victim)
+            return flows
+
+        matches_oracle(script, tcp_window)
+
+    @pytest.mark.parametrize("tcp_window", WINDOWS)
+    def test_link_down_fails_the_armed_member(self, tcp_window):
+        def script(net, q):
+            failed = []
+            flows = self._shared_row(net)
+            doomed = net.transfer("a", "c", 500_000, lambda f: None,
+                                  on_fail=lambda f, exc: failed.append(f))
+            q.run_until(0.05)
+            if type(net) is Network:
+                assert armed_member(net) is doomed
+            net.set_link_up("b", "c", False)
+            assert failed == [doomed]
+            assert calendar_covers_every_flow(net)
+            return flows
+
+        matches_oracle(script, tcp_window)
+
+    def test_drift_rearm_of_the_armed_member(self):
+        """A bandwidth change under ``RATE_EPSILON`` keeps the armed
+        member's deadline, so its drain check comes a few bytes early and
+        re-arms that flow on its own.  ``g`` shares its calendar but, since
+        the bridge left, not its component: the calendar must arm ``g``."""
+        def script(net, q):
+            f1 = net.transfer("a", "b", 4_000_000_000, lambda f: None)
+            g = net.transfer("b", "c", 8_000_000_000, lambda f: None)
+            net.transfer("a", "c", 1_000_000, lambda f: None)  # the bridge
+            q.run_until(1.0)
+            net.add_link("a", "b", mbps(80) * (1 - 5e-10), 0.01)
+            net.flush()
+            if type(net) is Network:
+                assert armed_member(net) is f1 and g._calendar is f1._calendar
+                q.run_until(f1.deadline)
+                assert f1.remaining > 1e-6 and f1._calendar is None
+                assert g._completion_event is not None
+            return [f1, g]
+
+        matches_oracle(script)
+
+    def test_exact_ties_each_fire_their_own_event(self):
+        """k equal flows admitted in one batch on a saturated row are due
+        at one float: k ``flow:`` events and one ``net-rebalance`` fire at
+        that timestamp.  (Draining all ties from one event would move
+        ``GOLDEN``'s event counts.)"""
+        k = 5
+        q = EventQueue()
+        net = Network(q)
+        net.add_link("a", "b", mbps(80), 0.01)
+        fired = []
+        q.on_fire = lambda ev: (calendar_covers_every_flow(net),
+                                fired.append((ev.time, ev.label)))
+        flows = self._shared_row(net, sizes=(1,) * k)
+        q.run()
+        drained = flows[0].drained_at
+        assert all(f.drained_at == drained for f in flows)
+        at_drain = [label for t, label in fired if t == drained]
+        assert at_drain == ["flow:"] * k + ["net-rebalance"]
+        assert net.stats.events_rescheduled == k
+
+    def test_ties_fire_in_the_order_their_deadlines_were_set(self):
+        """Not in member order: k0, k1 keep the deadline of the first flush
+        through two more at the same instant that move r0, r1 away and back
+        onto the same float; ``e`` holds the armed slot meanwhile, and the
+        flush at its retirement regroups all four, r's first, each keeping
+        its deadline.  With one event per flow the k's held the older
+        ``seq`` and fired first (perf's contended rig at seed 12 has 16
+        such ties)."""
+        q = EventQueue()
+        net = Network(q)
+        net.add_link("hub", "sink", mbps(8000), 0.001)  # never saturated
+        for host, bw in (("r", 48), ("k", 32), ("e", 8)):
+            net.add_link(host, "hub", mbps(bw), 0.001)
+        fired = []
+        q.on_fire = lambda ev: (calendar_covers_every_flow(net),
+                                fired.append((ev.time, ev.label)))
+
+        def start(host, size, label):
+            return net.transfer(host, "sink", size, lambda f: None,
+                                label=label)
+
+        r0 = start("r", 3_000_000, "r0")
+        start("r", 3_000_000, "r1")
+        start("k", 2_000_000, "k0")
+        start("k", 2_000_000, "k1")
+        start("e", 500_000, "e")  # due at 0.5 s, everyone else at 1.0 s
+        for weight in (None, 2.0, 1.0):
+            if weight is not None:
+                net.set_flow_weight(r0, weight)
+            net.flush()
+        q.run()
+        assert [label for t, label in fired if t == 1.0] == [
+            "flow:k0", "flow:k1", "flow:r0", "flow:r1", "net-rebalance"]
+
+    def test_stalled_member_is_armed_by_the_flush_that_frees_bandwidth(
+            self, monkeypatch):
+        """A member the kernel rates at 0 is on no calendar and holds no
+        event; the next flush that gives it a rate puts it on one."""
+        import repro.lon.network as network
+
+        q = EventQueue()
+        net = Network(q)
+        net.add_link("a", "b", mbps(80), 0.01)
+        done = []
+        starved, other = [net.transfer("a", "b", 1_000_000, done.append)
+                          for _ in range(2)]
+        with monkeypatch.context() as m:
+            m.setattr(network, "maxmin_rates",
+                      lambda bw, paths, weights, caps: ([0.0, bw[0]], False))
+            net.flush()
+        assert starved.rate == 0.0
+        assert starved._calendar is None and starved._completion_event is None
+        assert calendar_covers_every_flow(net)
+        q.run_until(0.05)
+        net.set_flow_weight(other, 2.0)  # any trigger on the row
+        net.flush()
+        assert starved.rate > 0 and starved._calendar is other._calendar
+        assert calendar_covers_every_flow(net)
+        q.run()
+        assert done == [other, starved]

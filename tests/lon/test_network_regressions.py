@@ -5,7 +5,10 @@ import pytest
 from repro.lon.network import Network, mbps
 from repro.lon.simtime import EventQueue
 
-from .reference_network import accounting_matches_membership
+from .reference_network import (
+    ReferenceNetwork,
+    accounting_matches_membership,
+)
 
 
 class TestDrainTailRebalance:
@@ -147,3 +150,41 @@ class TestPausedFlowAccounting:
         assert done == [f]
         assert accounting_matches_membership(net)
         assert not net._members
+
+
+class TestLiveLinkReplacement:
+    """``add_link`` on an existing pair refreshed the row's bandwidth and
+    returned: unlike ``set_remote_load`` it never poked the row, so the
+    flows on it kept rates computed for the old link (a 10 MB/s flow on a
+    1 MB/s link, which ``link_utilization`` clamped to 1.0 and so hid)."""
+
+    @staticmethod
+    def _run(net_cls, replacements):
+        """One 10 MB flow on 80 Mb/s; the link is replaced at each
+        ``(time, Mb/s)``.  Returns the network and the flow, drained."""
+        q = EventQueue()
+        net = net_cls(q)
+        net.add_link("a", "b", mbps(80), 0.01)
+        flow = net.transfer("a", "b", 10_000_000, lambda f: None)
+        for at, megabits in replacements:
+            q.run_until(at)
+            net.add_link("a", "b", mbps(megabits), 0.01)
+            net.flush()
+            assert flow.rate == mbps(megabits)
+            assert net._row_load(flow.link_row_ids[0]) <= mbps(megabits)
+        q.run()
+        return net, flow
+
+    @pytest.mark.parametrize("replacements, finish", [
+        # 1 MB at 10 MB/s, then 9 MB at 1 MB/s (was: delivered at 1.01 s)
+        ([(0.1, 8)], 0.1 + 9.0 + 0.01),
+        # ... 1 MB of those at 1 MB/s, then the bandwidth comes back
+        ([(0.1, 8), (1.1, 80)], 0.1 + 1.0 + 0.8 + 0.01),
+    ])
+    def test_replaced_bandwidth_re_rates_the_flows_on_it(
+            self, replacements, finish):
+        net, flow = self._run(Network, replacements)
+        _, oracle = self._run(ReferenceNetwork, replacements)
+        assert flow.finish_time == pytest.approx(finish, abs=1e-9)
+        assert flow.finish_time == pytest.approx(oracle.finish_time, abs=1e-9)
+        assert accounting_matches_membership(net)
