@@ -21,8 +21,10 @@ n_phi``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -54,6 +56,12 @@ class CameraLattice:
         ``l``.
     l:
         View-set edge length (paper: 6, i.e. 15° windows).
+
+    Cursor-path methods take one (theta, phi) as builtin floats and go
+    through :meth:`scalar_index`; :meth:`continuous_index` is the array
+    routine for ray bundles.  The two perform the same IEEE operations in
+    the same order, so their results are bit-equal
+    (``tests/lightfield/test_lattice_scalar.py``).
     """
 
     n_theta: int = 72
@@ -74,15 +82,15 @@ class CameraLattice:
     # ------------------------------------------------------------------
     # lattice geometry
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def theta_step(self) -> float:
         """Angular spacing between theta rows (radians)."""
-        return np.pi / self.n_theta
+        return math.pi / self.n_theta
 
-    @property
+    @cached_property
     def phi_step(self) -> float:
         """Angular spacing between phi columns (radians)."""
-        return 2.0 * np.pi / self.n_phi
+        return 2.0 * math.pi / self.n_phi
 
     @property
     def n_cameras(self) -> int:
@@ -110,17 +118,28 @@ class CameraLattice:
                     self.n_phi)
         return fi, fj
 
+    def scalar_index(
+        self, theta: float, phi: float
+    ) -> Tuple[float, float, int, int]:
+        """``(fi, fj, i, j)`` of one view direction, in plain-float math.
+
+        ``fi, fj`` are :meth:`continuous_index`'s coordinates, ``i, j`` the
+        nearest camera (ties round to even, as ``np.rint``; a ``fj`` within
+        half a step left of the phi seam wraps to column 0).
+        """
+        fi = theta / self.theta_step - 0.5
+        fi = min(max(fi, 0.0), self.n_theta - 1.0)
+        fj = (phi / self.phi_step) % self.n_phi
+        return fi, fj, round(fi), round(fj) % self.n_phi
+
     def nearest_camera(self, theta: float, phi: float) -> Tuple[int, int]:
         """The lattice camera closest to (theta, phi)."""
-        fi, fj = self.continuous_index(np.array(theta), np.array(phi))
-        i = int(np.clip(np.rint(fi), 0, self.n_theta - 1))
-        j = int(np.rint(fj)) % self.n_phi
-        return i, j
+        return self.scalar_index(theta, phi)[2:]
 
     # ------------------------------------------------------------------
     # view sets
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def n_viewsets(self) -> Tuple[int, int]:
         """(rows, cols) of the view-set grid (paper: 12 × 24)."""
         return self.n_theta // self.l, self.n_phi // self.l
@@ -161,8 +180,7 @@ class CameraLattice:
 
     def viewset_containing(self, theta: float, phi: float) -> ViewSetKey:
         """View set whose angular window contains the given view angles."""
-        i, j = self.nearest_camera(theta, phi)
-        return self.viewset_of(i, j)
+        return self.locate(theta, phi)[0]
 
     def viewset_center(self, key: ViewSetKey) -> Tuple[float, float]:
         """(theta, phi) at the center of a view set's angular window."""
@@ -193,47 +211,57 @@ class CameraLattice:
                 out.append((ni, (vj + dj) % cols))
         return out
 
-    def quadrant(self, theta: float, phi: float) -> Tuple[int, int]:
-        """Quadrant of the containing view set holding (theta, phi).
+    def locate(
+        self, theta: float, phi: float
+    ) -> Tuple[ViewSetKey, Tuple[int, int]]:
+        """Containing view set and the quadrant of it holding (theta, phi).
 
-        Returns ``(qi, qj)`` with each in {-1, +1}: qi = -1 means the upper
-        (smaller theta) half, qj = -1 the left (smaller phi) half.  This is
-        the input to the Figure 4 prefetch policy: only neighbors on the
-        quadrant's side are likely needed next.
+        The quadrant is ``(qi, qj)`` with each in {-1, +1}: qi = -1 means
+        the upper (smaller theta) half, qj = -1 the left (smaller phi) half.
+        This is the input to the Figure 4 prefetch policy: only neighbors on
+        the quadrant's side are likely needed next.
         """
-        vi, vj = self.viewset_containing(theta, phi)
-        fi, fj = self.continuous_index(np.array(theta), np.array(phi))
-        local_i = float(fi) - vi * self.l
-        local_j = float(fj) - vj * self.l
+        fi, fj, i, j = self.scalar_index(theta, phi)
+        vi, vj = i // self.l, j // self.l
         half = (self.l - 1) / 2.0
-        qi = -1 if local_i <= half else 1
-        qj = -1 if local_j <= half else 1
-        return qi, qj
+        # known defect (ROADMAP aim 3): left of the phi seam j wraps to 0 but
+        # fj does not, so qj reads +1 there; committed fingerprints hold it
+        qi = -1 if fi - vi * self.l <= half else 1
+        qj = -1 if fj - vj * self.l <= half else 1
+        return (vi, vj), (qi, qj)
+
+    def quadrant(self, theta: float, phi: float) -> Tuple[int, int]:
+        """Quadrant of the containing view set holding (theta, phi)."""
+        return self.locate(theta, phi)[1]
+
+    def quadrant_side(
+        self, key: ViewSetKey, quadrant: Tuple[int, int]
+    ) -> List[ViewSetKey]:
+        """The 3 neighbors of ``key`` on ``quadrant``'s side (Figure 4).
+
+        E.g. for the top-left quadrant: the view sets above, to the left and
+        diagonally above-left of ``key``; rows beyond a pole are dropped.
+        """
+        (vi, vj), (qi, qj) = key, quadrant
+        rows, cols = self.n_viewsets
+        wanted = [(vi + qi, vj), (vi, vj + qj), (vi + qi, vj + qj)]
+        return [(ni, nj % cols) for ni, nj in wanted if 0 <= ni < rows]
 
     def quadrant_neighbors(
         self, theta: float, phi: float
     ) -> List[ViewSetKey]:
-        """The 3 neighbors the Figure 4 policy prefetches for this position.
+        """The 3 neighbors the Figure 4 policy prefetches for this position."""
+        return self.quadrant_side(*self.locate(theta, phi))
 
-        E.g. in the top-left quadrant: the view sets above, to the left and
-        diagonally above-left of the current one.
-        """
-        key = self.viewset_containing(theta, phi)
-        vi, vj = key
-        qi, qj = self.quadrant(theta, phi)
+    @cached_property
+    def _distances(self) -> List[List[float]]:
+        # filled by np.hypot, not math.hypot: the two differ in the last bit
+        # on some integer pairs and viewset_distance is a sort key with ties
         rows, cols = self.n_viewsets
-        wanted = [(vi + qi, vj), (vi, vj + qj), (vi + qi, vj + qj)]
-        out = []
-        for ni, nj in wanted:
-            if 0 <= ni < rows:
-                out.append((ni, nj % cols))
-        return out
+        return np.hypot(*np.ogrid[:rows, :cols // 2 + 1]).tolist()
 
     def viewset_distance(self, a: ViewSetKey, b: ViewSetKey) -> float:
         """Grid distance between view sets (phi wraps) — staging order key."""
         (ai, aj), (bi, bj) = self._wrap_key(a), self._wrap_key(b)
-        rows, cols = self.n_viewsets
         dj = abs(aj - bj)
-        dj = min(dj, cols - dj)
-        di = abs(ai - bi)
-        return float(np.hypot(di, dj))
+        return self._distances[abs(ai - bi)][min(dj, self.n_viewsets[1] - dj)]

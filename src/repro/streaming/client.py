@@ -139,7 +139,7 @@ class Client:
 
     def handle_cursor(self, sample: CursorSample) -> None:
         """Process one cursor position (called at its trace time)."""
-        key = self.lattice.viewset_containing(sample.theta, sample.phi)
+        key, quadrant = self.lattice.locate(sample.theta, sample.phi)
         if self.on_cursor is not None:
             self.on_cursor(key)
         if key != self._current:
@@ -151,23 +151,23 @@ class Client:
         # Figure 4 policy: when the cursor settles in a quadrant, prefetch
         # the neighbors on that side.  Fires on (view set, quadrant) change,
         # not on every sample — prefetch is movement-driven, "spontaneous".
-        quadrant = self.lattice.quadrant(sample.theta, sample.phi)
         if (key, quadrant) == self._last_quadrant:
             return
         self._last_quadrant = (key, quadrant)
-        targets = self.policy.targets(self.lattice, sample.theta, sample.phi)
+        targets = self.policy.targets(self.lattice, key, quadrant)
         wanted = [
             k for k in targets
             if k not in self._resident
         ]
         if wanted:
             self.metrics.prefetch_issued += len(wanted)
-            self.tracer.instant(
-                "prefetch-decision",
-                cursor=self.lattice.viewset_id(key),
-                quadrant=str(quadrant),
-                targets=len(wanted),
-            )
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    "prefetch-decision",
+                    cursor=self.lattice.viewset_id(key),
+                    quadrant=str(quadrant),
+                    targets=len(wanted),
+                )
             delay = self.network.path_latency(self.node, self.agent.node)
             self.queue.schedule_in(
                 delay, lambda w=wanted: self.agent.prefetch(w),

@@ -8,7 +8,7 @@ only those are prefetched.  Ablations compare against prefetching the whole
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import List, Protocol, Tuple
 
 from ..lightfield.lattice import CameraLattice, ViewSetKey
 
@@ -22,14 +22,18 @@ __all__ = [
 
 
 class PrefetchPolicy(Protocol):
-    """Maps a cursor position to the view sets worth prefetching."""
+    """Maps the cursor's view set and quadrant to what is worth prefetching.
+
+    ``key, quadrant`` are :meth:`CameraLattice.locate` of the cursor.
+    """
 
     name: str
 
     def targets(
-        self, lattice: CameraLattice, theta: float, phi: float
+        self, lattice: CameraLattice, key: ViewSetKey,
+        quadrant: Tuple[int, int],
     ) -> List[ViewSetKey]:
-        """View sets to prefetch for a cursor at (theta, phi)."""
+        """View sets to prefetch for a cursor in ``quadrant`` of ``key``."""
         ...
 
 
@@ -39,9 +43,10 @@ class QuadrantPolicy:
     name = "quadrant"
 
     def targets(
-        self, lattice: CameraLattice, theta: float, phi: float
+        self, lattice: CameraLattice, key: ViewSetKey,
+        quadrant: Tuple[int, int],
     ) -> List[ViewSetKey]:
-        return lattice.quadrant_neighbors(theta, phi)
+        return lattice.quadrant_side(key, quadrant)
 
 
 class AllNeighborsPolicy:
@@ -50,9 +55,10 @@ class AllNeighborsPolicy:
     name = "all-neighbors"
 
     def targets(
-        self, lattice: CameraLattice, theta: float, phi: float
+        self, lattice: CameraLattice, key: ViewSetKey,
+        quadrant: Tuple[int, int],
     ) -> List[ViewSetKey]:
-        return lattice.neighbors(lattice.viewset_containing(theta, phi))
+        return lattice.neighbors(key)
 
 
 class NoPrefetchPolicy:
@@ -61,7 +67,8 @@ class NoPrefetchPolicy:
     name = "none"
 
     def targets(
-        self, lattice: CameraLattice, theta: float, phi: float
+        self, lattice: CameraLattice, key: ViewSetKey,
+        quadrant: Tuple[int, int],
     ) -> List[ViewSetKey]:
         return []
 

@@ -136,11 +136,13 @@ def standard_trace(
     mode_sweep = False
     mode_left = int(rng.integers(*dwell_steps))
     for _ in range(max_samples):
-        key = lattice.viewset_containing(theta, phi)
+        # the walk is numpy math; samples carry plain floats (same values)
+        sample = CursorSample(time=t, theta=float(theta), phi=float(phi))
+        key = lattice.viewset_containing(sample.theta, sample.phi)
         if key != current:
             accesses += 1
             current = key
-        samples.append(CursorSample(time=t, theta=theta, phi=phi))
+        samples.append(sample)
         if accesses >= n_accesses:
             break
         if mode_left <= 0:

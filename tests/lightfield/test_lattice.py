@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.lightfield.lattice import CameraLattice, parse_viewset_id
 
+from . import reference_lattice as ref
+
 
 @pytest.fixture()
 def paper_lattice():
@@ -168,6 +170,41 @@ class TestQuadrants:
         key = lat.viewset_containing(theta, phi)
         ring = set(lat.neighbors(key))
         assert set(lat.quadrant_neighbors(theta, phi)) <= ring
+
+
+class TestPhiSeamQuadrantDefect:
+    """Characterisation of a KNOWN DEFECT, not of intended behaviour.
+
+    For ``fj`` in ``[n_phi - 0.5, n_phi)`` the nearest camera wraps to column
+    0 (so ``vj = 0``) while the quadrant test still uses the unwrapped
+    ``fj``: ``local_j = fj - 0 ≈ n_phi - 0.3 > half``.  A cursor 0.3 camera
+    steps *left* of the phi seam therefore reports ``qj = +1`` and the
+    Figure 4 policy prefetches the right-hand neighbours, where ``(2, 7)`` /
+    ``(1, 7)`` are the near ones.  50 of the 8 683 samples of the
+    session-paced standard traces at seeds 7-39 sit in that sliver, so every
+    committed fingerprint depends on this answer; fixing it is a
+    re-baseline decision of its own (ROADMAP, aim 3).  Until then both the
+    scalar path and the numpy oracle must keep giving it.
+    """
+
+    lattice = CameraLattice(24, 48, 6)
+    theta = np.pi / 2 + 0.01
+    phi = (-0.3 * lattice.phi_step) % (2 * np.pi)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_scalar_path_gives_todays_answer(self, scalar):
+        lat, theta, phi = self.lattice, scalar(self.theta), scalar(self.phi)
+        assert lat.viewset_containing(theta, phi) == (2, 0)
+        assert lat.quadrant(theta, phi) == (-1, +1)          # should be -1
+        assert lat.quadrant_neighbors(theta, phi) == [
+            (1, 0), (2, 1), (1, 1)]                # should be (2, 7), (1, 7)
+
+    def test_numpy_oracle_gives_todays_answer(self):
+        lat, theta, phi = self.lattice, self.theta, self.phi
+        assert ref.viewset_containing(lat, theta, phi) == (2, 0)
+        assert ref.quadrant(lat, theta, phi) == (-1, +1)
+        assert ref.quadrant_neighbors(lat, theta, phi) == [
+            (1, 0), (2, 1), (1, 1)]
 
 
 class TestDistance:

@@ -182,3 +182,67 @@ class TestAccessAccounting:
         rig.queue.run_until(60.0)
         # one quadrant -> at most one prefetch volley (3 targets)
         assert rig.metrics.prefetch_issued <= 3
+
+
+class TestCursorPath:
+    """One lattice lookup per sample; the policy sees (key, quadrant)."""
+
+    @staticmethod
+    def _walk(lattice):
+        """Eight samples drifting across quadrants of (1, 2) and beyond."""
+        theta, phi = lattice.viewset_center((1, 2))
+        step = 0.4 * lattice.theta_step
+        return CursorTrace(samples=[
+            CursorSample(time=0.5 * i, theta=theta + step * (i - 3),
+                         phi=phi + step * i)
+            for i in range(8)
+        ])
+
+    def test_one_index_computation_per_sample(self, rig, monkeypatch):
+        calls = []
+        scalar_index = CameraLattice.scalar_index
+
+        def counting(self, theta, phi):
+            calls.append((theta, phi))
+            return scalar_index(self, theta, phi)
+
+        trace = self._walk(rig.client.lattice)
+        monkeypatch.setattr(CameraLattice, "scalar_index", counting)
+        rig.client.schedule_trace(trace)
+        rig.queue.run_until(60.0)
+        assert calls == [(s.theta, s.phi) for s in trace]
+        assert rig.metrics.prefetch_issued > 0
+
+    def test_policy_receives_the_located_key_and_quadrant(self, rig):
+        seen = []
+
+        class Recording:
+            name = "recording"
+
+            def targets(self, lattice, key, quadrant):
+                seen.append((key, quadrant))
+                return []
+
+        lattice = rig.client.lattice
+        trace = self._walk(lattice)
+        rig.client.policy = Recording()
+        rig.client.schedule_trace(trace)
+        rig.queue.run_until(60.0)
+        located = [lattice.locate(s.theta, s.phi) for s in trace]
+        # consulted on every (view set, quadrant) change, and only then
+        changes = [loc for prev, loc in zip([None] + located, located)
+                   if loc != prev]
+        assert seen == changes and len(seen) > 1
+
+    def test_untraced_decision_formats_no_span_attributes(
+            self, rig, monkeypatch):
+        from repro.obs.tracer import NULL_TRACER
+
+        def boom(*args, **kwargs):
+            raise AssertionError("instant() reached on the untraced path")
+
+        monkeypatch.setattr(NULL_TRACER, "instant", boom)
+        assert rig.client.tracer is NULL_TRACER
+        rig.client.schedule_trace(self._walk(rig.client.lattice))
+        rig.queue.run_until(60.0)
+        assert rig.metrics.prefetch_issued > 0

@@ -108,17 +108,19 @@ class TestPolicies:
     def test_quadrant_returns_at_most_three(self):
         lat = CameraLattice(12, 24, 3)
         p = QuadrantPolicy()
-        assert 1 <= len(p.targets(lat, 1.0, 1.0)) <= 3
+        assert 1 <= len(p.targets(lat, *lat.locate(1.0, 1.0))) <= 3
 
     def test_all_neighbors_superset_of_quadrant(self):
         lat = CameraLattice(12, 24, 3)
-        q = set(QuadrantPolicy().targets(lat, 1.2, 2.3))
-        a = set(AllNeighborsPolicy().targets(lat, 1.2, 2.3))
+        key, quadrant = lat.locate(1.2, 2.3)
+        q = set(QuadrantPolicy().targets(lat, key, quadrant))
+        a = set(AllNeighborsPolicy().targets(lat, key, quadrant))
+        assert q == set(lat.quadrant_neighbors(1.2, 2.3))
         assert q <= a
 
     def test_none_is_empty(self):
         lat = CameraLattice(12, 24, 3)
-        assert NoPrefetchPolicy().targets(lat, 1.0, 1.0) == []
+        assert NoPrefetchPolicy().targets(lat, *lat.locate(1.0, 1.0)) == []
 
 
 class TestServerAgent:

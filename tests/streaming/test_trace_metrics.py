@@ -1,12 +1,40 @@
 """Tests for cursor traces and session metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.lightfield.lattice import CameraLattice
 from repro.lon.scheduler import TransferEvent
 from repro.streaming.metrics import AccessRecord, AccessSource, SessionMetrics
+from repro.streaming.session import HEADING_NOISE, STEP_PERIOD
 from repro.streaming.trace import CursorSample, CursorTrace, standard_trace
+
+#: sha256 over one ``time.hex(),theta.hex(),phi.hex()`` line per sample of
+#: ``standard_trace(CameraLattice(24, 48, 6), 58, seed=s)``, recorded at the
+#: commit before the lattice's cursor path moved to plain floats (PR 19's
+#: tree).  Every committed figure rides on these walks; a change here is a
+#: re-baseline of all of them, not a test to re-record.
+TRACE_SHA = {
+    ("default", 7):
+        "c8509ca30440d6f69fd91ff5547ca1a6eff61251e3313c9ecabb8c8ea4d99bf6",
+    ("default", 11):
+        "9bf4a7d48f9db4e53845159a55ef41d789a03cf9ca1bece8ae78eb9e8c7dff0f",
+    ("default", 13):
+        "36a80fcd9fb71d21df3ce36f25843bd019e7383125d2fe0f830e12a5c7c0fb75",
+    ("session", 7):
+        "a24e5aed33934ef420514d81cadac53cc7c1c918a0dfe8bc49661af786022633",
+    ("session", 11):
+        "7c9d598bdb1d8d942e05353f97b995f40cb56811c6c02ac546637fedfba223c9",
+    ("session", 13):
+        "43a85afbe49429d33863b1eea3565f21004fb17e677de2812f6b28e97ee84c75",
+}
+#: standard_trace's own defaults (0.35 s / 0.55 rad) and the session's
+PACINGS = {
+    "default": {},
+    "session": {"step_period": STEP_PERIOD, "heading_noise": HEADING_NOISE},
+}
 
 
 @pytest.fixture()
@@ -29,6 +57,23 @@ class TestCursorTrace:
         assert [(s.time, s.theta, s.phi) for s in a] == [
             (s.time, s.theta, s.phi) for s in b
         ]
+
+    @pytest.mark.parametrize("pacing,seed", sorted(TRACE_SHA))
+    def test_standard_trace_is_the_recorded_walk(self, pacing, seed):
+        trace = standard_trace(CameraLattice(24, 48, 6), 58, seed=seed,
+                               **PACINGS[pacing])
+        digest = hashlib.sha256()
+        for s in trace:
+            digest.update(
+                f"{s.time.hex()},{s.theta.hex()},{s.phi.hex()}\n".encode())
+        assert digest.hexdigest() == TRACE_SHA[(pacing, seed)]
+
+    def test_samples_carry_builtin_floats(self, lattice):
+        """np scalars must not leak out of the numpy walk."""
+        trace = standard_trace(lattice, n_accesses=10, seed=3)
+        for s in trace:
+            assert type(s.time) is float
+            assert type(s.theta) is float and type(s.phi) is float
 
     def test_different_seeds_differ(self, lattice):
         a = standard_trace(lattice, n_accesses=10, seed=3)
