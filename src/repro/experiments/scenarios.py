@@ -173,20 +173,29 @@ def qgr_point(
 # Figure 8: decompression time
 # ----------------------------------------------------------------------
 def decompression_point(resolution: int, seed: int = 7, repeats: int = 3) -> Row:
-    """Inflate the view sets the session trace visits, for real.
+    """Make and inflate the view sets the session trace visits, for real.
 
     The deterministic row has what the simulator charges for the same
-    bytes (``streaming.client.CPU_SECONDS_PER_BYTE``); the measured inflate
-    time of this host (best of ``repeats`` per payload) is quarantined
-    beside it.
+    bytes (``streaming.client.CPU_SECONDS_PER_BYTE``); what this host
+    measures is quarantined beside it: seconds per view set to synthesize
+    the pixels and to compress them (once each — the set-up every sweep
+    pays), and to inflate the payload (best of ``repeats``).
     """
     from ..lightfield.compression import codec_for_payload
 
     source = _source(resolution)
     lat = source.lattice
     trace = session_trace(lat, SessionConfig(trace_seed=seed))
-    payloads = [source.payload(key)
-                for key in sorted(set(trace.viewset_accesses(lat)))]
+    payloads: List[bytes] = []
+    synthesize: List[float] = []
+    compress: List[float] = []
+    for key in sorted(set(trace.viewset_accesses(lat))):
+        with wall_timer() as t:
+            viewset = source.viewset(key)
+        synthesize.append(t.seconds)
+        with wall_timer() as t:
+            payloads.append(source.codec.compress(viewset).payload)
+        compress.append(t.seconds)
     inflate = [
         min(codec_for_payload(p).decompress(p)[1] for _ in range(repeats))
         for p in payloads
@@ -199,6 +208,8 @@ def decompression_point(resolution: int, seed: int = 7, repeats: int = 3) -> Row
         "modeled_decompress_s": round(
             mean_bytes * CPU_SECONDS_PER_BYTE, 6),
         WALL_CLOCK_KEY: {
+            "synthesize_s": round(sum(synthesize) / len(synthesize), 6),
+            "compress_s": round(sum(compress) / len(compress), 6),
             "mean_inflate_s": round(sum(inflate) / len(inflate), 6),
             "max_inflate_s": round(max(inflate), 6),
         },

@@ -7,7 +7,7 @@ smallest unit of network transmission we use".
 
 The binary layout is a fixed little-endian header followed by the raw
 ``(l, l, r, r, 3)`` uint8 pixel block, so (de)serialization is a header pack
-plus one ``tobytes``/``frombuffer`` — no per-pixel work.
+plus one ``join``/``frombuffer`` — no per-pixel work.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class ViewSet:
         header = _HEADER.pack(
             _MAGIC, _VERSION, vi, vj, self.l, self.resolution, 0, 0
         )
-        return header + self.images.tobytes()
+        # one copy: the join reads the pixel block through its buffer
+        return b"".join((header, self.images.reshape(-1).data))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> ViewSet:

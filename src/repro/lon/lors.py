@@ -108,12 +108,49 @@ class Deferred:
 
 @dataclass
 class _BlockFetch:
-    """One outstanding block read within a download."""
+    """One block of a cover: the replica to read, the rest, what it read."""
 
     mapping: Mapping
     alternates: List[Mapping]
     handle: Optional[TransferHandle] = None
     attempts: int = 0
+    data: bytes = b""
+
+
+def _cover(lbone: LBone, exnode: ExNode, dest: str) -> List[_BlockFetch]:
+    """Greedy minimal cover of [0, length) by mapping extents, in offset order.
+
+    Replicas for each chosen extent are ranked by latency from ``dest``;
+    ties by depot name for determinism.
+    """
+    by_extent: Dict[Tuple[int, int], List[Mapping]] = {}
+    for m in exnode.mappings:
+        by_extent.setdefault(
+            (m.extent.offset, m.extent.length), []
+        ).append(m)
+    blocks: List[_BlockFetch] = []
+    covered_to = 0
+    for off, ln in sorted(by_extent):
+        replicas = by_extent[(off, ln)]
+        if off > covered_to:
+            raise LoRSError(
+                f"exNode {exnode.name!r} has a coverage hole at "
+                f"byte {covered_to}"
+            )
+        if off + ln <= covered_to:
+            continue  # fully shadowed by earlier extents
+        ranked = sorted(
+            replicas,
+            key=lambda m: (lbone.latency_from(dest, m.depot), m.depot),
+        )
+        blocks.append(_BlockFetch(mapping=ranked[0], alternates=ranked[1:]))
+        covered_to = off + ln
+    if covered_to < exnode.length:
+        raise LoRSError(
+            f"exNode {exnode.name!r} covers only {covered_to} of "
+            f"{exnode.length} bytes"
+        )
+    return blocks
 
 
 class DownloadJob:
@@ -122,7 +159,9 @@ class DownloadJob:
     Blocks (one per covering mapping) are fetched concurrently up to
     ``max_streams``; each block prefers the lowest-latency replica and fails
     over to alternates on depot or network errors.  The result delivered to
-    the deferred is the reassembled ``bytes``.
+    the deferred is the file's ``bytes``, assembled once when the last block
+    lands — the depot's own object where one block covers the file — with no
+    staging buffer: simulated time is charged for bytes on links, not copies.
     """
 
     def __init__(
@@ -146,7 +185,7 @@ class DownloadJob:
         self.span = span  # parent span for every block-fetch flow
         #: sim time the first block flow was admitted (queue-wait boundary)
         self.t_first_flow: Optional[float] = None
-        self.buffer = bytearray(exnode.length)
+        self._blocks: List[_BlockFetch] = []  # the cover, in offset order
         self._pending: List[_BlockFetch] = []
         self._inflight = 0
         self._failed = False
@@ -160,14 +199,14 @@ class DownloadJob:
     def start(self) -> None:
         """Choose a covering set of mappings and launch the first streams."""
         try:
-            plan = self._plan_blocks()
+            self._blocks = _cover(self.lors.lbone, self.exnode, self.dest)
         except LoRSError as exc:
             self.deferred.reject(exc)
             return
-        self._pending = plan
-        self._remaining_blocks = len(plan)
-        if not plan:
-            self.deferred.resolve(bytes(self.buffer))
+        self._pending = list(self._blocks)
+        self._remaining_blocks = len(self._blocks)
+        if not self._blocks:
+            self.deferred.resolve(b"")
             return
         self._pump()
 
@@ -192,47 +231,6 @@ class DownloadJob:
             if bf.handle is not None:
                 bf.handle.promote(priority)
 
-    def _plan_blocks(self) -> List[_BlockFetch]:
-        """Greedy minimal cover of [0, length) by mapping extents.
-
-        Replicas for each chosen extent are ranked by latency from the
-        destination; ties by depot name for determinism.
-        """
-        if self.exnode.length == 0:
-            return []
-        by_extent: Dict[Tuple[int, int], List[Mapping]] = {}
-        for m in self.exnode.mappings:
-            by_extent.setdefault(
-                (m.extent.offset, m.extent.length), []
-            ).append(m)
-        blocks: List[_BlockFetch] = []
-        covered_to = 0
-        for off, ln in sorted(by_extent):
-            replicas = by_extent[(off, ln)]
-            if off > covered_to:
-                raise LoRSError(
-                    f"exNode {self.exnode.name!r} has a coverage hole at "
-                    f"byte {covered_to}"
-                )
-            if off + ln <= covered_to:
-                continue  # fully shadowed by earlier extents
-            ranked = sorted(
-                replicas,
-                key=lambda m: (
-                    self.lors.lbone.latency_from(self.dest, m.depot),
-                    m.depot,
-                ),
-            )
-            blocks.append(_BlockFetch(mapping=ranked[0],
-                                      alternates=ranked[1:]))
-            covered_to = off + ln
-        if covered_to < self.exnode.length:
-            raise LoRSError(
-                f"exNode {self.exnode.name!r} covers only {covered_to} of "
-                f"{self.exnode.length} bytes"
-            )
-        return blocks
-
     # -- stream pump ------------------------------------------------------
     def _pump(self) -> None:
         """Launch every runnable block, one RPC event per distinct delay.
@@ -245,31 +243,23 @@ class DownloadJob:
         """
         if self._failed or self._cancelled:
             return
-        groups: Dict[float, List[Tuple[_BlockFetch, bytes]]] = {}
+        groups: Dict[float, List[_BlockFetch]] = {}
         order: List[float] = []
         for bf in self._pending:
             if self._inflight >= self.max_streams:
                 break
             if bf.handle is not None or bf.attempts != 0:
                 continue
-            bf.attempts += 1
-            self._inflight += 1
-            m = bf.mapping
-            try:
-                depot = self.lors.lbone.lookup(m.depot)
-                data = depot.load(m.read_cap, 0, m.extent.length)
-            except (IBPError, Exception) as exc:  # noqa: BLE001 - failover
-                self._inflight -= 1
-                self._failover(bf, exc)
+            rpc = self._read(bf)
+            if rpc is None:
                 if self._failed or self._cancelled:
                     return
                 continue
-            rpc = self.lors.network.rpc_delay(self.dest, m.depot)
             bucket = groups.get(rpc)
             if bucket is None:
                 groups[rpc] = bucket = []
                 order.append(rpc)
-            bucket.append((bf, data))
+            bucket.append(bf)
         for rpc in order:
             blocks = groups[rpc]
             self.lors.queue.schedule_in(
@@ -278,34 +268,38 @@ class DownloadJob:
                 "lors-dl-rpc",
             )
 
-    def _launch(self, bf: _BlockFetch) -> None:
-        """Failover relaunch of a single block (its own RPC round-trip)."""
+    def _read(self, bf: _BlockFetch) -> Optional[float]:
+        """Read one block at its depot; returns the request round-trip, or
+        None once the read failed over (an unroutable depot is a failed read
+        like any other, not a crashed run)."""
         bf.attempts += 1
         self._inflight += 1
         m = bf.mapping
         try:
             depot = self.lors.lbone.lookup(m.depot)
-            data = depot.load(m.read_cap, 0, m.extent.length)
+            bf.data = depot.load(m.read_cap, 0, m.extent.length)
+            return self.lors.network.rpc_delay(self.dest, m.depot)
         except (IBPError, Exception) as exc:  # noqa: BLE001 - failover path
             self._inflight -= 1
             self._failover(bf, exc)
-            return
-        # request round-trip then bulk flow back to the destination
-        rpc = self.lors.network.rpc_delay(self.dest, m.depot)
-        blocks = [(bf, data)]
-        self.lors.queue.schedule_in(
-            rpc, lambda: self._begin_flows(blocks), "lors-dl-rpc"
-        )
+            return None
 
-    def _begin_flows(
-        self, blocks: List[Tuple[_BlockFetch, bytes]]
-    ) -> None:
+    def _launch(self, bf: _BlockFetch) -> None:
+        """Failover relaunch of a single block (its own RPC round-trip)."""
+        rpc = self._read(bf)
+        if rpc is not None:
+            # request round-trip then bulk flow back to the destination
+            self.lors.queue.schedule_in(
+                rpc, lambda: self._begin_flows([bf]), "lors-dl-rpc"
+            )
+
+    def _begin_flows(self, blocks: List[_BlockFetch]) -> None:
         """Admit one RPC group's block flows as a single batch."""
         if self._failed or self._cancelled:
             return
         specs: List[TransferSpec] = []
         live: List[_BlockFetch] = []
-        for bf, data in blocks:
+        for bf in blocks:
             m = bf.mapping
             try:
                 self.lors.network.route(m.depot, self.dest)
@@ -320,8 +314,7 @@ class DownloadJob:
                 m.depot,
                 self.dest,
                 m.extent.length,
-                on_complete=lambda fl, bf=bf, data=data:
-                    self._block_done(bf, data),
+                on_complete=lambda fl, bf=bf: self._block_done(bf),
                 on_fail=lambda fl, exc, bf=bf: self._block_failed(bf, exc),
                 label=f"dl:{self.exnode.name}:{m.extent.offset}",
                 priority=self.priority,
@@ -337,12 +330,11 @@ class DownloadJob:
         if self.t_first_flow is None:
             self.t_first_flow = self.lors.queue.now
 
-    def _block_done(self, bf: _BlockFetch, data: bytes) -> None:
+    def _block_done(self, bf: _BlockFetch) -> None:
         if self._failed or self._cancelled:
             return
         self._inflight -= 1
         m = bf.mapping
-        self.buffer[m.extent.offset:m.extent.end] = data
         self.bytes_fetched += m.extent.length
         self.per_depot_bytes[m.depot] = (
             self.per_depot_bytes.get(m.depot, 0) + m.extent.length
@@ -350,9 +342,26 @@ class DownloadJob:
         self._pending.remove(bf)
         self._remaining_blocks -= 1
         if self._remaining_blocks == 0:
-            self.deferred.resolve(bytes(self.buffer))
+            self.deferred.resolve(self._assemble())
         else:
             self._pump()
+
+    def _assemble(self) -> bytes:
+        """The file from its fetched blocks: one join, or no copy at all.
+
+        Where the cover's extents overlap they are replicas of one file cut
+        at different offsets, so their bytes agree: a block gives only what
+        the blocks before it did not.
+        """
+        parts: List[bytes] = []
+        end = 0
+        for bf in self._blocks:
+            extent = bf.mapping.extent
+            parts.append(bf.data[end - extent.offset:]
+                         if extent.offset < end else bf.data)
+            end = extent.end
+        # a lone block is handed on as the very object the depot stored
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def _block_failed(self, bf: _BlockFetch, exc: Exception) -> None:
         if self._failed or self._cancelled:
@@ -421,11 +430,8 @@ class CopyJob:
 
     def start(self) -> None:
         """Launch depot→depot block copies, ``max_streams`` at a time."""
-        # reuse the download planner's greedy cover via a throwaway job
-        probe = DownloadJob(self.lors, self.exnode, self.target.name, 1,
-                            Deferred())
         try:
-            blocks = probe._plan_blocks()
+            blocks = _cover(self.lors.lbone, self.exnode, self.target.name)
         except LoRSError as exc:
             self.deferred.reject(exc)
             return
@@ -433,8 +439,7 @@ class CopyJob:
             self.deferred.resolve([])
             return
         self._remaining = len(blocks)
-        self._queue_blocks = [(bf.mapping, list(bf.alternates))
-                              for bf in blocks]
+        self._queue_blocks = [(bf.mapping, bf.alternates) for bf in blocks]
         self._pump()
 
     def _pump(self) -> None:

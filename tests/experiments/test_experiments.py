@@ -174,8 +174,9 @@ class TestFigureSpecs:
         modeled = [r["modeled_decompress_s"] for r in result.rows]
         assert modeled == sorted(modeled) and modeled[0] > 0
         for row, wall in zip(result.rows, result.walls):
-            assert "mean_inflate_s" not in row
+            assert not set(row) & set(wall)
             assert 0 < wall["mean_inflate_s"] <= wall["max_inflate_s"]
+            assert wall["synthesize_s"] > 0 and wall["compress_s"] > 0
 
 
 class TestDrivers:

@@ -1,7 +1,11 @@
 """Tests for view-set payload sources (real DB adapter + synthetic)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lightfield.build import LightFieldBuilder
 from repro.lightfield.compression import codec_for_payload
@@ -10,6 +14,8 @@ from repro.lightfield.source import DatabaseSource, SyntheticSource
 from repro.lightfield.viewset import ViewSet
 from repro.render.raycast import RenderSettings
 from repro.volume import neg_hip, preset
+
+from .reference_source import reference_viewset
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +80,57 @@ class TestSyntheticSource:
     def test_raw_size_matches_wire_format(self, lattice):
         src = SyntheticSource(lattice, resolution=32)
         assert src.raw_size() == ViewSet.payload_size(lattice.l, 32)
+
+
+#: sha256 over the per-payload sha256 digests, in ``all_viewsets()`` order, of
+#: the default source (seed 2003, noise 0.13, zlib 6) — recorded at PR 20,
+#: before synthesis changed.  The three shapes are the ones ``perf/`` sets
+#: up: ``browse_paper``, the ``fleet_*`` family, ``client_playback``'s
+#: reference size (first six keys; 4.3 MB raw each).  Like ``GOLDEN``'s
+#: payload sizes they are this platform's bytes (numpy's float32 ``sin``,
+#: zlib 1.2.13); the ``==`` tests below hold wherever numpy does.
+PAYLOAD_PINS = [
+    ((24, 48, 6), 64, None,
+     "ff47cbb5b1102e755250fc95fc4d1c4e4b650b43e0474283419f32572ee54c39"),
+    ((18, 36, 3), 64, None,
+     "5945fb0fc2754405e55e9ccae65d738984bdbcf25d28df77bb858c1254c23446"),
+    ((12, 24, 6), 200, 6,
+     "a60980f47cd59c8595f5d6e87627c73e3f0ad60a5c709a991d30c0d929aa93ac"),
+]
+
+
+class TestPayloadBytesPinned:
+    """Synthetic payloads are data: no change to how they are made moves one."""
+
+    @pytest.mark.parametrize("shape,resolution,first,pin", PAYLOAD_PINS)
+    def test_payload_sha256(self, shape, resolution, first, pin):
+        src = SyntheticSource(CameraLattice(*shape), resolution)
+        digest = hashlib.sha256()
+        for key in list(src.lattice.all_viewsets())[:first]:
+            digest.update(hashlib.sha256(src.payload(key)).digest())
+        assert digest.hexdigest() == pin
+
+    @pytest.mark.parametrize("resolution", [1, 2, 17, 33, 64, 65, 200])
+    @pytest.mark.parametrize("noise", [0.0, 0.13, 0.3, 1.0])
+    def test_equals_reference_at_simd_edges(self, resolution, noise):
+        """Widths around the vector lanes, and the figures' own 200²."""
+        src = SyntheticSource(CameraLattice(12, 24, 2), resolution,
+                              noise_fraction=noise)
+        assert src.viewset((1, 3)) == reference_viewset(src, (1, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        resolution=st.integers(1, 80),
+        l=st.integers(1, 6),
+        noise=st.sampled_from([0.0, 0.13, 0.3, 1.0]),
+        seed=st.integers(0, 2**31),
+        vi=st.integers(0, 5),
+        vj=st.integers(0, 11),
+    )
+    def test_equals_reference(self, resolution, l, noise, seed, vi, vj):
+        src = SyntheticSource(CameraLattice(6 * l, 12 * l, l), resolution,
+                              seed=seed, noise_fraction=noise)
+        assert src.viewset((vi, vj)) == reference_viewset(src, (vi, vj))
 
 
 class TestDatabaseSource:

@@ -46,6 +46,17 @@ class TestViewSet:
         assert back == vs
         assert back.key == (1, 2)
 
+    def test_wire_blob_is_header_then_pixel_block(self):
+        """Also for pixels that are not one C-ordered block in memory."""
+        vs = random_viewset(l=2, r=8)
+        blob = vs.to_bytes()
+        header = ViewSet.payload_size(2, 8) - vs.nbytes
+        assert type(blob) is bytes
+        assert blob[header:] == vs.images.tobytes()
+        vs.images = vs.images.transpose(1, 0, 2, 3, 4)  # a strided view
+        assert not vs.images.flags.c_contiguous
+        assert vs.to_bytes() == blob[:header] + vs.images.tobytes()
+
     def test_properties(self):
         vs = random_viewset(l=3, r=16)
         assert vs.l == 3

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.lon.exnode import ExNode
+from repro.lon.exnode import ExNode, Extent, Mapping
 from repro.lon.ibp import Depot
 from repro.lon.lbone import LBone, LBoneError
-from repro.lon.lors import Deferred, LoRS, LoRSError
+from repro.lon.lors import Deferred, DownloadJob, LoRS, LoRSError
 from repro.lon.network import build_dumbbell, gbps
 from repro.lon.simtime import EventQueue
 
@@ -245,6 +245,107 @@ class TestDownload:
         assert d1.result() == data
         assert d3.result() == data
         assert striped_time <= single_time * 1.05
+
+
+def _pattern(n):
+    return bytes((i * 31 + i // 251) % 256 for i in range(n))
+
+
+def _store(depot, data, offset):
+    """One hand-made mapping: ``data`` at file offset ``offset`` on ``depot``."""
+    rcap, wcap, mcap = depot.allocate(len(data), 3600.0)
+    depot.store(wcap, data)
+    return Mapping(extent=Extent(offset, len(data)), read_cap=rcap,
+                   write_cap=wcap, manage_cap=mcap)
+
+
+class TestDownloadAssembly:
+    """Payload bytes are moved by reference; the file is assembled once."""
+
+    def test_lone_full_length_block_is_the_stored_object(self, rig):
+        q, _, _, depots, lors = rig
+        data = _pattern(40_000)
+        ex = lors.place("f", data, [depots["ca1"]])
+        (m,) = ex.mappings
+        deferred = lors.download(ex, "agent")
+        q.run()
+        assert deferred.result() == data
+        assert deferred.result() is depots["ca1"].load(m.read_cap)
+
+    @pytest.mark.parametrize("max_streams", [1, 4])
+    def test_striped_blocks_equal_the_upload(self, rig, max_streams):
+        q, _, _, depots, lors = rig
+        data = _pattern(100_001)  # seven blocks, the last one short
+        up = lors.upload(
+            "f", data, "agent",
+            [depots["ca1"], depots["ca2"], depots["ca3"]],
+            stripe_width=3, block_size=16384,
+        )
+        q.run()
+        down = lors.download(up.result(), "client", max_streams=max_streams)
+        q.run()
+        assert down.result() == data
+        assert type(down.result()) is bytes
+        assert down.job.bytes_fetched == len(data)
+
+    def test_overlapping_extents(self, rig):
+        """Replicas cut at different offsets: the cover's blocks overlap."""
+        q, _, _, depots, lors = rig
+        data = _pattern(10_000)
+        ex = ExNode("f", len(data), [
+            _store(depots["ca1"], data[:6000], 0),
+            _store(depots["ca3"], data[2000:5000], 2000),  # shadowed
+            _store(depots["ca2"], data[4000:], 4000),
+            _store(depots["ca3"], data[9000:], 9000),      # shadowed
+        ])
+        deferred = lors.download(ex, "agent", max_streams=1)
+        q.run()
+        assert deferred.result() == data
+        assert deferred.job.bytes_fetched == 12_000  # two blocks, 2000 twice
+        assert set(deferred.job.per_depot_bytes) == {"ca1", "ca2"}
+
+    def test_failover_mid_download_still_assembles(self, rig):
+        q, net, _, depots, lors = rig
+        data = _pattern(600_000)
+        ex = lors.place(
+            "f", data, [depots["ca1"], depots["ca2"]],
+            stripe_width=2, replicas=2, block_size=100_000,
+        )
+        deferred = lors.download(ex, "agent", max_streams=4)
+        cut = []
+
+        def cut_ca1():
+            cut.extend(f for f in net.active_flows if f.src == "ca1")
+            net.set_link_up("ca1", "wan-router", False)
+
+        q.schedule_in(0.09, cut_ca1)  # block flows start after a 74 ms RPC
+        q.run()
+        assert cut, "the cut must land on block flows in flight"
+        assert deferred.result() == data
+        assert deferred.job.per_depot_bytes == {"ca2": len(data)}
+
+    def test_augment_builds_no_download_job(self, rig, monkeypatch):
+        """A staged copy plans its cover without a probe download."""
+        q, _, _, depots, lors = rig
+        data = _pattern(25_000)
+        ex = lors.place(
+            "f", data, [depots["ca1"], depots["ca2"]],
+            stripe_width=2, block_size=10_000,
+        )
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("augment constructed a DownloadJob")
+
+        monkeypatch.setattr(DownloadJob, "__init__", refuse)
+        aug = lors.augment(ex, depots["lan-depot"])
+        q.run()
+        assert sorted(m.extent.offset for m in aug.result()) == [
+            0, 10_000, 20_000]
+        monkeypatch.undo()
+        lan_only = ExNode("f", ex.length, aug.result())
+        down = lors.download(lan_only, "agent")
+        q.run()
+        assert down.result() == data
 
 
 class TestAugmentTrim:
