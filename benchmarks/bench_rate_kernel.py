@@ -15,10 +15,10 @@ problem directly — 7 depots behind 50 Mb/s access links, one 40 Mb/s WAN,
 Asserted: from 1 000 flows up the numpy fill is no slower than 1.5x the
 loop fill on either shape.  With TCP ceilings held as one dense matrix row
 per capped flow it was 3-8x *slower* than the loop there (quadratic in the
-component; DESIGN.md section 10 keeps the parent's columns) and nothing
-noticed; this keeps it from coming back.  The table goes to
-``benchmarks/results/rate_kernel.txt`` and DESIGN.md section 10; nothing
-here writes a ``BENCH_*.json``.
+component; CHANGES.md, PR 18, has the columns) and nothing noticed; this
+keeps it from coming back.  The table goes to
+``benchmarks/results/rate_kernel.txt``, its ratios to DESIGN.md section 10;
+nothing here writes a ``BENCH_*.json``.
 """
 
 from time import perf_counter

@@ -36,7 +36,7 @@ Run them from the command line::
 from __future__ import annotations
 
 from .concurrency import CONCURRENCY_RULES, check_concurrency
-from .dataflow import ProjectIndex, build_index
+from .dataflow import ProjectIndex
 from .determinism import (
     DeterminismReport,
     Divergence,
@@ -59,7 +59,6 @@ __all__ = [
     "RULES",
     "CONCURRENCY_RULES",
     "ProjectIndex",
-    "build_index",
     "check_concurrency",
     "lint_paths",
     "lint_source",

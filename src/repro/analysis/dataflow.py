@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 __all__ = [
     "FunctionInfo",
@@ -36,7 +36,6 @@ __all__ = [
     "NONDET_SOURCE_CALLS",
     "SINK_PRIMITIVE_CALLS",
     "SINK_NAME_RE",
-    "build_index",
     "index_module",
 ]
 
@@ -232,17 +231,3 @@ class ProjectIndex:
         return {
             info.name for info in self.functions if info.nondet_calls
         }
-
-    def callers_of(self, name: str) -> List[FunctionInfo]:
-        """Every indexed function whose body calls ``name``."""
-        return [info for info in self.functions if name in info.calls]
-
-
-def build_index(
-    modules: Iterable[Tuple[str, ast.AST]]
-) -> ProjectIndex:
-    """Index ``(module_path, parsed_tree)`` pairs into one graph."""
-    index = ProjectIndex()
-    for module, tree in modules:
-        index.add_module(tree, module)
-    return index

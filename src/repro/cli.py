@@ -518,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(clients pinned to per-shard depot groups); "
                          ">1 runs one worker process per shard")
     mc.add_argument("--shard-workers", type=int, default=None,
-                    help="worker processes for sharded runs (default: one "
-                         "per shard; 1 = sequential reference execution)")
+                    help="1 = sequential, otherwise one process per shard "
+                         "(the default)")
     mc.add_argument("--shard-window", type=float, default=30.0,
                     help="conservative sync window in simulated seconds")
     mc.add_argument("--trace", type=Path, default=None,
@@ -536,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--clients", type=int, default=8)
     fr.add_argument("--shards", type=int, default=2)
     fr.add_argument("--shard-workers", type=int, default=1,
-                    help="worker processes (default 1: sequential)")
+                    help="1 = sequential (the default), otherwise one "
+                         "process per shard")
     fr.add_argument("--shard-window", type=float, default=30.0)
     fr.add_argument("--case", type=int, default=3, choices=[1, 2, 3])
     fr.add_argument("--resolution", type=int, default=48)

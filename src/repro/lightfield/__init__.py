@@ -13,7 +13,6 @@ from .compression import (
 )
 from .database import DatabaseError, LightFieldDatabase
 from .lattice import CameraLattice, ViewSetKey, parse_viewset_id
-from .multifield import CellSynthesizer, FieldCell, MultiFieldAtlas
 from .source import DatabaseSource, SyntheticSource, ViewSetSource
 from .sphere import TwoSphere, angles_to_cartesian, cartesian_to_angles
 from .synthesis import (
@@ -27,10 +26,7 @@ from .viewset import ViewSet, ViewSetFormatError
 __all__ = [
     "BuildStats",
     "CameraLattice",
-    "CellSynthesizer",
     "CodecError",
-    "FieldCell",
-    "MultiFieldAtlas",
     "CompressionResult",
     "DatabaseError",
     "DatabaseSource",

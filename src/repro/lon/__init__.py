@@ -40,9 +40,7 @@ from .simtime import (
     SimulationError,
     TIME_EPSILON,
     time_eq,
-    time_le,
 )
-from .warmer import LeaseWarmer, WarmerStats
 
 __all__ = [
     "Allocation",
@@ -82,12 +80,9 @@ __all__ = [
     "SimulationError",
     "TIME_EPSILON",
     "time_eq",
-    "time_le",
     "TransferEvent",
     "TransferHandle",
     "TransferScheduler",
-    "LeaseWarmer",
-    "WarmerStats",
     "gbps",
     "mbps",
 ]

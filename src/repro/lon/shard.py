@@ -31,7 +31,7 @@ is at most one window stale (the bounded-staleness contract; the peak
 :attr:`ShardResult.boundary`), and the sequential ``workers=1`` driver
 runs the identical protocol in the identical shard order, so the
 crossing case stays bit-identical too.  Disjoint fleets skip the
-exchange entirely.
+exchange entirely.  One driver (:func:`_drive`) runs both.
 
 Merge semantics: per-client metrics and fingerprint streams concatenate
 in shard order (the contiguous partition preserves global client order);
@@ -157,7 +157,7 @@ class BoundaryExchange:
     One row per shard, one column per boundary link.  Backed by a raw
     ``multiprocessing`` double array when built with a context (workers
     inherit it through ``Process`` args) or a plain list for the
-    in-process lockstep driver.  :meth:`remote` sums the *other* shards'
+    sequential driver.  :meth:`remote` sums the *other* shards'
     cells in ascending shard order — a fixed float-accumulation order, so
     the sequential and parallel drivers produce bit-identical totals.
     """
@@ -288,8 +288,8 @@ class ShardResult(RunTotals):
     #: flight-recorder dump files written by this shard
     flight_dumps: List[str] = field(default_factory=list)
     #: boundary-table access log (only when the exchange was monitored);
-    #: the sequential lockstep driver attaches the fleet-wide log to
-    #: shard 0 — its single monitor observes every shard's accesses
+    #: the sequential driver attaches the fleet-wide log to shard 0 — its
+    #: single monitor observes every shard's accesses
     access_log: Optional[List[AccessLogRecord]] = None
 
 
@@ -423,6 +423,15 @@ def _validate(
             )
 
 
+#: one shard's windowed run: yields its boundary loads after each window,
+#: is sent the siblings' total (or ``None``), returns its result
+_Session = Generator[
+    Dict[BoundaryLink, float],
+    Optional[Dict[BoundaryLink, float]],
+    ShardResult,
+]
+
+
 def _shard_session(
     source: ViewSetSource,
     config: MultiClientConfig,
@@ -434,11 +443,7 @@ def _shard_session(
     horizon: Optional[float],
     faults: Optional[List[FaultSpec]],
     flight_dir: Optional[str],
-) -> Generator[
-    Dict[BoundaryLink, float],
-    Optional[Dict[BoundaryLink, float]],
-    ShardResult,
-]:
+) -> _Session:
     """One shard's windowed run as a coroutine.
 
     The first resume wires the rig; every resume advances the session
@@ -537,6 +542,60 @@ def _shard_session(
     )
 
 
+def _drive(
+    sessions: Dict[int, _Session],
+    exchange: Optional[BoundaryExchange] = None,
+    barrier: Optional[Any] = None,
+) -> List[ShardResult]:
+    """Run the sessions this process owns (``shard_id -> session``, in
+    shard order) to completion, one window per round.
+
+    A round is the two-phase protocol: every owned session advances a
+    window and publishes its boundary loads, barrier, every owned session
+    reads its siblings' total, barrier — no cell is overwritten before
+    every reader is done.  A worker owns one session and shares
+    ``barrier`` with its siblings; the sequential run owns them all and
+    its loop order is the barrier, in the same shard order — which is why
+    ``workers=N`` is bit-identical to it.  Without an ``exchange`` a
+    round is one window and at most one wait.
+    """
+    remotes: Dict[int, Optional[Dict[BoundaryLink, float]]] = dict.fromkeys(
+        sessions)
+    while True:
+        done: List[ShardResult] = []
+        for sid, session in sessions.items():
+            try:
+                own = session.send(remotes[sid])
+            except StopIteration as stop:
+                done.append(stop.value)
+                continue
+            if exchange is not None:
+                exchange.publish(sid, own)
+        if done:
+            if len(done) != len(sessions):
+                raise RuntimeError(
+                    "shards diverged in window count; horizon and window "
+                    "must be fleet-global"
+                )
+            if exchange is not None:
+                # one monitor per process: its log rides on the first
+                # shard this process owns
+                done[0].access_log = exchange.drain_monitor()
+            return done
+        # phase boundary: every shard has published this window's loads
+        if barrier is not None:
+            barrier.wait(BARRIER_TIMEOUT)
+        if exchange is None:
+            continue
+        exchange.barrier_crossed()
+        for sid in sessions:
+            remotes[sid] = exchange.remote(sid)
+        # phase boundary: every shard has read; cells may be overwritten
+        if barrier is not None:
+            barrier.wait(BARRIER_TIMEOUT)
+        exchange.barrier_crossed()
+
+
 def run_shard(
     source: ViewSetSource,
     config: MultiClientConfig,
@@ -559,12 +618,8 @@ def run_shard(
     only bound how far ahead of its siblings a shard may run.
 
     ``exchange`` (a :class:`BoundaryExchange`) activates the two-phase
-    boundary protocol: after every window the shard publishes its
-    boundary-link loads, waits at the barrier, reads the other shards'
-    total, and waits again so no sibling overwrites a cell before every
-    reader is done.  Without an exchange the loop is the original
-    single-wait lockstep and the run is bit-identical to a disjoint
-    fleet's.
+    boundary protocol of :func:`_drive`.  Without one the run is
+    bit-identical to a disjoint fleet's.
 
     ``horizon`` is the simulated stop time *shared by the whole fleet*:
     barrier-synchronized workers must all walk the same window sequence,
@@ -582,70 +637,7 @@ def run_shard(
         exchange.links if exchange is not None else (),
         settle_seconds, window, collect_streams, horizon, faults, flight_dir,
     )
-    remote: Optional[Dict[BoundaryLink, float]] = None
-    while True:
-        try:
-            own = session.send(remote)
-        except StopIteration as stop:
-            result: ShardResult = stop.value
-            if exchange is not None:
-                result.access_log = exchange.drain_monitor()
-            return result
-        if exchange is not None:
-            exchange.publish(shard_id, own)
-            if barrier is not None:
-                barrier.wait(BARRIER_TIMEOUT)
-            exchange.barrier_crossed()
-            remote = exchange.remote(shard_id)
-            if barrier is not None:
-                barrier.wait(BARRIER_TIMEOUT)
-            exchange.barrier_crossed()
-        elif barrier is not None:
-            barrier.wait(BARRIER_TIMEOUT)
-
-
-def _run_lockstep(
-    source: ViewSetSource,
-    configs: List[MultiClientConfig],
-    exchange: BoundaryExchange,
-    **options: Any,
-) -> List[ShardResult]:
-    """Sequential reference for the crossing case.
-
-    Every shard's session advances one window per round; boundary loads
-    are exchanged between rounds — the same publish → read protocol the
-    parallel workers run behind the barrier, in the same fixed shard
-    order, so ``workers=N`` is bit-identical to this driver.
-    """
-    sessions = [
-        _shard_session(source, cfg, sid, exchange.links, **options)
-        for sid, cfg in enumerate(configs)
-    ]
-    n = len(sessions)
-    remotes: List[Optional[Dict[BoundaryLink, float]]] = [None] * n
-    while True:
-        done: List[ShardResult] = []
-        for sid, session in enumerate(sessions):
-            try:
-                exchange.publish(sid, session.send(remotes[sid]))
-            except StopIteration as stop:
-                done.append(stop.value)
-        if done:
-            if len(done) != n:
-                raise RuntimeError(
-                    "shards diverged in window count; horizon and window "
-                    "must be fleet-global"
-                )
-            # the fleet-wide access log rides on shard 0 (one in-process
-            # monitor observed every shard's accesses)
-            done[0].access_log = exchange.drain_monitor()
-            return done
-        # phase boundary: every shard has published this window's loads
-        exchange.barrier_crossed()
-        for sid in range(n):
-            remotes[sid] = exchange.remote(sid)
-        # phase boundary: every shard has read; cells may be overwritten
-        exchange.barrier_crossed()
+    return _drive({shard_id: session}, exchange, barrier)[0]
 
 
 def _worker(
@@ -694,11 +686,13 @@ def run_sharded_session(
 ) -> ShardedResult:
     """Partition the fleet into ``n_shards`` rigs and run them all.
 
-    ``workers=1`` runs every shard sequentially in this process —
-    the reference execution the parallel path must match bit-for-bit.
-    ``workers=None`` uses one process per shard.  ``start_method``
-    prefers ``fork`` (rig state inherited copy-on-write) and falls back
-    to ``spawn`` where fork is unavailable.
+    ``workers``: 1 = sequential, otherwise one process per shard.  The
+    sequential run, every shard in this process, is the reference
+    execution the parallel path must match bit-for-bit; any other value
+    (``None`` included) starts ``n_shards`` processes, and
+    :attr:`ShardedResult.workers` reports the processes that ran.
+    ``start_method`` prefers ``fork`` (rig state inherited copy-on-write)
+    and falls back to ``spawn`` where fork is unavailable.
 
     ``faults``/``flight_dir`` forward to every shard (see
     :func:`run_shard`); a fault spec carrying a ``"shard"`` key only
@@ -713,11 +707,9 @@ def run_sharded_session(
     crosses shards.
     """
     blocks = partition_clients(config.n_clients, n_shards)
-    if workers is None:
-        workers = len(blocks)
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, len(blocks))
+    workers = 1 if workers == 1 else len(blocks)
     _validate(window, faults, len(blocks))
     # each shard keeps its clients' global identity; its registry namespace
     # keeps metric names distinct in a merged fleet registry (the same depot
@@ -747,9 +739,15 @@ def run_sharded_session(
 
     if workers == 1:
         if crossing:
-            shards = _run_lockstep(
-                source, configs, make_exchange(len(blocks), None), **options)
+            # all sessions live at once and advance in lockstep
+            exchange = make_exchange(len(blocks), None)
+            shards = _drive({
+                shard_id: _shard_session(
+                    source, cfg, shard_id, exchange.links, **options)
+                for shard_id, cfg in enumerate(configs)
+            }, exchange)
         else:
+            # nothing to exchange: one rig alive at a time
             shards = [
                 run_shard(source, cfg, shard_id, **options)
                 for shard_id, cfg in enumerate(configs)

@@ -32,7 +32,6 @@ __all__ = [
     "SimulationError",
     "TIME_EPSILON",
     "time_eq",
-    "time_le",
 ]
 
 #: Tolerance for comparing simulation timestamps.  Sim times are sums of
@@ -44,11 +43,6 @@ TIME_EPSILON = 1e-9
 def time_eq(a: float, b: float, eps: float = TIME_EPSILON) -> bool:
     """True when two simulation timestamps are equal within ``eps``."""
     return abs(a - b) <= eps
-
-
-def time_le(a: float, b: float, eps: float = TIME_EPSILON) -> bool:
-    """True when ``a`` precedes (or equals, within ``eps``) ``b``."""
-    return a <= b + eps
 
 
 class SimulationError(RuntimeError):

@@ -5,10 +5,10 @@ is the few seconds *before* it.  A :class:`FlightRecorder` subscribes to
 a :class:`~repro.obs.tracer.Tracer` through its listener hooks and keeps
 the most recent finished spans and counter samples in fixed-size ring
 buffers — O(capacity) memory no matter how long the run is.  When a
-fault fires (:mod:`repro.lon.faults`), an SLO window breaches, or a
-caller asks, :meth:`trigger` freezes the rings — plus any spans still
-open at that instant — into a dump; :meth:`write_dumps` writes each dump
-as a standalone JSON file.
+fault schedule fires (:mod:`repro.lon.faults`) or a caller asks,
+:meth:`trigger` freezes the rings — plus any spans still open at that
+instant — into a dump; :meth:`write_dumps` writes each dump as a
+standalone JSON file.
 
 All timestamps are simulated seconds straight off the recorded spans;
 the recorder itself never reads a clock, so dumps are bit-reproducible

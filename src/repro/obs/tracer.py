@@ -399,13 +399,3 @@ class Tracer:
 
 #: shared disabled tracer: instrument against this by default.
 NULL_TRACER = Tracer(enabled=False)
-
-
-def make_tracer(clock: object = None,
-                enabled: bool = True) -> Tracer:
-    """Convenience: a real tracer when enabled, the shared null otherwise."""
-    return Tracer(clock, enabled=True) if enabled else NULL_TRACER
-
-
-# re-exported for callers that only need the type for annotations
-Clock = Callable[[], float]

@@ -24,14 +24,7 @@ from .prefetch import (
 from .server import GenerationRequest, ServerAgent
 from .session import SessionConfig, SessionRig, build_rig, run_session
 from .staging import StagingPump, StagingStats
-from .timevarying import (
-    TemporalClient,
-    TimeVaryingSource,
-    parse_temporal_vid,
-    temporal_vid,
-)
 from .trace import CursorSample, CursorTrace, standard_trace
-from .zoom import ZoomOverlay, parse_zoom_vid, zoom_vid
 
 __all__ = [
     "AccessRecord",
@@ -58,17 +51,10 @@ __all__ = [
     "SessionRig",
     "StagingPump",
     "StagingStats",
-    "TemporalClient",
-    "TimeVaryingSource",
     "build_multiclient_rig",
     "build_rig",
-    "parse_temporal_vid",
     "run_multiclient_session",
     "policy_by_name",
     "run_session",
     "standard_trace",
-    "temporal_vid",
-    "ZoomOverlay",
-    "parse_zoom_vid",
-    "zoom_vid",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..lightfield.lattice import CameraLattice, ViewSetKey, parse_viewset_id
 from ..lon.exnode import ExNode, Mapping
@@ -347,11 +347,7 @@ class ClientAgent:
         for vid, flight in list(self._flights.items()):
             if not flight.prefetch_only or flight.foreign:
                 continue
-            try:
-                k = parse_viewset_id(vid)
-            except ValueError:
-                continue  # zoom/temporal namespaces have no grid distance
-            if (self.lattice.viewset_distance(key, k)
+            if (self.lattice.viewset_distance(key, parse_viewset_id(vid))
                     > self.prefetch_cancel_beyond):
                 self.registry.cancel(vid)
 

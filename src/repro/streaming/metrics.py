@@ -157,13 +157,6 @@ class SessionMetrics:
     # ------------------------------------------------------------------
     # Section 4.3 statistics
     # ------------------------------------------------------------------
-    def source_counts(self) -> Dict[AccessSource, int]:
-        """Number of accesses served from each tier."""
-        counts: Dict[AccessSource, int] = {}
-        for a in self.accesses:
-            counts[a.source] = counts.get(a.source, 0) + 1
-        return counts
-
     def rate(self, source: AccessSource,
              upto: Optional[int] = None) -> float:
         """Fraction of accesses with ``index <= upto`` served from a tier."""

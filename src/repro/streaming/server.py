@@ -77,12 +77,8 @@ class ServerAgent:
         block_size: int = 1 << 20,
         render_seconds_per_viewset: float = 25.0,
         lease_duration: float = 24 * 3600.0,
-        payload_for_vid: Optional[Callable[[str], bytes]] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        """``payload_for_vid`` overrides how a view-set id resolves to
-        bytes — used by zoom overlays and time-varying namespaces whose ids
-        are not plain ``vs-i-j`` strings."""
         if render_seconds_per_viewset < 0:
             raise ValueError("render time cannot be negative")
         self.node = node
@@ -101,14 +97,7 @@ class ServerAgent:
         self._busy = False
         self.generated = 0
         self.predistributed = 0
-        self._payload_for_vid = payload_for_vid
         self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    def payload_for(self, vid: str) -> bytes:
-        """Resolve a view-set id to its payload bytes."""
-        if self._payload_for_vid is not None:
-            return self._payload_for_vid(vid)
-        return self.source.payload(parse_viewset_id(vid))
 
     # ------------------------------------------------------------------
     # offline path
@@ -192,7 +181,7 @@ class ServerAgent:
 
     def _finish_render(self, req: GenerationRequest,
                        t_started: float) -> None:
-        payload = self.payload_for(req.vid)
+        payload = self.source.payload(parse_viewset_id(req.vid))
         self.generated += 1
         now = self.queue.now
         self.tracer.record("gen-queue-wait", req.arrival, t_started,
@@ -232,8 +221,3 @@ class ServerAgent:
 
         up.add_callback(register)
         self._start_next()
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests waiting for the generator."""
-        return len(self._pending)

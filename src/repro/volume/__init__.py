@@ -7,15 +7,6 @@ potential dataset.
 """
 
 from .accel import ActiveCells, MacrocellGrid
-from .flow import (
-    VectorField,
-    helicity,
-    speed,
-    streamline_density,
-    tornado_flow,
-    trace_streamlines,
-    vorticity_magnitude,
-)
 from .grid import VolumeGrid
 from .io import read_raw, read_vgrid, write_raw, write_vgrid
 from .synthetic import (
@@ -30,16 +21,9 @@ from .transfer import TransferFunction, preset, preset_names
 __all__ = [
     "ActiveCells",
     "MacrocellGrid",
-    "VectorField",
     "VolumeGrid",
-    "helicity",
     "read_raw",
     "read_vgrid",
-    "speed",
-    "streamline_density",
-    "tornado_flow",
-    "trace_streamlines",
-    "vorticity_magnitude",
     "write_raw",
     "write_vgrid",
     "TransferFunction",

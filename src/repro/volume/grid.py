@@ -13,11 +13,10 @@ Every lookup in the package goes through one flat-index kernel, in two
 halves: :func:`axis_terms` turns world coordinates into per-axis *(inside
 flag, flat base index, float32 fraction)* rows, and :func:`lerp_cells`
 gathers the eight corners with one ``take`` on the flattened grid and blends
-them in a fixed order.  :func:`trilinear` is the two composed;
+them in a fixed order.  ``VolumeGrid.sample`` is the two composed;
 ``VolumeGrid.gradient`` composes them itself so that a lookup offset along
-one axis recomputes that axis's terms only, and
-:class:`~repro.volume.flow.VectorField` runs the same kernel over
-three-component cells.  ``tests/volume/reference_trilinear.py`` keeps the
+one axis recomputes that axis's terms only.
+``tests/volume/reference_trilinear.py`` keeps the
 straightforward per-lookup formulation the kernel must equal bit for bit.
 """
 
@@ -28,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["VolumeGrid", "axis_terms", "lerp_cells", "trilinear"]
+__all__ = ["VolumeGrid", "axis_terms", "lerp_cells"]
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -85,11 +84,10 @@ def lerp_cells(
 ) -> np.ndarray:
     """Gather the eight corners of each cell and blend them x, then y, then z.
 
-    ``cells`` is the grid flattened over its three spatial axes (``(M,)``
-    scalars or ``(M, k)`` vectors), ``base`` the flat index of each cell's
-    lowest corner, ``inside`` the vacuum mask (False reads 0) and
-    ``fx, fy, fz`` the float32 upper-neighbour weights, each broadcastable
-    against ``base`` (plus the component axis for vector cells).  The blend
+    ``cells`` is the grid flattened over its three spatial axes, ``base``
+    the flat index of each cell's lowest corner, ``inside`` the vacuum mask
+    (False reads 0) and ``fx, fy, fz`` the float32 upper-neighbour weights,
+    each broadcastable against ``base``.  The blend
     order and the ``lo * (1 - f) + hi * f`` form are fixed: float32
     rounding depends on both, and rendered frames are pinned bit for bit.
     """
@@ -105,25 +103,6 @@ def lerp_cells(
     if not inside.all():
         out[~inside] = 0.0
     return out
-
-
-def trilinear(
-    data: np.ndarray, half_size: np.ndarray, voxel: float, points: np.ndarray
-) -> np.ndarray:
-    """Trilinear lookup of ``(N, 3)`` world points in a centered grid.
-
-    ``data`` is ``(nx, ny, nz)`` or ``(nx, ny, nz, k)``; its flat view is
-    taken here, per call (O(1) on a C-contiguous array), so edits to the
-    caller's array are never missed.  Points outside the grid read 0.
-    """
-    shape = data.shape[:3]
-    inside, base, frac = axis_terms(_as_points(points).T, half_size, voxel, shape)
-    if data.ndim == 4:
-        frac = frac[..., None]
-    return lerp_cells(
-        data.reshape((-1,) + data.shape[3:]), shape,
-        base[0] + base[1] + base[2], inside[0] & inside[1] & inside[2], *frac,
-    )
 
 
 @dataclass
@@ -202,9 +181,17 @@ class VolumeGrid:
         """Trilinear interpolation at ``(N, 3)`` world points.
 
         Points outside the bounding box return 0 (vacuum), which is how the
-        ray caster composites empty space without branching.
+        ray caster composites empty space without branching.  The flat view
+        of ``data`` is taken per call (O(1) on a C-contiguous array), so
+        edits to the array are never missed.
         """
-        return trilinear(self.data, self._half_size, self._voxel, points)
+        inside, base, frac = axis_terms(
+            _as_points(points).T, self._half_size, self._voxel, self.shape)
+        return lerp_cells(
+            self.data.reshape(-1), self.shape,
+            base[0] + base[1] + base[2], inside[0] & inside[1] & inside[2],
+            *frac,
+        )
 
     def gradient(self, points: np.ndarray, h: Optional[float] = None) -> np.ndarray:
         """Central-difference gradient of the field at ``(N, 3)`` points.

@@ -15,6 +15,17 @@ SIMULATOR = ("lon", "streaming", "obs", "lightfield", "render", "volume")
 TOOLS = ("analysis", "experiments")
 
 
+def imported_from(node, package):
+    """The dotted module an ``ast.ImportFrom`` names, ``from ..x import y``
+    resolved against ``package``, the package of the importing file."""
+    base = node.module or ""
+    if node.level:
+        anchor = package.split(".")
+        anchor = anchor[:len(anchor) + 1 - node.level]
+        base = ".".join(anchor + ([base] if base else []))
+    return base
+
+
 def _imported_packages(path, package):
     """Top-level ``repro`` subpackages imported anywhere in ``path``
     (absolute or relative, module level or inside a function)."""
@@ -23,12 +34,7 @@ def _imported_packages(path, package):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                # resolve ``from ..x import y`` against the file's package
-                anchor = package.split(".")
-                anchor = anchor[:len(anchor) + 1 - node.level]
-                base = ".".join(anchor + ([base] if base else []))
+            base = imported_from(node, package)
             # ``from .. import analysis`` names the package as an alias
             names = [base] + [f"{base}.{a.name}" for a in node.names]
         else:

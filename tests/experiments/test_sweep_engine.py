@@ -17,7 +17,6 @@ import pytest
 from repro.experiments.artifacts import (
     bench_document,
     payload_fingerprint,
-    render_bench,
     split_wall_clock,
     write_bench,
 )

@@ -44,14 +44,6 @@ def test_depot_faults(monkeypatch, capsys):
     assert "done." in out
 
 
-def test_extensions(monkeypatch, capsys):
-    run_example(monkeypatch, "extensions.py", [])
-    out = capsys.readouterr().out
-    assert "cell handoffs" in out
-    assert "temporal prefetch" in out
-    assert "done." in out
-
-
 @pytest.mark.slow
 def test_pda_client(monkeypatch, capsys):
     run_example(

@@ -175,6 +175,9 @@ class TestWorkerEquivalence:
         ]
         assert latencies[0] == latencies[1]
         assert len(latencies[0]) == 8 * 6
+        # the processes that ran: any ``workers != 1`` is one per shard
+        assert [run.workers for run in runs] == [1, 4]
+        assert runs[1].aggregate()["workers"] == 4
 
 
 class TestFailures:

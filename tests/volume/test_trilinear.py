@@ -1,6 +1,6 @@
 """The flat-index trilinear kernel equals the straightforward oracle, bit for bit.
 
-``VolumeGrid.sample`` / ``gradient`` (and ``VectorField.sample``) run on
+``VolumeGrid.sample`` / ``gradient`` run on
 ``repro.volume.grid.axis_terms`` + ``lerp_cells``; the per-lookup bodies
 they replaced live in ``reference_trilinear.py``.  Equality here is
 ``np.array_equal`` — the generator's frames and payload CRCs hang off it.
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.volume.flow import VectorField
 from repro.volume.grid import VolumeGrid
 
 from .reference_trilinear import reference_gradient, reference_sample
@@ -131,22 +130,3 @@ class TestNoStaleView:
             volume.sample(center), reference_sample(volume, center)
         )
 
-
-class TestVectorFieldOnTheKernel:
-    def test_each_component_equals_the_scalar_lookup(self):
-        rng = np.random.default_rng(9)
-        data = rng.standard_normal((6, 3, 5, 3)).astype(np.float32)
-        field = VectorField(data=data, extent=1.5)
-        pts = probe_points(VolumeGrid(data=data[..., 0], extent=1.5), rng)
-        out = field.sample(pts)
-        assert out.shape == (len(pts), 3) and out.dtype == np.float32
-        for k in range(3):
-            scalar = VolumeGrid(data=data[..., k], extent=1.5)
-            assert np.array_equal(out[:, k], reference_sample(scalar, pts))
-
-    def test_in_place_edit_is_seen(self):
-        field = VectorField(data=np.zeros((4, 4, 4, 3)))
-        field.data[..., 1] = 5.0
-        np.testing.assert_array_equal(
-            field.sample(np.zeros((1, 3))), [[0.0, 5.0, 0.0]]
-        )
