@@ -23,7 +23,6 @@ from .lbone import DepotRecord, LBone, LBoneError
 from .lors import Deferred, DEFAULT_BLOCK_SIZE, LoRS, LoRSError
 from .network import Flow, Link, Network, NetworkError, NoRouteError, gbps, mbps
 from .scheduler import (
-    CancelToken,
     DEFAULT_CLASS_WEIGHTS,
     InFlightRegistry,
     Priority,
@@ -44,7 +43,6 @@ from .simtime import (
 
 __all__ = [
     "Allocation",
-    "CancelToken",
     "Capability",
     "CapType",
     "Deferred",

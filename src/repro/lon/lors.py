@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exnode import ExNode, Extent, Mapping
-from .ibp import Depot, IBPError
-from .lbone import LBone
+from .ibp import Capability, Depot, IBPError
+from .lbone import LBone, LBoneError
 from .network import Flow, Network, NetworkError
 from .scheduler import (
-    CancelToken,
     Priority,
     TransferHandle,
     TransferScheduler,
@@ -107,17 +106,19 @@ class Deferred:
 
 
 @dataclass
-class _BlockFetch:
-    """One block of a cover: the replica to read, the rest, what it read."""
+class _Block:
+    """One block of a cover: the replica in use, the rest, what it moved."""
 
     mapping: Mapping
     alternates: List[Mapping]
     handle: Optional[TransferHandle] = None
-    attempts: int = 0
     data: bytes = b""
+    #: read, write and manage capabilities of a copy's target allocation,
+    #: held from ``allocate`` until the block is stored (or released)
+    caps: Optional[Tuple[Capability, Capability, Capability]] = None
 
 
-def _cover(lbone: LBone, exnode: ExNode, dest: str) -> List[_BlockFetch]:
+def _cover(lbone: LBone, exnode: ExNode, dest: str) -> List[_Block]:
     """Greedy minimal cover of [0, length) by mapping extents, in offset order.
 
     Replicas for each chosen extent are ranked by latency from ``dest``;
@@ -128,7 +129,7 @@ def _cover(lbone: LBone, exnode: ExNode, dest: str) -> List[_BlockFetch]:
         by_extent.setdefault(
             (m.extent.offset, m.extent.length), []
         ).append(m)
-    blocks: List[_BlockFetch] = []
+    blocks: List[_Block] = []
     covered_to = 0
     for off, ln in sorted(by_extent):
         replicas = by_extent[(off, ln)]
@@ -143,7 +144,7 @@ def _cover(lbone: LBone, exnode: ExNode, dest: str) -> List[_BlockFetch]:
             replicas,
             key=lambda m: (lbone.latency_from(dest, m.depot), m.depot),
         )
-        blocks.append(_BlockFetch(mapping=ranked[0], alternates=ranked[1:]))
+        blocks.append(_Block(mapping=ranked[0], alternates=ranked[1:]))
         covered_to = off + ln
     if covered_to < exnode.length:
         raise LoRSError(
@@ -153,16 +154,21 @@ def _cover(lbone: LBone, exnode: ExNode, dest: str) -> List[_BlockFetch]:
     return blocks
 
 
-class DownloadJob:
-    """Parallel, replica-aware download of an exNode to a network node.
+class _BlockJob(Deferred):
+    """Move an exNode's blocks to one node: the engine of both LoRS tools.
 
-    Blocks (one per covering mapping) are fetched concurrently up to
-    ``max_streams``; each block prefers the lowest-latency replica and fails
-    over to alternates on depot or network errors.  The result delivered to
-    the deferred is the file's ``bytes``, assembled once when the last block
-    lands — the depot's own object where one block covers the file — with no
-    staging buffer: simulated time is charged for bytes on links, not copies.
+    Cover the file, rank each block's replicas by latency from ``dest``,
+    keep ``max_streams`` block flows in flight, and fail a block over to its
+    next replica on any depot or network error.  The job *is* the deferred
+    its caller waits on.  A subclass says what a block does: the depot-side
+    work and the delay before its flow (:meth:`_prepare`), what landing
+    means (:meth:`_land`), what becomes of a block that does not land
+    (:meth:`_release`) and the value the job resolves with (:meth:`_result`).
     """
+
+    #: label prefix of every block flow / the operation in error messages
+    tag = ""
+    what = ""
 
     def __init__(
         self,
@@ -170,183 +176,233 @@ class DownloadJob:
         exnode: ExNode,
         dest: str,
         max_streams: int,
-        deferred: Deferred,
-        priority: Priority = Priority.DEMAND,
-        token: Optional[CancelToken] = None,
-        span: object = None,
+        priority: Priority,
+        span: object,
     ) -> None:
+        super().__init__()
         self.lors = lors
         self.exnode = exnode
         self.dest = dest
         self.max_streams = max(1, max_streams)
-        self.deferred = deferred
         self.priority = Priority(priority)
-        self.token = token if token is not None else CancelToken()
-        self.span = span  # parent span for every block-fetch flow
+        self.span = span  # parent span for every block flow
         #: sim time the first block flow was admitted (queue-wait boundary)
         self.t_first_flow: Optional[float] = None
-        self._blocks: List[_BlockFetch] = []  # the cover, in offset order
-        self._pending: List[_BlockFetch] = []
+        self._blocks: List[_Block] = []  # the cover, in offset order
+        self._next = 0                   # first block not yet launched
         self._inflight = 0
-        self._failed = False
-        self._cancelled = False
-        self._remaining_blocks = 0
-        self.bytes_fetched = 0
-        self.per_depot_bytes: Dict[str, int] = {}
-        self.token.on_cancel(self.cancel)
+        self._left = 0
 
-    # -- plan -----------------------------------------------------------
+    # -- what a block does ------------------------------------------------
+    def _prepare(self, block: _Block) -> Optional[float]:
+        """Depot-side work for one attempt at ``block``; raises to fail over.
+
+        Returns the delay before its flow starts — blocks of one pump that
+        share a delay become one ``lors-dl-rpc`` event and one batch — or
+        None to admit it at once.
+        """
+        raise NotImplementedError
+
+    def _land(self, block: _Block) -> None:
+        """The block's flow delivered; raises :class:`IBPError` to fail over."""
+        raise NotImplementedError
+
+    def _release(self, block: _Block) -> None:
+        """Give back what an attempt that will not land still holds."""
+
+    def _result(self) -> object:
+        raise NotImplementedError
+
+    # -- the engine -------------------------------------------------------
     def start(self) -> None:
         """Choose a covering set of mappings and launch the first streams."""
         try:
             self._blocks = _cover(self.lors.lbone, self.exnode, self.dest)
         except LoRSError as exc:
-            self.deferred.reject(exc)
+            self.reject(exc)
             return
-        self._pending = list(self._blocks)
-        self._remaining_blocks = len(self._blocks)
+        self._left = len(self._blocks)
         if not self._blocks:
-            self.deferred.resolve(b"")
+            self.resolve(self._result())
             return
         self._pump()
 
     def cancel(self) -> None:
-        """Abort the download; the deferred is rejected."""
-        if self.deferred.done or self._cancelled:
-            return
-        self._cancelled = True
-        for bf in self._pending:
-            if bf.handle is not None:
-                bf.handle.cancel()
-        self.token.cancel()
-        self.deferred.reject(LoRSError("download cancelled"))
+        """Abort every outstanding block; the job is rejected."""
+        if not self.done:
+            self._abort(LoRSError(f"{self.what} cancelled"))
 
     def promote(self, priority: Priority) -> None:
-        """Raise the urgency of every outstanding and future block fetch."""
+        """Raise the urgency of every outstanding and future block flow."""
         priority = Priority(priority)
         if priority >= self.priority:
             return
         self.priority = priority
-        for bf in self._pending:
-            if bf.handle is not None:
-                bf.handle.promote(priority)
+        for block in self._blocks:
+            if block.handle is not None:
+                block.handle.promote(priority)
 
-    # -- stream pump ------------------------------------------------------
     def _pump(self) -> None:
-        """Launch every runnable block, one RPC event per distinct delay.
+        """Launch blocks into the free stream slots.
 
-        Blocks whose depot request round-trips are identical (the common
-        case: replicas striped across equidistant depots) arrive together
-        and admit as one :meth:`TransferScheduler.submit_batch` — the
-        flash-crowd batch the vectorized admission path is built for —
-        while also collapsing per-block ``lors-dl-rpc`` events into one.
+        Blocks whose delays are identical (the common case: replicas striped
+        across equidistant depots) arrive together and admit as one
+        :meth:`TransferScheduler.submit_batch` — the flash-crowd batch the
+        vectorized admission path is built for.
         """
-        if self._failed or self._cancelled:
-            return
-        groups: Dict[float, List[_BlockFetch]] = {}
-        order: List[float] = []
-        for bf in self._pending:
-            if self._inflight >= self.max_streams:
-                break
-            if bf.handle is not None or bf.attempts != 0:
-                continue
-            rpc = self._read(bf)
-            if rpc is None:
-                if self._failed or self._cancelled:
-                    return
-                continue
-            bucket = groups.get(rpc)
-            if bucket is None:
-                groups[rpc] = bucket = []
-                order.append(rpc)
-            bucket.append(bf)
-        for rpc in order:
-            blocks = groups[rpc]
-            self.lors.queue.schedule_in(
-                rpc,
-                lambda blocks=blocks: self._begin_flows(blocks),
-                "lors-dl-rpc",
-            )
+        groups: Dict[Optional[float], List[_Block]] = {}
+        while (
+            self._next < len(self._blocks)
+            and self._inflight < self.max_streams
+            and not self.done
+        ):
+            block = self._blocks[self._next]
+            self._next += 1
+            self._launch(block, groups)
+        if not self.done:
+            for delay, blocks in groups.items():
+                self._after(delay, blocks)
 
-    def _read(self, bf: _BlockFetch) -> Optional[float]:
-        """Read one block at its depot; returns the request round-trip, or
-        None once the read failed over (an unroutable depot is a failed read
-        like any other, not a crashed run)."""
-        bf.attempts += 1
+    def _launch(
+        self,
+        block: _Block,
+        groups: Optional[Dict[Optional[float], List[_Block]]] = None,
+    ) -> None:
+        """One attempt at a block; a failover relaunch (no ``groups``) pays
+        its own delay and admits as a batch of one."""
         self._inflight += 1
-        m = bf.mapping
         try:
-            depot = self.lors.lbone.lookup(m.depot)
-            bf.data = depot.load(m.read_cap, 0, m.extent.length)
-            return self.lors.network.rpc_delay(self.dest, m.depot)
-        except (IBPError, Exception) as exc:  # noqa: BLE001 - failover path
-            self._inflight -= 1
-            self._failover(bf, exc)
-            return None
+            delay = self._prepare(block)
+        except (IBPError, LBoneError, NetworkError) as exc:
+            # a lost, refusing or unroutable depot is a failed attempt like
+            # any other, not a crashed run
+            self._failover(block, exc)
+        else:
+            if groups is None:
+                self._after(delay, [block])
+            else:
+                groups.setdefault(delay, []).append(block)
 
-    def _launch(self, bf: _BlockFetch) -> None:
-        """Failover relaunch of a single block (its own RPC round-trip)."""
-        rpc = self._read(bf)
-        if rpc is not None:
-            # request round-trip then bulk flow back to the destination
+    def _after(self, delay: Optional[float], blocks: List[_Block]) -> None:
+        if delay is None:
+            self._admit(blocks)
+        else:
             self.lors.queue.schedule_in(
-                rpc, lambda: self._begin_flows([bf]), "lors-dl-rpc"
+                delay, lambda: self._admit(blocks), "lors-dl-rpc"
             )
 
-    def _begin_flows(self, blocks: List[_BlockFetch]) -> None:
-        """Admit one RPC group's block flows as a single batch."""
-        if self._failed or self._cancelled:
-            return
+    def _admit(self, blocks: List[_Block]) -> None:
+        """Admit one group's block flows as a single batch."""
+        live: List[_Block] = []
         specs: List[TransferSpec] = []
-        live: List[_BlockFetch] = []
-        for bf in blocks:
-            m = bf.mapping
+        for block in blocks:
+            if self.done:
+                return
+            m = block.mapping
             try:
                 self.lors.network.route(m.depot, self.dest)
             except NetworkError as exc:
-                # the depot was partitioned between request and response
-                self._inflight -= 1
-                self._failover(bf, exc)
-                if self._failed or self._cancelled:
-                    return
+                # the depot was partitioned while the request was out
+                self._failover(block, exc)
                 continue
+            live.append(block)
             specs.append(TransferSpec(
                 m.depot,
                 self.dest,
                 m.extent.length,
-                on_complete=lambda fl, bf=bf: self._block_done(bf),
-                on_fail=lambda fl, exc, bf=bf: self._block_failed(bf, exc),
-                label=f"dl:{self.exnode.name}:{m.extent.offset}",
+                on_complete=lambda fl, b=block: self._block_done(b),
+                on_fail=lambda fl, exc, b=block: self._failover(b, exc),
+                label=f"{self.tag}:{self.exnode.name}:{m.extent.offset}",
                 priority=self.priority,
-                token=self.token,
                 span=self.span,
             ))
-            live.append(bf)
-        if not specs:
+        if not specs or self.done:
             return
-        handles = self.lors.scheduler.submit_batch(specs)
-        for bf, handle in zip(live, handles):
-            bf.handle = handle
+        for block, handle in zip(
+            live, self.lors.scheduler.submit_batch(specs)
+        ):
+            block.handle = handle
         if self.t_first_flow is None:
             self.t_first_flow = self.lors.queue.now
 
-    def _block_done(self, bf: _BlockFetch) -> None:
-        if self._failed or self._cancelled:
+    def _block_done(self, block: _Block) -> None:
+        if self.done:
+            return
+        try:
+            self._land(block)
+        except IBPError as exc:
+            self._failover(block, exc)
             return
         self._inflight -= 1
-        m = bf.mapping
+        self._left -= 1
+        if self._left == 0:
+            self.resolve(self._result())
+        else:
+            self._pump()
+
+    def _failover(self, block: _Block, exc: Exception) -> None:
+        """An attempt at ``block`` ended without landing: next replica."""
+        if self.done:
+            return
+        self._inflight -= 1
+        self._release(block)
+        block.handle = None
+        if block.alternates:
+            block.mapping = block.alternates.pop(0)
+            self._launch(block)
+        else:
+            self._abort(LoRSError(
+                f"{self.what} of {self.exnode.name!r} failed at extent "
+                f"{block.mapping.extent}: {exc}"
+            ))
+
+    def _abort(self, error: LoRSError) -> None:
+        for block in self._blocks:
+            if block.handle is not None:
+                block.handle.cancel()
+            self._release(block)
+        self.reject(error)
+
+
+class DownloadJob(_BlockJob):
+    """Parallel, replica-aware download of an exNode to a network node.
+
+    Resolves with the file's ``bytes``, assembled once when the last block
+    lands — the depot's own object where one block covers the file — with no
+    staging buffer: simulated time is charged for bytes on links, not copies.
+    """
+
+    tag = "dl"
+    what = "download"
+
+    def __init__(
+        self,
+        lors: LoRS,
+        exnode: ExNode,
+        dest: str,
+        max_streams: int,
+        priority: Priority = Priority.DEMAND,
+        span: object = None,
+    ) -> None:
+        super().__init__(lors, exnode, dest, max_streams, priority, span)
+        self.bytes_fetched = 0
+        self.per_depot_bytes: Dict[str, int] = {}
+
+    def _prepare(self, block: _Block) -> float:
+        """Read the block at its depot; the flow follows the request RTT."""
+        m = block.mapping
+        depot = self.lors.lbone.lookup(m.depot)
+        block.data = depot.load(m.read_cap, 0, m.extent.length)
+        return self.lors.network.rpc_delay(self.dest, m.depot)
+
+    def _land(self, block: _Block) -> None:
+        m = block.mapping
         self.bytes_fetched += m.extent.length
         self.per_depot_bytes[m.depot] = (
             self.per_depot_bytes.get(m.depot, 0) + m.extent.length
         )
-        self._pending.remove(bf)
-        self._remaining_blocks -= 1
-        if self._remaining_blocks == 0:
-            self.deferred.resolve(self._assemble())
-        else:
-            self._pump()
 
-    def _assemble(self) -> bytes:
+    def _result(self) -> bytes:
         """The file from its fetched blocks: one join, or no copy at all.
 
         Where the cover's extents overlap they are replicas of one file cut
@@ -355,46 +411,27 @@ class DownloadJob:
         """
         parts: List[bytes] = []
         end = 0
-        for bf in self._blocks:
-            extent = bf.mapping.extent
-            parts.append(bf.data[end - extent.offset:]
-                         if extent.offset < end else bf.data)
+        for block in self._blocks:
+            extent = block.mapping.extent
+            parts.append(block.data[end - extent.offset:]
+                         if extent.offset < end else block.data)
             end = extent.end
         # a lone block is handed on as the very object the depot stored
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def _block_failed(self, bf: _BlockFetch, exc: Exception) -> None:
-        if self._failed or self._cancelled:
-            return
-        self._inflight -= 1
-        self._failover(bf, exc)
 
-    def _failover(self, bf: _BlockFetch, exc: Exception) -> None:
-        if bf.alternates:
-            bf.mapping = bf.alternates.pop(0)
-            bf.handle = None
-            self._launch(bf)
-            return
-        self._failed = True
-        for other in self._pending:
-            if other.handle is not None:
-                other.handle.cancel()
-        self.deferred.reject(
-            LoRSError(
-                f"download of {self.exnode.name!r} failed at extent "
-                f"{bf.mapping.extent}: {exc}"
-            )
-        )
-
-
-class CopyJob:
+class CopyJob(_BlockJob):
     """Third-party copy of an exNode's blocks onto a target depot.
 
     Used by aggressive staging: data moves depot→depot; the initiating node
-    only pays small manage RPCs.  On success the deferred resolves with the
-    list of new :class:`Mapping` objects (the caller augments its exNode or
-    registers them with the DVS).
+    only pays small manage RPCs.  Resolves with the list of new
+    :class:`Mapping` objects (the caller augments its exNode or registers
+    them with the DVS); a block copy that does not land gives its target
+    allocation back.
     """
+
+    tag = "copy"
+    what = "third-party copy"
 
     def __init__(
         self,
@@ -403,176 +440,48 @@ class CopyJob:
         target: Depot,
         duration: float,
         soft: bool,
-        deferred: Deferred,
         max_streams: int = 4,
         priority: Priority = Priority.STAGING,
-        token: Optional[CancelToken] = None,
         span: object = None,
     ) -> None:
-        self.lors = lors
-        self.exnode = exnode
+        super().__init__(lors, exnode, target.name, max_streams, priority,
+                         span)
         self.target = target
         self.duration = duration
         self.soft = soft
-        self.deferred = deferred
-        self.max_streams = max(1, max_streams)
-        self.priority = Priority(priority)
-        self.token = token if token is not None else CancelToken()
-        self.span = span  # parent span for every block-copy flow
         self.new_mappings: List[Mapping] = []
-        self._remaining = 0
-        self._failed = False
-        self._cancelled = False
-        self._handles: List[TransferHandle] = []
-        self._queue_blocks: List[Tuple[Mapping, List[Mapping]]] = []
-        self._inflight = 0
-        self.token.on_cancel(self.cancel)
 
-    def start(self) -> None:
-        """Launch depot→depot block copies, ``max_streams`` at a time."""
-        try:
-            blocks = _cover(self.lors.lbone, self.exnode, self.target.name)
-        except LoRSError as exc:
-            self.deferred.reject(exc)
-            return
-        if not blocks:
-            self.deferred.resolve([])
-            return
-        self._remaining = len(blocks)
-        self._queue_blocks = [(bf.mapping, bf.alternates) for bf in blocks]
-        self._pump()
+    def _prepare(self, block: _Block) -> None:
+        """Source ``copy_out`` + target allocation; the flow starts at once."""
+        m = block.mapping
+        self.lors.network.route(m.depot, self.dest)
+        source = self.lors.lbone.lookup(m.depot)
+        block.data = source.copy_out(m.read_cap, 0, m.extent.length)
+        block.caps = self.target.allocate(
+            m.extent.length, self.duration, soft=self.soft
+        )
 
-    def _pump(self) -> None:
-        """Fill free stream slots; first-attempt copies admit as one batch.
+    def _land(self, block: _Block) -> None:
+        assert block.caps is not None  # allocated by _prepare
+        rcap, wcap, mcap = block.caps
+        self.target.store(wcap, block.data)
+        # the depot holds the bytes and the mapping owns the allocation now
+        block.data, block.caps = b"", None
+        self.new_mappings.append(Mapping(
+            extent=block.mapping.extent,
+            read_cap=rcap, write_cap=wcap, manage_cap=mcap,
+        ))
 
-        Depot-side work (``copy_out`` + target allocation) is synchronous,
-        so hoisting it ahead of the batched admission reorders nothing;
-        failovers retry through the scalar :meth:`_copy_block` path.
-        """
-        specs: List[TransferSpec] = []
-        while (
-            self._queue_blocks
-            and self._inflight < self.max_streams
-            and not (self._failed or self._cancelled)
-        ):
-            m, alternates = self._queue_blocks.pop(0)
-            self._inflight += 1
-            spec = self._copy_spec(m, alternates)
-            if spec is not None:
-                specs.append(spec)
-        if not specs or self._failed or self._cancelled:
-            return
-        handles = self.lors.scheduler.submit_batch(specs)
-        self._handles.extend(handles)
-
-    def _copy_spec(
-        self, m: Mapping, alternates: List[Mapping]
-    ) -> Optional[TransferSpec]:
-        """Depot-side work + spec for one block copy; None on failover."""
-        try:
-            src_depot = self.lors.lbone.lookup(m.depot)
-            data = src_depot.copy_out(m.read_cap, 0, m.extent.length)
-            rcap, wcap, mcap = self.target.allocate(
-                m.extent.length, self.duration, soft=self.soft
-            )
-            # routability pre-check so a partitioned depot fails over here
-            # (the scalar path learns it from submit raising NoRouteError)
-            self.lors.network.route(m.depot, self.target.name)
-        except (IBPError, Exception) as exc:  # noqa: BLE001 - failover path
-            self._block_copy_failed(m, alternates, exc)
-            return None
-
-        def deliver(fl: Flow) -> None:
-            if self._failed or self._cancelled:
-                return
+    def _release(self, block: _Block) -> None:
+        if block.caps is not None:
             try:
-                self.target.store(wcap, data)
-            except IBPError as exc:
-                self._block_copy_failed(m, alternates, exc)
-                return
-            self.new_mappings.append(
-                Mapping(
-                    extent=m.extent,
-                    read_cap=rcap,
-                    write_cap=wcap,
-                    manage_cap=mcap,
-                )
-            )
-            self._remaining -= 1
-            self._inflight -= 1
-            if self._remaining == 0 and not self.deferred.done:
-                self.deferred.resolve(list(self.new_mappings))
-            else:
-                self._pump()
+                self.target.manage_decrement(block.caps[2])
+            except IBPError:
+                pass  # already expired/reclaimed
+            block.caps = None
 
-        return TransferSpec(
-            m.depot,
-            self.target.name,
-            m.extent.length,
-            on_complete=deliver,
-            on_fail=lambda fl, exc: self._block_copy_failed(
-                m, alternates, exc
-            ),
-            label=f"copy:{self.exnode.name}:{m.extent.offset}",
-            priority=self.priority,
-            token=self.token,
-            span=self.span,
-        )
-
-    def cancel(self) -> None:
-        """Abort outstanding block copies; rejects the deferred."""
-        if self.deferred.done or self._cancelled:
-            return
-        self._cancelled = True
-        for h in self._handles:
-            h.cancel()
-        self.token.cancel()
-        self.deferred.reject(LoRSError("copy cancelled"))
-
-    def promote(self, priority: Priority) -> None:
-        """Raise the urgency of every outstanding and future block copy."""
-        priority = Priority(priority)
-        if priority >= self.priority:
-            return
-        self.priority = priority
-        for h in self._handles:
-            h.promote(priority)
-
-    def _copy_block(self, m: Mapping, alternates: List[Mapping]) -> None:
-        """Scalar (failover) admission of one block copy."""
-        spec = self._copy_spec(m, alternates)
-        if spec is None:
-            return
-        handle = self.lors.scheduler.submit(
-            spec.src,
-            spec.dst,
-            spec.size,
-            on_complete=spec.on_complete,
-            on_fail=spec.on_fail,
-            label=spec.label,
-            priority=spec.priority,
-            token=spec.token,
-            span=spec.span,
-        )
-        self._handles.append(handle)
-
-    def _block_copy_failed(
-        self, m: Mapping, alternates: List[Mapping], exc: Exception
-    ) -> None:
-        if self._failed or self._cancelled:
-            return
-        if alternates:
-            self._copy_block(alternates[0], alternates[1:])
-            return
-        self._failed = True
-        for h in self._handles:
-            h.cancel()
-        if not self.deferred.done:
-            self.deferred.reject(
-                LoRSError(
-                    f"third-party copy of {self.exnode.name!r} failed: {exc}"
-                )
-            )
+    def _result(self) -> List[Mapping]:
+        return list(self.new_mappings)
 
 
 class LoRS:
@@ -674,7 +583,6 @@ class LoRS:
         duration: float = 3600.0,
         soft: bool = False,
         priority: Priority = Priority.MAINTENANCE,
-        token: Optional[CancelToken] = None,
         span: object = None,
     ) -> Deferred:
         """Asynchronous upload from ``source``: place + pay for the flows.
@@ -718,7 +626,6 @@ class LoRS:
                 on_complete=done, on_fail=fail,
                 label=f"ul:{name}:{m.extent.offset}",
                 priority=Priority(priority),
-                token=token,
                 span=span,
             )
             for m in exnode.mappings
@@ -731,22 +638,19 @@ class LoRS:
         dest: str,
         max_streams: int = 8,
         priority: Priority = Priority.DEMAND,
-        token: Optional[CancelToken] = None,
         span: object = None,
-    ) -> Deferred:
+    ) -> DownloadJob:
         """Fetch a whole exNode to node ``dest``; resolves with ``bytes``.
 
         ``priority`` sets the scheduling class of every block flow (DEMAND
         for a waiting user, PREFETCH for speculative warm-up); the returned
-        deferred's ``job`` can be promoted mid-flight via ``job.promote``.
+        job is the deferred, and can be promoted or cancelled mid-flight.
         ``span`` (optional) parents every block-fetch transfer span.
         """
-        deferred = Deferred()
-        job = DownloadJob(self, exnode, dest, max_streams, deferred,
-                          priority=priority, token=token, span=span)
-        deferred.job = job  # type: ignore[attr-defined]
+        job = DownloadJob(self, exnode, dest, max_streams,
+                          priority=priority, span=span)
         job.start()
-        return deferred
+        return job
 
     def augment(
         self,
@@ -756,9 +660,8 @@ class LoRS:
         soft: bool = True,
         max_streams: int = 4,
         priority: Priority = Priority.STAGING,
-        token: Optional[CancelToken] = None,
         span: object = None,
-    ) -> Deferred:
+    ) -> CopyJob:
         """Third-party copy onto ``target``; resolves with new mappings.
 
         Staged copies default to *soft* allocations: the LAN depot may
@@ -767,13 +670,10 @@ class LoRS:
         flows (the staging aggressiveness knob).  Copies run in the STAGING
         class by default and can be promoted to DEMAND mid-flight.
         """
-        deferred = Deferred()
-        job = CopyJob(self, exnode, target, duration, soft, deferred,
-                      max_streams=max_streams, priority=priority, token=token,
-                      span=span)
-        deferred.job = job  # type: ignore[attr-defined]
+        job = CopyJob(self, exnode, target, duration, soft,
+                      max_streams=max_streams, priority=priority, span=span)
         job.start()
-        return deferred
+        return job
 
     def trim(self, exnode: ExNode, depot_name: str) -> int:
         """Drop the replica on ``depot_name``: decrement refs, strip mappings."""

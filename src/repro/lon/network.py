@@ -21,7 +21,7 @@ the paper's evaluation depends on:
   changes weight, affected flow rates are recomputed and their drain
   deadlines with them.
 
-Routing is shortest-path by latency over a :mod:`networkx` graph.  Transfers
+Routing is shortest-path by latency over an adjacency dict.  Transfers
 deliver their completion callback after ``path propagation latency +
 serialization time at the allocated rate``.
 
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import (
     Callable,
     Dict,
@@ -68,7 +69,6 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
 import numpy as np
 
 from .rates import maxmin_rates
@@ -270,11 +270,7 @@ class AdmissionPlan:
     The per-item quiet verdicts are exact, not heuristic: during a batch
     of pure admissions with finite rate caps, a row's cap-sum load only
     grows, so "the first item index at which each row goes over" fully
-    determines every interleaved scalar ``_quiet`` answer.  If a planned
-    item is skipped at commit time (a token tripped or a dedup key
-    appeared mid-batch), :meth:`skip` degrades the plan: verdicts for the
-    remaining items are re-read live from the row state, which the
-    authoritative per-item ``_admit`` accounting keeps exact either way.
+    determines every interleaved scalar ``_quiet`` answer.
 
     ``vector_ok`` is False when the batch cannot be planned (no TCP
     window, a same-node or unroutable item);
@@ -282,7 +278,7 @@ class AdmissionPlan:
     """
 
     __slots__ = (
-        "net", "items", "vector_ok", "degraded",
+        "net", "items", "vector_ok",
         "_links", "_props", "_caps", "_etas", "_row_ids", "_quiet_flags",
     )
 
@@ -291,21 +287,12 @@ class AdmissionPlan:
         self.net = net
         self.items = items
         self.vector_ok = False
-        self.degraded = False
         self._links: List[Tuple[FrozenSet[str], ...]] = []
         self._props: List[float] = []
         self._caps: List[float] = []
         self._etas: List[float] = []
         self._row_ids: List[Tuple[int, ...]] = []
         self._quiet_flags: Optional[np.ndarray] = None
-
-    def skip(self) -> None:
-        """Note that a planned item admitted nothing.
-
-        The precomputed quiet verdicts for the remaining items assumed it
-        present, so the rest of the batch re-reads live row state.
-        """
-        self.degraded = True
 
     def admit(
         self,
@@ -331,13 +318,9 @@ class AdmissionPlan:
         flow.prop_latency = self._props[j]
         net._flows[flow.fid] = flow
         net._admit(flow)
-        if self.degraded:
-            quiet = net._quiet(flow)
-        else:
-            flags = self._quiet_flags
-            assert flags is not None  # set whenever vector_ok
-            quiet = bool(flags[j])
-        if quiet:
+        flags = self._quiet_flags
+        assert flags is not None  # set whenever vector_ok
+        if flags[j]:
             flow.rate = flow.rate_cap
             net.stats.flows_rerated += 1
             net.stats.fast_rated += 1
@@ -376,7 +359,10 @@ class Network:
         self.queue = queue
         self.tcp_window = tcp_window
         self.stats = RebalanceStats()
-        self.graph = nx.Graph()
+        # node -> neighbour -> latency over the links that are up, both in
+        # insertion order (a link brought back up goes to the end of each
+        # row): the order route() breaks equal-latency ties by
+        self._adj: Dict[str, Dict[str, float]] = {}
         self._links: Dict[FrozenSet[str], Link] = {}
         # admitted flows by stable fid (insertion order = admission order,
         # which the reference oracle's iteration depends on).  A dict
@@ -424,7 +410,7 @@ class Network:
     # ------------------------------------------------------------------
     def add_node(self, name: str) -> None:
         """Register a host (idempotent)."""
-        self.graph.add_node(name)
+        self._adj.setdefault(name, {})
 
     def add_link(
         self, a: str, b: str, bandwidth: float, latency: float
@@ -432,7 +418,7 @@ class Network:
         """Create a duplex link; replaces any existing a<->b link."""
         link = Link(a=a, b=b, bandwidth=bandwidth, latency=latency)
         self._links[link.key] = link
-        self.graph.add_edge(a, b, latency=latency)
+        self._join(a, b, latency)
         self._route_cache.clear()
         self._path_cache.clear()
         row = self._row_of.get(link.key)
@@ -451,6 +437,10 @@ class Network:
             if row in self._members:
                 self._poke((row,))
         return link
+
+    def _join(self, a: str, b: str, latency: float) -> None:
+        self._adj.setdefault(a, {})[b] = latency
+        self._adj.setdefault(b, {})[a] = latency
 
     def link_between(self, a: str, b: str) -> Link:
         """The link object joining two adjacent nodes."""
@@ -472,9 +462,9 @@ class Network:
         self._route_cache.clear()
         self._path_cache.clear()
         if up:
-            self.graph.add_edge(a, b, latency=link.latency)
+            self._join(a, b, link.latency)
         else:
-            self.graph.remove_edge(a, b)
+            del self._adj[a][b], self._adj[b][a]
             doomed = [f for f in self._flows.values()
                       if link.key in f.path_links]
             for f in doomed:
@@ -488,14 +478,65 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            path = tuple(
-                nx.shortest_path(self.graph, src, dst, weight="latency")
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise NoRouteError(f"no route {src} -> {dst}") from None
+        path = self._shortest_path(src, dst)
         self._route_cache[key] = path
         return path
+
+    def _shortest_path(self, src: str, dst: str) -> Tuple[str, ...]:
+        """Bidirectional Dijkstra over ``_adj``.
+
+        Searches alternate from ``src`` and ``dst`` (index 0 and 1 below);
+        the heap orders equal distances by discovery, a node is relaxed only
+        on strict improvement and the first meeting point of a given length
+        wins — tie for tie the path of the graph library this replaced,
+        which ``tests/lon/test_route_oracle.py`` keeps as the oracle.
+        """
+        adj = self._adj
+        no_route = NoRouteError(f"no route {src} -> {dst}")
+        if src not in adj or dst not in adj:
+            raise no_route
+        settled: Tuple[Dict[str, float], ...] = ({}, {})
+        seen: Tuple[Dict[str, float], ...] = ({src: 0}, {dst: 0})
+        prev: Tuple[Dict[str, Optional[str]], ...] = (
+            {src: None}, {dst: None})
+        fringe: Tuple[List[Tuple[float, int, str]], ...] = (
+            [(0, 0, src)], [(0, 1, dst)])
+        order = itertools.count(2)
+        best = float("inf")
+        meet: Optional[str] = None
+        side = 1
+        while fringe[0] and fringe[1]:
+            side = 1 - side
+            dist, _, v = heappop(fringe[side])
+            if v in settled[side]:
+                continue
+            settled[side][v] = dist
+            if v in settled[1 - side]:
+                # settled from both ends: the best meeting is final
+                path: List[str] = []
+                node = meet
+                while node is not None:
+                    path.append(node)
+                    node = prev[0][node]
+                path.reverse()
+                node = prev[1][path[-1]]
+                while node is not None:
+                    path.append(node)
+                    node = prev[1][node]
+                return tuple(path)
+            for w, latency in adj[v].items():
+                reach = dist + latency
+                if w not in settled[side] and (
+                    w not in seen[side] or reach < seen[side][w]
+                ):
+                    seen[side][w] = reach
+                    heappush(fringe[side], (reach, next(order), w))
+                    prev[side][w] = v
+                    if w in seen[1 - side]:
+                        total = reach + seen[1 - side][w]
+                        if total < best:
+                            best, meet = total, w
+        raise no_route
 
     def _resolve_path(self, src: str, dst: str) -> _ResolvedPath:
         """(path link keys, one-way propagation latency, link row ids),

@@ -9,8 +9,7 @@ prefetches, third-party staging copies, uploads) each driving
 *scheduled* behaviour:
 
 * every transfer is submitted through a :class:`TransferScheduler` carrying a
-  :class:`Priority` class (``DEMAND > PREFETCH > STAGING > MAINTENANCE``) and
-  an optional :class:`CancelToken`;
+  :class:`Priority` class (``DEMAND > PREFETCH > STAGING > MAINTENANCE``);
 * the ``weighted`` policy maps priority classes to weighted max-min fair
   shares, so a demand miss sharing the WAN with staging still gets most of
   the bottleneck; ``strict`` additionally pauses background flows whose path
@@ -29,10 +28,9 @@ prefetches, third-party staging copies, uploads) each driving
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -41,7 +39,6 @@ from .network import AdmissionPlan, Flow, Network
 
 __all__ = [
     "Priority",
-    "CancelToken",
     "TransferEvent",
     "TransferHandle",
     "TransferSpec",
@@ -81,40 +78,6 @@ SCHEDULING_POLICIES = ("off", "weighted", "strict")
 #: batch size (specs) from which :meth:`TransferScheduler.submit_batch`
 #: takes the array admission path; smaller batches loop scalar ``submit``
 BATCH_MIN_SPECS = 6
-
-
-class CancelToken:
-    """A shared cancellation flag for a group of related transfers.
-
-    Jobs register teardown callbacks with :meth:`on_cancel`; calling
-    :meth:`cancel` fires them once.  Tokens let a cursor move kill a whole
-    staging copy (every block flow plus its retry logic) in one call.
-    """
-
-    def __init__(self) -> None:
-        self._cancelled = False
-        self._callbacks: List[Callable[[], None]] = []
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Trip the token and fire registered callbacks (idempotent)."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb()
-
-    def on_cancel(self, cb: Callable[[], None]) -> None:
-        """Run ``cb()`` when cancelled (immediately if already tripped)."""
-        if self._cancelled:
-            cb()
-        else:
-            self._callbacks.append(cb)
 
 
 @dataclass
@@ -162,12 +125,10 @@ class TransferHandle:
         scheduler: TransferScheduler,
         priority: Priority,
         label: str,
-        token: Optional[CancelToken],
     ) -> None:
         self.scheduler = scheduler
         self.priority = priority
         self.label = label
-        self.token = token
         self.flow: Optional[Flow] = None
         self.state = "queued"  # queued|active|completed|cancelled|failed
         #: per-transfer span (real when tracing is on)
@@ -191,11 +152,7 @@ class TransferHandle:
 class TransferSpec:
     """One transfer request, as an inert value for batched admission.
 
-    Field-for-field the arguments of :meth:`TransferScheduler.submit`,
-    plus an optional ``dedup_key``: when set, a spec whose key is already
-    held in the scheduler's :class:`InFlightRegistry` — or was claimed by
-    an earlier spec of the same batch — is suppressed (its handle comes
-    back already cancelled with detail ``"deduped"``) instead of admitted.
+    Field-for-field the arguments of :meth:`TransferScheduler.submit`.
     """
 
     src: str
@@ -205,9 +162,7 @@ class TransferSpec:
     on_fail: Optional[Callable[[Flow, Exception], None]] = None
     label: str = ""
     priority: Priority = Priority.DEMAND
-    token: Optional[CancelToken] = None
     span: Optional[SpanLike] = None
-    dedup_key: Optional[str] = None
 
 
 @dataclass
@@ -347,8 +302,6 @@ class TransferScheduler:
         ``"weighted"`` — weighted max-min fair sharing by class weight;
         ``"strict"`` — weighted, plus background flows sharing a link with a
         live higher-class flow are paused (progress kept) until it drains.
-    weights:
-        Optional per-:class:`Priority` weight overrides.
     on_event:
         Optional ``callback(TransferEvent)`` receiving lifecycle events.
     tracer:
@@ -361,7 +314,6 @@ class TransferScheduler:
         self,
         network: Network,
         policy: str = "weighted",
-        weights: Optional[Dict[Priority, float]] = None,
         on_event: Optional[Callable[[TransferEvent], None]] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -372,12 +324,7 @@ class TransferScheduler:
             )
         self.network = network
         self.policy = policy
-        self.weights = dict(DEFAULT_CLASS_WEIGHTS)
-        if weights:
-            self.weights.update(weights)
-        for prio, w in self.weights.items():
-            if w <= 0:
-                raise ValueError(f"weight for {prio!r} must be positive")
+        self.weights = DEFAULT_CLASS_WEIGHTS
         self.on_event = on_event
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = InFlightRegistry()
@@ -406,26 +353,21 @@ class TransferScheduler:
         on_fail: Optional[Callable[[Flow, Exception], None]] = None,
         label: str = "",
         priority: Priority = Priority.DEMAND,
-        token: Optional[CancelToken] = None,
         span: Optional[SpanLike] = None,
-        dedup_key: Optional[str] = None,
     ) -> TransferHandle:
         """Admit one transfer at a priority class.
 
         Semantics match :meth:`Network.transfer` (``NoRouteError`` raises
         immediately, callbacks fire at simulated delivery time) with the
-        flow's bandwidth share governed by the scheduling policy.  A tripped
-        ``token`` yields an already-cancelled handle whose callbacks never
-        fire.  ``span`` (optional) becomes the parent of this transfer's own
-        span, linking the flow into the request trace that caused it.
-        ``dedup_key`` (optional) suppresses the submission when the key is
-        already held in :attr:`registry` (see :class:`TransferSpec`).
+        flow's bandwidth share governed by the scheduling policy.  ``span``
+        (optional) becomes the parent of this transfer's own span, linking
+        the flow into the request trace that caused it.
         """
         spec = TransferSpec(
             src, dst, size, on_complete, on_fail, label,
-            Priority(priority), token, span, dedup_key,
+            Priority(priority), span,
         )
-        return self._submit_spec(spec, set(), self._admit_scalar)
+        return self._submit_spec(spec)
 
     def submit_batch(
         self, specs: Sequence[TransferSpec]
@@ -435,13 +377,12 @@ class TransferScheduler:
         Below :data:`BATCH_MIN_SPECS` specs (or under the ``strict``
         policy, whose pause/resume interleaving is inherently scalar) this
         is exactly a loop of :meth:`submit` calls.  At or above it, class
-        counting, weight assignment, dedup-key hashing and initial rate
-        seeding run as numpy array operations over the whole batch
-        (:meth:`Network.admission_plan`), feeding the network's single
-        coalesced rebalance flush.  Event streams, transfer events, stats
-        other than the batch counters, and every float are bit-identical
-        to the scalar loop — the property suite and
-        ``compare_fingerprints`` hold this line.
+        counting and initial rate seeding run as numpy array operations
+        over the whole batch (:meth:`Network.admission_plan`), feeding the
+        network's single coalesced rebalance flush.  Event streams,
+        transfer events, stats other than the batch counters, and every
+        float are bit-identical to the scalar loop — the property suite
+        and ``compare_fingerprints`` hold this line.
 
         Handles are returned in spec order.  Like :meth:`submit`,
         ``NoRouteError`` propagates from the offending spec's position;
@@ -453,69 +394,21 @@ class TransferScheduler:
             return []
         if n < BATCH_MIN_SPECS or self.policy == "strict":
             self.stats.scalar_fallbacks += n
-            seen: Set[str] = set()
-            return [
-                self._submit_spec(s, seen, self._admit_scalar)
-                for s in specs
-            ]
+            return [self._submit_spec(s) for s in specs]
 
-        # -- array phase: everything derivable before any callback runs --
-        # class counting + weight assignment via a per-class LUT
-        prio_vals = np.fromiter(
-            (int(Priority(s.priority)) for s in specs),
-            dtype=np.intp, count=n,
+        # the network plans the batch's paths, rate seeds and quiet verdicts
+        # before any callback runs
+        plan = self.network.admission_plan(
+            [(s.src, s.dst, s.size) for s in specs]
         )
-        if self.policy == "off":
-            weights = np.ones(n, dtype=float)
-        else:
-            lut = np.array(
-                [self.weights[p] for p in Priority], dtype=float
-            )
-            weights = lut[prio_vals]
-        class_counts = np.bincount(prio_vals, minlength=len(Priority))
-        # dedup-key hashing: one vectorized pass decides whether any
-        # intra-batch duplicate is possible at all; the (rare) positive
-        # case confirms by string equality below, so hash collisions
-        # cannot mis-suppress
-        keyed = [s.dedup_key for s in specs]
-        if any(k is not None for k in keyed):
-            # crc32, not hash(): builtin str hashing is salted per
-            # process (PYTHONHASHSEED), and this pre-pass must reach the
-            # same may_collide verdict in every worker.  crc32 is
-            # non-negative, so the -(i + 1) no-key sentinels stay
-            # distinct from every real key.
-            hashes = np.fromiter(
-                (zlib.crc32(k.encode()) if k is not None else -(i + 1)
-                 for i, k in enumerate(keyed)),
-                dtype=np.int64, count=n,
-            )
-            may_collide = len(np.unique(hashes)) < n
-        else:
-            may_collide = False
-
-        # entry pre-checks: which specs will actually admit a flow (a
-        # tripped token or a dedup hit admits nothing).  Re-checked per
-        # spec at its turn — a mid-batch callback can trip a token — and
-        # any divergence degrades the plan, preserving exactness.
-        registry = self.registry
-        pre_seen: Set[str] = set()
-        plan_items: List[Tuple[str, str, int]] = []
-        plan_index: Dict[int, int] = {}
-        for i, s in enumerate(specs):
-            if s.token is not None and s.token.cancelled:
-                continue
-            k = s.dedup_key
-            if k is not None:
-                if k in registry or (may_collide and k in pre_seen):
-                    continue
-                if may_collide:
-                    pre_seen.add(k)
-            plan_index[i] = len(plan_items)
-            plan_items.append((s.src, s.dst, s.size))
-        plan = self.network.admission_plan(plan_items)
         if plan.vector_ok:
             self.stats.batches_flushed += 1
             self.stats.submissions_coalesced += n
+            class_counts = np.bincount(
+                np.fromiter((int(Priority(s.priority)) for s in specs),
+                            dtype=np.intp, count=n),
+                minlength=len(Priority),
+            )
             for p, c in zip(Priority, class_counts):
                 if c:
                     self.stats.batched_by_class[p.name] = (
@@ -524,93 +417,18 @@ class TransferScheduler:
                     )
         else:
             self.stats.scalar_fallbacks += n
-
-        handles: List[TransferHandle] = []
-        run_seen: Set[str] = set()
-        for i, s in enumerate(specs):
-            j = plan_index.get(i)
-            if j is None:
-                admit = self._unplanned_admit(plan)
-                handles.append(self._submit_spec(s, run_seen, admit))
-            else:
-                admit = self._planned_admit(plan, j, float(weights[i]))
-                handles.append(
-                    self._submit_spec(s, run_seen, admit,
-                                      on_skip=plan.skip)
-                )
-        return handles
-
-    def _admit_scalar(
-        self,
-        spec: TransferSpec,
-        on_complete: Callable[[Flow], None],
-        on_fail: Callable[[Flow, Exception], None],
-        weight: float,
-    ) -> Flow:
-        return self.network.transfer(
-            spec.src, spec.dst, spec.size,
-            on_complete=on_complete,
-            on_fail=on_fail,
-            label=spec.label,
-            weight=weight,
-        )
-
-    def _planned_admit(
-        self, plan: AdmissionPlan, j: int, weight: float
-    ) -> Callable[
-        [TransferSpec, Callable[[Flow], None],
-         Callable[[Flow, Exception], None], float], Flow
-    ]:
-        # the vectorized weight shadows the scalar weight_for() value —
-        # same LUT, same float — factory form keeps the closure out of the
-        # batch loop (B023)
-        def admit(
-            spec: TransferSpec,
-            on_complete: Callable[[Flow], None],
-            on_fail: Callable[[Flow, Exception], None],
-            _weight: float,
-        ) -> Flow:
-            return plan.admit(j, on_complete, on_fail, spec.label, weight)
-        return admit
-
-    def _unplanned_admit(
-        self, plan: AdmissionPlan
-    ) -> Callable[
-        [TransferSpec, Callable[[Flow], None],
-         Callable[[Flow, Exception], None], float], Flow
-    ]:
-        # a spec the pre-check filtered out nevertheless reached admission
-        # (its registry entry completed mid-batch): admit it scalar and
-        # degrade the plan, whose verdicts assumed this flow absent
-        def admit(
-            spec: TransferSpec,
-            on_complete: Callable[[Flow], None],
-            on_fail: Callable[[Flow, Exception], None],
-            weight: float,
-        ) -> Flow:
-            plan.skip()
-            return self._admit_scalar(spec, on_complete, on_fail, weight)
-        return admit
+        return [self._submit_spec(s, plan, i) for i, s in enumerate(specs)]
 
     def _submit_spec(
         self,
         spec: TransferSpec,
-        seen: Set[str],
-        admit: Callable[
-            [TransferSpec, Callable[[Flow], None],
-             Callable[[Flow, Exception], None], float], Flow
-        ],
-        on_skip: Optional[Callable[[], None]] = None,
+        plan: Optional[AdmissionPlan] = None,
+        item: int = 0,
     ) -> TransferHandle:
-        """The one admission sequence both scalar and batched paths share.
-
-        ``seen`` carries dedup keys claimed by earlier specs of the same
-        batch (a fresh set for single submits).  ``admit`` performs the
-        actual network admission; ``on_skip`` fires if this spec turns out
-        to admit nothing (batched admission uses it to degrade the plan).
-        """
+        """The one admission sequence both paths share: the flow is admitted
+        by ``Network.transfer``, or as ``item`` of a batch's ``plan``."""
         priority = Priority(spec.priority)
-        handle = TransferHandle(self, priority, spec.label, spec.token)
+        handle = TransferHandle(self, priority, spec.label)
         handle.span = self.tracer.begin(
             f"xfer:{spec.label}" if spec.label else "xfer",
             parent=spec.span,
@@ -619,24 +437,6 @@ class TransferScheduler:
             priority=priority.name,
         )
         self._emit("queued", handle)
-        if spec.token is not None and spec.token.cancelled:
-            if on_skip is not None:
-                on_skip()
-            handle.state = "cancelled"
-            self._emit("cancelled", handle, detail="token tripped")
-            handle.span.finish(state="cancelled")
-            return handle
-        key = spec.dedup_key
-        if key is not None:
-            if key in self.registry or key in seen:
-                if on_skip is not None:
-                    on_skip()
-                self.registry.note_deduped(key)
-                handle.state = "cancelled"
-                self._emit("cancelled", handle, detail="deduped")
-                handle.span.finish(state="cancelled")
-                return handle
-            seen.add(key)
         self.stats.submitted += 1
         on_complete = spec.on_complete
         on_fail = spec.on_fail
@@ -658,7 +458,14 @@ class TransferScheduler:
             if on_fail is not None:
                 on_fail(flow, exc)
 
-        flow = admit(spec, _complete, _fail, self.weight_for(priority))
+        weight = self.weight_for(priority)
+        if plan is None:
+            flow = self.network.transfer(
+                spec.src, spec.dst, spec.size, on_complete=_complete,
+                on_fail=_fail, label=spec.label, weight=weight,
+            )
+        else:
+            flow = plan.admit(item, _complete, _fail, spec.label, weight)
         handle.flow = flow
         handle.state = "active"
         if self.on_event is not None:
@@ -669,8 +476,6 @@ class TransferScheduler:
                     detail=f"{old_rate:.0f}->{fl.rate:.0f}B/s",
                 )
             flow.on_rate_change = _rerated
-        if spec.token is not None:
-            spec.token.on_cancel(handle.cancel)
         self._active.append(handle)
         self._emit("admitted", handle)
         if self.policy == "strict":

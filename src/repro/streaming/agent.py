@@ -396,17 +396,17 @@ class ClientAgent:
         flight = self._flights.get(vid)
         if flight is None or flight.cancelled:
             return
-        deferred = self.lors.download(exnode, self.node,
-                                      max_streams=self.max_streams,
-                                      priority=flight.priority,
-                                      span=flight.span)
-        flight.job = deferred.job  # type: ignore[attr-defined]
+        job = self.lors.download(exnode, self.node,
+                                 max_streams=self.max_streams,
+                                 priority=flight.priority,
+                                 span=flight.span)
+        flight.job = job
 
-        def done(dfd: Deferred) -> None:
+        def done(_: Deferred) -> None:
             if self._flights.get(vid) is not flight or flight.cancelled:
                 return  # cancelled or superseded: nobody is waiting
             flight.job = None
-            if dfd.failed:
+            if job.failed:
                 # drop the stale exNode and retry through the DVS once
                 self._exnodes.pop(vid, None)
                 self._staged_lan.pop(vid, None)
@@ -416,7 +416,6 @@ class ClientAgent:
                 else:
                     self._fail(vid, RuntimeError(f"download failed for {vid}"))
                 return
-            job = dfd.job  # type: ignore[attr-defined]
             if flight.t_first_flow is None:
                 flight.t_first_flow = job.t_first_flow
             lan_names = set(self._lan_depot_names())
@@ -427,9 +426,9 @@ class ClientAgent:
             else:
                 source = AccessSource.WAN_DEPOT
                 self.stats.wan_fetches += 1
-            self._deliver(vid, bytes(dfd.result()), source)
+            self._deliver(vid, bytes(job.result()), source)
 
-        deferred.add_callback(done)
+        job.add_callback(done)
 
     def _lan_depot_names(self) -> List[str]:
         """Depots reachable at LAN latency (< 5 ms) from this agent."""

@@ -248,13 +248,12 @@ class StagingPump:
             self._release(vid, key, requeue=True)
             self.registry.complete(vid, success=False)
             return
-        deferred = self.lors.augment(
+        job = self._jobs[vid] = self.lors.augment(
             exnode, self.lan_depot, duration=self.lease_duration, soft=True,
             max_streams=self.streams_per_copy,
             priority=self._priority.get(vid, Priority.STAGING),
             span=self._spans.get(vid),
         )
-        self._jobs[vid] = deferred.job  # type: ignore[attr-defined]
 
         def done(dfd: Deferred) -> None:
             if vid in self._cancelled:
@@ -288,4 +287,4 @@ class StagingPump:
             self.registry.complete(vid, success=True)
             self._launch_copies()
 
-        deferred.add_callback(done)
+        job.add_callback(done)

@@ -165,10 +165,9 @@ class TestDownload:
         q.run()
         for m in aug.result():
             ex.add_mapping(m)
-        deferred = lors.download(ex, "agent")
+        job = lors.download(ex, "agent")
         q.run()
-        job = deferred.job
-        assert deferred.result() == data
+        assert job.result() == data
         assert set(job.per_depot_bytes) == {"lan-depot"}
 
     def test_download_hole_rejected(self, rig):
@@ -202,10 +201,9 @@ class TestDownload:
             "f", data, [depots["ca1"], depots["ca2"], depots["ca3"]],
             stripe_width=3, block_size=10_000,
         )
-        deferred = lors.download(ex, "agent", max_streams=3)
+        job = lors.download(ex, "agent", max_streams=3)
         q.run()
-        job = deferred.job
-        assert deferred.result() == data
+        assert job.result() == data
         assert len(job.per_depot_bytes) == 3
 
     def test_max_streams_one_still_completes(self, rig):
@@ -286,7 +284,7 @@ class TestDownloadAssembly:
         q.run()
         assert down.result() == data
         assert type(down.result()) is bytes
-        assert down.job.bytes_fetched == len(data)
+        assert down.bytes_fetched == len(data)
 
     def test_overlapping_extents(self, rig):
         """Replicas cut at different offsets: the cover's blocks overlap."""
@@ -301,8 +299,8 @@ class TestDownloadAssembly:
         deferred = lors.download(ex, "agent", max_streams=1)
         q.run()
         assert deferred.result() == data
-        assert deferred.job.bytes_fetched == 12_000  # two blocks, 2000 twice
-        assert set(deferred.job.per_depot_bytes) == {"ca1", "ca2"}
+        assert deferred.bytes_fetched == 12_000  # two blocks, 2000 twice
+        assert set(deferred.per_depot_bytes) == {"ca1", "ca2"}
 
     def test_failover_mid_download_still_assembles(self, rig):
         q, net, _, depots, lors = rig
@@ -322,7 +320,7 @@ class TestDownloadAssembly:
         q.run()
         assert cut, "the cut must land on block flows in flight"
         assert deferred.result() == data
-        assert deferred.job.per_depot_bytes == {"ca2": len(data)}
+        assert deferred.per_depot_bytes == {"ca2": len(data)}
 
     def test_augment_builds_no_download_job(self, rig, monkeypatch):
         """A staged copy plans its cover without a probe download."""
