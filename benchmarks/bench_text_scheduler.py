@@ -82,8 +82,5 @@ def test_scheduling_policies(benchmark, report):
             SyntheticSource(experiment_lattice(), resolution=res),
             SessionConfig(case=3, tracing=True),
         )
-        n = write_chrome_trace(
-            m.tracer, _TRACE_OUT,
-            metrics_snapshot=m.obs.snapshot() if m.obs else None,
-        )
+        n = write_chrome_trace(m.tracer, _TRACE_OUT)
         print(f"wrote {n} trace events -> {_TRACE_OUT}")

@@ -74,11 +74,7 @@ def main() -> None:
                 f"{args.trace.stem}-case{case}"
                 f"{args.trace.suffix or '.json'}"
             )
-            n = write_chrome_trace(
-                metrics.tracer, out,
-                metrics_snapshot=(metrics.obs.snapshot()
-                                  if metrics.obs else None),
-            )
+            n = write_chrome_trace(metrics.tracer, out)
             print(f"case {case}: {n} trace events -> {out}\n")
         s = metrics.summary()
         rows.append([

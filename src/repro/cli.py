@@ -166,10 +166,7 @@ def cmd_session(args) -> int:
                 out = out.with_name(
                     f"{out.stem}-case{case}{out.suffix or '.json'}"
                 )
-            n = write_chrome_trace(
-                m.tracer, out,
-                metrics_snapshot=m.obs.snapshot() if m.obs else None,
-            )
+            n = write_chrome_trace(m.tracer, out)
             print(f"case {case}: wrote {n} trace events -> {out}")
     print(md_table(
         headers=["case", "accesses", "hit rate", "wan rate",
@@ -225,11 +222,7 @@ def cmd_multiclient(args) -> int:
         per_client = result.per_client
         agg = result.aggregate()
         if tracing and rigs and rigs[0].tracer is not None:
-            rig = rigs[0]
-            n = write_chrome_trace(
-                rig.tracer, args.trace,
-                metrics_snapshot=rig.obs.snapshot() if rig.obs else None,
-            )
+            n = write_chrome_trace(rigs[0].tracer, args.trace)
             print(f"wrote {n} trace events -> {args.trace}")
     rows = []
     for m in per_client:
@@ -264,14 +257,7 @@ def cmd_fleet_report(args) -> int:
     from .experiments import md_table
     from .lightfield import SyntheticSource
     from .lon.shard import FaultSpec, run_sharded_session
-    from .obs import (
-        LogHistogram,
-        SLOTarget,
-        evaluate_slo,
-        fleet_health,
-        merged_histogram_state,
-        miss_events,
-    )
+    from .obs import fleet_health
     from .streaming import MultiClientConfig, SessionConfig
 
     lattice = _lattice_from_args(args)
@@ -304,18 +290,7 @@ def cmd_fleet_report(args) -> int:
         faults=faults,
         flight_dir=str(args.flight_dir) if args.flight_dir else None,
     )
-    ft = sharded.stitched()
-    merged = LogHistogram.from_state(merged_histogram_state(
-        [s.telemetry for s in sharded.shards if s.telemetry is not None],
-        "fleet.demand_miss_latency",
-    ))
-    per_client = [m.accesses for m in sharded.per_client]
-    fh = fleet_health(per_client, ft.registry, miss_histogram=merged)
-    slo = evaluate_slo(
-        miss_events(per_client),
-        SLOTarget(threshold_s=args.slo_threshold,
-                  objective=args.slo_objective),
-    )
+    fh = fleet_health(sharded)
     agg = sharded.aggregate()
 
     print("# fleet report\n")
@@ -341,23 +316,8 @@ def cmd_fleet_report(args) -> int:
     print(f"\nload skew: max/mean {fh.load_skew_max_over_mean:.3f}, "
           f"gini {fh.load_skew_gini:.3f}")
 
-    print("\n## SLO\n")
-    d = slo.to_dict()
-    print(f"target: {slo.target.objective:.0%} of demand misses under "
-          f"{slo.target.threshold_s} s "
-          f"(error budget {slo.target.error_budget:.3f})")
-    print(f"good fraction {d['good_fraction']}, budget consumed "
-          f"{d['budget_consumed']}x — **{d['verdict']}**\n")
-    print(md_table(
-        headers=["window", "factor", "long burn", "short burn", "firing"],
-        rows=[[f"{w['long_s']:.0f}s/{w['short_s']:.0f}s", w["factor"],
-               w["long_burn"], w["short_burn"],
-               "FIRING" if w["firing"] else "ok"]
-              for w in d["windows"]],
-    ))
-
     if args.trace is not None:
-        n = ft.write_chrome(args.trace)
+        n = sharded.stitched().write_chrome(args.trace)
         print(f"\nwrote {n} merged trace events -> {args.trace}")
     if sharded.flight_dumps:
         print("\nflight dumps:")
@@ -530,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fr = sub.add_parser(
         "fleet-report",
-        help="traced sharded fleet run -> depot load skew, QGR and "
-             "SLO burn-rate verdicts (markdown)",
+        help="traced sharded fleet run -> QGR, demand-miss tail latency "
+             "and depot load skew (markdown)",
     )
     fr.add_argument("--clients", type=int, default=8)
     fr.add_argument("--shards", type=int, default=2)
@@ -547,10 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--seed-stride", type=int, default=101)
     fr.add_argument("--stagger", type=float, default=1.0)
     fr.add_argument("--lattice", default="9x18x3")
-    fr.add_argument("--slo-threshold", type=float, default=0.25,
-                    help="demand-miss latency bound in seconds")
-    fr.add_argument("--slo-objective", type=float, default=0.95,
-                    help="required good fraction (error budget = 1 - this)")
     fr.add_argument("--trace", type=Path, default=None,
                     help="also write the merged Chrome/Perfetto trace here")
     fr.add_argument("--flight-dir", type=Path, default=None,

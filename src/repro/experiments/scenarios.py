@@ -289,7 +289,8 @@ def observability_point(
     source.payload((lat.n_theta // lat.l // 2, 0))  # warm the payload cache
     wall, m = _traced_cost(
         lambda tracing: run_session(source, SessionConfig(
-            case=case, n_accesses=n_accesses, tracing=tracing)),
+            case=case, n_accesses=n_accesses, trace_seed=seed,
+            tracing=tracing)),
         repeats,
     )
     return {
@@ -312,9 +313,8 @@ def fleet_observability_point(
 
     Runs the identical sharded fleet untraced and traced (``workers=1``,
     the deterministic reference execution), quarantines the wall costs,
-    and reports fleet health off the stitched telemetry: QGR, demand-miss
-    tail latency (from the exact merge of per-shard histograms) and depot
-    load skew.
+    and reports fleet health off the traced run: QGR, demand-miss tail
+    latency and depot load skew.
 
     The rig is deliberately **pinned** — 9×18 l=3 lattice, resolution 48 —
     independent of ``REPRO_SCALE``: payload rows must be
@@ -323,9 +323,7 @@ def fleet_observability_point(
     tiers.  Only the tier list in the spec varies with scale.
     """
     from ..lon.shard import run_sharded_session
-    from ..obs.fleet import merged_histogram_state
     from ..obs.health import fleet_health
-    from ..obs.metrics import LogHistogram
     from ..streaming.multiclient import MultiClientConfig
 
     source = _source(48, CameraLattice(n_theta=9, n_phi=18, l=3))
@@ -348,19 +346,12 @@ def fleet_observability_point(
             source, config(tracing), n_shards=n_shards, workers=1),
         repeats,
     )
-    fleet = result.stitched()
-    merged = LogHistogram.from_state(merged_histogram_state(
-        [s.telemetry for s in result.shards if s.telemetry is not None],
-        "fleet.demand_miss_latency",
-    ))
-    per_client = [m.accesses for m in result.per_client]
-    health = fleet_health(per_client, fleet.registry,
-                          miss_histogram=merged)
+    health = fleet_health(result)
     return {
         "n_clients": n_clients,
         "n_shards": len(result.shards),
         "accesses": health.accesses,
-        "spans": len(fleet.spans),
+        "spans": sum(len(s.telemetry.spans) for s in result.shards),
         "qgr": round(health.qgr, 4),
         "misses": health.misses,
         "demand_miss_p50_s": round(health.demand_miss_p50_s, 6),

@@ -276,7 +276,7 @@ class ShardResult(RunTotals):
     #: staleness bound (seconds), max own/remote load and the peak
     #: oversubscription ratio ``(own + remote) / capacity``
     boundary: Optional[Dict[str, float]] = None
-    #: per-client metrics with tracer/obs handles stripped (cross-process)
+    #: per-client metrics with the tracer handle stripped (cross-process)
     per_client: List[SessionMetrics] = field(default_factory=list)
     #: (time.hex(), seq, label) per fired event — only when collected
     events: Optional[List[EventRecord]] = None
@@ -347,8 +347,7 @@ class ShardedResult(RunTotals):
 
         Requires the run to have been traced (``base.tracing=True``):
         each shard then exports a :class:`WorkerTelemetry` and the
-        stitcher re-bases ids, annotates spans with their worker, and
-        merges registries with exact histogram merge.
+        stitcher re-bases ids and annotates spans with their worker.
         """
         return stitch(self._per_shard(
             "telemetry", "ran without tracing; enable config.base.tracing "
@@ -516,7 +515,7 @@ def _shard_session(
                 net.set_remote_load(lk[0], lk[1], r)
     telemetry: Optional[WorkerTelemetry] = None
     if rig.tracer is not None:
-        telemetry = export_telemetry(worker_label, rig.tracer, rig.obs)
+        telemetry = export_telemetry(worker_label, rig.tracer)
     flight_dumps: List[str] = []
     if recorder is not None:
         recorder.detach()
@@ -525,9 +524,8 @@ def _shard_session(
                 flight_dir, prefix=worker_label
             )
     for m in rig.metrics:
-        # strip live handles: metrics must cross the process boundary
+        # strip the live handle: metrics must cross the process boundary
         m.tracer = None
-        m.obs = None
     return ShardResult(
         **vars(totals),
         shard_id=shard_id,
@@ -711,9 +709,9 @@ def run_sharded_session(
         raise ValueError("workers must be >= 1")
     workers = 1 if workers == 1 else len(blocks)
     _validate(window, faults, len(blocks))
-    # each shard keeps its clients' global identity; its registry namespace
-    # keeps metric names distinct in a merged fleet registry (the same depot
-    # group names recur in every shard's rig)
+    # each shard keeps its clients' global identity; its namespace keeps
+    # series names distinct in a stitched fleet trace (the same depot names
+    # recur in every shard's rig)
     configs = [
         replace(config, n_clients=count,
                 client_index_base=config.client_index_base + start,

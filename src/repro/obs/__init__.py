@@ -4,24 +4,25 @@ The paper's evaluation is a latency-attribution exercise (Figures 9-12):
 every claim is about *where* a view-set access's wait went.  This package
 supplies the machinery to record and read that attribution:
 
-* :mod:`~repro.obs.tracer` — hierarchical spans over simulated time, with a
-  free no-op mode so instrumentation can stay in hot paths;
-* :mod:`~repro.obs.metrics` — counters, gauges and log-scale histograms
-  (fixed-ratio buckets spanning the four latency decades);
+* :mod:`~repro.obs.tracer` — hierarchical spans, series samples and instants
+  over simulated time, with a free no-op mode so instrumentation can stay
+  in hot paths.  It is the one store of a traced run; everything below
+  reads it;
 * :mod:`~repro.obs.samplers` — periodic probes of link utilization, depot
-  service, scheduler class occupancy and cache fill;
+  service, scheduler class occupancy and cache fill, recorded as series;
+* :mod:`~repro.obs.metrics` — the log-scale latency histogram (fixed-ratio
+  buckets spanning the four latency decades) and the gauge / histogram
+  summary folded from a run's series and access-root spans;
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto) and
   NetLogger-style JSONL writers, plus a loader for both;
 * :mod:`~repro.obs.report` — the ``trace-report`` CLI's waterfall and
   per-stage breakdown tables;
 * :mod:`~repro.obs.fleet` — per-worker telemetry export and the fleet
-  stitcher (one merged timeline and registry across shard processes);
+  stitcher (one merged timeline across shard processes);
 * :mod:`~repro.obs.health` — depot load skew, fleet QGR and demand-miss
-  latency distributions over merged telemetry;
-* :mod:`~repro.obs.slo` — error budgets and multi-window burn-rate
-  evaluation over the demand-miss stream;
+  latency distributions of a traced sharded run;
 * :mod:`~repro.obs.flightrec` — a bounded ring of recent telemetry,
-  dumped on fault or SLO breach.
+  dumped when a fault schedule fires.
 """
 
 from .export import (
@@ -34,7 +35,6 @@ from .fleet import (
     FleetTrace,
     WorkerTelemetry,
     export_telemetry,
-    merged_histogram_state,
     stitch,
 )
 from .flightrec import FlightRecorder
@@ -42,35 +42,24 @@ from .health import (
     DepotStat,
     FleetHealth,
     demand_miss_histogram,
-    depot_stats_from_registry,
+    depot_stats,
     fleet_health,
     fleet_qgr,
     gini,
     load_skew,
-    miss_events,
 )
 from .metrics import (
-    Counter,
-    Gauge,
     GaugeRecord,
     HistogramRecord,
     LogHistogram,
-    MetricsRegistry,
     MetricsSnapshot,
+    fold_metrics,
 )
 from .report import (
     render_breakdown_table,
     render_waterfall,
     stage_breakdown,
     trace_report,
-)
-from .slo import (
-    DEFAULT_WINDOWS,
-    BurnWindow,
-    SLOReport,
-    SLOTarget,
-    WindowVerdict,
-    evaluate_slo,
 )
 from .samplers import (
     CacheSampler,
@@ -98,13 +87,11 @@ __all__ = [
     "NoopSpan",
     "NOOP_SPAN",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
     "GaugeRecord",
     "HistogramRecord",
     "LogHistogram",
-    "MetricsRegistry",
     "MetricsSnapshot",
+    "fold_metrics",
     "PeriodicSampler",
     "LinkUtilizationSampler",
     "DepotSampler",
@@ -122,22 +109,14 @@ __all__ = [
     "FleetTrace",
     "WorkerTelemetry",
     "export_telemetry",
-    "merged_histogram_state",
     "stitch",
     "DepotStat",
     "FleetHealth",
     "demand_miss_histogram",
-    "depot_stats_from_registry",
+    "depot_stats",
     "fleet_health",
     "fleet_qgr",
     "gini",
     "load_skew",
-    "miss_events",
-    "SLOTarget",
-    "SLOReport",
-    "BurnWindow",
-    "WindowVerdict",
-    "DEFAULT_WINDOWS",
-    "evaluate_slo",
     "FlightRecorder",
 ]

@@ -24,6 +24,7 @@ import json
 import os
 from typing import IO, Dict, Iterable, List, Mapping, Optional, Tuple, Union, cast
 
+from .metrics import fold_metrics
 from .tracer import Tracer
 
 __all__ = [
@@ -163,7 +164,6 @@ def chrome_trace_events(
 def write_chrome_trace(
     tracer_or_spans: Union[Tracer, Iterable[SpanDict]],
     path_or_file: Union[str, os.PathLike, IO[str]],
-    metrics_snapshot: Optional[Dict[str, object]] = None,
     counters: Optional[List[Dict[str, object]]] = None,
     instants: Optional[List[Dict[str, object]]] = None,
 ) -> int:
@@ -171,25 +171,28 @@ def write_chrome_trace(
 
     ``counters``/``instants`` override the tracer's own lists — the fleet
     stitcher passes merged spans with merged sample streams.
+    ``otherData.metrics`` is :func:`~repro.obs.metrics.fold_metrics` of the
+    spans and series written.
     """
     if isinstance(tracer_or_spans, Tracer):
-        spans = tracer_or_spans.span_dicts()
+        spans: Iterable[SpanDict] = tracer_or_spans.span_dicts()
         counters = tracer_or_spans.counters if counters is None else counters
         instants = tracer_or_spans.instants if instants is None else instants
     else:
-        spans = list(tracer_or_spans)
+        spans = tracer_or_spans
         counters = [] if counters is None else counters
         instants = [] if instants is None else instants
+    # the order the events are written in, so a reader folding the file's
+    # own spans sums the same latencies in the same order
+    spans = sorted(spans, key=_span_sort_key)
     events = chrome_trace_events(spans, counters, instants)
-    other: Dict[str, object] = {
-        "clock": "sim-seconds", "format": "repro.obs/1",
-    }
-    if metrics_snapshot is not None:
-        other["metrics"] = metrics_snapshot
     doc: Dict[str, object] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": {
+            "clock": "sim-seconds", "format": "repro.obs/1",
+            "metrics": fold_metrics(spans, counters),
+        },
     }
     if isinstance(path_or_file, (str, os.PathLike)):
         with open(path_or_file, "w", encoding="utf-8") as fh:

@@ -3,19 +3,17 @@
 Shard workers (:mod:`repro.lon.shard`) run their rigs in separate
 processes, so a fleet-scale question — "what was the p99 across 256
 clients?", "which depot served a skewed share of the bytes?" — cannot be
-answered by any single worker's :class:`~repro.obs.tracer.Tracer` or
-:class:`~repro.obs.metrics.MetricsRegistry`.  This module makes workers
-first-class telemetry *sources*:
+answered by any single worker's :class:`~repro.obs.tracer.Tracer`.  This
+module makes workers first-class telemetry *sources*:
 
-* :func:`export_telemetry` — snapshot one rig's tracer + registry into a
-  :class:`WorkerTelemetry`: plain picklable data (span dicts, counter and
-  instant samples, full registry state) that crosses the process boundary
-  with the shard result;
+* :func:`export_telemetry` — one rig's tracer store as a
+  :class:`WorkerTelemetry`: plain picklable data (span dicts, series and
+  instant samples) that crosses the process boundary with the shard
+  result;
 * :func:`stitch` — merge worker exports into one :class:`FleetTrace`:
   span/trace ids are re-based per worker so they stay unique, every span
-  is annotated with its ``worker``, counter series keep the per-shard
-  namespace their registry stamped at record time, and registries merge
-  with **exact** histogram merge (bit-equal to pooled recording);
+  is annotated with its ``worker``, and series keep the per-shard
+  namespace their sampler stamped at record time;
 * :meth:`FleetTrace.write_chrome` — one merged Perfetto artifact for the
   whole fleet.
 
@@ -29,33 +27,29 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Union, cast
+from typing import IO, Dict, Iterable, List, Union, cast
 
 from .export import write_chrome_trace
-from .metrics import MetricsRegistry
 from .tracer import SpanDict, Tracer
 
 __all__ = [
     "FleetTrace",
     "WorkerTelemetry",
     "export_telemetry",
-    "merged_histogram_state",
     "stitch",
 ]
 
 
 @dataclass
 class WorkerTelemetry:
-    """One worker's complete telemetry export (plain picklable data)."""
+    """One worker's tracer store (plain picklable data)."""
 
-    #: stable worker label, e.g. ``"shard0"`` (doubles as the registry
-    #: namespace the worker recorded under)
+    #: stable worker label, e.g. ``"shard0"`` (doubles as the namespace the
+    #: worker's samplers recorded under)
     worker: str
     spans: List[SpanDict] = field(default_factory=list)
     counters: List[Dict[str, object]] = field(default_factory=list)
     instants: List[Dict[str, object]] = field(default_factory=list)
-    #: full-fidelity :meth:`MetricsRegistry.export_state` dump
-    metrics: Dict[str, object] = field(default_factory=dict)
 
     @property
     def max_span_id(self) -> int:
@@ -68,33 +62,28 @@ class WorkerTelemetry:
                    default=0)
 
 
-def export_telemetry(
-    worker: str,
-    tracer: Optional[Tracer],
-    registry: Optional[MetricsRegistry],
-) -> WorkerTelemetry:
-    """Snapshot a rig's live tracer/registry into picklable telemetry."""
+def export_telemetry(worker: str, tracer: Tracer) -> WorkerTelemetry:
+    """A finished rig's tracer store as picklable telemetry.
+
+    Spans become dicts; the sample dicts are shared, not copied — nothing
+    downstream writes to one.
+    """
     return WorkerTelemetry(
         worker=worker,
-        spans=list(tracer.span_dicts()) if tracer is not None else [],
-        counters=[dict(c) for c in tracer.counters]
-        if tracer is not None else [],
-        instants=[dict(i) for i in tracer.instants]
-        if tracer is not None else [],
-        metrics=registry.export_state() if registry is not None else {},
+        spans=tracer.span_dicts(),
+        counters=list(tracer.counters),
+        instants=list(tracer.instants),
     )
 
 
 @dataclass
 class FleetTrace:
-    """The stitched fleet timeline: one span/counter/metric space."""
+    """The stitched fleet timeline: one span / series / instant space."""
 
     workers: List[str]
     spans: List[SpanDict]
     counters: List[Dict[str, object]]
     instants: List[Dict[str, object]]
-    #: merged registry (exact histogram merge across workers)
-    registry: MetricsRegistry
 
     @property
     def n_workers(self) -> int:
@@ -124,15 +113,7 @@ class FleetTrace:
         """Write the merged Perfetto artifact; returns the event count."""
         return write_chrome_trace(
             self.spans, path_or_file,
-            metrics_snapshot=cast(
-                Dict[str, object],
-                {
-                    **self.registry.snapshot(),
-                    "fleet_workers": list(self.workers),
-                },
-            ),
-            counters=self.counters,
-            instants=self.instants,
+            counters=self.counters, instants=self.instants,
         )
 
 
@@ -143,9 +124,8 @@ def stitch(telemetries: Iterable[WorkerTelemetry]) -> FleetTrace:
     span/trace ids are shifted past the running maximum of workers
     ``0..k-1``, so the merged id space is collision-free and a given
     (worker order, telemetry) input always stitches to the identical
-    output.  Spans gain a ``worker`` attribute; counters and instants are
-    concatenated (their series names already carry the worker's registry
-    namespace); registries merge via exact histogram merge.
+    output.  Spans gain a ``worker`` attribute; series and instants are
+    concatenated (series names already carry the worker's namespace).
     """
     telems = list(telemetries)
     workers = [t.worker for t in telems]
@@ -154,7 +134,6 @@ def stitch(telemetries: Iterable[WorkerTelemetry]) -> FleetTrace:
     spans: List[SpanDict] = []
     counters: List[Dict[str, object]] = []
     instants: List[Dict[str, object]] = []
-    registry = MetricsRegistry(namespace="fleet")
     span_base = 0
     trace_base = 0
     for t in telems:
@@ -169,10 +148,8 @@ def stitch(telemetries: Iterable[WorkerTelemetry]) -> FleetTrace:
             attrs["worker"] = t.worker
             out["attrs"] = attrs
             spans.append(cast(SpanDict, out))
-        counters.extend(dict(c) for c in t.counters)
-        instants.extend(dict(i) for i in t.instants)
-        if t.metrics:
-            registry.merge_state(t.metrics)
+        counters.extend(t.counters)
+        instants.extend(t.instants)
         span_base += t.max_span_id
         trace_base += t.max_trace_id
     spans.sort(key=lambda s: (cast(float, s["start"]),
@@ -184,33 +161,4 @@ def stitch(telemetries: Iterable[WorkerTelemetry]) -> FleetTrace:
         spans=spans,
         counters=counters,
         instants=instants,
-        registry=registry,
     )
-
-
-def merged_histogram_state(
-    telemetries: Sequence[WorkerTelemetry], name_suffix: str
-) -> Dict[str, object]:
-    """Merge the per-worker histograms whose name ends with a suffix.
-
-    Convenience for fleet health: each worker records e.g.
-    ``shard3.fleet.demand_miss_latency``; this returns the exact merge of
-    every such histogram as a :meth:`LogHistogram.to_state` dict.
-    """
-    from .metrics import LogHistogram
-
-    merged: Optional[LogHistogram] = None
-    for t in telemetries:
-        hists = cast(Dict[str, Dict[str, object]],
-                     t.metrics.get("histograms", {}))
-        for name, state in sorted(hists.items()):
-            if not name.endswith(name_suffix):
-                continue
-            if merged is None:
-                merged = LogHistogram.from_state(state)
-                merged.name = name_suffix
-            else:
-                merged.merge(LogHistogram.from_state(state))
-    if merged is None:
-        merged = LogHistogram(name_suffix)
-    return merged.to_state()

@@ -4,21 +4,19 @@ The paper's depots are best-effort shared infrastructure, so fleet health
 is a *distributional* question: not "how fast was the mean access" but
 "which depot soaked up the bytes, how deep did its queue get, and what
 fraction of users stayed under the interactivity threshold".  This module
-turns the telemetry the fleet plane collects (per-depot gauges sampled by
-:class:`~repro.obs.samplers.DepotSampler`, per-access records, merged
-latency histograms) into those answers:
+reads those answers off what a traced sharded run already holds — the
+per-depot series sampled by :class:`~repro.obs.samplers.DepotSampler` in
+the stitched fleet trace, and every client's access records:
 
 * :func:`gini` / :func:`load_skew` — max/mean and Gini-coefficient skew
   over bytes served per depot (0 = perfectly balanced fleet);
-* :func:`depot_stats_from_registry` — per-depot bytes-served and
-  queue-depth figures recovered from sampled gauges, across any number of
-  shard namespaces;
+* :func:`depot_stats` — per-depot bytes-served and queue-depth figures
+  read off the sampled series, across any number of shard namespaces;
 * :func:`fleet_qgr` — the steady-state fraction of accesses under the
   interactivity threshold (the paper's Quality Guaranteed Rate
   criterion), pooled over every client in the fleet;
 * :func:`demand_miss_histogram` — the demand-miss latency distribution as
-  a mergeable :class:`~repro.obs.metrics.LogHistogram` (the SLO engine's
-  p99 source);
+  a :class:`~repro.obs.metrics.LogHistogram` (the p50 / p99 source);
 * :func:`fleet_health` — one :class:`FleetHealth` summary combining all
   of the above for reports and BENCH artifacts.
 """
@@ -32,28 +30,27 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
-    Tuple,
+    cast,
 )
 
-from .metrics import LogHistogram, MetricsRegistry
+from .metrics import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # runtime import would close the obs -> streaming -> lon -> obs cycle
     # (streaming.metrics imports lon.scheduler, which imports obs.tracer)
+    from ..lon.shard import ShardedResult
     from ..streaming.metrics import AccessRecord
 
 __all__ = [
     "DepotStat",
     "FleetHealth",
     "demand_miss_histogram",
-    "depot_stats_from_registry",
+    "depot_stats",
     "fleet_health",
     "fleet_qgr",
     "gini",
     "load_skew",
-    "miss_events",
 ]
 
 #: interactivity threshold (seconds) behind the QGR criterion — matches
@@ -62,13 +59,6 @@ QGR_THRESHOLD_S = 0.25
 
 #: accesses with index <= warmup are excluded from steady-state figures
 QGR_WARMUP = 5
-
-#: sources that missed every local tier (the demand-miss pool, matching
-#: ``SessionMetrics.demand_miss_latency``).  These are the
-#: *values* of :class:`repro.streaming.metrics.AccessSource` — a str enum,
-#: so ``record.source in MISS_SOURCES`` compares by string — spelled out
-#: here to keep this module import-cycle-free (a test pins the mapping).
-MISS_SOURCES = ("lan-depot", "wan", "server")
 
 
 def gini(values: Sequence[float]) -> float:
@@ -118,33 +108,31 @@ class DepotStat:
     queue_depth_last: float = 0.0
 
 
-def depot_stats_from_registry(
-    registry: MetricsRegistry,
-) -> List[DepotStat]:
-    """Per-depot figures recovered from ``depot.<name>.*`` gauges.
+def depot_stats(series: Iterable[Mapping[str, object]]) -> List[DepotStat]:
+    """Per-depot figures read off the ``depot.<name>.*`` sampled series.
 
-    Works on a merged fleet registry: shard namespaces are part of the
-    gauge names (``shard3.depot.lan-depot-0.bytes_served``), so depots
-    from different shards stay distinct.  ``bytes_served`` is the gauge's
-    final value (the sampler emits a cumulative counter through a gauge);
-    queue depth keeps both the observed peak and the last sample.
+    Works on a stitched fleet trace: shard namespaces are part of the
+    series names (``shard3.depot.lan-depot-0.bytes_served``), so depots
+    from different shards stay distinct.  ``bytes_served`` is the last
+    sample (the sampler emits a cumulative count); queue depth keeps both
+    the observed peak and the last sample.  ``series`` must hold each
+    name's samples in record order.
     """
     stats: Dict[str, DepotStat] = {}
-
-    def stat(depot: str) -> DepotStat:
-        if depot not in stats:
-            stats[depot] = DepotStat(name=depot)
-        return stats[depot]
-
-    for name, g in sorted(registry.gauges.items()):
-        if ".bytes_served" in name and ".depot." in f".{name}":
-            depot = name[: -len(".bytes_served")]
-            stat(depot).bytes_served = g.value
-        elif ".queue_depth" in name and ".depot." in f".{name}":
-            depot = name[: -len(".queue_depth")]
-            s = stat(depot)
-            s.queue_depth_peak = (g.max_seen if g.samples else 0.0)
-            s.queue_depth_last = g.value
+    for sample in series:
+        depot, _, figure = cast(str, sample["name"]).rpartition(".")
+        if (figure not in ("bytes_served", "queue_depth")
+                or ".depot." not in f".{depot}"):
+            continue
+        stat = stats.get(depot)
+        if stat is None:
+            stat = stats[depot] = DepotStat(name=depot)
+        value = cast(float, sample["value"])
+        if figure == "bytes_served":
+            stat.bytes_served = value
+        else:
+            stat.queue_depth_peak = max(stat.queue_depth_peak, value)
+            stat.queue_depth_last = value
     return [stats[k] for k in sorted(stats)]
 
 
@@ -172,22 +160,18 @@ def fleet_qgr(
     return sum(1 for a in pool if a.total_latency < threshold) / len(pool)
 
 
-def demand_miss_histogram(
-    accesses: Iterable[AccessRecord],
-    registry: Optional[MetricsRegistry] = None,
-    name: str = "fleet.demand_miss_latency",
-) -> LogHistogram:
-    """Demand-miss latency distribution as a mergeable log histogram.
+def demand_miss_histogram(accesses: Iterable[AccessRecord]) -> LogHistogram:
+    """Demand-miss latency distribution as a log histogram.
 
-    When ``registry`` is given the histogram lives there (namespace
-    applied); otherwise a standalone histogram is returned.  The miss
-    pool matches ``demand_miss_latency``: every access that was not
-    served by the client console or the agent cache.
+    The miss pool is ``SessionMetrics.demand_miss_latency``'s: every
+    access that was not served by the client console or the agent cache.
     """
-    h = (registry.histogram(name) if registry is not None
-         else LogHistogram(name))
+    # at call time: see the TYPE_CHECKING note above
+    from ..streaming.metrics import DEMAND_MISS_SOURCES
+
+    h = LogHistogram("fleet.demand_miss_latency")
     for a in accesses:
-        if a.source in MISS_SOURCES:
+        if a.source in DEMAND_MISS_SOURCES:
             h.observe(a.total_latency)
     return h
 
@@ -205,11 +189,9 @@ class FleetHealth:
     load_skew_max_over_mean: float
     load_skew_gini: float
     depots: List[DepotStat] = field(default_factory=list)
-    #: full state of the merged demand-miss histogram (mergeable further)
-    miss_histogram: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready summary (depot list included, histogram elided)."""
+        """JSON-ready summary (depot list included)."""
         return {
             "n_clients": self.n_clients,
             "accesses": self.accesses,
@@ -233,52 +215,27 @@ class FleetHealth:
 
 
 def fleet_health(
-    per_client: Sequence[Sequence[AccessRecord]],
-    registry: MetricsRegistry,
-    miss_histogram: Optional[LogHistogram] = None,
+    result: ShardedResult,
     threshold: float = QGR_THRESHOLD_S,
     warmup: int = QGR_WARMUP,
 ) -> FleetHealth:
-    """Assemble the fleet health summary from merged telemetry.
+    """The fleet health summary of a traced sharded run.
 
-    ``per_client`` is every client's access records (global order);
-    ``registry`` is the merged fleet registry (depot gauges across all
-    shard namespaces).  ``miss_histogram`` defaults to a histogram built
-    from the access records; pass the exact merge of per-shard histograms
-    to assert merge/pooled bit-equality upstream.
+    QGR and the demand-miss quantiles pool every client's access records;
+    the depot figures are read off the stitched trace's sampled series.
     """
-    accesses = [a for client in per_client for a in client]
-    if miss_histogram is None:
-        miss_histogram = demand_miss_histogram(accesses)
-    depots = depot_stats_from_registry(registry)
+    accesses = [a for m in result.per_client for a in m.accesses]
+    misses = demand_miss_histogram(accesses)
+    depots = depot_stats(result.stitched().counters)
     skew = load_skew({d.name: d.bytes_served for d in depots})
     return FleetHealth(
-        n_clients=len(per_client),
+        n_clients=len(result.per_client),
         accesses=len(accesses),
         qgr=fleet_qgr(accesses, threshold=threshold, warmup=warmup),
-        misses=miss_histogram.total,
-        demand_miss_p50_s=miss_histogram.quantile(0.50),
-        demand_miss_p99_s=miss_histogram.quantile(0.99),
+        misses=misses.total,
+        demand_miss_p50_s=misses.quantile(0.50),
+        demand_miss_p99_s=misses.quantile(0.99),
         load_skew_max_over_mean=skew["max_over_mean"],
         load_skew_gini=skew["gini"],
         depots=depots,
-        miss_histogram=miss_histogram.to_state(),
     )
-
-
-def miss_events(
-    per_client: Sequence[Sequence[AccessRecord]],
-) -> List[Tuple[float, float]]:
-    """(completion_time, latency) for every demand miss, time-ordered.
-
-    The SLO engine's input: completion time is ``request_time +
-    total_latency`` in simulated seconds.
-    """
-    events = [
-        (a.request_time + a.total_latency, a.total_latency)
-        for client in per_client
-        for a in client
-        if a.source in MISS_SOURCES
-    ]
-    events.sort()
-    return events

@@ -1,4 +1,4 @@
-"""Named counters, gauges and log-scale histograms.
+"""Log-scale latency histograms and the metrics summary of a traced run.
 
 Session latencies span four decades — an agent-cache hit costs ~1e-4 s while
 a cold WAN fetch approaches a second — so linear histogram buckets are
@@ -6,103 +6,59 @@ useless.  :class:`LogHistogram` uses fixed-ratio buckets (each bucket's upper
 edge is ``growth`` times the previous), giving constant *relative* resolution
 across the whole range, and derives p50/p95/p99 from the bucket counts.
 
-The registry is intentionally tiny: metrics are named with a flat string
-(dots as conventional separators, e.g. ``"link.wan.utilization"``) and
-created on first touch, so instrumentation sites never need set-up code.
-
-Two fleet-scale additions ride on that simplicity:
-
-* **namespaces** — a registry constructed with ``namespace="shard3"``
-  transparently prefixes every metric name at the factory methods
-  (``counter``/``gauge``/``histogram``), so shard workers and multi-client
-  rigs get collision-free series without any caller-side naming
-  conventions;
-* **mergeable state** — :meth:`MetricsRegistry.export_state` produces a
-  plain-data (picklable, JSON-able) dump with *full* histogram bucket
-  state, and :meth:`MetricsRegistry.merge_state` folds such a dump into a
-  live registry.  Histogram merge is **exact**: quantiles depend only on
-  integer bucket counts, the under/overflow tallies, the total and the
-  observed extrema, all of which combine losslessly, so merging per-shard
-  histograms is bit-equal to having pooled every sample into one
-  histogram (``tests/obs/test_fleet.py`` proves this property).
+A traced run is stored once, in its :class:`~repro.obs.tracer.Tracer`;
+:func:`fold_metrics` reads the gauge and histogram summary a trace file
+embeds (``otherData.metrics``) off that store, so the summary cannot
+disagree with the events written beside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TypedDict, cast
+from typing import Dict, Iterable, List, Mapping, Set, Tuple, TypedDict, cast
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "GaugeRecord",
     "HistogramRecord",
     "LogHistogram",
-    "MetricsRegistry",
     "MetricsSnapshot",
+    "fold_metrics",
 ]
 
 
 class GaugeRecord(TypedDict):
-    """JSON shape of one gauge in a registry snapshot."""
+    """JSON shape of one sampled series in a metrics snapshot."""
 
     value: float
-    min: Optional[float]
-    max: Optional[float]
+    min: float
+    max: float
     samples: int
 
 
 class HistogramRecord(TypedDict):
-    """JSON shape of one histogram in a registry snapshot."""
+    """JSON shape of one histogram in a metrics snapshot."""
 
     count: int
     mean: float
-    min: Optional[float]
-    max: Optional[float]
+    min: float
+    max: float
     p50: float
     p95: float
     p99: float
 
 
-class MetricsSnapshot(TypedDict):
-    """JSON shape of ``MetricsRegistry.snapshot()``."""
+class _FleetKeys(TypedDict, total=False):
+    #: worker labels, on a stitched fleet trace only
+    fleet_workers: List[str]
 
+
+class MetricsSnapshot(_FleetKeys):
+    """JSON shape of :func:`fold_metrics` (``otherData.metrics``)."""
+
+    #: always empty: format ``repro.obs/1`` names a metric kind nothing writes
     counters: Dict[str, float]
     gauges: Dict[str, GaugeRecord]
     histograms: Dict[str, HistogramRecord]
-
-
-@dataclass
-class Counter:
-    """Monotonically increasing count (events, bytes, cancellations...)."""
-
-    name: str
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """Last-write-wins sampled value, with observed min/max retained."""
-
-    name: str
-    value: float = 0.0
-    min_seen: float = math.inf
-    max_seen: float = -math.inf
-    samples: int = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.samples += 1
-        if value < self.min_seen:
-            self.min_seen = value
-        if value > self.max_seen:
-            self.max_seen = value
 
 
 class LogHistogram:
@@ -174,7 +130,7 @@ class LogHistogram:
             return 0.0
         rank = q * self.total
         seen = self.underflow
-        if rank <= seen:
+        if seen and rank <= seen:
             return min(self.lo, self.max_seen)
         lower = self.lo
         for upper, count in zip(self.edges, self.counts):
@@ -191,88 +147,6 @@ class LogHistogram:
             "p99": self.quantile(0.99),
         }
 
-    # ------------------------------------------------------------------
-    # fleet merge + serialization
-    # ------------------------------------------------------------------
-    def compatible_with(self, other: "LogHistogram") -> bool:
-        """True when both histograms share one bucket layout."""
-        return (self.lo == other.lo and self.hi == other.hi
-                and self.buckets_per_decade == other.buckets_per_decade)
-
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Fold ``other``'s samples into this histogram, exactly.
-
-        Counts, the under/overflow tallies and the total are integers and
-        simply add; ``min_seen``/``max_seen`` combine by min/max.  Every
-        input :meth:`quantile` reads — counts, underflow, total,
-        ``max_seen``, the bucket edges — is therefore *identical* to the
-        state a single histogram fed the pooled sample stream would hold,
-        so merged quantiles are bit-equal to pooled quantiles.  Only
-        ``sum`` (hence ``mean``) may differ in the last ulp, because float
-        addition is not associative.
-        """
-        if not self.compatible_with(other):
-            raise ValueError(
-                f"cannot merge {other.name!r} into {self.name!r}: bucket "
-                f"layouts differ ({other.lo}, {other.hi}, "
-                f"{other.buckets_per_decade}) vs ({self.lo}, {self.hi}, "
-                f"{self.buckets_per_decade})"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        self.total += other.total
-        self.sum += other.sum
-        if other.min_seen < self.min_seen:
-            self.min_seen = other.min_seen
-        if other.max_seen > self.max_seen:
-            self.max_seen = other.max_seen
-        return self
-
-    def to_state(self) -> Dict[str, object]:
-        """Full-fidelity plain-data dump (picklable / JSON-able)."""
-        return {
-            "name": self.name,
-            "lo": self.lo,
-            "hi": self.hi,
-            "buckets_per_decade": self.buckets_per_decade,
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-            "total": self.total,
-            "sum": self.sum,
-            # infinities are not JSON; sentinel None for the empty case
-            "min_seen": None if self.total == 0 else self.min_seen,
-            "max_seen": None if self.total == 0 else self.max_seen,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "LogHistogram":
-        """Rebuild a histogram from :meth:`to_state` output, losslessly."""
-        h = cls(
-            str(state["name"]),
-            lo=float(state["lo"]),  # type: ignore[arg-type]
-            hi=float(state["hi"]),  # type: ignore[arg-type]
-            buckets_per_decade=int(state["buckets_per_decade"]),  # type: ignore[call-overload]
-        )
-        counts = list(state["counts"])  # type: ignore[call-overload]
-        if len(counts) != len(h.counts):
-            raise ValueError(
-                f"histogram state for {h.name!r} has {len(counts)} buckets, "
-                f"layout expects {len(h.counts)}"
-            )
-        h.counts = [int(c) for c in counts]
-        h.underflow = int(state["underflow"])  # type: ignore[call-overload]
-        h.overflow = int(state["overflow"])  # type: ignore[call-overload]
-        h.total = int(state["total"])  # type: ignore[call-overload]
-        h.sum = float(state["sum"])  # type: ignore[arg-type]
-        if state.get("min_seen") is not None:
-            h.min_seen = float(state["min_seen"])  # type: ignore[arg-type]
-        if state.get("max_seen") is not None:
-            h.max_seen = float(state["max_seen"])  # type: ignore[arg-type]
-        return h
-
     def nonzero_buckets(self) -> List[Tuple[float, float, int]]:
         """(lower, upper, count) for populated buckets — compact export."""
         out: List[Tuple[float, float, int]] = []
@@ -284,164 +158,72 @@ class LogHistogram:
         return out
 
 
-class MetricsRegistry:
-    """Flat namespace of metrics, created on first use.
 
-    ``namespace`` (e.g. ``"shard3"``) is prefixed onto every metric name
-    at the factory methods, so instrumentation sites keep using bare
-    series names (``"depot.lan-depot-0.bytes_served"``) while shard
-    workers and multi-client rigs get globally unique, collision-free
-    series — the explicit replacement for caller-side prefix conventions.
+
+def fold_metrics(
+    spans: Iterable[Mapping[str, object]],
+    series: Iterable[Mapping[str, object]],
+) -> MetricsSnapshot:
+    """The metrics summary of a traced run, read off its store.
+
+    ``series`` — the sampler samples, in record order — folds into one
+    gauge per name: last value, observed min / max, sample count.  Every
+    finished access root (a parentless ``access`` span carrying
+    ``total_latency``) is observed into ``fleet.access_latency`` and, when
+    its ``source`` missed every local tier, ``fleet.demand_miss_latency``.
+    Stitched spans carry their ``worker``: it prefixes the histogram names
+    the way the shard namespace already prefixes the series, and the
+    workers seen are listed under ``fleet_workers``.
     """
+    # at call time: streaming imports lon.scheduler, which imports obs.tracer
+    from ..streaming.metrics import DEMAND_MISS_SOURCES
 
-    def __init__(self, namespace: str = "") -> None:
-        self.namespace = namespace
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, LogHistogram] = {}
-
-    def qualify(self, name: str) -> str:
-        """The fully-qualified series name this registry stores under."""
-        return f"{self.namespace}.{name}" if self.namespace else name
-
-    def counter(self, name: str) -> Counter:
-        return self._counter_full(self.qualify(name))
-
-    def _counter_full(self, full: str) -> Counter:
-        c = self._counters.get(full)
-        if c is None:
-            c = self._counters[full] = Counter(full)
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge_full(self.qualify(name))
-
-    def _gauge_full(self, full: str) -> Gauge:
-        g = self._gauges.get(full)
+    gauges: Dict[str, GaugeRecord] = {}
+    for sample in series:
+        name = cast(str, sample["name"])
+        value = cast(float, sample["value"])
+        g = gauges.get(name)
         if g is None:
-            g = self._gauges[full] = Gauge(full)
-        return g
+            gauges[name] = {
+                "value": value, "min": value, "max": value, "samples": 1}
+            continue
+        g["value"] = value
+        g["samples"] += 1
+        if value < g["min"]:
+            g["min"] = value
+        if value > g["max"]:
+            g["max"] = value
 
-    def histogram(self, name: str, lo: float = 1e-4, hi: float = 1.0,
-                  buckets_per_decade: int = 10) -> LogHistogram:
-        full = self.qualify(name)
-        h = self._histograms.get(full)
-        if h is None:
-            h = self._histograms[full] = LogHistogram(
-                full, lo=lo, hi=hi, buckets_per_decade=buckets_per_decade)
-        return h
+    histograms: Dict[str, LogHistogram] = {}
+    workers: Set[str] = set()
+    for span in spans:
+        attrs = cast(Mapping[str, object], span.get("attrs") or {})
+        worker = attrs.get("worker")
+        if worker is not None:
+            workers.add(str(worker))
+        if (span["parent_id"] is not None or span.get("cat") != "access"
+                or "total_latency" not in attrs):
+            continue
+        prefix = f"{worker}." if worker is not None else ""
+        names = [prefix + "fleet.access_latency"]
+        if attrs.get("source") in DEMAND_MISS_SOURCES:
+            names.append(prefix + "fleet.demand_miss_latency")
+        for name in names:
+            h = histograms.get(name)
+            if h is None:
+                h = histograms[name] = LogHistogram(name)
+            h.observe(cast(float, attrs["total_latency"]))
 
-    # ------------------------------------------------------------------
-    @property
-    def counters(self) -> Dict[str, Counter]:
-        return dict(self._counters)
-
-    @property
-    def gauges(self) -> Dict[str, Gauge]:
-        return dict(self._gauges)
-
-    @property
-    def histograms(self) -> Dict[str, LogHistogram]:
-        return dict(self._histograms)
-
-    def snapshot(self) -> MetricsSnapshot:
-        """JSON-ready dump of every metric (summary(), exporters)."""
-        out: MetricsSnapshot = {"counters": {}, "gauges": {},
-                                "histograms": {}}
-        for name, c in sorted(self._counters.items()):
-            out["counters"][name] = c.value
-        for name, g in sorted(self._gauges.items()):
-            out["gauges"][name] = {
-                "value": g.value,
-                "min": None if g.samples == 0 else g.min_seen,
-                "max": None if g.samples == 0 else g.max_seen,
-                "samples": g.samples,
-            }
-        for name, h in sorted(self._histograms.items()):
-            pct = h.percentiles()
-            out["histograms"][name] = {
-                "count": h.total,
-                "mean": h.mean,
-                "min": None if h.total == 0 else h.min_seen,
-                "max": None if h.total == 0 else h.max_seen,
-                "p50": pct["p50"],
-                "p95": pct["p95"],
-                "p99": pct["p99"],
-            }
-        return out
-
-    # ------------------------------------------------------------------
-    # cross-process export / merge (the fleet telemetry plane)
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, object]:
-        """Full-fidelity plain-data dump of every metric.
-
-        Unlike :meth:`snapshot` (a lossy summary for humans and report
-        tables), this keeps complete histogram bucket state so a parent
-        process can :meth:`merge_state` shard dumps and recover quantiles
-        bit-equal to pooled recording.  Names are stored fully qualified.
-        """
-        return {
-            "namespace": self.namespace,
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: {
-                    "value": g.value,
-                    "min_seen": None if g.samples == 0 else g.min_seen,
-                    "max_seen": None if g.samples == 0 else g.max_seen,
-                    "samples": g.samples,
-                }
-                for name, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                name: h.to_state()
-                for name, h in sorted(self._histograms.items())
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`export_state` output."""
-        reg = cls(namespace=str(state.get("namespace", "")))
-        reg.merge_state(state)
-        return reg
-
-    def merge_state(self, state: Dict[str, object]) -> "MetricsRegistry":
-        """Fold an :meth:`export_state` dump into this registry.
-
-        Metric names in the dump are already fully qualified, so they are
-        *not* re-prefixed by this registry's namespace; counters add,
-        gauges combine min/max/samples (last write wins on ``value``, in
-        merge-call order), histograms merge exactly.
-        """
-        for name, value in sorted(
-            cast(Dict[str, float], state.get("counters", {})).items()
-        ):
-            self._counter_full(name).inc(float(value))
-        for name, rec in sorted(
-            cast(Dict[str, Dict[str, object]],
-                 state.get("gauges", {})).items()
-        ):
-            g = self._gauge_full(name)
-            samples = int(rec.get("samples", 0))  # type: ignore[call-overload]
-            if samples == 0:
-                continue
-            g.value = float(rec["value"])  # type: ignore[arg-type]
-            g.samples += samples
-            if rec.get("min_seen") is not None:
-                g.min_seen = min(g.min_seen, float(rec["min_seen"]))  # type: ignore[arg-type]
-            if rec.get("max_seen") is not None:
-                g.max_seen = max(g.max_seen, float(rec["max_seen"]))  # type: ignore[arg-type]
-        for name, h_state in sorted(
-            cast(Dict[str, Dict[str, object]],
-                 state.get("histograms", {})).items()
-        ):
-            incoming = LogHistogram.from_state(h_state)
-            existing = self._histograms.get(name)
-            if existing is None:
-                self._histograms[name] = incoming
-            else:
-                existing.merge(incoming)
-        return self
+    out: MetricsSnapshot = {
+        "counters": {},
+        "gauges": dict(sorted(gauges.items())),
+        "histograms": {
+            name: {"count": h.total, "mean": h.mean,
+                   "min": h.min_seen, "max": h.max_seen,
+                   **h.percentiles()}  # type: ignore[typeddict-item]
+            for name, h in sorted(histograms.items())
+        },
+    }
+    if workers:
+        out["fleet_workers"] = sorted(workers)
+    return out

@@ -4,10 +4,8 @@ Spans capture *per-request* structure; these samplers capture *system state
 over time* — the two views NetLogger-style analyses cross-reference (e.g.
 "this access was slow because the WAN link was at 100% serving staging").
 Each sampler ticks at a fixed sim-time period on the session's event queue;
-every tick writes current values into
-:class:`~repro.obs.metrics.MetricsRegistry` gauges and emits Chrome
-counter-track samples through the tracer, so the series render under the
-span tracks in Perfetto.
+every tick records current values as series samples on the tracer, so the
+series render as counter tracks under the span tracks in Perfetto.
 
 Samplers are only wired when tracing is enabled — they cost simulated-time
 events, so benchmarks must not carry them silently.
@@ -20,9 +18,8 @@ runtime import back into ``lon`` would close an import cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
-from .metrics import MetricsRegistry
 from .tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (see module docstring)
@@ -48,17 +45,20 @@ class PeriodicSampler:
         self,
         queue: EventQueue,
         tracer: Tracer,
-        registry: MetricsRegistry,
         period: float = 0.5,
         name: str = "sampler",
+        namespace: str = "",
     ) -> None:
         if period <= 0:
             raise ValueError("sample period must be positive")
         self.queue = queue
         self.tracer = tracer
-        self.registry = registry
         self.period = period
         self.name = name
+        self._prefix = f"{namespace}." if namespace else ""
+        #: bare series name -> the one qualified string every sample of it
+        #: carries (12 k samples of a fleet run share ~200 names)
+        self._names: Dict[str, str] = {}
         self.ticks = 0
         self._event = None
         self._running = False
@@ -92,16 +92,15 @@ class PeriodicSampler:
         )
 
     def emit(self, series: str, value: float) -> None:
-        """Record one sample into both the registry and the trace.
+        """Record one sample of ``series``, qualified by the namespace.
 
-        The registry qualifies ``series`` with its namespace; the trace
-        counter reuses the gauge's *qualified* name so both views of the
-        series agree — callers never prepend shard/worker prefixes by
-        hand, the registry namespace is the single source of naming.
+        Subclasses name series bare (``depot.lan-depot-0.queue_depth``);
+        the shard prefix is applied here and nowhere else.
         """
-        gauge = self.registry.gauge(series)
-        gauge.set(value)
-        self.tracer.counter(gauge.name, value)
+        name = self._names.get(series)
+        if name is None:
+            name = self._names[series] = self._prefix + series
+        self.tracer.counter(name, value)
 
     def sample(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -110,10 +109,9 @@ class PeriodicSampler:
 class LinkUtilizationSampler(PeriodicSampler):
     """Per-link utilization (allocated rate / capacity), 0..1."""
 
-    def __init__(self, queue: EventQueue, tracer: Tracer,
-                 registry: MetricsRegistry, network: Network,
-                 period: float = 0.5) -> None:
-        super().__init__(queue, tracer, registry, period, "sample-links")
+    def __init__(self, queue: EventQueue, tracer: Tracer, network: Network,
+                 period: float = 0.5, namespace: str = "") -> None:
+        super().__init__(queue, tracer, period, "sample-links", namespace)
         self.network = network
 
     def sample(self) -> None:
@@ -131,9 +129,9 @@ class DepotSampler(PeriodicSampler):
     """
 
     def __init__(self, queue: EventQueue, tracer: Tracer,
-                 registry: MetricsRegistry, depots: Iterable["Depot"],
-                 network: Network, period: float = 0.5) -> None:
-        super().__init__(queue, tracer, registry, period, "sample-depots")
+                 depots: Iterable["Depot"], network: Network,
+                 period: float = 0.5, namespace: str = "") -> None:
+        super().__init__(queue, tracer, period, "sample-depots", namespace)
         self.depots = list(depots)
         self.network = network
 
@@ -148,18 +146,15 @@ class DepotSampler(PeriodicSampler):
             )
             self.emit(f"depot.{depot.name}.bytes_served", served)
             self.emit(f"depot.{depot.name}.queue_depth", depth)
-            self.registry.gauge(f"depot.{depot.name}.used_bytes").set(
-                depot.used
-            )
 
 
 class SchedulerOccupancySampler(PeriodicSampler):
     """How many admitted transfers run in each priority class."""
 
     def __init__(self, queue: EventQueue, tracer: Tracer,
-                 registry: MetricsRegistry, scheduler: TransferScheduler,
-                 period: float = 0.5) -> None:
-        super().__init__(queue, tracer, registry, period, "sample-scheduler")
+                 scheduler: TransferScheduler, period: float = 0.5,
+                 namespace: str = "") -> None:
+        super().__init__(queue, tracer, period, "sample-scheduler", namespace)
         self.scheduler = scheduler
 
     def sample(self) -> None:
@@ -182,10 +177,9 @@ class CacheSampler(PeriodicSampler):
     totals the fleet.
     """
 
-    def __init__(self, queue: EventQueue, tracer: Tracer,
-                 registry: MetricsRegistry, agent: object,
-                 period: float = 0.5) -> None:
-        super().__init__(queue, tracer, registry, period, "sample-cache")
+    def __init__(self, queue: EventQueue, tracer: Tracer, agent: object,
+                 period: float = 0.5, namespace: str = "") -> None:
+        super().__init__(queue, tracer, period, "sample-cache", namespace)
         self.agents = (list(agent) if isinstance(agent, (list, tuple))
                        else [agent])
 
@@ -213,22 +207,24 @@ class CacheSampler(PeriodicSampler):
 def standard_samplers(
     queue: EventQueue,
     tracer: Tracer,
-    registry: MetricsRegistry,
     network: Network,
     scheduler: TransferScheduler,
     depots: Iterable["Depot"],
     agent: object,
     period: float = 0.5,
+    namespace: str = "",
 ) -> List[PeriodicSampler]:
     """The full sampler set a traced session runs (not yet started).
 
     ``agent`` may be a single client agent or a list of them (multi-client
     sessions share one network/scheduler/depot fleet, so only the cache
-    sampler fans out).
+    sampler fans out).  ``namespace`` (a shard's ``"shard3"``) prefixes
+    every series name.
     """
     return [
-        LinkUtilizationSampler(queue, tracer, registry, network, period),
-        DepotSampler(queue, tracer, registry, depots, network, period),
-        SchedulerOccupancySampler(queue, tracer, registry, scheduler, period),
-        CacheSampler(queue, tracer, registry, agent, period),
+        LinkUtilizationSampler(queue, tracer, network, period, namespace),
+        DepotSampler(queue, tracer, depots, network, period, namespace),
+        SchedulerOccupancySampler(queue, tracer, scheduler, period,
+                                  namespace),
+        CacheSampler(queue, tracer, agent, period, namespace),
     ]

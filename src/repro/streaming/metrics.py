@@ -23,10 +23,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from ..lon.scheduler import TransferEvent
 
 if TYPE_CHECKING:
-    from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
 
-__all__ = ["AccessSource", "AccessRecord", "SessionMetrics"]
+__all__ = ["AccessSource", "AccessRecord", "DEMAND_MISS_SOURCES",
+           "SessionMetrics"]
 
 
 class AccessSource(str, Enum):
@@ -37,6 +37,13 @@ class AccessSource(str, Enum):
     LAN_DEPOT = "lan-depot"         # prestaged replica on the LAN depot
     WAN_DEPOT = "wan"               # fetched across the wide area
     SERVER_RUNTIME = "server"       # rendered on demand by the server
+
+
+#: the demand-miss pool: sources that missed every local tier.  A tuple, so
+#: ``source in DEMAND_MISS_SOURCES`` also holds for the bare value strings
+#: a span's ``source`` attribute carries (members compare as their values).
+DEMAND_MISS_SOURCES = (AccessSource.LAN_DEPOT, AccessSource.WAN_DEPOT,
+                       AccessSource.SERVER_RUNTIME)
 
 
 @dataclass
@@ -76,10 +83,9 @@ class SessionMetrics:
     deduped: int = 0                # cross-layer duplicate fetches suppressed
     promoted_transfers: int = 0     # background transfers promoted to DEMAND
     cancelled_transfers: int = 0    # transfers cancelled as no longer useful
-    #: the session's tracer / metrics registry, set by the testbed wiring
-    #: when observability is on (None otherwise); breakdown() reads the tracer
+    #: the session's tracer, set by the testbed wiring when tracing is on
+    #: (None otherwise); breakdown() reads it
     tracer: Optional[Tracer] = None
-    obs: Optional[MetricsRegistry] = None
     _seen_indices: Set[int] = field(default_factory=set, repr=False)
 
     def record_transfer_event(self, ev: TransferEvent) -> None:
@@ -117,15 +123,6 @@ class SessionMetrics:
             raise ValueError(f"duplicate access index {rec.index}")
         self._seen_indices.add(rec.index)
         insort(self.accesses, rec, key=lambda a: a.index)
-        if self.obs is not None:
-            # mergeable latency distributions: the registry's namespace
-            # (one per shard worker) keeps fleet-wide merges collision-free
-            self.obs.histogram("fleet.access_latency").observe(
-                rec.total_latency)
-            if rec.source not in (AccessSource.AGENT_CACHE,
-                                  AccessSource.CLIENT_RESIDENT):
-                self.obs.histogram("fleet.demand_miss_latency").observe(
-                    rec.total_latency)
 
     def _pool(self, upto: Optional[int]) -> List[AccessRecord]:
         """Accesses with ``index <= upto`` (all of them when None).
@@ -197,11 +194,8 @@ class SessionMetrics:
         policy's effect.  Returns ``(mean_seconds, miss_count)``;
         ``(0.0, 0)`` if no misses.
         """
-        pool = [
-            a for a in self.accesses
-            if a.source not in (AccessSource.AGENT_CACHE,
-                                AccessSource.CLIENT_RESIDENT)
-        ]
+        pool = [a for a in self.accesses
+                if a.source in DEMAND_MISS_SOURCES]
         if not pool:
             return 0.0, 0
         return sum(a.total_latency for a in pool) / len(pool), len(pool)

@@ -77,9 +77,8 @@ class MultiClientConfig:
     #: by the global index keeps every client's identity and timing
     #: identical to its single-rig incarnation.
     client_index_base: int = 0
-    #: metric namespace for this rig's registry (e.g. ``"shard3"``): every
-    #: gauge/histogram name is prefixed at the factory, so telemetry from
-    #: many rigs merges without collisions.  Empty = unnamespaced.
+    #: prefix of this rig's sampled series names (e.g. ``"shard3"``), so
+    #: series from many rigs stitch without collisions.  Empty = bare names.
     obs_namespace: str = ""
     #: fraction of clients (tenths granularity) whose console + agent hang
     #: off a second campus switch (``xs-switch``) reached over its own

@@ -41,7 +41,6 @@ from ..lon.scheduler import (
     TransferScheduler,
 )
 from ..lon.simtime import Event, EventQueue
-from ..obs.metrics import MetricsRegistry
 from ..obs.samplers import PeriodicSampler, standard_samplers
 from ..obs.tracer import Tracer
 from .agent import ClientAgent
@@ -187,7 +186,6 @@ class Testbed:
     lan_depots: List[Depot]
     wan_depots: List[Depot]
     tracer: Optional[Tracer] = None
-    obs: Optional[MetricsRegistry] = None
     samplers: List[PeriodicSampler] = field(default_factory=list)
 
 
@@ -261,7 +259,7 @@ def wire_testbed(
     second campus switch with its own backbone uplink (bandwidth ``None`` =
     the WAN figure; latency always the WAN's); with none crossing no node or
     link is added.
-    ``obs_namespace`` prefixes every metric name of a traced testbed.
+    ``obs_namespace`` prefixes every sampled series name of a traced testbed.
     """
     queue = EventQueue()
     net = Network(queue, tcp_window=config.tcp_window)
@@ -308,7 +306,6 @@ def wire_testbed(
         lbone.register(d, location="california")
         wan_depots.append(d)
     tracer = Tracer(queue.clock, enabled=True) if config.tracing else None
-    obs = MetricsRegistry(namespace=obs_namespace) if config.tracing else None
     scheduler = TransferScheduler(
         net, policy=config.scheduling_policy, tracer=tracer,
     )
@@ -337,7 +334,7 @@ def wire_testbed(
         scheduler=scheduler, dvs=dvs, server_agent=server_agent,
         clients=[], client_agents=[], metrics=[], stagings=[], traces=[],
         lan_depots=lan_depots, wan_depots=wan_depots,
-        tracer=tracer, obs=obs,
+        tracer=tracer,
     )
     for console in consoles:
         metrics = SessionMetrics(
@@ -345,7 +342,6 @@ def wire_testbed(
             scheduling_policy=config.scheduling_policy,
         )
         metrics.tracer = tracer
-        metrics.obs = obs
         agent = ClientAgent(
             node=console.agent_node,
             queue=queue,
@@ -393,13 +389,14 @@ def wire_testbed(
         bed.client_agents.append(agent)
         bed.metrics.append(metrics)
         bed.traces.append(console.trace)
-    if tracer is not None and obs is not None:
+    if tracer is not None:
         bed.samplers = standard_samplers(
-            queue, tracer, obs,
+            queue, tracer,
             network=net,
             scheduler=scheduler,
             depots=lan_depots + wan_depots,
             agent=bed.client_agents,
+            namespace=obs_namespace,
         )
     return bed
 
@@ -534,7 +531,6 @@ class SessionRig:
     wan_depots: List[Depot]
     trace: CursorTrace
     tracer: Optional[Tracer] = None
-    obs: Optional[MetricsRegistry] = None
     samplers: List[PeriodicSampler] = field(default_factory=list)
 
 
@@ -565,7 +561,6 @@ def _session_rig(config: SessionConfig, bed: Testbed) -> SessionRig:
         wan_depots=bed.wan_depots,
         trace=bed.traces[0],
         tracer=bed.tracer,
-        obs=bed.obs,
         samplers=bed.samplers,
     )
 

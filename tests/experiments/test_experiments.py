@@ -19,6 +19,7 @@ from repro.experiments.scenarios import (
     database_size_point,
     fps_point,
     generation_viewset_point,
+    observability_point,
     viewset_size_arm,
 )
 from repro.lightfield.lattice import CameraLattice
@@ -206,6 +207,12 @@ class TestDrivers:
         assert (row["resolution"], row["mode"], row["frames"]) == (
             32, "nearest", 2)
         assert row["wall_clock"]["fps"] > 0
+
+    def test_observability_point_runs_the_seed_it_is_given(self):
+        # seed used to be accepted and ignored: every seed ran trace 7
+        spans = {seed: observability_point(32, 6, repeats=1, seed=seed)["spans"]
+                 for seed in (7, 11)}
+        assert spans[7] != spans[11]
 
     def test_ablation_codec_rows(self):
         # the arms BENCH_ablations.json's codec family is built from

@@ -142,7 +142,7 @@ class TestFleetReport:
         out = capsys.readouterr().out
         assert "# fleet report" in out
         assert "## depot load" in out
-        assert "## SLO" in out
+        assert "miss p99 s" in out
         assert "load skew" in out
         assert trace.exists()
         assert list(flight.glob("flight-shard0-*.json"))

@@ -68,7 +68,7 @@ def test_chrome_events_structure():
 def test_chrome_round_trip(tmp_path):
     t = _sample_tracer()
     out = tmp_path / "trace.json"
-    n = write_chrome_trace(t, str(out), metrics_snapshot={"counters": {}})
+    n = write_chrome_trace(t, str(out))
     doc = json.loads(out.read_text())
     assert len(doc["traceEvents"]) == n
     assert doc["otherData"]["format"] == "repro.obs/1"

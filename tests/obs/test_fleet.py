@@ -1,168 +1,19 @@
-"""Fleet telemetry: exact histogram merge, registry state, stitching.
-
-The load-bearing property is the first one: merging per-shard histograms
-must be **bit-equal** to having pooled every sample into one histogram,
-for everything ``quantile()`` reads — integer bucket counts, the
-under/overflow tallies, the total, and the observed extrema.  ``sum`` and
-``mean`` are deliberately *not* asserted: float addition is not
-associative, so the merged sum may differ from the pooled sum in the last
-ulp, and that is documented behaviour, not a bug.
-"""
+"""Fleet telemetry: worker export and stitching."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.obs import (
-    LogHistogram,
-    MetricsRegistry,
-    Tracer,
-    WorkerTelemetry,
-    export_telemetry,
-    merged_histogram_state,
-    stitch,
-)
-from repro.obs.health import MISS_SOURCES
-
-# latencies spanning underflow (< lo=1e-4), the bucketed range, and
-# overflow (>= hi=1.0), including the exact edges
-latencies = st.one_of(
-    st.floats(min_value=0.0, max_value=9e-5),
-    st.floats(min_value=1e-4, max_value=0.999),
-    st.floats(min_value=1.0, max_value=50.0),
-    st.sampled_from([0.0, 1e-4, 1.0]),
-)
-
-
-class TestExactHistogramMerge:
-    @given(
-        a=st.lists(latencies, max_size=60),
-        b=st.lists(latencies, max_size=60),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_merge_bit_equal_to_pooled(self, a, b):
-        h1 = LogHistogram("x")
-        h2 = LogHistogram("x")
-        pooled = LogHistogram("x")
-        for v in a:
-            h1.observe(v)
-            pooled.observe(v)
-        for v in b:
-            h2.observe(v)
-            pooled.observe(v)
-        merged = h1.merge(h2)
-
-        assert merged.counts == pooled.counts
-        assert merged.underflow == pooled.underflow
-        assert merged.overflow == pooled.overflow
-        assert merged.total == pooled.total
-        assert merged.min_seen == pooled.min_seen
-        assert merged.max_seen == pooled.max_seen
-        # quantiles read only the state above, so they are bit-equal —
-        # `==`, not approx
-        for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
-            assert merged.quantile(q) == pooled.quantile(q)
-
-    def test_merge_of_empties_is_empty(self):
-        h = LogHistogram("x").merge(LogHistogram("x"))
-        assert h.total == 0
-        assert h.quantile(0.5) == 0.0
-
-    def test_merge_into_empty_side(self):
-        h1 = LogHistogram("x")
-        h2 = LogHistogram("x")
-        h2.observe(0.01)
-        h2.observe(3.0)  # overflow bucket
-        merged = h1.merge(h2)
-        assert merged.total == 2
-        assert merged.overflow == 1
-        assert merged.quantile(1.0) == 3.0
-
-    def test_incompatible_layouts_rejected(self):
-        h1 = LogHistogram("x", buckets_per_decade=10)
-        h2 = LogHistogram("x", buckets_per_decade=5)
-        with pytest.raises(ValueError, match="bucket"):
-            h1.merge(h2)
-
-    @given(vs=st.lists(latencies, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_state_round_trip_is_lossless(self, vs):
-        h = LogHistogram("x")
-        for v in vs:
-            h.observe(v)
-        back = LogHistogram.from_state(h.to_state())
-        assert back.counts == h.counts
-        assert back.total == h.total
-        assert back.underflow == h.underflow
-        assert back.overflow == h.overflow
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert back.quantile(q) == h.quantile(q)
-
-
-class TestRegistryState:
-    def test_namespace_qualifies_at_factories(self):
-        reg = MetricsRegistry(namespace="shard3")
-        assert reg.qualify("depot.d0.bytes") == "shard3.depot.d0.bytes"
-        c = reg.counter("a")
-        assert c.name == "shard3.a"
-        # same bare name resolves to the same metric
-        assert reg.counter("a") is c
-        assert MetricsRegistry().qualify("a") == "a"
-
-    def test_export_merge_round_trip(self):
-        reg = MetricsRegistry(namespace="s0")
-        reg.counter("c").inc(5)
-        reg.gauge("g").set(2.0)
-        reg.gauge("g").set(1.0)
-        reg.histogram("h").observe(0.01)
-        merged = MetricsRegistry(namespace="fleet")
-        merged.merge_state(reg.export_state())
-        # names arrive fully qualified and are not re-prefixed
-        assert merged.counters["s0.c"].value == 5
-        g = merged.gauges["s0.g"]
-        assert g.value == 1.0 and g.max_seen == 2.0 and g.samples == 2
-        assert merged.histograms["s0.h"].total == 1
-
-    def test_merge_state_accumulates_across_shards(self):
-        regs = []
-        for k in range(3):
-            reg = MetricsRegistry(namespace=f"s{k}")
-            reg.counter("n").inc(k + 1)
-            regs.append(reg)
-        fleet = MetricsRegistry()
-        for reg in regs:
-            fleet.merge_state(reg.export_state())
-        assert sorted(fleet.counters) == ["s0.n", "s1.n", "s2.n"]
-
-    def test_merged_histogram_state_by_suffix(self):
-        telems = []
-        pooled = LogHistogram("fleet.demand_miss_latency")
-        for k, vs in enumerate([[0.01, 0.5], [0.02], []]):
-            reg = MetricsRegistry(namespace=f"shard{k}")
-            h = reg.histogram("fleet.demand_miss_latency")
-            for v in vs:
-                h.observe(v)
-                pooled.observe(v)
-            telems.append(WorkerTelemetry(
-                worker=f"shard{k}", metrics=reg.export_state()))
-        merged = LogHistogram.from_state(
-            merged_histogram_state(telems, "fleet.demand_miss_latency"))
-        assert merged.total == pooled.total
-        assert merged.counts == pooled.counts
-        for q in (0.5, 0.99):
-            assert merged.quantile(q) == pooled.quantile(q)
+from repro.obs import Tracer, export_telemetry, stitch
+from repro.streaming.metrics import DEMAND_MISS_SOURCES, AccessSource
 
 
 def _worker(label, n_spans, client):
     tracer = Tracer(clock=lambda: 0.0)
-    reg = MetricsRegistry(namespace=label)
-    reg.counter("accesses").inc(n_spans)
     for i in range(n_spans):
         root = tracer.begin("access", t=float(i), client=client)
         tracer.begin("fetch", parent=root, t=float(i)).finish(t=i + 0.4)
         root.finish(t=i + 0.5)
-        tracer.counter(reg.qualify("queue"), float(i), t=float(i))
-    return export_telemetry(label, tracer, reg)
+        tracer.counter(f"{label}.queue", float(i), t=float(i))
+    return export_telemetry(label, tracer)
 
 
 class TestStitch:
@@ -199,7 +50,6 @@ class TestStitch:
                         _worker("shard1", 1, "c1")])
         names = {c["name"] for c in fleet.counters}
         assert names == {"shard0.queue", "shard1.queue"}
-        assert fleet.registry.counters["shard0.accesses"].value == 1
 
     def test_duplicate_worker_labels_rejected(self):
         t = _worker("shard0", 1, "c0")
@@ -221,12 +71,11 @@ class TestStitch:
 
 
 def test_miss_sources_pin_access_source_values():
-    """MISS_SOURCES spells out AccessSource values to stay cycle-free;
-    this pins the mapping so an enum rename cannot silently empty the
-    demand-miss pool (str-enum members compare equal to their values)."""
-    from repro.streaming.metrics import AccessSource
-
-    assert MISS_SOURCES == ("lan-depot", "wan", "server")
+    """The demand-miss pool is every source but the two local hits, and
+    holds the bare value strings span attributes carry — an enum rename
+    cannot silently empty the pool the span fold reads."""
+    assert DEMAND_MISS_SOURCES == ("lan-depot", "wan", "server")
     hit = {AccessSource.AGENT_CACHE, AccessSource.CLIENT_RESIDENT}
     for member in AccessSource:
-        assert (member in MISS_SOURCES) == (member not in hit)
+        assert (member in DEMAND_MISS_SOURCES) == (member not in hit)
+        assert (member.value in DEMAND_MISS_SOURCES) == (member not in hit)

@@ -1,16 +1,16 @@
-"""Depot-fleet health: skew figures, QGR pooling, registry recovery."""
+"""Depot-fleet health: skew figures, QGR pooling, depot series recovery."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
     demand_miss_histogram,
-    depot_stats_from_registry,
+    depot_stats,
     fleet_health,
     fleet_qgr,
     gini,
     load_skew,
-    miss_events,
 )
 from repro.obs.health import QGR_WARMUP
 from repro.streaming.metrics import AccessRecord, AccessSource
@@ -63,17 +63,19 @@ class TestLoadSkew:
         assert skew["gini"] == 0.0
 
 
+def _sample(name, value, t=0.0):
+    return {"name": name, "t": t, "value": value}
+
+
 class TestDepotStatsFromRegistry:
     def test_recovers_depot_gauges_across_namespaces(self):
-        reg = MetricsRegistry()
+        series = []
         for shard in ("shard0", "shard1"):
-            sub = MetricsRegistry(namespace=shard)
-            sub.gauge("depot.lan-depot-0.bytes_served").set(100.0)
-            q = sub.gauge("depot.lan-depot-0.queue_depth")
-            q.set(3.0)
-            q.set(1.0)
-            reg.merge_state(sub.export_state())
-        stats = depot_stats_from_registry(reg)
+            depot = f"{shard}.depot.lan-depot-0"
+            series += [_sample(f"{depot}.bytes_served", 100.0),
+                       _sample(f"{depot}.queue_depth", 3.0),
+                       _sample(f"{depot}.queue_depth", 1.0, t=0.5)]
+        stats = depot_stats(series)
         names = [s.name for s in stats]
         assert names == ["shard0.depot.lan-depot-0",
                          "shard1.depot.lan-depot-0"]
@@ -82,9 +84,7 @@ class TestDepotStatsFromRegistry:
         assert stats[0].queue_depth_last == 1.0
 
     def test_ignores_unrelated_gauges(self):
-        reg = MetricsRegistry()
-        reg.gauge("agent.cache.bytes").set(5.0)
-        assert depot_stats_from_registry(reg) == []
+        assert depot_stats([_sample("agent.cache.bytes", 5.0)]) == []
 
 
 class TestFleetQGR:
@@ -115,26 +115,18 @@ class TestMissPool:
         assert h.total == 3
         assert h.min_seen == 0.30
 
-    def test_miss_events_time_ordered_completions(self):
-        per_client = [
-            [_access(0, 0.5, t=2.0)],
-            [_access(0, 0.1, t=1.0),
-             _access(1, 0.2, AccessSource.AGENT_CACHE, t=1.5)],
-        ]
-        events = miss_events(per_client)
-        assert events == [(1.1, 0.1), (2.5, 0.5)]
-
 
 class TestFleetHealth:
     def test_summary_combines_all_figures(self):
-        reg = MetricsRegistry(namespace="shard0")
-        reg.gauge("depot.d0.bytes_served").set(90.0)
-        reg.gauge("depot.d1.bytes_served").set(10.0)
-        per_client = [
-            [_access(i, 0.01 if i % 2 else 0.4)
-             for i in range(QGR_WARMUP + 5)]
-        ]
-        fh = fleet_health(per_client, reg)
+        series = [_sample("shard0.depot.d0.bytes_served", 90.0),
+                  _sample("shard0.depot.d1.bytes_served", 10.0)]
+        accesses = [_access(i, 0.01 if i % 2 else 0.4)
+                    for i in range(QGR_WARMUP + 5)]
+        # what fleet_health reads of a ShardedResult
+        result = SimpleNamespace(
+            per_client=[SimpleNamespace(accesses=accesses)],
+            stitched=lambda: SimpleNamespace(counters=series))
+        fh = fleet_health(result)
         assert fh.n_clients == 1
         assert fh.accesses == QGR_WARMUP + 5
         assert fh.misses == QGR_WARMUP + 5  # all WAN misses

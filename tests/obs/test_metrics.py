@@ -1,32 +1,17 @@
-"""Unit tests for counters, gauges, log-scale histograms and the registry."""
+"""Unit tests for the log-scale histogram and the metrics fold."""
 
 import math
 
 import pytest
 
-from repro.obs import LogHistogram, MetricsRegistry
-
-
-def test_counter_monotone():
-    reg = MetricsRegistry()
-    c = reg.counter("depot.d0.bytes")
-    c.inc(10)
-    c.inc()
-    assert c.value == 11
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    assert reg.counter("depot.d0.bytes") is c
+from repro.obs import LogHistogram, Tracer, fold_metrics
 
 
 def test_gauge_tracks_extremes():
-    reg = MetricsRegistry()
-    g = reg.gauge("cache.fill")
-    g.set(0.5)
-    g.set(0.2)
-    g.set(0.8)
-    assert g.value == 0.8
-    assert g.min_seen == 0.2 and g.max_seen == 0.8
-    assert g.samples == 3
+    series = [{"name": "cache.fill", "t": float(i), "value": v}
+              for i, v in enumerate([0.5, 0.2, 0.8])]
+    g = fold_metrics([], series)["gauges"]["cache.fill"]
+    assert g == {"value": 0.8, "min": 0.2, "max": 0.8, "samples": 3}
 
 
 def test_histogram_bucket_edges_are_geometric():
@@ -58,6 +43,11 @@ def test_histogram_under_and_overflow():
     assert h.underflow == 1 and h.overflow == 1
     assert h.quantile(0.0) <= 1e-4
     assert h.quantile(1.0) == 5.0
+    # nothing underflowed: q=0 is the lowest populated bucket, not ``lo``
+    above = LogHistogram("lat")
+    above.observe(0.5)
+    above.observe(0.6)
+    assert above.min_seen / above.growth < above.quantile(0.0) <= 0.6
     with pytest.raises(ValueError):
         h.observe(-1.0)
     assert h.min_seen == 1e-6 and h.max_seen == 5.0
@@ -87,15 +77,19 @@ def test_nonzero_buckets_compact():
 
 
 def test_registry_snapshot_shape():
-    reg = MetricsRegistry()
-    reg.counter("a").inc(2)
-    reg.gauge("b").set(1.5)
-    reg.histogram("c").observe(0.01)
-    reg.histogram("empty")
-    snap = reg.snapshot()
-    assert snap["counters"] == {"a": 2}
+    t = Tracer(clock=lambda: 0.0)
+    t.counter("b", 1.5)
+    t.record("access:v1", 0.0, 0.01, category="access",
+             source="wan", total_latency=0.01)
+    t.record("access:v2", 1.0, 1.0001, category="access",
+             source="hit", total_latency=1e-4)
+    t.begin("access:v3", t=2.0, category="access")  # cut off at the horizon
+    snap = fold_metrics(t.span_dicts(), t.counters)
+    assert snap["counters"] == {}
     assert snap["gauges"]["b"]["value"] == 1.5
     assert snap["gauges"]["b"]["samples"] == 1
-    assert snap["histograms"]["c"]["count"] == 1
-    assert snap["histograms"]["empty"]["min"] is None
-    assert {"p50", "p95", "p99"} <= set(snap["histograms"]["c"])
+    assert snap["histograms"]["fleet.access_latency"]["count"] == 2
+    miss = snap["histograms"]["fleet.demand_miss_latency"]
+    assert miss["count"] == 1 and miss["min"] == miss["max"] == 0.01
+    assert {"p50", "p95", "p99"} <= set(miss)
+    assert "fleet_workers" not in snap

@@ -10,6 +10,7 @@ import pytest
 
 from repro.lightfield.lattice import CameraLattice
 from repro.lightfield.source import SyntheticSource
+from repro.obs import fold_metrics
 from repro.streaming.multiclient import (
     MultiClientConfig,
     build_multiclient_rig,
@@ -135,7 +136,7 @@ def test_traced_run_namespaces_per_agent_series():
     source = small_source()
     config = small_config(n_clients=2, tracing=True)
     rig = build_multiclient_rig(source, config)
-    assert rig.tracer is not None and rig.obs is not None
+    assert rig.tracer is not None
     assert rig.samplers  # standard sampler set wired
 
     for staging in rig.stagings:
@@ -146,12 +147,12 @@ def test_traced_run_namespaces_per_agent_series():
         client.schedule_trace(trace)
     rig.queue.run_until(max(t.duration for t in rig.traces) + 30.0)
 
-    gauges = rig.obs.gauges
+    gauges = fold_metrics([], rig.tracer.counters)["gauges"]
     # two agents: the cache sampler namespaces each by node and totals
     assert "agent.agent-0.cache.bytes" in gauges
     assert "agent.agent-1.cache.bytes" in gauges
     assert "agents.cache.bytes" in gauges
-    assert gauges["agents.cache.bytes"].value >= max(
-        gauges["agent.agent-0.cache.bytes"].value,
-        gauges["agent.agent-1.cache.bytes"].value,
+    assert gauges["agents.cache.bytes"]["value"] >= max(
+        gauges["agent.agent-0.cache.bytes"]["value"],
+        gauges["agent.agent-1.cache.bytes"]["value"],
     )

@@ -12,6 +12,7 @@ import pytest
 from repro.lightfield.lattice import CameraLattice
 from repro.lightfield.source import SyntheticSource
 from repro.obs.export import load_trace, write_chrome_trace
+from repro.obs.metrics import fold_metrics
 from repro.obs.report import access_roots, stage_breakdown
 from repro.streaming.metrics import AccessSource
 from repro.streaming.session import SessionConfig, run_session
@@ -141,14 +142,13 @@ class TestTracedSession:
         assert any(n.startswith("scheduler.") for n in names)
         assert any(n.startswith("depot.") for n in names)
         assert any(n.startswith("agent.cache.") for n in names)
-        snap = m.obs.snapshot()
-        assert snap["gauges"], "registry recorded no gauges"
+        gauges = fold_metrics([], m.tracer.counters)["gauges"]
+        assert set(gauges) == names
 
     def test_trace_report_round_trip(self, traced, tmp_path):
         m, _, _ = traced
         out = tmp_path / "session-trace.json"
-        n = write_chrome_trace(m.tracer, str(out),
-                               metrics_snapshot=m.obs.snapshot())
+        n = write_chrome_trace(m.tracer, str(out))
         assert n > 0
         spans = load_trace(str(out))
         bd = stage_breakdown(spans)
@@ -180,5 +180,5 @@ class TestTracingDisabled:
         m = run_session(
             source, SessionConfig(case=2, n_accesses=10, trace_seed=3)
         )
-        assert m.tracer is None and m.obs is None
+        assert m.tracer is None
         assert m.breakdown() == {}
