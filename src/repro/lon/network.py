@@ -585,16 +585,19 @@ class Network:
         so obs samplers can tick cheaply.  Paused flows and flows in their
         propagation tail consume no bandwidth; a downed link reads 0.
         Values are clamped to [0, 1] (transient float excess from
-        water-filling rounds down).
+        water-filling rounds down).  Only a link with contending members
+        is summed; the rest read 0.0 (the obs link sampler calls this
+        every tick).
         """
         self.flush()
+        members = self._members
+        row_of = self._row_of
         out: Dict[Tuple[str, str], float] = {}
         for key, link in self._links.items():
-            if not link.up:
-                out[(link.a, link.b)] = 0.0
-                continue
-            load = self._row_load(self._row_of[key])
-            out[(link.a, link.b)] = min(1.0, load / link.bandwidth)
+            row = row_of[key]
+            out[(link.a, link.b)] = (
+                min(1.0, self._row_load(row) / link.bandwidth)
+                if link.up and row in members else 0.0)
         return out
 
     def _row_load(self, row: int) -> float:

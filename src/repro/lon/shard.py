@@ -342,16 +342,19 @@ class ShardedResult(RunTotals):
         return [r for stream in self._per_shard(
             "transfers", "did not collect transfer streams") for r in stream]
 
-    def stitched(self) -> FleetTrace:
-        """Merge every shard's telemetry into one fleet timeline.
+    def telemetries(self) -> List[WorkerTelemetry]:
+        """Every shard's :class:`WorkerTelemetry`, in shard order.
 
-        Requires the run to have been traced (``base.tracing=True``):
-        each shard then exports a :class:`WorkerTelemetry` and the
-        stitcher re-bases ids and annotates spans with their worker.
+        Requires the run to have been traced (``base.tracing=True``).
         """
-        return stitch(self._per_shard(
+        return self._per_shard(
             "telemetry", "ran without tracing; enable config.base.tracing "
-                         "to stitch a fleet trace"))
+                         "to stitch a fleet trace")
+
+    def stitched(self) -> FleetTrace:
+        """Merge every shard's telemetry into one fleet timeline (the
+        stitcher re-bases ids and annotates spans with their worker)."""
+        return stitch(self.telemetries())
 
     @property
     def flight_dumps(self) -> List[str]:

@@ -4,10 +4,10 @@ The paper's evaluation is a latency-attribution exercise (Figures 9-12):
 every claim is about *where* a view-set access's wait went.  This package
 supplies the machinery to record and read that attribution:
 
-* :mod:`~repro.obs.tracer` — hierarchical spans, series samples and instants
-  over simulated time, with a free no-op mode so instrumentation can stay
-  in hot paths.  It is the one store of a traced run; everything below
-  reads it;
+* :mod:`~repro.obs.tracer` — hierarchical spans, series rows (one per
+  sampler tick) and instants over simulated time, with a free no-op mode so
+  instrumentation can stay in hot paths.  It is the one store of a traced
+  run; everything below reads it;
 * :mod:`~repro.obs.samplers` — periodic probes of link utilization, depot
   service, scheduler class occupancy and cache fill, recorded as series;
 * :mod:`~repro.obs.metrics` — the log-scale latency histogram (fixed-ratio
@@ -77,6 +77,7 @@ from .tracer import (
     SpanDict,
     SpanLike,
     Tracer,
+    series_samples,
 )
 
 __all__ = [
@@ -87,6 +88,7 @@ __all__ = [
     "NoopSpan",
     "NOOP_SPAN",
     "NULL_TRACER",
+    "series_samples",
     "GaugeRecord",
     "HistogramRecord",
     "LogHistogram",

@@ -7,13 +7,14 @@ answered by any single worker's :class:`~repro.obs.tracer.Tracer`.  This
 module makes workers first-class telemetry *sources*:
 
 * :func:`export_telemetry` — one rig's tracer store as a
-  :class:`WorkerTelemetry`: plain picklable data (span dicts, series and
-  instant samples) that crosses the process boundary with the shard
+  :class:`WorkerTelemetry`: plain picklable data (span dicts, series rows
+  and instant samples) that crosses the process boundary with the shard
   result;
 * :func:`stitch` — merge worker exports into one :class:`FleetTrace`:
   span/trace ids are re-based per worker so they stay unique, every span
-  is annotated with its ``worker``, and series keep the per-shard
-  namespace their sampler stamped at record time;
+  is annotated with its ``worker``, and series — expanded from rows into
+  sample dicts here, once — keep the per-shard namespace their sampler
+  stamped at record time;
 * :meth:`FleetTrace.write_chrome` — one merged Perfetto artifact for the
   whole fleet.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import IO, Dict, Iterable, List, Union, cast
 
 from .export import write_chrome_trace
-from .tracer import SpanDict, Tracer
+from .tracer import Row, SpanDict, Tracer, series_samples
 
 __all__ = [
     "FleetTrace",
@@ -48,7 +49,9 @@ class WorkerTelemetry:
     #: worker's samplers recorded under)
     worker: str
     spans: List[SpanDict] = field(default_factory=list)
-    counters: List[Dict[str, object]] = field(default_factory=list)
+    #: the tracer's series rows (a pickled names tuple is shared by every
+    #: row of its schema, as in the tracer)
+    rows: List[Row] = field(default_factory=list)
     instants: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -65,13 +68,13 @@ class WorkerTelemetry:
 def export_telemetry(worker: str, tracer: Tracer) -> WorkerTelemetry:
     """A finished rig's tracer store as picklable telemetry.
 
-    Spans become dicts; the sample dicts are shared, not copied — nothing
-    downstream writes to one.
+    Spans become dicts; rows and instant dicts are shared, not copied —
+    nothing downstream writes to one.
     """
     return WorkerTelemetry(
         worker=worker,
         spans=tracer.span_dicts(),
-        counters=list(tracer.counters),
+        rows=list(tracer.rows),
         instants=list(tracer.instants),
     )
 
@@ -124,8 +127,9 @@ def stitch(telemetries: Iterable[WorkerTelemetry]) -> FleetTrace:
     span/trace ids are shifted past the running maximum of workers
     ``0..k-1``, so the merged id space is collision-free and a given
     (worker order, telemetry) input always stitches to the identical
-    output.  Spans gain a ``worker`` attribute; series and instants are
-    concatenated (series names already carry the worker's namespace).
+    output.  Spans gain a ``worker`` attribute; series samples (built from
+    the rows) and instants are concatenated (series names already carry
+    the worker's namespace).
     """
     telems = list(telemetries)
     workers = [t.worker for t in telems]
@@ -148,7 +152,7 @@ def stitch(telemetries: Iterable[WorkerTelemetry]) -> FleetTrace:
             attrs["worker"] = t.worker
             out["attrs"] = attrs
             spans.append(cast(SpanDict, out))
-        counters.extend(t.counters)
+        counters.extend(series_samples(t.rows))
         instants.extend(t.instants)
         span_base += t.max_span_id
         trace_base += t.max_trace_id

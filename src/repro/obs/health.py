@@ -5,13 +5,13 @@ is a *distributional* question: not "how fast was the mean access" but
 "which depot soaked up the bytes, how deep did its queue get, and what
 fraction of users stayed under the interactivity threshold".  This module
 reads those answers off what a traced sharded run already holds — the
-per-depot series sampled by :class:`~repro.obs.samplers.DepotSampler` in
-the stitched fleet trace, and every client's access records:
+per-depot series rows :class:`~repro.obs.samplers.DepotSampler` recorded in
+every worker's telemetry, and every client's access records:
 
 * :func:`gini` / :func:`load_skew` — max/mean and Gini-coefficient skew
   over bytes served per depot (0 = perfectly balanced fleet);
 * :func:`depot_stats` — per-depot bytes-served and queue-depth figures
-  read off the sampled series, across any number of shard namespaces;
+  read off the series rows, across any number of shard namespaces;
 * :func:`fleet_qgr` — the steady-state fraction of accesses under the
   interactivity threshold (the paper's Quality Guaranteed Rate
   criterion), pooled over every client in the fleet;
@@ -35,6 +35,7 @@ from typing import (
 )
 
 from .metrics import LogHistogram
+from .tracer import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # runtime import would close the obs -> streaming -> lon -> obs cycle
@@ -108,31 +109,32 @@ class DepotStat:
     queue_depth_last: float = 0.0
 
 
-def depot_stats(series: Iterable[Mapping[str, object]]) -> List[DepotStat]:
-    """Per-depot figures read off the ``depot.<name>.*`` sampled series.
+def depot_stats(rows: Iterable[Row]) -> List[DepotStat]:
+    """Per-depot figures read off the ``depot.<name>.*`` series rows.
 
-    Works on a stitched fleet trace: shard namespaces are part of the
-    series names (``shard3.depot.lan-depot-0.bytes_served``), so depots
-    from different shards stay distinct.  ``bytes_served`` is the last
-    sample (the sampler emits a cumulative count); queue depth keeps both
-    the observed peak and the last sample.  ``series`` must hold each
-    name's samples in record order.
+    Works across workers: shard namespaces are part of the series names
+    (``shard3.depot.lan-depot-0.bytes_served``), so depots from different
+    shards stay distinct, and one worker's rows after another's keep each
+    name's samples in record order — all this needs.  ``bytes_served`` is
+    the last sample (the sampler emits a cumulative count); queue depth
+    keeps both the observed peak and the last sample.
     """
     stats: Dict[str, DepotStat] = {}
-    for sample in series:
-        depot, _, figure = cast(str, sample["name"]).rpartition(".")
-        if (figure not in ("bytes_served", "queue_depth")
-                or ".depot." not in f".{depot}"):
-            continue
-        stat = stats.get(depot)
-        if stat is None:
-            stat = stats[depot] = DepotStat(name=depot)
-        value = cast(float, sample["value"])
-        if figure == "bytes_served":
-            stat.bytes_served = value
-        else:
-            stat.queue_depth_peak = max(stat.queue_depth_peak, value)
-            stat.queue_depth_last = value
+    for _t, names, values in rows:
+        for name, value in zip(names, values):
+            depot, _, figure = name.rpartition(".")
+            if (figure not in ("bytes_served", "queue_depth")
+                    or ".depot." not in f".{depot}"):
+                continue
+            stat = stats.get(depot)
+            if stat is None:
+                stat = stats[depot] = DepotStat(name=depot)
+            sample = cast(float, value)
+            if figure == "bytes_served":
+                stat.bytes_served = sample
+            else:
+                stat.queue_depth_peak = max(stat.queue_depth_peak, sample)
+                stat.queue_depth_last = sample
     return [stats[k] for k in sorted(stats)]
 
 
@@ -222,11 +224,13 @@ def fleet_health(
     """The fleet health summary of a traced sharded run.
 
     QGR and the demand-miss quantiles pool every client's access records;
-    the depot figures are read off the stitched trace's sampled series.
+    the depot figures are read off each worker's series rows (nothing is
+    stitched).
     """
     accesses = [a for m in result.per_client for a in m.accesses]
     misses = demand_miss_histogram(accesses)
-    depots = depot_stats(result.stitched().counters)
+    depots = depot_stats(row for telemetry in result.telemetries()
+                         for row in telemetry.rows)
     skew = load_skew({d.name: d.bytes_served for d in depots})
     return FleetHealth(
         n_clients=len(result.per_client),

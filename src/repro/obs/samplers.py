@@ -4,8 +4,8 @@ Spans capture *per-request* structure; these samplers capture *system state
 over time* — the two views NetLogger-style analyses cross-reference (e.g.
 "this access was slow because the WAN link was at 100% serving staging").
 Each sampler ticks at a fixed sim-time period on the session's event queue;
-every tick records current values as series samples on the tracer, so the
-series render as counter tracks under the span tracks in Perfetto.
+every tick records current values as one row on the tracer, so the series
+render as counter tracks under the span tracks in Perfetto.
 
 Samplers are only wired when tracing is enabled — they cost simulated-time
 events, so benchmarks must not carry them silently.
@@ -18,7 +18,15 @@ runtime import back into ``lon`` would close an import cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Sequence,
+    Tuple,
+)
 
 from .tracer import Tracer
 
@@ -39,7 +47,11 @@ __all__ = [
 
 
 class PeriodicSampler:
-    """Base class: a named probe ticking every ``period`` sim seconds."""
+    """Base class: a named probe ticking every ``period`` sim seconds.
+
+    A tick is one row on the tracer: the values of every series the
+    sampler reads, under a names tuple that all ticks of one schema share.
+    """
 
     def __init__(
         self,
@@ -56,9 +68,9 @@ class PeriodicSampler:
         self.period = period
         self.name = name
         self._prefix = f"{namespace}." if namespace else ""
-        #: bare series name -> the one qualified string every sample of it
-        #: carries (12 k samples of a fleet run share ~200 names)
-        self._names: Dict[str, str] = {}
+        #: what the current names tuple was built from, and the tuple
+        self._schema_key: object = None
+        self._schema: Tuple[str, ...] = ()
         self.ticks = 0
         self._event = None
         self._running = False
@@ -91,16 +103,23 @@ class PeriodicSampler:
             self.period, self._tick, self.name
         )
 
-    def emit(self, series: str, value: float) -> None:
-        """Record one sample of ``series``, qualified by the namespace.
+    def schema(self, key: object,
+               series: Callable[[], Iterable[str]]) -> Tuple[str, ...]:
+        """The names tuple of this tick's row.
 
-        Subclasses name series bare (``depot.lan-depot-0.queue_depth``);
+        ``series()`` names the series bare (``depot.lan-depot-0.queue_depth``)
+        and runs only when ``key`` — what the names derive from: the link
+        set, the depot list, the class set — differs from the last tick's;
         the shard prefix is applied here and nowhere else.
         """
-        name = self._names.get(series)
-        if name is None:
-            name = self._names[series] = self._prefix + series
-        self.tracer.counter(name, value)
+        if key != self._schema_key:
+            self._schema_key = key
+            self._schema = tuple(self._prefix + s for s in series())
+        return self._schema
+
+    def emit(self, names: Tuple[str, ...], values: Sequence[object]) -> None:
+        """Record one tick: ``values[i]`` is a sample of ``names[i]``."""
+        self.tracer.row(names, values)
 
     def sample(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -113,10 +132,17 @@ class LinkUtilizationSampler(PeriodicSampler):
                  period: float = 0.5, namespace: str = "") -> None:
         super().__init__(queue, tracer, period, "sample-links", namespace)
         self.network = network
+        #: the link set in series order, (a, b) sorted
+        self._links: List[Tuple[str, str]] = []
 
     def sample(self) -> None:
-        for (a, b), util in sorted(self.network.link_utilization().items()):
-            self.emit(f"link.{a}--{b}.utilization", util)
+        util = self.network.link_utilization()
+        names = self.schema(util.keys(), lambda: self._relink(util))
+        self.emit(names, tuple(map(util.__getitem__, self._links)))
+
+    def _relink(self, util: Dict[Tuple[str, str], float]) -> Iterable[str]:
+        self._links = sorted(util)
+        return (f"link.{a}--{b}.utilization" for a, b in self._links)
 
 
 class DepotSampler(PeriodicSampler):
@@ -136,16 +162,25 @@ class DepotSampler(PeriodicSampler):
         self.network = network
 
     def sample(self) -> None:
-        flows = self.network.active_flows
+        depots = tuple(d.name for d in self.depots)
+        depth = dict.fromkeys(depots, 0)
+        for f in self.network.active_flows:
+            if f.paused:
+                continue
+            if f.src in depth:
+                depth[f.src] += 1
+            if f.dst in depth and f.dst != f.src:
+                depth[f.dst] += 1
+        values: List[int] = []
         for depot in self.depots:
-            served = (depot.stats.bytes_loaded + depot.stats.bytes_copied
-                      + depot.stats.bytes_stored)
-            depth = sum(
-                1 for f in flows
-                if depot.name in (f.src, f.dst) and not f.paused
-            )
-            self.emit(f"depot.{depot.name}.bytes_served", served)
-            self.emit(f"depot.{depot.name}.queue_depth", depth)
+            stats = depot.stats
+            values.append(stats.bytes_loaded + stats.bytes_copied
+                          + stats.bytes_stored)
+            values.append(depth[depot.name])
+        names = self.schema(depots, lambda: (
+            f"depot.{name}.{figure}" for name in depots
+            for figure in ("bytes_served", "queue_depth")))
+        self.emit(names, tuple(values))
 
 
 class SchedulerOccupancySampler(PeriodicSampler):
@@ -163,8 +198,10 @@ class SchedulerOccupancySampler(PeriodicSampler):
         counts = {prio: 0 for prio in self.scheduler.weights}
         for handle in self.scheduler.active_handles:
             counts[handle.priority] = counts.get(handle.priority, 0) + 1
-        for prio, n in counts.items():
-            self.emit(f"scheduler.{prio.name.lower()}.active", n)
+        classes = tuple(counts)
+        names = self.schema(classes, lambda: (
+            f"scheduler.{prio.name.lower()}.active" for prio in classes))
+        self.emit(names, tuple(counts.values()))
 
 
 class CacheSampler(PeriodicSampler):
@@ -177,31 +214,31 @@ class CacheSampler(PeriodicSampler):
     totals the fleet.
     """
 
+    _FIGURES = ("cache.bytes", "cache.payloads", "staged.viewsets")
+
     def __init__(self, queue: EventQueue, tracer: Tracer, agent: object,
                  period: float = 0.5, namespace: str = "") -> None:
         super().__init__(queue, tracer, period, "sample-cache", namespace)
         self.agents = (list(agent) if isinstance(agent, (list, tuple))
                        else [agent])
 
-    def sample(self) -> None:
+    def _series(self) -> Iterable[str]:
         if len(self.agents) == 1:
-            agent = self.agents[0]
-            self.emit("agent.cache.bytes", agent._payload_total)
-            self.emit("agent.cache.payloads", len(agent._payloads))
-            self.emit("agent.staged.viewsets", len(agent._staged_lan))
-            return
-        total_bytes = total_payloads = total_staged = 0
+            return [f"agent.{fig}" for fig in self._FIGURES]
+        return [f"agent.{agent.node}.{fig}" for agent in self.agents
+                for fig in self._FIGURES] + [
+                    f"agents.{fig}" for fig in self._FIGURES]
+
+    def sample(self) -> None:
+        values: List[int] = []
         for agent in self.agents:
-            prefix = f"agent.{agent.node}"
-            self.emit(f"{prefix}.cache.bytes", agent._payload_total)
-            self.emit(f"{prefix}.cache.payloads", len(agent._payloads))
-            self.emit(f"{prefix}.staged.viewsets", len(agent._staged_lan))
-            total_bytes += agent._payload_total
-            total_payloads += len(agent._payloads)
-            total_staged += len(agent._staged_lan)
-        self.emit("agents.cache.bytes", total_bytes)
-        self.emit("agents.cache.payloads", total_payloads)
-        self.emit("agents.staged.viewsets", total_staged)
+            values += (agent._payload_total, len(agent._payloads),
+                       len(agent._staged_lan))
+        if len(self.agents) > 1:
+            values += (sum(values[0::3]), sum(values[1::3]),
+                       sum(values[2::3]))
+        names = self.schema(tuple(self.agents), self._series)
+        self.emit(names, tuple(values))
 
 
 def standard_samplers(

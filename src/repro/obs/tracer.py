@@ -28,16 +28,20 @@ from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
     Protocol,
+    Sequence,
+    Tuple,
     TypedDict,
     Union,
     runtime_checkable,
 )
 
 __all__ = [
+    "Row",
     "Span",
     "SpanDict",
     "SpanLike",
@@ -45,6 +49,7 @@ __all__ = [
     "NoopSpan",
     "NOOP_SPAN",
     "NULL_TRACER",
+    "series_samples",
 ]
 
 
@@ -222,6 +227,31 @@ NOOP_SPAN = NoopSpan()
 
 AnySpan = Union[Span, NoopSpan]
 
+#: one sampler tick, ``(t, names, values)``: ``values[i]`` is the sample of
+#: series ``names[i]`` at ``t``.  A sampler hands every tick of one schema
+#: the same ``names`` tuple, so a row costs a tuple of values, not a dict
+#: per sample.
+Row = Tuple[float, Tuple[str, ...], Sequence[object]]
+
+
+def series_samples(rows: Iterable[Row]) -> List[Dict[str, object]]:
+    """Rows as ``{"name", "t", "value"}`` sample dicts, in record order.
+
+    The one place sample dicts are made: exporters, the metrics fold and
+    the fleet stitcher read these, built when they ask.
+    """
+    return [{"name": name, "t": t, "value": value}
+            for t, names, values in rows
+            for name, value in zip(names, values)]
+
+
+def _clock_reader(clock: object) -> Callable[[], float]:
+    if clock is None:
+        return lambda: 0.0
+    if callable(clock):
+        return clock
+    return lambda: clock.now  # type: ignore[attr-defined]
+
 
 class Tracer:
     """Factory and container for spans over one simulated run.
@@ -240,9 +270,11 @@ class Tracer:
 
     def __init__(self, clock: object = None, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._clock = clock
+        #: resolved once: ``now`` is read per span and per sampler tick
+        self._read_clock = _clock_reader(clock)
         self.spans: List[Span] = []
-        self.counters: List[Dict[str, object]] = []
+        #: series samples, one :data:`Row` per sampler tick
+        self.rows: List[Row] = []
         self.instants: List[Dict[str, object]] = []
         self._next_span_id = 1
         self._next_trace_id = 1
@@ -255,8 +287,9 @@ class Tracer:
         """Subscribe to telemetry as it lands.
 
         ``fn(kind, payload)`` is called with ``("span", Span)`` when a span
-        closes, ``("instant", dict)`` and ``("counter", dict)`` as those
-        are recorded.  Listeners must not mutate the payload.
+        closes, ``("instant", dict)`` as one is recorded and
+        ``("counter", dict)`` once per sample of a recorded row.
+        Listeners must not mutate the payload.
         """
         if fn not in self._listeners:
             self._listeners.append(fn)
@@ -274,12 +307,7 @@ class Tracer:
     @property
     def now(self) -> float:
         """Current simulation time according to the wired clock."""
-        clock = self._clock
-        if clock is None:
-            return 0.0
-        if callable(clock):
-            return float(clock())
-        return float(clock.now)
+        return float(self._read_clock())
 
     # ------------------------------------------------------------------
     def begin(
@@ -363,28 +391,45 @@ class Tracer:
         if self._listeners:
             self._notify("instant", ev)
 
-    def counter(self, name: str, value: float,
-                t: Optional[float] = None) -> None:
-        """One sample of a named time series (samplers feed these)."""
+    def row(self, names: Tuple[str, ...], values: Sequence[object],
+            t: Optional[float] = None) -> None:
+        """One sampler tick: ``values[i]`` is a sample of ``names[i]``.
+
+        Listeners get one ``("counter", dict)`` call per sample; the dicts
+        are made only while one is attached.
+        """
         if not self.enabled:
             return
-        sample = {
-            "name": name,
-            "t": self.now if t is None else t,
-            "value": value,
-        }
-        self.counters.append(sample)
+        if t is None:
+            t = self.now
+        self.rows.append((t, names, values))
         if self._listeners:
-            self._notify("counter", sample)
+            for name, value in zip(names, values):
+                self._notify("counter", {"name": name, "t": t, "value": value})
+
+    def counter(self, name: str, value: float,
+                t: Optional[float] = None) -> None:
+        """One sample of a named time series: a one-sample row."""
+        self.row((name,), (value,), t)
+
+    @property
+    def counters(self) -> List[Dict[str, object]]:
+        """Every series sample as a dict (:func:`series_samples` of
+        ``rows``), built anew on each read."""
+        return series_samples(self.rows)
 
     # ------------------------------------------------------------------
     def finish_open(self, t: Optional[float] = None) -> int:
-        """Close every still-open span (end of run); returns how many."""
+        """Close every still-open span (end of run); returns how many.
+
+        The ``unfinished`` flag is set before the close, so listeners
+        notified by it (a flight recorder) see it too.
+        """
         n = 0
         for span in self.spans:
             if span.end is None:
-                span.finish(t=t)
                 span.attrs.setdefault("unfinished", True)
+                span.finish(t=t)
                 n += 1
         return n
 

@@ -86,6 +86,25 @@ class TestTrigger:
         assert open_span["name"] == "interrupted"
         assert open_span["open"] is True
 
+    def test_span_closed_by_finish_open_is_dumped_unfinished(self):
+        """The flag lands before the close notifies the recorder."""
+        tracer = _tracer()
+        rec = FlightRecorder().attach(tracer)
+        span = tracer.begin("xfer", t=0.5, bytes=10)
+        tracer.finish_open(t=2.0)
+        (dumped,) = rec.trigger("end")["spans"]
+        assert span.attrs == {"bytes": 10, "unfinished": True}
+        assert dumped["attrs"] == span.attrs
+        assert dumped["end"] == 2.0
+
+    def test_finish_open_keeps_an_explicit_unfinished_attr(self):
+        tracer = _tracer()
+        rec = FlightRecorder().attach(tracer)
+        tracer.begin("xfer", t=0.5, unfinished="cut")
+        tracer.finish_open(t=2.0)
+        (dumped,) = rec.trigger("end")["spans"]
+        assert dumped["attrs"] == {"unfinished": "cut"}
+
     def test_trigger_time_defaults_to_latest_end(self):
         tracer = _tracer()
         rec = FlightRecorder().attach(tracer)

@@ -63,19 +63,14 @@ class TestLoadSkew:
         assert skew["gini"] == 0.0
 
 
-def _sample(name, value, t=0.0):
-    return {"name": name, "t": t, "value": value}
-
-
 class TestDepotStatsFromRegistry:
     def test_recovers_depot_gauges_across_namespaces(self):
-        series = []
+        rows = []
         for shard in ("shard0", "shard1"):
             depot = f"{shard}.depot.lan-depot-0"
-            series += [_sample(f"{depot}.bytes_served", 100.0),
-                       _sample(f"{depot}.queue_depth", 3.0),
-                       _sample(f"{depot}.queue_depth", 1.0, t=0.5)]
-        stats = depot_stats(series)
+            names = (f"{depot}.bytes_served", f"{depot}.queue_depth")
+            rows += [(0.0, names, (100.0, 3.0)), (0.5, names[1:], (1.0,))]
+        stats = depot_stats(rows)
         names = [s.name for s in stats]
         assert names == ["shard0.depot.lan-depot-0",
                          "shard1.depot.lan-depot-0"]
@@ -84,7 +79,7 @@ class TestDepotStatsFromRegistry:
         assert stats[0].queue_depth_last == 1.0
 
     def test_ignores_unrelated_gauges(self):
-        assert depot_stats([_sample("agent.cache.bytes", 5.0)]) == []
+        assert depot_stats([(0.0, ("agent.cache.bytes",), (5.0,))]) == []
 
 
 class TestFleetQGR:
@@ -118,14 +113,14 @@ class TestMissPool:
 
 class TestFleetHealth:
     def test_summary_combines_all_figures(self):
-        series = [_sample("shard0.depot.d0.bytes_served", 90.0),
-                  _sample("shard0.depot.d1.bytes_served", 10.0)]
+        rows = [(0.0, ("shard0.depot.d0.bytes_served",
+                       "shard0.depot.d1.bytes_served"), (90.0, 10.0))]
         accesses = [_access(i, 0.01 if i % 2 else 0.4)
                     for i in range(QGR_WARMUP + 5)]
         # what fleet_health reads of a ShardedResult
         result = SimpleNamespace(
             per_client=[SimpleNamespace(accesses=accesses)],
-            stitched=lambda: SimpleNamespace(counters=series))
+            telemetries=lambda: [SimpleNamespace(rows=rows)])
         fh = fleet_health(result)
         assert fh.n_clients == 1
         assert fh.accesses == QGR_WARMUP + 5

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lon.simtime import EventQueue
-from repro.obs import NOOP_SPAN, NULL_TRACER, Tracer
+from repro.obs import NOOP_SPAN, NULL_TRACER, Tracer, series_samples
 
 
 def test_root_and_child_ids():
@@ -63,7 +63,8 @@ def test_disabled_tracer_hands_out_noop_and_records_nothing():
     s.finish()
     t.instant("i")
     t.counter("c", 1.0)
-    assert t.spans == [] and t.counters == [] and t.instants == []
+    t.row(("r",), (1.0,))
+    assert t.spans == [] and t.rows == [] and t.instants == []
     assert NULL_TRACER.enabled is False
 
 
@@ -88,6 +89,30 @@ def test_finish_open_marks_unfinished():
     assert n == 1
     assert a.end == 9.0 and a.attrs.get("unfinished") is True
     assert "unfinished" not in b.attrs
+
+
+def test_row_is_stored_as_one_tuple_and_read_as_samples():
+    t = Tracer(lambda: 2.0)
+    names = ("a", "b")
+    t.row(names, (1, 0.5))
+    t.counter("c", 7, t=3.0)
+    assert t.rows == [(2.0, names, (1, 0.5)), (3.0, ("c",), (7,))]
+    assert t.rows[0][1] is names
+    assert t.counters == [
+        {"name": "a", "t": 2.0, "value": 1},
+        {"name": "b", "t": 2.0, "value": 0.5},
+        {"name": "c", "t": 3.0, "value": 7},
+    ]
+    assert series_samples(t.rows) == t.counters
+
+
+def test_listeners_get_one_dict_per_sample_of_a_row():
+    t = Tracer(lambda: 1.0)
+    seen = []
+    t.add_listener(lambda kind, payload: seen.append((kind, payload)))
+    t.row(("a", "b"), (1, 2))
+    assert seen == [("counter", {"name": "a", "t": 1.0, "value": 1}),
+                    ("counter", {"name": "b", "t": 1.0, "value": 2})]
 
 
 def test_span_context_manager():

@@ -145,6 +145,16 @@ class TestTracedSession:
         gauges = fold_metrics([], m.tracer.counters)["gauges"]
         assert set(gauges) == names
 
+    def test_samplers_write_one_row_per_tick(self, traced):
+        """A tick is one ``(t, names, values)`` row; every tick of a
+        sampler shares one names tuple (the topology does not change)."""
+        m, _, _ = traced
+        rows = m.tracer.rows
+        assert rows and all(type(r) is tuple and len(r) == 3 for r in rows)
+        assert len({id(names) for _, names, _ in rows}) == 4
+        assert sum(len(names) for _, names, _ in rows) == len(
+            m.tracer.counters)
+
     def test_trace_report_round_trip(self, traced, tmp_path):
         m, _, _ = traced
         out = tmp_path / "session-trace.json"
