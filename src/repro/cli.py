@@ -12,8 +12,9 @@ Usage (``python -m repro <command>``):
 * ``multiclient`` — run N concurrent browsing clients against one shared
   depot fleet and report per-client + fleet metrics and sim throughput
   (``--trace out.json`` stitches sharded runs into one merged trace);
-* ``fleet-report`` — traced sharded fleet run rendered as depot load
-  skew, fleet QGR and SLO burn-rate verdict tables, with optional fault
+* ``fleet-report`` — traced sharded fleet run rendered as a fleet table
+  (QGR, demand-miss p50/p99, misses), a per-depot load table (bytes
+  served, share, queue peak) and the load skew, with optional fault
   injection and flight-recorder dumps;
 * ``trace-report`` — per-access waterfall + per-stage latency table from a
   saved trace file;

@@ -12,7 +12,9 @@ described by spherical angles (theta, phi) — give the 4-D ray index
 * ``(s, t)`` = (theta, phi) of the ray's entry point on the **inner** sphere,
   which tightly bounds the dataset.
 
-All functions are vectorized over ``(N, 3)`` ray bundles.
+:meth:`TwoSphere.project` is the one ray-to-index mapping: the synthesizer's
+frames, arbitrary ray bundles and prefetch planning all go through it, on
+planar ``(3, N)`` directions.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def angles_to_cartesian(
     )
 
 
+def _first_hit(b: np.ndarray, disc: np.ndarray) -> np.ndarray:
+    """Ray parameter of the entry point if ahead of the origin, else exit."""
+    sq = np.sqrt(disc)
+    t = -b - sq
+    return np.where(t >= 0.0, t, -b + sq)
+
+
 @dataclass(frozen=True)
 class TwoSphere:
     """Concentric parameter spheres: cameras on the outer, data in the inner.
@@ -81,6 +90,8 @@ class TwoSphere:
 
         Returns ``(t, hit)``: ray parameter of the first intersection with
         ``t >= 0`` and a boolean hit mask.  Directions must be unit length.
+        Row-major ``(N, 3)`` rays and one sphere at a time: the plain form
+        the synthesis test oracle checks :meth:`project` against.
         """
         o = np.asarray(origins, dtype=np.float64)
         d = np.asarray(dirs, dtype=np.float64)
@@ -96,77 +107,52 @@ class TwoSphere:
         hit &= t >= 0.0
         return t, hit
 
-    def ray_to_stuv(
-        self, origins: np.ndarray, dirs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Map rays to ``(s, t, u, v)`` plus a validity mask.
-
-        A ray is *valid* when it pierces both spheres going inward — the
-        paper's point that "not all (s,t,u,v) combinations are valid, due to
-        occlusion" of the inner sphere by itself.  Invalid rays get NaN
-        angles.
-
-        Returns ``(s, t, u, v, valid)`` where (s, t) are inner-sphere and
-        (u, v) outer-sphere (theta, phi) angles.
-        """
-        o = np.asarray(origins, dtype=np.float64)
-        d = np.asarray(dirs, dtype=np.float64)
-        t_in, hit_in = self.intersect_sphere(o, d, self.r_inner)
-        t_out, hit_out = self.intersect_sphere(o, d, self.r_outer)
-        valid = hit_in & hit_out
-        nan = np.full(o.shape[0], np.nan)
-        if not valid.any():
-            return nan, nan.copy(), nan.copy(), nan.copy(), valid
-        p_in = o[valid] + t_in[valid, None] * d[valid]
-        p_out = o[valid] + t_out[valid, None] * d[valid]
-        s_ang = nan.copy()
-        t_ang = nan.copy()
-        u_ang = nan.copy()
-        v_ang = nan.copy()
-        s_ang[valid], t_ang[valid] = cartesian_to_angles(p_in)
-        u_ang[valid], v_ang[valid] = cartesian_to_angles(p_out)
-        return s_ang, t_ang, u_ang, v_ang, valid
-
-    def project_rays(
+    def project(
         self, origins: np.ndarray, dirs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Synthesis fast path: inner hit *points* plus outer angles.
+        """Map rays to the 4-D index the synthesizer looks up, valid rays only.
 
-        Returns ``(p_in, u, v, valid)`` where ``p_in`` is the (N, 3) array
-        of inner-sphere entry points (garbage where invalid), and (u, v) the
-        outer-sphere entry angles.  Skips the inner-sphere angle conversion
-        that :meth:`ray_to_stuv` performs, and exploits a shared ray origin
-        (a pinhole camera) to collapse the intersection quadratic's constant
-        term to a scalar.
+        ``dirs`` are planar ``(3, N)`` unit directions.  ``origins`` is one
+        eye ``(3,)`` that every ray shares (a pinhole camera: the
+        intersection quadratic's constant term is then a scalar) or planar
+        ``(3, N)`` per-ray origins.  A ray is *valid* when it pierces both
+        spheres going forward — the paper's point that "not all (s,t,u,v)
+        combinations are valid, due to occlusion" of the inner sphere by
+        itself.
+
+        Returns ``(vidx, p_in, u, v)``: the indices of the valid rays; their
+        inner-sphere entry points, planar ``(3, n)`` float32 — the (s, t)
+        point kept Cartesian for reprojection into sample views; and the
+        (theta, phi) angles ``(u, v)`` of their outer-sphere entry.  Hit
+        distances, points and angles are computed for the valid rays alone.
         """
         o = np.asarray(origins, dtype=np.float64)
         d = np.asarray(dirs, dtype=np.float64)
-        n = o.shape[0]
-        shared = n > 1 and (o[0] == o).all()
+        shared = o.ndim == 1
         if shared:
-            eye = o[0]
-            b = d @ eye
-            c_in = float(eye @ eye) - self.r_inner**2
-            c_out = float(eye @ eye) - self.r_outer**2
+            b, oo = o @ d, float(o @ o)
         else:
-            b = np.einsum("ij,ij->i", o, d)
-            oo = np.einsum("ij,ij->i", o, o)
-            c_in = oo - self.r_inner**2
-            c_out = oo - self.r_outer**2
-        disc_in = b * b - c_in
-        disc_out = b * b - c_out
-        valid = (disc_in >= 0.0) & (disc_out >= 0.0)
-        sq_in = np.sqrt(np.where(valid, disc_in, 0.0))
-        sq_out = np.sqrt(np.where(valid, disc_out, 0.0))
-        t_in = -b - sq_in
-        t_in = np.where(t_in >= 0.0, t_in, -b + sq_in)
-        t_out = -b - sq_out
-        t_out = np.where(t_out >= 0.0, t_out, -b + sq_out)
-        valid &= (t_in >= 0.0) & (t_out >= 0.0)
-        p_in = o + t_in[:, None] * d
-        p_out = o + t_out[:, None] * d
-        u, v = cartesian_to_angles(p_out)
-        return p_in, u, v, valid
+            b, oo = np.einsum("ij,ij->j", o, d), np.einsum("ij,ij->j", o, o)
+        bb = b * b
+        # r_outer > r_inner: a ray that meets the inner sphere meets both
+        vidx = np.flatnonzero(bb - (oo - self.r_inner**2) >= 0.0)
+        b, bb = b[vidx], bb[vidx]
+        if not shared:
+            oo = oo[vidx]
+        t_in = _first_hit(b, bb - (oo - self.r_inner**2))
+        t_out = _first_hit(b, bb - (oo - self.r_outer**2))
+        ahead = (t_in >= 0.0) & (t_out >= 0.0)
+        if not ahead.all():
+            vidx, t_in, t_out = vidx[ahead], t_in[ahead], t_out[ahead]
+        p_in = np.empty((3, len(vidx)), dtype=np.float32)
+        p_out = np.empty((3, len(vidx)))
+        for k in range(3):
+            o_k = o[k] if shared else o[k][vidx]
+            d_k = d[k][vidx]
+            np.add(o_k, t_in * d_k, out=p_in[k])
+            np.add(o_k, t_out * d_k, out=p_out[k])
+        u, v = cartesian_to_angles(p_out.T)
+        return vidx, p_in, u, v
 
     def stuv_to_ray(
         self,

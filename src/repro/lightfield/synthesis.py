@@ -257,8 +257,9 @@ class LightFieldSynthesizer:
 
     def render(self, camera: Camera) -> SynthesisResult:
         """Synthesize the frame seen by ``camera``."""
-        origins, dirs = camera.rays()
-        colors, cov, missing = self.render_rays(origins, dirs)
+        colors, cov, missing = self._synthesize(
+            camera.eye, camera.directions()
+        )
         return SynthesisResult(
             image=colors.reshape(camera.height, camera.width, 3),
             coverage=cov,
@@ -268,29 +269,38 @@ class LightFieldSynthesizer:
     def render_rays(
         self, origins: np.ndarray, dirs: np.ndarray
     ) -> Tuple[np.ndarray, float, Set[ViewSetKey]]:
-        """Synthesize arbitrary ray bundles.
+        """Synthesize arbitrary ray bundles: ``(N, 3)`` origins and dirs.
 
         Returns ``(colors (N,3) float32, coverage, missing view-set keys)``.
         Coverage is the fraction of volume-intersecting rays whose blend
         had full weight support (1.0 when everything needed was resident);
         the missing keys are the non-resident view sets *these* rays touch.
         """
-        origins = np.asarray(origins, dtype=np.float64)
-        dirs = np.asarray(dirs, dtype=np.float64)
-        colors = np.full(
-            (len(origins), 3), self.background, dtype=np.float32
+        return self._synthesize(
+            np.asarray(origins, dtype=np.float64).T,
+            np.asarray(dirs, dtype=np.float64).T,
         )
-        p_in, u, v, valid = self.spheres.project_rays(origins, dirs)
-        if not valid.any():
+
+    def _synthesize(
+        self, origins: np.ndarray, dirs: np.ndarray
+    ) -> Tuple[np.ndarray, float, Set[ViewSetKey]]:
+        """:meth:`render_rays` on rays in ``TwoSphere.project``'s form.
+
+        Planar ``(3, N)`` directions from one ``(3,)`` eye or from planar
+        ``(3, N)`` origins.
+        """
+        colors = np.full(
+            (dirs.shape[1], 3), self.background, dtype=np.float32
+        )
+        vidx, points, u, v = self.spheres.project(origins, dirs)
+        if not len(vidx):
             return colors, 1.0, set()
-        vidx = np.flatnonzero(valid)
-        corners = self._corner_cameras(u[vidx], v[vidx])
+        corners = self._corner_cameras(u, v)
         store = self._store
         missing = store.sync(self.provider, self._touched_viewsets(corners))
         if not store.present.any():     # no texels at all to tap
             return colors, 0.0, missing
 
-        points = np.ascontiguousarray(p_in[vidx].T, dtype=np.float32)
         acc = np.zeros((3, len(vidx)), dtype=np.float32)
         wsum = np.zeros(len(vidx), dtype=np.float32)
         for code, w in corners:
@@ -406,12 +416,14 @@ class LightFieldSynthesizer:
     def required_viewsets(
         self, origins: np.ndarray, dirs: np.ndarray
     ) -> Set[ViewSetKey]:
-        """Which view sets a ray bundle would touch (prefetch planning)."""
-        _, _, u, v, valid = self.spheres.ray_to_stuv(
-            np.asarray(origins, float), np.asarray(dirs, float)
+        """Which view sets a ray bundle would touch (prefetch planning).
+
+        The keys :meth:`render_rays` asks the provider for on these rays.
+        """
+        vidx, _, u, v = self.spheres.project(
+            np.asarray(origins, dtype=np.float64).T,
+            np.asarray(dirs, dtype=np.float64).T,
         )
-        if not valid.any():
+        if not len(vidx):
             return set()
-        return set(
-            self._touched_viewsets(self._corner_cameras(u[valid], v[valid]))
-        )
+        return set(self._touched_viewsets(self._corner_cameras(u, v)))

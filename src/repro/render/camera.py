@@ -95,6 +95,17 @@ class Camera:
 
         Pixel (0, 0) is the top-left corner; rays pass through pixel centers.
         """
+        dirs = self.directions().T
+        return np.broadcast_to(self.eye, dirs.shape).copy(), dirs
+
+    def directions(self) -> np.ndarray:
+        """Planar ``(3, N)`` unit directions of the rays :meth:`rays` returns.
+
+        A transposed view of that ``(N, 3)`` bundle, not a planar copy: BLAS
+        rounds ``eye @ directions()`` by memory layout, and this layout keeps
+        synthesized frames bit-equal to the pins in
+        ``tests/lightfield/test_synthesis_pins.py``.
+        """
         right, up, forward = self._basis
         key = (self.width, self.height, round(self.fov_deg, 9))
         grid = Camera._GRID_CACHE.get(key)
@@ -115,9 +126,7 @@ class Camera:
             Camera._GRID_CACHE[key] = local
             grid = local
         basis = np.stack([right, up, forward], axis=0)  # rows
-        dirs = grid @ basis
-        origins = np.broadcast_to(self.eye, dirs.shape).copy()
-        return origins, dirs
+        return (grid @ basis).T
 
     def ray_through(self, px: float, py: float) -> Tuple[np.ndarray, np.ndarray]:
         """A single ray through fractional pixel coordinates (px, py)."""

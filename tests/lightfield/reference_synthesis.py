@@ -1,10 +1,11 @@
 """Test-side oracle: the straightforward gather synthesizer.
 
 This is the implementation ``repro.lightfield.synthesis`` shipped before the
-view-set texel store, with the caching taken out: every frame builds the
-exact set of cameras it touches (``np.unique``), a ``look_at`` per camera, a
-copy of every camera image, and samples with three-index fancy gathers and
-einsums.  It is slow and obviously right, which is the point — nothing under
+view-set texel store, with the caching taken out: every frame intersects
+each ray with each sphere on its own (``intersect_sphere``, not the
+synthesizer's ``TwoSphere.project``), builds the exact set of cameras it
+touches (``np.unique``), a ``look_at`` per camera, a copy of every camera
+image, and samples with three-index fancy gathers and einsums.  It is slow and obviously right, which is the point — nothing under
 ``src/``, ``benchmarks/`` or ``examples/`` imports it.
 """
 
@@ -13,7 +14,11 @@ from typing import Set, Tuple
 import numpy as np
 
 from repro.lightfield.lattice import CameraLattice, ViewSetKey
-from repro.lightfield.sphere import TwoSphere, angles_to_cartesian
+from repro.lightfield.sphere import (
+    TwoSphere,
+    angles_to_cartesian,
+    cartesian_to_angles,
+)
 from repro.lightfield.synthesis import ViewSetProvider
 from repro.render.camera import look_at
 
@@ -55,12 +60,15 @@ def reference_render_rays(
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     colors = np.full((len(origins), 3), background, dtype=np.float32)
-    p_in_all, u, v, valid = spheres.project_rays(origins, dirs)
-    if not valid.any():
+    t_in, hit_in = spheres.intersect_sphere(origins, dirs, spheres.r_inner)
+    t_out, hit_out = spheres.intersect_sphere(origins, dirs, spheres.r_outer)
+    vidx = np.nonzero(hit_in & hit_out)[0]
+    if not len(vidx):
         return colors, 1.0, set()
-    vidx = np.nonzero(valid)[0]
-    p_in = p_in_all[vidx].astype(np.float32)
-    corners = _corner_cameras(lattice, interpolation, u[vidx], v[vidx])
+    o, d = origins[vidx], dirs[vidx]
+    p_in = (o + t_in[vidx, None] * d).astype(np.float32)
+    u, v = cartesian_to_angles(o + t_out[vidx, None] * d)
+    corners = _corner_cameras(lattice, interpolation, u, v)
     corner_codes = [ci * lattice.n_phi + cj for ci, cj, _ in corners]
 
     # gather tables for exactly the cameras this frame touches

@@ -84,16 +84,43 @@ class TestSphereIntersection:
         assert not hit[0]
 
 
+def ray_to_stuv(ts, origins, dirs):
+    """``(s, t, u, v, valid)`` of ``(N, 3)`` rays through ``ts.project``.
+
+    (s, t) are the angles of the float32 inner-sphere points the projection
+    hands the synthesizer; invalid rays get NaN angles.
+    """
+    vidx, p_in, u, v = ts.project(origins.T, dirs.T)
+    stuv = np.full((4, len(origins)), np.nan)
+    stuv[:2, vidx] = cartesian_to_angles(p_in.T)
+    stuv[2, vidx], stuv[3, vidx] = u, v
+    valid = np.zeros(len(origins), dtype=bool)
+    valid[vidx] = True
+    return (*stuv, valid)
+
+
 class TestRayToSTUV:
     @pytest.fixture()
     def ts(self):
         return TwoSphere(r_inner=1.0, r_outer=2.0)
 
+    def test_one_eye_and_per_ray_origins_agree(self, ts):
+        """A pinhole's rays map the same from a (3,) eye as per ray."""
+        rng = np.random.default_rng(4)
+        eye = np.array([-3.0, 0.5, 0.8])
+        d = rng.normal(size=(3, 400)) + (-eye)[:, None]
+        d /= np.linalg.norm(d, axis=0)
+        one = ts.project(eye, d)
+        per_ray = ts.project(np.repeat(eye[:, None], 400, axis=1), d)
+        assert 0 < len(one[0]) < 400           # some rays miss
+        for a, b in zip(one, per_ray):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
+
     def test_central_ray(self, ts):
         """A ray straight at the center hits both spheres on the same axis."""
         o = np.array([[-5.0, 0.0, 0.0]])
         d = np.array([[1.0, 0.0, 0.0]])
-        s, t, u, v, valid = ts.ray_to_stuv(o, d)
+        s, t, u, v, valid = ray_to_stuv(ts, o, d)
         assert valid[0]
         # entry points are at -x: theta = pi/2, phi = pi
         assert s[0] == pytest.approx(np.pi / 2)
@@ -104,14 +131,14 @@ class TestRayToSTUV:
     def test_ray_missing_inner_sphere_invalid(self, ts):
         o = np.array([[-5.0, 1.5, 0.0]])
         d = np.array([[1.0, 0.0, 0.0]])  # passes between the spheres
-        s, t, u, v, valid = ts.ray_to_stuv(o, d)
+        s, t, u, v, valid = ray_to_stuv(ts, o, d)
         assert not valid[0]
         assert np.isnan(s[0])
 
     def test_ray_missing_everything(self, ts):
         o = np.array([[-5.0, 10.0, 0.0]])
         d = np.array([[1.0, 0.0, 0.0]])
-        _, _, _, _, valid = ts.ray_to_stuv(o, d)
+        _, _, _, _, valid = ray_to_stuv(ts, o, d)
         assert not valid[0]
 
     @given(
@@ -140,7 +167,7 @@ class TestRayToSTUV:
         )
         o_out = o[None, :] - 0.5 * d[None, :]
         assume(np.linalg.norm(o_out) > 3.0 + 1e-9)  # start outside
-        s, t, u, v, valid = ts.ray_to_stuv(o_out, d[None, :])
+        s, t, u, v, valid = ray_to_stuv(ts, o_out, d[None, :])
         assume(bool(valid[0]))
         o2, d2 = ts.stuv_to_ray(s[:1], t[:1], u[:1], v[:1])
         # same direction ...
@@ -160,7 +187,7 @@ class TestRayToSTUV:
             np.array(theta_o), np.array(phi_o),
         )
         o_out = o[None, :] - 0.5 * d[None, :]
-        s, t, u, v, valid = ts.ray_to_stuv(o_out, d[None, :])
+        s, t, u, v, valid = ray_to_stuv(ts, o_out, d[None, :])
         assert valid[0]
         assert u[0] == pytest.approx(theta_o, abs=1e-6)
         assert s[0] == pytest.approx(theta_i, abs=1e-6)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.lightfield import SyntheticSource
 from repro.lightfield.build import LightFieldBuilder
 from repro.lightfield.lattice import CameraLattice
 from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
@@ -92,6 +93,34 @@ def _missing(synth, prov, cam):
         k for k in synth.required_viewsets(*cam.rays())
         if prov.get_resident(k) is None
     }
+
+
+@pytest.mark.parametrize("mode", ["quadrilinear", "uv-nearest", "nearest"])
+def test_required_viewsets_are_what_a_frame_asks_for(mode):
+    """Prefetch planning and the frame agree on every corner camera.
+
+    Over seeded cameras anywhere on the sphere, near and far, narrow and
+    wide, ``required_viewsets`` on the camera's rays names exactly the view
+    sets ``render`` asks the provider for.
+    """
+    lattice = CameraLattice(n_theta=12, n_phi=24, l=3)
+    source = SyntheticSource(lattice, 16)
+    prov = CountingProvider(
+        {k: source.viewset(k) for k in lattice.all_viewsets()})
+    synth = LightFieldSynthesizer(
+        lattice, source.spheres, 16, prov, interpolation=mode)
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        cam = orbit_camera(
+            rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi),
+            radius=rng.uniform(1.02, 3.0) * source.spheres.r_outer,
+            resolution=24,
+            fov_deg=rng.uniform(0.3, 1.5) * source.spheres.camera_fov_deg())
+        prov.asked.clear()
+        synth.render(cam)
+        assert prov.asked
+        assert sorted(prov.asked) == sorted(
+            synth.required_viewsets(*cam.rays()))
 
 
 class TestAtlasCache:

@@ -73,6 +73,11 @@ def test_matches_reference(source, viewsets, mode, residency):
         assert np.abs(colors - want).max() <= 1e-4, name
         assert coverage == want_coverage, name
         assert missing == want_missing, name
+        # the pinhole path (one eye, planar directions) is the same frame
+        frame = synth.render(camera)
+        np.testing.assert_array_equal(
+            frame.image, colors.reshape(frame.image.shape), err_msg=name)
+        assert (frame.coverage, frame.missing_keys) == (coverage, missing)
         partial |= 0.0 < coverage < 1.0
     # the blend with some corners absent (weight 0, renormalised) is hit
     if residency == "one-missing" and mode == "quadrilinear":
