@@ -16,12 +16,10 @@ The quarantine is structural, not advisory: :func:`payload_fingerprint`
 with ``float.hex()`` and excludes the ``wall_clock`` section entirely, so
 an artifact's identity is exactly its deterministic content.
 
-:func:`wall_timer` is the one sanctioned wall-clock source for experiment
-drivers.  ``repro.experiments`` sits inside the SIM001 lint scope — naked
-``time.perf_counter()`` in a driver is a finding — and routing every
-measurement through this helper keeps the quarantine auditable: if a wall
-number shows up outside a ``wall_clock`` section, it came from here and is
-greppable.
+:func:`wall_timer` is the one wall-clock source for experiment drivers.
+Routing every measurement through this helper keeps the quarantine
+auditable: if a wall number shows up outside a ``wall_clock`` section, it
+came from here and is greppable.
 """
 
 from __future__ import annotations
@@ -75,17 +73,17 @@ class WallTimer:
         # the sanctioned wall-clock read for experiment drivers: results
         # must land under a quarantined wall_clock section, never in a
         # deterministic payload
-        self._t0 = time.perf_counter()  # repro: allow[SIM001]
+        self._t0 = time.perf_counter()
 
     def stop(self) -> float:
-        self._elapsed = time.perf_counter() - self._t0  # repro: allow[SIM001]
+        self._elapsed = time.perf_counter() - self._t0
         return self._elapsed
 
     @property
     def seconds(self) -> float:
         """Elapsed seconds (frozen once the context block exits)."""
         if self._elapsed is None:
-            return time.perf_counter() - self._t0  # repro: allow[SIM001]
+            return time.perf_counter() - self._t0
         return self._elapsed
 
 

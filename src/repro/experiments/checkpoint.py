@@ -5,8 +5,8 @@ One completed run = one JSON file in the checkpoint directory, written
 atomically (tmp + rename) so a kill mid-write never leaves a half record.
 Each record carries the spec identity, the run's parameters, its result
 row, and a float-hex SHA-256 fingerprint of the deterministic part of the
-row (:func:`repro.experiments.artifacts.payload_fingerprint` — the same
-encoding :mod:`repro.analysis.determinism` uses for event streams).
+row (:func:`repro.experiments.artifacts.payload_fingerprint`: floats as
+``float.hex()``, the encoding the pinned event-stream digests use).
 
 On resume the store only honours records that (a) belong to the same
 planned sweep (spec identity and per-run ``run_id`` both match — a changed

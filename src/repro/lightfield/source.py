@@ -19,7 +19,6 @@ This substitution is recorded in DESIGN.md §2.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Protocol
 
 import numpy as np
@@ -103,7 +102,6 @@ class SyntheticSource:
         self.noise_fraction = float(noise_fraction)
         self.codec = codec if codec is not None else ZlibCodec()
         self._cache: Dict[ViewSetKey, bytes] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def viewset(self, key: ViewSetKey) -> ViewSet:
@@ -157,15 +155,13 @@ class SyntheticSource:
         return ViewSet(key=key, images=images)
 
     def payload(self, key: ViewSetKey) -> bytes:
-        """Compressed payload (cached; thread-safe for parallel builds)."""
-        with self._lock:
-            cached = self._cache.get(key)
+        """Compressed payload (made on first request, then cached)."""
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
-        result = self.codec.compress(self.viewset(key))
-        with self._lock:
-            self._cache[key] = result.payload
-        return result.payload
+        payload = self._cache[key] = self.codec.compress(
+            self.viewset(key)).payload
+        return payload
 
     def raw_size(self) -> int:
         """Uncompressed bytes of one view set (all are identical in size)."""

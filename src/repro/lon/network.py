@@ -1088,8 +1088,7 @@ class Network:
         # exact on purpose: members tied at one float each fire their own
         # event, in the order their deadlines were set, as when every flow
         # held one
-        tied = [f for f in members
-                if f.deadline == first]  # repro: allow[SIM005]
+        tied = [f for f in members if f.deadline == first]
         if len(tied) > 1:
             tied.sort(key=lambda f: f._due_seq)
         for f in tied:

@@ -381,8 +381,8 @@ class TransferScheduler:
         over the whole batch (:meth:`Network.admission_plan`), feeding the
         network's single coalesced rebalance flush.  Event streams,
         transfer events, stats other than the batch counters, and every
-        float are bit-identical to the scalar loop — the property suite
-        and ``compare_fingerprints`` hold this line.
+        float are bit-identical to the scalar loop
+        (``tests/lon/test_scheduler_batched.py`` holds this line).
 
         Handles are returned in spec order.  Like :meth:`submit`,
         ``NoRouteError`` propagates from the offending spec's position;

@@ -17,7 +17,8 @@ Synchronization is conservative time-window lockstep: workers advance one
 window, then wait at a barrier.  Windows only bound skew — a windowed run
 fires the same events, in the same order, at the same times as a single
 ``run_until`` — so ``workers=N`` is bit-identical to ``workers=1``
-(:func:`repro.analysis.determinism.sharded_fingerprint`).
+(``tests/lon/test_shard.py`` compares the merged event and transfer
+streams).
 
 Fleets need not be link-disjoint.  With
 ``MultiClientConfig.cross_shard_fraction > 0`` every shard's crossing
@@ -42,20 +43,21 @@ per-shard times retained for the events/s-per-core curve in
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
+import numbers
 from dataclasses import dataclass, field, replace
 from threading import BrokenBarrierError
 from typing import (
     Any,
-    Callable,
     Dict,
     Generator,
     Iterable,
     List,
     Mapping,
     Optional,
-    Protocol,
     Tuple,
+    TypeGuard,
 )
 
 from ..lightfield.source import ViewSetSource
@@ -86,10 +88,8 @@ from .faults import DepotOutage
 FaultSpec = Dict[str, object]
 
 __all__ = [
-    "AccessLogRecord",
     "BOUNDARY_LINKS",
     "BoundaryExchange",
-    "ExchangeMonitorLike",
     "FaultSpec",
     "ShardResult",
     "ShardedResult",
@@ -110,39 +110,6 @@ BARRIER_TIMEOUT = 600.0
 #: a boundary link as an ordered node pair
 BoundaryLink = Tuple[str, str]
 
-#: one monitored access to the shared boundary table:
-#: ``(seq, epoch, op, worker, row, col, value, frames)`` — ``seq`` is the
-#: recording process's own counter, ``epoch`` its barrier-window vector
-#: clock (under a global barrier every worker's vector clock collapses to
-#: its scalar barrier-crossing count), ``op`` is ``"write"``/``"read"``,
-#: ``row``/``col`` address the accessed cell and ``frames`` is a short
-#: stack summary for localization.  Plain tuples: the log must pickle
-#: back through the result queue.
-AccessLogRecord = Tuple[int, int, str, int, int, int, float,
-                        Tuple[str, ...]]
-
-
-class ExchangeMonitorLike(Protocol):
-    """Duck type the exchange accepts as an access monitor.
-
-    Implemented by :class:`repro.analysis.races.ExchangeMonitor`;
-    declared here as a Protocol so the simulator core never imports the
-    analysis package.
-    """
-
-    def record(self, op: str, worker: int, row: int, col: int,
-               value: float) -> None:
-        """One cell access by ``worker`` in the current epoch."""
-        ...
-
-    def advance(self) -> None:
-        """A barrier was crossed: bump this process's epoch clock."""
-        ...
-
-    def drain(self) -> List[AccessLogRecord]:
-        """Return (and detach) the records collected so far."""
-        ...
-
 #: links every shard's copy of the topology may share with its siblings.
 #: Today that is the campus backbone uplink created by
 #: ``MultiClientConfig.cross_shard_fraction > 0``; a shard whose client
@@ -154,58 +121,25 @@ BOUNDARY_LINKS: Tuple[BoundaryLink, ...] = (("xs-switch", "wan-router"),)
 class BoundaryExchange:
     """Shared table of per-shard boundary-link loads.
 
-    One row per shard, one column per boundary link.  Backed by a raw
-    ``multiprocessing`` double array when built with a context (workers
-    inherit it through ``Process`` args) or a plain list for the
-    sequential driver.  :meth:`remote` sums the *other* shards'
-    cells in ascending shard order — a fixed float-accumulation order, so
-    the sequential and parallel drivers produce bit-identical totals.
+    One row per shard, one column per boundary link, in one shared-memory
+    double array (``multiprocessing.RawArray``).  Worker processes inherit
+    it through ``Process`` args and the sequential driver uses the same
+    cells, so both paths read and write one store.  :meth:`remote` sums the
+    *other* shards' cells in ascending shard order — a fixed
+    float-accumulation order, so the sequential and parallel drivers
+    produce bit-identical totals.
     """
 
     def __init__(
         self,
         n_shards: int,
         links: Tuple[BoundaryLink, ...] = BOUNDARY_LINKS,
-        ctx: Optional[Any] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.links = tuple(links)
         self.n_shards = n_shards
-        size = n_shards * len(self.links)
-        # ctypes double array and list share the indexing protocol
-        self._cells: Any = (
-            ctx.Array("d", size, lock=False) if ctx is not None
-            else [0.0] * size
-        )
-        #: optional happens-before monitor (see :meth:`attach_monitor`)
-        self._monitor: Optional[ExchangeMonitorLike] = None
-
-    def attach_monitor(self, monitor: ExchangeMonitorLike) -> None:
-        """Log every cell access into ``monitor`` (race verification).
-
-        Each process keeps its own monitor copy (the wrapper object is
-        forked/pickled per worker while the cells stay shared), so the
-        records and the epoch clock are per-worker by construction —
-        exactly the shape the happens-before check needs.
-        """
-        self._monitor = monitor
-
-    def barrier_crossed(self) -> None:
-        """Hook the drivers call after every barrier crossing.
-
-        A no-op without a monitor; with one it advances this process's
-        barrier-window epoch so each access is stamped with the phase it
-        executed in.
-        """
-        if self._monitor is not None:
-            self._monitor.advance()
-
-    def drain_monitor(self) -> Optional[List[AccessLogRecord]]:
-        """This process's access log, or ``None`` when unmonitored."""
-        if self._monitor is None:
-            return None
-        return self._monitor.drain()
+        self._cells: Any = mp.RawArray("d", n_shards * len(self.links))
 
     def publish(
         self, shard_id: int, loads: Mapping[BoundaryLink, float]
@@ -213,10 +147,7 @@ class BoundaryExchange:
         """Record one shard's boundary loads for this window."""
         base = shard_id * len(self.links)
         for k, lk in enumerate(self.links):
-            value = loads.get(lk, 0.0)
-            self._cells[base + k] = value
-            if self._monitor is not None:
-                self._monitor.record("write", shard_id, shard_id, k, value)
+            self._cells[base + k] = loads.get(lk, 0.0)
 
     def remote(self, shard_id: int) -> Dict[BoundaryLink, float]:
         """Sum of every *other* shard's load per boundary link."""
@@ -226,10 +157,7 @@ class BoundaryExchange:
             total = 0.0
             for j in range(self.n_shards):
                 if j != shard_id:
-                    cell = self._cells[j * m + k]
-                    total += cell
-                    if self._monitor is not None:
-                        self._monitor.record("read", shard_id, j, k, cell)
+                    total += self._cells[j * m + k]
             out[lk] = total
         return out
 
@@ -287,10 +215,6 @@ class ShardResult(RunTotals):
     telemetry: Optional[WorkerTelemetry] = None
     #: flight-recorder dump files written by this shard
     flight_dumps: List[str] = field(default_factory=list)
-    #: boundary-table access log (only when the exchange was monitored);
-    #: the sequential driver attaches the fleet-wide log to shard 0 — its
-    #: single monitor observes every shard's accesses
-    access_log: Optional[List[AccessLogRecord]] = None
 
 
 def _sum_counts(counts: Iterable[Dict[str, int]]) -> Dict[str, int]:
@@ -397,6 +321,12 @@ def merge_shards(
     )
 
 
+def _is_real(value: object) -> TypeGuard[float]:
+    """A finite number that is not a ``bool``."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _validate(
     window: float, faults: Optional[List[FaultSpec]],
     n_shards: Optional[int] = None,
@@ -415,10 +345,21 @@ def _validate(
         missing = [k for k in ("depot", "start", "duration") if k not in fault]
         if missing:
             raise ValueError(f"fault spec {fault!r} lacks {missing}")
+        start, duration = fault["start"], fault["duration"]
+        if not (_is_real(start) and start >= 0):
+            raise ValueError(
+                f"fault spec {fault!r}: start must be a number >= 0")
+        if not (_is_real(duration) and duration > 0):
+            raise ValueError(
+                f"fault spec {fault!r}: duration must be a number > 0")
         shard = fault.get("shard")
-        if shard is not None and n_shards is not None and not (
-            isinstance(shard, int) and 0 <= shard < n_shards
-        ):
+        if shard is None:
+            continue
+        # a bool is an int: ``"shard": True`` would run as shard 1
+        if not isinstance(shard, numbers.Integral) or isinstance(shard, bool):
+            raise ValueError(
+                f"fault spec {fault!r}: shard must be an integer")
+        if n_shards is not None and not 0 <= shard < n_shards:
             raise ValueError(
                 f"fault spec {fault!r} names shard {shard!r}; "
                 f"the fleet has shards 0..{n_shards - 1}"
@@ -578,23 +519,17 @@ def _drive(
                     "shards diverged in window count; horizon and window "
                     "must be fleet-global"
                 )
-            if exchange is not None:
-                # one monitor per process: its log rides on the first
-                # shard this process owns
-                done[0].access_log = exchange.drain_monitor()
             return done
         # phase boundary: every shard has published this window's loads
         if barrier is not None:
             barrier.wait(BARRIER_TIMEOUT)
         if exchange is None:
             continue
-        exchange.barrier_crossed()
         for sid in sessions:
             remotes[sid] = exchange.remote(sid)
         # phase boundary: every shard has read; cells may be overwritten
         if barrier is not None:
             barrier.wait(BARRIER_TIMEOUT)
-        exchange.barrier_crossed()
 
 
 def run_shard(
@@ -681,9 +616,6 @@ def run_sharded_session(
     start_method: Optional[str] = None,
     faults: Optional[List[FaultSpec]] = None,
     flight_dir: Optional[str] = None,
-    exchange_factory: Optional[
-        Callable[[int, Optional[Any]], BoundaryExchange]
-    ] = None,
 ) -> ShardedResult:
     """Partition the fleet into ``n_shards`` rigs and run them all.
 
@@ -699,13 +631,6 @@ def run_sharded_session(
     :func:`run_shard`); a fault spec carrying a ``"shard"`` key only
     fires in that shard.  ``window`` and every fault spec are checked
     here, before a rig is built or a process started.
-
-    ``exchange_factory`` replaces the default
-    ``BoundaryExchange(n_shards, ctx=ctx)`` construction (``ctx`` is
-    ``None`` for the sequential driver).  The race verifier uses it to
-    install a monitored — or deliberately protocol-violating — exchange
-    without touching the drivers.  Only consulted when the run actually
-    crosses shards.
     """
     blocks = partition_clients(config.n_clients, n_shards)
     if workers is not None and workers < 1:
@@ -734,14 +659,11 @@ def run_sharded_session(
     # shards only interact when crossing clients put load on a shared
     # boundary link; disjoint fleets keep the exchange-free fast path
     crossing = config.cross_shard_fraction > 0.0 and len(blocks) > 1
-
-    make_exchange = exchange_factory or (
-        lambda n, ctx: BoundaryExchange(n, ctx=ctx))
+    exchange = BoundaryExchange(len(blocks)) if crossing else None
 
     if workers == 1:
-        if crossing:
+        if exchange is not None:
             # all sessions live at once and advance in lockstep
-            exchange = make_exchange(len(blocks), None)
             shards = _drive({
                 shard_id: _shard_session(
                     source, cfg, shard_id, exchange.links, **options)
@@ -766,7 +688,6 @@ def run_sharded_session(
     # one process per shard; the barrier holds every worker to the same
     # window so no shard runs unboundedly ahead of its siblings
     barrier = ctx.Barrier(len(blocks))
-    exchange = make_exchange(len(blocks), ctx) if crossing else None
     out = ctx.Queue()
     procs: List[Any] = []
     for shard_id, cfg in enumerate(configs):

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 #: Tolerance for comparing simulation timestamps.  Sim times are sums of
-#: float delays, so exact ``==`` is fragile; every equality test on sim
-#: time must go through :func:`time_eq` (lint rule SIM005).
+#: float delays, so exact ``==`` is fragile; an equality test on sim time
+#: goes through :func:`time_eq` unless the tie is meant to be exact.
 TIME_EPSILON = 1e-9
 
 
@@ -153,8 +153,9 @@ class EventQueue:
         self.compactions = 0  # times the heap was rebuilt (for tests/bench)
         self.fired_total = 0  # events fired over the queue's lifetime
         #: observer called as ``on_fire(event)`` just before each event's
-        #: callback runs.  The determinism checker hangs its event-stream
-        #: fingerprint here; ``None`` costs one attribute test per event.
+        #: callback runs.  Stream collectors and the pinned-digest tests
+        #: hash the fired events here; ``None`` costs one attribute test
+        #: per event.
         self.on_fire: Optional[Callable[[Event], None]] = None
 
     def __len__(self) -> int:

@@ -467,17 +467,17 @@ def run_testbed(
     t = 0.0
     while t < horizon:
         t = min(t + window, horizon)
-        t0 = time.perf_counter()  # repro: allow[SIM001]
+        t0 = time.perf_counter()
         bed.queue.run_until(t, max_events=200_000_000)
-        wall += time.perf_counter() - t0  # repro: allow[SIM001]
+        wall += time.perf_counter() - t0
         yield
-    t0 = time.perf_counter()  # repro: allow[SIM001]
+    t0 = time.perf_counter()
     for staging in bed.stagings:
         staging.stop()
     for sampler in bed.samplers:
         sampler.stop()
     bed.queue.run_until(horizon + settle_seconds, max_events=200_000_000)
-    wall += time.perf_counter() - t0  # repro: allow[SIM001]
+    wall += time.perf_counter() - t0
     if bed.tracer is not None:
         bed.tracer.finish_open()
     for metrics, agent in zip(bed.metrics, bed.client_agents):
@@ -580,8 +580,8 @@ def run_session(
     ``settle_seconds`` bounds how long after the last cursor sample the
     simulation may run to drain outstanding fetches; staging is stopped at
     the horizon so the event queue terminates.  ``rig_hook``, if given, is
-    called with the wired :class:`SessionRig` before any event runs — the
-    determinism checker uses it to attach event-stream observers.
+    called with the wired :class:`SessionRig` before any event runs — tests
+    use it to attach event-stream observers.
     """
     bed = _wire_single(source, config)
     if rig_hook is not None:

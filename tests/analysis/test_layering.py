@@ -1,8 +1,7 @@
 """The simulator packages never import the tools built on top of them.
 
-``repro.analysis`` and ``repro.experiments`` observe and drive the
-simulator; an import the other way would let a checker or a sweep spec
-change what it measures.
+``repro.experiments`` drives the simulator and reads its results; an
+import the other way would let a sweep spec change what it measures.
 """
 
 import ast
@@ -12,7 +11,7 @@ from pathlib import Path
 import repro
 
 SIMULATOR = ("lon", "streaming", "obs", "lightfield", "render", "volume")
-TOOLS = ("analysis", "experiments")
+TOOLS = ("experiments",)
 
 
 def imported_from(node, package):
@@ -35,7 +34,7 @@ def _imported_packages(path, package):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             base = imported_from(node, package)
-            # ``from .. import analysis`` names the package as an alias
+            # ``from .. import experiments`` names the package as an alias
             names = [base] + [f"{base}.{a.name}" for a in node.names]
         else:
             continue
@@ -63,12 +62,6 @@ def _offenders(packages, forbidden):
 
 def test_simulator_packages_do_not_import_the_tools():
     assert _offenders(SIMULATOR, TOOLS) == []
-
-
-def test_experiments_do_not_import_the_checkers():
-    """A sweep's numbers come from the simulator alone; the checkers in
-    ``repro.analysis`` verify them from outside."""
-    assert _offenders(("experiments",), ("analysis",)) == []
 
 
 def test_rate_kernel_imports_only_stdlib_and_numpy():

@@ -2,11 +2,11 @@
 
 The roots are what a user or CI can start: every ``__main__.py`` in the
 package (``python -m repro`` reaches ``repro.cli`` and through it the sweep
-engine; ``python -m repro.analysis`` the checkers) and every file under
-``perf/`` and ``benchmarks/``.  From there the walk follows imports, plus
-any string that is the dotted name of a module — that is how a builtin
-sweep spec names its scenario and its assembler.  Tests and examples are
-not roots, and a package ``__init__`` re-exporting a name is not a caller:
+engine) and every file under ``perf/`` and ``benchmarks/``.  From there
+the walk follows imports, plus any string that is the dotted name of a
+module — that is how a builtin sweep spec names its scenario and its
+assembler.  Tests and examples are not roots, and a package ``__init__``
+re-exporting a name is not a caller:
 ``from repro.lon import Network`` reaches ``lon/network.py``, where
 ``lon/__init__`` got the name, and nothing else ``lon/__init__`` imports.
 A module the walk never reaches has no figure, command or benchmark behind

@@ -193,8 +193,10 @@ def calendar_covers_every_flow(net):
         armed_total += len(armed)
     if settled:
         assert not net._unarmed
-    # read only: what is really still in the heap
-    heap = net.queue._heap  # repro: allow[SIM003]
+    # read only: what is really still in the heap.  Every live entry came
+    # through ``EventQueue.schedule``, so the queue's live count matches it
+    heap = net.queue._heap
+    assert len(net.queue) == sum(1 for _, _, ev in heap if not ev.cancelled)
     live = sum(1 for _, _, ev in heap
                if not ev.cancelled and ev.label.startswith("flow:"))
     assert live <= armed_total + single

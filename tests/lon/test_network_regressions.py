@@ -1,5 +1,7 @@
 """Regression tests for subtle flow-scheduler bugs found during bring-up."""
 
+import math
+
 import pytest
 
 from repro.lon.network import Network, mbps
@@ -50,6 +52,21 @@ class TestDrainTailRebalance:
         q.run()
         assert len(done) == n
         assert not net.active_flows
+
+    def test_settle_one_ulp_before_the_drain_keeps_the_drain_time(self):
+        """A re-rate landing within float rounding of a flow's drain time
+        retires the flow at its drain time, not at the re-rate's: the
+        settle compares times with a tolerance, never with ``==``."""
+        q = EventQueue()
+        net = Network(q)
+        net.add_link("a", "b", mbps(10), 0.001)
+        f = net.transfer("a", "b", 1_000_000, lambda fl: None)
+        net.flush()
+        t_drain = f.last_update + f.remaining / f.rate
+        q.run_until(math.nextafter(t_drain, 0.0))
+        net.transfer("a", "b", 1_000, lambda fl: None)  # re-rates the link
+        net.flush()
+        assert f.drained_at == t_drain
 
     def test_cancel_after_fire_does_not_corrupt_queue_len(self):
         """Cancelling an already-fired event must not decrement the live

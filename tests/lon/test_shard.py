@@ -6,9 +6,9 @@ Three obligations, in increasing strength:
 2. a sharded run is a *re-execution*, not an approximation: shard 0 of a
    1-shard run reproduces the plain multi-client session exactly, and the
    merged per-client order equals global client order;
-3. worker processes change nothing: ``workers=N`` produces the same event
-   and transfer fingerprints as the sequential reference
-   (``compare_fingerprints`` on ``sharded_fingerprint``).
+3. worker processes change nothing: ``workers=N`` produces the same
+   merged event stream, transfer stream and access records as the
+   sequential reference (:func:`assert_same_run`).
 
 Everything here uses modeled decompression cost — measured wall time fed
 into sim time is the one thing that *would* legitimately differ across
@@ -17,10 +17,6 @@ processes.
 
 import pytest
 
-from repro.analysis.determinism import (
-    compare_fingerprints,
-    sharded_fingerprint,
-)
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lon.shard import (
     partition_clients,
@@ -73,6 +69,46 @@ def _config(n_clients, **base_kw):
         seed_stride=101,
         start_stagger=0.25,
     )
+
+
+def first_difference(left, right):
+    """Index of the first record where two streams differ (the shorter
+    length when one is a prefix of the other), or ``None``."""
+    for i, (a, b) in enumerate(zip(left, right)):
+        if a != b:
+            return i
+    return None if len(left) == len(right) else min(len(left), len(right))
+
+
+def assert_same_run(a, b):
+    """Two sharded runs that collected streams fired the same events and
+    transfers and served every access alike; a failure names the stream
+    and the first differing index.  Shards strip the tracer, so there is
+    no span breakdown to compare: the access records it would be folded
+    from are compared instead."""
+    streams = {
+        "merged_events": (a.merged_events(), b.merged_events()),
+        "merged_transfers": (a.merged_transfers(), b.merged_transfers()),
+        "accesses": ([r for m in a.per_client for r in m.accesses],
+                     [r for m in b.per_client for r in m.accesses]),
+    }
+    for name, (left, right) in streams.items():
+        assert left, f"{name} is empty"
+        i = first_difference(left, right)
+        assert i is None, (f"{name}[{i}]: {left[i:i + 1]} != "
+                           f"{right[i:i + 1]}")
+
+
+def sharded_run(workers, cross_shard_fraction=0.0, start_method=None):
+    """The 4-client, 2-shard rig the equivalence tests run."""
+    config = MultiClientConfig(
+        base=SessionConfig(case=3, n_accesses=6, trace_seed=11),
+        n_clients=4, cross_shard_fraction=cross_shard_fraction)
+    source = SyntheticSource(CameraLattice(n_theta=12, n_phi=24, l=3),
+                             resolution=32, seed=2003)
+    return run_sharded_session(source, config, n_shards=2, workers=workers,
+                               collect_streams=True,
+                               start_method=start_method)
 
 
 class TestShardExecution:
@@ -149,14 +185,18 @@ class TestWorkerEquivalence:
     def test_workers_bit_equal_to_sequential(self):
         """The whole point: worker processes + windowed barrier sync fire
         the same events at the same times as the sequential loop."""
-        report = compare_fingerprints(
-            sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
-                                workers=1, resolution=32, n_accesses=6),
-            sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
-                                workers=2, resolution=32, n_accesses=6),
-        )
-        assert report.ok, report.render()
+        assert_same_run(sharded_run(workers=1), sharded_run(workers=2))
 
+    def test_spawned_workers_bit_equal_to_sequential(self):
+        """A spawned worker inherits nothing: the source, the exchange and
+        every option reach it pickled, and it hashes ``str`` with its own
+        seed (unless PYTHONHASHSEED is set).  Its streams still equal the
+        sequential run's, so no result depends on a salted hash or on
+        state only a forked child would see."""
+        assert_same_run(
+            sharded_run(workers=1, cross_shard_fraction=0.3),
+            sharded_run(workers=2, cross_shard_fraction=0.3,
+                        start_method="spawn"))
 
     def test_default_config_needs_no_knob_to_agree(self):
         """Worker processes and the sequential loop agree on every latency
@@ -210,7 +250,15 @@ class TestFailures:
         {"faults": [{"start": 1.0, "duration": 1.0}]},
         {"faults": [{"depot": "lan-depot-0", "start": 1.0, "duration": 1.0,
                      "shard": 2}]},
-    ], ids=["window", "kind", "no-duration", "no-depot", "shard-range"])
+        {"faults": [{"depot": "lan-depot-0", "start": 1.0, "duration": 0}]},
+        {"faults": [{"depot": "lan-depot-0", "start": 1.0, "duration": -3}]},
+        {"faults": [{"depot": "lan-depot-0", "start": "soon",
+                     "duration": 1.0}]},
+        # a bool is an int, so this would run as shard 1
+        {"faults": [{"depot": "lan-depot-0", "start": 1.0, "duration": 1.0,
+                     "shard": True}]},
+    ], ids=["window", "kind", "no-duration", "no-depot", "shard-range",
+            "zero-duration", "negative-duration", "text-start", "bool-shard"])
     def test_malformed_call_is_rejected_before_anything_is_built(
             self, workers, kwargs):
         # nothing may touch the source: a rig build or a worker start

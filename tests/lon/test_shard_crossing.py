@@ -4,7 +4,8 @@ The disjoint-fleet guarantees (``tests/lon/test_shard.py``) are the
 baseline; this module covers what ``cross_shard_fraction > 0`` adds:
 
 * the :class:`BoundaryExchange` table itself (fixed-order summation,
-  other-shards-only totals, the multiprocessing-array backend);
+  other-shards-only totals, one store shared across processes) and the
+  driver's two-phase protocol around it;
 * the deterministic crossing-client assignment and its config guard;
 * the backbone topology (``xs-switch`` ↔ ``wan-router``) and the
   effective-bandwidth reservation (:meth:`Network.set_remote_load`);
@@ -18,15 +19,13 @@ import time
 
 import pytest
 
-from repro.analysis.determinism import (
-    compare_fingerprints,
-    sharded_fingerprint,
-)
 from repro.lightfield import CameraLattice, SyntheticSource
+from repro.lon import shard
 from repro.lon.network import Network, NoRouteError, mbps
 from repro.lon.shard import (
     BOUNDARY_LINKS,
     BoundaryExchange,
+    run_shard,
     run_sharded_session,
 )
 from repro.lon.simtime import EventQueue
@@ -36,7 +35,13 @@ from repro.streaming.multiclient import (
 )
 from repro.streaming.session import SessionConfig
 
+from .test_shard import assert_same_run, sharded_run
+
 LINKS2 = (("xs-switch", "wan-router"), ("xs-switch", "lan-switch"))
+
+
+def _publish(exchange, shard_id, loads):
+    exchange.publish(shard_id, loads)
 
 
 class TestBoundaryExchange:
@@ -77,14 +82,18 @@ class TestBoundaryExchange:
         assert ex.remote(2)[lk] == expected
 
     def test_multiprocessing_array_backend(self):
-        """Workers inherit the table through Process args; the ctypes
-        double array must behave exactly like the list backend."""
+        """Workers inherit the table through Process args: what a child
+        process publishes is what the parent reads, because the sequential
+        and the parallel driver share one shared-memory store."""
         ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        ex = BoundaryExchange(2, ctx=ctx)
+        ex = BoundaryExchange(2)
         lk = BOUNDARY_LINKS[0]
         ex.publish(0, {lk: 7.5})
-        ex.publish(1, {lk: 2.5})
+        child = ctx.Process(target=_publish, args=(ex, 1, {lk: 2.5}))
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0  # None while it still runs
         assert ex.remote(0)[lk] == 2.5
         assert ex.remote(1)[lk] == 7.5
 
@@ -250,12 +259,58 @@ class TestCrossingRuns:
         barrier-synchronized workers still fire the exact event stream of
         the sequential lockstep reference (same publish/read order, same
         float totals, same staleness)."""
-        report = compare_fingerprints(
-            sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
-                                workers=1, resolution=32, n_accesses=6,
-                                cross_shard_fraction=0.3),
-            sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
-                                workers=2, resolution=32, n_accesses=6,
-                                cross_shard_fraction=0.3),
-        )
-        assert report.ok, report.render()
+        assert_same_run(sharded_run(workers=1, cross_shard_fraction=0.3),
+                        sharded_run(workers=2, cross_shard_fraction=0.3))
+
+
+class RecordingExchange(BoundaryExchange):
+    """An exchange that logs every publish and read, in call order."""
+
+    def __init__(self, n_shards, log):
+        super().__init__(n_shards)
+        self.log = log
+
+    def publish(self, shard_id, loads):
+        self.log.append(f"publish{shard_id}")
+        super().publish(shard_id, loads)
+
+    def remote(self, shard_id):
+        self.log.append(f"read{shard_id}")
+        return super().remote(shard_id)
+
+
+class RecordingBarrier:
+    def __init__(self, log):
+        self.log = log
+
+    def wait(self, timeout=None):
+        self.log.append("wait")
+
+
+class TestDriveProtocol:
+    """The round as the drivers run it: every publish of a window, then
+    every read.  A worker waits at the barrier after each phase.  A read in
+    the publish phase, or a dropped wait, lets a sibling overwrite a cell
+    while it is read; in a ``workers=2`` run that race needs a sibling to
+    finish a whole window inside another's read, so it almost never
+    fires, and the order is checked here instead."""
+
+    def test_worker_waits_after_each_phase(self):
+        log = []
+        result = run_shard(_source(), _config(2, 0.3), shard_id=0,
+                           barrier=RecordingBarrier(log),
+                           exchange=RecordingExchange(2, log))
+        windows = int(result.boundary["windows"])
+        assert windows > 1
+        assert log == ["publish0", "wait", "read0", "wait"] * windows
+
+    def test_lockstep_reads_after_every_shard_published(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(shard, "BoundaryExchange",
+                            lambda n: RecordingExchange(n, log))
+        result = run_sharded_session(
+            _source(), _config(6, 0.3), n_shards=3, workers=1)
+        windows = int(result.shards[0].boundary["windows"])
+        assert windows > 1
+        assert log == ["publish0", "publish1", "publish2",
+                       "read0", "read1", "read2"] * windows

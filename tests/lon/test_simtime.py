@@ -216,8 +216,8 @@ class TestHeapCompaction:
             q.cancel(ev)
         assert q.compactions >= 1
         # white-box: compaction is literally about heap internals
-        assert len(q._heap) - q._garbage == 40  # repro: allow[SIM003]
-        assert len(q._heap) < 100               # repro: allow[SIM003]
+        assert len(q._heap) - q._garbage == 40
+        assert len(q._heap) < 100
         assert len(q) == 40
 
     def test_no_compaction_below_min_size(self):
