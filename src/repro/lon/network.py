@@ -55,37 +55,20 @@ The whole-network recompute this design is proven against lives test-side
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
 from .rates import maxmin_rates
 from .simtime import Event, EventQueue
 
-__all__ = [
-    "Link",
-    "Flow",
-    "Network",
-    "NetworkError",
-    "NoRouteError",
-    "RebalanceStats",
-    "AdmissionPlan",
-    "RATE_EPSILON",
-    "mbps",
-    "gbps",
-]
+__all__ = ["Link", "Flow", "Network", "NetworkError", "NoRouteError",
+           "RebalanceStats", "AdmissionPlan", "RATE_EPSILON", "mbps", "gbps"]
 
 #: relative rate change below which a flow keeps its drain deadline (the
 #: drain check self-corrects sub-epsilon drift in either direction)
@@ -129,10 +112,10 @@ class Link:
     up: bool = True
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"link bandwidth must be positive: {self}")
-        if self.latency < 0:
-            raise ValueError(f"link latency must be non-negative: {self}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"link bandwidth must be finite, > 0: {self}")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError(f"link latency must be finite, >= 0: {self}")
 
     @property
     def key(self) -> FrozenSet[str]:
@@ -140,7 +123,7 @@ class Link:
         return frozenset((self.a, self.b))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Flow:
     """An in-progress bulk transfer along a fixed path.
 
@@ -151,6 +134,7 @@ class Flow:
     field-wise ``__eq__`` was never meaningful — two distinct transfers are
     never "equal" — and it made every admitted-set membership test an O(n)
     deep comparison over paths and callbacks on the hot trigger path.
+    ``slots=True``: a flush reads and writes fields of every member.
     """
 
     src: str
@@ -206,8 +190,8 @@ class Flow:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError("flow size must be non-negative")
-        if self.weight <= 0:
-            raise ValueError("flow weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError("flow weight must be positive and finite")
         self.remaining = float(self.size)
 
     @property
@@ -376,12 +360,12 @@ class Network:
         # whole path in one dict hit instead of re-walking link objects per
         # call.  Route-derived only, so it invalidates with the route cache.
         self._path_cache: Dict[Tuple[str, str], _ResolvedPath] = {}
-        # rebalance state: link row -> ids of *contending* flows
+        # rebalance state: link row -> ascending ids of *contending* flows
         # (admitted, not paused, not drained), the dirty row seeds,
         # and the pending same-timestamp flush.  Links are identified by
         # their stable int row from ``_row_of`` so the hot closure walk
         # hashes ints, not frozensets.
-        self._members: Dict[int, Set[int]] = {}
+        self._members: Dict[int, List[int]] = {}
         self._dirty: Set[int] = set()
         self._flush_event: Optional[Event] = None
         # completion calendars: those whose last armed member left (others
@@ -605,8 +589,8 @@ class Network:
         flush."""
         inf = float("inf")
         load = 0.0
-        # sorted: float accumulation order must not depend on set order
-        for fid in sorted(self._members.get(row, ())):
+        # in fid order: float accumulation order must not depend on history
+        for fid in self._members.get(row, ()):
             rate = self._flows[fid].rate
             if 0 < rate < inf:
                 load += rate
@@ -646,8 +630,8 @@ class Network:
         stale by construction — the bounded-staleness contract measured by
         :mod:`repro.lon.shard`.
         """
-        if load < 0:
-            raise ValueError("remote load must be non-negative")
+        if not 0 <= load < math.inf:
+            raise ValueError("remote load must be non-negative and finite")
         key = frozenset((a, b))
         link = self._links.get(key)
         if link is None:
@@ -822,9 +806,7 @@ class Network:
         flow.failed = True
         self._disarm(flow)
         if flow.fid in self._flows:
-            quiet = self._quiet(flow)
-            self._remove(flow)
-            self._released(flow, quiet)
+            self._released(flow, self._remove(flow))
 
     def pause_flow(self, flow: Flow) -> None:
         """Take a flow out of bandwidth contention, keeping its progress.
@@ -841,8 +823,7 @@ class Network:
         self._settle_flow(flow, self.queue.now)
         if flow.drained_at is not None:
             return  # propagation tail: already out of contention
-        quiet = self._quiet(flow)
-        self._expel(flow)
+        quiet = self._expel(flow)
         old_rate = flow.rate
         flow.rate = 0.0
         self._disarm(flow)
@@ -871,8 +852,8 @@ class Network:
 
     def set_flow_weight(self, flow: Flow, weight: float) -> None:
         """Change a flow's fair-share weight mid-transfer (re-rates peers)."""
-        if weight <= 0:
-            raise ValueError("flow weight must be positive")
+        if not 0 < weight < math.inf:
+            raise ValueError("flow weight must be positive and finite")
         if flow.weight == weight:
             return
         flow.weight = weight
@@ -886,7 +867,7 @@ class Network:
 
     # -- rebalance bookkeeping -------------------------------------------
     def _admit(self, flow: Flow) -> None:
-        """Add a contending flow to its links' membership sets."""
+        """Add a contending flow to its links' membership lists."""
         fid = flow.fid
         cap = flow.rate_cap
         finite = cap != float("inf")
@@ -894,15 +875,17 @@ class Network:
             self._row_capload, self._row_unc, self._row_over, self._row_bw,
         )
         for row in flow.link_row_ids:
-            self._members.setdefault(row, set()).add(fid)
+            # appends, unless a paused flow resumes
+            insort(self._members.setdefault(row, []), fid)
             if finite:
                 capload[row] += cap
             else:
                 unc[row] += 1
             over[row] = unc[row] > 0 or capload[row] > bw[row]
 
-    def _expel(self, flow: Flow) -> None:
-        """Drop a flow from membership (paused, drained or gone).
+    def _expel(self, flow: Flow) -> bool:
+        """Drop a flow from membership (paused, drained or gone), and say
+        whether it left quietly: :meth:`_quiet` as it stood just before.
 
         Only rows the flow is actually a member of are touched: a paused
         flow was expelled when it paused, and cancelling or failing it
@@ -913,16 +896,20 @@ class Network:
         fid = flow.fid
         cap = flow.rate_cap
         finite = cap != float("inf")
+        members = self._members
         capload, unc, over, bw = (
             self._row_capload, self._row_unc, self._row_over, self._row_bw,
         )
-        for row in flow.link_row_ids:
-            fids = self._members.get(row)
-            if fids is None or fid not in fids:
+        quiet = True
+        for row in flow.link_row_ids:  # a path never repeats a row
+            quiet = quiet and not over[row]
+            fids = members.get(row, [])
+            i = bisect_left(fids, fid)
+            if i == len(fids) or fids[i] != fid:
                 continue
-            fids.remove(fid)
+            del fids[i]
             if not fids:
-                del self._members[row]
+                del members[row]
                 capload[row] = 0.0  # idle row: shed any float drift
                 unc[row] = 0
             elif finite:
@@ -930,6 +917,7 @@ class Network:
             else:
                 unc[row] -= 1
             over[row] = unc[row] > 0 or capload[row] > bw[row]
+        return quiet
 
     def _quiet(self, flow: Flow) -> bool:
         """True when none of the flow's links can constrain any flow.
@@ -937,9 +925,9 @@ class Network:
         On every not-over row the member ceilings sum below bandwidth, so
         the row is not a bottleneck for anyone: every member (this flow
         included, once admitted) sits at its own TCP-window ceiling, and
-        adding or removing this flow cannot re-rate the others.  Callers
-        must evaluate this *before* an expel (the rows' pre-removal state
-        is what proves nobody was constrained) and *after* an admit.
+        adding or removing this flow cannot re-rate the others.  Read it
+        *after* an admit; an expel returns it as it stood *before* (the
+        rows' pre-removal state is what proves nobody was constrained).
         """
         row_over = self._row_over
         for row in flow.link_row_ids:
@@ -947,10 +935,10 @@ class Network:
                 return False
         return True
 
-    def _remove(self, flow: Flow) -> None:
-        """Take a flow out of the admitted set entirely."""
+    def _remove(self, flow: Flow) -> bool:
+        """Take a flow out of the admitted set entirely (quiet or not)."""
         del self._flows[flow.fid]
-        self._expel(flow)
+        return self._expel(flow)
 
     def _poke(self, rows: Iterable[int]) -> None:
         """Register a rebalance trigger for the given link rows.
@@ -987,19 +975,24 @@ class Network:
 
     def _rebalance(self, now: float) -> None:
         """Re-rate the component(s) reachable from the dirty rows and put
-        their flows on one completion calendar."""
-        # closure: walk the bipartite link/flow graph from the dirty seeds;
-        # the component is closed (its flows touch only its links and vice
-        # versa), so water-filling it in isolation matches a global pass
+        their flows on one calendar, touching each member once a pass: the
+        closure walk also splits drained from live flows and gathers the
+        kernel's input; the rating pass settles, re-rates, dates and seats
+        each live flow and tracks who is due first."""
+        # closure: the component is closed, so water-filling it alone
+        # matches a global pass.  Sorted seeds, fid-sorted members: the
+        # visit order is the order deadlines are set, so exact ties fire in.
+        # Only a row's topmost copy on the stack is visited, so pushing
+        # whole paths keeps the order of pushing only unvisited rows.
         members = self._members
         flow_by_id = self._flows
         comp_rows: Set[int] = set()
-        comp: List[Flow] = []
         seen: Set[int] = set()
-        # sorted: the BFS visit order decides the order flows are appended
-        # to ``comp`` and therefore the order their deadlines are set —
-        # exact ties fire in that order, so set iteration here would leak
-        # hash-seed state into the event stream
+        drained: List[Flow] = []
+        live: List[Flow] = []
+        paths: List[Tuple[int, ...]] = []
+        weights: List[float] = []
+        caps: List[float] = []
         stack = sorted(row for row in self._dirty if row in members)
         self._dirty.clear()
         while stack:
@@ -1007,88 +1000,91 @@ class Network:
             if row in comp_rows:
                 continue
             comp_rows.add(row)
-            for fid in sorted(members[row]):
+            for fid in members[row]:
                 if fid in seen:
                     continue
                 seen.add(fid)
-                flow = flow_by_id[fid]
-                comp.append(flow)
-                for other in flow.link_row_ids:
-                    if other not in comp_rows and other in members:
-                        stack.append(other)
-        if not comp:
+                f = flow_by_id[fid]
+                path = f.link_row_ids
+                stack.extend(path)
+                # lazy settling: ``remaining`` is exact at ``last_update``
+                if (f.drained_at is not None or f.remaining
+                        - f.rate * (now - f.last_update) <= 1e-9):
+                    drained.append(f)
+                else:
+                    live.append(f)
+                    paths.append(path)
+                    weights.append(f.weight)
+                    caps.append(f.rate_cap)
+        if not seen:
             return
-        self.stats.recomputes += 1
-        self.stats.component_flows += len(comp)
-        # Settling is lazy: between rate changes the linear-drain invariant
-        # keeps ``remaining`` exact as of ``last_update``, so only flows
-        # that drained en route or whose rate is about to change need
-        # settling — the (common) untouched flow costs nothing here.
-        live: List[Flow] = []
-        for f in comp:
-            rem = f.remaining
-            if f.rate > 0.0:
-                rem -= f.rate * (now - f.last_update)
-            if f.drained_at is not None or rem <= 1e-9:
-                self._settle_flow(f, now)
-                self._retire(f)
-            else:
-                live.append(f)
-        rates, vectorized = maxmin_rates(
-            self._row_bw,
-            [f.link_row_ids for f in live],
-            [f.weight for f in live],
-            [f.rate_cap for f in live],
-        )
-        self.stats.vectorized += vectorized
+        stats = self.stats
+        stats.recomputes += 1
+        stats.component_flows += len(seen)
+        for f in drained:
+            self._settle_flow(f, now)
+            self._retire(f)
+        rates, vectorized = maxmin_rates(self._row_bw, paths, weights, caps)
+        stats.vectorized += vectorized
         eps = RATE_EPSILON
-        inf = float("inf")
+        inf = first = float("inf")
         cal = _Calendar()
         joined = cal.members
+        tied: List[Flow] = []
         due_seq = self._due_seq
+        rerated = 0
         for f, new in zip(live, rates):
             old = f.rate
             if new != old:
-                self._settle_flow(f, now)
+                # _settle_flow inlined (a live flow has not drained): the
+                # call alone costs half again this loop's time
+                last = f.last_update
+                if old > 0.0 and now > last:
+                    t_drain = last + f.remaining / old
+                    if t_drain <= now + 1e-12:
+                        f.drained_at, f.remaining = t_drain, 0.0
+                    else:
+                        left = f.remaining - old * (now - last)
+                        f.remaining = left if left > 0.0 else 0.0
+                f.last_update = now
                 f.rate = new
-                self.stats.flows_rerated += 1
+                rerated += 1
                 if f.on_rate_change is not None:
                     f.on_rate_change(f, old)
-            due = f._completion_event is not None or f._calendar is not None
-            if due and abs(new - old) <= eps * max(abs(new), abs(old)):
-                # epsilon gate: identical (or nearly identical) rates keep
-                # their deadline — the drain check self-corrects any
-                # sub-epsilon drift in either direction.  A flow holding an
-                # event keeps that too, and its seat: whoever stays behind
-                # on that calendar is due no earlier
-                if f._completion_event is not None:
+            ev = f._completion_event
+            moved = new - old  # rates are >= 0; inf - inf is nan: moved
+            if (ev is not None or f._calendar is not None) and (
+                    moved <= eps * new if moved > 0.0
+                    else -moved <= eps * old if moved < 0.0
+                    else moved == 0.0):
+                # epsilon gate: the drain check self-corrects sub-epsilon
+                # drift.  A flow holding an event keeps it and its seat:
+                # whoever stays behind on that calendar is due no earlier
+                if ev is not None:
                     continue
             else:
-                if f._completion_event is not None:
+                if ev is not None:
                     self._disarm(f)
                 if new <= 0.0:
                     f._calendar = None
                     continue  # stalled; due once a flush frees bandwidth
-                f.deadline = max(
-                    now + (0.0 if new == inf else f.remaining / new), now
-                )
+                # remaining >= 0: never before now
+                f.deadline = now if new == inf else now + f.remaining / new
                 due_seq += 1
                 f._due_seq = due_seq
             f._calendar = cal
             joined.append(f)
+            if f.deadline < first:
+                first, tied = f.deadline, [f]
+            elif f.deadline == first:
+                tied.append(f)
         self._due_seq = due_seq
-        self._arm(cal)
+        stats.flows_rerated += rerated
+        self._arm(cal, first, tied)
 
-    def _arm(self, cal: _Calendar) -> None:
-        """Schedule the drain check of the member(s) of ``cal`` due first."""
-        members = cal.members
-        if not members:
-            return
-        first = min([f.deadline for f in members])
-        # exact on purpose: members tied at one float each fire their own
-        # event, in the order their deadlines were set, as when every flow
-        # held one
-        tied = [f for f in members if f.deadline == first]
+    def _arm(self, cal: _Calendar, first: float, tied: List[Flow]) -> None:
+        """Arm ``cal``'s members due at ``first`` (exact on purpose): each
+        fires its own event, in the order its deadline was set."""
         if len(tied) > 1:
             tied.sort(key=lambda f: f._due_seq)
         for f in tied:
@@ -1112,8 +1108,12 @@ class Network:
         if self._unarmed and self._flush_event is None:
             unarmed, self._unarmed = self._unarmed, []
             for cal in unarmed:
-                cal.members = [f for f in cal.members if f._calendar is cal]
-                self._arm(cal)
+                cal.members = left = [
+                    f for f in cal.members if f._calendar is cal]
+                if left:
+                    first = min([f.deadline for f in left])
+                    self._arm(cal, first,
+                              [f for f in left if f.deadline == first])
 
     def _disarm(self, f: Flow) -> None:
         """Cancel the event ``f`` holds, if any, and take it off its
@@ -1177,16 +1177,14 @@ class Network:
             self._reschedule(flow, now)
             self._rearm()
             return
-        quiet = self._quiet(flow)
-        self._retire(flow)
-        self._released(flow, quiet)
+        self._released(flow, self._retire(flow))
 
-    def _retire(self, flow: Flow) -> None:
-        """Remove a fully drained flow and schedule its delivery."""
+    def _retire(self, flow: Flow) -> bool:
+        """Remove a drained flow, schedule its delivery; quiet or not."""
         now = self.queue.now
         if flow.drained_at is None:
             flow.drained_at = now
-        self._remove(flow)
+        quiet = self._remove(flow)
         self._disarm(flow)
         # keep the delivery event on the flow so a late cancel_flow() during
         # the propagation tail still suppresses on_complete
@@ -1195,6 +1193,7 @@ class Network:
             lambda: self._finish_flow(flow),
             f"deliver:{flow.label}",
         )
+        return quiet
 
     def _finish_flow(self, flow: Flow) -> None:
         flow.done = True
@@ -1208,9 +1207,7 @@ class Network:
         flow.failed = True
         self._disarm(flow)
         if flow.fid in self._flows:
-            quiet = self._quiet(flow)
-            self._remove(flow)
-            self._released(flow, quiet)
+            self._released(flow, self._remove(flow))
         if flow.on_fail is not None:
             flow.on_fail(flow, exc)
 

@@ -140,38 +140,39 @@ def fill_numpy(
     lens = np.fromiter(map(len, paths), dtype=np.intp, count=n)
     rows = np.fromiter(chain.from_iterable(paths), dtype=np.intp,
                        count=int(lens.sum()))
-    uniq, inv = np.unique(rows, return_inverse=True)
+    # ascending component rows and their matrix rows, from a dense table
+    present = np.bincount(rows) > 0
+    uniq = np.flatnonzero(present)
+    slot = np.cumsum(present) - 1
     incidence = np.zeros((len(uniq), n))
-    incidence[inv, np.repeat(np.arange(n), lens)] = 1.0
+    incidence[slot[rows], np.repeat(np.arange(n), lens)] = 1.0
     room = np.array([capacity[row] for row in uniq.tolist()], dtype=float)
     w = np.array(weights, dtype=float)
     ceiling = np.array(caps, dtype=float) / w
     live_row = np.ones(len(uniq), dtype=bool)
     unassigned = np.ones(n, dtype=bool)
     rates = np.full(n, np.inf)
-    while unassigned.any():
+    while True:
         live_weight = incidence @ (w * unassigned)
         offering = live_row & (live_weight > 0)
-        levels = np.where(
-            offering,
-            room / np.where(live_weight > 0, live_weight, 1.0),
-            np.inf,
-        )
+        levels = np.where(offering, room / np.where(
+            live_weight > 0, live_weight, 1.0), np.inf)
         open_ceiling = np.where(unassigned, ceiling, np.inf)
         level = min(float(levels.min(initial=np.inf)),
-                    float(open_ceiling.min()))
+                    float(open_ceiling.min(initial=np.inf)))
         if level == _INF:
             break  # the rest cross no constrained row and have no ceiling
         saturated = levels == level
-        assigned = unassigned & (
-            incidence[saturated].any(axis=0) | (open_ceiling == level)
-        )
+        assigned = unassigned & (incidence[saturated].any(axis=0)
+                                 | (open_ceiling == level))
         share = level * w
         rates[assigned] = share[assigned]
+        unassigned &= ~assigned
+        if not unassigned.any():
+            break  # the last flow is fixed: nothing reads ``room`` again
         room -= incidence @ np.where(assigned, share, 0.0)
         np.maximum(room, 0.0, out=room)
         room[saturated] = 0.0
         live_row &= ~saturated
-        unassigned &= ~assigned
     out: List[float] = rates.tolist()  # plain floats, never np scalars
     return out

@@ -169,6 +169,60 @@ class TestPausedFlowAccounting:
         assert not net._members
 
 
+NON_FINITE = [math.nan, math.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN passed every ``< 0`` / ``<= 0`` check.  A NaN remote load made
+    the row's bandwidth NaN, and the next flush never returned: the fill
+    found no row sitting at a NaN water level and looped.  A NaN weight
+    rated both flows sharing a 1 MB/s link ``inf``, and a NaN latency
+    failed ``transfer`` with an ``IndexError`` inside routing.  Each input
+    is now refused where it enters, with the network left as it was."""
+
+    @staticmethod
+    def _one_flow():
+        net = Network(EventQueue())
+        net.add_link("a", "b", mbps(8), 0.01)
+        return net, net.transfer("a", "b", 1_000_000, lambda f: None)
+
+    @pytest.mark.parametrize("load", NON_FINITE)
+    def test_remote_load_is_refused(self, load):
+        net, flow = self._one_flow()
+        with pytest.raises(ValueError, match="remote load"):
+            net.set_remote_load("a", "b", load)
+        # no flush here: at a NaN bandwidth it would not return
+        assert net._row_bw[flow.link_row_ids[0]] == mbps(8)
+
+    @pytest.mark.parametrize("weight", NON_FINITE)
+    def test_weight_change_is_refused(self, weight):
+        net, flow = self._one_flow()
+        with pytest.raises(ValueError, match="flow weight"):
+            net.set_flow_weight(flow, weight)
+        assert flow.weight == 1.0
+
+    @pytest.mark.parametrize("weight", NON_FINITE)
+    def test_flow_weight_is_refused(self, weight):
+        net, _ = self._one_flow()
+        with pytest.raises(ValueError, match="flow weight"):
+            net.transfer("a", "b", 1_000, lambda f: None, weight=weight)
+        assert len(net.active_flows) == 1
+
+    @pytest.mark.parametrize("bandwidth", NON_FINITE)
+    def test_link_bandwidth_is_refused(self, bandwidth):
+        net = Network(EventQueue())
+        with pytest.raises(ValueError, match="link bandwidth"):
+            net.add_link("a", "b", bandwidth, 0.01)
+        assert not net.has_link("a", "b")
+
+    @pytest.mark.parametrize("latency", NON_FINITE)
+    def test_link_latency_is_refused(self, latency):
+        net = Network(EventQueue())
+        with pytest.raises(ValueError, match="link latency"):
+            net.add_link("a", "b", mbps(8), latency)
+        assert not net.has_link("a", "b")
+
+
 class TestLiveLinkReplacement:
     """``add_link`` on an existing pair refreshed the row's bandwidth and
     returned: unlike ``set_remote_load`` it never poked the row, so the

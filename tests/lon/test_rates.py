@@ -21,7 +21,7 @@ from repro.lon import rates
 from repro.lon.rates import fill_loop, fill_numpy, maxmin_rates
 from repro.lon.scheduler import DEFAULT_CLASS_WEIGHTS
 
-from .reference_network import reference_maxmin_rates
+from .reference_network import reference_fill_numpy, reference_maxmin_rates
 
 INF = float("inf")
 CLASS_WEIGHTS = tuple(DEFAULT_CLASS_WEIGHTS.values())   # 8, 2, 1, 0.5
@@ -108,6 +108,46 @@ class TestAgainstTheOracle:
                    [8.0, 0.5, 8.0], [INF] * 3)
         assert fill_loop(*problem)[2] == 19.999999999999996
         assert fill_numpy(*problem)[2] == 20.0
+
+
+def hexes(rates_):
+    return [r.hex() for r in rates_]
+
+
+class TestAgainstTheOldNumpyFill:
+    """The numpy fill builds its matrix from a dense row table and stops at
+    the round that fixes the last flow; neither changes its arithmetic, so
+    it and the entry point stay bit-equal to the fill they replaced."""
+
+    @given(weights=st.sampled_from(["class", "any"]), **components)
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_fill_is_the_old_one_bit_for_bit(
+            self, seed, n_flows, n_rows, caps, weights):
+        problem = component(seed, n_flows, n_rows, weights, caps)
+        assert (hexes(fill_numpy(*problem))
+                == hexes(reference_fill_numpy(*problem)))
+
+    @given(weights=st.sampled_from(["class", "any"]), **components)
+    @settings(max_examples=60, deadline=None)
+    def test_maxmin_rates_is_the_old_dispatch_bit_for_bit(
+            self, seed, n_flows, n_rows, caps, weights):
+        problem = component(seed, n_flows, n_rows, weights, caps)
+        got, vectorized = maxmin_rates(*problem)
+        old = reference_fill_numpy if vectorized else reference_maxmin_rates
+        assert hexes(got) == hexes(old(*problem))
+
+    @pytest.mark.parametrize("problem", [
+        ([5.0], [], [], []),                                    # empty
+        ([5.0], [(), (), ()], [1.0, 2.0, 1.0], [INF, 3.0, INF]),  # no rows
+        ([5.0, 7.0], [(0, 1)], [2.0], [INF]),                   # one flow
+        ([10.0, 30.0], [(0, 1), (0, 1), (1,)],                  # two rounds
+         [8.0, 0.5, 8.0], [INF] * 3),
+        ([8.0, 100.0], [(0, 1), (0, 1), (1,)],                  # row + cap tie
+         [1.0, 1.0, 2.0], [INF, 4.0, 8.0]),
+    ], ids=["empty", "no-rows", "one-flow", "multi-round", "tie"])
+    def test_edges_bit_for_bit(self, problem):
+        assert (hexes(fill_numpy(*problem))
+                == hexes(reference_fill_numpy(*problem)))
 
 
 class TestMaxMinConditions:
