@@ -64,21 +64,23 @@ def shade_blinn_phong(
     colors = np.asarray(colors, dtype=np.float32)
     g = np.asarray(gradients, dtype=np.float64)
     v = -np.asarray(view_dirs, dtype=np.float64)  # toward the eye
-    mag = np.linalg.norm(g, axis=1)
-    shaded = colors * (light.ambient + light.diffuse)  # default: flat
+    x, y, z = g.T
+    mag = np.sqrt(x * x + y * y + z * z)  # == np.linalg.norm(g, axis=1)
     strong = mag > gradient_floor
-    if strong.any():
-        n = g[strong] / mag[strong, None]
-        ldir = light.unit_direction()
-        # two-sided shading: volume "surfaces" face either way
-        ndotl = np.abs(n @ ldir)
-        half = ldir[None, :] + v[strong]
-        half_norm = np.linalg.norm(half, axis=1, keepdims=True)
-        half = np.divide(half, half_norm, out=np.zeros_like(half),
-                         where=half_norm > 0)
-        ndoth = np.abs(np.einsum("ij,ij->i", n, half))
-        spec = light.specular * (ndoth ** light.shininess)
-        lum = light.ambient + light.diffuse * ndotl
-        shaded[strong] = colors[strong] * lum[:, None].astype(np.float32)
-        shaded[strong] += spec[:, None].astype(np.float32)
-    return np.clip(shaded, 0.0, 1.0)
+    # every row is lit through a floored magnitude (exact on strong rows);
+    # weak rows then take the flat colour
+    n = g / np.maximum(mag, gradient_floor)[:, None]
+    ldir = light.unit_direction()
+    # two-sided shading: volume "surfaces" face either way
+    ndotl = np.abs(n @ ldir)
+    half = ldir[None, :] + v
+    half_norm = np.linalg.norm(half, axis=1, keepdims=True)
+    half = np.divide(half, half_norm, out=np.zeros_like(half),
+                     where=half_norm > 0)
+    ndoth = np.abs(np.einsum("ij,ij->i", n, half))
+    spec = light.specular * (ndoth ** light.shininess)
+    lum = light.ambient + light.diffuse * ndotl
+    lit = colors * lum[:, None].astype(np.float32)
+    lit += spec[:, None].astype(np.float32)
+    flat = colors * (light.ambient + light.diffuse)
+    return np.clip(np.where(strong[:, None], lit, flat), 0.0, 1.0)

@@ -5,11 +5,15 @@ early ray termination.  The paper's generator is "a parallel ray-caster on 32
 processors"; this is the per-processor kernel — :mod:`repro.render.parallel`
 distributes it over worker processes.
 
-The marching loop is over *steps*, not rays: at each step every still-active
-ray samples the volume once, so all heavy work is numpy array operations over
-the active-ray batch.  The batch is *compacted* with index arrays as rays
-terminate — dead rays are physically dropped from the state arrays rather
-than masked out, so late steps only touch the few rays still marching.
+The marching loop is over *passes* of steps, not rays: a pass advances
+every still-active ray for a run of steps, then samples, shades and
+composites all of the run's points in one batch of numpy array operations,
+up to ``BUNDLE_RAYS`` points.  Between passes the batch is *compacted* with
+index arrays — dead rays are physically dropped from the state arrays
+rather than masked out, so late passes only touch the few rays still
+marching.  A ray that falls below the opacity cutoff mid-pass has its
+remaining points of that pass sampled but not composited, shaded or
+counted.
 
 Acceleration (``RenderSettings.accelerated``, on by default) clips each
 ray's march to the span of *active macrocells* it can intersect, via the
@@ -36,12 +40,13 @@ from .lighting import Light, shade_blinn_phong
 
 __all__ = ["BUNDLE_RAYS", "RaycastRenderer", "RenderSettings", "RenderStats"]
 
-# Most rays one ``render_rays`` call marches for ``render_many``.  Bundling
-# views pays because ``_march`` costs per step, not per ray; past this size
-# a bigger bundle saves under 10 % and grows peak RSS by up to 2.5x (the
-# curve at 64², 200² and 400², ``benchmarks/bench_bundle_rays.py``, is in
-# DESIGN.md §7).  A view larger than this is its own bundle.
-BUNDLE_RAYS = 1 << 17
+# Most rays one ``render_rays`` call marches for ``render_many``, and most
+# points one ``_march`` pass samples while fewer rays than this are live.
+# Bundling views pays because a pass costs per call, not per ray; the
+# curve at 64², 200² and 400² (``benchmarks/bench_bundle_rays.py``, in
+# DESIGN.md §7) puts this within 20 % of the fastest cap everywhere.  A
+# view larger than this is its own bundle.
+BUNDLE_RAYS = 1 << 16
 
 
 def view_bundles(
@@ -322,9 +327,15 @@ class RaycastRenderer:
         accelerated run skips carry exactly zero extinction.  A sample is
         only taken while its midpoint is short of both the current segment
         end (plus a half-step margin) and ``t_far`` — vacuum beyond the
-        volume is never composited.  State arrays are compacted (gather via
-        index arrays) whenever rays terminate, so late steps only touch the
-        few rays still marching.
+        volume is never composited.
+
+        The march runs in *passes* of ``max(1, BUNDLE_RAYS // live)`` steps
+        (capped by the ``max_steps`` left): the pass advances its rays step
+        by step, recording who is inside a segment where, and
+        :meth:`_composite` samples, shades and composites them all at once.
+        State arrays are compacted (gather via index arrays): the advance
+        state as rays leave their segments, the colours after the pass,
+        which also drops the rays gone below the opacity cutoff.
         """
         m = len(o)
         dt = self._step
@@ -333,9 +344,8 @@ class RaycastRenderer:
         tr_out = np.ones(m, dtype=np.float32)
 
         live = np.arange(m)          # positions in the caller's batch
-        o, d = o.copy(), d.copy()
-        t_base, t_far = t_base.copy(), t_far.copy()
-        cur, hi = cur.copy(), hi.copy()
+        o, d = o.T.copy(), d.T.copy()  # planar (3, m)
+        cur = cur.copy()
         tr = np.ones(m, dtype=np.float32)
         col = np.zeros((m, 3), dtype=np.float32)
         # enter the first segment: align k down onto the shared lattice,
@@ -344,69 +354,135 @@ class RaycastRenderer:
         k = np.maximum(0.0, np.floor((seg_t0[cur] - t_base) / dt))
         t_end = np.minimum(seg_t1[cur] + 0.5 * dt, t_far)
 
-        for _ in range(self.settings.max_steps):
-            if live.size == 0:
-                break
-            mid = t_base + (k + 0.5) * dt
-            # advance rays whose next midpoint passed their segment end to
-            # their next segment (possibly chaining through short ones);
-            # rays out of segments get t_end = -inf and retire below
-            adv = mid >= t_end
-            while adv.any():
-                ai = np.nonzero(adv)[0]
-                cur[ai] += 1
-                more = cur[ai] < hi[ai]
-                good = ai[more]
-                if good.size:
-                    k[good] = np.maximum(
-                        k[good],
-                        np.floor((seg_t0[cur[good]] - t_base[good]) / dt),
-                    )
-                    t_end[good] = np.minimum(
-                        seg_t1[cur[good]] + 0.5 * dt, t_far[good]
-                    )
-                    mid[good] = t_base[good] + (k[good] + 0.5) * dt
-                t_end[ai[~more]] = -np.inf
-                adv = np.zeros_like(adv)
-                adv[good] = mid[good] >= t_end[good]
-            # terminate BEFORE sampling: a ray samples only while its
-            # transmittance survives and the midpoint is inside a segment
-            keep = (tr > cutoff) & (mid < t_end)
-            if not keep.all():
-                dead = np.nonzero(~keep)[0]
-                col_out[live[dead]] = col[dead]
-                tr_out[live[dead]] = tr[dead]
-                kept = np.nonzero(keep)[0]
-                live = live[kept]
-                o, d = o[kept], d[kept]
+        left = self.settings.max_steps
+        while left > 0 and live.size:
+            # one pass: as many steps as keep its samples within the cap
+            steps = max(1, min(BUNDLE_RAYS // live.size, left))
+            left -= steps
+            # advance step by step, recording which rows (into this pass's
+            # live set) are inside a segment at each step, and where
+            d0 = d
+            r = np.arange(live.size)
+            rows: List[np.ndarray] = []
+            points: List[np.ndarray] = []
+            for _ in range(steps):
+                mid = t_base + (k + 0.5) * dt
+                # advance rays whose next midpoint passed their segment end
+                # to their next segment (possibly chaining through short
+                # ones); rays out of segments get t_end = -inf and retire
+                adv = mid >= t_end
+                while adv.any():
+                    ai = np.nonzero(adv)[0]
+                    cur[ai] += 1
+                    more = cur[ai] < hi[ai]
+                    good = ai[more]
+                    if good.size:
+                        k[good] = np.maximum(
+                            k[good],
+                            np.floor((seg_t0[cur[good]] - t_base[good]) / dt),
+                        )
+                        t_end[good] = np.minimum(
+                            seg_t1[cur[good]] + 0.5 * dt, t_far[good]
+                        )
+                        mid[good] = t_base[good] + (k[good] + 0.5) * dt
+                    t_end[ai[~more]] = -np.inf
+                    adv = np.zeros_like(adv)
+                    adv[good] = mid[good] >= t_end[good]
+                inside = mid < t_end
+                if not inside.all():
+                    kept = np.nonzero(inside)[0]
+                    r, mid = r[kept], mid[kept]
+                    o, d = o.take(kept, axis=1), d.take(kept, axis=1)
+                    t_base, t_far = t_base[kept], t_far[kept]
+                    cur, hi = cur[kept], hi[kept]
+                    k, t_end = k[kept], t_end[kept]
+                    if r.size == 0:
+                        break
+                rows.append(r)
+                points.append(o + mid * d)
+                k += 1.0
+            if rows:
+                self._composite(d0, rows, points, tr, col, stats)
+            # the pass's survivors: still inside a segment, still visible
+            alive = tr[r] > cutoff
+            if not alive.all():
+                kept = np.nonzero(alive)[0]
+                r = r[kept]
+                o, d = o.take(kept, axis=1), d.take(kept, axis=1)
                 t_base, t_far = t_base[kept], t_far[kept]
                 cur, hi = cur[kept], hi[kept]
-                k, t_end, mid = k[kept], t_end[kept], mid[kept]
-                tr, col = tr[kept], col[kept]
-                if live.size == 0:
-                    break
-            pos = o + mid[:, None] * d
-            vals = self.volume.sample(pos)
-            sample_rgb, sigma = self.transfer(vals)
-            if self.settings.shaded:
-                lit = sigma > 1e-6
-                if lit.any():
-                    grads = self.volume.gradient(pos[lit])
-                    sample_rgb[lit] = shade_blinn_phong(
-                        sample_rgb[lit], grads, d[lit], self.light
-                    )
-            # Beer-Lambert opacity correction: step opacity from extinction
-            a = 1.0 - np.exp(-sigma * dt)
-            w = (tr * a).astype(np.float32)
-            col += w[:, None] * sample_rgb
-            tr *= (1.0 - a).astype(np.float32)
-            k += 1.0
-            stats.steps += int(live.size)
+                k, t_end = k[kept], t_end[kept]
+            if r.size < live.size:
+                dead = np.ones(live.size, dtype=bool)
+                dead[r] = False
+                col_out[live[dead]] = col[dead]
+                tr_out[live[dead]] = tr[dead]
+                live, tr, col = live[r], tr[r], col.take(r, axis=0)
 
         if live.size:  # max_steps exhausted with rays still marching
             col_out[live] = col
             tr_out[live] = tr
         return col_out, tr_out
+
+    def _composite(
+        self,
+        d: np.ndarray,
+        rows: List[np.ndarray],
+        points: List[np.ndarray],
+        tr: np.ndarray,
+        col: np.ndarray,
+        stats: RenderStats,
+    ) -> None:
+        """Sample, classify, shade and composite one pass into ``tr`` and
+        ``col`` (in place).
+
+        ``rows[j]`` are the rays inside a segment at the pass's step ``j``
+        and ``points[j]`` their planar ``(3, len(rows[j]))`` sample
+        positions; ``d`` holds every ray's direction.  All of the pass's
+        points are sampled and classified in one call each.  Transmittance
+        and colour then run down ``(steps, rays)`` tables whose cells a ray
+        does not sample change nothing (factor 1, colour 0): a running
+        product and a running sum, the same float operations in the same
+        order as one step per turn.  A ray composites a step only while its
+        ``tr`` is above the cutoff; only the points composited are shaded
+        and counted in ``steps``.
+        """
+        n, steps = len(tr), len(rows)
+        at = np.concatenate(rows)
+        cell = at + np.repeat(np.arange(steps) * n, [r.size for r in rows])
+        pos = np.concatenate(points, axis=1)
+        rgb, sigma = self.transfer(self.volume.sample(pos.T))
+        # Beer-Lambert opacity correction: step opacity from extinction,
+        # in float64 whatever the type of the step
+        a = 1.0 - np.exp(-sigma.astype(np.float64) * self._step)
+        # trs[j] is the rays' tr before step j; a ray's tr stops changing
+        # once it is at or below the cutoff
+        trs = np.ones((steps + 1, n), dtype=np.float32)
+        trs[0] = tr
+        trs.reshape(-1)[cell + n] = (1.0 - a).astype(np.float32)
+        cutoff = self.settings.opacity_cutoff
+        for j in range(steps):
+            trs[j + 1] = np.where(trs[j] > cutoff, trs[j + 1] * trs[j], trs[j])
+        before = trs.reshape(-1)[cell]
+        took = before > cutoff
+        if self.settings.shaded:
+            lit = np.nonzero(took & (sigma > 1e-6))[0]
+            if lit.size:
+                rgb[lit] = shade_blinn_phong(
+                    rgb[lit], self.volume.gradient(pos.take(lit, axis=1).T),
+                    d.take(at[lit], axis=1).T.copy(), self.light,
+                )
+        # add[1 + i] is point i's colour; add[0] the nothing a cell not
+        # composited adds
+        add = np.zeros((len(at) + 1, 3), dtype=np.float32)
+        np.multiply(rgb, (before * a).astype(np.float32)[:, None], out=add[1:])
+        took = np.nonzero(took)[0]
+        stats.steps += int(took.size)
+        slot = np.zeros((steps, n), dtype=np.intp)
+        slot.reshape(-1)[cell[took]] = took + 1
+        for j in range(steps):
+            col += add.take(slot[j], axis=0)
+        tr[:] = trs[steps]
 
     def render_with_alpha(self, camera: Camera) -> np.ndarray:
         """Render an ``(H, W, 4)`` image; alpha = 1 - transmittance.

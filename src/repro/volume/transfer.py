@@ -61,12 +61,11 @@ class TransferFunction:
         """
         v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
         xp = self.points[:, 0]
-        rgb = np.stack(
-            [np.interp(v, xp, self.points[:, 1 + c]) for c in range(3)],
-            axis=-1,
-        )
+        rgb = np.empty(v.shape + (3,), dtype=np.float32)
+        for c in range(3):
+            rgb[..., c] = np.interp(v, xp, self.points[:, 1 + c])
         alpha = np.interp(v, xp, self.points[:, 4])
-        return rgb.astype(np.float32), alpha.astype(np.float32)
+        return rgb, alpha.astype(np.float32)
 
     def opacity_only(self, values: np.ndarray) -> np.ndarray:
         """Extinction densities for scalars (occlusion precomputation)."""

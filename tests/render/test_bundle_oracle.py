@@ -117,9 +117,9 @@ def test_every_worker_gets_a_bundle():
         (0, 1), (1, 2), (2, 3), (3, 4)]
     assert raycast.view_bundles(ring(1, 64), 4) == [(0, 1)]
     assert raycast.view_bundles([], 4) == []
-    # 9 views of 200² make 3 capped bundles; 2 workers get 4, not 3
-    assert raycast.view_bundles(ring(9, 200)) == [(0, 3), (3, 6), (6, 9)]
-    assert raycast.view_bundles(ring(9, 200), 2) == [
+    # 9 views of 120² make 3 capped bundles; 2 workers get 4, not 3
+    assert raycast.view_bundles(ring(9, 120)) == [(0, 4), (4, 8), (8, 9)]
+    assert raycast.view_bundles(ring(9, 120), 2) == [
         (0, 3), (3, 5), (5, 7), (7, 9)]
     for cams in (ring(36, 64), [*ring(5, 200), *ring(7, 120), *ring(3, 400)]):
         for workers in (2, 3, 8, 32):

@@ -177,3 +177,15 @@ class TestSettingsValidation:
         vol = uniform_volume()
         with pytest.raises(ValueError):
             RaycastRenderer(vol, flat_tf(), RenderSettings(step=-0.1))
+
+    def test_explicit_default_step_renders_the_default_image(self):
+        """The default step is a numpy float64 and an explicit one a Python
+        float; opacity is composited in float64 for both, so passing the
+        default's value changes no pixel."""
+        vol, tf = neg_hip(size=32), preset("neghip")
+        cam = orbit_camera(1.0, 0.6, radius=4.0, resolution=48)
+        default = RaycastRenderer(vol, tf)
+        step = float(default._step)
+        explicit = RaycastRenderer(vol, tf, RenderSettings(step=step))
+        assert explicit.render(cam).tobytes() == default.render(cam).tobytes()
+        assert explicit.last_render_stats == default.last_render_stats
