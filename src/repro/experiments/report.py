@@ -229,10 +229,17 @@ def _section_fps(doc: BenchDoc) -> str:
     walls = _wall_runs(doc)
     rows = _dict_rows(doc, "rows")
     modes = list(dict.fromkeys(r.get("mode") for r in rows))
+
+    def runs(res: object) -> str:
+        return " / ".join(
+            _cell(walls.get(f"{res}/{m}", {}).get("runs_per_frame"))
+            for m in modes)
+
     return md_table(
-        ["resolution"] + [f"{m} fps" for m in modes] + ["paper"],
+        ["resolution"] + [f"{m} fps" for m in modes]
+        + [f"runs/frame ({' / '.join(modes)})", "paper"],
         [[res] + [walls.get(f"{res}/{m}", {}).get("fps") for m in modes]
-         + [f">{PAPER.fps_claim:.0f} fps"]
+         + [runs(res), f">{PAPER.fps_claim:.0f} fps"]
          for res in dict.fromkeys(r.get("resolution") for r in rows)],
     )
 

@@ -19,6 +19,7 @@ from .synthesis import (
     DictProvider,
     LightFieldSynthesizer,
     SynthesisResult,
+    SynthesisStats,
     ViewSetProvider,
 )
 from .viewset import ViewSet, ViewSetFormatError
@@ -36,6 +37,7 @@ __all__ = [
     "LightFieldDatabase",
     "LightFieldSynthesizer",
     "SynthesisResult",
+    "SynthesisStats",
     "SyntheticSource",
     "TwoSphere",
     "ViewSetSource",

@@ -18,13 +18,16 @@ Performance: the tables are keyed by the storage block, the view set.  A
 *view-set texel store* holds one flat ``uint8`` buffer with one row per view
 set the recent frames touched (its pixel block, copied in once per ``ViewSet``
 object) and a camera-code → byte-offset table; the camera bases of the whole
-lattice are twelve contiguous ``float32`` tables built once.  A frame asks the
-provider for the handful of view sets its corner cameras touch, refills a row
-only if the provider now hands over a different object (so residency changes
-need no manual invalidation, and an ordinary frame copies nothing), and then
-every corner is the same few ``take`` calls on planar arrays: reproject, tap,
-blend — absent cameras ride along at weight 0.  No per-camera Python loop, no
-per-frame ``np.unique``, no three-index fancy gathers.
+lattice are twelve contiguous ``float32`` tables built once.  A frame sorts
+its rays once by their *lead* camera (the first corner, which fixes all of a
+ray's corners) and walks the runs of equal lead: a camera's basis, texel base
+and presence are scalars for its whole run, a run's absent cameras are
+skipped, and the blended frame lands in the image with one scatter.  The
+frame asks the provider only for the view sets its runs' corners touch and
+refills a row only if the provider now hands over a different object (so
+residency changes need no manual invalidation, and an ordinary frame copies
+nothing).  A frame is one to a few runs (1-3 in ``client_playback``, 6-8 in
+the ``fps`` scene), so the per-run Python is a handful of loop turns.
 
 Interpolation modes trade fidelity for speed, mirroring the paper's "table
 lookup" fast path:
@@ -50,6 +53,7 @@ __all__ = [
     "ViewSetProvider",
     "DictProvider",
     "SynthesisResult",
+    "SynthesisStats",
     "LightFieldSynthesizer",
 ]
 
@@ -91,6 +95,25 @@ class SynthesisResult:
     missing_keys: Set[ViewSetKey] = field(default_factory=set)
 
 
+@dataclass
+class SynthesisStats:
+    """Work counters summed over a synthesizer's frames.
+
+    ``rays`` counts the rays that pierce both spheres (the ones looked up);
+    ``runs`` counts the runs of rays sharing a lead camera, the unit the
+    kernel pays its per-camera Python for.
+    """
+
+    frames: int = 0
+    rays: int = 0
+    runs: int = 0
+
+    @property
+    def runs_per_frame(self) -> float:
+        """Mean runs of equal lead camera per frame."""
+        return self.runs / self.frames if self.frames else 0.0
+
+
 def _lattice_bases(lattice: CameraLattice, radius: float) -> np.ndarray:
     """``(12, n_cameras)`` float32: eye, right, up, forward (xyz each).
 
@@ -121,8 +144,8 @@ class _TexelStore:
     One flat ``uint8`` buffer, one row per view set (its ``(l, l, r, r, 3)``
     block, copied in when the store first sees that ``ViewSet`` object), and
     two tables indexed by camera code: ``base``, the byte offset of the
-    camera's image in the buffer, and ``present``.  An absent camera keeps a
-    valid base (0) so the kernel can tap it unconditionally at weight 0.
+    camera's image in the buffer, and ``present``; an absent camera's base is
+    0 and the kernel never taps it.
     A row keeps the ``ViewSet`` it was filled from alive until it is released
     — that object is what the next frame's identity check compares against.
     """
@@ -180,6 +203,10 @@ class _TexelStore:
         self, key: ViewSetKey, vs: ViewSet, keep: List[ViewSetKey]
     ) -> None:
         l, r = self.lattice.l, self.resolution
+        if vs.key != key:
+            raise ValueError(
+                f"provider handed over view set {vs.key} for key {key}"
+            )
         if vs.images.shape != (l, l, r, r, 3):
             raise ValueError(
                 f"view set {key} is {vs.l}x{vs.l} views at resolution "
@@ -245,6 +272,7 @@ class LightFieldSynthesizer:
             (i // lattice.l) * lattice.n_viewsets[1] + j // lattice.l
         )
         self._store = _TexelStore(lattice, self.resolution)
+        self.stats = SynthesisStats()
 
     # ------------------------------------------------------------------
     def invalidate_cache(self) -> None:
@@ -275,11 +303,9 @@ class LightFieldSynthesizer:
         Coverage is the fraction of volume-intersecting rays whose blend
         had full weight support (1.0 when everything needed was resident);
         the missing keys are the non-resident view sets *these* rays touch.
+        Directions must be unit length; they are checked, not normalized.
         """
-        return self._synthesize(
-            np.asarray(origins, dtype=np.float64).T,
-            np.asarray(dirs, dtype=np.float64).T,
-        )
+        return self._synthesize(*_planar_rays(origins, dirs))
 
     def _synthesize(
         self, origins: np.ndarray, dirs: np.ndarray
@@ -293,100 +319,142 @@ class LightFieldSynthesizer:
             (dirs.shape[1], 3), self.background, dtype=np.float32
         )
         vidx, points, u, v = self.spheres.project(origins, dirs)
-        if not len(vidx):
+        n = len(vidx)
+        self.stats.frames += 1
+        if not n:
             return colors, 1.0, set()
-        corners = self._corner_cameras(u, v)
+        lead, weights = self._leads(u, v)
+        order = np.argsort(lead, kind="stable")
+        lead = lead.take(order)
+        bounds = [0, *(np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist(), n]
+        codes = self._corners(lead.take(bounds[:-1]))
+        self.stats.rays += n
+        self.stats.runs += codes.shape[1]
         store = self._store
-        missing = store.sync(self.provider, self._touched_viewsets(corners))
-        if not store.present.any():     # no texels at all to tap
-            return colors, 0.0, missing
+        missing = store.sync(self.provider, self._touched_viewsets(codes))
+        present = store.present.take(codes)
+        points = points.take(order, axis=1)
+        weights = weights.take(order, axis=1)
 
-        acc = np.zeros((3, len(vidx)), dtype=np.float32)
-        wsum = np.zeros(len(vidx), dtype=np.float32)
-        for code, w in corners:
-            wf = w.astype(np.float32) * store.present.take(code)
-            acc += self._sample(code, points) * wf
-            wsum += wf
+        acc = np.zeros((3, n), dtype=np.float32)
+        wsum = np.zeros(n, dtype=np.float32)
+        runs = zip(bounds, bounds[1:], codes.T.tolist(), present.T.tolist())
+        for start, stop, run_codes, run_present in runs:
+            run = slice(start, stop)
+            for code, w, here in zip(run_codes, weights, run_present):
+                if here:
+                    wf = w[run]
+                    sample = self._sample(code, points[:, run])
+                    sample *= wf
+                    acc[:, run] += sample
+                    wsum[run] += wf
         have = wsum > 1e-6
         acc *= np.float32(1.0 / 255.0) / np.where(have, wsum, np.float32(1.0))
         if not have.all():
             acc[:, ~have] = self.background
-        colors[vidx] = acc.T
+        vidx = vidx.take(order)
+        for channel in range(3):
+            colors[vidx, channel] = acc[channel]
         return colors, float(np.mean(wsum > 0.999)), missing
 
     # ------------------------------------------------------------------
     # lattice corner selection
     # ------------------------------------------------------------------
-    def _corner_cameras(
+    def _leads(
         self, u: np.ndarray, v: np.ndarray
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """(camera code, weight) pairs for the configured interpolation."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each ray's lead camera code and its corners' float32 weights.
+
+        The lead is the one corner in the nearest modes and the first,
+        ``i0 * n_phi + j0``, in quadrilinear mode, where it fixes all four
+        (:meth:`_corners`).  Weights are ``(corners, N)``, in corner order.
+        """
         n_theta, n_phi = self.lattice.n_theta, self.lattice.n_phi
         fi, fj = self.lattice.continuous_index(u, v)
         if self.interpolation in ("uv-nearest", "nearest"):
             i = np.clip(np.rint(fi), 0, n_theta - 1).astype(np.intp)
             j = np.rint(fj).astype(np.intp) % n_phi
-            return [(i * n_phi + j, np.ones(len(fi)))]
+            return i * n_phi + j, np.ones((1, len(fi)), dtype=np.float32)
         i0 = np.clip(np.floor(fi).astype(np.intp), 0, n_theta - 1)
-        i1 = np.minimum(i0 + 1, n_theta - 1)
         wi = np.clip(fi - i0, 0.0, 1.0)
         j0 = np.floor(fj).astype(np.intp) % n_phi
-        j1 = (j0 + 1) % n_phi
         wj = np.clip(fj - np.floor(fj), 0.0, 1.0)
+        weights = np.empty((4, len(fi)), dtype=np.float32)
+        weights[0] = (1 - wi) * (1 - wj)
+        weights[1] = (1 - wi) * wj
+        weights[2] = wi * (1 - wj)
+        weights[3] = wi * wj
         i0 *= n_phi
-        i1 *= n_phi
-        return [
-            (i0 + j0, (1 - wi) * (1 - wj)),
-            (i0 + j1, (1 - wi) * wj),
-            (i1 + j0, wi * (1 - wj)),
-            (i1 + j1, wi * wj),
-        ]
+        i0 += j0
+        return i0, weights
 
-    def _touched_viewsets(
-        self, corners: List[Tuple[np.ndarray, np.ndarray]]
-    ) -> List[ViewSetKey]:
-        """Keys of the view sets holding any corner camera."""
+    def _corners(self, leads: np.ndarray) -> np.ndarray:
+        """``(corners, len(leads))`` camera codes of each lead's corners."""
+        if self.interpolation in ("uv-nearest", "nearest"):
+            return leads[None, :]
+        n_theta, n_phi = self.lattice.n_theta, self.lattice.n_phi
+        i0, j0 = np.divmod(leads, n_phi)
+        i1 = np.minimum(i0 + 1, n_theta - 1) * n_phi
+        j1 = (j0 + 1) % n_phi
+        i0 *= n_phi
+        return np.stack([i0 + j0, i0 + j1, i1 + j0, i1 + j1])
+
+    def _touched_viewsets(self, codes: np.ndarray) -> List[ViewSetKey]:
+        """Keys of the view sets holding any of these cameras."""
         cols = self.lattice.n_viewsets[1]
         touched = np.zeros(self.lattice.n_viewsets[0] * cols, dtype=bool)
-        for code, _ in corners:
-            touched[self._viewset_of_code.take(code)] = True
+        touched[self._viewset_of_code.take(codes)] = True
         return [divmod(int(c), cols) for c in np.flatnonzero(touched)]
 
     # ------------------------------------------------------------------
-    # vectorized reprojection + texel taps
+    # reprojection + texel taps, one camera at a time
     # ------------------------------------------------------------------
-    def _sample(self, code: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Reproject ``points`` into each ray's camera and tap its image.
+    def _sample(self, code: int, points: np.ndarray) -> np.ndarray:
+        """Reproject ``points`` into camera ``code`` and tap its image.
 
         ``points`` is planar ``(3, N)`` float32; so is the result, one row
         per colour channel, in texel units (0..255).
         """
-        ex, ey, ez, rx, ry, rz, ux, uy, uz, fx, fy, fz = (
-            lut.take(code) for lut in self._bases
-        )
-        relx, rely, relz = points[0] - ex, points[1] - ey, points[2] - ez
-        z = relx * fx + rely * fy + relz * fz
+        # the per-ray kernel's float32 operations in its order, in place
+        basis = self._bases[:, code]
+        _, _, _, rx, ry, rz, ux, uy, uz, fx, fy, fz = basis
+        relx, rely, relz = points - basis[:3, None]
+        z = relx * fx
+        z += rely * fy
+        z += relz * fz
         np.maximum(z, np.float32(1e-9), out=z)
-        inv = 1.0 / (z * np.float32(self._tan_half))
-        x = (relx * rx + rely * ry + relz * rz) * inv
-        y = (relx * ux + rely * uy + relz * uz) * inv
+        z *= np.float32(self._tan_half)
+        inv = np.divide(1.0, z, out=z)
+        px = relx * rx
+        px += rely * ry
+        px += relz * rz
+        px *= inv
+        py = relx * ux
+        py += rely * uy
+        py += relz * uz
+        py *= inv
         r = self.resolution
-        px = (x + 1.0) * (0.5 * r) - 0.5
-        py = (1.0 - y) * (0.5 * r) - 0.5
+        px += 1.0
+        px *= 0.5 * r
+        px -= 0.5
+        np.subtract(1.0, py, out=py)
+        py *= 0.5 * r
+        py -= 0.5
         np.clip(px, 0.0, r - 1.0, out=px)
         np.clip(py, 0.0, r - 1.0, out=py)
         nearest = self.interpolation == "nearest"
         if nearest:
             x0, y0 = np.rint(px), np.rint(py)
         else:  # top-left tap of the 2x2 footprint, kept inside the image
-            x0 = np.minimum(np.floor(px), max(r - 2, 0))
-            y0 = np.minimum(np.floor(py), max(r - 2, 0))
+            x0, y0 = np.floor(px), np.floor(py)
+            np.minimum(x0, max(r - 2, 0), out=x0)
+            np.minimum(y0, max(r - 2, 0), out=y0)
         # byte index of each ray's (first) texel, one row per channel
         tap = y0.astype(np.intp)
         tap *= r
         tap += x0.astype(np.intp)
         tap *= 3
-        tap += self._store.base.take(code)
+        tap += self._store.base[code]
         tap = tap + np.arange(3)[:, None]
         texels = self._store.texels
         c00 = texels.take(tap).astype(np.float32)
@@ -420,10 +488,28 @@ class LightFieldSynthesizer:
 
         The keys :meth:`render_rays` asks the provider for on these rays.
         """
-        vidx, _, u, v = self.spheres.project(
-            np.asarray(origins, dtype=np.float64).T,
-            np.asarray(dirs, dtype=np.float64).T,
-        )
+        vidx, _, u, v = self.spheres.project(*_planar_rays(origins, dirs))
         if not len(vidx):
             return set()
-        return set(self._touched_viewsets(self._corner_cameras(u, v)))
+        leads = np.unique(self._leads(u, v)[0])
+        return set(self._touched_viewsets(self._corners(leads)))
+
+
+def _planar_rays(
+    origins: np.ndarray, dirs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major ``(N, 3)`` rays as planar float64, directions checked.
+
+    ``TwoSphere.project`` assumes unit directions; a row whose norm is off
+    1 by more than 1e-6 (or is not finite) is refused, not normalized.
+    """
+    d = np.asarray(dirs, dtype=np.float64)
+    norm = np.sqrt(np.einsum("ij,ij->i", d, d))
+    off = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-6))
+    if len(off):
+        row = int(off[0])
+        raise ValueError(
+            f"ray {row} has direction norm {norm[row]:.9g}; directions must "
+            "be unit length (within 1e-6)"
+        )
+    return np.asarray(origins, dtype=np.float64).T, d.T

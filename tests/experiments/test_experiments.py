@@ -207,6 +207,7 @@ class TestDrivers:
         assert (row["resolution"], row["mode"], row["frames"]) == (
             32, "nearest", 2)
         assert row["wall_clock"]["fps"] > 0
+        assert row["wall_clock"]["runs_per_frame"] >= 1.0
 
     def test_observability_point_runs_the_seed_it_is_given(self):
         # seed used to be accepted and ignored: every seed ran trace 7
