@@ -25,10 +25,10 @@ costs under ``wall_clock["fleet"]``.
 
 from typing import Mapping
 
-from repro.experiments import execute_run, run_sweep, spec_named
+from repro.experiments import run_sweep, spec_named
 
 
-def test_observability_overhead(benchmark, report):
+def test_observability_overhead(report):
     result = run_sweep(spec_named("observability"), workers=1)
     session = next(r for r in result.rows if "n_clients" not in r)
     wall = result.walls[result.rows.index(session)]
@@ -75,11 +75,3 @@ def test_observability_overhead(benchmark, report):
         assert tier["load_skew_max_over_mean"] >= 1.0, key
         assert 0.0 <= tier["load_skew_gini"] < 1.0, key
         assert fleet_wall[key]["ratio"] < 10.0, key
-
-    # representative kernel: a shorter session point, traced and untraced
-    run = result.runs[0]
-    benchmark.pedantic(
-        lambda: execute_run(run.scenario,
-                            {**run.params, "n_accesses": 10, "repeats": 1}),
-        rounds=1, iterations=1,
-    )

@@ -27,7 +27,7 @@ _SMALL = os.environ.get("REPRO_SCALE", "default") == "small"
 _TRACE_OUT = os.environ.get("REPRO_TRACE_OUT")
 
 
-def test_scheduling_policies(benchmark, report):
+def test_scheduling_policies(report):
     spec = spec_named("scheduling")
     result = run_sweep(spec, workers=1)
     res = spec.fixed["resolution"]
@@ -66,11 +66,6 @@ def test_scheduling_policies(benchmark, report):
         assert result.doc["speedup_weighted_vs_off"] == round(
             blind / weighted, 4
         )
-
-    benchmark.pedantic(
-        lambda: run_sweep(spec, workers=1, write_artifact=False),
-        rounds=1, iterations=1,
-    )
 
     if _TRACE_OUT:
         from repro.experiments import experiment_lattice

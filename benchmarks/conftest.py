@@ -1,35 +1,18 @@
 """Shared fixtures for the benchmark harness.
 
-Figures 9-12 and the Section 4.3 statistics all derive from the same nine
-streaming sessions (Cases 1-3 × three resolutions), so the builtin
-``latency`` sweep runs once per pytest session and every one of those
-benchmarks reads its merged result.  Every benchmark writes its
-paper-style table/series to ``benchmarks/results/`` so the regenerated data
-survives pytest's output capture.
+Every benchmark writes its table to ``benchmarks/results/`` so the
+regenerated data survives pytest's output capture.  The paper's figures
+are not here: each is a builtin sweep spec (``python -m repro sweep run``)
+whose claims ``sweep report`` checks.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
 import pytest
 
-from repro.experiments import SweepResult, run_sweep, spec_named
-
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="session")
-def latency() -> SweepResult:
-    """The ``latency`` sweep: 3 cases × 3 resolutions, run once.
-
-    Simulated time is the sessions' only clock (decompression is charged
-    at ``cpu_seconds_per_byte``), so every number in the merged
-    ``BENCH_latency.json`` is bit-identical across machines and runs.
-    """
-    result = run_sweep(spec_named("latency"), workers=1)
-    print(f"wrote {result.artifact_path}")
-    return result
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,10 @@ spec -> scenario -> assemble -> report.  Layer map:
   meta, quarantined ``wall_clock``, float-hex fingerprints);
 * :mod:`.scenarios` / :mod:`.assemble` — per-run callables and the pure
   row-merge step reproducing each committed ``BENCH_*.json`` shape;
+* :mod:`.claims` — the paper's numbers (``PAPER``) and the claims each
+  merged artifact must meet, one predicate over the document each;
 * :mod:`.report` — merged artifacts → markdown with paper-vs-measured
-  tables (``md_table`` is the one table renderer).
+  tables and claim verdicts (``md_table`` is the one table renderer).
 """
 
 from .artifacts import (
@@ -27,14 +29,13 @@ from .artifacts import (
     write_bench,
 )
 from .config import (
-    PAPER,
     experiment_lattice,
     experiment_resolutions,
     scale_name,
     scale_small,
 )
-from .executor import SweepResult, execute_run, run_sweep
-from .report import format_series, md_table, render_report, render_section
+from .executor import SweepResult, run_sweep
+from .report import format_series, md_table, render_report
 from .spec import (
     RunSpec,
     SweepSpec,
@@ -45,7 +46,6 @@ from .spec import (
 
 __all__ = [
     "BENCH_FORMAT",
-    "PAPER",
     "RunSpec",
     "SweepResult",
     "SweepSpec",
@@ -53,7 +53,6 @@ __all__ = [
     "bench_document",
     "bench_path",
     "builtin_specs",
-    "execute_run",
     "experiment_lattice",
     "experiment_resolutions",
     "format_series",
@@ -61,7 +60,6 @@ __all__ = [
     "md_table",
     "payload_fingerprint",
     "render_report",
-    "render_section",
     "run_sweep",
     "scale_name",
     "scale_small",

@@ -20,7 +20,7 @@ from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..streaming.metrics import AccessSource
-from .config import PAPER
+from .claims import PAPER
 from .spec import SweepSpec
 
 __all__ = [

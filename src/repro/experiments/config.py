@@ -6,21 +6,17 @@ keep at paper scale: l = 6, resolutions 200-600) but only weakly on the
 *number* of view sets, so the default experiment grid halves each lattice
 axis to keep single-core runtimes sane.  Set ``REPRO_SCALE=paper`` for the
 full grid or ``REPRO_SCALE=small`` for CI-speed smoke runs.
-
-`PAPER` collects the published numbers the experiments compare against
-(digitized from the figures and quoted text of Section 4).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..lightfield.lattice import CameraLattice
 
 __all__ = ["scale_name", "scale_small", "experiment_lattice",
-           "experiment_resolutions", "PAPER"]
+           "experiment_resolutions"]
 
 
 def scale_name() -> str:
@@ -52,56 +48,3 @@ def experiment_resolutions() -> Tuple[int, ...]:
         "default": (200, 300, 500),
         "paper": (200, 300, 500),
     }[scale_name()]
-
-
-@dataclass(frozen=True)
-class _PaperNumbers:
-    """Published values from the paper's Section 4, for comparison columns."""
-
-    #: Figure 7 — total database size in GB at each resolution,
-    #: (uncompressed, compressed); digitized from the bar chart.
-    fig7_sizes_gb: Dict[int, Tuple[float, float]] = field(
-        default_factory=dict
-    )
-
-    #: zlib compression ratio band quoted in Section 4.1
-    compression_ratio_band: Tuple[float, float] = (5.0, 7.0)
-
-    #: per-view-set compressed sizes in MB at 200² and 600² (Section 4.1)
-    viewset_mb_band: Tuple[float, float] = (1.2, 7.8)
-
-    #: generation time band on 32 CPUs, hours (Section 4.1)
-    generation_hours_band: Tuple[float, float] = (2.0, 4.5)
-
-    #: client rendering rate claim (Section 4.2)
-    fps_claim: float = 30.0
-
-    #: Figure 8 — decompression is sub-second below 400², up to ~1.8 s at 500²
-    decompress_subsecond_below: int = 400
-
-    #: Section 4.3 @500²: initial-phase WAN access rates
-    wan_rate_initial_case2: float = 0.69
-    wan_rate_initial_case3: float = 0.28
-    #: Section 4.3 @500²: initial-phase hit rates
-    hit_rate_initial_case2: float = 0.28
-    hit_rate_initial_case3: float = 0.33
-    #: initial phase lengths (accesses) at 200/300 vs 500
-    initial_phase_low_res: int = 1
-    initial_phase_500: int = 33
-    #: Figure 12 latency tiers (seconds): hit, LAN depot, WAN
-    tier_hit: float = 1e-4
-    tier_lan_depot: Tuple[float, float] = (0.01, 0.1)
-    tier_wan: float = 1.0
-    #: number of view-set accesses per experiment
-    n_accesses: int = 58
-
-
-PAPER = _PaperNumbers(
-    fig7_sizes_gb={
-        200: (1.5, 0.25),
-        300: (3.4, 0.6),
-        400: (6.2, 1.0),
-        500: (9.7, 1.6),
-        600: (14.0, 2.1),
-    }
-)

@@ -35,7 +35,8 @@ from ..streaming.client import CPU_SECONDS_PER_BYTE
 from ..streaming.metrics import SessionMetrics
 from ..streaming.session import SessionConfig, run_session, session_trace
 from .artifacts import WALL_CLOCK_KEY, wall_timer
-from .config import PAPER, experiment_lattice
+from .claims import PAPER
+from .config import experiment_lattice
 
 if TYPE_CHECKING:
     from ..lightfield.build import LightFieldBuilder

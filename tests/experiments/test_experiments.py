@@ -6,8 +6,8 @@ import pytest
 
 from repro.experiments import run_sweep, spec_named
 from repro.experiments.artifacts import payload_fingerprint
+from repro.experiments.claims import PAPER
 from repro.experiments.config import (
-    PAPER,
     experiment_lattice,
     experiment_resolutions,
     scale_name,

@@ -1,14 +1,16 @@
 """Every Section-4 result is a sweep spec, and only a sweep spec.
 
 DESIGN §4 indexes the paper's figures and text claims; each must name the
-builtin spec that regenerates it, every builtin spec must resolve to real
-callables, and no benchmark may run sessions on its own beside the engine.
+builtin spec that regenerates it and a claim that checks it, every claim
+must serve a §4 row, every builtin spec must resolve to real callables,
+and no benchmark may run sessions on its own beside the engine.
 """
 
 import ast
 import re
 from pathlib import Path
 
+from repro.experiments.claims import CLAIMS
 from repro.experiments.spec import SCENARIO_KEY, builtin_specs, resolve_dotted
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -40,6 +42,20 @@ def test_every_experiment_names_a_builtin_spec():
     for exp_id, target in index:
         named = set(re.findall(r"`([a-z_]+)`", target)) & specs
         assert named, f"DESIGN §4 row {exp_id!r} names no builtin spec"
+
+
+def test_every_experiment_names_a_claim():
+    ids = {claim.id for claims in CLAIMS.values() for claim in claims}
+    for exp_id, target in _experiment_index():
+        named = set(re.findall(r"`([a-z0-9_.]+)`", target)) & ids
+        assert named, f"DESIGN §4 row {exp_id!r} names no claim id"
+
+
+def test_every_claim_serves_an_experiment():
+    rows = {exp_id for exp_id, _ in _experiment_index()}
+    stray = [claim.id for claims in CLAIMS.values() for claim in claims
+             if claim.row not in rows]
+    assert stray == []
 
 
 def test_every_builtin_spec_resolves():

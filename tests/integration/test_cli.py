@@ -167,3 +167,33 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["teleport"])
+
+
+class TestSweepReport:
+    def test_a_named_artifact_not_on_disk_is_an_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "report", "--artifacts", "latncy, fps"])
+        assert "latncy" in str(exc.value.code)
+        assert "fps" not in str(exc.value.code)
+
+    def test_artifact_names_are_stripped(self, capsys):
+        assert main(["sweep", "report", "--artifacts", " fps , qgr "]) == 0
+        out = capsys.readouterr().out
+        assert "## Section 4.2 — client synthesis rate" in out
+        assert "## Section 4.2 — Quality Guaranteed Rate" in out
+        assert "| fps.30fps_low_res |" in out
+
+    def test_a_false_claim_exits_nonzero_and_names_it(self, tmp_path, capsys):
+        import json
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[2]
+        doc = json.loads((repo / "BENCH_qgr.json").read_text())
+        for row in doc["rows"]:
+            if row["case"] == 3:
+                row["hidden_fraction"] = 0.4
+        (tmp_path / "BENCH_qgr.json").write_text(json.dumps(doc))
+        rc = main(["sweep", "report", "--artifacts", "qgr",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "qgr.case3_hidden" in capsys.readouterr().err
