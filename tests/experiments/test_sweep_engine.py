@@ -376,17 +376,18 @@ class TestReport:
     def test_render_report_from_artifact(self, tmp_path):
         spec = toy_spec()
         run_sweep(spec, workers=1, out_dir=tmp_path)
-        text = render_report(["toy"], out_dir=tmp_path)
+        text, failed = render_report(["toy"], out_dir=tmp_path)
         assert text.startswith("# ")
+        assert failed == []              # no claims are declared on "toy"
         assert "| x | y |" in text.replace("  ", " ") or "x" in text
         assert "fingerprint" in text
 
     def test_render_report_skips_missing_artifacts(self, tmp_path):
         run_sweep(toy_spec(), workers=1, out_dir=tmp_path)
-        text = render_report(["toy", "absent"], out_dir=tmp_path)
+        text, _ = render_report(["toy", "absent"], out_dir=tmp_path)
         assert "## toy" in text          # the present artifact renders
         assert "absent" not in text      # the missing one is skipped
-        empty = render_report(["absent"], out_dir=tmp_path)
+        empty, _ = render_report(["absent"], out_dir=tmp_path)
         assert "no BENCH artifacts found" in empty
 
 
