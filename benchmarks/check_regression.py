@@ -136,7 +136,9 @@ def compare(
                   f"{'—':>8}  (sub-{min_wall}s run, not compared)")
             continue
         compared += 1
-        ratio = fresh_v / base_v if base_v else float("inf")
+        # equal values, zeros included, are no change
+        ratio = (1.0 if fresh_v == base_v
+                 else fresh_v / base_v if base_v else float("inf"))
         bad = (ratio < 1.0 - threshold if direction == "higher"
                else ratio > 1.0 + threshold)
         flag = ""

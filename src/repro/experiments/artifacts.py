@@ -1,8 +1,7 @@
 """The single writer for ``repro-bench/1`` BENCH artifacts.
 
 Every machine-readable benchmark artifact in this repo is one JSON document
-with the same contract (previously copy-pasted across the ``bench_text_*``
-scripts, now owned here):
+with the same contract:
 
 * the **payload** carries only deterministic fields — sim-time statistics,
   counts, modeled costs — reproducible bit-for-bit from the stamped seed;

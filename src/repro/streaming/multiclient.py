@@ -21,7 +21,7 @@ many-consumer contention regime a single console cannot produce.
 Scale is the point: with dozens of clients the simulation core itself is the
 bottleneck, which is what the incremental rebalancer in
 :mod:`repro.lon.network` and the compacting event queue are for.
-``benchmarks/bench_text_multiclient.py`` measures it on this harness.
+The builtin ``scale`` sweep spec measures it on this harness.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments.claims import CLAIMS, PAPER, verdicts
 from repro.experiments.report import load_bench, report_sections
+from repro.experiments.spec import builtin_specs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -58,6 +59,38 @@ def test_the_smoke_branch_reads_the_artifact_not_the_environment(
     assert not _holds("latency", "fig11.case3_phase_longer", doc)
     doc["meta"]["scale"] = "small"
     assert _holds("latency", "fig11.case3_phase_longer", doc)
+
+
+def test_every_artifact_but_the_engine_smoke_has_claims():
+    artifacts = {spec.artifact for spec in builtin_specs().values()
+                 if spec.artifact}
+    assert set(CLAIMS) == artifacts - {"smoke"}
+
+
+def _weighted_above_blind(doc):
+    doc["arms"]["staging+weighted"]["demand_miss_latency_s"] = 0.6
+
+
+def _contended_vectorized_dead(doc):
+    doc["contended"]["vectorized"] = 0
+
+
+def _fleet_gini_one(doc):
+    doc["fleet"]["8/8"]["load_skew_gini"] = 1.0
+
+
+@pytest.mark.parametrize("name, doctor, claim_ids", [
+    ("streaming", _weighted_above_blind,
+     ["sched.weighted_beats_blind", "sched.speedups_derived"]),
+    ("scale", _contended_vectorized_dead, ["scale.contended_paths_live"]),
+    ("observability", _fleet_gini_one, ["obs.fleet_load_skew"]),
+])
+def test_a_doctored_artifact_fails_by_claim_id(tmp_path, name, doctor,
+                                              claim_ids):
+    doc = load_bench(name, REPO_ROOT)
+    doctor(doc)
+    (tmp_path / f"BENCH_{name}.json").write_text(json.dumps(doc))
+    assert report_sections([name], tmp_path)[1] == claim_ids
 
 
 def test_a_viewset_count_off_by_one_viewset_fails():

@@ -20,10 +20,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: so importing those fails on its own)
 FORBIDDEN = {"run_session", "SessionConfig"}
 
-#: the one sanctioned direct session: ``REPRO_TRACE_OUT``'s traced run,
-#: whose product is a Chrome trace, not a number
-ALLOWED = {"bench_text_scheduler.py": {"run_session", "SessionConfig"}}
-
 
 def _experiment_index():
     """``(exp id, last column)`` of every row of DESIGN §4's table."""
@@ -38,7 +34,7 @@ def _experiment_index():
 def test_every_experiment_names_a_builtin_spec():
     specs = set(builtin_specs())
     index = _experiment_index()
-    assert len(index) >= 11           # Fig 7-12, four text claims, ablations
+    assert len(index) >= 14    # Fig 7-12, text, ablations, sched, obs, scale
     for exp_id, target in index:
         named = set(re.findall(r"`([a-z_]+)`", target)) & specs
         assert named, f"DESIGN §4 row {exp_id!r} names no builtin spec"
@@ -73,10 +69,9 @@ def test_every_builtin_spec_resolves():
 def test_benchmarks_run_sessions_only_through_the_engine():
     offenders = []
     for path in sorted((REPO_ROOT / "benchmarks").glob("*.py")):
-        allowed = ALLOWED.get(path.name, set())
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
-                for bad in sorted(names & FORBIDDEN - allowed):
+                for bad in sorted(names & FORBIDDEN):
                     offenders.append(f"{path.name} imports {bad}")
     assert offenders == []
