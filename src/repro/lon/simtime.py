@@ -10,8 +10,8 @@ a modelled service time of ``bytes x seconds-per-byte`` — so client-observed
 latency composes brokering, communication and decompression as the paper
 measures it at the client, and no host-clock reading ever reaches the queue.
 
-The design is a classic calendar queue: events are ``(time, seq, callback)``
-triples ordered by time with a monotonically increasing sequence number as the
+The queue is a binary heap (``heapq``) of ``(time, seq, event)`` triples
+ordered by time with a monotonically increasing sequence number as the
 tiebreaker, which makes simultaneous events fire in schedule order and keeps
 runs bit-for-bit reproducible.
 """
@@ -33,6 +33,8 @@ __all__ = [
     "TIME_EPSILON",
     "time_eq",
 ]
+
+_INF = float("inf")
 
 #: Tolerance for comparing simulation timestamps.  Sim times are sums of
 #: float delays, so exact ``==`` is fragile; an equality test on sim time
@@ -163,25 +165,25 @@ class EventQueue:
 
     @property
     def now(self) -> float:
-        """Shortcut for ``self.clock.now``."""
-        return self.clock.now
+        """Shortcut for ``self.clock.now`` (read without its property)."""
+        return self.clock._now
 
     def schedule(
         self, time: float, callback: Callable[[], None], label: str = ""
     ) -> Event:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if not math.isfinite(time):
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        now = self.clock.now
-        if time < now:
+        now = self.clock._now
+        if not now <= time < _INF:  # one test on the hot path; nan fails it
+            if not math.isfinite(time):
+                raise SimulationError(
+                    f"event time must be finite, got {time!r}")
             if time < now - 1e-12:
                 raise SimulationError(
                     f"cannot schedule into the past: now={now}, t={time}"
                 )
             time = now
         seq = next(self._seq)
-        ev = Event(time=time, seq=seq,
-                   callback=callback, label=label, queue=self)
+        ev = Event(time, seq, callback, label, False, False, self)
         heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
@@ -192,7 +194,7 @@ class EventQueue:
         """Schedule ``callback`` ``delay`` seconds from now (delay >= 0)."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return self.schedule(self.clock.now + delay, callback, label)
+        return self.schedule(self.clock._now + delay, callback, label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already fired)."""
@@ -224,60 +226,67 @@ class EventQueue:
 
     def step(self) -> bool:
         """Fire the next event.  Returns False if the queue was empty."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            ev = entry[2]
+        return self._dispatch(_INF, 1) == 1
+
+    def run(self, max_events: int = 10_000_000) -> int:
+        """Run until the queue drains.  Returns the number of events fired."""
+        fired = self._dispatch(_INF, max_events)
+        self._check_budget(fired, max_events, _INF)
+        return fired
+
+    def run_until(self, horizon: float, max_events: int = 10_000_000) -> int:
+        """Run events with time <= horizon, then advance the clock to it."""
+        fired = self._dispatch(horizon, max_events)
+        self._check_budget(fired, max_events, horizon)
+        self.clock._advance_to(horizon)
+        return fired
+
+    def _check_budget(self, fired: int, max_events: int,
+                      horizon: float) -> None:
+        """Raise when the budget ran out with an event still due: a budget
+        a run uses up exactly is not a runaway loop."""
+        if fired >= max_events:
+            due = self.peek_time()
+            if due is not None and due <= horizon:
+                raise SimulationError(
+                    f"event budget exhausted after {fired} events with "
+                    "more due; likely a self-rescheduling loop"
+                )
+
+    def _dispatch(self, horizon: float, max_events: int) -> int:
+        """Fire up to ``max_events`` events due at or before ``horizon``:
+        the one loop behind :meth:`step`, :meth:`run` and :meth:`run_until`.
+        """
+        heappop = heapq.heappop
+        clock = self.clock
+        fired = 0
+        while fired < max_events:
+            # re-read the heap each iteration: a callback can cancel events
+            # and trigger a compaction, which rebinds self._heap — a cached
+            # alias would go stale and this loop would spin on (and
+            # mis-drop from) the pre-compaction list
+            heap = self._heap
+            if not heap:
+                break
+            t, _, ev = heap[0]
             if ev.cancelled:
+                heappop(heap)
                 self._garbage -= 1
                 continue
+            if t > horizon:
+                break
+            heappop(heap)
             self._live -= 1
             ev.fired = True
             self.fired_total += 1
             # heap order guarantees monotonic time (schedule() rejects the
             # past), so the clock can be bumped without the backwards check
-            clock = self.clock
-            t = entry[0]
             if t > clock._now:
                 clock._now = t
             if self.on_fire is not None:
                 self.on_fire(ev)
             ev.callback()
-            return True
-        return False
-
-    def run(self, max_events: int = 10_000_000) -> int:
-        """Run until the queue drains.  Returns the number of events fired."""
-        fired = 0
-        while fired < max_events and self.step():
             fired += 1
-        if fired >= max_events:
-            raise SimulationError(
-                f"event budget exhausted after {fired} events; likely a "
-                "self-rescheduling loop"
-            )
-        return fired
-
-    def run_until(self, horizon: float, max_events: int = 10_000_000) -> int:
-        """Run events with time <= horizon, then advance the clock to it."""
-        fired = 0
-        step = self.step
-        while fired < max_events:
-            # re-read the heap each iteration: a callback fired by step()
-            # can cancel events and trigger a compaction, which rebinds
-            # self._heap — a cached alias would go stale and this loop
-            # would spin on (and mis-drop from) the pre-compaction list
-            heap = self._heap
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-                self._garbage -= 1
-            if not heap or heap[0][0] > horizon:
-                break
-            step()
-            fired += 1
-        if fired >= max_events:
-            raise SimulationError("event budget exhausted in run_until")
-        self.clock._advance_to(horizon)
         return fired
 
 

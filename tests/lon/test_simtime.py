@@ -136,6 +136,28 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.run(max_events=100)
 
+    def test_exact_budget_is_not_a_runaway_loop(self):
+        q = EventQueue()
+        for t in (1.0, 2.0, 3.0):
+            q.schedule(t, lambda: None)
+        assert q.run(max_events=3) == 3
+        for t in (4.0, 5.0, 6.0):
+            q.schedule(t, lambda: None)
+        assert q.run_until(10.0, max_events=3) == 3
+        assert q.now == 10.0
+
+    def test_budget_raises_only_with_an_event_still_due(self):
+        q = EventQueue()
+        for t in (1.0, 2.0, 3.0, 20.0):
+            q.schedule(t, lambda: None)
+        # the fourth event lies past the horizon: the budget holds
+        assert q.run_until(10.0, max_events=3) == 3
+        q.schedule(11.0, lambda: None)
+        with pytest.raises(SimulationError, match="budget exhausted"):
+            q.run_until(30.0, max_events=1)
+        with pytest.raises(SimulationError, match="budget exhausted"):
+            q.run(max_events=0)
+
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()
         e1 = q.schedule(1.0, lambda: None)
