@@ -57,7 +57,21 @@ def maxmin_rates(
 ) -> Tuple[List[float], bool]:
     """Weighted max-min fair rates in flow order, and whether the numpy
     fill computed them (components of :data:`VECTORIZE_MIN_FLOWS` flows or
-    more)."""
+    more).
+
+    A one-flow component is :func:`fill_loop`'s single round in closed
+    form, float for float: the lowest of the ceiling and each row's offer
+    (a path crosses a row once, so a row's unassigned weight is ``w``).
+    """
+    if len(paths) == 1:
+        w = weights[0]
+        level = caps[0] / w
+        if w > _NO_WEIGHT:
+            for row in paths[0]:
+                offer = capacity[row] / w
+                if offer < level:
+                    level = offer
+        return [level * w], False
     vectorized = len(paths) >= VECTORIZE_MIN_FLOWS
     fill = fill_numpy if vectorized else fill_loop
     return fill(capacity, paths, weights, caps), vectorized

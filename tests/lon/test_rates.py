@@ -224,3 +224,43 @@ class TestEdges:
         capacity = [float("nan")] * 5 + [6.0]
         assert fill(capacity, [(5,), (5,)], [1.0, 2.0],
                     [INF, INF]) == [2.0, 4.0]
+
+
+class TestOneFlowClosedForm:
+    """A one-flow component is answered without the fill: the lowest of
+    the ceiling and each row's ``capacity / weight``, times the weight."""
+
+    @given(
+        capacity=st.lists(st.floats(min_value=1e-3, max_value=1e12),
+                          min_size=6, max_size=6),
+        path=st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+                      max_size=4, unique=True),
+        weight=st.one_of(
+            st.sampled_from(CLASS_WEIGHTS),
+            # too little weight to offer a level: ceiling or ``inf``
+            st.floats(min_value=5e-324, max_value=1e-15)),
+        cap=st.one_of(st.just(INF),
+                      st.floats(min_value=1e-3, max_value=1e12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_is_the_fill_bit_for_bit(
+            self, capacity, path, weight, cap):
+        problem = (capacity, [tuple(path)], [weight], [cap])
+        got, vectorized = maxmin_rates(*problem)
+        assert not vectorized
+        assert hexes(got) == hexes(fill_loop(*problem))
+        if weight > 1e-15 or cap == INF:
+            # the oracle's ceiling is a one-member virtual row, so on a
+            # weight too small to offer it is silent like the real rows
+            assert hexes(got) == hexes(reference_maxmin_rates(*problem))
+
+    @pytest.mark.parametrize("problem,want", [
+        (([4.0, 9.0], [(0, 1)], [2.0], [INF]), 4.0),     # row-bound
+        (([4.0, 9.0], [(0, 1)], [2.0], [3.0]), 3.0),     # ceiling-bound
+        (([4.0], [()], [1.0], [INF]), INF),              # unconstrained
+        (([4.0], [(0,)], [1e-16], [INF]), INF),          # no row offers
+        (([4.0], [(0,)], [1e-16], [2.0]), 2.0),          # ceiling only
+    ], ids=["row", "ceiling", "no-rows", "no-offer", "no-offer-capped"])
+    def test_edges(self, problem, want):
+        assert maxmin_rates(*problem) == ([want], False)
+        assert fill_loop(*problem) == [want]
