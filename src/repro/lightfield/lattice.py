@@ -179,8 +179,10 @@ class CameraLattice:
                 yield (vi, vj)
 
     def viewset_containing(self, theta: float, phi: float) -> ViewSetKey:
-        """View set whose angular window contains the given view angles."""
-        return self.locate(theta, phi)[0]
+        """View set whose angular window contains the given view angles
+        (:meth:`locate`'s key, without the quadrant)."""
+        i, j = self.scalar_index(theta, phi)[2:]
+        return i // self.l, j // self.l
 
     def viewset_center(self, key: ViewSetKey) -> Tuple[float, float]:
         """(theta, phi) at the center of a view set's angular window."""

@@ -13,6 +13,7 @@ at a different angular velocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -82,12 +83,16 @@ class CursorTrace:
         )
 
     def shifted(self, dt: float) -> CursorTrace:
-        """The same path starting ``dt`` seconds later (staggered clients)."""
+        """The same path starting ``dt`` seconds later (staggered clients).
+
+        A zero shift shares the (frozen) samples in a new list."""
         if dt < 0:
             raise ValueError("shift must be non-negative")
+        if dt == 0:
+            return CursorTrace(samples=list(self.samples))
         return CursorTrace(
             samples=[
-                CursorSample(time=s.time + dt, theta=s.theta, phi=s.phi)
+                CursorSample(s.time + dt, s.theta, s.phi)
                 for s in self.samples
             ]
         )
@@ -119,30 +124,32 @@ def standard_trace(
     if n_accesses < 1:
         raise ValueError("n_accesses must be >= 1")
     rng = np.random.default_rng(seed)
+    # the walk is Python float math (math.cos / sin, float %): the same
+    # values numpy scalars gave, at a fraction of the per-step cost
+    two_pi = 2 * math.pi
     # start mid-band, away from the poles
-    theta = np.pi * 0.5 + rng.uniform(-0.2, 0.2)
-    phi = rng.uniform(0, 2 * np.pi)
+    theta = math.pi * 0.5 + rng.uniform(-0.2, 0.2)
+    phi = rng.uniform(0, two_pi)
     window = lattice.l * lattice.theta_step
     dwell_speed = 0.06 * window   # examining: stays inside the view set
     sweep_speed = 0.55 * window   # decisive motion: crosses in ~2 steps
-    heading = rng.uniform(0, 2 * np.pi)
+    heading = rng.uniform(0, two_pi)
 
     samples: List[CursorSample] = []
+    viewset_containing = lattice.viewset_containing
     accesses = 0
     current = None
     t = 0.0
     lo = 1.5 * lattice.theta_step
-    hi = np.pi - 1.5 * lattice.theta_step
+    hi = math.pi - 1.5 * lattice.theta_step
     mode_sweep = False
     mode_left = int(rng.integers(*dwell_steps))
     for _ in range(max_samples):
-        # the walk is numpy math; samples carry plain floats (same values)
-        sample = CursorSample(time=t, theta=float(theta), phi=float(phi))
-        key = lattice.viewset_containing(sample.theta, sample.phi)
+        key = viewset_containing(theta, phi)
         if key != current:
             accesses += 1
             current = key
-        samples.append(sample)
+        samples.append(CursorSample(t, theta, phi))
         if accesses >= n_accesses:
             break
         if mode_left <= 0:
@@ -152,17 +159,17 @@ def standard_trace(
             )
             if mode_sweep:
                 # a sweep picks a fresh decisive direction
-                heading = rng.uniform(0, 2 * np.pi)
+                heading = rng.uniform(0, two_pi)
         mode_left -= 1
         speed = sweep_speed if mode_sweep else dwell_speed
         jitter = heading_noise * (0.3 if mode_sweep else 1.0)
         heading += rng.normal(scale=jitter)
-        theta_new = theta + speed * np.cos(heading)
+        theta_new = theta + speed * math.cos(heading)
         if not lo <= theta_new <= hi:
             heading = -heading  # bounce off the polar caps
-            theta_new = np.clip(theta_new, lo, hi)
+            theta_new = min(max(theta_new, lo), hi)
         theta = theta_new
-        phi = (phi + speed * np.sin(heading)) % (2 * np.pi)
+        phi = (phi + speed * math.sin(heading)) % two_pi
         t += step_period
     else:
         raise RuntimeError(

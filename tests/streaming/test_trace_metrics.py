@@ -30,11 +30,39 @@ TRACE_SHA = {
     ("session", 13):
         "43a85afbe49429d33863b1eea3565f21004fb17e677de2812f6b28e97ee84c75",
 }
+#: the same sha over other lattices and lengths, recorded at the commit
+#: before the walk moved from numpy scalars to Python floats: the fleet
+#: lattice at 8 accesses with the session pacing and the fleet's per-client
+#: seeds ``7 + 101 g``, and the paper lattice at 58 accesses.  Keyed
+#: ``(lattice, n_accesses, pacing, seed)``.
+TRACE_SHA_MORE = {
+    ((18, 36, 3), 8, "session", 7):
+        "618bdce1ba266f6b30a4b7f6f618dd237cb1751770a3164727aa2117ad45e930",
+    ((18, 36, 3), 8, "session", 108):
+        "3ddcbe79736c110d7ce70ed16450bd11fc70da6f34ec239d043e0c400a842617",
+    ((18, 36, 3), 8, "session", 209):
+        "5bc7428ca68ad375f03b776796aac56ef40fc3f58d9bf2005c8f37fa6961211a",
+    ((18, 36, 3), 8, "session", 310):
+        "93d7f0053d4cf5480cf1963cade638212c14a42cdbb1ae29ee72ab5911d5cd16",
+    ((72, 144, 6), 58, "default", 7):
+        "73b5a4b42af9585d091ef8ff6d86b1eec528f8414fb0a006f2ea230da6e6e361",
+    ((72, 144, 6), 58, "session", 7):
+        "d326abd74740e434dfad9a8d18730df253314de59341a336fdf75272ec98e4f4",
+}
 #: standard_trace's own defaults (0.35 s / 0.55 rad) and the session's
 PACINGS = {
     "default": {},
     "session": {"step_period": STEP_PERIOD, "heading_noise": HEADING_NOISE},
 }
+
+
+def trace_sha(trace):
+    """sha256 over one ``time,theta,phi`` line of float hexes per sample."""
+    digest = hashlib.sha256()
+    for s in trace:
+        digest.update(
+            f"{s.time.hex()},{s.theta.hex()},{s.phi.hex()}\n".encode())
+    return digest.hexdigest()
 
 
 @pytest.fixture()
@@ -62,14 +90,25 @@ class TestCursorTrace:
     def test_standard_trace_is_the_recorded_walk(self, pacing, seed):
         trace = standard_trace(CameraLattice(24, 48, 6), 58, seed=seed,
                                **PACINGS[pacing])
-        digest = hashlib.sha256()
-        for s in trace:
-            digest.update(
-                f"{s.time.hex()},{s.theta.hex()},{s.phi.hex()}\n".encode())
-        assert digest.hexdigest() == TRACE_SHA[(pacing, seed)]
+        assert trace_sha(trace) == TRACE_SHA[(pacing, seed)]
+
+    @pytest.mark.parametrize("lattice,n,pacing,seed", sorted(TRACE_SHA_MORE))
+    def test_other_lattices_walk_as_recorded(self, lattice, n, pacing, seed):
+        trace = standard_trace(CameraLattice(*lattice), n, seed=seed,
+                               **PACINGS[pacing])
+        assert trace_sha(trace) == TRACE_SHA_MORE[(lattice, n, pacing, seed)]
+
+    def test_shift_by_zero_is_an_equal_trace_in_a_new_list(self, lattice):
+        trace = standard_trace(lattice, n_accesses=10, seed=3)
+        same = trace.shifted(0.0)
+        assert same.samples == trace.samples
+        assert same.samples is not trace.samples
+        later = trace.shifted(1.5)
+        assert [s.time for s in later] == [s.time + 1.5 for s in trace]
+        assert trace.samples == same.samples     # the source is untouched
 
     def test_samples_carry_builtin_floats(self, lattice):
-        """np scalars must not leak out of the numpy walk."""
+        """Samples carry builtin floats, never np scalars."""
         trace = standard_trace(lattice, n_accesses=10, seed=3)
         for s in trace:
             assert type(s.time) is float
