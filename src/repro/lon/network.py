@@ -141,7 +141,10 @@ class Flow:
     dst: str
     size: int
     path_links: Tuple[FrozenSet[str], ...]
-    on_complete: Callable[["Flow"], None]
+    #: the callbacks (``on_rate_change`` below too) are dropped once the
+    #: flow is delivered, failed or cancelled: they can never fire again,
+    #: and they close over the caller, who holds the flow
+    on_complete: Optional[Callable[["Flow"], None]]
     on_fail: Optional[Callable[["Flow", Exception], None]] = None
     label: str = ""
     #: stable per-network admission sequence number.  All rebalancer
@@ -193,6 +196,11 @@ class Flow:
         if not 0 < self.weight < math.inf:
             raise ValueError("flow weight must be positive and finite")
         self.remaining = float(self.size)
+
+    def _let_go(self) -> None:
+        """Drop the callbacks of a flow that just became terminal, so it
+        and its caller are freed by reference count, not by the collector."""
+        self.on_complete = self.on_fail = self.on_rate_change = None
 
     @property
     def elapsed(self) -> Optional[float]:
@@ -804,6 +812,7 @@ class Network:
         if flow.done or flow.failed:
             return
         flow.failed = True
+        flow._let_go()
         self._disarm(flow)
         if flow.fid in self._flows:
             self._released(flow, self._remove(flow))
@@ -1199,17 +1208,22 @@ class Network:
         flow.done = True
         flow.finish_time = self.queue.now
         flow._completion_event = None
-        flow.on_complete(flow)
+        on_complete = flow.on_complete
+        flow._let_go()
+        if on_complete is not None:
+            on_complete(flow)
 
     def _fail_flow(self, flow: Flow, exc: Exception) -> None:
         if flow.done or flow.failed:
             return
         flow.failed = True
+        on_fail = flow.on_fail
+        flow._let_go()
         self._disarm(flow)
         if flow.fid in self._flows:
             self._released(flow, self._remove(flow))
-        if flow.on_fail is not None:
-            flow.on_fail(flow, exc)
+        if on_fail is not None:
+            on_fail(flow, exc)
 
 
 def build_dumbbell(
