@@ -263,7 +263,7 @@ class Depot:
                 f"{self.max_duration}]"
             )
         self._purge_expired()
-        avail = self.capacity - self.used
+        avail = self.capacity - self._committed
         if size > avail and not soft:
             avail += self._revoke_soft(size - avail)
         if size > avail:

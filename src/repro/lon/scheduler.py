@@ -62,6 +62,12 @@ class Priority(IntEnum):
     MAINTENANCE = 3  # uploads, lease upkeep, replica repair
 
 
+def _priority(value: int) -> Priority:
+    """``value`` as a :class:`Priority`, without a second enum lookup when it
+    already is one (the admission path passes one through several calls)."""
+    return value if isinstance(value, Priority) else Priority(value)
+
+
 #: default weighted-fair-share weights per priority class.  An 8:2:1:0.5
 #: split gives a lone demand flow ~70% of a bottleneck it shares with one
 #: prefetch and one staging flow, without starving the background entirely.
@@ -329,14 +335,15 @@ class TransferScheduler:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = InFlightRegistry()
         self.stats = SchedulerStats()
-        self._active: List[TransferHandle] = []
+        #: admitted transfers, in admission order (a dict: O(1) retire)
+        self._active: Dict[TransferHandle, None] = {}
 
     # ------------------------------------------------------------------
     def weight_for(self, priority: Priority) -> float:
         """The fair-share weight a flow of this class runs at."""
         if self.policy == "off":
             return 1.0
-        return self.weights[Priority(priority)]
+        return self.weights[_priority(priority)]
 
     @property
     def active_handles(self) -> List[TransferHandle]:
@@ -365,7 +372,7 @@ class TransferScheduler:
         """
         spec = TransferSpec(
             src, dst, size, on_complete, on_fail, label,
-            Priority(priority), span,
+            _priority(priority), span,
         )
         return self._submit_spec(spec)
 
@@ -405,7 +412,7 @@ class TransferScheduler:
             self.stats.batches_flushed += 1
             self.stats.submissions_coalesced += n
             class_counts = np.bincount(
-                np.fromiter((int(Priority(s.priority)) for s in specs),
+                np.fromiter((int(_priority(s.priority)) for s in specs),
                             dtype=np.intp, count=n),
                 minlength=len(Priority),
             )
@@ -427,15 +434,16 @@ class TransferScheduler:
     ) -> TransferHandle:
         """The one admission sequence both paths share: the flow is admitted
         by ``Network.transfer``, or as ``item`` of a batch's ``plan``."""
-        priority = Priority(spec.priority)
+        priority = _priority(spec.priority)
         handle = TransferHandle(self, priority, spec.label)
-        handle.span = self.tracer.begin(
-            f"xfer:{spec.label}" if spec.label else "xfer",
-            parent=spec.span,
-            category="transfer",
-            src=spec.src, dst=spec.dst, bytes=spec.size,
-            priority=priority.name,
-        )
+        if self.tracer.enabled:
+            handle.span = self.tracer.begin(
+                f"xfer:{spec.label}" if spec.label else "xfer",
+                parent=spec.span,
+                category="transfer",
+                src=spec.src, dst=spec.dst, bytes=spec.size,
+                priority=priority.name,
+            )
         self._emit("queued", handle)
         self.stats.submitted += 1
         on_complete = spec.on_complete
@@ -476,7 +484,7 @@ class TransferScheduler:
                     detail=f"{old_rate:.0f}->{fl.rate:.0f}B/s",
                 )
             flow.on_rate_change = _rerated
-        self._active.append(handle)
+        self._active[handle] = None
         self._emit("admitted", handle)
         if self.policy == "strict":
             self._apply_strict()
@@ -512,8 +520,7 @@ class TransferScheduler:
     # ------------------------------------------------------------------
     def _retire(self, handle: TransferHandle, event: str,
                 detail: str = "") -> None:
-        if handle in self._active:
-            self._active.remove(handle)
+        self._active.pop(handle, None)
         self._emit(event, handle, detail=detail)
         handle.span.finish(state=handle.state)
         if self.policy == "strict":
@@ -556,17 +563,16 @@ class TransferScheduler:
 
     def _emit(self, event: str, handle: TransferHandle,
               detail: str = "") -> None:
+        span = handle.span
+        if self.on_event is None and span is NOOP_SPAN:
+            return  # nobody records this step
         # span events are kept distinct from the open/close pair; "queued"
         # and the terminal event already bound the span itself
         if event not in ("queued", "completed", "cancelled", "failed"):
-            handle.span.event(event, detail=detail)
+            span.event(event, detail=detail)
         if self.on_event is None:
             return
         self.on_event(TransferEvent(
-            time=self.network.queue.now,
-            label=handle.label,
-            priority=handle.priority.name,
-            event=event,
-            detail=detail,
-            span_id=handle.span.span_id,
+            self.network.queue.now, handle.label, handle.priority.name,
+            event, detail, span.span_id,
         ))
