@@ -77,6 +77,7 @@ from ..streaming.session import (
     attach_stream_collectors,
     run_testbed,
 )
+from ..streaming.trace import CursorTrace
 from .faults import DepotOutage
 
 #: plain-data fault spec, picklable into worker processes:
@@ -386,6 +387,7 @@ def _shard_session(
     horizon: Optional[float],
     faults: Optional[List[FaultSpec]],
     flight_dir: Optional[str],
+    traces: Optional[List[CursorTrace]] = None,
 ) -> _Session:
     """One shard's windowed run as a coroutine.
 
@@ -396,9 +398,10 @@ def _shard_session(
     applied through :meth:`~repro.lon.network.Network.set_remote_load`
     before the next window runs — so every remote figure is at most one
     window stale.  The :class:`ShardResult` is the generator's return value.
+    ``traces`` are this shard's slice of the fleet's, when already built.
     """
     _validate(window, faults)
-    rig = build_multiclient_rig(source, config)
+    rig = build_multiclient_rig(source, config, traces)
     worker_label = config.obs_namespace or f"shard{shard_id}"
     recorder: Optional[FlightRecorder] = None
     if rig.tracer is not None and (faults or flight_dir is not None):
@@ -648,9 +651,8 @@ def run_sharded_session(
     ]
     # every barrier-synchronized worker must walk the same window sequence,
     # so the stop time comes from all clients' traces, not a shard's own
-    horizon = max(
-        t.duration for t in fleet_traces(source.lattice, config)
-    ) + settle_seconds
+    traces = fleet_traces(source.lattice, config)
+    horizon = max(t.duration for t in traces) + settle_seconds
     options: Dict[str, Any] = dict(
         settle_seconds=settle_seconds, window=window,
         collect_streams=collect_streams, horizon=horizon,
@@ -662,19 +664,23 @@ def run_sharded_session(
     exchange = BoundaryExchange(len(blocks)) if crossing else None
 
     if workers == 1:
+        # each shard is handed its block of the traces built above; a
+        # session wires its rig only when first resumed
+        sessions = {
+            shard_id: _shard_session(
+                source, cfg, shard_id,
+                exchange.links if exchange is not None else (),
+                traces=traces[start:start + count], **options)
+            for shard_id, (cfg, (start, count))
+            in enumerate(zip(configs, blocks))
+        }
         if exchange is not None:
             # all sessions live at once and advance in lockstep
-            shards = _drive({
-                shard_id: _shard_session(
-                    source, cfg, shard_id, exchange.links, **options)
-                for shard_id, cfg in enumerate(configs)
-            }, exchange)
+            shards = _drive(sessions, exchange)
         else:
             # nothing to exchange: one rig alive at a time
-            shards = [
-                run_shard(source, cfg, shard_id, **options)
-                for shard_id, cfg in enumerate(configs)
-            ]
+            shards = [_drive({shard_id: session})[0]
+                      for shard_id, session in sessions.items()]
         return merge_shards(shards, 1, window)
 
     available = mp.get_all_start_methods()

@@ -177,20 +177,25 @@ def fleet_traces(
 
 
 def build_multiclient_rig(
-    source: ViewSetSource, config: MultiClientConfig
+    source: ViewSetSource,
+    config: MultiClientConfig,
+    traces: Optional[List[CursorTrace]] = None,
 ) -> MultiClientRig:
     """Wire N clients onto one shared fabric (no events run yet).
 
     Console ``g`` is ``client-g`` behind ``agent-g``, reports as
     ``case<k>-client<g>`` and, when ``config.crosses(g)``, hangs off the
-    ``xs-switch`` backbone.
+    ``xs-switch`` backbone.  ``traces`` are :func:`fleet_traces` of
+    ``config`` when the caller already built them.
     """
     base = config.base
     first = config.client_index_base
+    if traces is None:
+        traces = fleet_traces(source.lattice, config)
     consoles = [
         Console(g, f"client-{g}", f"agent-{g}",
                 f"case{base.case}-client{g}", trace, config.crosses(g))
-        for g, trace in enumerate(fleet_traces(source.lattice, config), first)
+        for g, trace in enumerate(traces, first)
     ]
     bed = wire_testbed(
         source, base, consoles, config.backbone_bandwidth,
