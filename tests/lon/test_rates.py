@@ -11,6 +11,7 @@ the common case rather than the rare one.
 """
 
 from math import isclose
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,3 +265,50 @@ class TestOneFlowClosedForm:
     def test_edges(self, problem, want):
         assert maxmin_rates(*problem) == ([want], False)
         assert fill_loop(*problem) == [want]
+
+
+def one_level(n):
+    """``n`` class-weight flows that row 0 fixes in one round, the last one
+    by its ceiling alone (an empty path, capped exactly at the level)."""
+    capacity = [1e6, 5e7, 5e7]
+    paths = [(0, 1 + i % 2) for i in range(n - 1)] + [()]
+    weights = [CLASS_WEIGHTS[i % 3] for i in range(n)]   # 8, 2, 1
+    level = capacity[0] / sum(weights[:-1])
+    return capacity, paths, weights, [INF] * (n - 1) + [level * weights[-1]]
+
+
+class TestOneLevelClosedForm:
+    """A component its first water level fixes is answered without a fill,
+    float for float what the fill of its size returns; anything else falls
+    back to that fill."""
+
+    def test_numpy_size_is_the_numpy_fill_bit_for_bit(self):
+        problem = one_level(rates.VECTORIZE_MIN_FLOWS + 7)
+        with mock.patch.object(rates, "fill_numpy",
+                               side_effect=AssertionError("fill ran")):
+            got, vectorized = maxmin_rates(*problem)
+        assert vectorized
+        assert hexes(got) == hexes(fill_numpy(*problem))
+
+    @pytest.mark.parametrize("n", [3, rates.VECTORIZE_MIN_FLOWS + 7])
+    @pytest.mark.parametrize("case", ["weight-0.3", "two-levels"])
+    def test_anything_else_is_the_fill(self, case, n):
+        capacity, paths, weights, caps = problem = one_level(n)
+        if case == "weight-0.3":
+            weights[0] = 0.3    # off the exact grid
+        else:
+            capacity[1] = 1e3   # row 1 fixes its flows first, row 0 the rest
+        fill = fill_numpy if n >= rates.VECTORIZE_MIN_FLOWS else fill_loop
+        with mock.patch.object(rates, fill.__name__, wraps=fill) as spy:
+            got, vectorized = maxmin_rates(*problem)
+        assert spy.call_count == 1
+        assert vectorized == (fill is fill_numpy)
+        assert hexes(got) == hexes(fill(*problem))
+
+    def test_one_flow_is_the_smallest_instance_at_any_weight(self):
+        problem = ([1e6, 5e7], [(0, 1)], [0.3], [INF])
+        with mock.patch.object(rates, "fill_loop",
+                               side_effect=AssertionError("fill ran")):
+            got, vectorized = maxmin_rates(*problem)
+        assert not vectorized
+        assert hexes(got) == hexes(fill_loop(*problem))
