@@ -159,6 +159,28 @@ class TestBatchAccounting:
         assert sched.stats.batched_by_class == {
             "DEMAND": 1, "PREFETCH": 1, "STAGING": 1, "MAINTENANCE": 1,
         }
+        # submitted as DEMAND, STAGING, PREFETCH, MAINTENANCE
+        assert list(sched.stats.batched_by_class) == [p.name for p in Priority]
+
+    def test_planned_etas_are_scalar_transfers_to_the_bit(self):
+        """A quiet item's planned drain check is the one scalar
+        ``transfer`` arms, ``float.hex`` for ``float.hex``: odd sizes over
+        window ceilings, at an instant with a long mantissa."""
+        items = [(f"leaf{i}", f"leaf{(i + 1) % N_LEAVES}", size)
+                 for i, size in enumerate((12_345, 99_991, 7, 543_210, 1))]
+        nets = []
+        for _ in range(2):
+            q = EventQueue()
+            q.schedule(0.1 + 0.2, lambda: None, "tick")
+            q.run()
+            nets.append(star(q, tcp_window=8 * 1024))
+        planned, scalar = nets
+        plan = planned.admission_plan(items)
+        assert plan.vector_ok and all(plan._quiet_flags)
+        for j, (src, dst, size) in enumerate(items):
+            flow = scalar.transfer(src, dst, size, lambda f: None)
+            assert (plan._etas[j].hex()
+                    == flow._completion_event.time.hex())
 
     def test_below_threshold_is_scalar(self):
         out = run_scenario(_one_per_class_batch()[:2], 3)
