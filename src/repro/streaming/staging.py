@@ -56,6 +56,9 @@ class StagingPump:
     max_concurrent:
         Simultaneous third-party copies ("exploiting every bit of available
         network bandwidth" — more streams, more aggression).
+
+    The pump wakes every 0.05 simulated seconds to launch copies into free
+    slots, until the whole database is localized.
     """
 
     def __init__(
@@ -68,7 +71,6 @@ class StagingPump:
         lattice: CameraLattice,
         max_concurrent: int = 2,
         streams_per_copy: int = 2,
-        tick_period: float = 0.05,
         order: str = "proximity",
         lease_duration: float = 3600.0,
         cancel_beyond: Optional[int] = None,
