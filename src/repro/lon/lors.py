@@ -253,7 +253,7 @@ class _BlockJob(Deferred):
         Blocks whose delays are identical (the common case: replicas striped
         across equidistant depots) arrive together and admit as one
         :meth:`TransferScheduler.submit_batch` — the flash-crowd batch the
-        vectorized admission path is built for.
+        planned admission path is built for.
         """
         groups: Dict[Optional[float], List[_Block]] = {}
         while (

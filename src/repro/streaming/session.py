@@ -204,7 +204,7 @@ class RunTotals:
     deduped_transfers: int
     promoted_transfers: int
     #: scheduler admission counters (batches flushed, submissions
-    #: coalesced, scalar fallbacks) — proves the array path is live
+    #: coalesced, scalar fallbacks) — proves the planned path is live
     admission: Dict[str, int]
 
     @property
