@@ -669,8 +669,8 @@ def _scale_config(regime: str, n_clients: int, seed: int) -> "object":
 
     if regime == "contended":
         # bandwidth-scarce flash crowds: big windows over a thin WAN
-        # defeat the quiet fast paths (flushes/coalescing/vectorized
-        # fills really fire) while small blocks and wide stream fans
+        # defeat the quiet fast paths (flushes, coalescing and large
+        # components really occur) while small blocks and wide stream fans
         # make every pump a same-timestamp submission batch, so the
         # admission plan forms real batches too
         base = SessionConfig(

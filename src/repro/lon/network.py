@@ -227,6 +227,12 @@ class _Calendar:
         self.armed: int = 0
 
 
+#: live flows from which a flush counts as ``vectorized``.  The rates do not
+#: depend on it; the count stays because ``perf/layers.py`` reads it by name,
+#: CI perf-smoke pins it and ``BENCH_scale.json`` records it
+_VECTORIZED_FLOWS = 24
+
+
 @dataclass
 class RebalanceStats:
     """Counters sizing the rebalancer's work (for benchmarks and tests)."""
@@ -239,8 +245,8 @@ class RebalanceStats:
     flows_rerated: int = 0       # flows whose allocated rate changed
     events_rescheduled: int = 0  # drain checks armed on the queue (one per
                                  # ``schedule``, by a flush or for one flow)
-    vectorized: int = 0          # recomputes of numpy size, whether the
-                                 # numpy fill or the closed form rated them
+    vectorized: int = 0          # recomputes of _VECTORIZED_FLOWS or more
+                                 # live flows
     all_capped: int = 0          # always 0 (the all-capped pre-pass is gone);
                                  # perf/layers.py reads the field by name
     fast_rated: int = 0          # triggers absorbed without any flush: the
@@ -1018,10 +1024,11 @@ class Network:
         for f in drained:
             self._settle_flow(f, now)
             self._retire(f)
-        rates, vectorized = maxmin_rates(
+        if len(live) >= _VECTORIZED_FLOWS:
+            stats.vectorized += 1
+        rates = maxmin_rates(
             self._row_bw, [f.link_row_ids for f in live],
             [f.weight for f in live], [f.rate_cap for f in live])
-        stats.vectorized += vectorized
         eps = RATE_EPSILON
         inf = first = float("inf")
         cal = _Calendar()

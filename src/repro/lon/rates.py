@@ -8,9 +8,9 @@ limit).  :func:`maxmin_rates` returns the allocation in flow order.  The
 flows are expected to form a closed component — rows they do not touch are
 never read — but nothing here knows what a flow, a link or an event is.
 
-Both fills run the same water-filling rounds.  Every unsaturated row
-offers a *level*: its remaining capacity per unit of still-unassigned
-member weight.  Every unassigned capped flow offers ``cap / weight``.  The
+The fill runs water-filling rounds.  Every unsaturated row offers a
+*level*: its remaining capacity per unit of still-unassigned member
+weight.  Every unassigned capped flow offers ``cap / weight``.  The
 lowest offer is the round's water level; every row and ceiling sitting
 exactly on it saturates, their flows are fixed at ``level * weight``, that
 share comes off the other rows they cross, and the next round runs on what
@@ -20,13 +20,10 @@ distinct ``cap / weight``, no row ever saturates.  A component whose first
 level fixes every flow needs no fill at all: :func:`maxmin_rates` answers it
 in closed form, bit for bit (most of a contended fleet's flushes).
 
-:func:`fill_loop` keeps per-row state in dicts and updates it
-decrementally; :func:`fill_numpy` runs each round as array operations over
-a rows x flows incidence matrix, with the ceilings as one per-flow vector
-(never as extra rows: ``k`` capped flows would make the matrix, and the
-fill, quadratic).  They agree to float summation order; the loop is faster
-on small components, numpy on large ones (``benchmarks/
-bench_rate_kernel.py``, DESIGN.md section 10).
+:func:`fill_loop` runs the rounds at every component size, with per-row
+state in dicts updated decrementally and the ceilings as one per-flow
+level.  Only the standard library is imported, so no result depends on a
+BLAS build.
 """
 
 from __future__ import annotations
@@ -35,13 +32,7 @@ from itertools import chain
 from operator import truediv
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-__all__ = ["VECTORIZE_MIN_FLOWS", "maxmin_rates", "fill_loop", "fill_numpy"]
-
-#: component size (flows) from which :func:`maxmin_rates` takes the numpy
-#: fill (crossover measured in DESIGN.md section 10)
-VECTORIZE_MIN_FLOWS = 24
+__all__ = ["maxmin_rates", "fill_loop"]
 
 #: unassigned member weight at or below which a row offers no level (the
 #: decremental sum of a fully assigned row is float residue, not zero)
@@ -61,13 +52,12 @@ def maxmin_rates(
     paths: Paths,
     weights: Sequence[float],
     caps: Sequence[float],
-) -> Tuple[List[float], bool]:
-    """Weighted max-min fair rates in flow order, and whether the
-    component is of numpy size (:data:`VECTORIZE_MIN_FLOWS` flows or more).
+) -> List[float]:
+    """Weighted max-min fair rates in flow order.
 
-    When the fills' first water level fixes every flow, the rates are
+    When the fill's first water level fixes every flow, the rates are
     ``level * w`` in closed form (:func:`_one_level`), float for float what
-    the fill of that size returns; otherwise the fill runs.  A lone flow is
+    :func:`fill_loop` returns; otherwise the fill runs.  A lone flow is
     the smallest instance, for any weight: its path crosses a row once, so
     a row's weight is ``w``, and round 1 always fixes it.
     """
@@ -79,13 +69,11 @@ def maxmin_rates(
                 offer = capacity[row] / w
                 if offer < level:
                     level = offer
-        return [level * w], False
-    vectorized = len(paths) >= VECTORIZE_MIN_FLOWS
+        return [level * w]
     level = _one_level(capacity, paths, weights, caps)
     if level is not None:
-        return [level * w for w in weights], vectorized
-    fill = fill_numpy if vectorized else fill_loop
-    return fill(capacity, paths, weights, caps), vectorized
+        return [level * w for w in weights]
+    return fill_loop(capacity, paths, weights, caps)
 
 
 def _one_level(
@@ -94,15 +82,14 @@ def _one_level(
     weights: Sequence[float],
     caps: Sequence[float],
 ) -> Optional[float]:
-    """The fills' first water level when it fixes every flow, else None.
+    """The fill's first water level when it fixes every flow, else None.
 
     The level is the lowest of each row's ``capacity / load`` and each
     ``cap / w``; it fixes every flow when each crosses a row offering it or
     has its ceiling there.  Taken only when every weight is a multiple of
     ``2**-10`` no larger than ``2**20`` (class weights are): every partial
-    sum of weights is then exact, so summing them per path first, the
-    loop's flow order and the matrix product's BLAS order all give the
-    same row loads, and the same level to the bit.
+    sum of weights is then exact, so summing them per path first gives
+    the row loads of the fill's flow order, and the same level to the bit.
     """
     if not all(0.0 < w <= _EXACT_MAX and w % _EXACT_STEP == 0.0
                for w in set(weights)):
@@ -131,7 +118,7 @@ def fill_loop(
     weights: Sequence[float],
     caps: Sequence[float],
 ) -> List[float]:
-    """Water-filling with dict state, for small components.
+    """Water-filling with dict state.
 
     Within a round, saturated rows are taken in first-seen order (their
     members in flow order), then ceilings in flow order: shares come off
@@ -189,52 +176,3 @@ def fill_loop(
                 left -= 1
     return rates
 
-
-def fill_numpy(
-    capacity: Sequence[float],
-    paths: Paths,
-    weights: Sequence[float],
-    caps: Sequence[float],
-) -> List[float]:
-    """Water-filling as array rounds over a rows x flows incidence matrix,
-    for large components where the python inner loop dominates."""
-    n = len(paths)
-    lens = np.fromiter(map(len, paths), dtype=np.intp, count=n)
-    rows = np.fromiter(chain.from_iterable(paths), dtype=np.intp,
-                       count=int(lens.sum()))
-    # ascending component rows and their matrix rows, from a dense table
-    present = np.bincount(rows) > 0
-    uniq = np.flatnonzero(present)
-    slot = np.cumsum(present) - 1
-    incidence = np.zeros((len(uniq), n))
-    incidence[slot[rows], np.repeat(np.arange(n), lens)] = 1.0
-    room = np.array([capacity[row] for row in uniq.tolist()], dtype=float)
-    w = np.array(weights, dtype=float)
-    ceiling = np.array(caps, dtype=float) / w
-    live_row = np.ones(len(uniq), dtype=bool)
-    unassigned = np.ones(n, dtype=bool)
-    rates = np.full(n, np.inf)
-    while True:
-        live_weight = incidence @ (w * unassigned)
-        offering = live_row & (live_weight > 0)
-        levels = np.where(offering, room / np.where(
-            live_weight > 0, live_weight, 1.0), np.inf)
-        open_ceiling = np.where(unassigned, ceiling, np.inf)
-        level = min(float(levels.min(initial=np.inf)),
-                    float(open_ceiling.min(initial=np.inf)))
-        if level == _INF:
-            break  # the rest cross no constrained row and have no ceiling
-        saturated = levels == level
-        assigned = unassigned & (incidence[saturated].any(axis=0)
-                                 | (open_ceiling == level))
-        share = level * w
-        rates[assigned] = share[assigned]
-        unassigned &= ~assigned
-        if not unassigned.any():
-            break  # the last flow is fixed: nothing reads ``room`` again
-        room -= incidence @ np.where(assigned, share, 0.0)
-        np.maximum(room, 0.0, out=room)
-        room[saturated] = 0.0
-        live_row &= ~saturated
-    out: List[float] = rates.tolist()  # plain floats, never np scalars
-    return out

@@ -64,10 +64,10 @@ def test_simulator_packages_do_not_import_the_tools():
     assert _offenders(SIMULATOR, TOOLS) == []
 
 
-def test_rate_kernel_imports_only_stdlib_and_numpy():
+def test_rate_kernel_imports_only_stdlib():
     """``lon/rates.py`` is the rate problem and nothing else: no ``Flow``,
-    ``Network`` or ``EventQueue`` can reach it, so it can be tested and
-    benchmarked on bare lists."""
+    ``Network`` or ``EventQueue`` can reach it, so it can be tested on bare
+    lists, and no BLAS build can move its floats."""
     tree = ast.parse((Path(repro.__file__).parent / "lon" / "rates.py")
                      .read_text())
     imported = set()
@@ -77,4 +77,4 @@ def test_rate_kernel_imports_only_stdlib_and_numpy():
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0, "relative import in lon/rates.py"
             imported.add((node.module or "").split(".")[0])
-    assert imported <= set(sys.stdlib_module_names) | {"numpy"}, imported
+    assert imported <= set(sys.stdlib_module_names), imported

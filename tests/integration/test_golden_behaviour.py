@@ -10,12 +10,13 @@ claims "same behaviour" — deleting a mode, a fast path, a knob — must leave
 them untouched; a PR that changes behaviour on purpose re-records them and
 says why.
 
-The contended rig has flushed components on both sides of
-``VECTORIZE_MIN_FLOWS`` and array admission batches; the crossing rig runs
-the lockstep driver with ``set_remote_load`` re-rating every window.
-Decompression cost is modeled, so nothing here depends on the host's speed
-(a different numpy/BLAS build may move last-ulp sums in the vectorized
-fill: re-record with ``python tests/integration/test_golden_behaviour.py``).
+The contended rig flushes components below 24 live flows and from 24 up
+(``RebalanceStats.vectorized`` counts the large ones; one pure-Python
+fill rates every size, so no result depends on the BLAS build) and runs
+array admission batches; the crossing rig runs the lockstep driver with
+``set_remote_load`` re-rating every window.  Decompression cost is
+modeled, so nothing here depends on the host's speed (re-record with
+``python tests/integration/test_golden_behaviour.py``).
 
 ``CONTENDED_STREAM`` is the stronger witness for the contended rig: every
 fired event's ``(time, label)`` in firing order, recorded at ffc09b5 — the
@@ -144,7 +145,8 @@ def run_crossing():
 
 def test_contended_rig_matches_recorded_digest():
     result = run_contended()
-    # the rig is only a witness if the rebalancer took both fills
+    # the rig is only a witness if it flushed both small and large
+    # components (one fill rates both)
     stats = result.rebalance
     assert 0 < stats["vectorized"] < stats["recomputes"]
     assert result.admission["batches_flushed"] > 0

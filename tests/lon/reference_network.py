@@ -4,7 +4,7 @@
 production class: every trigger synchronously settles *all* flows, runs the
 scalar water-fill over *all* contending flows and reschedules *every*
 completion event — O(flows x links) per change, no dirty rows, no coalesced
-flush, no quiet-link fast path, no epsilon gate, no vectorized fill.  It
+flush, no quiet-link fast path, no epsilon gate, no closed form.  It
 shares topology, routing and membership accounting with
 :class:`~repro.lon.network.Network` and overrides the trigger and drain
 hooks, so a property that holds between the two (rates to 1e-9, equal finish
@@ -14,14 +14,9 @@ machinery *and* the rate kernel: the oracle's fill is
 before ``repro.lon.rates`` existed (TCP ceilings as ``("cap", fid)`` virtual
 links in the same three dicts as the physical rows), which production never
 imports.  ``stats.full_recomputes`` counts the oracle's passes.
-:func:`reference_fill_numpy` is the numpy fill as it was built before, the
-bit-for-bit oracle of the production one.
 """
 
-from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.lon.network import AdmissionPlan, Flow, Network
 
@@ -106,60 +101,6 @@ def reference_maxmin_rates(
             live_weight.pop(best_link, None)
             members.pop(best_link, None)
     return [rates[fid] for fid in range(len(paths))]
-
-
-def reference_fill_numpy(
-    capacity: Sequence[float],
-    paths: Sequence[Tuple[int, ...]],
-    weights: Sequence[float],
-    caps: Sequence[float],
-) -> List[float]:
-    """The numpy fill as it stood before it built its matrix from a dense
-    row table and stopped at the last fixed flow: rows from ``np.unique``,
-    and a ``room`` update after every round, the last one included.
-
-    Same arithmetic as :func:`repro.lon.rates.fill_numpy`, so the two must
-    agree bit for bit (``test_rates.py``).
-    """
-    n = len(paths)
-    lens = np.fromiter(map(len, paths), dtype=np.intp, count=n)
-    rows = np.fromiter(chain.from_iterable(paths), dtype=np.intp,
-                       count=int(lens.sum()))
-    uniq, inv = np.unique(rows, return_inverse=True)
-    incidence = np.zeros((len(uniq), n))
-    incidence[inv, np.repeat(np.arange(n), lens)] = 1.0
-    room = np.array([capacity[row] for row in uniq.tolist()], dtype=float)
-    w = np.array(weights, dtype=float)
-    ceiling = np.array(caps, dtype=float) / w
-    live_row = np.ones(len(uniq), dtype=bool)
-    unassigned = np.ones(n, dtype=bool)
-    rates = np.full(n, np.inf)
-    while unassigned.any():
-        live_weight = incidence @ (w * unassigned)
-        offering = live_row & (live_weight > 0)
-        levels = np.where(
-            offering,
-            room / np.where(live_weight > 0, live_weight, 1.0),
-            np.inf,
-        )
-        open_ceiling = np.where(unassigned, ceiling, np.inf)
-        level = min(float(levels.min(initial=np.inf)),
-                    float(open_ceiling.min()))
-        if level == float("inf"):
-            break
-        saturated = levels == level
-        assigned = unassigned & (
-            incidence[saturated].any(axis=0) | (open_ceiling == level)
-        )
-        share = level * w
-        rates[assigned] = share[assigned]
-        room -= incidence @ np.where(assigned, share, 0.0)
-        np.maximum(room, 0.0, out=room)
-        room[saturated] = 0.0
-        live_row &= ~saturated
-        unassigned &= ~assigned
-    out: List[float] = rates.tolist()
-    return out
 
 
 def accounting_matches_membership(net: Network) -> bool:

