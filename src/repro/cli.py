@@ -418,6 +418,8 @@ def cmd_sweep_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument grammar (exposed for tests)."""
+    from .streaming.session import N_LAN_DEPOTS, N_WAN_DEPOTS
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -526,7 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--flight-dir", type=Path, default=None,
                     help="directory for flight-recorder dumps")
     fr.add_argument("--outage-depot", default=None,
-                    help="inject a depot outage (e.g. lan-depot-0)")
+                    choices=[f"lan-depot-{i}" for i in range(N_LAN_DEPOTS)]
+                    + [f"ca-depot-{i}" for i in range(N_WAN_DEPOTS)],
+                    help="inject a depot outage")
     fr.add_argument("--outage-start", type=float, default=10.0,
                     help="outage onset in simulated seconds")
     fr.add_argument("--outage-duration", type=float, default=5.0)

@@ -1,5 +1,7 @@
 """CLI end-to-end tests (in-process via cli.main)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -146,6 +148,15 @@ class TestFleetReport:
         assert "load skew" in out
         assert trace.exists()
         assert list(flight.glob("flight-shard0-*.json"))
+
+    def test_an_unknown_outage_depot_exits_before_any_run(self, capsys):
+        with mock.patch("repro.lon.shard.run_sharded_session") as run:
+            with pytest.raises(SystemExit) as exc:
+                main(["fleet-report", "--outage-depot", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "nosuch" in err
+        run.assert_not_called()
 
     def test_report_without_fault_or_trace(self, capsys):
         rc = main([
