@@ -29,6 +29,11 @@ __all__ = [
     "lattice_points",
 ]
 
+# voxels whose potential one block evaluates: its temporaries are
+# _NEGHIP_BLOCK × n_charges × 3 floats (1.2 MB at 24 charges) whatever
+# the volume's size
+_NEGHIP_BLOCK = 2048
+
 
 def lattice_points(shape: Tuple[int, int, int]) -> np.ndarray:
     """World-like coordinates in [-1, 1]³ for every voxel, shape (N, 3)."""
@@ -54,6 +59,8 @@ def neg_hip(
     """
     if size < 8:
         raise ValueError("size must be >= 8")
+    if n_charges < 1:
+        raise ValueError(f"n_charges must be >= 1, got {n_charges}")
     if not 0.0 <= net_negative_fraction <= 1.0:
         raise ValueError("net_negative_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -71,10 +78,16 @@ def neg_hip(
     charges = signs * magnitudes
 
     pts = lattice_points((size, size, size))
-    # softened Coulomb: q / sqrt(r² + eps²), vectorized over all voxels
-    diff = pts[:, None, :] - centers[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    potential = (charges[None, :] / np.sqrt(r2 + softening**2)).sum(axis=1)
+    # softened Coulomb: q / sqrt(r² + eps²), one block of voxels at a time;
+    # a voxel's potential depends on its own row alone, so the blocks give
+    # the bits of one whole-volume broadcast without its voxels × charges
+    # × 3 temporary
+    potential = np.empty(len(pts))
+    for at in range(0, len(pts), _NEGHIP_BLOCK):
+        diff = pts[at:at + _NEGHIP_BLOCK, None, :] - centers[None, :, :]
+        r2 = np.einsum("ijk,ijk->ij", diff, diff)
+        potential[at:at + _NEGHIP_BLOCK] = (
+            charges[None, :] / np.sqrt(r2 + softening**2)).sum(axis=1)
     field = potential.reshape(size, size, size)
     lo, hi = field.min(), field.max()
     field = (field - lo) / (hi - lo)

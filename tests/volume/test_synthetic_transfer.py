@@ -1,5 +1,7 @@
 """Tests for synthetic datasets and transfer functions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from repro.volume.synthetic import (
     vortex,
 )
 from repro.volume.transfer import TransferFunction, preset, preset_names
+
+from .reference_neghip import reference_neg_hip
 
 
 class TestLatticePoints:
@@ -63,6 +67,26 @@ class TestNegHip:
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             neg_hip(net_negative_fraction=1.5)
+
+    def test_no_charges_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="n_charges"):
+            neg_hip(size=8, n_charges=0)
+
+    @pytest.mark.parametrize("size", [8, 16, 32, 48, 64])
+    def test_blocks_are_the_broadcast_bit_for_bit(self, size):
+        got, want = neg_hip(size=size), reference_neg_hip(size=size)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_memory_is_bounded_by_the_block(self):
+        """The broadcast peaked at 294 MB here; the blocks stay at the
+        volume's own arrays (≈ 13 MB at 64³)."""
+        tracemalloc.start()
+        try:
+            neg_hip(size=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestOtherVolumes:
