@@ -73,9 +73,9 @@ def count_work(monkeypatch, renderer, cams):
         passes[-1][1] += len(points)
         return sample(self, points)
 
-    def spy_composite(self, o, d, rows, *args):
-        passes.append([len(rows), 0])
-        return composite(self, o, d, rows, *args)
+    def spy_composite(self, d, cell, pos, steps, *args):
+        passes.append([steps, 0])
+        return composite(self, d, cell, pos, steps, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(VolumeGrid, "sample", spy_sample)

@@ -10,9 +10,11 @@ batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+
+from ..volume.grid import Workspace
 
 __all__ = ["Light", "shade_blinn_phong"]
 
@@ -42,6 +44,7 @@ def shade_blinn_phong(
     view_dirs: np.ndarray,
     light: Light,
     gradient_floor: float = 1e-4,
+    work: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Blinn-Phong shading of emission colors using gradient normals.
 
@@ -58,29 +61,56 @@ def shade_blinn_phong(
     gradient_floor:
         Samples with gradient magnitude below this are left unshaded
         (homogeneous regions have no meaningful normal).
+    work:
+        Where the arrays are computed (``shade.*``); a fresh workspace if
+        None.  The result is one of them, valid until the next call
+        through ``work``.
 
-    Returns shaded ``(N, 3)`` colors clipped to [0, 1].
+    Returns shaded ``(N, 3)`` float32 colors clipped to [0, 1].
     """
+    work = Workspace() if work is None else work
     colors = np.asarray(colors, dtype=np.float32)
-    g = np.asarray(gradients, dtype=np.float64)
-    v = -np.asarray(view_dirs, dtype=np.float64)  # toward the eye
-    x, y, z = g.T
-    mag = np.sqrt(x * x + y * y + z * z)  # == np.linalg.norm(g, axis=1)
-    strong = mag > gradient_floor
+    m = len(colors)
+    n = work("shade.normal", (m, 3), np.float64)
+    np.copyto(n, gradients)
+    x, y, z = n.T
+    term = work("shade.term", (m,), np.float64)
+    mag = np.multiply(x, x, out=work("shade.magnitude", (m,), np.float64))
+    mag += np.multiply(y, y, out=term)
+    mag += np.multiply(z, z, out=term)
+    np.sqrt(mag, out=mag)  # == np.linalg.norm(gradients, axis=1)
+    strong = np.greater(mag, gradient_floor,
+                        out=work("shade.strong", (m,), np.bool_))
     # every row is lit through a floored magnitude (exact on strong rows);
     # weak rows then take the flat colour
-    n = g / np.maximum(mag, gradient_floor)[:, None]
+    n /= np.maximum(mag, gradient_floor, out=mag)[:, None]
     ldir = light.unit_direction()
     # two-sided shading: volume "surfaces" face either way
-    ndotl = np.abs(n @ ldir)
-    half = ldir[None, :] + v
-    half_norm = np.linalg.norm(half, axis=1, keepdims=True)
-    half = np.divide(half, half_norm, out=np.zeros_like(half),
-                     where=half_norm > 0)
-    ndoth = np.abs(np.einsum("ij,ij->i", n, half))
-    spec = light.specular * (ndoth ** light.shininess)
-    lum = light.ambient + light.diffuse * ndotl
-    lit = colors * lum[:, None].astype(np.float32)
-    lit += spec[:, None].astype(np.float32)
-    flat = colors * (light.ambient + light.diffuse)
-    return np.clip(np.where(strong[:, None], lit, flat), 0.0, 1.0)
+    lum = np.abs(np.matmul(n, ldir, out=mag), out=mag)
+    # the half vector, ldir + (toward the eye = -view_dirs), normalized as
+    # np.linalg.norm does; a zero one stays zero
+    half = np.subtract(ldir, view_dirs,
+                       out=work("shade.half", (m, 3), np.float64))
+    norm = np.add.reduce(
+        np.multiply(half, half, out=work("shade.square", (m, 3), np.float64)),
+        axis=1, out=term)
+    nonzero = np.greater(np.sqrt(norm, out=norm), 0,
+                         out=work("shade.nonzero", (m,), np.bool_))
+    np.divide(half, norm[:, None], out=half, where=nonzero[:, None])
+    half[np.logical_not(nonzero, out=nonzero)] = 0.0
+    spec = np.abs(np.einsum("ij,ij->i", n, half, out=term), out=term)
+    np.power(spec, light.shininess, out=spec)
+    spec *= light.specular
+    lum *= light.diffuse
+    lum += light.ambient
+    # float64 factors, rounded to float32 to scale the float32 colours
+    single = work("shade.single", (m,), np.float32)
+    np.copyto(single, lum, casting="same_kind")
+    out = np.multiply(colors, single[:, None],
+                      out=work("shade.colour", (m, 3), np.float32))
+    np.copyto(single, spec, casting="same_kind")
+    out += single[:, None]
+    flat = np.multiply(colors, light.ambient + light.diffuse,
+                       out=work("shade.flat", (m, 3), np.float32))
+    np.copyto(out, flat, where=np.logical_not(strong, out=strong)[:, None])
+    return np.clip(out, 0.0, 1.0, out=out)

@@ -33,7 +33,7 @@ from typing import List, Literal, Optional, Sequence, Tuple, Union, overload
 import numpy as np
 
 from ..volume.accel import ActiveCells, MacrocellGrid
-from ..volume.grid import VolumeGrid
+from ..volume.grid import BLOCK, VolumeGrid
 from ..volume.transfer import TransferFunction
 from .camera import Camera
 from .lighting import Light, shade_blinn_phong
@@ -190,6 +190,14 @@ class RaycastRenderer:
             self._cells = grid.classify(self.transfer)
         return self._cells
 
+    def _scratch(self, name: str, shape: Tuple[int, ...], dtype: type
+                 ) -> np.ndarray:
+        """A pass's buffer: passes sample, classify and composite in the
+        volume's workspace, which all its renderers share.  A pass holds
+        at most BUNDLE_RAYS points unless one view is wider, so every
+        buffer has room for three values a point of a full pass."""
+        return self.volume.workspace(name, shape, dtype, 3 * BUNDLE_RAYS)
+
     # ------------------------------------------------------------------
     def render(self, camera: Camera) -> np.ndarray:
         """Render an ``(H, W, 3)`` float32 image in [0, 1]."""
@@ -204,10 +212,10 @@ class RaycastRenderer:
         Every ray is marched with elementwise operations only, so each
         view's pixels are bit-equal to its own ``render``.
         """
-        rays = [camera.rays() for camera in cameras]
         return self.render_rays(
-            np.concatenate([o for o, _ in rays]),
-            np.concatenate([d for _, d in rays]),
+            np.concatenate([np.broadcast_to(c.eye, (c.width * c.height, 3))
+                            for c in cameras]),
+            np.concatenate([c.directions().T for c in cameras]),
         )
 
     def render_many(self, cameras: Sequence[Camera]) -> List[np.ndarray]:
@@ -359,13 +367,15 @@ class RaycastRenderer:
             # one pass: as many steps as keep its samples within the cap
             steps = max(1, min(BUNDLE_RAYS // live.size, left))
             left -= steps
-            # advance step by step, recording which rows (into this pass's
-            # live set) are inside a segment at each step, and where
-            d0 = d
-            r = np.arange(live.size)
-            rows: List[np.ndarray] = []
-            points: List[np.ndarray] = []
-            for _ in range(steps):
+            # advance step by step, recording each point's cell (its step
+            # times the live count plus its row in this pass's live set)
+            # and position into the pass's buffers
+            d0, n = d, live.size
+            cell = self._scratch("pass.cells", (steps * n,), np.intp)
+            pos = self._scratch("pass.points", (3, steps * n), np.float64)
+            r = np.arange(n)
+            at = 0
+            for step in range(steps):
                 mid = t_base + (k + 0.5) * dt
                 # advance rays whose next midpoint passed their segment end
                 # to their next segment (possibly chaining through short
@@ -398,11 +408,14 @@ class RaycastRenderer:
                     k, t_end = k[kept], t_end[kept]
                     if r.size == 0:
                         break
-                rows.append(r)
-                points.append(o + mid * d)
+                np.add(r, step * n, out=cell[at:at + r.size])
+                xyz = np.multiply(mid, d, out=pos[:, at:at + r.size])
+                xyz += o
+                at += r.size
                 k += 1.0
-            if rows:
-                self._composite(d0, rows, points, tr, col, stats)
+            if at:
+                self._composite(d0, cell[:at], pos[:, :at], steps, tr, col,
+                                stats)
             # the pass's survivors: still inside a segment, still visible
             alive = tr[r] > cutoff
             if not alive.all():
@@ -427,8 +440,9 @@ class RaycastRenderer:
     def _composite(
         self,
         d: np.ndarray,
-        rows: List[np.ndarray],
-        points: List[np.ndarray],
+        cell: np.ndarray,
+        pos: np.ndarray,
+        steps: int,
         tr: np.ndarray,
         col: np.ndarray,
         stats: RenderStats,
@@ -436,53 +450,89 @@ class RaycastRenderer:
         """Sample, classify, shade and composite one pass into ``tr`` and
         ``col`` (in place).
 
-        ``rows[j]`` are the rays inside a segment at the pass's step ``j``
-        and ``points[j]`` their planar ``(3, len(rows[j]))`` sample
-        positions; ``d`` holds every ray's direction.  All of the pass's
-        points are sampled and classified in one call each.  Transmittance
-        and colour then run down ``(steps, rays)`` tables whose cells a ray
-        does not sample change nothing (factor 1, colour 0): a running
+        Point ``i`` of the pass lies at ``pos[:, i]``, in cell ``cell[i]`` of
+        the pass's ``(steps, rays)`` tables: its step times ``len(tr)``
+        plus its ray.  ``d`` holds every ray's direction.  All of the
+        pass's points are sampled and classified in one call each.
+        Transmittance and colour then run down the tables, whose cells a
+        ray does not sample change nothing (factor 1, colour +0): a running
         product and a running sum, the same float operations in the same
-        order as one step per turn.  A ray composites a step only while its
-        ``tr`` is above the cutoff; only the points composited are shaded
-        and counted in ``steps``.
+        order as one step per turn.  A ray composites a step only while
+        its ``tr`` is above the cutoff; only the points composited are
+        shaded, coloured and counted in ``steps``.  Every array sized by
+        the pass is a :meth:`_scratch` buffer.
         """
-        n, steps = len(tr), len(rows)
-        at = np.concatenate(rows)
-        cell = at + np.repeat(np.arange(steps) * n, [r.size for r in rows])
-        pos = np.concatenate(points, axis=1)
-        rgb, sigma = self.transfer(self.volume.sample(pos.T))
+        work = self._scratch
+        n, points = len(tr), len(cell)
+        cutoff = self.settings.opacity_cutoff
+        rgb, sigma = self.transfer(
+            self.volume.sample(pos.T),
+            out=(work("pass.colour", (points, 3), np.float32),
+                 work("pass.extinction", (points,), np.float32)))
         # Beer-Lambert opacity correction: step opacity from extinction,
         # in float64 whatever the type of the step
-        a = 1.0 - np.exp(-sigma.astype(np.float64) * self._step)
+        a = np.multiply(sigma, -self._step, dtype=np.float64,
+                        out=work("pass.opacity", (points,), np.float64))
+        np.subtract(1.0, np.exp(a, out=a), out=a)
         # trs[j] is the rays' tr before step j; a ray's tr stops changing
-        # once it is at or below the cutoff
-        trs = np.ones((steps + 1, n), dtype=np.float32)
+        # once it is at or below the cutoff (its later factors become 1)
+        trs = work("pass.transmittance", (steps + 1, n), np.float32)
         trs[0] = tr
-        trs.reshape(-1)[cell + n] = (1.0 - a).astype(np.float32)
-        cutoff = self.settings.opacity_cutoff
+        trs[1:] = 1.0
+        factor = work("pass.factor", (points,), np.float32)
+        trs[1:].reshape(-1)[cell] = np.subtract(1.0, a, out=factor)
+        spent = work("pass.spent", (n,), np.bool_)
         for j in range(steps):
-            trs[j + 1] = np.where(trs[j] > cutoff, trs[j + 1] * trs[j], trs[j])
-        before = trs.reshape(-1)[cell]
-        took = before > cutoff
-        if self.settings.shaded:
-            lit = np.nonzero(took & (sigma > 1e-6))[0]
-            if lit.size:
-                rgb[lit] = shade_blinn_phong(
-                    rgb[lit], self.volume.gradient(pos.take(lit, axis=1).T),
-                    d.take(at[lit], axis=1).T.copy(), self.light,
-                )
-        # add[1 + i] is point i's colour; add[0] the nothing a cell not
-        # composited adds
-        add = np.zeros((len(at) + 1, 3), dtype=np.float32)
-        np.multiply(rgb, (before * a).astype(np.float32)[:, None], out=add[1:])
-        took = np.nonzero(took)[0]
-        stats.steps += int(took.size)
-        slot = np.zeros((steps, n), dtype=np.intp)
-        slot.reshape(-1)[cell[took]] = took + 1
-        for j in range(steps):
-            col += add.take(slot[j], axis=0)
+            trs[j + 1][np.less_equal(trs[j], cutoff, out=spent)] = 1.0
+            trs[j + 1] *= trs[j]
         tr[:] = trs[steps]
+        before = trs.reshape(-1).take(cell, mode="clip", out=factor)
+        took = np.greater(before, cutoff,
+                          out=work("pass.took", (points,), np.bool_))
+        stats.steps += int(np.count_nonzero(took))
+        if self.settings.shaded:
+            lit = np.greater(sigma, 1e-6,
+                             out=work("pass.lit", (points,), np.bool_))
+            lit &= took
+            lit = np.flatnonzero(lit)
+            # half a block of lit points at a time, as the gradient takes them
+            for at in range(0, lit.size, BLOCK // 2):
+                idx = lit[at:at + BLOCK // 2]
+                m = idx.size
+                xyz = work("lit.points", (3, m), np.float64)
+                # row by row: pos is a view whose rows lie apart, and a
+                # take along axis 1 would first copy all of it
+                for c in range(3):
+                    pos[c].take(idx, mode="clip", out=xyz[c])
+                rays = cell.take(idx, mode="clip",
+                                 out=work("lit.rays", (m,), np.intp))
+                np.remainder(rays, n, out=rays)
+                rgb[idx] = shade_blinn_phong(
+                    rgb.take(idx, axis=0, mode="clip",
+                             out=work("lit.colours", (m, 3), np.float32)),
+                    self.volume.gradient(xyz.T),
+                    d.take(rays, axis=1, mode="clip",
+                           out=work("lit.dirs", (3, m), np.float64)).T,
+                    self.light, work=self.volume.workspace,
+                )
+        # weigh the colours (float64 weights, stored as float32); a point
+        # not composited adds +0
+        weight = np.multiply(before, a, casting="same_kind", out=factor)
+        weight *= took
+        rgb *= weight[:, None]
+        # a channel at a time, the transmittance table holds the rays'
+        # colour before the pass in row 0 and what step j adds in row 1 + j,
+        # summed down the steps in order.  numpy reduces along any axis but
+        # the fastest in order and along the fastest pairwise: one ray's
+        # steps are the fastest axis, so they take a running sum instead
+        for c in range(3):
+            trs[0] = col[:, c]
+            trs[1:] = 0.0
+            trs[1:].reshape(-1)[cell] = rgb[:, c]
+            if n > 1:
+                np.add.reduce(trs, axis=0, out=col[:, c])
+            else:
+                col[0, c] = np.add.accumulate(trs[:, 0], out=trs[:, 0])[-1]
 
     def render_with_alpha(self, camera: Camera) -> np.ndarray:
         """Render an ``(H, W, 4)`` image; alpha = 1 - transmittance.

@@ -157,10 +157,9 @@ class ActiveCells:
         """Macrocell integer indices for ``(N, 3)`` world points, clipped
         into the grid (out-of-box points map to the nearest boundary cell).
         """
-        idx = np.floor(
-            (np.asarray(points, dtype=np.float64) - self.world_min)
-            / self.cell_world
-        ).astype(np.intp)
+        t = np.subtract(np.asarray(points, dtype=np.float64), self.world_min)
+        t /= self.cell_world
+        idx = np.floor(t, out=t).astype(np.intp)
         for a, n in enumerate(self.mask.shape):
             np.clip(idx[:, a], 0, n - 1, out=idx[:, a])
         return idx
@@ -200,7 +199,9 @@ class ActiveCells:
             if live.size == 0:
                 break
             tq = t_near[live] + (q + 0.5) * delta
-            pos = o[live] + tq[:, None] * d[live]
+            pos = d.take(live, axis=0)
+            pos *= tq[:, None]
+            pos += o.take(live, axis=0)
             idx = self.cell_of(pos)
             flags[live, q] = reach[idx[:, 0], idx[:, 1], idx[:, 2]]
         return flags

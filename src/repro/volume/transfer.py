@@ -10,9 +10,11 @@ applied vectorized over ray-sample batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .grid import BLOCK
 
 __all__ = ["TransferFunction", "preset"]
 
@@ -54,18 +56,29 @@ class TransferFunction:
         """Build from a list of (value, r, g, b, alpha) tuples."""
         return cls(points=np.asarray(rows, dtype=np.float64))
 
-    def __call__(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def __call__(
+        self,
+        values: np.ndarray,
+        out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Map scalars to (colors ``(N, 3)``, extinction ``(N,)``).
 
-        Input values are clipped into [0, 1].
+        Input values are clipped into [0, 1] and mapped ``BLOCK`` at a
+        time, into ``out`` (float32 arrays of those shapes) if given.
         """
-        v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+        values = np.asarray(values)
+        if out is None:
+            out = (np.empty(values.shape + (3,), dtype=np.float32),
+                   np.empty(values.shape, dtype=np.float32))
+        rgb, alpha = out[0].reshape(-1, 3), out[1].reshape(-1)
+        flat = values.reshape(-1)
         xp = self.points[:, 0]
-        rgb = np.empty(v.shape + (3,), dtype=np.float32)
-        for c in range(3):
-            rgb[..., c] = np.interp(v, xp, self.points[:, 1 + c])
-        alpha = np.interp(v, xp, self.points[:, 4])
-        return rgb, alpha.astype(np.float32)
+        for at in range(0, flat.size, BLOCK):
+            v = np.clip(flat[at:at + BLOCK].astype(np.float64), 0.0, 1.0)
+            for c in range(3):
+                rgb[at:at + v.size, c] = np.interp(v, xp, self.points[:, 1 + c])
+            alpha[at:at + v.size] = np.interp(v, xp, self.points[:, 4])
+        return out
 
     def opacity_only(self, values: np.ndarray) -> np.ndarray:
         """Extinction densities for scalars (occlusion precomputation)."""

@@ -78,6 +78,21 @@ def test_camera_inside_the_volume(monkeypatch, accelerated):
     assert frames[0].std() > 0
 
 
+@pytest.mark.parametrize("accelerated", [True, False])
+@pytest.mark.parametrize("name", preset_names())
+def test_one_ray_many_steps(monkeypatch, name, accelerated):
+    """One live ray makes a pass of up to ``max_steps`` steps whose colour
+    sums down a one-column table; numpy sums a lone column pairwise, not
+    step after step, unless told otherwise."""
+    settings = RenderSettings(accelerated=accelerated)
+    for theta in (0.5, 1.3, 2.2):
+        one = orbit_camera(theta, 2.0 * theta, radius=4.0, resolution=1,
+                           fov_deg=8.0)
+        _, stats = assert_equal_to_oracle(
+            monkeypatch, [one], settings, VOLUMES[48], preset(name))
+        assert stats.steps > 0
+
+
 def test_view_that_misses(monkeypatch):
     away = Camera(eye=[0, 0, 4.0], target=[0, 0, 8.0], up=[0, 1, 0],
                   fov_deg=20.0, width=12, height=12)
