@@ -128,11 +128,11 @@ class LightFieldBuilder:
         )
 
     def render_viewset(self, key: ViewSetKey) -> ViewSet:
-        """Render all l² sample views of one view set."""
-        cams = [
-            self.camera_for(i, j)
-            for (i, j) in self.lattice.cameras_in_viewset(key)
-        ]
+        """Render all l² sample views of one view set; the result carries
+        the key with its column wrapped into range, as the cameras are."""
+        cells = self.lattice.cameras_in_viewset(key)
+        key = self.lattice.viewset_of(*cells[0])
+        cams = [self.camera_for(i, j) for (i, j) in cells]
         t0 = time.perf_counter()
         frames = self.renderer.render_many(cams)
         self.stats.render_seconds += time.perf_counter() - t0
@@ -172,5 +172,5 @@ class LightFieldBuilder:
         )
         for key in todo:
             vs = self.render_viewset(key)
-            db.add(key, self.compress_viewset(vs))
+            db.add(vs.key, self.compress_viewset(vs))
         return db

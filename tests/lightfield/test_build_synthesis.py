@@ -93,6 +93,37 @@ class TestBuild:
         assert builder.spheres.r_outer > builder.spheres.r_inner
 
 
+class TestWrappedKeys:
+    """A column out of range names the view set it wraps to, and the
+    rendered view set says so."""
+
+    @pytest.fixture(scope="class")
+    def builder(self, scene):
+        vol, tf = scene
+        # 2 x 4 view sets: column 7 and column -1 both wrap to column 3
+        return LightFieldBuilder(
+            vol, tf, CameraLattice(n_theta=4, n_phi=8, l=2), resolution=8)
+
+    @pytest.mark.parametrize("key", [(0, 7), (0, -1)])
+    def test_render_viewset_labels_the_wrapped_key(self, builder, key):
+        vs = builder.render_viewset(key)
+        assert vs.key == (0, 3)
+        assert np.array_equal(vs.images, builder.render_viewset((0, 3)).images)
+
+    @pytest.mark.parametrize("key", [(0, 7), (0, -1)])
+    def test_synthesizer_takes_the_wrapped_render(self, builder, key):
+        spheres = builder.spheres
+        synth = LightFieldSynthesizer(
+            builder.lattice, spheres, builder.resolution,
+            DictProvider({(0, 3): builder.render_viewset(key)}))
+        theta, phi = builder.lattice.viewset_center((0, 3))
+        result = synth.render(orbit_camera(
+            theta, phi, radius=1.02 * spheres.r_outer, resolution=8,
+            fov_deg=spheres.camera_fov_deg()))
+        assert result.coverage > 0
+        assert (0, 3) not in result.missing_keys
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, built, tmp_path):
         _, db = built
