@@ -602,8 +602,8 @@ def fps_point(
     rendering algorithms ... even at large image resolutions of 500x500".
     The seeded path of ``frames`` cameras orbits inside the view set's
     window and starts from an empty texel store, so the figure includes
-    the synthesizer's table upkeep (one row fill, a residency check per
-    frame) — not one camera replayed on warm tables.  The measured value
+    the synthesizer's table upkeep (mapping the view set's cameras once, a
+    residency check per frame) — not one camera replayed on warm tables.  The measured value
     is reported whether or not it meets the claim, beside the frames' mean
     runs of rays sharing a lead camera (the kernel's per-run overhead).
     """

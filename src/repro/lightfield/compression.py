@@ -16,6 +16,7 @@ Two codecs are provided:
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -23,9 +24,15 @@ from typing import Tuple
 
 import numpy as np
 
-from .viewset import ViewSet
+from .viewset import HEADER_SIZE, ViewSet, ViewSetFormatError, unpack_header
 
 __all__ = ["CompressionResult", "ZlibCodec", "DeltaZlibCodec", "CodecError"]
+
+
+# payload bytes one inflate step feeds, and output bytes it takes at most
+_STEP = 1 << 18
+# deflate's ceiling on output per input byte (258-byte matches in 2 bits)
+_MAX_RATIO = 1032
 
 
 class CodecError(ValueError):
@@ -55,6 +62,74 @@ class CompressionResult:
         return self.raw_size / self.compressed_size
 
 
+class _Inflater:
+    """A zlib stream inflated in bounded steps into caller-owned buffers.
+
+    Each step feeds at most :data:`_STEP` payload bytes and takes at most
+    :data:`_STEP` bytes out, so a decode holds its output buffer plus a few
+    steps, never the whole inflated stream as ``bytes``.
+    """
+
+    def __init__(self, body: memoryview) -> None:
+        self._body = body
+        self._fed = 0                  # payload bytes handed to zlib so far
+        self._pending: bytes = b""     # input the last step left unconsumed
+        self._z = zlib.decompressobj()
+
+    def readinto(self, out) -> int:
+        """Fill the writable buffer ``out``; returns the bytes written.
+
+        Fewer than ``len(out)`` only where the stream ends.
+        """
+        out = memoryview(out).cast("B")
+        filled = 0
+        while filled < len(out) and not self._z.eof:
+            chunk = self._pending
+            if not chunk and self._fed < len(self._body):
+                chunk = self._body[self._fed:self._fed + _STEP]
+                self._fed += len(chunk)
+            try:
+                piece = self._z.decompress(
+                    chunk, min(len(out) - filled, _STEP))
+            except zlib.error as exc:
+                raise CodecError(f"zlib decode failed: {exc}") from exc
+            self._pending = self._z.unconsumed_tail
+            out[filled:filled + len(piece)] = piece
+            filled += len(piece)
+            if not piece and not chunk:
+                break          # every byte fed and nothing held back
+        return filled
+
+    def read_block(self, shape: Tuple[int, ...], error: type) -> np.ndarray:
+        """The rest of the stream, inflated into a new owned array of
+        ``shape`` (``uint8``).
+
+        Raises ``error`` naming both sizes if the stream holds more or
+        fewer bytes, before allocating if it cannot hold that many at all
+        (deflate expands at most 1032:1), and :class:`CodecError` if it is
+        cut short.
+        """
+        size = math.prod(shape)    # Python ints: a bad header cannot wrap
+        if size > _MAX_RATIO * len(self._body):
+            raise error(
+                f"header expects {size} bytes, more than a "
+                f"{len(self._body)}-byte zlib stream can hold"
+            )
+        block = np.empty(shape, dtype=np.uint8)
+        got = self.readinto(block)
+        scratch = bytearray(_STEP >> 4)     # counts whatever follows
+        n = len(scratch)
+        while n == len(scratch):
+            n = self.readinto(scratch)
+            got += n
+        if not self._z.eof:
+            raise CodecError(
+                "zlib decode failed: incomplete or truncated stream")
+        if got != size:
+            raise error(f"payload is {got} bytes, expected {size}")
+        return block
+
+
 class ZlibCodec:
     """zlib compression of the view-set wire format (paper's scheme)."""
 
@@ -66,31 +141,41 @@ class ZlibCodec:
         self.level = level
 
     def compress(self, viewset: ViewSet) -> CompressionResult:
-        """Compress a view set; returns payload + accounting."""
-        raw = viewset.to_bytes()
+        """Compress a view set; returns payload + accounting.
+
+        The header and the pixel block stream through one compressor, so
+        the payload is ``zlib.compress(viewset.to_bytes())``'s byte for
+        byte without the wire blob ever being built.
+        """
         t0 = time.perf_counter()
-        body = zlib.compress(raw, self.level)
+        z = zlib.compressobj(self.level)
+        payload = b"".join((
+            self.tag, z.compress(viewset.header()),
+            z.compress(np.ascontiguousarray(viewset.images)), z.flush(),
+        ))
         dt = time.perf_counter() - t0
-        payload = self.tag + body
         return CompressionResult(
             payload=payload,
-            raw_size=len(raw),
+            raw_size=ViewSet.payload_size(viewset.l, viewset.resolution),
             compressed_size=len(payload),
             compress_seconds=dt,
             level=self.level,
         )
 
     def decompress(self, payload: bytes) -> Tuple[ViewSet, float]:
-        """Decode a payload; returns (view set, decompress wall seconds)."""
+        """Decode a payload; returns (view set, decompress wall seconds).
+
+        The pixels inflate straight into the returned view set's own
+        (owned, writable) block; the payload is never copied whole.
+        """
         if payload[:2] != self.tag:
             raise CodecError(f"payload is not {self.tag!r}-coded")
         t0 = time.perf_counter()
-        try:
-            raw = zlib.decompress(memoryview(payload)[2:])
-        except zlib.error as exc:
-            raise CodecError(f"zlib decode failed: {exc}") from exc
-        vs = ViewSet.from_bytes(raw)
-        return vs, time.perf_counter() - t0
+        stream = _Inflater(memoryview(payload)[2:])
+        head = bytearray(HEADER_SIZE)
+        key, l, r = unpack_header(head[:stream.readinto(head)])
+        images = stream.read_block((l, l, r, r, 3), ViewSetFormatError)
+        return ViewSet(key=key, images=images), time.perf_counter() - t0
 
 
 class DeltaZlibCodec:
@@ -110,23 +195,31 @@ class DeltaZlibCodec:
         self.level = level
 
     def compress(self, viewset: ViewSet) -> CompressionResult:
-        raw_len = len(viewset.to_bytes())
+        """Compress a view set; returns payload + accounting.
+
+        The int32 header and the deltas, one view at a time, stream through
+        one compressor, so no copy of the block is made.
+        """
         t0 = time.perf_counter()
-        flat = viewset.images.reshape(
+        flat = np.ascontiguousarray(viewset.images).reshape(
             viewset.l * viewset.l, -1
         )  # one row per sample view
-        delta = flat.copy()
-        delta[1:] = flat[1:] - flat[:-1]  # uint8 wraparound is mod-256
         header = np.array(
             [viewset.key[0], viewset.key[1], viewset.l, viewset.resolution],
             dtype=np.int32,
         ).tobytes()
-        body = zlib.compress(header + delta.tobytes(), self.level)
+        z = zlib.compressobj(self.level)
+        parts = [self.tag, z.compress(header), z.compress(flat[0])]
+        delta = np.empty_like(flat[0])
+        for prev, view in zip(flat, flat[1:]):
+            # uint8 wraparound is mod-256
+            parts.append(z.compress(np.subtract(view, prev, out=delta)))
+        parts.append(z.flush())
+        payload = b"".join(parts)
         dt = time.perf_counter() - t0
-        payload = self.tag + body
         return CompressionResult(
             payload=payload,
-            raw_size=raw_len,
+            raw_size=ViewSet.payload_size(viewset.l, viewset.resolution),
             compressed_size=len(payload),
             compress_seconds=dt,
             level=self.level,
@@ -136,22 +229,21 @@ class DeltaZlibCodec:
         if payload[:2] != self.tag:
             raise CodecError(f"payload is not {self.tag!r}-coded")
         t0 = time.perf_counter()
-        try:
-            raw = zlib.decompress(memoryview(payload)[2:])
-        except zlib.error as exc:
-            raise CodecError(f"zlib decode failed: {exc}") from exc
-        if len(raw) < 16:
+        stream = _Inflater(memoryview(payload)[2:])
+        head = bytearray(16)
+        if stream.readinto(head) < len(head):
             raise CodecError("truncated delta payload")
-        vi, vj, l, r = np.frombuffer(raw, dtype=np.int32, count=4)
-        expected = l * l * r * r * 3
-        if len(raw) - 16 != expected:
-            raise CodecError(
-                f"delta payload is {len(raw) - 16} bytes, expected {expected}"
-            )
-        delta = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(l * l, -1)
-        flat = np.cumsum(delta.astype(np.uint64), axis=0).astype(np.uint8)
-        images = flat.reshape(l, l, r, r, 3)
-        vs = ViewSet(key=(int(vi), int(vj)), images=images)
+        vi, vj, l, r = np.frombuffer(head, dtype=np.int32).tolist()
+        for name, value in (("l", l), ("r", r)):
+            if not 1 <= value <= 0xFFFF:
+                raise CodecError(
+                    f"delta header field {name} is {value}, outside 1..65535"
+                )
+        images = stream.read_block((l, l, r, r, 3), CodecError)
+        # undo the deltas in place; uint8 wraps mod 256 as the encoder did
+        flat = images.reshape(l * l, -1)
+        np.cumsum(flat, axis=0, dtype=np.uint8, out=flat)
+        vs = ViewSet(key=(vi, vj), images=images)
         return vs, time.perf_counter() - t0
 
 

@@ -14,20 +14,22 @@ table lookup operations" — this module implements those lookups, vectorized:
    the remaining weights renormalize, so a missing neighbor degrades
    smoothly instead of leaving holes.
 
-Performance: the tables are keyed by the storage block, the view set.  A
-*view-set texel store* holds one flat ``uint8`` buffer with one row per view
-set the recent frames touched (its pixel block, copied in once per ``ViewSet``
-object) and a camera-code → byte-offset table; the camera bases of the whole
+Performance: the tables are keyed by the storage block, the view set.  The
+client holds one copy of its pixels, the resident ``ViewSet``s' own blocks:
+a *view-set texel store* maps each camera code of the view sets the current
+frame touches to its view set's flat ``uint8`` block and the byte offset of
+the camera's image in it, and copies no pixel; the camera bases of the whole
 lattice are twelve contiguous ``float32`` tables built once.  A frame sorts
 its rays once by their *lead* camera (the first corner, which fixes all of a
-ray's corners) and walks the runs of equal lead: a camera's basis, texel base
-and presence are scalars for its whole run, a run's absent cameras are
-skipped, and the blended frame lands in the image with one scatter.  The
-frame asks the provider only for the view sets its runs' corners touch and
-refills a row only if the provider now hands over a different object (so
-residency changes need no manual invalidation, and an ordinary frame copies
-nothing).  A frame is one to a few runs (1-3 in ``client_playback``, 6-8 in
-the ``fps`` scene), so the per-run Python is a handful of loop turns.
+ray's corners) and walks the runs of equal lead: a camera's basis, block,
+texel base and presence are scalars for its whole run, a run's absent
+cameras are skipped, and the blended frame lands in the image with one
+scatter.  The frame asks the provider only for the view sets its runs'
+corners touch, remaps a key only if the provider now hands over a different
+object (so residency changes need no manual invalidation) and lets go of
+the keys it no longer touches.  A frame is one to a few runs (1-3 in
+``client_playback``, 6-8 in the ``fps`` scene), so the per-run Python is a
+handful of loop turns.
 
 Interpolation modes trade fidelity for speed, mirroring the paper's "table
 lookup" fast path:
@@ -139,50 +141,51 @@ def _lattice_bases(lattice: CameraLattice, radius: float) -> np.ndarray:
 
 
 class _TexelStore:
-    """Sample-view texels of the view sets recent frames touched.
+    """Sample-view texels of the view sets the current frame touches.
 
-    One flat ``uint8`` buffer, one row per view set (its ``(l, l, r, r, 3)``
-    block, copied in when the store first sees that ``ViewSet`` object), and
-    two tables indexed by camera code: ``base``, the byte offset of the
-    camera's image in the buffer, and ``present``; an absent camera's base is
-    0 and the kernel never taps it.
-    A row keeps the ``ViewSet`` it was filled from alive until it is released
-    — that object is what the next frame's identity check compares against.
+    Nothing is copied: for every camera of a resident view set the frame
+    touches, ``block[code]`` is that ``ViewSet``'s own flat ``uint8`` pixel
+    block and ``present[code]`` is set; ``base[code]``, the byte offset of
+    the camera's image in its view set's block, is fixed by the lattice.  An
+    absent camera has no block and the kernel never taps it.  The store
+    holds a reference to each view set it maps, and drops it once a frame
+    no longer touches that key.
     """
 
     def __init__(self, lattice: CameraLattice, resolution: int) -> None:
         self.lattice = lattice
         self.resolution = resolution
-        self.view_bytes = resolution * resolution * 3
-        self.row_bytes = lattice.l * lattice.l * self.view_bytes
-        self.texels = np.empty(0, dtype=np.uint8)
-        self.base = np.zeros(lattice.n_cameras, dtype=np.intp)
+        l = lattice.l
+        i, j = np.divmod(np.arange(lattice.n_cameras), lattice.n_phi)
+        self.base = ((i % l) * l + j % l) * (resolution * resolution * 3)
+        self.block: List[Optional[np.ndarray]] = [None] * lattice.n_cameras
         self.present = np.zeros(lattice.n_cameras, dtype=bool)
-        self._row_of: Dict[ViewSetKey, int] = {}
-        self._filled_from: List[Optional[ViewSet]] = []  # per row; None: free
+        self._held: Dict[ViewSetKey, ViewSet] = {}
 
     def sync(
         self, provider: ViewSetProvider, keys: List[ViewSetKey]
     ) -> Set[ViewSetKey]:
-        """Bring the rows of ``keys`` in line with the provider.
+        """Map exactly the resident view sets among ``keys``.
 
-        A row is (re)filled only when the provider hands over a different
-        object than the one it was filled from, so an ordinary frame copies
-        nothing.  Returns the keys that are not resident.
+        A key is remapped only when the provider hands over a different
+        object than the one it maps, so residency changes need no manual
+        invalidation.  Returns the keys that are not resident.
         """
-        missing: Set[ViewSetKey] = set()
+        held: Dict[ViewSetKey, ViewSet] = {}
         for key in keys:
             vs = provider.get_resident(key)
-            row = self._row_of.get(key)
-            if row is not None:
-                if self._filled_from[row] is vs:
-                    continue
-                self._release(key)
-            if vs is None:
-                missing.add(key)
-            else:
-                self._fill(key, vs, keep=keys)
-        return missing
+            if vs is not None:
+                if self._held.get(key) is not vs:
+                    self._check(key, vs)
+                held[key] = vs
+        for key, vs in self._held.items():
+            if held.get(key) is not vs:
+                self._unmap(key)
+        for key, vs in held.items():
+            if self._held.get(key) is not vs:
+                self._map(key, vs)
+        self._held = held
+        return set(keys) - held.keys()
 
     def _camera_codes(self, key: ViewSetKey) -> List[int]:
         """Codes of a view set's cameras, in the order its block stores them."""
@@ -191,17 +194,7 @@ class _TexelStore:
             i * n_phi + j for i, j in self.lattice.cameras_in_viewset(key)
         ]
 
-    def _release(self, key: ViewSetKey) -> int:
-        row = self._row_of.pop(key)
-        self._filled_from[row] = None
-        codes = self._camera_codes(key)
-        self.present[codes] = False
-        self.base[codes] = 0
-        return row
-
-    def _fill(
-        self, key: ViewSetKey, vs: ViewSet, keep: List[ViewSetKey]
-    ) -> None:
+    def _check(self, key: ViewSetKey, vs: ViewSet) -> None:
         l, r = self.lattice.l, self.resolution
         if vs.key != key:
             raise ValueError(
@@ -212,33 +205,19 @@ class _TexelStore:
                 f"view set {key} is {vs.l}x{vs.l} views at resolution "
                 f"{vs.resolution}, synthesizer expects {l}x{l} at {r}"
             )
-        row = self._free_row(keep)
-        start = row * self.row_bytes
-        self.texels[start:start + self.row_bytes] = vs.images.reshape(-1)
-        self._row_of[key] = row
-        self._filled_from[row] = vs
+
+    def _unmap(self, key: ViewSetKey) -> None:
         codes = self._camera_codes(key)
+        for code in codes:
+            self.block[code] = None
+        self.present[codes] = False
+
+    def _map(self, key: ViewSetKey, vs: ViewSet) -> None:
+        codes = self._camera_codes(key)
+        block = vs.images.reshape(-1)  # a view: ViewSet keeps it contiguous
+        for code in codes:
+            self.block[code] = block
         self.present[codes] = True
-        self.base[codes] = start + np.arange(l * l) * self.view_bytes
-
-    def _free_row(self, keep: List[ViewSetKey]) -> int:
-        """A free row; else one no key in ``keep`` uses; else a new one.
-
-        The buffer therefore grows only when a single frame touches more
-        view sets than it has rows.
-        """
-        for row, source in enumerate(self._filled_from):
-            if source is None:
-                return row
-        for key in self._row_of:
-            if key not in keep:
-                return self._release(key)
-        row = len(self._filled_from)
-        self._filled_from.append(None)
-        grown = np.empty((row + 1) * self.row_bytes, dtype=np.uint8)
-        grown[:self.texels.size] = self.texels
-        self.texels = grown
-        return row
 
 
 class LightFieldSynthesizer:
@@ -276,10 +255,11 @@ class LightFieldSynthesizer:
 
     # ------------------------------------------------------------------
     def invalidate_cache(self) -> None:
-        """Drop every row of the texel store.
+        """Drop the texel store's references to view sets.
 
         Never needed for correctness — residency is re-checked every frame
-        — only to give the memory back.
+        — only to let view sets the provider has dropped be freed before
+        the next frame.
         """
         self._store = _TexelStore(self.lattice, self.resolution)
 
@@ -456,7 +436,7 @@ class LightFieldSynthesizer:
         tap *= 3
         tap += self._store.base[code]
         tap = tap + np.arange(3)[:, None]
-        texels = self._store.texels
+        texels = self._store.block[code]
         c00 = texels.take(tap).astype(np.float32)
         if nearest:
             return c00

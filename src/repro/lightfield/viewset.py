@@ -7,7 +7,9 @@ smallest unit of network transmission we use".
 
 The binary layout is a fixed little-endian header followed by the raw
 ``(l, l, r, r, 3)`` uint8 pixel block, so (de)serialization is a header pack
-plus one ``join``/``frombuffer`` — no per-pixel work.
+plus one ``join``/``frombuffer`` — no per-pixel work.  A codec that inflates
+the layout reads the header with :func:`unpack_header` and writes the pixels
+straight into the block of the view set it returns.
 """
 
 from __future__ import annotations
@@ -18,16 +20,34 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["ViewSet", "ViewSetFormatError"]
+__all__ = ["ViewSet", "ViewSetFormatError", "HEADER_SIZE", "unpack_header"]
 
 _MAGIC = b"LFVS"
 _VERSION = 1
 # magic, version, vi, vj, l, r, flags, reserved
 _HEADER = struct.Struct("<4sHhhHHHH")
+HEADER_SIZE = _HEADER.size
+# pixel bytes __eq__ compares at a time: bounds its boolean temporary
+_EQ_SLICE = 1 << 18
 
 
 class ViewSetFormatError(ValueError):
     """Raised when decoding bytes that are not a valid view set."""
+
+
+def unpack_header(blob) -> Tuple[Tuple[int, int], int, int]:
+    """``(key, l, r)`` from the first :data:`HEADER_SIZE` bytes of ``blob``.
+
+    Validates length, magic and version, not the payload that follows.
+    """
+    if len(blob) < _HEADER.size:
+        raise ViewSetFormatError("blob shorter than header")
+    magic, version, vi, vj, l, r, _flags, _rsvd = _HEADER.unpack_from(blob)
+    if magic != _MAGIC:
+        raise ViewSetFormatError(f"bad magic {magic!r}")
+    if version != _VERSION:
+        raise ViewSetFormatError(f"unsupported version {version}")
+    return (vi, vj), l, r
 
 
 @dataclass
@@ -93,25 +113,22 @@ class ViewSet:
     # ------------------------------------------------------------------
     # wire format
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize to the LFVS wire format."""
+    def header(self) -> bytes:
+        """The LFVS header that precedes the pixel block on the wire."""
         vi, vj = self.key
-        header = _HEADER.pack(
+        return _HEADER.pack(
             _MAGIC, _VERSION, vi, vj, self.l, self.resolution, 0, 0
         )
+
+    def to_bytes(self) -> bytes:
+        """Serialize to the LFVS wire format."""
         # one copy: the join reads the pixel block through its buffer
-        return b"".join((header, self.images.reshape(-1).data))
+        return b"".join((self.header(), self.images.reshape(-1).data))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> ViewSet:
         """Decode the LFVS wire format; validates header and payload size."""
-        if len(blob) < _HEADER.size:
-            raise ViewSetFormatError("blob shorter than header")
-        magic, version, vi, vj, l, r, _flags, _rsvd = _HEADER.unpack_from(blob)
-        if magic != _MAGIC:
-            raise ViewSetFormatError(f"bad magic {magic!r}")
-        if version != _VERSION:
-            raise ViewSetFormatError(f"unsupported version {version}")
+        key, l, r = unpack_header(blob)
         expected = l * l * r * r * 3
         got = len(blob) - _HEADER.size
         if got != expected:
@@ -125,7 +142,7 @@ class ViewSet:
             .reshape(l, l, r, r, 3)
             .copy()  # the one copy: own the memory, blob may be transient
         )
-        return cls(key=(vi, vj), images=images)
+        return cls(key=key, images=images)
 
     @classmethod
     def payload_size(cls, l: int, r: int) -> int:
@@ -135,6 +152,11 @@ class ViewSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ViewSet):
             return NotImplemented
-        return self.key == other.key and np.array_equal(
-            self.images, other.images
+        if self.key != other.key or self.images.shape != other.images.shape:
+            return False
+        # slice by slice: no boolean temporary the size of the block
+        a, b = self.images.reshape(-1), other.images.reshape(-1)
+        return all(
+            np.array_equal(a[i:i + _EQ_SLICE], b[i:i + _EQ_SLICE])
+            for i in range(0, a.size, _EQ_SLICE)
         )

@@ -4,9 +4,11 @@
 before a frame's rays were walked in runs that share their corner cameras:
 every corner gathers its twelve camera-basis values, texel base and
 presence per ray with ``take``, and absent cameras are sampled at weight 0.
-It reads the synthesizer's own texel store, basis tables and projection,
-so a frame rendered with it patched over ``_synthesize`` is the old frame
-bit for bit.
+It gathers from one flat texel buffer of its own, the provider's resident
+view sets copied in one after another (as the synthesizer's store once
+held them), and reads the synthesizer's basis tables and projection, so a
+frame rendered with it patched over ``_synthesize`` is the old frame bit
+for bit.
 """
 
 import numpy as np
@@ -45,7 +47,33 @@ def _touched_viewsets(synth, corners):
     return [divmod(int(c), cols) for c in np.flatnonzero(touched)]
 
 
-def _sample(synth, code, points):
+def _texel_buffer(synth, keys):
+    """``(texels, base, present, missing)`` for the view sets ``keys``.
+
+    ``texels`` is the resident view sets' blocks copied into one flat
+    buffer; ``base`` and ``present`` are indexed by camera code.
+    """
+    lattice = synth.lattice
+    view_bytes = synth.resolution * synth.resolution * 3
+    base = np.zeros(lattice.n_cameras, dtype=np.intp)
+    present = np.zeros(lattice.n_cameras, dtype=bool)
+    blocks, missing, start = [], set(), 0
+    for key in keys:
+        vs = synth.provider.get_resident(key)
+        if vs is None:
+            missing.add(key)
+            continue
+        codes = [i * lattice.n_phi + j
+                 for i, j in lattice.cameras_in_viewset(key)]
+        base[codes] = start + np.arange(len(codes)) * view_bytes
+        present[codes] = True
+        blocks.append(vs.images.reshape(-1))
+        start += blocks[-1].size
+    texels = np.concatenate(blocks) if blocks else np.zeros(0, np.uint8)
+    return texels, base, present, missing
+
+
+def _sample(synth, texels, base, code, points):
     """Reproject ``points`` into each ray's camera and tap its image."""
     ex, ey, ez, rx, ry, rz, ux, uy, uz, fx, fy, fz = (
         lut.take(code) for lut in synth._bases
@@ -71,9 +99,8 @@ def _sample(synth, code, points):
     tap *= r
     tap += x0.astype(np.intp)
     tap *= 3
-    tap += synth._store.base.take(code)
+    tap += base.take(code)
     tap = tap + np.arange(3)[:, None]
-    texels = synth._store.texels
     c00 = texels.take(tap).astype(np.float32)
     if nearest:
         return c00
@@ -105,15 +132,15 @@ def reference_synthesize(synth, origins, dirs):
     if not len(vidx):
         return colors, 1.0, set()
     corners = _corner_cameras(synth, u, v)
-    store = synth._store
-    missing = store.sync(synth.provider, _touched_viewsets(synth, corners))
-    if not store.present.any():
+    texels, base, present, missing = _texel_buffer(
+        synth, _touched_viewsets(synth, corners))
+    if not present.any():
         return colors, 0.0, missing
     acc = np.zeros((3, len(vidx)), dtype=np.float32)
     wsum = np.zeros(len(vidx), dtype=np.float32)
     for code, w in corners:
-        wf = w.astype(np.float32) * store.present.take(code)
-        acc += _sample(synth, code, points) * wf
+        wf = w.astype(np.float32) * present.take(code)
+        acc += _sample(synth, texels, base, code, points) * wf
         wsum += wf
     have = wsum > 1e-6
     acc *= np.float32(1.0 / 255.0) / np.where(have, wsum, np.float32(1.0))

@@ -140,14 +140,20 @@ class TestAtlasCache:
         # a frame asks only for the view sets its corner cameras touch
         needed = synth.required_viewsets(*cam.rays())
         assert sorted(prov.asked) == sorted(needed)
-        # a row is filled once per ViewSet *object*: scribbling over the
-        # same object's pixels is not seen ...
+        # the store taps the resident view set's own block, so scribbling
+        # over that object's pixels is seen by the very next frame, exactly
+        # as a fresh synthesizer over the scribbled pixels draws it
         vs = prov.get_resident((2, 3))
         vs.images[:] = 255 - vs.images
+        scribbled = synth.render(cam).image
+        assert not np.array_equal(scribbled, first)
+        fresh = LightFieldSynthesizer(
+            db.lattice, db.spheres, db.resolution, prov
+        )
+        np.testing.assert_array_equal(scribbled, fresh.render(cam).image)
+        # handing over a new object with the old pixels brings them back
+        prov.add(ViewSet((2, 3), db.get_viewset((2, 3)).images))
         np.testing.assert_array_equal(synth.render(cam).image, first)
-        # ... handing over a new object is
-        prov.add(ViewSet((2, 3), vs.images))
-        assert not np.array_equal(synth.render(cam).image, first)
 
     def test_moving_camera_picks_up_new_viewsets(self, scene):
         db, provider = scene
@@ -155,7 +161,7 @@ class TestAtlasCache:
             db.lattice, db.spheres, db.resolution, provider
         )
         # far enough apart to need view sets outside the first frame's,
-        # then back again: rows are reused, evicted and refilled
+        # then back again: keys are mapped, let go of and mapped again
         path = [camera_for(db, dph=dph) for dph in (0.01, 0.30, -0.25, 0.01)]
         for cam in path:
             fresh = LightFieldSynthesizer(
@@ -177,7 +183,7 @@ class TestAtlasCache:
         cam = camera_for(db)
         r1 = synth.render(cam)
         assert (2, 3) in r1.missing_keys
-        # the view set arrives; dropping every row is allowed, not needed
+        # the view set arrives; dropping every mapping is allowed, not needed
         prov.add(db.get_viewset((2, 3)))
         synth.invalidate_cache()
         r2 = synth.render(cam)

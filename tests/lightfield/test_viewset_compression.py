@@ -1,5 +1,7 @@
 """Tests for view-set serialization and the lossless codecs."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,3 +242,96 @@ class TestCodecs:
         for result in (fast, best):
             back, _ = ZlibCodec().decompress(result.payload)
             np.testing.assert_array_equal(back.images, vs.images)
+
+
+def delta_payload(vi, vj, l, r, body, level=6):
+    """A ``D1`` payload with the given int32 header fields and body."""
+    header = np.array([vi, vj, l, r], dtype=np.int32).tobytes()
+    return DeltaZlibCodec.tag + zlib.compress(header + body, level)
+
+
+class TestStreamedCodecs:
+    """The codecs stream through zlib; their bytes are the one-shot forms'."""
+
+    @given(l=st.integers(1, 4), r=st.integers(1, 24),
+           level=st.integers(0, 9), seed=st.integers(0, 100))
+    @settings(max_examples=40, deadline=None)
+    def test_payloads_are_the_one_shot_forms(self, l, r, level, seed):
+        vs = random_viewset(l=l, r=r, seed=seed, key=(seed % 5, 3))
+        assert ZlibCodec(level).compress(vs).payload == (
+            ZlibCodec.tag + zlib.compress(vs.to_bytes(), level))
+        flat = vs.images.reshape(l * l, -1)
+        delta = flat.copy()
+        delta[1:] = flat[1:] - flat[:-1]
+        payload = DeltaZlibCodec(level).compress(vs).payload
+        assert payload == delta_payload(*vs.key, l, r, delta.tobytes(), level)
+        # the in-place uint8 running sum is the uint64 sum cast back
+        back, _ = DeltaZlibCodec().decompress(payload)
+        np.testing.assert_array_equal(
+            back.images.reshape(l * l, -1),
+            np.cumsum(delta.astype(np.uint64), axis=0).astype(np.uint8))
+
+    @pytest.mark.parametrize("codec_cls", [ZlibCodec, DeltaZlibCodec])
+    def test_strided_pixels_compress_as_their_copy(self, codec_cls):
+        vs = random_viewset(l=2, r=8)
+        strided = ViewSet(vs.key, vs.images)
+        strided.images = vs.images[::-1, ::-1, ::-1, ::-1, ::-1]  # a view
+        copy = ViewSet(vs.key, strided.images.copy())
+        assert (codec_cls().compress(strided).payload
+                == codec_cls().compress(copy).payload)
+
+    @pytest.mark.parametrize("delta", [-1, +1])
+    def test_zlib_size_error_names_sizes(self, delta):
+        vs = random_viewset()
+        blob = vs.to_bytes()
+        blob = blob[:-1] if delta < 0 else blob + b"\x00"
+        with pytest.raises(
+            ViewSetFormatError,
+            match=f"payload is {vs.nbytes + delta} bytes, "
+                  f"expected {vs.nbytes}",
+        ):
+            ZlibCodec().decompress(ZlibCodec.tag + zlib.compress(blob))
+
+    @pytest.mark.parametrize("codec_cls", [ZlibCodec, DeltaZlibCodec])
+    def test_truncated_stream_rejected(self, codec_cls):
+        payload = codec_cls().compress(random_viewset()).payload
+        with pytest.raises(CodecError, match="truncated"):
+            codec_cls().decompress(payload[:-9])
+
+    def test_header_larger_than_the_stream_can_hold_is_not_allocated(self):
+        vs = random_viewset(l=1, r=4)
+        blob = bytearray(vs.to_bytes())
+        blob[10:14] = (0xFFFF).to_bytes(2, "little") * 2    # l = r = 65535
+        with pytest.raises(ViewSetFormatError, match="more than"):
+            ZlibCodec().decompress(ZlibCodec.tag + zlib.compress(bytes(blob)))
+
+
+class TestMalformedDeltaHeaders:
+    """Bad ``D1`` header fields are refused by name, not by numpy."""
+
+    @pytest.mark.parametrize("field, l, r", [
+        ("r", 2, 65536),        # l*l*r*r*3 wrapped to 0 in int32
+        ("l", -2, 4),           # reshape(4, -1) of a negative size
+        ("l", 0, 4),
+        ("r", 2, 0),
+    ])
+    def test_field_out_of_range_is_named(self, field, l, r):
+        payload = delta_payload(0, 0, l, r, b"")
+        value = {"l": l, "r": r}[field]
+        with pytest.raises(CodecError, match=f"field {field} is {value}"):
+            DeltaZlibCodec().decompress(payload)
+
+    def test_size_mismatch_is_named(self):
+        payload = delta_payload(0, 0, 2, 4, bytes(2 * 2 * 4 * 4 * 3 - 1))
+        with pytest.raises(CodecError, match="is 191 bytes, expected 192"):
+            DeltaZlibCodec().decompress(payload)
+
+    def test_header_larger_than_the_stream_can_hold(self):
+        payload = delta_payload(0, 0, 65535, 65535, b"")
+        with pytest.raises(CodecError, match="more than"):
+            DeltaZlibCodec().decompress(payload)
+
+    def test_short_header_is_truncated(self):
+        with pytest.raises(CodecError, match="truncated delta payload"):
+            DeltaZlibCodec().decompress(
+                DeltaZlibCodec.tag + zlib.compress(b"\x00" * 15))
