@@ -47,7 +47,10 @@ def _volume_from_args(args):
         shape = tuple(int(x) for x in args.shape.split(","))
         if len(shape) != 3:
             raise SystemExit("--shape must be NX,NY,NZ")
-        return read_raw(args.raw, shape=shape, dtype=args.dtype)
+        try:
+            return read_raw(args.raw, shape=shape, dtype=args.dtype)
+        except ValueError as exc:
+            raise SystemExit(f"--raw: {exc}") from None
     factories = {
         "neghip": neg_hip,
         "blobs": gaussian_blobs,
@@ -250,8 +253,12 @@ def cmd_multiclient(args) -> int:
 def cmd_trace_report(args) -> int:
     from .obs import trace_report
 
-    print(trace_report(str(args.trace), max_accesses=args.accesses,
-                       waterfall=not args.no_waterfall))
+    try:
+        text = trace_report(str(args.trace), max_accesses=args.accesses,
+                            waterfall=not args.no_waterfall)
+    except ValueError as exc:
+        raise SystemExit(f"trace-report: {exc}") from None
+    print(text)
     return 0
 
 
@@ -542,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-report",
         help="render a saved trace as waterfall + stage-latency tables",
     )
-    t.add_argument("trace", type=Path, help="Chrome trace JSON or JSONL")
+    t.add_argument("trace", type=Path, help="Chrome trace JSON (--trace output)")
     t.add_argument("--accesses", type=int, default=10,
                    help="waterfall rows to show (use a big number for all)")
     t.add_argument("--no-waterfall", action="store_true",

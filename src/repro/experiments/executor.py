@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Union
 from .artifacts import (
     bench_document,
     payload_fingerprint,
-    render_bench,
     split_wall_clock,
     write_bench,
 )
@@ -79,10 +78,6 @@ class SweepResult:
     def payload_fingerprint(self) -> str:
         """Float-hex SHA-256 of the deterministic document content."""
         return payload_fingerprint(self.doc)
-
-    def rendered(self) -> str:
-        """The artifact text exactly as :func:`write_bench` serializes it."""
-        return render_bench(self.doc)
 
 
 def _pool_worker(jobs: "mp.queues.Queue[object]",

@@ -13,7 +13,7 @@ from .compression import (
 )
 from .database import DatabaseError, LightFieldDatabase
 from .lattice import CameraLattice, ViewSetKey, parse_viewset_id
-from .source import DatabaseSource, SyntheticSource, ViewSetSource
+from .source import SyntheticSource, ViewSetSource
 from .sphere import TwoSphere, angles_to_cartesian, cartesian_to_angles
 from .synthesis import (
     DictProvider,
@@ -30,7 +30,6 @@ __all__ = [
     "CodecError",
     "CompressionResult",
     "DatabaseError",
-    "DatabaseSource",
     "DeltaZlibCodec",
     "DictProvider",
     "LightFieldBuilder",

@@ -144,8 +144,9 @@ class ZlibCodec:
         """Compress a view set; returns payload + accounting.
 
         The header and the pixel block stream through one compressor, so
-        the payload is ``zlib.compress(viewset.to_bytes())``'s byte for
-        byte without the wire blob ever being built.
+        the payload is ``zlib.compress`` of the LFVS wire blob
+        (``viewset.header()`` then the pixels) byte for byte, without that
+        blob ever being built.
         """
         t0 = time.perf_counter()
         z = zlib.compressobj(self.level)

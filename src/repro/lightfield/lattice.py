@@ -132,10 +132,6 @@ class CameraLattice:
         fj = (phi / self.phi_step) % self.n_phi
         return fi, fj, round(fi), round(fj) % self.n_phi
 
-    def nearest_camera(self, theta: float, phi: float) -> Tuple[int, int]:
-        """The lattice camera closest to (theta, phi)."""
-        return self.scalar_index(theta, phi)[2:]
-
     # ------------------------------------------------------------------
     # view sets
     # ------------------------------------------------------------------
@@ -248,12 +244,6 @@ class CameraLattice:
         rows, cols = self.n_viewsets
         wanted = [(vi + qi, vj), (vi, vj + qj), (vi + qi, vj + qj)]
         return [(ni, nj % cols) for ni, nj in wanted if 0 <= ni < rows]
-
-    def quadrant_neighbors(
-        self, theta: float, phi: float
-    ) -> List[ViewSetKey]:
-        """The 3 neighbors the Figure 4 policy prefetches for this position."""
-        return self.quadrant_side(*self.locate(theta, phi))
 
     @cached_property
     def _distances(self) -> List[List[float]]:

@@ -3,16 +3,15 @@
 The streaming experiments (Figures 8-12) need *payload bytes* for every view
 set of a paper-scale database (12 × 24 view sets at 200²-600² sample views).
 Ray-casting all 10,368 sample views in pure Python would take hours per
-resolution, so two sources implement one protocol:
-
-* :class:`DatabaseSource` — a really-rendered :class:`LightFieldDatabase`
-  (used at test scale and by the fidelity experiments);
-* :class:`SyntheticSource` — procedurally generated sample views whose zlib
-  compressibility is calibrated towards the paper's 5-7× band (it reaches it
-  at the figures' resolutions, not below them — see the class).  The pixel
-  *content* is irrelevant to streaming latency; only payload sizes and
-  (de)compression cost matter, and those are real: every payload is a real
-  zlib stream over a real uint8 view-set block.
+resolution, so :class:`SyntheticSource` generates sample views procedurally,
+their zlib compressibility calibrated towards the paper's 5-7× band (it
+reaches it at the figures' resolutions, not below them — see the class).
+The pixel *content* is irrelevant to streaming latency; only payload sizes
+and (de)compression cost matter, and those are real: every payload is a real
+zlib stream over a real uint8 view-set block.  Anything with the
+:class:`ViewSetSource` shape streams the same way; the integration tests
+stream a really-rendered :class:`~repro.lightfield.database.LightFieldDatabase`
+through a thin adapter of their own.
 
 This substitution is recorded in DESIGN.md §2.
 """
@@ -24,12 +23,11 @@ from typing import Dict, Optional, Protocol
 import numpy as np
 
 from .compression import ZlibCodec
-from .database import LightFieldDatabase
 from .lattice import CameraLattice, ViewSetKey
 from .sphere import TwoSphere
 from .viewset import ViewSet
 
-__all__ = ["ViewSetSource", "DatabaseSource", "SyntheticSource"]
+__all__ = ["ViewSetSource", "SyntheticSource"]
 
 
 class ViewSetSource(Protocol):
@@ -42,24 +40,6 @@ class ViewSetSource(Protocol):
     def payload(self, key: ViewSetKey) -> bytes:
         """Compressed wire payload for a view set."""
         ...
-
-
-class DatabaseSource:
-    """Adapter exposing a built :class:`LightFieldDatabase` as a source."""
-
-    def __init__(self, db: LightFieldDatabase) -> None:
-        if not db.is_complete():
-            raise ValueError(
-                "streaming sessions need a complete database; "
-                f"{len(db)} of {db.lattice.n_viewsets} view sets present"
-            )
-        self.db = db
-        self.lattice = db.lattice
-        self.spheres = db.spheres
-        self.resolution = db.resolution
-
-    def payload(self, key: ViewSetKey) -> bytes:
-        return self.db.payload(key)
 
 
 class SyntheticSource:

@@ -83,30 +83,6 @@ class TwoSphere:
             raise ValueError("r_outer must exceed r_inner")
 
     # ------------------------------------------------------------------
-    def intersect_sphere(
-        self, origins: np.ndarray, dirs: np.ndarray, radius: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """First non-negative intersection parameter with a centered sphere.
-
-        Returns ``(t, hit)``: ray parameter of the first intersection with
-        ``t >= 0`` and a boolean hit mask.  Directions must be unit length.
-        Row-major ``(N, 3)`` rays and one sphere at a time: the plain form
-        the synthesis test oracle checks :meth:`project` against.
-        """
-        o = np.asarray(origins, dtype=np.float64)
-        d = np.asarray(dirs, dtype=np.float64)
-        b = np.einsum("ij,ij->i", o, d)
-        c = np.einsum("ij,ij->i", o, o) - radius * radius
-        disc = b * b - c
-        hit = disc >= 0.0
-        sq = np.sqrt(np.where(hit, disc, 0.0))
-        t0 = -b - sq
-        t1 = -b + sq
-        # first intersection at t >= 0: prefer entry point, else exit
-        t = np.where(t0 >= 0.0, t0, t1)
-        hit &= t >= 0.0
-        return t, hit
-
     def project(
         self, origins: np.ndarray, dirs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -154,25 +130,6 @@ class TwoSphere:
         u, v = cartesian_to_angles(p_out.T)
         return vidx, p_in, u, v
 
-    def stuv_to_ray(
-        self,
-        s: np.ndarray,
-        t: np.ndarray,
-        u: np.ndarray,
-        v: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Inverse mapping: the ray from outer point (u,v) to inner (s,t).
-
-        Returns unit-direction rays originating on the outer sphere.
-        """
-        p_out = angles_to_cartesian(np.asarray(u), np.asarray(v), self.r_outer)
-        p_in = angles_to_cartesian(np.asarray(s), np.asarray(t), self.r_inner)
-        d = p_in - p_out
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
-        if np.any(n == 0):
-            raise ValueError("degenerate ray: coincident sphere points")
-        return p_out, d / n
-
     def camera_fov_deg(self, margin: float = 1.02) -> float:
         """Field of view for a lattice camera to just cover the inner sphere.
 
@@ -183,7 +140,3 @@ class TwoSphere:
         """
         half = np.arcsin(min(1.0, margin * self.r_inner / self.r_outer))
         return float(np.degrees(2.0 * half))
-
-    def contains_viewpoint(self, point: np.ndarray) -> bool:
-        """True if a viewpoint is outside the outer sphere (supported zone)."""
-        return float(np.linalg.norm(np.asarray(point, float))) > self.r_outer

@@ -274,26 +274,17 @@ class LightFieldSynthesizer:
             missing_keys=missing,
         )
 
-    def render_rays(
+    def _synthesize(
         self, origins: np.ndarray, dirs: np.ndarray
     ) -> Tuple[np.ndarray, float, Set[ViewSetKey]]:
-        """Synthesize arbitrary ray bundles: ``(N, 3)`` origins and dirs.
+        """Synthesize rays in ``TwoSphere.project``'s form: planar
+        ``(3, N)`` unit directions from one ``(3,)`` eye or from planar
+        ``(3, N)`` origins.
 
         Returns ``(colors (N,3) float32, coverage, missing view-set keys)``.
         Coverage is the fraction of volume-intersecting rays whose blend
         had full weight support (1.0 when everything needed was resident);
         the missing keys are the non-resident view sets *these* rays touch.
-        Directions must be unit length; they are checked, not normalized.
-        """
-        return self._synthesize(*_planar_rays(origins, dirs))
-
-    def _synthesize(
-        self, origins: np.ndarray, dirs: np.ndarray
-    ) -> Tuple[np.ndarray, float, Set[ViewSetKey]]:
-        """:meth:`render_rays` on rays in ``TwoSphere.project``'s form.
-
-        Planar ``(3, N)`` directions from one ``(3,)`` eye or from planar
-        ``(3, N)`` origins.
         """
         colors = np.full(
             (dirs.shape[1], 3), self.background, dtype=np.float32
@@ -459,37 +450,3 @@ class LightFieldSynthesizer:
         c11 *= py
         c11 += c01
         return c11
-
-    # ------------------------------------------------------------------
-    def required_viewsets(
-        self, origins: np.ndarray, dirs: np.ndarray
-    ) -> Set[ViewSetKey]:
-        """Which view sets a ray bundle would touch (prefetch planning).
-
-        The keys :meth:`render_rays` asks the provider for on these rays.
-        """
-        vidx, _, u, v = self.spheres.project(*_planar_rays(origins, dirs))
-        if not len(vidx):
-            return set()
-        leads = np.unique(self._leads(u, v)[0])
-        return set(self._touched_viewsets(self._corners(leads)))
-
-
-def _planar_rays(
-    origins: np.ndarray, dirs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-major ``(N, 3)`` rays as planar float64, directions checked.
-
-    ``TwoSphere.project`` assumes unit directions; a row whose norm is off
-    1 by more than 1e-6 (or is not finite) is refused, not normalized.
-    """
-    d = np.asarray(dirs, dtype=np.float64)
-    norm = np.sqrt(np.einsum("ij,ij->i", d, d))
-    off = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-6))
-    if len(off):
-        row = int(off[0])
-        raise ValueError(
-            f"ray {row} has direction norm {norm[row]:.9g}; directions must "
-            "be unit length (within 1e-6)"
-        )
-    return np.asarray(origins, dtype=np.float64).T, d.T

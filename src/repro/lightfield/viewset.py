@@ -99,17 +99,6 @@ class ViewSet:
             raise IndexError(f"local view ({a}, {b}) outside l={self.l}")
         return self.images[a, b]
 
-    def view_for_camera(self, i: int, j: int) -> np.ndarray:
-        """The sample view for global lattice camera (i, j).
-
-        Raises KeyError if the camera is not in this view set.
-        """
-        vi, vj = self.key
-        a, b = i - vi * self.l, j - vj * self.l
-        if not (0 <= a < self.l and 0 <= b < self.l):
-            raise KeyError(f"camera ({i}, {j}) not in view set {self.key}")
-        return self.images[a, b]
-
     # ------------------------------------------------------------------
     # wire format
     # ------------------------------------------------------------------
@@ -119,11 +108,6 @@ class ViewSet:
         return _HEADER.pack(
             _MAGIC, _VERSION, vi, vj, self.l, self.resolution, 0, 0
         )
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the LFVS wire format."""
-        # one copy: the join reads the pixel block through its buffer
-        return b"".join((self.header(), self.images.reshape(-1).data))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> ViewSet:

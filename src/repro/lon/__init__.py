@@ -37,8 +37,6 @@ from .simtime import (
     Process,
     SimClock,
     SimulationError,
-    TIME_EPSILON,
-    time_eq,
 )
 
 __all__ = [
@@ -76,8 +74,6 @@ __all__ = [
     "SCHEDULING_POLICIES",
     "SimClock",
     "SimulationError",
-    "TIME_EPSILON",
-    "time_eq",
     "TransferEvent",
     "TransferHandle",
     "TransferScheduler",

@@ -1,4 +1,4 @@
-"""The exNode: XML-encoded aggregation of IBP capabilities.
+"""The exNode: aggregation of IBP capabilities.
 
 exNodes are to network storage what inodes are to a local filesystem, except
 that they map the data extent of a logical file onto IBP *allocations on
@@ -8,15 +8,13 @@ consecutive extents living on different depots.  The paper's streaming model
 caches only exNodes at the client agent; the bytes stay in the network until
 needed.
 
-This module round-trips exNodes through real XML (the paper: "an XML-encoded
-data structure for aggregation of capabilities"), using a schema modelled on
-the Logistical Computing and Internetworking Lab's exNode DTD, simplified to
-the fields this system exercises.
+The paper's exNode is "an XML-encoded data structure for aggregation of
+capabilities".  Here it lives in memory only: nothing in the simulated
+system serializes one, so the XML encoding is not reproduced.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -46,14 +44,6 @@ class Extent:
     def end(self) -> int:
         """One past the last byte."""
         return self.offset + self.length
-
-    def overlaps(self, other: Extent) -> bool:
-        """True if the two ranges share at least one byte."""
-        return self.offset < other.end and other.offset < self.end
-
-    def contains(self, other: Extent) -> bool:
-        """True if ``other`` lies entirely within this extent."""
-        return self.offset <= other.offset and other.end <= self.end
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,7 @@ class ExNode:
         Extent→capability mappings; replicas are simply multiple mappings
         over the same (or overlapping) extents.
     metadata:
-        Free-form string key/values carried in the XML (checksums, codec...).
+        Free-form string key/values (checksums, codec...).
     """
 
     def __init__(
@@ -132,25 +122,12 @@ class ExNode:
         self._check_mapping(m)
         self.mappings.append(m)
 
-    def remove_depot(self, depot: str) -> int:
-        """Drop every mapping on ``depot`` (LoRS trim); returns count removed."""
-        before = len(self.mappings)
-        self.mappings = [m for m in self.mappings if m.depot != depot]
-        return before - len(self.mappings)
-
     def depots(self) -> Tuple[str, ...]:
         """Distinct depots referenced, in first-appearance order."""
         seen: Dict[str, None] = {}
         for m in self.mappings:
             seen.setdefault(m.depot, None)
         return tuple(seen)
-
-    def mappings_overlapping(self, offset: int, length: int) -> List[Mapping]:
-        """All mappings that intersect the byte range [offset, offset+length)."""
-        if length <= 0:
-            return []
-        want = Extent(offset, length)
-        return [m for m in self.mappings if m.extent.overlaps(want)]
 
     def is_fully_covered(self) -> bool:
         """True if every byte in [0, length) has at least one replica."""
@@ -167,111 +144,6 @@ class ExNode:
             if covered_to >= self.length:
                 return True
         return covered_to >= self.length
-
-    def replica_count(self, offset: int, length: int) -> int:
-        """Minimum replica multiplicity across the given byte range."""
-        if length <= 0:
-            return 0
-        # replica count changes only at extent boundaries
-        points = sorted(
-            {offset, offset + length}
-            | {
-                p
-                for m in self.mappings_overlapping(offset, length)
-                for p in (m.extent.offset, m.extent.end)
-                if offset < p < offset + length
-            }
-        )
-        min_count = None
-        for a, b in zip(points, points[1:]):
-            n = sum(
-                1
-                for m in self.mappings
-                if m.extent.offset <= a and b <= m.extent.end
-            )
-            min_count = n if min_count is None else min(min_count, n)
-        return min_count or 0
-
-    # ------------------------------------------------------------------
-    # XML round-trip
-    # ------------------------------------------------------------------
-    _NS = "exnode"
-
-    def to_xml(self) -> str:
-        """Serialize to an XML document string."""
-        root = ET.Element(
-            self._NS, {"name": self.name, "length": str(self.length)}
-        )
-        meta = ET.SubElement(root, "metadata")
-        for k in sorted(self.metadata):
-            ET.SubElement(meta, "attr", {"key": k, "value": self.metadata[k]})
-        for m in self.mappings:
-            el = ET.SubElement(
-                root,
-                "mapping",
-                {
-                    "offset": str(m.extent.offset),
-                    "length": str(m.extent.length),
-                },
-            )
-            ET.SubElement(el, "read").text = str(m.read_cap)
-            if m.write_cap is not None:
-                ET.SubElement(el, "write").text = str(m.write_cap)
-            if m.manage_cap is not None:
-                ET.SubElement(el, "manage").text = str(m.manage_cap)
-        return ET.tostring(root, encoding="unicode")
-
-    @classmethod
-    def from_xml(cls, text: str) -> ExNode:
-        """Parse an exNode previously produced by :meth:`to_xml`."""
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            raise ExNodeError(f"invalid exNode XML: {exc}") from exc
-        if root.tag != cls._NS:
-            raise ExNodeError(f"unexpected root element {root.tag!r}")
-        try:
-            name = root.attrib["name"]
-            length = int(root.attrib["length"])
-        except (KeyError, ValueError) as exc:
-            raise ExNodeError("missing/invalid exNode attributes") from exc
-        metadata: Dict[str, str] = {}
-        meta = root.find("metadata")
-        if meta is not None:
-            for attr in meta.findall("attr"):
-                metadata[attr.attrib["key"]] = attr.attrib["value"]
-        mappings: List[Mapping] = []
-        for el in root.findall("mapping"):
-            try:
-                extent = Extent(
-                    int(el.attrib["offset"]), int(el.attrib["length"])
-                )
-            except (KeyError, ValueError) as exc:
-                raise ExNodeError("bad mapping extent") from exc
-            read_el = el.find("read")
-            if read_el is None or not read_el.text:
-                raise ExNodeError("mapping lacks a read capability")
-            read_cap = Capability.parse(read_el.text)
-            write_el = el.find("write")
-            manage_el = el.find("manage")
-            mappings.append(
-                Mapping(
-                    extent=extent,
-                    read_cap=read_cap,
-                    write_cap=(
-                        Capability.parse(write_el.text)
-                        if write_el is not None and write_el.text
-                        else None
-                    ),
-                    manage_cap=(
-                        Capability.parse(manage_el.text)
-                        if manage_el is not None and manage_el.text
-                        else None
-                    ),
-                )
-            )
-        return cls(name=name, length=length, mappings=mappings,
-                   metadata=metadata)
 
     def read_only_view(self) -> ExNode:
         """A copy exposing only read capabilities (safe to hand to clients)."""

@@ -6,19 +6,16 @@ only holds if the system tolerates these events, so we make them injectable:
 
 * :class:`DepotOutage` — take a depot off the network for a window;
 * :class:`LeaseStorm` — slash lease durations so allocations expire under the
-  application (exercising re-staging and DVS fallback);
-* :class:`FlakyLinks` — schedule random link down/up cycles from a seeded RNG.
+  application (exercising re-staging and DVS fallback).
 
-All injectors are driven by the shared event queue, so faults land at
-deterministic simulated times.
+An outage is driven by the shared event queue, so it lands at a
+deterministic simulated time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .ibp import Depot
 from .network import Network
@@ -27,7 +24,7 @@ from .simtime import EventQueue
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.flightrec import FlightRecorder
 
-__all__ = ["DepotOutage", "LeaseStorm", "FlakyLinks"]
+__all__ = ["DepotOutage", "LeaseStorm"]
 
 
 @dataclass
@@ -85,49 +82,3 @@ class LeaseStorm:
         previous = self.depot.max_duration
         self.depot.max_duration = max_duration
         return previous
-
-
-class FlakyLinks:
-    """Randomly scheduled down/up cycles on a set of links."""
-
-    def __init__(
-        self,
-        network: Network,
-        queue: EventQueue,
-        links: Sequence[Tuple[str, str]],
-        rng: np.random.Generator,
-    ) -> None:
-        self.network = network
-        self.queue = queue
-        self.links = list(links)
-        self.rng = rng
-
-    def schedule_cycles(
-        self,
-        horizon: float,
-        mean_up: float = 10.0,
-        mean_down: float = 0.5,
-    ) -> List[Tuple[float, float, Tuple[str, str]]]:
-        """Schedule exponential up/down cycles until ``horizon``.
-
-        Returns the list of (down_at, up_at, link) windows for assertions.
-        """
-        windows: List[Tuple[float, float, Tuple[str, str]]] = []
-        for link in self.links:
-            t = self.queue.now + float(self.rng.exponential(mean_up))
-            while t < horizon:
-                down = float(self.rng.exponential(mean_down))
-                up_at = min(t + down, horizon)
-                a, b = link
-                self.queue.schedule(
-                    t, lambda a=a, b=b: self.network.set_link_up(a, b, False),
-                    f"flaky-down:{a}-{b}",
-                )
-                self.queue.schedule(
-                    up_at,
-                    lambda a=a, b=b: self.network.set_link_up(a, b, True),
-                    f"flaky-up:{a}-{b}",
-                )
-                windows.append((t, up_at, link))
-                t = up_at + float(self.rng.exponential(mean_up))
-        return windows

@@ -12,14 +12,14 @@ This module reproduces the semantics the paper relies on:
 * ``copy`` — **third-party transfer** from one depot directly to another,
   which powers the two-stage aggressive staging "without consuming resources
   on either the client or the client agent";
-* ``manage`` — probe, extend/shorten the lease, or decrement the refcount;
+* ``manage`` — release an allocation, reclaiming its space at once;
 * **soft allocations** — revocable at any time when a hard allocation needs
   the space, modelling the "sharing of idle resources".
 
 A depot is a passive state machine living at a network node; the cost of
 talking to it (RPC round-trips, bulk data movement) is charged by callers
 through :class:`repro.lon.network.Network`.  Expired leases are reclaimed
-lazily on access and eagerly by a reaper process.
+lazily, on access and whenever capacity is counted.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .simtime import EventQueue, Process
+from .simtime import EventQueue
 
 __all__ = [
     "CapType",
@@ -93,22 +93,6 @@ class Capability:
     def __str__(self) -> str:
         return f"ibp://{self.depot}/{self.key}#{self.type.value}"
 
-    @classmethod
-    def parse(cls, text: str) -> Capability:
-        """Inverse of ``str(cap)``; raises ValueError on malformed input."""
-        if not text.startswith("ibp://"):
-            raise ValueError(f"not an IBP capability: {text!r}")
-        rest = text[len("ibp://"):]
-        try:
-            hostpart, frag = rest.rsplit("#", 1)
-            depot, key = hostpart.split("/", 1)
-            ctype = CapType(frag)
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"malformed IBP capability: {text!r}") from exc
-        if not depot or not key:
-            raise ValueError(f"malformed IBP capability: {text!r}")
-        return cls(depot=depot, key=key, type=ctype)
-
 
 @dataclass
 class Allocation:
@@ -127,12 +111,11 @@ class Allocation:
     expires_at: float
     soft: bool
     data: bytes = b""
-    refcount: int = 1
     bytes_written: int = 0
 
     def live(self, now: float) -> bool:
-        """Lease still valid and refcount positive."""
-        return self.refcount > 0 and now < self.expires_at
+        """Lease still valid."""
+        return now < self.expires_at
 
 
 @dataclass
@@ -159,7 +142,7 @@ class Depot:
     name:
         Network node name this depot lives at.
     queue:
-        Simulation event queue (for lease time and the reaper).
+        Simulation event queue (for lease time).
     capacity:
         Total bytes of storage this depot will lease out.
     max_duration:
@@ -189,7 +172,6 @@ class Depot:
         self._expiry_heap: List[Tuple[float, str]] = []
         self._keyseq = itertools.count(1)
         self.stats = DepotStats()
-        self._reaper = Process(queue, self._reap_tick, f"reaper:{name}")
 
     # ------------------------------------------------------------------
     # capacity accounting
@@ -199,12 +181,6 @@ class Depot:
         """Bytes currently committed to live allocations."""
         self._purge_expired()
         return self._committed
-
-    @property
-    def free(self) -> int:
-        """Bytes available for new hard allocations (after purging dead)."""
-        self._purge_expired()
-        return self.capacity - self._committed
 
     def _drop(self, key: str) -> None:
         """Remove an allocation and release its committed bytes."""
@@ -219,8 +195,6 @@ class Depot:
             alloc = self._allocs.get(key)
             if alloc is None:
                 continue  # already reclaimed; stale heap entry
-            if alloc.expires_at > now:
-                continue  # lease was extended; a fresher entry exists
             self._drop(key)
             self.stats.expired += 1
 
@@ -373,65 +347,10 @@ class Depot:
         self.stats.bytes_copied += len(chunk)
         return chunk
 
-    def manage_probe(self, cap: Capability) -> Dict[str, object]:
-        """Probe an allocation: size, written extent, lease expiry, softness."""
-        alloc = self._resolve(cap, CapType.MANAGE)
-        return {
-            "key": alloc.key,
-            "size": alloc.size,
-            "bytes_written": alloc.bytes_written,
-            "expires_at": alloc.expires_at,
-            "soft": alloc.soft,
-            "refcount": alloc.refcount,
-        }
-
-    def manage_extend(self, cap: Capability, extra: float) -> float:
-        """Extend the lease by ``extra`` seconds; returns new expiry.
-
-        Extension beyond ``max_duration`` from now is refused.
-        """
-        alloc = self._resolve(cap, CapType.MANAGE)
-        new_expiry = alloc.expires_at + extra
-        if new_expiry > self.queue.now + self.max_duration:
-            raise IBPRefusedError(
-                f"{self.name}: lease extension beyond max duration"
-            )
-        alloc.expires_at = new_expiry
-        heapq.heappush(self._expiry_heap, (new_expiry, alloc.key))
-        return new_expiry
-
     def manage_decrement(self, cap: Capability) -> None:
-        """Drop one reference; at zero the allocation is reclaimed."""
-        alloc = self._resolve(cap, CapType.MANAGE)
-        alloc.refcount -= 1
-        if alloc.refcount <= 0:
-            self._drop(cap.key)
-
-    def manage_increment(self, cap: Capability) -> None:
-        """Add one reference (used when an exNode is shared)."""
-        alloc = self._resolve(cap, CapType.MANAGE)
-        alloc.refcount += 1
-
-    # ------------------------------------------------------------------
-    # housekeeping
-    # ------------------------------------------------------------------
-    def start_reaper(self, period: float = 60.0) -> None:
-        """Start periodic eager reclamation of expired leases."""
-        self._reap_period = period
-        self._reaper.start(period)
-
-    def stop_reaper(self) -> None:
-        """Stop the reaper process."""
-        self._reaper.stop()
-
-    def _reap_tick(self) -> Optional[float]:
-        self._purge_expired()
-        return getattr(self, "_reap_period", 60.0)
-
-    def keys(self) -> Iterator[str]:
-        """Live allocation keys (test/diagnostic use)."""
-        now = self.queue.now
-        return iter([k for k, a in self._allocs.items() if a.live(now)])
+        """Release the allocation; its space is reclaimed at once."""
+        self._resolve(cap, CapType.MANAGE)
+        self._drop(cap.key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,17 +1,20 @@
-"""The Logistical Backbone (L-Bone): depot discovery and proximity queries.
+"""The Logistical Backbone (L-Bone): depot discovery and proximity.
 
 The L-Bone "allows the user to find the closest set of IBP depots that can
 satisfy the needs of an application".  Our registry holds live
 :class:`~repro.lon.ibp.Depot` objects annotated with a location tag, and
-answers resource queries ordered by network proximity (propagation latency
-from the requesting node, measured on the simulated topology — the real
-L-Bone used NWS measurements and geographic hints the same way).
+answers one proximity query: the propagation latency from a node to a depot,
+measured on the simulated topology (the real L-Bone used NWS measurements
+and geographic hints the same way).  LoRS ranks replicas by it and the
+client agent finds its LAN depots with it; the paper's general resource
+query (size, lease length, location) is not reproduced, because every
+depot the experiments use is placed by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from .ibp import Depot
 from .network import Network, NoRouteError
@@ -55,13 +58,6 @@ class LBone:
         self._records[depot.name] = rec
         return rec
 
-    def unregister(self, name: str) -> None:
-        """Remove a depot (e.g. decommissioned); unknown names raise."""
-        try:
-            del self._records[name]
-        except KeyError:
-            raise LBoneError(f"depot {name!r} not registered") from None
-
     def lookup(self, name: str) -> Depot:
         """Fetch a depot object by name."""
         try:
@@ -79,43 +75,6 @@ class LBone:
             return self.network.path_latency(client, depot_name)
         except NoRouteError:
             return float("inf")
-
-    def find(
-        self,
-        client: str,
-        size: int = 0,
-        duration: float = 1.0,
-        count: int = 1,
-        location: Optional[str] = None,
-        exclude: Sequence[str] = (),
-    ) -> List[Depot]:
-        """The core L-Bone query: the ``count`` closest suitable depots.
-
-        A depot qualifies if it is reachable from ``client``, can grant a
-        lease of ``duration`` seconds, currently has ``size`` bytes free and
-        (optionally) matches the ``location`` tag.  Results are sorted by
-        latency from ``client`` (stable for equal latencies).  Fewer than
-        ``count`` may be returned; zero is not an error — callers decide.
-        """
-        if count <= 0:
-            return []
-        banned = set(exclude)
-        candidates: List[Tuple[float, int, Depot]] = []
-        for idx, rec in enumerate(self._records.values()):
-            if rec.name in banned:
-                continue
-            if location is not None and rec.location != location:
-                continue
-            if duration > rec.depot.max_duration:
-                continue
-            if size > 0 and rec.depot.free < size:
-                continue
-            lat = self.latency_from(client, rec.name)
-            if lat == float("inf"):
-                continue
-            candidates.append((lat, idx, rec.depot))
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        return [d for _, _, d in candidates[:count]]
 
     def __len__(self) -> int:
         return len(self._records)

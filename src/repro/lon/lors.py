@@ -1,4 +1,4 @@
-"""Logistical Runtime System (LoRS): upload, download, augment, trim.
+"""Logistical Runtime System (LoRS): upload, download, augment.
 
 LoRS is the layer of the Network Storage Stack that composes raw IBP
 operations into file-level tools.  The paper leans on three of its behaviours:
@@ -691,14 +691,3 @@ class LoRS:
                       max_streams=max_streams, priority=priority, span=span)
         job.start()
         return job
-
-    def trim(self, exnode: ExNode, depot_name: str) -> int:
-        """Drop the replica on ``depot_name``: decrement refs, strip mappings."""
-        depot = self.lbone.lookup(depot_name)
-        for m in exnode.mappings:
-            if m.depot == depot_name and m.manage_cap is not None:
-                try:
-                    depot.manage_decrement(m.manage_cap)
-                except IBPError:
-                    pass  # already expired/reclaimed — trimming is best effort
-        return exnode.remove_depot(depot_name)

@@ -200,13 +200,6 @@ class Flow:
         and its caller are freed by reference count, not by the collector."""
         self.on_complete = self.on_fail = self.on_rate_change = None
 
-    @property
-    def elapsed(self) -> Optional[float]:
-        """Total transfer duration, once finished."""
-        if self.finish_time is None:
-            return None
-        return self.finish_time - self.start_time
-
 
 class _Calendar:
     """Drain deadlines of the flows one flush rated together.
@@ -1218,31 +1211,3 @@ class Network:
             self._released(flow, self._remove(flow))
         if on_fail is not None:
             on_fail(flow, exc)
-
-
-def build_dumbbell(
-    queue: EventQueue,
-    lan_hosts: Iterable[str],
-    wan_hosts: Iterable[str],
-    lan_bandwidth: float = gbps(1.0),
-    lan_latency: float = 0.0002,
-    wan_bandwidth: float = mbps(100.0),
-    wan_latency: float = 0.035,
-) -> Network:
-    """Convenience topology: a client LAN and a remote site joined by a WAN.
-
-    Matches the paper's setup: client + client agent + LAN depots on a 1 Gb/s
-    LAN in Knoxville; server depots behind an Abilene-class WAN path (~70 ms
-    RTT Knoxville-California, ~100 Mb/s achievable).
-    """
-    net = Network(queue)
-    lan = list(lan_hosts)
-    wan = list(wan_hosts)
-    net.add_node("lan-switch")
-    net.add_node("wan-router")
-    for h in lan:
-        net.add_link(h, "lan-switch", lan_bandwidth, lan_latency)
-    net.add_link("lan-switch", "wan-router", wan_bandwidth, wan_latency)
-    for h in wan:
-        net.add_link(h, "wan-router", wan_bandwidth, 0.002)
-    return net

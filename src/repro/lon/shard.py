@@ -257,16 +257,6 @@ class ShardedResult(RunTotals):
                 raise ValueError(f"shard {s.shard_id} {missing}")
         return [getattr(s, attr) for s in self.shards]
 
-    def merged_events(self) -> List[EventRecord]:
-        """Event streams concatenated in shard order (fingerprint input)."""
-        return [r for stream in self._per_shard(
-            "events", "did not collect event streams") for r in stream]
-
-    def merged_transfers(self) -> List[TransferRecord]:
-        """Transfer streams concatenated in shard order."""
-        return [r for stream in self._per_shard(
-            "transfers", "did not collect transfer streams") for r in stream]
-
     def telemetries(self) -> List[WorkerTelemetry]:
         """Every shard's :class:`WorkerTelemetry`, in shard order.
 

@@ -30,21 +30,9 @@ __all__ = [
     "EventQueue",
     "Process",
     "SimulationError",
-    "TIME_EPSILON",
-    "time_eq",
 ]
 
 _INF = float("inf")
-
-#: Tolerance for comparing simulation timestamps.  Sim times are sums of
-#: float delays, so exact ``==`` is fragile; an equality test on sim time
-#: goes through :func:`time_eq` unless the tie is meant to be exact.
-TIME_EPSILON = 1e-9
-
-
-def time_eq(a: float, b: float, eps: float = TIME_EPSILON) -> bool:
-    """True when two simulation timestamps are equal within ``eps``."""
-    return abs(a - b) <= eps
 
 
 class SimulationError(RuntimeError):
@@ -293,10 +281,9 @@ class EventQueue:
 class Process:
     """A resumable activity built on the event queue.
 
-    Thin convenience wrapper used by components that run periodic work (the
-    staging pump, lease reaper).  Subclasses or users supply ``body``, a
-    callable returning the delay until it wants to run again, or ``None`` to
-    stop.
+    Thin convenience wrapper for periodic work (the staging pump).  ``body``
+    is a callable returning the delay until it wants to run again, or
+    ``None`` to stop.
     """
 
     def __init__(
@@ -310,11 +297,6 @@ class Process:
         self.label = label
         self._event: Optional[Event] = None
         self._running = False
-
-    @property
-    def running(self) -> bool:
-        """True while the process has a pending tick."""
-        return self._running
 
     def start(self, delay: float = 0.0) -> None:
         """Arm the first tick ``delay`` seconds from now."""
@@ -339,12 +321,3 @@ class Process:
             self._event = None
         else:
             self._event = self.queue.schedule_in(delay, self._tick, self.label)
-
-
-def exponential_backoff(base: float, attempt: int, cap: float = 60.0) -> float:
-    """Deterministic exponential backoff helper used by retry loops."""
-    if base <= 0:
-        raise ValueError("base must be positive")
-    if attempt < 0:
-        raise ValueError("attempt must be non-negative")
-    return min(cap, base * (2.0 ** attempt))

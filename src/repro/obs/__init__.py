@@ -13,8 +13,8 @@ supplies the machinery to record and read that attribution:
 * :mod:`~repro.obs.metrics` — the log-scale latency histogram (fixed-ratio
   buckets spanning the four latency decades) and the gauge / histogram
   summary folded from a run's series and access-root spans;
-* :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto) and
-  NetLogger-style JSONL writers, plus a loader for both;
+* :mod:`~repro.obs.export` — the Chrome ``trace_event`` JSON (Perfetto)
+  writer and its loader;
 * :mod:`~repro.obs.report` — the ``trace-report`` CLI's waterfall and
   per-stage breakdown tables;
 * :mod:`~repro.obs.fleet` — per-worker telemetry export and the fleet
@@ -29,7 +29,6 @@ from .export import (
     chrome_trace_events,
     load_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from .fleet import (
     FleetTrace,
@@ -102,7 +101,6 @@ __all__ = [
     "standard_samplers",
     "chrome_trace_events",
     "write_chrome_trace",
-    "write_jsonl",
     "load_trace",
     "stage_breakdown",
     "render_breakdown_table",

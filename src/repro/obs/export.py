@@ -1,18 +1,13 @@
-"""Trace exporters and loaders.
+"""Trace exporter and loader.
 
-Two output formats, both built from :meth:`Tracer.span_dicts`:
-
-* **Chrome ``trace_event`` JSON** — loadable in Perfetto / ``chrome://tracing``.
-  Each trace tree (root span) gets its own track (``tid``), grouped into
-  processes (``pid``) by root category: demand accesses, prefetch flights,
-  staging pipelines and ungrouped transfers each render as separate
-  process lanes, with sampler series as counter tracks.  Span/trace ids are
-  embedded in ``args`` so a saved file round-trips through
-  :func:`load_trace` back into span dicts for ``trace-report``.
-* **NetLogger-style JSONL** — one JSON object per line with ``ts``/
-  ``event``/``lvl`` fields in the spirit of the NetLogger best-practice
-  logs the paper's lineage used: every span emits a ``<name>.start`` and
-  ``<name>.end`` pair, instants and counter samples one line each.
+One output format, built from :meth:`Tracer.span_dicts`: **Chrome
+``trace_event`` JSON**, loadable in Perfetto / ``chrome://tracing``.  Each
+trace tree (root span) gets its own track (``tid``), grouped into processes
+(``pid``) by root category: demand accesses, prefetch flights, staging
+pipelines and ungrouped transfers each render as separate process lanes,
+with sampler series as counter tracks.  Span/trace ids are embedded in
+``args`` so a saved file round-trips through :func:`load_trace` back into
+span dicts for ``trace-report``.
 
 Sim-time seconds are stored as microseconds in Chrome ``ts``/``dur`` fields
 (the format's native unit).
@@ -30,7 +25,6 @@ from .tracer import Tracer
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
-    "write_jsonl",
     "load_trace",
 ]
 
@@ -202,56 +196,6 @@ def write_chrome_trace(
     return len(events)
 
 
-def write_jsonl(
-    tracer: Tracer,
-    path_or_file: Union[str, os.PathLike, IO[str]],
-) -> int:
-    """Write a NetLogger-style JSONL event log; returns the line count."""
-    lines: List[Dict[str, object]] = []
-    for span in tracer.span_dicts():
-        base = {
-            "trace_id": span["trace_id"],
-            "span_id": span["span_id"],
-            "parent_id": span["parent_id"],
-        }
-        lines.append({
-            "ts": span["start"], "event": f"{span['name']}.start",
-            "lvl": "INFO", "cat": span.get("cat") or "",
-            **base, **(span.get("attrs") or {}),
-        })
-        for ev in cast(List[Dict[str, object]],
-                       span.get("events") or ()):
-            lines.append({
-                "ts": ev["t"], "event": f"{span['name']}.{ev['name']}",
-                "lvl": "INFO", **base,
-            })
-        lines.append({
-            "ts": span["end"], "event": f"{span['name']}.end",
-            "lvl": "INFO",
-            "dur": cast(float, span["end"]) - cast(float, span["start"]),
-            **base,
-        })
-    for ev in tracer.instants:
-        lines.append({
-            "ts": ev["t"], "event": ev["name"], "lvl": "INFO",
-            **{k: v for k, v in ev.items() if k not in ("name", "t")},
-        })
-    for sample in tracer.counters:
-        lines.append({
-            "ts": sample["t"], "event": f"counter.{sample['name']}",
-            "lvl": "DEBUG", "value": sample["value"],
-        })
-    lines.sort(key=lambda rec: cast(float, rec["ts"]))
-    if isinstance(path_or_file, (str, os.PathLike)):
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            for rec in lines:
-                fh.write(json.dumps(rec) + "\n")
-    else:
-        for rec in lines:
-            path_or_file.write(json.dumps(rec) + "\n")
-    return len(lines)
-
-
 def _spans_from_chrome(doc: Dict[str, object]) -> List[SpanDict]:
     spans: List[SpanDict] = []
     for ev in cast(List[Dict[str, object]], doc.get("traceEvents") or []):
@@ -277,52 +221,18 @@ def _spans_from_chrome(doc: Dict[str, object]) -> List[SpanDict]:
     return spans
 
 
-def _spans_from_jsonl(text: str) -> List[SpanDict]:
-    open_spans: Dict[int, Dict[str, object]] = {}
-    done: List[Dict[str, object]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        event = rec.get("event", "")
-        sid = rec.get("span_id")
-        if sid is None:
-            continue
-        if event.endswith(".start"):
-            attrs = {k: v for k, v in rec.items()
-                     if k not in ("ts", "event", "lvl", "cat", "trace_id",
-                                  "span_id", "parent_id")}
-            open_spans[sid] = {
-                "name": event[:-len(".start")],
-                "cat": rec.get("cat", ""),
-                "trace_id": rec.get("trace_id"),
-                "span_id": sid,
-                "parent_id": rec.get("parent_id"),
-                "start": float(rec["ts"]),
-                "end": float(rec["ts"]),
-                "attrs": attrs,
-                "events": [],
-            }
-        elif event.endswith(".end") and sid in open_spans:
-            span = open_spans.pop(sid)
-            span["end"] = float(rec["ts"])
-            done.append(span)
-    done.extend(open_spans.values())
-    done.sort(key=_span_sort_key)
-    return cast(List[SpanDict], done)
-
-
 def load_trace(path: str) -> List[SpanDict]:
-    """Load span dicts back out of either export format (auto-detected)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            return _spans_from_jsonl(text)
-        if isinstance(doc, dict) and "traceEvents" in doc:
-            return _spans_from_chrome(doc)
-    return _spans_from_jsonl(text)
+    """Load span dicts back out of a Chrome trace written by
+    :func:`write_chrome_trace`; anything else raises ``ValueError`` naming
+    ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not a JSON trace ({exc})") from None
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
+        raise ValueError(f"{path}: not a Chrome trace (no traceEvents)")
+    if not isinstance(doc["traceEvents"], list):
+        raise ValueError(f"{path}: not a Chrome trace (traceEvents is not "
+                         "a list)")
+    return _spans_from_chrome(doc)

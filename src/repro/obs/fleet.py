@@ -92,12 +92,6 @@ class FleetTrace:
     def n_workers(self) -> int:
         return len(self.workers)
 
-    def spans_for_worker(self, worker: str) -> List[SpanDict]:
-        """This worker's spans (post-stitch ids)."""
-        return [s for s in self.spans
-                if cast(Dict[str, object],
-                        s.get("attrs") or {}).get("worker") == worker]
-
     def clients(self) -> List[str]:
         """Every client node that contributed an access root span."""
         out = []

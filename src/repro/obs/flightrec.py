@@ -77,10 +77,6 @@ class FlightRecorder:
             self._counters.append(dict(payload))
 
     # ------------------------------------------------------------------
-    @property
-    def span_count(self) -> int:
-        return len(self._spans)
-
     def trigger(self, reason: str, t: Optional[float] = None) -> Dict[str, object]:
         """Freeze the rings into a dump (returned and kept in ``dumps``).
 

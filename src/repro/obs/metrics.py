@@ -15,7 +15,7 @@ disagree with the events written beside it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Set, Tuple, TypedDict, cast
+from typing import Dict, Iterable, List, Mapping, Set, TypedDict, cast
 
 __all__ = [
     "GaugeRecord",
@@ -146,18 +146,6 @@ class LogHistogram:
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
         }
-
-    def nonzero_buckets(self) -> List[Tuple[float, float, int]]:
-        """(lower, upper, count) for populated buckets — compact export."""
-        out: List[Tuple[float, float, int]] = []
-        lower = self.lo
-        for upper, count in zip(self.edges, self.counts):
-            if count:
-                out.append((lower, upper, count))
-            lower = upper
-        return out
-
-
 
 
 def fold_metrics(

@@ -75,11 +75,6 @@ class PeriodicSampler:
         self._event = None
         self._running = False
 
-    @property
-    def running(self) -> bool:
-        """True while a tick is pending."""
-        return self._running
-
     def start(self, delay: float = 0.0) -> None:
         """Arm the first sample ``delay`` seconds from now."""
         if self._running:

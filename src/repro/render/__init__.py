@@ -4,8 +4,6 @@ shading, parallel drivers and image utilities.
 
 from .camera import Camera, look_at, orbit_camera
 from .image import (
-    checkerboard,
-    load_ppm,
     psnr,
     rmse,
     save_ppm,
@@ -22,9 +20,7 @@ __all__ = [
     "ParallelRenderer",
     "RaycastRenderer",
     "RenderSettings",
-    "checkerboard",
     "default_worker_count",
-    "load_ppm",
     "look_at",
     "orbit_camera",
     "psnr",

@@ -128,16 +128,6 @@ class Camera:
         basis = np.stack([right, up, forward], axis=0)  # rows
         return (grid @ basis).T
 
-    def ray_through(self, px: float, py: float) -> Tuple[np.ndarray, np.ndarray]:
-        """A single ray through fractional pixel coordinates (px, py)."""
-        right, up, forward = self._basis
-        tan_half = np.tan(np.radians(self.fov_deg) / 2.0)
-        aspect = self.width / self.height
-        x = ((px + 0.5) / self.width * 2.0 - 1.0) * tan_half * aspect
-        y = (1.0 - (py + 0.5) / self.height * 2.0) * tan_half
-        d = forward + x * right + y * up
-        return self.eye.copy(), d / np.linalg.norm(d)
-
 
 def orbit_camera(
     theta: float,

@@ -1,4 +1,4 @@
-"""Framebuffer utilities: quantization, PPM I/O, image-quality metrics.
+"""Framebuffer utilities: quantization, PPM output, image-quality metrics.
 
 The client console in the paper displays 8-bit RGB frames; view sets store
 8-bit pixels (that is what zlib compresses).  PPM is used for example output
@@ -9,7 +9,6 @@ field synthesis can be compared against ground-truth ray casting.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Union
 
@@ -19,10 +18,8 @@ __all__ = [
     "to_uint8",
     "to_float",
     "save_ppm",
-    "load_ppm",
     "rmse",
     "psnr",
-    "checkerboard",
 ]
 
 
@@ -53,22 +50,6 @@ def save_ppm(path: Union[str, Path], img: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def load_ppm(path: Union[str, Path]) -> np.ndarray:
-    """Read a binary PPM (P6) into a uint8 ``(H, W, 3)`` array."""
-    raw = Path(path).read_bytes()
-    m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
-    if not m:
-        raise ValueError(f"{path}: not a binary PPM")
-    w, h, maxval = (int(g) for g in m.groups())
-    if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 supported")
-    data = raw[m.end():]
-    expected = w * h * 3
-    if len(data) < expected:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(data[:expected], dtype=np.uint8).reshape(h, w, 3)
-
-
 def rmse(a: np.ndarray, b: np.ndarray) -> float:
     """Root-mean-square error between two images (any matching dtype)."""
     fa, fb = to_float(a), to_float(b)
@@ -83,16 +64,3 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     if err == 0:
         return float("inf")
     return float(20.0 * np.log10(peak / err))
-
-
-def checkerboard(size: int, tile: int = 8) -> np.ndarray:
-    """A float32 test pattern image ``(size, size, 3)``."""
-    if size <= 0 or tile <= 0:
-        raise ValueError("size and tile must be positive")
-    yy, xx = np.mgrid[0:size, 0:size]
-    cells = ((yy // tile) + (xx // tile)) % 2
-    img = np.empty((size, size, 3), dtype=np.float32)
-    img[..., 0] = cells
-    img[..., 1] = 1.0 - cells
-    img[..., 2] = 0.5
-    return img

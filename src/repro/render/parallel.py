@@ -1,12 +1,8 @@
 """Process-parallel rendering (the paper's 32-processor generator).
 
-Two levels of parallelism, matching how the paper's cluster generator works:
-
-* :meth:`ParallelRenderer.render_many` — one *bundle* of consecutive sample
-  views per task (:func:`repro.render.raycast.view_bundles`); this is how
-  light field databases are built;
-* :meth:`ParallelRenderer.render` — a single large frame split into
-  row-band tiles.
+:meth:`ParallelRenderer.render_many` hands each worker one *bundle* of
+consecutive sample views (:func:`repro.render.raycast.view_bundles`); this
+is how light field databases are built.
 
 Data movement is kept out of the inner loops on both sides of the fence:
 
@@ -16,7 +12,7 @@ Data movement is kept out of the inner loops on both sides of the fence:
   initializer argument is inherited copy-on-write (no pickling at all);
   under ``spawn`` (the fallback wherever fork is unavailable) the same
   state is pickled exactly once per worker.
-* **pixels out**: workers write rendered bands/bundles directly into a
+* **pixels out**: workers write rendered bundles directly into a
   ``multiprocessing.shared_memory`` output buffer instead of pickling
   ``(H, W, 3)`` float arrays through the result queue — the queue carries
   only offsets.
@@ -74,22 +70,6 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
     return shm
 
 
-def _render_band(task: Tuple[Camera, int, int, str]) -> int:
-    """Render rows [row0, row1) of a frame into the shared output buffer."""
-    camera, row0, row1, shm_name = task
-    assert _WORKER_RENDERER is not None, "worker not initialized"
-    origins, dirs = camera.rays()
-    w = camera.width
-    sl = slice(row0 * w, row1 * w)
-    rgb = _WORKER_RENDERER.render_rays(origins[sl], dirs[sl])
-    shm = _attach_shm(shm_name)
-    out = np.ndarray(
-        (camera.height, camera.width, 3), dtype=np.float32, buffer=shm.buf
-    )
-    out[row0:row1] = rgb.reshape(row1 - row0, w, 3)
-    return row0
-
-
 def _render_bundle(task: Tuple[List[Camera], int, int, str]) -> int:
     """Render one bundle of views into the flat shared ``(rays, 3)`` buffer
     at ray offset ``at``."""
@@ -103,7 +83,7 @@ def _render_bundle(task: Tuple[List[Camera], int, int, str]) -> int:
 
 
 class ParallelRenderer:
-    """Tile/view-parallel front end over :class:`RaycastRenderer`.
+    """View-parallel front end over :class:`RaycastRenderer`.
 
     With ``workers=1`` all work runs inline, which keeps unit tests fast
     and deterministic.  ``start_method`` selects the multiprocessing start
@@ -142,34 +122,6 @@ class ParallelRenderer:
         # worker exists: fork inherits it copy-on-write, spawn pickles it
         # with the renderer — either way workers never rebuild it
         self._inline.prepare()
-
-    # ------------------------------------------------------------------
-    def render(self, camera: Camera, band_rows: int = 32) -> np.ndarray:
-        """Render one frame, tiled into row bands across workers.
-
-        Workers deposit bands straight into a shared-memory framebuffer;
-        the task queue only ever carries camera descriptions and row
-        indices.
-        """
-        if self.workers == 1 or camera.height <= band_rows:
-            return self._inline.render(camera)
-        shape = (camera.height, camera.width, 3)
-        shm = shared_memory.SharedMemory(
-            create=True, size=int(np.prod(shape)) * 4
-        )
-        try:
-            tasks = []
-            for row0 in range(0, camera.height, band_rows):
-                row1 = min(row0 + band_rows, camera.height)
-                tasks.append((camera, row0, row1, shm.name))
-            with self._pool() as pool:
-                for _ in pool.imap_unordered(_render_band, tasks):
-                    pass
-            out = np.ndarray(shape, dtype=np.float32, buffer=shm.buf).copy()
-        finally:
-            shm.close()
-            shm.unlink()
-        return out
 
     def render_many(self, cameras: Sequence[Camera]) -> List[np.ndarray]:
         """Render many sample views, preserving order.

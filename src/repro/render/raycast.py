@@ -28,7 +28,7 @@ marched steps, and the accelerated path spends none on empty space).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence, Tuple, Union, overload
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,45 +237,21 @@ class RaycastRenderer:
         self.last_render_stats = total
         return frames
 
-    @overload
     def render_rays(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        return_transmittance: Literal[False] = ...,
-    ) -> np.ndarray: ...
-
-    @overload
-    def render_rays(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        return_transmittance: Literal[True],
-    ) -> Tuple[np.ndarray, np.ndarray]: ...
-
-    def render_rays(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        return_transmittance: bool = False,
-    ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-        """Composite arbitrary ray bundles; returns ``(N, 3)`` colors.
-
-        With ``return_transmittance=True`` returns ``(colors, trans)`` where
-        ``trans`` is the per-ray remaining transmittance (1 = empty space).
-        """
+        self, origins: np.ndarray, dirs: np.ndarray
+    ) -> np.ndarray:
+        """Composite arbitrary ray bundles; returns ``(N, 3)`` colors."""
         origins = np.asarray(origins, dtype=np.float64)
         dirs = np.asarray(dirs, dtype=np.float64)
         n = len(origins)
         color = np.full((n, 3), self.settings.background, dtype=np.float32)
-        trans = np.ones(n, dtype=np.float32)
         stats = RenderStats(rays=n, accelerated=self.settings.accelerated)
         self.last_render_stats = stats
 
         t_near, t_far = self.volume.intersect_rays(origins, dirs)
         sel = np.nonzero(t_near < t_far)[0]
         if sel.size == 0:
-            return (color, trans) if return_transmittance else color
+            return color
 
         if self.settings.accelerated:
             cells = self.prepare()
@@ -291,7 +267,7 @@ class RaycastRenderer:
             hi = ray_ptr[1:][hit]
             sel = sel[hit]
             if sel.size == 0:
-                return (color, trans) if return_transmittance else color
+                return color
         else:
             # brute force: one segment per ray spanning the whole bbox hit
             seg_t0, seg_t1 = t_near[sel], t_far[sel]
@@ -308,8 +284,7 @@ class RaycastRenderer:
         bg = self.settings.background
         col += tr[:, None] * bg
         color[sel] = col
-        trans[sel] = tr
-        return (color, trans) if return_transmittance else color
+        return color
 
     # ------------------------------------------------------------------
     def _march(
@@ -533,16 +508,3 @@ class RaycastRenderer:
                 np.add.reduce(trs, axis=0, out=col[:, c])
             else:
                 col[0, c] = np.add.accumulate(trs[:, 0], out=trs[:, 0])[-1]
-
-    def render_with_alpha(self, camera: Camera) -> np.ndarray:
-        """Render an ``(H, W, 4)`` image; alpha = 1 - transmittance.
-
-        The alpha channel is what occlusion-based view-set sparsity keys on:
-        a sample view whose every pixel has alpha 0 never intersects the
-        dataset and need not be stored.
-        """
-        origins, dirs = camera.rays()
-        rgb, trans = self.render_rays(origins, dirs, return_transmittance=True)
-        alpha = (1.0 - trans)[:, None]
-        out = np.concatenate([rgb, alpha], axis=1)
-        return out.reshape(camera.height, camera.width, 4)

@@ -103,10 +103,6 @@ class Client:
         self._access_spans: Dict[int, SpanLike] = {}
 
     # ------------------------------------------------------------------
-    def resident_keys(self) -> List[ViewSetKey]:
-        """View sets currently held on the console."""
-        return list(self._resident)
-
     def get_resident(self, key: ViewSetKey) -> Optional[ViewSet]:
         """ViewSetProvider protocol — lets a synthesizer render from here.
 

@@ -87,12 +87,6 @@ class DVSServer:
         table = self._exnode_tables.setdefault(self._leaf_path(vid), {})
         table.setdefault(vid, []).append(exnode)
 
-    def unregister(self, vid: str) -> int:
-        """Remove every exNode for a view set; returns count removed."""
-        table = self._exnode_tables.get(self._leaf_path(vid), {})
-        gone = table.pop(vid, [])
-        return len(gone)
-
     def register_server_agent(self, agent_node: str,
                               vids: Optional[List[str]] = None) -> None:
         """Route generation requests for ``vids`` (or all) to an agent."""
@@ -128,15 +122,3 @@ class DVSServer:
             levels_visited=levels_visited,
             lookup_delay=levels_visited * self.level_delay,
         )
-
-    def known_viewsets(self) -> List[str]:
-        """All view-set ids with at least one registered exNode."""
-        out: List[str] = []
-        for table in self._exnode_tables.values():
-            out.extend(table.keys())
-        return sorted(out)
-
-    def replica_count(self, vid: str) -> int:
-        """Number of registered exNodes (replicas) for a view set."""
-        table = self._exnode_tables.get(self._leaf_path(vid), {})
-        return len(table.get(vid, []))

@@ -92,24 +92,6 @@ class SessionMetrics:
         """Scheduler hook: append one transfer lifecycle event."""
         self.transfer_events.append(ev)
 
-    def transfer_event_counts(self) -> Dict[str, int]:
-        """Lifecycle event totals (queued/admitted/rerated/...)."""
-        counts: Dict[str, int] = {}
-        for ev in self.transfer_events:
-            counts[ev.event] = counts.get(ev.event, 0) + 1
-        return counts
-
-    def transfer_events_for(self, label_prefix: str) -> List[TransferEvent]:
-        """Lifecycle events whose label starts with ``label_prefix``.
-
-        Labels follow the LoRS conventions: ``dl:`` (downloads), ``copy:``
-        (staging), ``ul:`` (uploads), ``gen:`` (runtime generation),
-        ``to-client:`` (agent→console shipment) — so experiments can
-        attribute interference per transfer path.
-        """
-        return [e for e in self.transfer_events
-                if e.label.startswith(label_prefix)]
-
     def record(self, rec: AccessRecord) -> None:
         """Add an access record.
 

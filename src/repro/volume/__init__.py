@@ -8,7 +8,7 @@ potential dataset.
 
 from .accel import ActiveCells, MacrocellGrid
 from .grid import VolumeGrid
-from .io import read_raw, read_vgrid, write_raw, write_vgrid
+from .io import read_raw
 from .synthetic import (
     gaussian_blobs,
     hydrogen_orbital,
@@ -16,22 +16,18 @@ from .synthetic import (
     neg_hip,
     vortex,
 )
-from .transfer import TransferFunction, preset, preset_names
+from .transfer import TransferFunction, preset
 
 __all__ = [
     "ActiveCells",
     "MacrocellGrid",
     "VolumeGrid",
     "read_raw",
-    "read_vgrid",
-    "write_raw",
-    "write_vgrid",
     "TransferFunction",
     "gaussian_blobs",
     "hydrogen_orbital",
     "lattice_points",
     "neg_hip",
     "preset",
-    "preset_names",
     "vortex",
 ]

@@ -243,29 +243,3 @@ class ActiveCells:
         ray_ptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(counts, out=ray_ptr[1:])
         return seg_t0, seg_t1, ray_ptr
-
-    def ray_intervals(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        t_near: np.ndarray,
-        t_far: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Conservative overall active span ``[t0, t1]`` per ray.
-
-        The coarse entry/exit summary of :meth:`ray_segments`: ``t0``/``t1``
-        bound the first and last active segment; ``hit`` is False for rays
-        that can never sample nonzero extinction (their ``t0``/``t1`` are
-        ``+inf``/``-inf``).
-        """
-        seg_t0, seg_t1, ray_ptr = self.ray_segments(
-            origins, dirs, t_near, t_far
-        )
-        n = len(ray_ptr) - 1
-        t0 = np.full(n, np.inf)
-        t1 = np.full(n, -np.inf)
-        hit = ray_ptr[1:] > ray_ptr[:-1]
-        who = np.nonzero(hit)[0]
-        t0[who] = seg_t0[ray_ptr[:-1][who]]
-        t1[who] = seg_t1[ray_ptr[1:][who] - 1]
-        return t0, t1, hit

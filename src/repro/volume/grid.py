@@ -264,11 +264,6 @@ class VolumeGrid:
         """(min, max) of the scalar field."""
         return float(self.data.min()), float(self.data.max())
 
-    def world_to_index(self, points: np.ndarray) -> np.ndarray:
-        """Map world coordinates to continuous voxel indices."""
-        pts = np.asarray(points, dtype=np.float64)
-        return (pts + self._half_size) / self._voxel
-
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------

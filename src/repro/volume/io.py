@@ -1,15 +1,14 @@
-"""Volume file I/O.
+"""Volume file input.
 
 The paper's negHip dataset circulated as a raw little-endian uint8 brick
-(64×64×64).  :func:`read_raw`/:func:`write_raw` handle that format (any
-numpy dtype, C order, x-fastest), plus a self-describing ``.vgrid`` wrapper
-(a tiny JSON header followed by the raw block) so repro-generated volumes
-round-trip without out-of-band shape knowledge.
+(64×64×64).  :func:`read_raw` loads that format (any numpy dtype, C order,
+x-fastest) for ``python -m repro build --raw``.  Nothing here writes a
+volume: the generator's volumes are made in memory (``neg_hip`` and the
+other generators of :mod:`repro.volume.synthetic`).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Tuple, Union
 
@@ -17,9 +16,7 @@ import numpy as np
 
 from .grid import VolumeGrid
 
-__all__ = ["read_raw", "write_raw", "read_vgrid", "write_vgrid"]
-
-_MAGIC = b"VGRID\n"
+__all__ = ["read_raw"]
 
 
 def read_raw(
@@ -36,6 +33,9 @@ def read_raw(
     negHip and friends were shipped.  With ``normalize`` the samples are
     rescaled to [0, 1] for transfer-function use.
     """
+    for axis, n in zip("xyz", shape):
+        if n < 1:
+            raise ValueError(f"{path}: shape n{axis} = {n}, must be >= 1")
     raw = Path(path).read_bytes()
     dt = np.dtype(dtype)
     expected = int(np.prod(shape)) * dt.itemsize
@@ -55,61 +55,3 @@ def read_raw(
         data=data, extent=extent, name=name or Path(path).stem
     )
     return grid.normalized() if normalize else grid
-
-
-def write_raw(path: Union[str, Path], volume: VolumeGrid,
-              dtype: str = "uint8") -> None:
-    """Write a volume as a raw brick (x fastest), quantizing if needed."""
-    dt = np.dtype(dtype)
-    data = volume.data
-    if dt == np.uint8:
-        lo, hi = volume.value_range
-        span = (hi - lo) or 1.0
-        data = np.clip(
-            np.rint((volume.data - lo) / span * 255.0), 0, 255
-        ).astype(np.uint8)
-    else:
-        data = data.astype(dt)
-    Path(path).write_bytes(data.transpose(2, 1, 0).tobytes())
-
-
-def write_vgrid(path: Union[str, Path], volume: VolumeGrid) -> None:
-    """Write the self-describing format: JSON header + float32 block."""
-    header = {
-        "shape": list(volume.shape),
-        "extent": volume.extent,
-        "name": volume.name,
-        "dtype": "float32",
-    }
-    blob = json.dumps(header).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        fh.write(volume.data.astype(np.float32).tobytes())
-
-
-def read_vgrid(path: Union[str, Path]) -> VolumeGrid:
-    """Read a ``.vgrid`` file written by :func:`write_vgrid`."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise ValueError(f"{path}: not a vgrid file")
-    off = len(_MAGIC)
-    hlen = int.from_bytes(raw[off:off + 4], "little")
-    off += 4
-    try:
-        header = json.loads(raw[off:off + hlen])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: corrupt vgrid header") from exc
-    off += hlen
-    shape = tuple(header["shape"])
-    data = np.frombuffer(
-        raw[off:], dtype=np.dtype(header.get("dtype", "float32"))
-    )
-    if data.size != int(np.prod(shape)):
-        raise ValueError(f"{path}: truncated vgrid payload")
-    return VolumeGrid(
-        data=data.reshape(shape).copy(),
-        extent=float(header.get("extent", 1.0)),
-        name=header.get("name", Path(path).stem),
-    )

@@ -10,7 +10,7 @@ applied vectorized over ray-sample batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,13 +79,6 @@ class TransferFunction:
                 rgb[at:at + v.size, c] = np.interp(v, xp, self.points[:, 1 + c])
             alpha[at:at + v.size] = np.interp(v, xp, self.points[:, 4])
         return out
-
-    def opacity_only(self, values: np.ndarray) -> np.ndarray:
-        """Extinction densities for scalars (occlusion precomputation)."""
-        v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-        return np.interp(v, self.points[:, 0], self.points[:, 4]).astype(
-            np.float32
-        )
 
     def max_opacity_in(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Maximum extinction over scalar ranges ``[lo, hi]`` (vectorized).
@@ -161,8 +154,3 @@ def preset(name: str) -> TransferFunction:
             f"unknown preset {name!r}; available: {sorted(_PRESETS)}"
         ) from None
     return TransferFunction.from_list(rows)
-
-
-def preset_names() -> List[str]:
-    """All available preset names."""
-    return sorted(_PRESETS)

@@ -1,19 +1,34 @@
-"""Every module under ``src/repro`` is reached by something that runs.
+"""Every module and every function under ``src/repro`` is reached by
+something that runs.
 
 The roots are what a user or CI can start: every ``__main__.py`` in the
 package (``python -m repro`` reaches ``repro.cli`` and through it the sweep
-engine) and every file under ``perf/`` and ``benchmarks/``.  From there
-the walk follows imports, plus any string that is the dotted name of a
-module — that is how a builtin sweep spec names its scenario and its
-assembler.  Tests and examples are not roots, and a package ``__init__``
-re-exporting a name is not a caller:
+engine) and every file under ``ROOT_TREES``: ``perf/``, ``benchmarks/``
+and ``examples/`` (``tests/integration/test_examples.py`` runs each
+example).  Tests are not roots.
+
+Modules: the walk follows imports, plus any string that is the dotted name
+of a module — that is how a builtin sweep spec names its scenario and its
+assembler.  A package ``__init__`` re-exporting a name is not a caller:
 ``from repro.lon import Network`` reaches ``lon/network.py``, where
 ``lon/__init__`` got the name, and nothing else ``lon/__init__`` imports.
-A module the walk never reaches has no figure, command or benchmark behind
-it; it earns one or leaves (DESIGN.md section 3).
+
+Functions: a ``def`` or ``class`` (dunders aside) is reached when its name
+appears outside its own definition, in the package or a root tree, as a
+``Name``, as an ``Attribute`` or as a part of a dotted or ``:``-joined
+string constant (``perf/trace.py`` names the methods it wraps that way).
+An import is no caller and neither is an ``__all__`` entry.  The match is
+by name alone, so a collision can hide a dead function, never report a
+live one.
+
+What neither walk reaches has no figure, command, example or benchmark
+behind it; it earns one or leaves (DESIGN.md section 3).  A function only
+tests call moves into ``tests/`` as an oracle, or it goes.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -22,7 +37,7 @@ from .test_layering import imported_from
 
 PACKAGE = Path(repro.__file__).resolve().parent
 REPO = PACKAGE.parents[1]
-ROOT_TREES = ("perf", "benchmarks")
+ROOT_TREES = ("perf", "benchmarks", "examples")
 
 
 def _modules(package_dir):
@@ -102,6 +117,78 @@ def unreached(package_dir, root_files):
                   and not name.endswith("__main__"))
 
 
+_DOTTED = re.compile(r"[\w.:]+")
+
+
+def _mentions(tree):
+    """``(name, (line, col))`` for every name ``tree`` uses: ``Name`` ids,
+    ``Attribute`` attrs and the parts of dotted / ``:`` string constants,
+    leaving out what an ``__all__`` assignment lists."""
+    listed = {id(n) for node in ast.walk(tree)
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target]))
+              for n in ast.walk(node)}
+    for node in ast.walk(tree):
+        if id(node) in listed:
+            continue
+        at = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
+        if isinstance(node, ast.Name):
+            yield node.id, at
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, at
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            for part in re.split("[.:]", node.value):
+                yield part, at
+
+
+def _definitions(tree, prefix=""):
+    """``(qualified name, node)`` for every def and class in ``tree``, at
+    any depth, dunders aside."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = prefix + node.name
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield name, node
+            yield from _definitions(node, name + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _span(node):
+    """First and one-past-last ``(line, col)`` of a def, decorators in."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return (first, 0), (node.end_lineno, node.end_col_offset)
+
+
+def uncalled(package_dir, caller_files):
+    """``relative path:qualified name`` of each def or class under
+    ``package_dir`` whose name nothing in the package or ``caller_files``
+    mentions outside the definition itself."""
+    sources = sorted(package_dir.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in sources + [Path(p) for p in caller_files]}
+    where = {path: {} for path in trees}
+    for path, tree in trees.items():
+        for name, at in _mentions(tree):
+            where[path].setdefault(name, []).append(at)
+    total = Counter()
+    for found in where.values():
+        total.update({name: len(ats) for name, ats in found.items()})
+    report = []
+    for path in sources:
+        for qualname, node in _definitions(trees[path]):
+            start, end = _span(node)
+            own = sum(start <= at < end
+                      for at in where[path].get(node.name, ()))
+            if total[node.name] == own:
+                report.append(f"{path.relative_to(package_dir)}:{qualname}")
+    return report
+
+
 def _write(root, files):
     for rel, text in files.items():
         path = root / rel
@@ -109,11 +196,19 @@ def _write(root, files):
         path.write_text(text)
 
 
+def _roots():
+    return [path for tree in ROOT_TREES
+            for path in sorted((REPO / tree).rglob("*.py"))]
+
+
 def test_every_module_is_reached_from_a_root():
-    roots = [path for tree in ROOT_TREES
-             for path in sorted((REPO / tree).rglob("*.py"))]
-    orphans = unreached(PACKAGE, roots)
+    orphans = unreached(PACKAGE, _roots())
     assert not orphans, "nothing reaches: " + ", ".join(orphans)
+
+
+def test_every_function_is_named_outside_tests():
+    orphans = uncalled(PACKAGE, _roots())
+    assert not orphans, "only tests name: " + ", ".join(orphans)
 
 
 def test_a_module_only_its_package_init_imports_is_reported(tmp_path):
@@ -136,3 +231,38 @@ def test_a_module_only_its_package_init_imports_is_reported(tmp_path):
         "sub/island.py", "sub/orphan.py"]
     assert unreached(tmp_path / "pkg", []) == [
         "sub/by_root.py", "sub/island.py", "sub/named.py", "sub/orphan.py"]
+
+
+def test_a_function_only_tests_name_is_reported(tmp_path):
+    _write(tmp_path, {
+        "pkg/__init__.py": ("from .core import exported\n"
+                            "__all__ = ['exported', 'tested']\n"),
+        "pkg/core.py": (
+            "def tested(): pass\n"
+            "def exported(): pass\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+            "def by_example(): pass\n"
+            "class Wrapped:\n"
+            "    def __init__(self): self.hidden()\n"
+            "    def hidden(self): pass\n"
+            "    def traced(self): pass\n"
+            "    def untraced(self): pass\n"),
+        "perf/trace.py": ("from pkg.core import Wrapped\n"
+                          "WRAPPED = [(Wrapped, 'traced'),\n"
+                          "           'pkg.core:Wrapped.untraced.x']\n"),
+        "examples/demo.py": ("from pkg.core import by_example\n"
+                             "by_example()\n"),
+        "tests/test_core.py": ("from pkg.core import tested, exported\n"
+                               "tested(); exported()\n"),
+    })
+    roots = [tmp_path / tree / name for tree, name in (
+        ("perf", "trace.py"), ("examples", "demo.py"))]
+    assert uncalled(tmp_path / "pkg", roots) == [
+        "core.py:tested", "core.py:exported", "core.py:recursive"]
+    assert uncalled(tmp_path / "pkg", roots[:1]) == [
+        "core.py:tested", "core.py:exported", "core.py:recursive",
+        "core.py:by_example"]
+    assert uncalled(tmp_path / "pkg", roots[1:]) == [
+        "core.py:tested", "core.py:exported", "core.py:recursive",
+        "core.py:Wrapped", "core.py:Wrapped.traced",
+        "core.py:Wrapped.untraced"]

@@ -17,6 +17,7 @@ import pytest
 from repro.experiments.artifacts import (
     bench_document,
     payload_fingerprint,
+    render_bench,
     split_wall_clock,
     write_bench,
 )
@@ -234,7 +235,7 @@ class TestExecutor:
         spec = toy_spec()
         serial = run_sweep(spec, workers=1, out_dir=tmp_path / "a")
         parallel = run_sweep(spec, workers=4, out_dir=tmp_path / "b")
-        assert serial.rendered() == parallel.rendered()
+        assert render_bench(serial.doc) == render_bench(parallel.doc)
         assert (tmp_path / "a" / "BENCH_toy.json").read_bytes() == \
             (tmp_path / "b" / "BENCH_toy.json").read_bytes()
 
@@ -247,7 +248,7 @@ class TestExecutor:
         ckpt = tmp_path / "ckpt"
         baseline = run_sweep(spec, workers=1, checkpoint_dir=ckpt,
                              out_dir=tmp_path, write_artifact=True)
-        reference = baseline.rendered()
+        reference = render_bench(baseline.doc)
         records = sorted(ckpt.glob("run_*.json"))
         assert len(records) == 12
         # simulate a mid-batch kill: every other record survives
@@ -260,7 +261,7 @@ class TestExecutor:
                             out_dir=tmp_path, write_artifact=True)
         assert resumed.reused == 6
         assert resumed.executed == 6
-        assert resumed.rendered() == reference
+        assert render_bench(resumed.doc) == reference
         assert resumed.payload_fingerprint == baseline.payload_fingerprint
 
     def test_resume_with_complete_checkpoints_recomputes_nothing(
@@ -274,7 +275,7 @@ class TestExecutor:
                            resume=True, write_artifact=False)
         assert second.executed == 0
         assert second.reused == len(spec.expand())
-        assert second.rendered() == first.rendered()
+        assert render_bench(second.doc) == render_bench(first.doc)
 
     def test_fresh_run_clears_stale_records(self, tmp_path):
         spec = toy_spec()

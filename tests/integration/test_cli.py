@@ -2,10 +2,12 @@
 
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.render.image import load_ppm
+
+from ..render.reference_image import load_ppm
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +29,12 @@ class TestBuild:
 
     def test_build_from_raw(self, tmp_path):
         from repro.volume import neg_hip
-        from repro.volume.io import write_raw
 
+        vol = neg_hip(size=12)
+        lo, hi = vol.value_range
+        brick = np.rint((vol.data - lo) / (hi - lo) * 255.0).astype(np.uint8)
         raw = tmp_path / "vol.raw"
-        write_raw(raw, neg_hip(size=12), dtype="uint8")
+        raw.write_bytes(brick.transpose(2, 1, 0).tobytes())  # x fastest
         out = tmp_path / "lfd"
         rc = main([
             "build", "--raw", str(raw), "--shape", "12,12,12",
@@ -43,6 +47,14 @@ class TestBuild:
     def test_raw_without_shape_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["build", "--raw", "x.raw", "--out", str(tmp_path / "o")])
+
+    def test_raw_with_a_nonpositive_axis_names_it(self, tmp_path):
+        raw = tmp_path / "k.raw"
+        raw.write_bytes(bytes(1024))  # what -4 x -4 x 64 multiplies out to
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--raw", str(raw), "--shape=-4,-4,64",
+                  "--out", str(tmp_path / "o")])
+        assert "nx = -4" in str(exc.value.code)
 
 
 class TestInfo:
@@ -168,6 +180,29 @@ class TestFleetReport:
         out = capsys.readouterr().out
         assert "QGR" in out
         assert "flight dumps" not in out
+
+
+class TestTraceReport:
+    def test_reads_a_saved_trace(self, tmp_path, capsys):
+        trace = tmp_path / "s.json"
+        assert main(["session", "--cases", "3", "--accesses", "4",
+                     "--lattice", "6x12x3", "--resolution", "16",
+                     "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["trace-report", str(trace)]) == 0
+        assert "4 accesses" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ['{"a": 1}', "not json"],
+                             ids=["json-without-events", "not-json"])
+    def test_a_file_that_is_not_a_trace_exits_with_one_line(self, tmp_path,
+                                                            text):
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace-report", str(path)])
+        message = str(exc.value.code)
+        assert message.startswith("trace-report: ") and str(path) in message
+        assert "\n" not in message
 
 
 class TestParser:

@@ -10,13 +10,15 @@ import pytest
 
 from repro.lightfield.build import LightFieldBuilder
 from repro.lightfield.lattice import CameraLattice
-from repro.lightfield.source import DatabaseSource
 from repro.lightfield.synthesis import LightFieldSynthesizer
 from repro.render.camera import orbit_camera
 from repro.render.image import rmse
 from repro.render.raycast import RaycastRenderer, RenderSettings
 from repro.streaming.session import SessionConfig, build_rig
 from repro.volume import neg_hip, preset
+
+from ..lightfield.reference_source import DatabaseSource
+from ..streaming.reference_rig import forget, resident_keys
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +51,15 @@ class TestEndToEnd:
         assert len(rig.metrics.accesses) == 12
 
         # the client's resident view sets are bit-identical to the source
-        assert rig.client.resident_keys()
-        for key in rig.client.resident_keys():
+        assert resident_keys(rig.client)
+        for key in resident_keys(rig.client):
             vs = rig.client.get_resident(key)
             expected = db.get_viewset(key)
             assert vs == expected
 
         # synthesize a frame from the client's residency and compare with
         # ground-truth ray casting at the same pose
-        key = rig.client.resident_keys()[-1]
+        key = resident_keys(rig.client)[-1]
         synth = LightFieldSynthesizer(
             db.lattice, db.spheres, db.resolution, rig.client
         )
@@ -95,7 +97,7 @@ class TestEndToEnd:
             rig.queue.run_until(rig.trace.duration + 120.0)
             resident[case] = {
                 key: rig.client.get_resident(key).images.tobytes()
-                for key in rig.client.resident_keys()
+                for key in resident_keys(rig.client)
             }
         shared = set(resident[2]) & set(resident[3])
         assert shared
@@ -112,7 +114,7 @@ class TestEndToEnd:
         # wipe one view set the trace will touch from the DVS
         first_key = rig.trace.viewset_accesses(source.lattice)[0]
         vid = source.lattice.viewset_id(first_key)
-        rig.dvs.unregister(vid)
+        forget(rig.dvs, vid)
         rig.client.schedule_trace(rig.trace)
         rig.queue.run_until(rig.trace.duration + 120.0)
         served = {a.viewset_id: a for a in rig.metrics.accesses}

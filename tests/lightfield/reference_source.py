@@ -6,10 +6,16 @@ into a fresh float array and runs three boolean-mask passes over it.  Slow,
 and the definition of every synthetic payload byte — the production method
 must return a ``ViewSet`` that compares ``==`` to this one.  Nothing under
 ``src/``, ``benchmarks/`` or ``examples/`` imports it.
+
+:class:`DatabaseSource` is the fixture that streams a really-rendered
+database instead; only tests stream a built one.  :func:`to_bytes` is the
+uncompressed LFVS wire blob, which the codecs stream without building: the
+oracle they are held to.
 """
 
 import numpy as np
 
+from repro.lightfield.database import LightFieldDatabase
 from repro.lightfield.lattice import ViewSetKey
 from repro.lightfield.source import SyntheticSource
 from repro.lightfield.viewset import ViewSet
@@ -49,3 +55,27 @@ def reference_viewset(source: SyntheticSource, key: ViewSetKey) -> ViewSet:
                 )
             images[a, b] = np.clip(img, 0, 255).astype(np.uint8)
     return ViewSet(key=key, images=images)
+
+
+class DatabaseSource:
+    """Adapter exposing a built :class:`LightFieldDatabase` as a source."""
+
+    def __init__(self, db: LightFieldDatabase) -> None:
+        if not db.is_complete():
+            raise ValueError(
+                "streaming sessions need a complete database; "
+                f"{len(db)} of {db.lattice.n_viewsets} view sets present"
+            )
+        self.db = db
+        self.lattice = db.lattice
+        self.spheres = db.spheres
+        self.resolution = db.resolution
+
+    def payload(self, key: ViewSetKey) -> bytes:
+        return self.db.payload(key)
+
+
+def to_bytes(vs: ViewSet) -> bytes:
+    """Serialize to the LFVS wire format."""
+    # one copy: the join reads the pixel block through its buffer
+    return b"".join((vs.header(), vs.images.reshape(-1).data))

@@ -7,6 +7,12 @@ synthesizer's ``TwoSphere.project``), builds the exact set of cameras it
 touches (``np.unique``), a ``look_at`` per camera, a copy of every camera
 image, and samples with three-index fancy gathers and einsums.  It is slow and obviously right, which is the point — nothing under
 ``src/``, ``benchmarks/`` or ``examples/`` imports it.
+
+The helpers below are for tests only: :func:`intersect_sphere` (one
+sphere), :func:`stuv_to_ray` (``TwoSphere.project``'s inverse),
+:func:`view_for_camera`, and :func:`render_rays` / :func:`required_viewsets`
+(a synthesizer's frame kernel and the view sets it would touch, on
+row-major ``(N, 3)`` rays with unit directions).
 """
 
 from typing import Set, Tuple
@@ -19,8 +25,81 @@ from repro.lightfield.sphere import (
     angles_to_cartesian,
     cartesian_to_angles,
 )
-from repro.lightfield.synthesis import ViewSetProvider
+from repro.lightfield.synthesis import LightFieldSynthesizer, ViewSetProvider
+from repro.lightfield.viewset import ViewSet
 from repro.render.camera import look_at
+
+
+def intersect_sphere(
+    spheres: TwoSphere, origins: np.ndarray, dirs: np.ndarray, radius: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First non-negative intersection parameter with a centered sphere.
+
+    Returns ``(t, hit)``: ray parameter of the first intersection with
+    ``t >= 0`` and a boolean hit mask.  Directions must be unit length.
+    Row-major ``(N, 3)`` rays and one sphere at a time.
+    """
+    o = np.asarray(origins, dtype=np.float64)
+    d = np.asarray(dirs, dtype=np.float64)
+    b = np.einsum("ij,ij->i", o, d)
+    c = np.einsum("ij,ij->i", o, o) - radius * radius
+    disc = b * b - c
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t0 = -b - sq
+    t1 = -b + sq
+    # first intersection at t >= 0: prefer entry point, else exit
+    t = np.where(t0 >= 0.0, t0, t1)
+    hit &= t >= 0.0
+    return t, hit
+
+
+def stuv_to_ray(spheres: TwoSphere, s: np.ndarray, t: np.ndarray,
+                u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse mapping: the ray from outer point (u,v) to inner (s,t).
+
+    Returns unit-direction rays originating on the outer sphere.
+    """
+    p_out = angles_to_cartesian(np.asarray(u), np.asarray(v), spheres.r_outer)
+    p_in = angles_to_cartesian(np.asarray(s), np.asarray(t), spheres.r_inner)
+    d = p_in - p_out
+    n = np.linalg.norm(d, axis=-1, keepdims=True)
+    if np.any(n == 0):
+        raise ValueError("degenerate ray: coincident sphere points")
+    return p_out, d / n
+
+
+def view_for_camera(vs: ViewSet, i: int, j: int) -> np.ndarray:
+    """The sample view for global lattice camera (i, j).
+
+    Raises KeyError if the camera is not in this view set.
+    """
+    vi, vj = vs.key
+    a, b = i - vi * vs.l, j - vj * vs.l
+    if not (0 <= a < vs.l and 0 <= b < vs.l):
+        raise KeyError(f"camera ({i}, {j}) not in view set {vs.key}")
+    return vs.images[a, b]
+
+
+def _planar(origins, dirs):
+    return (np.asarray(origins, dtype=np.float64).T,
+            np.asarray(dirs, dtype=np.float64).T)
+
+
+def render_rays(synth: LightFieldSynthesizer, origins: np.ndarray,
+                dirs: np.ndarray) -> Tuple[np.ndarray, float, Set[ViewSetKey]]:
+    """``(colors (N,3) float32, coverage, missing keys)`` of ``synth``."""
+    return synth._synthesize(*_planar(origins, dirs))
+
+
+def required_viewsets(synth: LightFieldSynthesizer, origins: np.ndarray,
+                      dirs: np.ndarray) -> Set[ViewSetKey]:
+    """The keys :func:`render_rays` asks the provider for on these rays."""
+    vidx, _, u, v = synth.spheres.project(*_planar(origins, dirs))
+    if not len(vidx):
+        return set()
+    leads = np.unique(synth._leads(u, v)[0])
+    return set(synth._touched_viewsets(synth._corners(leads)))
 
 
 def _corner_cameras(lattice: CameraLattice, mode: str, u, v):
@@ -60,8 +139,8 @@ def reference_render_rays(
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     colors = np.full((len(origins), 3), background, dtype=np.float32)
-    t_in, hit_in = spheres.intersect_sphere(origins, dirs, spheres.r_inner)
-    t_out, hit_out = spheres.intersect_sphere(origins, dirs, spheres.r_outer)
+    t_in, hit_in = intersect_sphere(spheres, origins, dirs, spheres.r_inner)
+    t_out, hit_out = intersect_sphere(spheres, origins, dirs, spheres.r_outer)
     vidx = np.nonzero(hit_in & hit_out)[0]
     if not len(vidx):
         return colors, 1.0, set()
@@ -102,7 +181,7 @@ def reference_render_rays(
         if vs is None:
             missing.add(key)
             continue
-        images[slot] = vs.view_for_camera(i, j)
+        images[slot] = view_for_camera(vs, i, j)
         present[slot] = True
 
     acc = np.zeros((len(vidx), 3), dtype=np.float32)

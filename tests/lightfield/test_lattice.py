@@ -66,7 +66,7 @@ class TestAngles:
 
     def test_nearest_camera(self, small):
         th, ph = small.angles(4, 9)
-        assert small.nearest_camera(th + 0.01, ph - 0.01) == (4, 9)
+        assert small.scalar_index(th + 0.01, ph - 0.01)[2:] == (4, 9)
 
 
 class TestViewSets:
@@ -151,13 +151,13 @@ class TestQuadrants:
     def test_quadrant_neighbors_count(self, small):
         th, ph = small.viewset_center((2, 3))
         # interior view set: exactly 3 quadrant neighbors
-        nbrs = small.quadrant_neighbors(th - 0.02, ph - 0.02)
+        nbrs = small.quadrant_side(*small.locate(th - 0.02, ph - 0.02))
         assert len(nbrs) == 3
 
     def test_quadrant_neighbors_are_neighbors(self, small):
         th, ph = small.viewset_center((1, 2))
         key = small.viewset_containing(th, ph)
-        for nb in small.quadrant_neighbors(th, ph):
+        for nb in small.quadrant_side(*small.locate(th, ph)):
             assert nb in small.neighbors(key)
 
     @given(
@@ -169,7 +169,7 @@ class TestQuadrants:
         lat = CameraLattice(n_theta=12, n_phi=24, l=3)
         key = lat.viewset_containing(theta, phi)
         ring = set(lat.neighbors(key))
-        assert set(lat.quadrant_neighbors(theta, phi)) <= ring
+        assert set(lat.quadrant_side(*lat.locate(theta, phi))) <= ring
 
 
 class TestPhiSeamQuadrantDefect:
@@ -196,7 +196,7 @@ class TestPhiSeamQuadrantDefect:
         lat, theta, phi = self.lattice, scalar(self.theta), scalar(self.phi)
         assert lat.viewset_containing(theta, phi) == (2, 0)
         assert lat.quadrant(theta, phi) == (-1, +1)          # should be -1
-        assert lat.quadrant_neighbors(theta, phi) == [
+        assert lat.quadrant_side(*lat.locate(theta, phi)) == [
             (1, 0), (2, 1), (1, 1)]                # should be (2, 7), (1, 7)
 
     def test_numpy_oracle_gives_todays_answer(self):

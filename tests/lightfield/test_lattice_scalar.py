@@ -43,13 +43,13 @@ def assert_matches_everywhere(lat: CameraLattice, theta, phi) -> None:
     assert float(fi).hex() == float(afi).hex()
     assert float(fj).hex() == float(afj).hex()
 
-    camera = lat.nearest_camera(theta, phi)
+    camera = lat.scalar_index(theta, phi)[2:]
     assert camera == (i, j) == ref.nearest_camera(lat, theta, phi)
     key = lat.viewset_containing(theta, phi)
     assert key == ref.viewset_containing(lat, theta, phi)
     quadrant = lat.quadrant(theta, phi)
     assert quadrant == ref.quadrant(lat, theta, phi)
-    side = lat.quadrant_neighbors(theta, phi)
+    side = lat.quadrant_side(*lat.locate(theta, phi))
     assert side == ref.quadrant_neighbors(lat, theta, phi)
     located = lat.locate(theta, phi)
     assert located == (key, quadrant) == ref.locate(lat, theta, phi)
@@ -110,7 +110,7 @@ class TestScalarAgainstArrayAndOracle:
             for theta in _angles_hitting(lat.theta_step, k + 0.5, 0.5):
                 exact += 1
                 assert lat.scalar_index(theta, 1.0)[0] == k + 0.5
-                assert lat.nearest_camera(theta, 1.0)[0] == k + k % 2
+                assert lat.scalar_index(theta, 1.0)[2] == k + k % 2
                 assert_matches_everywhere(lat, scalar(theta), scalar(1.0))
         assert exact >= lat.n_theta - 1
 
@@ -120,7 +120,7 @@ class TestScalarAgainstArrayAndOracle:
             for phi in _angles_hitting(lat.phi_step, k + 0.5, 0.0):
                 exact += 1
                 assert lat.scalar_index(1.0, phi)[1] == k + 0.5
-                assert lat.nearest_camera(1.0, phi)[1] == (
+                assert lat.scalar_index(1.0, phi)[3] == (
                     (k + k % 2) % lat.n_phi)
                 assert_matches_everywhere(lat, scalar(1.0), scalar(phi))
                 assert_matches_everywhere(

@@ -19,6 +19,8 @@ from repro.lightfield.compression import DeltaZlibCodec, ZlibCodec
 from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
 from repro.render.camera import orbit_camera
 
+from .reference_synthesis import required_viewsets
+
 #: most a decode may allocate beyond the block it returns (the parent's
 #: decode of the 200² block held 9.45 MB: the inflated bytes and a copy)
 DECODE_SLACK = 2 * 2**20
@@ -66,7 +68,7 @@ def test_every_mapped_camera_taps_its_resident_view_set(playback):
     for key in ((0, 1), (1, 2), (0, 1)):
         camera = orbit(source, key, rng)
         synth.render(camera)
-        touched = synth.required_viewsets(*camera.rays())
+        touched = required_viewsets(synth, *camera.rays())
         mapped = 0
         for code in range(lattice.n_cameras):
             i, j = divmod(code, lattice.n_phi)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from repro.lightfield.build import LightFieldBuilder
 from repro.lightfield.compression import codec_for_payload
 from repro.lightfield.lattice import CameraLattice
-from repro.lightfield.source import DatabaseSource, SyntheticSource
+from repro.lightfield.source import SyntheticSource
 from repro.lightfield.viewset import ViewSet
 from repro.render.raycast import RenderSettings
 from repro.volume import neg_hip, preset
 
-from .reference_source import reference_viewset
+from .reference_source import DatabaseSource, reference_viewset
 
 
 @pytest.fixture(scope="module")

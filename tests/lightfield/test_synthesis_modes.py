@@ -13,6 +13,8 @@ from repro.render.image import rmse
 from repro.render.raycast import RenderSettings
 from repro.volume import neg_hip, preset
 
+from .reference_synthesis import required_viewsets
+
 
 @pytest.fixture(scope="module")
 def scene():
@@ -90,7 +92,7 @@ class CountingProvider(DictProvider):
 def _missing(synth, prov, cam):
     """The non-resident view sets ``cam``'s corner cameras touch."""
     return {
-        k for k in synth.required_viewsets(*cam.rays())
+        k for k in required_viewsets(synth, *cam.rays())
         if prov.get_resident(k) is None
     }
 
@@ -120,7 +122,7 @@ def test_required_viewsets_are_what_a_frame_asks_for(mode):
         synth.render(cam)
         assert prov.asked
         assert sorted(prov.asked) == sorted(
-            synth.required_viewsets(*cam.rays()))
+            required_viewsets(synth, *cam.rays()))
 
 
 class TestAtlasCache:
@@ -138,7 +140,7 @@ class TestAtlasCache:
         cam = camera_for(db)
         first = synth.render(cam).image
         # a frame asks only for the view sets its corner cameras touch
-        needed = synth.required_viewsets(*cam.rays())
+        needed = required_viewsets(synth, *cam.rays())
         assert sorted(prov.asked) == sorted(needed)
         # the store taps the resident view set's own block, so scribbling
         # over that object's pixels is seen by the very next frame, exactly

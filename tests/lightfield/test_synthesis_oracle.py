@@ -13,7 +13,7 @@ from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
 from repro.render.camera import orbit_camera
 
-from .reference_synthesis import reference_render_rays
+from .reference_synthesis import reference_render_rays, render_rays
 
 LATTICE = CameraLattice(n_theta=12, n_phi=24, l=3)
 RESOLUTION = 40
@@ -65,7 +65,7 @@ def test_matches_reference(source, viewsets, mode, residency):
     partial = False
     for name, camera in _cameras(source) * 2:
         origins, dirs = camera.rays()
-        colors, coverage, missing = synth.render_rays(origins, dirs)
+        colors, coverage, missing = render_rays(synth, origins, dirs)
         want, want_coverage, want_missing = reference_render_rays(
             LATTICE, source.spheres, RESOLUTION, provider, origins, dirs,
             background=0.25, interpolation=mode,
@@ -95,7 +95,7 @@ def test_non_pinhole_ray_bundle(source, viewsets):
     provider = DictProvider(viewsets)
     synth = LightFieldSynthesizer(
         LATTICE, source.spheres, RESOLUTION, provider, background=0.5)
-    colors, coverage, missing = synth.render_rays(origins, dirs)
+    colors, coverage, missing = render_rays(synth, origins, dirs)
     want, want_coverage, want_missing = reference_render_rays(
         LATTICE, source.spheres, RESOLUTION, provider, origins, dirs,
         background=0.5)

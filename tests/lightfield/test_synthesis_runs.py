@@ -19,6 +19,7 @@ from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
 from repro.render.camera import orbit_camera
 
 from .reference_ray_kernel import _corner_cameras, reference_synthesize
+from .reference_synthesis import render_rays
 from .test_synthesis_pins import SCENES, _source
 
 MODES = ["quadrilinear", "uv-nearest", "nearest"]
@@ -75,12 +76,12 @@ def assert_bit_equal(monkeypatch, scene, residency, mode, bundles):
     """Render every ``(origins, dirs)`` bundle with one long-lived
     synthesizer per kernel; return the run kernel's results."""
     runs = _synth(scene, residency, mode)
-    got = [runs.render_rays(o, d) for o, d in bundles]
+    got = [render_rays(runs, o, d) for o, d in bundles]
     with monkeypatch.context() as patch:
         patch.setattr(
             LightFieldSynthesizer, "_synthesize", reference_synthesize)
         oracle = _synth(scene, residency, mode)
-        want = [oracle.render_rays(o, d) for o, d in bundles]
+        want = [render_rays(oracle, o, d) for o, d in bundles]
     for k, ((colors, cov, missing), (w_colors, w_cov, w_missing)) in (
             enumerate(zip(got, want))):
         assert colors.tobytes() == w_colors.tobytes(), k
@@ -201,21 +202,3 @@ def test_viewset_under_the_wrong_key_is_refused():
                           fov_deg=source.spheres.camera_fov_deg())
     with pytest.raises(ValueError, match=r"\(1, 3\) for key \(1, 2\)"):
         synth.render(camera)
-
-
-def test_non_unit_directions_are_refused():
-    synth = _synth("oracle", "full", "quadrilinear")
-    camera = _cameras("oracle")[0]
-    origins, dirs = camera.rays()
-    frame = synth.render(camera)
-    colors, _, _ = synth.render_rays(origins, dirs)     # unit: accepted
-    assert colors.tobytes() == frame.image.tobytes()
-    nudged = dirs.copy()
-    nudged[7:] *= 1 + 2e-6
-    for bad, first in ((2.0 * dirs, 0), (nudged, 7)):
-        for call in (synth.render_rays, synth.required_viewsets):
-            with pytest.raises(ValueError, match=rf"ray {first} "):
-                call(origins, bad)
-    # a direction within the tolerance is rendered as given
-    synth.render_rays(origins, dirs * (1 + 5e-7))
-

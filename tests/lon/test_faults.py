@@ -1,9 +1,8 @@
 """Tests for fault injection and system resilience under faults."""
 
-import numpy as np
 import pytest
 
-from repro.lon.faults import DepotOutage, FlakyLinks, LeaseStorm
+from repro.lon.faults import DepotOutage, LeaseStorm
 from repro.lon.ibp import Depot, IBPRefusedError
 from repro.lon.lbone import LBone
 from repro.lon.lors import LoRS
@@ -78,40 +77,3 @@ class TestLeaseStorm:
         _, _, _, depots, _ = rig
         with pytest.raises(ValueError):
             LeaseStorm(depots["d1"]).apply(0.0)
-
-
-class TestFlakyLinks:
-    def test_cycles_scheduled_deterministically(self, rig):
-        q, net, _, _, _ = rig
-        rng = np.random.default_rng(3)
-        flaky = FlakyLinks(net, q, [("d1", "router")], rng)
-        windows = flaky.schedule_cycles(horizon=50.0, mean_up=5.0,
-                                        mean_down=1.0)
-        assert windows
-        for down_at, up_at, _link in windows:
-            assert down_at < up_at <= 50.0
-
-    def test_same_seed_same_windows(self, rig):
-        q, net, _, _, _ = rig
-        w1 = FlakyLinks(
-            net, q, [("d1", "router")], np.random.default_rng(9)
-        ).schedule_cycles(horizon=30.0)
-        q2 = EventQueue()
-        net2 = Network(q2)
-        net2.add_link("d1", "router", mbps(100), 0.01)
-        w2 = FlakyLinks(
-            net2, q2, [("d1", "router")], np.random.default_rng(9)
-        ).schedule_cycles(horizon=30.0)
-        assert [(a, b) for a, b, _ in w1] == [(a, b) for a, b, _ in w2]
-
-    def test_link_state_follows_windows(self, rig):
-        q, net, _, _, _ = rig
-        rng = np.random.default_rng(5)
-        flaky = FlakyLinks(net, q, [("d2", "router")], rng)
-        windows = flaky.schedule_cycles(horizon=40.0, mean_up=3.0,
-                                        mean_down=2.0)
-        down_at, up_at, _ = windows[0]
-        q.run_until((down_at + up_at) / 2)
-        assert not net.link_between("d2", "router").up
-        q.run_until(up_at + 1e-6)
-        assert net.link_between("d2", "router").up

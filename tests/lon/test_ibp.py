@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lon.ibp import (
-    Capability,
     CapType,
     Depot,
     IBPExpiredError,
@@ -26,43 +25,6 @@ def depot(queue):
     return Depot("d1", queue, capacity=1000)
 
 
-class TestCapability:
-    def test_str_roundtrip(self):
-        cap = Capability("depot-x", "a0001", CapType.READ)
-        assert Capability.parse(str(cap)) == cap
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "http://d/x#READ",
-            "ibp://nodepotkey",
-            "ibp://d/#READ",
-            "ibp:///key#READ",
-            "ibp://d/key#STEAL",
-            "ibp://d/key",
-        ],
-    )
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            Capability.parse(bad)
-
-    @given(
-        depot=st.text(
-            alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
-            min_size=1, max_size=20,
-        ),
-        key=st.text(
-            alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
-            min_size=1, max_size=20,
-        ),
-        ctype=st.sampled_from(list(CapType)),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_parse_inverts_str(self, depot, key, ctype):
-        cap = Capability(depot, key, ctype)
-        assert Capability.parse(str(cap)) == cap
-
-
 class TestAllocate:
     def test_returns_three_caps(self, depot):
         r, w, m = depot.allocate(100, 60.0)
@@ -75,7 +37,7 @@ class TestAllocate:
     def test_capacity_accounting(self, depot):
         depot.allocate(400, 60.0)
         assert depot.used == 400
-        assert depot.free == 600
+        assert depot.capacity - depot.used == 600
 
     def test_over_allocation_refused(self, depot):
         depot.allocate(900, 60.0)
@@ -113,28 +75,6 @@ class TestLeases:
         # the expired lease no longer blocks a new allocation
         r, w, m = depot.allocate(900, duration=10.0)
         assert depot.stats.refusals == 0
-
-    def test_manage_extend(self, queue, depot):
-        r, w, m = depot.allocate(100, duration=10.0)
-        new_expiry = depot.manage_extend(m, 20.0)
-        assert new_expiry == pytest.approx(30.0)
-        queue.schedule(15.0, lambda: None)
-        queue.run()
-        depot.store(w, b"still alive")  # no exception
-
-    def test_extend_beyond_max_refused(self, queue):
-        d = Depot("d", queue, capacity=100, max_duration=50.0)
-        r, w, m = d.allocate(10, 40.0)
-        with pytest.raises(IBPRefusedError):
-            d.manage_extend(m, 100.0)
-
-    def test_reaper_purges(self, queue, depot):
-        depot.allocate(100, duration=5.0)
-        depot.start_reaper(period=10.0)
-        queue.run_until(25.0)
-        depot.stop_reaper()
-        assert depot.stats.expired == 1
-        assert len(list(depot.keys())) == 0
 
 
 class TestSoftAllocations:
@@ -216,25 +156,7 @@ class TestRefcounts:
         depot.manage_decrement(m)
         with pytest.raises(IBPNoSuchCapError):
             depot.load(r)
-        assert depot.free == 1000
-
-    def test_increment_then_decrement(self, depot):
-        r, w, m = depot.allocate(100, 60.0)
-        depot.manage_increment(m)
-        depot.manage_decrement(m)
-        depot.store(w, b"still here")
-        depot.manage_decrement(m)
-        with pytest.raises(IBPNoSuchCapError):
-            depot.load(r)
-
-    def test_probe_reports_state(self, queue, depot):
-        r, w, m = depot.allocate(100, 30.0, soft=True)
-        depot.store(w, b"abcde")
-        info = depot.manage_probe(m)
-        assert info["size"] == 100
-        assert info["bytes_written"] == 5
-        assert info["soft"] is True
-        assert info["expires_at"] == pytest.approx(30.0)
+        assert depot.used == 0
 
 
 class TestDepotValidation:

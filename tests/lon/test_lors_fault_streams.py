@@ -16,9 +16,10 @@ import random
 from repro.lon.ibp import Depot
 from repro.lon.lbone import LBone
 from repro.lon.lors import LoRS
-from repro.lon.network import build_dumbbell
 from repro.lon.scheduler import Priority, TransferScheduler
 from repro.lon.simtime import EventQueue
+
+from .reference_topology import build_dumbbell
 
 BLOCK = 512 * 1024
 
@@ -181,6 +182,6 @@ class TestCopyReleasesWhatItDoesNotLand:
         assert rig.depots["lan-depot"].used == len(rig.data)
 
 
-if __name__ == "__main__":  # re-record: python tests/lon/test_lors_fault_streams.py
+if __name__ == "__main__":  # re-record: python -m tests.lon.test_lors_fault_streams
     for run in SCENARIOS:
         print(f'    "{run.__name__}":\n        "{run().digest()}",')

@@ -1,5 +1,7 @@
 """Property tests: LoRS placement/download invariants over random inputs."""
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,7 +46,8 @@ def test_place_download_roundtrip(size, stripe, replicas, block_kb, seed):
         block_size=block_kb * 1024,
     )
     assert ex.is_fully_covered()
-    assert ex.replica_count(0, len(data)) == (replicas if size else 0)
+    copies = Counter(m.extent for m in ex.mappings)
+    assert set(copies.values()) == ({replicas} if size else set())
     deferred = lors.download(ex, "client")
     q.run()
     assert deferred.result() == data

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lon.network import Network, build_dumbbell, mbps
+from repro.lon.network import Network, mbps
 from repro.lon.scheduler import (
     DEFAULT_CLASS_WEIGHTS,
     InFlightRegistry,
@@ -10,6 +10,8 @@ from repro.lon.scheduler import (
     TransferScheduler,
 )
 from repro.lon.simtime import EventQueue
+
+from .reference_topology import build_dumbbell
 
 
 def one_link():

@@ -11,7 +11,6 @@ from repro.lon.simtime import (
     Process,
     SimClock,
     SimulationError,
-    exponential_backoff,
 )
 
 
@@ -322,7 +321,6 @@ class TestProcess:
         p.stop()
         q.run()
         assert ticks == [1.0, 2.0]
-        assert not p.running
 
     def test_double_start_is_noop(self):
         q = EventQueue()
@@ -332,18 +330,3 @@ class TestProcess:
         p.start(0.5)
         q.run()
         assert ticks == [1.0]
-
-
-class TestBackoff:
-    def test_doubles_per_attempt(self):
-        assert exponential_backoff(1.0, 0) == 1.0
-        assert exponential_backoff(1.0, 3) == 8.0
-
-    def test_cap(self):
-        assert exponential_backoff(1.0, 20, cap=30.0) == 30.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            exponential_backoff(0.0, 1)
-        with pytest.raises(ValueError):
-            exponential_backoff(1.0, -1)

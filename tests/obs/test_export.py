@@ -1,4 +1,4 @@
-"""Exporter/loader/report tests: Chrome trace_event JSON, JSONL, round-trip."""
+"""Exporter/loader/report tests: Chrome trace_event JSON and its round-trip."""
 
 import io
 import json
@@ -14,7 +14,6 @@ from repro.obs import (
     stage_breakdown,
     trace_report,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -94,31 +93,21 @@ def test_write_chrome_trace_accepts_span_dicts_and_filelike():
     assert doc["traceEvents"]
 
 
-def test_jsonl_round_trip(tmp_path):
-    t = _sample_tracer()
-    out = tmp_path / "trace.jsonl"
-    n = write_jsonl(t, str(out))
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
-    assert len(lines) == n
-    assert lines == sorted(lines, key=lambda r: r["ts"])
-    names = {r["event"] for r in lines}
-    assert "access:v1.start" in names and "access:v1.end" in names
-    assert "fetch:v1.promoted" in names
-    assert "counter.link.wan.utilization" in names
-    assert "prefetch-decision" in names
-
-    spans = load_trace(str(out))
-    by_name = {s["name"]: s for s in spans}
-    assert by_name["access:v1"]["end"] - by_name["access:v1"]["start"] == (
-        pytest.approx(1.0))
-    assert by_name["queue-wait"]["parent_id"] == (
-        by_name["access:v1"]["span_id"])
-    # categories survive the JSONL round-trip (stage_breakdown needs them)
-    assert by_name["access:v1"]["cat"] == "access"
-    assert by_name["queue-wait"]["cat"] == "stage"
-    assert "cat" not in by_name["access:v1"]["attrs"]
-    bd = stage_breakdown(spans)
-    assert bd["wan"]["network-transfer"]["count"] == 1.0
+@pytest.mark.parametrize("raw, why", [
+    (b'{"a": 1}', "no traceEvents"),
+    (b'{"ts": 0.0, "event": "access:v1.start"}\n{"ts": 1.0}\n',
+     "not a JSON trace"),
+    (b"not json at all", "not a JSON trace"),
+    (b'{"traceEvents": 5}', "traceEvents is not a list"),
+    (b'{"traceEvents": []}\xff', "not a JSON trace"),
+], ids=["json-without-events", "jsonl", "not-json", "events-not-a-list",
+        "not-utf8"])
+def test_load_trace_refuses_what_is_not_a_chrome_trace(tmp_path, raw, why):
+    path = tmp_path / "other.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=why) as err:
+        load_trace(str(path))
+    assert str(path) in str(err.value)
 
 
 def test_stage_breakdown_groups_by_source_and_skips_non_stage():

@@ -28,7 +28,7 @@ class TestStitch:
         assert len(trace_ids) == 5  # 3 + 2 access roots, distinct traces
         for s in fleet.spans:
             assert s["attrs"]["worker"] in ("shard0", "shard1")
-        assert len(fleet.spans_for_worker("shard1")) == 4
+        assert sum(s["attrs"]["worker"] == "shard1" for s in fleet.spans) == 4
 
     def test_parent_links_survive_rebasing(self):
         fleet = stitch([_worker("shard0", 2, "c0"),

@@ -21,7 +21,7 @@ class TestRing:
         rec = FlightRecorder(capacity=4).attach(tracer)
         for i in range(10):
             _span(tracer, f"s{i}", float(i), i + 0.5)
-        assert rec.span_count == 4
+        assert len(rec._spans) == 4
         dump = rec.trigger("test")
         assert [s["name"] for s in dump["spans"]] == ["s6", "s7", "s8", "s9"]
 
@@ -52,7 +52,7 @@ class TestListenerWiring:
         rec = FlightRecorder().attach(tracer)
         tracer.begin("open", t=0.0)  # never finished
         _span(tracer, "closed", 0.0, 1.0)
-        assert rec.span_count == 1
+        assert len(rec._spans) == 1
 
     def test_detach_stops_recording(self):
         tracer = _tracer()
@@ -60,7 +60,7 @@ class TestListenerWiring:
         _span(tracer, "before", 0.0, 1.0)
         rec.detach()
         _span(tracer, "after", 2.0, 3.0)
-        assert rec.span_count == 1
+        assert len(rec._spans) == 1
         assert tracer._listeners == []
 
     def test_reattach_moves_to_new_tracer(self):
@@ -69,7 +69,7 @@ class TestListenerWiring:
         rec.attach(t2)
         assert t1._listeners == []
         _span(t2, "s", 0.0, 1.0)
-        assert rec.span_count == 1
+        assert len(rec._spans) == 1
 
 
 class TestTrigger:

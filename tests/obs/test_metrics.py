@@ -1,7 +1,5 @@
 """Unit tests for the log-scale histogram and the metrics fold."""
 
-import math
-
 import pytest
 
 from repro.obs import LogHistogram, Tracer, fold_metrics
@@ -63,17 +61,6 @@ def test_histogram_empty_and_bad_args():
         LogHistogram("bad", lo=0.0)
     with pytest.raises(ValueError):
         LogHistogram("bad", lo=1.0, hi=0.5)
-
-
-def test_nonzero_buckets_compact():
-    h = LogHistogram("lat", buckets_per_decade=2)
-    h.observe(1e-3)
-    h.observe(1e-3)
-    h.observe(0.9)
-    rows = h.nonzero_buckets()
-    assert sum(c for _, _, c in rows) == 3
-    for lower, upper, _ in rows:
-        assert upper == pytest.approx(lower * math.sqrt(10))
 
 
 def test_registry_snapshot_shape():

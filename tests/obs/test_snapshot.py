@@ -4,12 +4,11 @@ written beside it, and equals what the parent commit's second store held.
 The property rebuilds the snapshot from the file alone; the two Chrome pins
 hold the session CLI's and the CI ``fleet-report`` rig's files to the
 sha256 recorded at the parent of the PR that deleted ``MetricsRegistry``.
-The JSONL and stitched-series pins were recorded at the parent of the PR
-that stored sampler ticks as rows.
+The stitched-series pin was recorded at the parent of the PR that stored
+sampler ticks as rows.
 """
 
 import hashlib
-import io
 import json
 
 from hypothesis import given, settings
@@ -25,9 +24,8 @@ from repro.obs import (
     load_trace,
     stitch,
     write_chrome_trace,
-    write_jsonl,
 )
-from repro.streaming import MultiClientConfig, SessionConfig, run_session
+from repro.streaming import MultiClientConfig, SessionConfig
 
 SOURCES = ["client", "hit", "lan-depot", "wan", "server"]
 
@@ -137,18 +135,6 @@ def test_session_trace_equals_the_parents(tmp_path, capsys):
         # the parent's snapshot less its seven ``depot.*.used_bytes`` keys
         "6e88be778d60770ff3b6535a966536d457b9d1374328c41b60e996dfb7db08a8",
     )
-
-
-def test_session_jsonl_equals_the_parents():
-    """The session CLI rig's NetLogger log, pinned before the series store
-    kept one row per sampler tick."""
-    m = run_session(
-        SyntheticSource(CameraLattice(n_theta=9, n_phi=18, l=3), 32),
-        SessionConfig(case=3, n_accesses=8, trace_seed=7, tracing=True))
-    out = io.StringIO()
-    write_jsonl(m.tracer, out)
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-        "0b4d6763f34fa1cf4e83e77f73646fa1cbe709bfa376a7daac2a8538e513e6d7")
 
 
 def test_fleet_report_series_equal_the_parents(tmp_path):

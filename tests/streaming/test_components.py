@@ -17,6 +17,8 @@ from repro.streaming.prefetch import (
 )
 from repro.streaming.session import SessionConfig, build_rig
 
+from .reference_rig import forget
+
 
 def tiny_source(resolution=24):
     lattice = CameraLattice(n_theta=6, n_phi=12, l=3)  # 2x4 view sets
@@ -64,14 +66,7 @@ class TestDVS:
         dvs = DVSServer()
         dvs.register_exnode("vs-0-0", make_exnode(depot="d1"))
         dvs.register_exnode("vs-0-0", make_exnode(depot="d2"))
-        assert dvs.replica_count("vs-0-0") == 2
         assert len(dvs.query("vs-0-0").exnodes) == 2
-
-    def test_unregister(self):
-        dvs = DVSServer()
-        dvs.register_exnode("vs-0-0", make_exnode())
-        assert dvs.unregister("vs-0-0") == 1
-        assert dvs.replica_count("vs-0-0") == 0
 
     def test_hierarchical_lookup_delay_scales_with_levels(self):
         shallow = DVSServer(levels=1)
@@ -83,12 +78,6 @@ class TestDVS:
             deep.query("vs-0-0").lookup_delay
             > shallow.query("vs-0-0").lookup_delay
         )
-
-    def test_known_viewsets_sorted(self):
-        dvs = DVSServer()
-        for vid in ("vs-1-2", "vs-0-1", "vs-0-0"):
-            dvs.register_exnode(vid, make_exnode(vid))
-        assert dvs.known_viewsets() == ["vs-0-0", "vs-0-1", "vs-1-2"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -115,7 +104,7 @@ class TestPolicies:
         key, quadrant = lat.locate(1.2, 2.3)
         q = set(QuadrantPolicy().targets(lat, key, quadrant))
         a = set(AllNeighborsPolicy().targets(lat, key, quadrant))
-        assert q == set(lat.quadrant_neighbors(1.2, 2.3))
+        assert q == set(lat.quadrant_side(*lat.locate(1.2, 2.3)))
         assert q <= a
 
     def test_none_is_empty(self):
@@ -129,12 +118,13 @@ class TestServerAgent:
         rig = build_rig(src, SessionConfig(case=2))
         rows, cols = src.lattice.n_viewsets
         assert rig.server_agent.predistributed == rows * cols
-        assert len(rig.dvs.known_viewsets()) == rows * cols
+        assert all(rig.dvs.query(src.lattice.viewset_id(key)).exnodes
+                   for key in src.lattice.all_viewsets())
 
     def test_pre_distribute_stripes_across_wan_depots(self):
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=2, block_size=4096))
-        vid = rig.dvs.known_viewsets()[0]
+        vid = "vs-0-0"
         ex = rig.dvs.query(vid).exnodes[0]
         assert len(ex.depots()) > 1  # striped
         assert all(d.startswith("ca-depot") for d in ex.depots())
@@ -142,7 +132,7 @@ class TestServerAgent:
     def test_case1_places_on_lan(self):
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=1))
-        vid = rig.dvs.known_viewsets()[0]
+        vid = "vs-0-0"
         ex = rig.dvs.query(vid).exnodes[0]
         assert all(d.startswith("lan-depot") for d in ex.depots())
 
@@ -150,20 +140,20 @@ class TestServerAgent:
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=2))
         vid = "vs-0-0"
-        rig.dvs.unregister(vid)  # force the generation path
+        forget(rig.dvs, vid)  # force the generation path
         got = []
         rig.server_agent.request_viewset(vid, "agent", got.append)
         rig.queue.run()
         assert len(got) == 1
         assert got[0] == src.payload((0, 0))
-        assert rig.dvs.replica_count(vid) == 1
+        assert len(rig.dvs.query(vid).exnodes) == 1
         assert rig.server_agent.generated == 1
 
     def test_scheduler_serves_latest_first(self):
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=2))
         for vid in ("vs-0-0", "vs-0-1", "vs-0-2"):
-            rig.dvs.unregister(vid)
+            forget(rig.dvs, vid)
         order = []
         # issue three requests back to back; the first starts immediately,
         # then the LATEST queued one must run next
@@ -180,7 +170,7 @@ class TestServerAgent:
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=2))
         rig.server_agent.render_seconds = 10.0
-        rig.dvs.unregister("vs-0-0")
+        forget(rig.dvs, "vs-0-0")
         done_at = []
         rig.server_agent.request_viewset(
             "vs-0-0", "agent", lambda p: done_at.append(rig.queue.now)
@@ -293,9 +283,9 @@ class TestStaging:
         rig.staging.start()
         rig.queue.run_until(400.0)
         depot = rig.lan_depots[0]
-        keys = list(depot.keys())
-        assert keys
-        assert all(depot._allocs[k].soft for k in keys)
+        live = [a for a in depot._allocs.values() if a.live(rig.queue.now)]
+        assert live
+        assert all(a.soft for a in live)
 
     def test_fifo_order_option(self):
         src = tiny_source()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.lightfield.lattice import CameraLattice
-from repro.lon.scheduler import TransferEvent
 from repro.streaming.metrics import AccessRecord, AccessSource, SessionMetrics
 from repro.streaming.session import HEADING_NOISE, STEP_PERIOD
 from repro.streaming.trace import CursorSample, CursorTrace, standard_trace
@@ -297,64 +296,3 @@ class TestSessionMetrics:
         for upto in (1, 2, 3, None):
             assert a.wan_rate(upto=upto) == b.wan_rate(upto=upto)
             assert a.hit_rate(upto=upto) == b.hit_rate(upto=upto)
-
-
-def tev(label, event="completed", t=0.0, priority="DEMAND"):
-    return TransferEvent(time=t, label=label, priority=priority, event=event)
-
-
-class TestTransferEventAccounting:
-    """The five transfer label paths: dl: / copy: / ul: / gen: / to-client:."""
-
-    @pytest.fixture()
-    def metrics(self):
-        m = SessionMetrics()
-        for ev in (
-            tev("dl:vs-0-0[0]", "queued"),
-            tev("dl:vs-0-0[0]", "admitted"),
-            tev("dl:vs-0-0[0]", "completed"),
-            tev("dl:vs-0-1[2]", "cancelled"),
-            tev("copy:vs-0-0", "queued", priority="STAGING"),
-            tev("copy:vs-0-0", "completed", priority="STAGING"),
-            tev("ul:vs-0-3", "admitted", priority="STAGING"),
-            tev("gen:vs-0-4", "completed"),
-            tev("to-client:vs-0-0", "completed"),
-            tev("to-client:vs-0-5", "promoted"),
-        ):
-            m.record_transfer_event(ev)
-        return m
-
-    def test_prefix_filtering_selects_each_path(self, metrics):
-        assert len(metrics.transfer_events_for("dl:")) == 4
-        assert len(metrics.transfer_events_for("copy:")) == 2
-        assert len(metrics.transfer_events_for("ul:")) == 1
-        assert len(metrics.transfer_events_for("gen:")) == 1
-        assert len(metrics.transfer_events_for("to-client:")) == 2
-
-    def test_prefix_filtering_is_exact_prefix(self, metrics):
-        # "to-client:" labels must not leak into a bare "client" query,
-        # nor "ul:" into "dl:"
-        assert metrics.transfer_events_for("client") == []
-        assert all(e.label.startswith("dl:")
-                   for e in metrics.transfer_events_for("dl:"))
-        assert len(metrics.transfer_events_for("")) == 10
-
-    def test_prefix_can_target_one_transfer(self, metrics):
-        events = metrics.transfer_events_for("dl:vs-0-0")
-        assert [e.event for e in events] == [
-            "queued", "admitted", "completed"]
-
-    def test_event_counts_across_paths(self, metrics):
-        counts = metrics.transfer_event_counts()
-        assert counts == {
-            "queued": 2,
-            "admitted": 2,
-            "completed": 4,
-            "cancelled": 1,
-            "promoted": 1,
-        }
-
-    def test_empty_metrics_have_no_events(self):
-        m = SessionMetrics()
-        assert m.transfer_event_counts() == {}
-        assert m.transfer_events_for("dl:") == []

@@ -75,7 +75,8 @@ def _crossing(source, tracing):
                      cross_shard_fraction=0.1)
     result = run_sharded_session(source, config, n_shards=4, workers=1,
                                  collect_streams=True)
-    fired = [(t, label) for t, _seq, label in result.merged_events()]
+    fired = [(t, label) for s in result.shards
+             for t, _seq, label in s.events]
     return _split(result.per_client, fired)
 
 

@@ -21,9 +21,15 @@ import numpy as np
 from repro.volume.grid import VolumeGrid
 
 
+def world_to_index(volume: VolumeGrid, points: np.ndarray) -> np.ndarray:
+    """Map world coordinates to continuous voxel indices."""
+    pts = np.asarray(points, dtype=np.float64)
+    return (pts + volume._half_size) / volume._voxel
+
+
 def reference_sample(volume: VolumeGrid, points: np.ndarray) -> np.ndarray:
     """Trilinear interpolation at ``(N, 3)`` world points (pre-kernel body)."""
-    idx = volume.world_to_index(points)
+    idx = world_to_index(volume, points)
     nx, ny, nz = volume.data.shape
     # tolerate float rounding at the faces: a point computed as lying on
     # the bounding box (e.g. a ray's exact exit t) may land 1 ulp past

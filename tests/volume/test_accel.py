@@ -10,6 +10,8 @@ from repro.volume.grid import VolumeGrid
 from repro.volume.synthetic import neg_hip
 from repro.volume.transfer import TransferFunction, preset
 
+from .reference_accel import opacity_only, ray_intervals
+
 
 def random_tf(rng, n_points=5):
     vals = np.sort(rng.random(n_points))
@@ -26,7 +28,7 @@ class TestMaxOpacityIn:
         tf = preset("neghip")
         v = np.linspace(0, 1, 101)
         np.testing.assert_allclose(
-            tf.max_opacity_in(v, v), tf.opacity_only(v), rtol=1e-6
+            tf.max_opacity_in(v, v), opacity_only(tf, v), rtol=1e-6
         )
 
     def test_interior_control_point_dominates(self):
@@ -37,7 +39,7 @@ class TestMaxOpacityIn:
         assert tf.max_opacity_in(0.1, 0.9) == pytest.approx(7.0)
         # a range strictly inside one linear piece is endpoint-dominated
         assert tf.max_opacity_in(0.6, 0.8) == pytest.approx(
-            max(tf.opacity_only(0.6), tf.opacity_only(0.8)), rel=1e-6
+            max(opacity_only(tf, 0.6), opacity_only(tf, 0.8)), rel=1e-6
         )
 
     def test_full_range_is_global_max(self):
@@ -67,13 +69,13 @@ class TestMaxOpacityIn:
         tf = random_tf(rng)
         hi = min(1.0, lo + width)
         bound = float(tf.max_opacity_in(lo, hi))
-        dense = tf.opacity_only(np.linspace(lo, hi, 257))
+        dense = opacity_only(tf, np.linspace(lo, hi, 257))
         assert bound >= dense.max() - 1e-6
         # exactness: the bound is attained at an endpoint or control point
         candidates = [lo, hi] + [
             float(v) for v in tf.points[:, 0] if lo <= v <= hi
         ]
-        attained = tf.opacity_only(np.asarray(candidates)).max()
+        attained = opacity_only(tf, np.asarray(candidates)).max()
         assert bound == pytest.approx(float(attained), rel=1e-5, abs=1e-6)
 
 
@@ -169,8 +171,8 @@ class TestRaySegments:
         seg_t0, seg_t1, ptr = cells.ray_segments(origins, dirs, t_near, t_far)
         for i in range(len(origins)):
             ts = np.linspace(t_near[i], t_far[i], 400)
-            sigma = tf.opacity_only(
-                vol.sample(origins[i] + ts[:, None] * dirs[i])
+            sigma = opacity_only(
+                tf, vol.sample(origins[i] + ts[:, None] * dirs[i])
             )
             s0, s1 = seg_t0[ptr[i]:ptr[i + 1]], seg_t1[ptr[i]:ptr[i + 1]]
             for t, s in zip(ts, sigma):
@@ -198,7 +200,7 @@ class TestRaySegments:
         ok = t_near < t_far
         args = (origins[ok], dirs[ok], t_near[ok], t_far[ok])
         seg_t0, seg_t1, ptr = cells.ray_segments(*args)
-        t0, t1, hit = cells.ray_intervals(*args)
+        t0, t1, hit = ray_intervals(cells, *args)
         for i in range(int(ok.sum())):
             if ptr[i] == ptr[i + 1]:
                 assert not hit[i]
@@ -218,5 +220,5 @@ class TestRaySegments:
         t_near, t_far = vol.intersect_rays(o, d)
         _, _, ptr = cells.ray_segments(o, d, t_near, t_far)
         assert ptr[-1] == 0
-        _, _, hit = cells.ray_intervals(o, d, t_near, t_far)
+        _, _, hit = ray_intervals(cells, o, d, t_near, t_far)
         assert not hit.any()

@@ -14,8 +14,9 @@ from repro.volume.synthetic import (
     neg_hip,
     vortex,
 )
-from repro.volume.transfer import TransferFunction, preset, preset_names
+from repro.volume.transfer import _PRESETS, TransferFunction, preset
 
+from .reference_accel import opacity_only
 from .reference_neghip import reference_neg_hip
 
 
@@ -149,7 +150,7 @@ class TestTransferFunction:
         tf = preset("neghip")
         v = np.linspace(0, 1, 33)
         _, a_full = tf(v)
-        a_only = tf.opacity_only(v)
+        a_only = opacity_only(tf, v)
         np.testing.assert_allclose(a_full, a_only, rtol=1e-6)
 
     @given(v=st.floats(0, 1))
@@ -161,7 +162,7 @@ class TestTransferFunction:
         assert a[0] >= 0
 
     def test_presets_all_load(self):
-        for name in preset_names():
+        for name in sorted(_PRESETS):
             tf = preset(name)
             rgb, a = tf(np.linspace(0, 1, 16))
             assert rgb.shape == (16, 3)
