@@ -19,7 +19,7 @@ from __future__ import annotations
 from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..streaming.metrics import AccessSource
+from ..streaming.metrics import HIT_SOURCES, WAN_SOURCES, AccessSource
 from .claims import PAPER
 from .spec import SweepSpec
 
@@ -67,10 +67,6 @@ def default_assemble(
 # ----------------------------------------------------------------------
 # BENCH_latency.json (Figures 9-12, Section 4.3)
 # ----------------------------------------------------------------------
-#: what Section 4.3 counts as a hit / as a WAN access (``AccessSource`` is
-#: a str enum: members compare equal to the serialized ``source`` series)
-_HIT_SOURCES = (AccessSource.AGENT_CACHE, AccessSource.CLIENT_RESIDENT)
-_WAN_SOURCES = (AccessSource.WAN_DEPOT, AccessSource.SERVER_RUNTIME)
 
 
 def _rate(sources: Sequence[object], pool: Tuple[AccessSource, ...]) -> float:
@@ -121,10 +117,10 @@ def assemble_latency(
         src3: List[str] = c3["source"]  # type: ignore[assignment]
         rates.append({
             "resolution": res,
-            "case2_wan_rate_initial": _rate(src2[:phase3], _WAN_SOURCES),
-            "case3_wan_rate_initial": _rate(src3[:phase3], _WAN_SOURCES),
-            "case2_hit_rate_initial": _rate(src2[:phase3], _HIT_SOURCES),
-            "case3_hit_rate_initial": _rate(src3[:phase3], _HIT_SOURCES),
+            "case2_wan_rate_initial": _rate(src2[:phase3], WAN_SOURCES),
+            "case3_wan_rate_initial": _rate(src3[:phase3], WAN_SOURCES),
+            "case2_hit_rate_initial": _rate(src2[:phase3], HIT_SOURCES),
+            "case3_hit_rate_initial": _rate(src3[:phase3], HIT_SOURCES),
             "case2_initial_phase": c2["initial_phase"],
             "case3_initial_phase": phase3,
         })

@@ -24,11 +24,11 @@ on:
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
+from .. import processes
 from .artifacts import (
     bench_document,
     payload_fingerprint,
@@ -80,8 +80,7 @@ class SweepResult:
         return payload_fingerprint(self.doc)
 
 
-def _pool_worker(jobs: "mp.queues.Queue[object]",
-                 results: "mp.queues.Queue[object]") -> None:
+def _pool_worker(jobs: Any, results: Any) -> None:
     """Worker-process loop: pull (index, scenario, params), push results.
 
     Mirrors :func:`repro.lon.shard._worker`: exceptions are shipped back
@@ -103,20 +102,12 @@ def _pool_worker(jobs: "mp.queues.Queue[object]",
 def _execute_parallel(
     pending: List[RunSpec],
     workers: int,
-    start_method: Optional[str],
     on_done: Callable[[RunSpec, Dict[str, object]], None],
 ) -> None:
     """Run ``pending`` across a worker-process pool (parent collects)."""
-    available = mp.get_all_start_methods()
-    if start_method is not None and start_method not in available:
-        raise ValueError(
-            f"start method {start_method!r} unavailable; "
-            f"choose from {available}"
-        )
-    method = start_method or ("fork" if "fork" in available else "spawn")
-    ctx = mp.get_context(method)
-    jobs: "mp.queues.Queue[object]" = ctx.Queue()
-    results: "mp.queues.Queue[object]" = ctx.Queue()
+    ctx = processes.start_context()
+    jobs: Any = ctx.Queue()
+    results: Any = ctx.Queue()
     by_index = {run.index: run for run in pending}
     for run in pending:
         jobs.put((run.index, run.scenario, dict(run.params)))
@@ -156,7 +147,6 @@ def run_sweep(
     out_dir: Union[str, Path, None] = None,
     write_artifact: bool = True,
     progress: Optional[Progress] = None,
-    start_method: Optional[str] = None,
 ) -> SweepResult:
     """Execute a sweep end to end; returns rows + the merged document.
 
@@ -208,7 +198,7 @@ def run_sweep(
             for run in pending:
                 on_done(run, execute_run(run.scenario, dict(run.params)))
         else:
-            _execute_parallel(pending, workers, start_method, on_done)
+            _execute_parallel(pending, workers, on_done)
 
     # ---- merge: ordered rows -> (payload, wall) -> document ------------
     result.raw_rows = [records[run.index] for run in runs]

@@ -77,16 +77,11 @@ def md_table(
     return "\n".join(lines)
 
 
-def format_series(
-    name: str,
-    values: Sequence[float],
-    per_line: int = 10,
-    fmt: str = "{:.3f}",
-) -> str:
-    """A labelled numeric series, wrapped for terminals."""
+def format_series(name: str, values: Sequence[float]) -> str:
+    """A labelled numeric series, wrapped for terminals ten to a line."""
     chunks = []
-    for i in range(0, len(values), per_line):
-        row = "  ".join(fmt.format(v) for v in values[i:i + per_line])
+    for i in range(0, len(values), 10):
+        row = "  ".join(f"{v:.3f}" for v in values[i:i + 10])
         chunks.append(f"  [{i + 1:>3}] {row}")
     return f"{name} ({len(values)} points):\n" + "\n".join(chunks)
 
@@ -469,7 +464,6 @@ def report_sections(
 def render_report(
     names: Sequence[str],
     out_dir: Union[str, Path, None] = None,
-    title: str = "Sweep report",
 ) -> Tuple[str, List[str]]:
     """A full markdown report over the named BENCH artifacts, and the ids
     of the claims that do not hold on them."""
@@ -480,7 +474,7 @@ def render_report(
     else:
         body = "\n\n".join(sections)
     header = (
-        f"# {title}\n\n"
+        "# Sweep report\n\n"
         "Deterministic payloads are reproducible from the stamped seed; "
         "host timings live under each artifact's quarantined `wall_clock` "
         "section and are excluded from payload fingerprints.\n"

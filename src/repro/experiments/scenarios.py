@@ -30,7 +30,7 @@ from typing import (
 
 from ..lightfield.lattice import CameraLattice
 from ..lightfield.source import SyntheticSource
-from ..obs.health import QGR_THRESHOLD_S, fleet_qgr
+from ..obs.health import fleet_qgr
 from ..streaming.client import CPU_SECONDS_PER_BYTE
 from ..streaming.metrics import SessionMetrics
 from ..streaming.session import SessionConfig, run_session, session_trace
@@ -144,7 +144,6 @@ def qgr_point(
     resolution: int,
     seed: int = 7,
     n_accesses: int = 40,
-    threshold: float = QGR_THRESHOLD_S,
     lattice: Optional[Sequence[int]] = None,
 ) -> Row:
     """One (case, cursor speed, trace seed) cell of the QGR sweep.
@@ -154,8 +153,8 @@ def qgr_point(
     slower than the QGRs in case 1 and 3."  The seed's standard trace is
     re-timed to ``speed`` x its angular velocity and the row reports the
     steady-state fraction of accesses (past the warm-up) whose latency
-    stayed under ``threshold``; the assembler averages over trace seeds.  The speed
-    where that fraction collapses is the QGR.
+    stayed under ``QGR_THRESHOLD_S``; the assembler averages over trace
+    seeds.  The speed where that fraction collapses is the QGR.
     """
     from ..streaming.trace import standard_trace
 
@@ -166,7 +165,7 @@ def qgr_point(
         "case": case,
         "speed": speed,
         "seed": seed,
-        "hidden_fraction": fleet_qgr(m.accesses, threshold),
+        "hidden_fraction": fleet_qgr(m.accesses),
     }
 
 
@@ -373,6 +372,15 @@ def _generation_resolution() -> int:
     return 64 if scale_small() else 200
 
 
+#: edge of the negHip volume the generation, database-size, fps and codec
+#: scenes ray-cast
+VOLUME_SIZE = 32
+#: view sets a generation point renders and times
+SAMPLE_VIEWSETS = 2
+#: frames an fps point synthesizes and times
+FPS_FRAMES = 6
+
+
 def _kernel_scene(
     resolution: int, size: int
 ) -> Tuple[LightFieldBuilder, ViewSet]:
@@ -401,7 +409,6 @@ _SCENES: Dict[Tuple[int, int], Tuple[LightFieldBuilder, ViewSet]] = {}
 def generation_kernel_point(
     stage: str = "kernel",
     seed: int = 7,
-    size: Optional[int] = None,
     resolution: Optional[int] = None,
 ) -> Row:
     """Brute vs macrocell-accelerated generator kernel on negHip."""
@@ -410,19 +417,22 @@ def generation_kernel_point(
     import numpy as np
 
     from ..render.camera import orbit_camera
-    from ..render.raycast import RaycastRenderer, RenderSettings
+    from ..render.raycast import (
+        MACROCELL_SIZE,
+        RaycastRenderer,
+        RenderSettings,
+    )
     from ..volume.synthetic import neg_hip
     from ..volume.transfer import preset
 
     from .config import scale_small
 
-    if size is None:
-        size = 32 if scale_small() else 64
+    size = 32 if scale_small() else 64
     if resolution is None:
         resolution = _generation_resolution()
     vol = neg_hip(size=size)
     tf = preset("neghip")
-    settings = RenderSettings()  # accelerated=True, macrocell_size=4
+    settings = RenderSettings()  # accelerated
     accel = RaycastRenderer(vol, tf, settings)
     brute = RaycastRenderer(vol, tf, replace(settings, accelerated=False))
     cells = accel.prepare()
@@ -458,7 +468,7 @@ def generation_kernel_point(
         "stage": stage,
         "scene": f"neghip-{size}^3",
         "resolution": resolution,
-        "macrocell_size": settings.macrocell_size,
+        "macrocell_size": MACROCELL_SIZE,
         "empty_cell_fraction": round(empty_fraction, 4),
         "views_timed": len(cams),
         "brute": {"steps_per_ray": round(brute_spr, 2)},
@@ -476,7 +486,6 @@ def generation_zlib_point(
     stage: str,
     level: int,
     seed: int = 7,
-    size: int = 32,
     resolution: Optional[int] = None,
 ) -> Row:
     """One zlib level of the compression half of generation."""
@@ -484,7 +493,7 @@ def generation_zlib_point(
 
     if resolution is None:
         resolution = _generation_resolution()
-    _, vs = _kernel_scene(resolution, size)
+    _, vs = _kernel_scene(resolution, VOLUME_SIZE)
     result = ZlibCodec(level=level).compress(vs)
     return {
         "stage": stage,
@@ -504,8 +513,6 @@ _PAPER_VIEWSETS = math.prod(_PAPER_LATTICE.n_viewsets)
 def generation_viewset_point(
     stage: str = "viewset",
     seed: int = 7,
-    sample_viewsets: int = 2,
-    volume_size: int = 32,
     resolution: Optional[int] = None,
 ) -> Row:
     """Per-view-set generation time, extrapolated to the paper database.
@@ -522,14 +529,14 @@ def generation_viewset_point(
     if resolution is None:
         resolution = _generation_resolution()
     builder = LightFieldBuilder(
-        neg_hip(size=volume_size), preset("neghip"), _PAPER_LATTICE,
+        neg_hip(size=VOLUME_SIZE), preset("neghip"), _PAPER_LATTICE,
         resolution=resolution, workers=1,
     )
     with wall_timer() as t:
-        for i in range(sample_viewsets):
+        for i in range(SAMPLE_VIEWSETS):
             vs = builder.render_viewset((6 + i, 11))
             builder.compress_viewset(vs)
-    per_viewset = t.seconds / sample_viewsets
+    per_viewset = t.seconds / SAMPLE_VIEWSETS
     return {
         "stage": stage,
         "resolution": resolution,
@@ -544,9 +551,7 @@ def generation_viewset_point(
     }
 
 
-def database_size_point(
-    resolution: int, seed: int = 7, volume_size: int = 32
-) -> Row:
+def database_size_point(resolution: int, seed: int = 7) -> Row:
     """One Figure 7 bar pair: a view set's size measured on real renders,
     totals extrapolated.
 
@@ -565,7 +570,7 @@ def database_size_point(
     block = CameraLattice(_PAPER_LATTICE.n_theta, _PAPER_LATTICE.n_phi, 3)
     scale_up = (_PAPER_LATTICE.l // block.l) ** 2
     builder = LightFieldBuilder(
-        neg_hip(size=volume_size), preset("neghip"), block,
+        neg_hip(size=VOLUME_SIZE), preset("neghip"), block,
         resolution=resolution, workers=1,
     )
     result = builder.compress_viewset(
@@ -593,31 +598,30 @@ def fps_point(
     resolution: int,
     mode: str,
     seed: int = 7,
-    frames: int = 6,
-    volume_size: int = 32,
 ) -> Row:
     """Novel-view synthesis rate while browsing one view set.
 
     The paper claims >30 fps "due to the simplistic nature of light field
     rendering algorithms ... even at large image resolutions of 500x500".
-    The seeded path of ``frames`` cameras orbits inside the view set's
-    window and starts from an empty texel store, so the figure includes
-    the synthesizer's table upkeep (mapping the view set's cameras once, a
-    residency check per frame) — not one camera replayed on warm tables.  The measured value
-    is reported whether or not it meets the claim, beside the frames' mean
-    runs of rays sharing a lead camera (the kernel's per-run overhead).
+    The seeded path of :data:`FPS_FRAMES` cameras orbits inside the view
+    set's window and starts from an empty texel store, so the figure
+    includes the synthesizer's table upkeep (mapping the view set's cameras
+    once, a residency check per frame) — not one camera replayed on warm
+    tables.  The measured value is reported whether or not it meets the
+    claim, beside the frames' mean runs of rays sharing a lead camera (the
+    kernel's per-run overhead).
     """
     import numpy as np
 
     from ..lightfield.synthesis import DictProvider, LightFieldSynthesizer
     from ..render.camera import orbit_camera
 
-    builder, vs = _kernel_scene(resolution, volume_size)
+    builder, vs = _kernel_scene(resolution, VOLUME_SIZE)
     lat, spheres, key = builder.lattice, builder.spheres, vs.key
     theta, phi = lat.viewset_center(key)
     reach = (lat.l - 1) / 2.0 - 0.5   # stay inside the view set's cameras
     offsets = np.random.default_rng(seed).uniform(
-        -reach, reach, size=(frames, 2))
+        -reach, reach, size=(FPS_FRAMES, 2))
     path = [
         orbit_camera(
             theta + dth * lat.theta_step, phi + dph * lat.phi_step,
@@ -636,16 +640,16 @@ def fps_point(
     with wall_timer() as t:
         for cam in path:
             synth.render(cam)
-    dt = t.seconds / frames
+    dt = t.seconds / FPS_FRAMES
     return {
         "resolution": resolution,
         "mode": mode,
-        "frames": frames,
+        "frames": FPS_FRAMES,
         WALL_CLOCK_KEY: {
             "ms_per_frame": dt * 1e3,
             "fps": 1.0 / dt,
             "meets_30fps": 1.0 / dt >= PAPER.fps_claim,
-            "runs_per_frame": (synth.stats.runs - warm_runs) / frames,
+            "runs_per_frame": (synth.stats.runs - warm_runs) / FPS_FRAMES,
         },
     }
 
@@ -848,7 +852,6 @@ def stripe_arm(family: str, width: int, resolution: int, seed: int = 7) -> Row:
 
 def codec_arm(
     family: str, codec: str, resolution: int, seed: int = 7,
-    volume_size: int = 32,
 ) -> Row:
     from ..lightfield.compression import DeltaZlibCodec, ZlibCodec
 
@@ -858,7 +861,7 @@ def codec_arm(
         "zlib-9": ZlibCodec(level=9),
         "delta-zlib-6": DeltaZlibCodec(level=6),
     }
-    _, vs = _kernel_scene(resolution, volume_size)
+    _, vs = _kernel_scene(resolution, VOLUME_SIZE)
     result = codecs[codec].compress(vs)
     _, dec_s = codecs[codec].decompress(result.payload)
     return {

@@ -187,18 +187,9 @@ class SweepSpec:
                 ))
         return runs
 
-    def with_overrides(
-        self,
-        seeds: Optional[Sequence[int]] = None,
-        fixed: Optional[Mapping[str, object]] = None,
-    ) -> "SweepSpec":
-        """A copy with seeds replaced and/or extra fixed params merged."""
-        out = self
-        if seeds is not None:
-            out = replace(out, seeds=tuple(seeds))
-        if fixed:
-            out = replace(out, fixed={**out.fixed, **fixed})
-        return out
+    def with_overrides(self, seeds: Sequence[int]) -> "SweepSpec":
+        """A copy with seeds replaced."""
+        return replace(self, seeds=tuple(seeds))
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..render.camera import Camera, orbit_camera
 from ..render.image import to_uint8
-from ..render.lighting import Light
 from ..render.parallel import ParallelRenderer
 from ..render.raycast import RenderSettings
 from ..volume.grid import VolumeGrid
@@ -65,17 +64,10 @@ class LightFieldBuilder:
         Camera lattice (72×144 at paper scale).
     resolution:
         Sample-view resolution r (paper sweeps 200..600).
-    spheres:
-        Parameter spheres; by default the inner sphere circumscribes the
-        volume with 5% margin and the outer sphere has 2.5× that radius.
     codec:
         View-set codec (default: the paper's zlib).
     workers:
         Ray-caster worker processes (the paper used 32).
-    start_method:
-        Multiprocessing start method forwarded to
-        :class:`~repro.render.parallel.ParallelRenderer` (``None`` =
-        fork where available, else spawn).
     """
 
     def __init__(
@@ -84,12 +76,9 @@ class LightFieldBuilder:
         transfer: TransferFunction,
         lattice: CameraLattice,
         resolution: int,
-        spheres: Optional[TwoSphere] = None,
         codec: Optional[ZlibCodec] = None,
         workers: int = 1,
         settings: RenderSettings = RenderSettings(),
-        light: Light = Light(),
-        start_method: Optional[str] = None,
     ) -> None:
         if resolution < 1:
             raise ValueError("resolution must be positive")
@@ -97,10 +86,10 @@ class LightFieldBuilder:
         self.transfer = transfer
         self.lattice = lattice
         self.resolution = int(resolution)
-        if spheres is None:
-            r_in = volume.bounding_radius * 1.05
-            spheres = TwoSphere(r_inner=r_in, r_outer=2.5 * r_in)
-        self.spheres = spheres
+        # the parameter spheres: the inner one circumscribes the volume with
+        # a 5% margin, the outer one has 2.5x its radius
+        r_in = volume.bounding_radius * 1.05
+        self.spheres = TwoSphere(r_inner=r_in, r_outer=2.5 * r_in)
         self.codec = codec if codec is not None else ZlibCodec()
         # the parallel renderer builds the macrocell acceleration structure
         # once here (in the parent) and shares it with render workers; all
@@ -109,9 +98,7 @@ class LightFieldBuilder:
             volume,
             transfer,
             settings,
-            light,
             workers=workers,
-            start_method=start_method,
         )
         self.stats = BuildStats()
 

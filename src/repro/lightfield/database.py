@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from .compression import CompressionResult, codec_for_payload
 from .lattice import CameraLattice, ViewSetKey, parse_viewset_id
@@ -98,20 +98,12 @@ class LightFieldDatabase:
     # ------------------------------------------------------------------
     # size accounting (Figure 7's quantities)
     # ------------------------------------------------------------------
-    def compressed_size(self, key: Optional[ViewSetKey] = None) -> int:
-        """Compressed bytes of one view set, or of the whole database."""
-        if key is not None:
-            return len(self.payload(key))
+    def compressed_size(self) -> int:
+        """Compressed bytes of the whole database."""
         return sum(len(e.payload) for e in self._entries.values())
 
-    def raw_size(self, key: Optional[ViewSetKey] = None) -> int:
-        """Uncompressed bytes of one view set, or of the whole database."""
-        if key is not None:
-            vid = self.lattice.viewset_id(key)
-            try:
-                return self._entries[vid].raw_size
-            except KeyError:
-                raise DatabaseError(f"view set {vid} not in database") from None
+    def raw_size(self) -> int:
+        """Uncompressed bytes of the whole database."""
         return sum(e.raw_size for e in self._entries.values())
 
     def compression_ratio(self) -> float:

@@ -60,6 +60,11 @@ def _first_hit(b: np.ndarray, disc: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.0, t, -b + sq)
 
 
+#: the border a lattice camera's field of view keeps around the inner
+#: sphere, as a factor on its half-angle's sine
+FOV_MARGIN = 1.02
+
+
 @dataclass(frozen=True)
 class TwoSphere:
     """Concentric parameter spheres: cameras on the outer, data in the inner.
@@ -130,13 +135,13 @@ class TwoSphere:
         u, v = cartesian_to_angles(p_out.T)
         return vidx, p_in, u, v
 
-    def camera_fov_deg(self, margin: float = 1.02) -> float:
+    def camera_fov_deg(self) -> float:
         """Field of view for a lattice camera to just cover the inner sphere.
 
         A camera on the outer sphere looking at the center sees the inner
-        sphere under half-angle ``asin(r_inner / r_outer)``; ``margin``
-        scales in a small safety border so bilinear taps near the silhouette
-        stay inside the image.
+        sphere under half-angle ``asin(r_inner / r_outer)``;
+        :data:`FOV_MARGIN` scales in a small safety border so bilinear taps
+        near the silhouette stay inside the image.
         """
-        half = np.arcsin(min(1.0, margin * self.r_inner / self.r_outer))
+        half = np.arcsin(min(1.0, FOV_MARGIN * self.r_inner / self.r_outer))
         return float(np.degrees(2.0 * half))

@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _MODES = ("quadrilinear", "uv-nearest", "nearest")
+#: the colour of a ray that meets no resident sample
+BACKGROUND = 0.0
 
 
 class ViewSetProvider(Protocol):
@@ -229,7 +231,6 @@ class LightFieldSynthesizer:
         spheres: TwoSphere,
         resolution: int,
         provider: ViewSetProvider,
-        background: float = 0.0,
         interpolation: str = "quadrilinear",
     ) -> None:
         if resolution < 1:
@@ -242,7 +243,6 @@ class LightFieldSynthesizer:
         self.spheres = spheres
         self.resolution = int(resolution)
         self.provider = provider
-        self.background = float(background)
         self.interpolation = interpolation
         self._tan_half = np.tan(np.radians(spheres.camera_fov_deg()) / 2.0)
         self._bases = _lattice_bases(lattice, spheres.r_outer)
@@ -287,7 +287,7 @@ class LightFieldSynthesizer:
         the missing keys are the non-resident view sets *these* rays touch.
         """
         colors = np.full(
-            (dirs.shape[1], 3), self.background, dtype=np.float32
+            (dirs.shape[1], 3), BACKGROUND, dtype=np.float32
         )
         vidx, points, u, v = self.spheres.project(origins, dirs)
         n = len(vidx)
@@ -322,7 +322,7 @@ class LightFieldSynthesizer:
         have = wsum > 1e-6
         acc *= np.float32(1.0 / 255.0) / np.where(have, wsum, np.float32(1.0))
         if not have.all():
-            acc[:, ~have] = self.background
+            acc[:, ~have] = BACKGROUND
         vidx = vidx.take(order)
         for channel in range(3):
             colors[vidx, channel] = acc[channel]

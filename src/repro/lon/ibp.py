@@ -145,9 +145,10 @@ class Depot:
         Simulation event queue (for lease time).
     capacity:
         Total bytes of storage this depot will lease out.
-    max_duration:
-        Longest lease granted; longer requests are *refused*, not clamped,
-        matching IBP's admission-decision semantics.
+
+    ``max_duration`` is the longest lease granted (:data:`IBP_MAX_DURATION`
+    unless a fault lowers it); longer requests are *refused*, not clamped,
+    matching IBP's admission-decision semantics.
     """
 
     def __init__(
@@ -155,14 +156,13 @@ class Depot:
         name: str,
         queue: EventQueue,
         capacity: int = 1 << 30,
-        max_duration: float = IBP_MAX_DURATION,
     ) -> None:
         if capacity <= 0:
             raise ValueError("depot capacity must be positive")
         self.name = name
         self.queue = queue
         self.capacity = int(capacity)
-        self.max_duration = float(max_duration)
+        self.max_duration = IBP_MAX_DURATION
         self._allocs: Dict[str, Allocation] = {}
         # incremental capacity accounting: bytes committed to allocations
         # currently in _allocs, plus a lazy (expires_at, key) min-heap so
@@ -279,69 +279,58 @@ class Depot:
             raise IBPExpiredError(f"{self.name}: allocation {cap.key} expired")
         return alloc
 
-    def store(self, cap: Capability, data: bytes, offset: int = 0) -> int:
-        """Write ``data`` at ``offset``; returns bytes written.
+    def store(self, cap: Capability, data: bytes) -> int:
+        """Write ``data`` at the start of the allocation; returns bytes
+        written.
 
         Writing past the leased size raises :class:`IBPRefusedError` (real
         depots return IBP_E_WOULD_EXCEED_LIMIT).
         """
         alloc = self._resolve(cap, CapType.WRITE)
-        end = offset + len(data)
-        if offset < 0 or end > alloc.size:
+        end = len(data)
+        if end > alloc.size:
             raise IBPRefusedError(
-                f"{self.name}: write [{offset}, {end}) exceeds allocation "
+                f"{self.name}: write [0, {end}) exceeds allocation "
                 f"size {alloc.size}"
             )
         if not isinstance(data, bytes):
             data = bytes(data)  # detach from caller-mutable buffers
-        if offset == 0 and end >= len(alloc.data):
+        if end >= len(alloc.data):
             # full-cover write (the LoRS block-store pattern): adopt the
             # caller's immutable buffer — no copy
             alloc.data = data
         else:
-            buf = bytearray(alloc.data)
-            if len(buf) < end:
-                buf.extend(b"\x00" * (end - len(buf)))
-            buf[offset:end] = data
-            alloc.data = bytes(buf)
+            alloc.data = data + alloc.data[end:]
         alloc.bytes_written = max(alloc.bytes_written, end)
         self.stats.stores += 1
         self.stats.bytes_stored += len(data)
         return len(data)
 
-    def load(
-        self, cap: Capability, offset: int = 0, length: Optional[int] = None
-    ) -> bytes:
-        """Read ``length`` bytes from ``offset`` (default: to end of data)."""
+    def load(self, cap: Capability, length: Optional[int] = None) -> bytes:
+        """Read the first ``length`` bytes (default: all data written)."""
         alloc = self._resolve(cap, CapType.READ)
         if length is None:
-            length = alloc.bytes_written - offset
-        end = offset + length
-        if offset < 0 or length < 0 or end > alloc.size:
+            length = alloc.bytes_written
+        if length < 0 or length > alloc.size:
             raise IBPRefusedError(
-                f"{self.name}: read [{offset}, {end}) exceeds allocation "
+                f"{self.name}: read [0, {length}) exceeds allocation "
                 f"size {alloc.size}"
             )
         data = alloc.data
         # full-extent read: hand back the stored snapshot itself — no copy
-        chunk = data if offset == 0 and end == len(data) else data[offset:end]
+        chunk = data if length == len(data) else data[:length]
         if len(chunk) < length:  # reading past written extent yields zeros
             chunk += b"\x00" * (length - len(chunk))
         self.stats.loads += 1
         self.stats.bytes_loaded += len(chunk)
         return chunk
 
-    def copy_out(
-        self, cap: Capability, offset: int = 0, length: Optional[int] = None
-    ) -> bytes:
+    def copy_out(self, cap: Capability, length: int) -> bytes:
         """Source side of a third-party copy (counted as a copy, not a load)."""
         alloc = self._resolve(cap, CapType.READ)
-        if length is None:
-            length = alloc.bytes_written - offset
         self.stats.copies += 1
         data = alloc.data
-        end = offset + length
-        chunk = data if offset == 0 and end == len(data) else data[offset:end]
+        chunk = data if length == len(data) else data[:length]
         if len(chunk) < length:
             chunk += b"\x00" * (length - len(chunk))
         self.stats.bytes_copied += len(chunk)

@@ -46,6 +46,8 @@ __all__ = [
 
 #: default stripe block size (512 KiB — the LoRS tools' historical default).
 DEFAULT_BLOCK_SIZE = 512 * 1024
+#: lease on a staged copy's soft allocations
+STAGED_LEASE_SECONDS = 3600.0
 
 
 class LoRSError(RuntimeError):
@@ -397,7 +399,7 @@ class DownloadJob(_BlockJob):
         """Read the block at its depot; the flow follows the request RTT."""
         m = block.mapping
         depot = self.lors.lbone.lookup(m.depot)
-        block.data = depot.load(m.read_cap, 0, m.extent.length)
+        block.data = depot.load(m.read_cap, m.extent.length)
         return self.lors.network.rpc_delay(self.dest, m.depot)
 
     def _land(self, block: _Block) -> None:
@@ -443,8 +445,6 @@ class CopyJob(_BlockJob):
         lors: LoRS,
         exnode: ExNode,
         target: Depot,
-        duration: float,
-        soft: bool,
         max_streams: int = 4,
         priority: Priority = Priority.STAGING,
         span: object = None,
@@ -452,8 +452,6 @@ class CopyJob(_BlockJob):
         super().__init__(lors, exnode, target.name, max_streams, priority,
                          span)
         self.target = target
-        self.duration = duration
-        self.soft = soft
         self.new_mappings: List[Mapping] = []
 
     def _prepare(self, block: _Block) -> None:
@@ -461,9 +459,9 @@ class CopyJob(_BlockJob):
         m = block.mapping
         self.lors.network.route(m.depot, self.dest)
         source = self.lors.lbone.lookup(m.depot)
-        block.data = source.copy_out(m.read_cap, 0, m.extent.length)
+        block.data = source.copy_out(m.read_cap, m.extent.length)
         block.caps = self.target.allocate(
-            m.extent.length, self.duration, soft=self.soft
+            m.extent.length, STAGED_LEASE_SECONDS, soft=True
         )
 
     def _land(self, block: _Block) -> None:
@@ -537,7 +535,6 @@ class LoRS:
         replicas: int = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
         duration: float = 3600.0,
-        soft: bool = False,
         metadata: Optional[Dict[str, str]] = None,
     ) -> ExNode:
         """Synchronously stripe + replicate ``data`` across ``depots``.
@@ -571,9 +568,7 @@ class LoRS:
             extent = Extent(off, len(chunk))
             for r in range(replicas):
                 depot = depots[(i % stripe_width + r) % len(depots)]
-                rcap, wcap, mcap = depot.allocate(
-                    len(chunk), duration, soft=soft
-                )
+                rcap, wcap, mcap = depot.allocate(len(chunk), duration)
                 depot.store(wcap, chunk)
                 exnode.add_mapping(
                     Mapping(
@@ -595,26 +590,20 @@ class LoRS:
         source: str,
         depots: Sequence[Depot],
         stripe_width: int = 1,
-        replicas: int = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
         duration: float = 3600.0,
-        soft: bool = False,
-        priority: Priority = Priority.MAINTENANCE,
-        span: object = None,
     ) -> Deferred:
         """Asynchronous upload from ``source``: place + pay for the flows.
 
         The layout matches :meth:`place`; the deferred resolves with the
         resulting :class:`ExNode` once every block flow has been delivered.
-        Uploads default to the MAINTENANCE class: database upkeep should
-        never crowd out a user-facing fetch.
+        Uploads run in the MAINTENANCE class: database upkeep should never
+        crowd out a user-facing fetch.
         """
         deferred = Deferred()
         try:
-            exnode = self.place(
-                name, data, depots, stripe_width, replicas, block_size,
-                duration, soft,
-            )
+            exnode = self.place(name, data, depots, stripe_width,
+                                block_size=block_size, duration=duration)
         except (LoRSError, IBPError) as exc:
             deferred.reject(exc)
             return deferred
@@ -642,8 +631,7 @@ class LoRS:
                 source, m.depot, m.extent.length,
                 on_complete=done, on_fail=fail,
                 label=f"ul:{name}:{m.extent.offset}",
-                priority=Priority(priority),
-                span=span,
+                priority=Priority.MAINTENANCE,
             )
             for m in exnode.mappings
         ])
@@ -673,21 +661,19 @@ class LoRS:
         self,
         exnode: ExNode,
         target: Depot,
-        duration: float = 3600.0,
-        soft: bool = True,
         max_streams: int = 4,
         priority: Priority = Priority.STAGING,
         span: object = None,
     ) -> CopyJob:
         """Third-party copy onto ``target``; resolves with new mappings.
 
-        Staged copies default to *soft* allocations: the LAN depot may
+        Staged copies are *soft* allocations: the LAN depot may
         reclaim them under pressure, exactly the revocable idle-resource
         sharing LoN advertises.  ``max_streams`` bounds concurrent block
         flows (the staging aggressiveness knob).  Copies run in the STAGING
         class by default and can be promoted to DEMAND mid-flight.
         """
-        job = CopyJob(self, exnode, target, duration, soft,
-                      max_streams=max_streams, priority=priority, span=span)
+        job = CopyJob(self, exnode, target, max_streams=max_streams,
+                      priority=priority, span=span)
         job.start()
         return job

@@ -306,8 +306,6 @@ class TransferScheduler:
         ``"weighted"`` — weighted max-min fair sharing by class weight;
         ``"strict"`` — weighted, plus background flows sharing a link with a
         live higher-class flow are paused (progress kept) until it drains.
-    on_event:
-        Optional ``callback(TransferEvent)`` receiving lifecycle events.
     tracer:
         Observability tracer; per-transfer spans are opened under the parent
         span passed to :meth:`submit`.  Defaults to the shared disabled
@@ -318,7 +316,6 @@ class TransferScheduler:
         self,
         network: Network,
         policy: str = "weighted",
-        on_event: Optional[Callable[[TransferEvent], None]] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if policy not in SCHEDULING_POLICIES:
@@ -329,7 +326,8 @@ class TransferScheduler:
         self.network = network
         self.policy = policy
         self.weights = DEFAULT_CLASS_WEIGHTS
-        self.on_event = on_event
+        #: optional ``callback(TransferEvent)`` receiving lifecycle events
+        self.on_event: Optional[Callable[[TransferEvent], None]] = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = InFlightRegistry()
         self.stats = SchedulerStats()
@@ -355,12 +353,10 @@ class TransferScheduler:
         dst: str,
         size: int,
         on_complete: Callable[[Flow], None],
-        on_fail: Optional[Callable[[Flow, Exception], None]] = None,
         label: str = "",
-        priority: Priority = Priority.DEMAND,
         span: Optional[SpanLike] = None,
     ) -> TransferHandle:
-        """Admit one transfer at a priority class.
+        """Admit one DEMAND-class transfer (a user waits on it).
 
         Semantics match :meth:`Network.transfer` (``NoRouteError`` raises
         immediately, callbacks fire at simulated delivery time) with the
@@ -369,9 +365,7 @@ class TransferScheduler:
         the flow into the request trace that caused it.
         """
         spec = TransferSpec(
-            src, dst, size, on_complete, on_fail, label,
-            _priority(priority), span,
-        )
+            src, dst, size, on_complete, None, label, Priority.DEMAND, span)
         return self._submit_spec(spec)
 
     def submit_batch(

@@ -60,6 +60,7 @@ from typing import (
     TypeGuard,
 )
 
+from .. import processes
 from ..lightfield.source import ViewSetSource
 from ..obs.fleet import FleetTrace, WorkerTelemetry, export_telemetry, stitch
 from ..obs.flightrec import FlightRecorder
@@ -71,6 +72,7 @@ from ..streaming.multiclient import (
     fleet_traces,
 )
 from ..streaming.session import (
+    SETTLE_SECONDS,
     EventRecord,
     RunTotals,
     TransferRecord,
@@ -131,14 +133,10 @@ class BoundaryExchange:
     produce bit-identical totals.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        links: Tuple[BoundaryLink, ...] = BOUNDARY_LINKS,
-    ) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.links = tuple(links)
+        self.links = BOUNDARY_LINKS
         self.n_shards = n_shards
         self._cells: Any = mp.RawArray("d", n_shards * len(self.links))
 
@@ -371,7 +369,6 @@ def _shard_session(
     config: MultiClientConfig,
     shard_id: int,
     links: Tuple[BoundaryLink, ...],
-    settle_seconds: float,
     window: float,
     collect_streams: bool,
     horizon: Optional[float],
@@ -419,7 +416,7 @@ def _shard_session(
     net = rig.network
     caps = {lk: net.link_capacity(*lk) for lk in links}
     boundary: Optional[Dict[str, float]] = None
-    run = run_testbed(rig, settle_seconds, horizon, window)
+    run = run_testbed(rig, horizon, window)
     while True:
         try:
             next(run)
@@ -529,7 +526,6 @@ def run_shard(
     source: ViewSetSource,
     config: MultiClientConfig,
     shard_id: int = 0,
-    settle_seconds: float = 60.0,
     window: float = DEFAULT_WINDOW,
     collect_streams: bool = False,
     barrier: Optional[Any] = None,
@@ -564,7 +560,7 @@ def run_shard(
     session = _shard_session(
         source, config, shard_id,
         exchange.links if exchange is not None else (),
-        settle_seconds, window, collect_streams, horizon, faults, flight_dir,
+        window, collect_streams, horizon, faults, flight_dir,
     )
     return _drive({shard_id: session}, exchange, barrier)[0]
 
@@ -603,10 +599,8 @@ def run_sharded_session(
     config: MultiClientConfig,
     n_shards: int,
     workers: Optional[int] = None,
-    settle_seconds: float = 60.0,
     window: float = DEFAULT_WINDOW,
     collect_streams: bool = False,
-    start_method: Optional[str] = None,
     faults: Optional[List[FaultSpec]] = None,
     flight_dir: Optional[str] = None,
 ) -> ShardedResult:
@@ -616,9 +610,8 @@ def run_sharded_session(
     sequential run, every shard in this process, is the reference
     execution the parallel path must match bit-for-bit; any other value
     (``None`` included) starts ``n_shards`` processes, and
-    :attr:`ShardedResult.workers` reports the processes that ran.
-    ``start_method`` prefers ``fork`` (rig state inherited copy-on-write)
-    and falls back to ``spawn`` where fork is unavailable.
+    :attr:`ShardedResult.workers` reports the processes that ran; they
+    start as :func:`repro.processes.start_context` decides.
 
     ``faults``/``flight_dir`` forward to every shard (see
     :func:`run_shard`); a fault spec carrying a ``"shard"`` key only
@@ -642,9 +635,9 @@ def run_sharded_session(
     # every barrier-synchronized worker must walk the same window sequence,
     # so the stop time comes from all clients' traces, not a shard's own
     traces = fleet_traces(source.lattice, config)
-    horizon = max(t.duration for t in traces) + settle_seconds
+    horizon = max(t.duration for t in traces) + SETTLE_SECONDS
     options: Dict[str, Any] = dict(
-        settle_seconds=settle_seconds, window=window,
+        window=window,
         collect_streams=collect_streams, horizon=horizon,
         faults=faults, flight_dir=flight_dir,
     )
@@ -673,14 +666,7 @@ def run_sharded_session(
                       for shard_id, session in sessions.items()]
         return merge_shards(shards, 1, window)
 
-    available = mp.get_all_start_methods()
-    if start_method is not None and start_method not in available:
-        raise ValueError(
-            f"start method {start_method!r} unavailable; "
-            f"choose from {available}"
-        )
-    method = start_method or ("fork" if "fork" in available else "spawn")
-    ctx = mp.get_context(method)
+    ctx = processes.start_context()
     # one process per shard; the barrier holds every worker to the same
     # window so no shard runs unboundedly ahead of its siblings
     barrier = ctx.Barrier(len(blocks))

@@ -86,8 +86,8 @@ class SimClock:
     :class:`SimulationError` instead of silently corrupting causality.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -103,6 +103,12 @@ class SimClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"
+
+
+#: the share of cancelled entries, and the heap size, from which
+#: :class:`EventQueue` compacts its heap
+COMPACT_THRESHOLD = 0.5
+COMPACT_MIN = 512
 
 
 class EventQueue:
@@ -121,19 +127,13 @@ class EventQueue:
     Cancelled events are lazily deleted: they stay in the heap until popped.
     Workloads that retarget heavily (rate rebalancing, prefetch
     cancellation) can leave the heap mostly garbage, so whenever the
-    cancelled fraction exceeds ``compact_threshold`` (and the heap is at
-    least ``compact_min`` entries) the heap is compacted in O(n) — the
-    (time, seq) total order makes ``heapify`` deterministic.
+    cancelled fraction reaches :data:`COMPACT_THRESHOLD` (and the heap
+    holds at least :data:`COMPACT_MIN` entries) the heap is compacted in
+    O(n) — the (time, seq) total order makes ``heapify`` deterministic.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None,
-                 compact_threshold: float = 0.5,
-                 compact_min: int = 512) -> None:
-        if not 0.0 < compact_threshold <= 1.0:
-            raise ValueError("compact_threshold must be in (0, 1]")
-        self.clock = clock if clock is not None else SimClock()
-        self.compact_threshold = compact_threshold
-        self.compact_min = compact_min
+    def __init__(self) -> None:
+        self.clock = SimClock()
         # (time, seq, event) triples: heap sift orders on the C float/int
         # pair without re-entering python (see Event docstring)
         self._heap: list[tuple[float, int, Event]] = []
@@ -194,9 +194,8 @@ class EventQueue:
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap once lazy-deletion garbage dominates it."""
-        if (len(self._heap) >= self.compact_min
-                and self._garbage >= self.compact_threshold
-                * len(self._heap)):
+        if (len(self._heap) >= COMPACT_MIN
+                and self._garbage >= COMPACT_THRESHOLD * len(self._heap)):
             self._heap = [e for e in self._heap if not e[2].cancelled]
             heapq.heapify(self._heap)
             self._garbage = 0
@@ -298,12 +297,12 @@ class Process:
         self._event: Optional[Event] = None
         self._running = False
 
-    def start(self, delay: float = 0.0) -> None:
-        """Arm the first tick ``delay`` seconds from now."""
+    def start(self) -> None:
+        """Arm the first tick, now."""
         if self._running:
             return
         self._running = True
-        self._event = self.queue.schedule_in(delay, self._tick, self.label)
+        self._event = self.queue.schedule_in(0.0, self._tick, self.label)
 
     def stop(self) -> None:
         """Cancel any pending tick."""

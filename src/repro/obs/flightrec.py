@@ -27,26 +27,23 @@ from .tracer import Span, Tracer
 __all__ = ["FlightRecorder"]
 
 
+#: finished spans a recorder retains; counter samples get ``4 * CAPACITY``
+#: slots (samplers tick much faster than spans close)
+CAPACITY = 256
+
+
 class FlightRecorder:
     """Bounded ring buffer of recent spans and counter samples.
 
-    Parameters
-    ----------
-    capacity:
-        Max finished spans retained (counter samples get ``4 * capacity``
-        slots — samplers tick much faster than spans close).
-    worker:
-        Label stamped into every dump (e.g. ``"shard3"``).
+    ``worker`` is the label stamped into every dump (e.g. ``"shard3"``).
     """
 
-    def __init__(self, capacity: int = 256, worker: str = "") -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self, worker: str = "") -> None:
+        self.capacity = CAPACITY
         self.worker = worker
-        self._spans: Deque[Dict[str, object]] = deque(maxlen=capacity)
+        self._spans: Deque[Dict[str, object]] = deque(maxlen=CAPACITY)
         self._counters: Deque[Dict[str, object]] = deque(
-            maxlen=4 * capacity)
+            maxlen=4 * CAPACITY)
         self._tracer: Optional[Tracer] = None
         #: frozen dumps, in trigger order
         self.dumps: List[Dict[str, object]] = []

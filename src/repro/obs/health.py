@@ -138,28 +138,20 @@ def depot_stats(rows: Iterable[Row]) -> List[DepotStat]:
     return [stats[k] for k in sorted(stats)]
 
 
-def _steady(
-    accesses: Iterable[AccessRecord], warmup: int
-) -> List[AccessRecord]:
-    return [a for a in accesses if a.index > warmup]
-
-
-def fleet_qgr(
-    accesses: Iterable[AccessRecord],
-    threshold: float = QGR_THRESHOLD_S,
-    warmup: int = QGR_WARMUP,
-) -> float:
+def fleet_qgr(accesses: Iterable[AccessRecord]) -> float:
     """Steady-state fraction of accesses under the threshold, fleet-wide.
 
     Pools every client's accesses (the fleet is the population), skips
-    each client's first ``warmup`` accesses as the initial phase, and
-    applies the same ``latency < threshold`` criterion as the per-session
-    QGR sweep, so single-rig and fleet numbers are directly comparable.
+    each client's first :data:`QGR_WARMUP` accesses as the initial phase,
+    and applies the same ``latency <`` :data:`QGR_THRESHOLD_S` criterion
+    as the per-session QGR sweep, so single-rig and fleet numbers are
+    directly comparable.
     """
-    pool = _steady(accesses, warmup)
+    pool = [a for a in accesses if a.index > QGR_WARMUP]
     if not pool:
         return 0.0
-    return sum(1 for a in pool if a.total_latency < threshold) / len(pool)
+    return (sum(1 for a in pool if a.total_latency < QGR_THRESHOLD_S)
+            / len(pool))
 
 
 def demand_miss_histogram(accesses: Iterable[AccessRecord]) -> LogHistogram:
@@ -218,8 +210,6 @@ class FleetHealth:
 
 def fleet_health(
     result: ShardedResult,
-    threshold: float = QGR_THRESHOLD_S,
-    warmup: int = QGR_WARMUP,
 ) -> FleetHealth:
     """The fleet health summary of a traced sharded run.
 
@@ -235,7 +225,7 @@ def fleet_health(
     return FleetHealth(
         n_clients=len(result.per_client),
         accesses=len(accesses),
-        qgr=fleet_qgr(accesses, threshold=threshold, warmup=warmup),
+        qgr=fleet_qgr(accesses),
         misses=misses.total,
         demand_miss_p50_s=misses.quantile(0.50),
         demand_miss_p99_s=misses.quantile(0.99),

@@ -61,27 +61,29 @@ class MetricsSnapshot(_FleetKeys):
     histograms: Dict[str, HistogramRecord]
 
 
+#: the latency histograms' range, seconds, and resolution
+LATENCY_LO = 1e-4
+LATENCY_HI = 1.0
+BUCKETS_PER_DECADE = 10
+
+
 class LogHistogram:
     """Histogram with fixed-ratio (geometric) bucket edges.
 
     Buckets cover ``[lo, hi)`` with edges ``lo * growth**k``; values below
     ``lo`` land in an underflow bucket, values at or above ``hi`` in an
-    overflow bucket.  The default range covers the session's four latency
-    decades (1e-4 s .. 1 s) at 10 buckets per decade (growth ≈ 1.26, i.e.
+    overflow bucket.  The range covers the session's four latency decades
+    (:data:`LATENCY_LO` .. :data:`LATENCY_HI`) at
+    :data:`BUCKETS_PER_DECADE` buckets per decade (growth ≈ 1.26, i.e.
     every estimate is within ±12% of the true quantile).
     """
 
-    def __init__(self, name: str, lo: float = 1e-4, hi: float = 1.0,
-                 buckets_per_decade: int = 10) -> None:
-        if lo <= 0 or hi <= lo:
-            raise ValueError("need 0 < lo < hi")
-        if buckets_per_decade < 1:
-            raise ValueError("need at least one bucket per decade")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.lo = lo
-        self.hi = hi
-        self.buckets_per_decade = buckets_per_decade
-        self.growth = 10.0 ** (1.0 / buckets_per_decade)
+        self.lo = lo = LATENCY_LO
+        self.hi = hi = LATENCY_HI
+        self.buckets_per_decade = BUCKETS_PER_DECADE
+        self.growth = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
         n = int(math.ceil(
             math.log(hi / lo) / math.log(self.growth) - 1e-9))
         # edges[i] is the upper bound of bucket i (excluding under/overflow)

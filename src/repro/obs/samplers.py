@@ -46,8 +46,12 @@ __all__ = [
 ]
 
 
+#: sim seconds between two ticks of every sampler
+PERIOD = 0.5
+
+
 class PeriodicSampler:
-    """Base class: a named probe ticking every ``period`` sim seconds.
+    """Base class: a named probe ticking every :data:`PERIOD` sim seconds.
 
     A tick is one row on the tracer: the values of every series the
     sampler reads, under a names tuple that all ticks of one schema share.
@@ -57,15 +61,11 @@ class PeriodicSampler:
         self,
         queue: EventQueue,
         tracer: Tracer,
-        period: float = 0.5,
         name: str = "sampler",
         namespace: str = "",
     ) -> None:
-        if period <= 0:
-            raise ValueError("sample period must be positive")
         self.queue = queue
         self.tracer = tracer
-        self.period = period
         self.name = name
         self._prefix = f"{namespace}." if namespace else ""
         #: what the current names tuple was built from, and the tuple
@@ -75,12 +75,12 @@ class PeriodicSampler:
         self._event = None
         self._running = False
 
-    def start(self, delay: float = 0.0) -> None:
-        """Arm the first sample ``delay`` seconds from now."""
+    def start(self) -> None:
+        """Arm the first sample, now."""
         if self._running:
             return
         self._running = True
-        self._event = self.queue.schedule_in(delay, self._tick, self.name)
+        self._event = self.queue.schedule_in(0.0, self._tick, self.name)
 
     def stop(self) -> None:
         """Cancel future samples (pending tick dropped)."""
@@ -94,9 +94,7 @@ class PeriodicSampler:
             return
         self.ticks += 1
         self.sample()
-        self._event = self.queue.schedule_in(
-            self.period, self._tick, self.name
-        )
+        self._event = self.queue.schedule_in(PERIOD, self._tick, self.name)
 
     def schema(self, key: object,
                series: Callable[[], Iterable[str]]) -> Tuple[str, ...]:
@@ -124,8 +122,8 @@ class LinkUtilizationSampler(PeriodicSampler):
     """Per-link utilization (allocated rate / capacity), 0..1."""
 
     def __init__(self, queue: EventQueue, tracer: Tracer, network: Network,
-                 period: float = 0.5, namespace: str = "") -> None:
-        super().__init__(queue, tracer, period, "sample-links", namespace)
+                 namespace: str = "") -> None:
+        super().__init__(queue, tracer, "sample-links", namespace)
         self.network = network
         #: the link set in series order, (a, b) sorted
         self._links: List[Tuple[str, str]] = []
@@ -151,8 +149,8 @@ class DepotSampler(PeriodicSampler):
 
     def __init__(self, queue: EventQueue, tracer: Tracer,
                  depots: Iterable["Depot"], network: Network,
-                 period: float = 0.5, namespace: str = "") -> None:
-        super().__init__(queue, tracer, period, "sample-depots", namespace)
+                 namespace: str = "") -> None:
+        super().__init__(queue, tracer, "sample-depots", namespace)
         self.depots = list(depots)
         self.network = network
 
@@ -182,9 +180,8 @@ class SchedulerOccupancySampler(PeriodicSampler):
     """How many admitted transfers run in each priority class."""
 
     def __init__(self, queue: EventQueue, tracer: Tracer,
-                 scheduler: TransferScheduler, period: float = 0.5,
-                 namespace: str = "") -> None:
-        super().__init__(queue, tracer, period, "sample-scheduler", namespace)
+                 scheduler: TransferScheduler, namespace: str = "") -> None:
+        super().__init__(queue, tracer, "sample-scheduler", namespace)
         self.scheduler = scheduler
 
     def sample(self) -> None:
@@ -212,8 +209,8 @@ class CacheSampler(PeriodicSampler):
     _FIGURES = ("cache.bytes", "cache.payloads", "staged.viewsets")
 
     def __init__(self, queue: EventQueue, tracer: Tracer, agent: object,
-                 period: float = 0.5, namespace: str = "") -> None:
-        super().__init__(queue, tracer, period, "sample-cache", namespace)
+                 namespace: str = "") -> None:
+        super().__init__(queue, tracer, "sample-cache", namespace)
         self.agents = (list(agent) if isinstance(agent, (list, tuple))
                        else [agent])
 
@@ -243,7 +240,6 @@ def standard_samplers(
     scheduler: TransferScheduler,
     depots: Iterable["Depot"],
     agent: object,
-    period: float = 0.5,
     namespace: str = "",
 ) -> List[PeriodicSampler]:
     """The full sampler set a traced session runs (not yet started).
@@ -254,9 +250,8 @@ def standard_samplers(
     every series name.
     """
     return [
-        LinkUtilizationSampler(queue, tracer, network, period, namespace),
-        DepotSampler(queue, tracer, depots, network, period, namespace),
-        SchedulerOccupancySampler(queue, tracer, scheduler, period,
-                                  namespace),
-        CacheSampler(queue, tracer, agent, period, namespace),
+        LinkUtilizationSampler(queue, tracer, network, namespace),
+        DepotSampler(queue, tracer, depots, network, namespace),
+        SchedulerOccupancySampler(queue, tracer, scheduler, namespace),
+        CacheSampler(queue, tracer, agent, namespace),
     ]

@@ -83,14 +83,12 @@ class SpanLike(Protocol):
 
     def annotate(self, **attrs: object) -> SpanLike: ...
 
-    def event(self, name: str, t: Optional[float] = None,
-              **attrs: object) -> None: ...
+    def event(self, name: str, **attrs: object) -> None: ...
 
     def finish(self, t: Optional[float] = None,
                **attrs: object) -> SpanLike: ...
 
-    def child(self, name: str, t: Optional[float] = None,
-              category: str = "", **attrs: object) -> SpanLike: ...
+    def child(self, name: str, **attrs: object) -> SpanLike: ...
 
 
 class Span:
@@ -138,13 +136,9 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def event(self, name: str, t: Optional[float] = None,
-              **attrs: object) -> None:
+    def event(self, name: str, **attrs: object) -> None:
         """Record an instant event inside this span (promotion, pause...)."""
-        ev: Dict[str, object] = {
-            "name": name,
-            "t": self.tracer.now if t is None else t,
-        }
+        ev: Dict[str, object] = {"name": name, "t": self.tracer.now}
         if attrs:
             ev.update(attrs)
         self.events.append(ev)
@@ -161,11 +155,9 @@ class Span:
                 self.tracer._notify("span", self)
         return self
 
-    def child(self, name: str, t: Optional[float] = None,
-              category: str = "", **attrs: object) -> Span:
-        """Open a child span under this one."""
-        return self.tracer.begin(name, parent=self, t=t,
-                                 category=category, **attrs)
+    def child(self, name: str, **attrs: object) -> Span:
+        """Open a child span under this one, now."""
+        return self.tracer.begin(name, parent=self, **attrs)
 
     def to_dict(self) -> SpanDict:
         """JSON-ready representation (the exporters' input)."""
@@ -206,16 +198,14 @@ class NoopSpan:
     def annotate(self, **attrs: object) -> NoopSpan:
         return self
 
-    def event(self, name: str, t: Optional[float] = None,
-              **attrs: object) -> None:
+    def event(self, name: str, **attrs: object) -> None:
         return None
 
     def finish(self, t: Optional[float] = None,
                **attrs: object) -> NoopSpan:
         return self
 
-    def child(self, name: str, t: Optional[float] = None,
-              category: str = "", **attrs: object) -> NoopSpan:
+    def child(self, name: str, **attrs: object) -> NoopSpan:
         return self
 
     def to_dict(self) -> Dict[str, object]:
@@ -365,52 +355,44 @@ class Tracer:
         self,
         name: str,
         parent: Optional[SpanLike] = None,
-        category: str = "",
         **attrs: object,
     ) -> Iterator[AnySpan]:
         """Context manager for synchronous sections (closes on exit)."""
-        s = self.begin(name, parent=parent, category=category, **attrs)
+        s = self.begin(name, parent=parent, **attrs)
         try:
             yield s
         finally:
             s.finish()
 
     # ------------------------------------------------------------------
-    def instant(self, name: str, t: Optional[float] = None,
-                **attrs: object) -> None:
-        """A global instant event (e.g. a prefetch decision)."""
+    def instant(self, name: str, **attrs: object) -> None:
+        """A global instant event (e.g. a prefetch decision), now."""
         if not self.enabled:
             return
-        ev: Dict[str, object] = {
-            "name": name,
-            "t": self.now if t is None else t,
-        }
+        ev: Dict[str, object] = {"name": name, "t": self.now}
         if attrs:
             ev.update(attrs)
         self.instants.append(ev)
         if self._listeners:
             self._notify("instant", ev)
 
-    def row(self, names: Tuple[str, ...], values: Sequence[object],
-            t: Optional[float] = None) -> None:
-        """One sampler tick: ``values[i]`` is a sample of ``names[i]``.
+    def row(self, names: Tuple[str, ...], values: Sequence[object]) -> None:
+        """One sampler tick now: ``values[i]`` is a sample of ``names[i]``.
 
         Listeners get one ``("counter", dict)`` call per sample; the dicts
         are made only while one is attached.
         """
         if not self.enabled:
             return
-        if t is None:
-            t = self.now
+        t = self.now
         self.rows.append((t, names, values))
         if self._listeners:
             for name, value in zip(names, values):
                 self._notify("counter", {"name": name, "t": t, "value": value})
 
-    def counter(self, name: str, value: float,
-                t: Optional[float] = None) -> None:
+    def counter(self, name: str, value: float) -> None:
         """One sample of a named time series: a one-sample row."""
-        self.row((name,), (value,), t)
+        self.row((name,), (value,))
 
     @property
     def counters(self) -> List[Dict[str, object]]:
@@ -419,8 +401,8 @@ class Tracer:
         return series_samples(self.rows)
 
     # ------------------------------------------------------------------
-    def finish_open(self, t: Optional[float] = None) -> int:
-        """Close every still-open span (end of run); returns how many.
+    def finish_open(self) -> int:
+        """Close every still-open span now (end of run); returns how many.
 
         The ``unfinished`` flag is set before the close, so listeners
         notified by it (a flight recorder) see it too.
@@ -429,7 +411,7 @@ class Tracer:
         for span in self.spans:
             if span.end is None:
                 span.attrs.setdefault("unfinished", True)
-                span.finish(t=t)
+                span.finish()
                 n += 1
         return n
 

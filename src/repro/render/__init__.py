@@ -10,13 +10,12 @@ from .image import (
     to_float,
     to_uint8,
 )
-from .lighting import Light, shade_blinn_phong
+from .lighting import shade_blinn_phong
 from .parallel import ParallelRenderer, default_worker_count
 from .raycast import RaycastRenderer, RenderSettings
 
 __all__ = [
     "Camera",
-    "Light",
     "ParallelRenderer",
     "RaycastRenderer",
     "RenderSettings",

@@ -135,7 +135,6 @@ def orbit_camera(
     radius: float,
     resolution: int,
     fov_deg: float = 30.0,
-    target: np.ndarray | None = None,
 ) -> Camera:
     """Camera on a sphere around the origin, looking inward.
 
@@ -153,12 +152,11 @@ def orbit_camera(
             np.cos(theta),
         ]
     )
-    tgt = np.zeros(3) if target is None else np.asarray(target, float)
     # up along +z except near the poles, where we flip to +x
     up = np.array([0.0, 0.0, 1.0])
     if abs(np.cos(theta)) > 0.999:
         up = np.array([1.0, 0.0, 0.0])
     return Camera(
-        eye=eye, target=tgt, up=up, fov_deg=fov_deg,
+        eye=eye, target=np.zeros(3), up=up, fov_deg=fov_deg,
         width=resolution, height=resolution,
     )

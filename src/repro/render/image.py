@@ -58,9 +58,10 @@ def rmse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((fa - fb) ** 2)))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; +inf for identical images."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB against a peak of 1.0; +inf for
+    identical images."""
     err = rmse(a, b)
     if err == 0:
         return float("inf")
-    return float(20.0 * np.log10(peak / err))
+    return float(20.0 * np.log10(1.0 / err))

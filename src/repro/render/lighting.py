@@ -9,41 +9,30 @@ batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..volume.grid import Workspace
 
-__all__ = ["Light", "shade_blinn_phong"]
+__all__ = ["shade_blinn_phong"]
 
-
-@dataclass(frozen=True)
-class Light:
-    """A directional light with ambient and specular terms."""
-
-    direction: Tuple[float, float, float] = (0.4, 0.3, 1.0)
-    ambient: float = 0.25
-    diffuse: float = 0.65
-    specular: float = 0.25
-    shininess: float = 32.0
-
-    def unit_direction(self) -> np.ndarray:
-        """Normalized direction pointing *toward* the light."""
-        d = np.asarray(self.direction, dtype=np.float64)
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise ValueError("light direction cannot be zero")
-        return d / n
+#: the one directional light: where it is (need not be unit), and its
+#: ambient, diffuse and specular terms
+LIGHT_DIRECTION = (0.4, 0.3, 1.0)
+AMBIENT = 0.25
+DIFFUSE = 0.65
+SPECULAR = 0.25
+SHININESS = 32.0
+#: samples with a gradient magnitude below this are left unshaded
+#: (homogeneous regions have no meaningful normal)
+GRADIENT_FLOOR = 1e-4
 
 
 def shade_blinn_phong(
     colors: np.ndarray,
     gradients: np.ndarray,
     view_dirs: np.ndarray,
-    light: Light,
-    gradient_floor: float = 1e-4,
     work: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Blinn-Phong shading of emission colors using gradient normals.
@@ -56,11 +45,6 @@ def shade_blinn_phong(
         ``(N, 3)`` field gradients at the sample points (need not be unit).
     view_dirs:
         ``(N, 3)`` unit ray directions (pointing *away* from the eye).
-    light:
-        Lighting parameters.
-    gradient_floor:
-        Samples with gradient magnitude below this are left unshaded
-        (homogeneous regions have no meaningful normal).
     work:
         Where the arrays are computed (``shade.*``); a fresh workspace if
         None.  The result is one of them, valid until the next call
@@ -79,12 +63,14 @@ def shade_blinn_phong(
     mag += np.multiply(y, y, out=term)
     mag += np.multiply(z, z, out=term)
     np.sqrt(mag, out=mag)  # == np.linalg.norm(gradients, axis=1)
-    strong = np.greater(mag, gradient_floor,
+    strong = np.greater(mag, GRADIENT_FLOOR,
                         out=work("shade.strong", (m,), np.bool_))
     # every row is lit through a floored magnitude (exact on strong rows);
     # weak rows then take the flat colour
-    n /= np.maximum(mag, gradient_floor, out=mag)[:, None]
-    ldir = light.unit_direction()
+    n /= np.maximum(mag, GRADIENT_FLOOR, out=mag)[:, None]
+    # the unit direction pointing *toward* the light
+    ldir = np.asarray(LIGHT_DIRECTION, dtype=np.float64)
+    ldir = ldir / np.linalg.norm(ldir)
     # two-sided shading: volume "surfaces" face either way
     lum = np.abs(np.matmul(n, ldir, out=mag), out=mag)
     # the half vector, ldir + (toward the eye = -view_dirs), normalized as
@@ -99,10 +85,10 @@ def shade_blinn_phong(
     np.divide(half, norm[:, None], out=half, where=nonzero[:, None])
     half[np.logical_not(nonzero, out=nonzero)] = 0.0
     spec = np.abs(np.einsum("ij,ij->i", n, half, out=term), out=term)
-    np.power(spec, light.shininess, out=spec)
-    spec *= light.specular
-    lum *= light.diffuse
-    lum += light.ambient
+    np.power(spec, SHININESS, out=spec)
+    spec *= SPECULAR
+    lum *= DIFFUSE
+    lum += AMBIENT
     # float64 factors, rounded to float32 to scale the float32 colours
     single = work("shade.single", (m,), np.float32)
     np.copyto(single, lum, casting="same_kind")
@@ -110,7 +96,7 @@ def shade_blinn_phong(
                       out=work("shade.colour", (m, 3), np.float32))
     np.copyto(single, spec, casting="same_kind")
     out += single[:, None]
-    flat = np.multiply(colors, light.ambient + light.diffuse,
+    flat = np.multiply(colors, AMBIENT + DIFFUSE,
                        out=work("shade.flat", (m, 3), np.float32))
     np.copyto(out, flat, where=np.logical_not(strong, out=strong)[:, None])
     return np.clip(out, 0.0, 1.0, out=out)

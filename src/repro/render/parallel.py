@@ -20,7 +20,6 @@ Data movement is kept out of the inner loops on both sides of the fence:
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 from multiprocessing import shared_memory
 from multiprocessing.pool import Pool
@@ -28,10 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import processes
 from ..volume.grid import VolumeGrid
 from ..volume.transfer import TransferFunction
 from .camera import Camera
-from .lighting import Light
 from .raycast import (
     RaycastRenderer, RenderSettings, split_frames, view_bundles,
 )
@@ -86,10 +85,9 @@ class ParallelRenderer:
     """View-parallel front end over :class:`RaycastRenderer`.
 
     With ``workers=1`` all work runs inline, which keeps unit tests fast
-    and deterministic.  ``start_method`` selects the multiprocessing start
-    method: ``None`` prefers ``fork`` (state shared copy-on-write) and
-    falls back to ``spawn`` (state pickled once per worker) on platforms
-    without it; pass ``"spawn"`` explicitly to force the pickling path.
+    and deterministic.  Pools start as :func:`repro.processes.start_context`
+    decides: ``fork`` shares the prepared renderer copy-on-write, ``spawn``
+    pickles it once per worker.
     """
 
     def __init__(
@@ -97,27 +95,15 @@ class ParallelRenderer:
         volume: VolumeGrid,
         transfer: TransferFunction,
         settings: RenderSettings = RenderSettings(),
-        light: Light = Light(),
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         self.volume = volume
         self.transfer = transfer
         self.settings = settings
-        self.light = light
         self.workers = workers if workers is not None else default_worker_count()
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        available = mp.get_all_start_methods()
-        if start_method is not None and start_method not in available:
-            raise ValueError(
-                f"start method {start_method!r} unavailable; "
-                f"choose from {available}"
-            )
-        self.start_method = start_method or (
-            "fork" if "fork" in available else "spawn"
-        )
-        self._inline = RaycastRenderer(volume, transfer, settings, light)
+        self._inline = RaycastRenderer(volume, transfer, settings)
         # build the acceleration structure once, in the parent, before any
         # worker exists: fork inherits it copy-on-write, spawn pickles it
         # with the renderer — either way workers never rebuild it
@@ -155,8 +141,7 @@ class ParallelRenderer:
         return frames
 
     def _pool(self) -> Pool:
-        ctx = mp.get_context(self.start_method)
-        return ctx.Pool(
+        return processes.start_context().Pool(
             processes=self.workers,
             initializer=_init_worker,
             initargs=(self._inline,),

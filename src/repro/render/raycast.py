@@ -21,7 +21,7 @@ min-max grid in :mod:`repro.volume.accel`.  Sample positions lie on the
 same ``t_near + (k + 0.5) * step`` lattice in both paths and skipped
 samples have exactly zero extinction, so the accelerated image matches the
 brute-force one to floating-point noise (documented tolerance: max abs
-error < 1e-5; the only semantic difference is that ``max_steps`` budgets
+error < 1e-5; the only semantic difference is that ``MAX_STEPS`` budgets
 marched steps, and the accelerated path spends none on empty space).
 """
 
@@ -36,7 +36,7 @@ from ..volume.accel import ActiveCells, MacrocellGrid
 from ..volume.grid import BLOCK, VolumeGrid
 from ..volume.transfer import TransferFunction
 from .camera import Camera
-from .lighting import Light, shade_blinn_phong
+from .lighting import shade_blinn_phong
 
 __all__ = ["BUNDLE_RAYS", "RaycastRenderer", "RenderSettings", "RenderStats"]
 
@@ -94,24 +94,29 @@ def split_frames(
     return frames
 
 
+#: ray-march step, in voxels of the target volume
+STEP_VOXELS = 0.5
+#: transmittance below which a ray is terminated early
+OPACITY_CUTOFF = 1e-3
+#: samples one ray takes at most
+MAX_STEPS = 4096
+#: the colour a ray composites over
+BACKGROUND = 0.0
+#: macrocell edge, in voxels
+MACROCELL_SIZE = 4
+
+
 @dataclass(frozen=True)
 class RenderSettings:
     """Knobs for the ray caster.
 
-    ``step`` defaults to half a voxel of the target volume.  ``opacity_cutoff``
-    is the transmittance below which a ray is terminated early.
+    ``shaded`` lights samples by Blinn-Phong (:mod:`.lighting`);
     ``accelerated`` enables macrocell empty-space skipping (lossless up to
-    float noise; see the module docstring); ``macrocell_size`` is the
-    macrocell edge in voxels.
+    float noise; see the module docstring).
     """
 
-    step: Optional[float] = None
-    opacity_cutoff: float = 1e-3
-    max_steps: int = 4096
     shaded: bool = True
-    background: float = 0.0
     accelerated: bool = True
-    macrocell_size: int = 4
 
 
 @dataclass
@@ -154,19 +159,11 @@ class RaycastRenderer:
         volume: VolumeGrid,
         transfer: TransferFunction,
         settings: RenderSettings = RenderSettings(),
-        light: Light = Light(),
     ) -> None:
         self.volume = volume
         self.transfer = transfer
         self.settings = settings
-        self.light = light
-        if settings.step is not None and settings.step <= 0:
-            raise ValueError("step must be positive")
-        self._step = (
-            settings.step
-            if settings.step is not None
-            else volume._voxel * 0.5
-        )
+        self._step = volume._voxel * STEP_VOXELS
         self._cells: Optional[ActiveCells] = None
         self.last_render_stats = RenderStats()
 
@@ -185,7 +182,7 @@ class RaycastRenderer:
             return None
         if self._cells is None:
             grid = MacrocellGrid.build(
-                self.volume, cell_size=self.settings.macrocell_size
+                self.volume, cell_size=MACROCELL_SIZE
             )
             self._cells = grid.classify(self.transfer)
         return self._cells
@@ -244,7 +241,7 @@ class RaycastRenderer:
         origins = np.asarray(origins, dtype=np.float64)
         dirs = np.asarray(dirs, dtype=np.float64)
         n = len(origins)
-        color = np.full((n, 3), self.settings.background, dtype=np.float32)
+        color = np.full((n, 3), BACKGROUND, dtype=np.float32)
         stats = RenderStats(rays=n, accelerated=self.settings.accelerated)
         self.last_render_stats = stats
 
@@ -281,8 +278,7 @@ class RaycastRenderer:
         )
 
         # composite over background
-        bg = self.settings.background
-        col += tr[:, None] * bg
+        col += tr[:, None] * BACKGROUND
         color[sel] = col
         return color
 
@@ -313,7 +309,7 @@ class RaycastRenderer:
         volume is never composited.
 
         The march runs in *passes* of ``max(1, BUNDLE_RAYS // live)`` steps
-        (capped by the ``max_steps`` left): the pass advances its rays step
+        (capped by the ``MAX_STEPS`` left): the pass advances its rays step
         by step, recording who is inside a segment where, and
         :meth:`_composite` samples, shades and composites them all at once.
         State arrays are compacted (gather via index arrays): the advance
@@ -322,7 +318,7 @@ class RaycastRenderer:
         """
         m = len(o)
         dt = self._step
-        cutoff = self.settings.opacity_cutoff
+        cutoff = OPACITY_CUTOFF
         col_out = np.zeros((m, 3), dtype=np.float32)
         tr_out = np.ones(m, dtype=np.float32)
 
@@ -337,7 +333,7 @@ class RaycastRenderer:
         k = np.maximum(0.0, np.floor((seg_t0[cur] - t_base) / dt))
         t_end = np.minimum(seg_t1[cur] + 0.5 * dt, t_far)
 
-        left = self.settings.max_steps
+        left = MAX_STEPS
         while left > 0 and live.size:
             # one pass: as many steps as keep its samples within the cap
             steps = max(1, min(BUNDLE_RAYS // live.size, left))
@@ -407,7 +403,7 @@ class RaycastRenderer:
                 tr_out[live[dead]] = tr[dead]
                 live, tr, col = live[r], tr[r], col.take(r, axis=0)
 
-        if live.size:  # max_steps exhausted with rays still marching
+        if live.size:  # MAX_STEPS exhausted with rays still marching
             col_out[live] = col
             tr_out[live] = tr
         return col_out, tr_out
@@ -439,7 +435,7 @@ class RaycastRenderer:
         """
         work = self._scratch
         n, points = len(tr), len(cell)
-        cutoff = self.settings.opacity_cutoff
+        cutoff = OPACITY_CUTOFF
         rgb, sigma = self.transfer(
             self.volume.sample(pos.T),
             out=(work("pass.colour", (points, 3), np.float32),
@@ -488,7 +484,7 @@ class RaycastRenderer:
                     self.volume.gradient(xyz.T),
                     d.take(rays, axis=1, mode="clip",
                            out=work("lit.dirs", (3, m), np.float64)).T,
-                    self.light, work=self.volume.workspace,
+                    work=self.volume.workspace,
                 )
         # weigh the colours (float64 weights, stored as float32); a point
         # not composited adds +0

@@ -24,7 +24,6 @@ from ..lightfield.compression import codec_for_payload
 from ..lightfield.lattice import CameraLattice, ViewSetKey
 from ..lightfield.viewset import ViewSet
 from ..lon.network import Network
-from ..lon.scheduler import Priority
 from ..lon.simtime import EventQueue
 from ..obs.tracer import NULL_TRACER, SpanLike, Tracer
 from .agent import ClientAgent
@@ -231,7 +230,6 @@ class Client:
                 on_complete=lambda fl: finish(payload, source, comm_latency,
                                               t_payload, mark),
                 label=f"to-client:{vid}",
-                priority=Priority.DEMAND,
                 span=root,
             )
 

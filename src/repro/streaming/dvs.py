@@ -21,6 +21,13 @@ from ..lon.exnode import ExNode
 
 __all__ = ["DVSResult", "DVSServer"]
 
+#: depth of the lookup hierarchy: a root and one level of leaves
+LEVELS = 2
+#: children per level; a view-set id hashes to one leaf path
+FANOUT = 8
+#: service time added per level traversed, in seconds
+LEVEL_DELAY = 0.0002
+
 
 @dataclass
 class DVSResult:
@@ -34,39 +41,13 @@ class DVSResult:
 
 
 class DVSServer:
-    """Hierarchical exNode + server-agent tables.
+    """Hierarchical exNode tables plus the server agent that generates
+    what they lack."""
 
-    Parameters
-    ----------
-    node:
-        Network node name the DVS runs at (callers pay the RPC to it).
-    levels:
-        Depth of the lookup hierarchy (>= 1).
-    fanout:
-        Children per level; a view-set id hashes to one leaf path.
-    level_delay:
-        Service time added per level traversed.
-    """
-
-    def __init__(
-        self,
-        node: str = "dvs",
-        levels: int = 2,
-        fanout: int = 8,
-        level_delay: float = 0.0002,
-    ) -> None:
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
-        if fanout < 1:
-            raise ValueError("fanout must be >= 1")
-        self.node = node
-        self.levels = levels
-        self.fanout = fanout
-        self.level_delay = level_delay
+    def __init__(self) -> None:
         # leaf tables: path tuple -> {vid: [exnodes]}
         self._exnode_tables: Dict[Tuple[int, ...], Dict[str, List[ExNode]]] = {}
-        self._agent_table: Dict[str, str] = {}
-        self._default_agent: Optional[str] = None
+        self._agent: Optional[str] = None
         self.queries = 0
         self.generation_referrals = 0
 
@@ -77,9 +58,9 @@ class DVSServer:
         # crc32, not hash(): stable across processes (PYTHONHASHSEED)
         h = zlib.crc32(vid.encode("ascii")) & 0x7FFFFFFF
         path = []
-        for _ in range(self.levels - 1):
-            path.append(h % self.fanout)
-            h //= self.fanout
+        for _ in range(LEVELS - 1):
+            path.append(h % FANOUT)
+            h //= FANOUT
         return tuple(path)
 
     def register_exnode(self, vid: str, exnode: ExNode) -> None:
@@ -87,14 +68,9 @@ class DVSServer:
         table = self._exnode_tables.setdefault(self._leaf_path(vid), {})
         table.setdefault(vid, []).append(exnode)
 
-    def register_server_agent(self, agent_node: str,
-                              vids: Optional[List[str]] = None) -> None:
-        """Route generation requests for ``vids`` (or all) to an agent."""
-        if vids is None:
-            self._default_agent = agent_node
-        else:
-            for vid in vids:
-                self._agent_table[vid] = agent_node
+    def register_server_agent(self, agent_node: str) -> None:
+        """Route generation requests to an agent."""
+        self._agent = agent_node
 
     # ------------------------------------------------------------------
     # query
@@ -113,12 +89,12 @@ class DVSServer:
         exnodes = list(table.get(vid, []))
         agent = None
         if not exnodes:
-            agent = self._agent_table.get(vid, self._default_agent)
+            agent = self._agent
             self.generation_referrals += 1
         return DVSResult(
             viewset_id=vid,
             exnodes=exnodes,
             server_agent=agent,
             levels_visited=levels_visited,
-            lookup_delay=levels_visited * self.level_delay,
+            lookup_delay=levels_visited * LEVEL_DELAY,
         )

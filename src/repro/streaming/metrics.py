@@ -15,7 +15,7 @@ boundary (the access index after which no WAN fetches occur).
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from ..obs.tracer import Tracer
 
 __all__ = ["AccessSource", "AccessRecord", "DEMAND_MISS_SOURCES",
-           "SessionMetrics"]
+           "HIT_SOURCES", "SessionMetrics", "WAN_SOURCES"]
 
 
 class AccessSource(str, Enum):
@@ -44,6 +44,11 @@ class AccessSource(str, Enum):
 #: a span's ``source`` attribute carries (members compare as their values).
 DEMAND_MISS_SOURCES = (AccessSource.LAN_DEPOT, AccessSource.WAN_DEPOT,
                        AccessSource.SERVER_RUNTIME)
+#: what Section 4.3 counts as a hit (client-resident counts too), tuples for
+#: the same reason ...
+HIT_SOURCES = (AccessSource.AGENT_CACHE, AccessSource.CLIENT_RESIDENT)
+#: ... and as a wide-area access
+WAN_SOURCES = (AccessSource.WAN_DEPOT, AccessSource.SERVER_RUNTIME)
 
 
 @dataclass
@@ -106,18 +111,6 @@ class SessionMetrics:
         self._seen_indices.add(rec.index)
         insort(self.accesses, rec, key=lambda a: a.index)
 
-    def _pool(self, upto: Optional[int]) -> List[AccessRecord]:
-        """Accesses with ``index <= upto`` (all of them when None).
-
-        Slicing is by *access index*, not list position: with out-of-order
-        or sparse indices the two differ, and the figures' "first N
-        accesses" semantics want the index.
-        """
-        if upto is None:
-            return self.accesses
-        return self.accesses[:bisect_right(self.accesses, upto,
-                                           key=lambda a: a.index)]
-
     # ------------------------------------------------------------------
     # the figures' series
     # ------------------------------------------------------------------
@@ -136,37 +129,19 @@ class SessionMetrics:
     # ------------------------------------------------------------------
     # Section 4.3 statistics
     # ------------------------------------------------------------------
-    def rate(self, source: AccessSource,
-             upto: Optional[int] = None) -> float:
-        """Fraction of accesses with ``index <= upto`` served from a tier."""
-        pool = self._pool(upto)
-        if not pool:
-            return 0.0
-        return sum(1 for a in pool if a.source is source) / len(pool)
-
-    def hit_rate(self, upto: Optional[int] = None) -> float:
+    def hit_rate(self) -> float:
         """Agent-cache hit rate (client-resident counts as a hit too)."""
-        pool = self._pool(upto)
-        if not pool:
+        if not self.accesses:
             return 0.0
-        hits = sum(
-            1 for a in pool
-            if a.source in (AccessSource.AGENT_CACHE,
-                            AccessSource.CLIENT_RESIDENT)
-        )
-        return hits / len(pool)
+        hits = sum(1 for a in self.accesses if a.source in HIT_SOURCES)
+        return hits / len(self.accesses)
 
-    def wan_rate(self, upto: Optional[int] = None) -> float:
+    def wan_rate(self) -> float:
         """Fraction of accesses that went to the WAN (or server)."""
-        pool = self._pool(upto)
-        if not pool:
+        if not self.accesses:
             return 0.0
-        wan = sum(
-            1 for a in pool
-            if a.source in (AccessSource.WAN_DEPOT,
-                            AccessSource.SERVER_RUNTIME)
-        )
-        return wan / len(pool)
+        wan = sum(1 for a in self.accesses if a.source in WAN_SOURCES)
+        return wan / len(self.accesses)
 
     def demand_miss_latency(self) -> Tuple[float, int]:
         """Mean client latency over accesses that missed every local tier.
@@ -190,8 +165,7 @@ class SessionMetrics:
         """
         last = 0
         for a in self.accesses:
-            if a.source in (AccessSource.WAN_DEPOT,
-                            AccessSource.SERVER_RUNTIME):
+            if a.source in WAN_SOURCES:
                 last = a.index
         return last
 

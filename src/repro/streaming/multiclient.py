@@ -206,19 +206,16 @@ def build_multiclient_rig(
 def run_multiclient_session(
     source: ViewSetSource,
     config: MultiClientConfig,
-    settle_seconds: float = 60.0,
     rig_hook: Optional[Callable[[MultiClientRig], None]] = None,
 ) -> MultiClientResult:
     """Run a full N-client session and return per-client + fleet results.
 
-    ``settle_seconds`` bounds how long after the last client's final cursor
-    sample the simulation may drain outstanding fetches.  Wall time covers
-    the simulation loop only (not rig construction), which is what the
-    scale benchmark reports.
+    Wall time covers the simulation loop only (not rig construction),
+    which is what the scale benchmark reports.
     """
     rig = build_multiclient_rig(source, config)
     if rig_hook is not None:
         rig_hook(rig)
-    totals = finish(run_testbed(rig, settle_seconds))
+    totals = finish(run_testbed(rig))
     return MultiClientResult(
         config=config, per_client=rig.metrics, **vars(totals))

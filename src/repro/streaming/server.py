@@ -19,18 +19,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..lightfield.lattice import ViewSetKey, parse_viewset_id
+from ..lightfield.lattice import parse_viewset_id
 from ..lightfield.source import ViewSetSource
 from ..lon.exnode import ExNode
 from ..lon.ibp import Depot
 from ..lon.lors import Deferred, LoRS
 from ..lon.network import Network
-from ..lon.scheduler import Priority
 from ..lon.simtime import EventQueue
 from ..obs.tracer import NOOP_SPAN, NULL_TRACER, Tracer
 from .dvs import DVSServer
 
 __all__ = ["GenerationRequest", "ServerAgent"]
+
+#: simulated generation service time of one view set: the paper generates
+#: the full database (288 view sets) in 2-4.5 h on 32 CPUs, i.e. ~25-56 s
+#: per view set; this is the 200² end of that band
+RENDER_SECONDS_PER_VIEWSET = 25.0
+#: lease on a view set's server-depot blocks: a day, the session's span
+LEASE_SECONDS = 24 * 3600.0
 
 
 @dataclass
@@ -57,10 +63,6 @@ class ServerAgent:
         Where view-set payloads come from (rendered database or synthetic).
     depots:
         Server depot pool for uploads.
-    render_seconds_per_viewset:
-        Simulated generation service time.  The paper generates the full
-        database (288 view sets) in 2-4.5 h on 32 CPUs, i.e. ~25-56 s per
-        view set; the default models the 200² end of that band.
     """
 
     def __init__(
@@ -73,14 +75,9 @@ class ServerAgent:
         source: ViewSetSource,
         depots: Sequence[Depot],
         stripe_width: int = 3,
-        replicas: int = 1,
         block_size: int = 1 << 20,
-        render_seconds_per_viewset: float = 25.0,
-        lease_duration: float = 24 * 3600.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if render_seconds_per_viewset < 0:
-            raise ValueError("render time cannot be negative")
         self.node = node
         self.queue = queue
         self.network = network
@@ -89,10 +86,7 @@ class ServerAgent:
         self.source = source
         self.depots = list(depots)
         self.stripe_width = stripe_width
-        self.replicas = replicas
         self.block_size = int(block_size)
-        self.render_seconds = render_seconds_per_viewset
-        self.lease_duration = lease_duration
         self._pending: List[GenerationRequest] = []
         self._busy = False
         self.generated = 0
@@ -102,21 +96,16 @@ class ServerAgent:
     # ------------------------------------------------------------------
     # offline path
     # ------------------------------------------------------------------
-    def pre_distribute(
-        self, keys: Optional[Sequence[ViewSetKey]] = None
-    ) -> Dict[str, ExNode]:
-        """Upload view sets to the depot pool and register with the DVS.
+    def pre_distribute(self) -> Dict[str, ExNode]:
+        """Upload every view set to the depot pool and register with the DVS.
 
         Offline: no simulated time elapses (the paper renders and uploads
         the database before the visualization session).  Returns the exNode
         per view-set id.
         """
         lattice = self.source.lattice
-        todo = list(keys) if keys is not None else list(
-            lattice.all_viewsets()
-        )
         out: Dict[str, ExNode] = {}
-        for key in todo:
+        for key in lattice.all_viewsets():
             vid = lattice.viewset_id(key)
             payload = self.source.payload(key)
             exnode = self.lors.place(
@@ -124,9 +113,8 @@ class ServerAgent:
                 payload,
                 self.depots,
                 stripe_width=self.stripe_width,
-                replicas=self.replicas,
                 block_size=self.block_size,
-                duration=self.lease_duration,
+                duration=LEASE_SECONDS,
                 metadata={"resolution": str(self.source.resolution)},
             )
             self.dvs.register_exnode(vid, exnode)
@@ -174,7 +162,7 @@ class ServerAgent:
         req = self._pending.pop()
         t_started = self.queue.now
         self.queue.schedule_in(
-            self.render_seconds,
+            RENDER_SECONDS_PER_VIEWSET,
             lambda: self._finish_render(req, t_started),
             f"render:{req.vid}",
         )
@@ -198,7 +186,6 @@ class ServerAgent:
             len(payload),
             on_complete=lambda fl: req.on_payload(payload),
             label=f"gen:{req.vid}",
-            priority=Priority.DEMAND,
             span=req.span,
         )
         # 2. upload to the server depot pool + DVS update; MAINTENANCE class
@@ -209,10 +196,8 @@ class ServerAgent:
             self.node,
             self.depots,
             stripe_width=self.stripe_width,
-            replicas=self.replicas,
             block_size=self.block_size,
-            duration=self.lease_duration,
-            priority=Priority.MAINTENANCE,
+            duration=LEASE_SECONDS,
         )
 
         def register(dfd: Deferred) -> None:

@@ -312,7 +312,7 @@ def wire_testbed(
     lors = LoRS(queue, net, lbone, scheduler=scheduler)
 
     # --- name service + server ------------------------------------------
-    dvs = DVSServer(node="dvs")
+    dvs = DVSServer()
     home_depots = lan_depots if config.case == 1 else wan_depots
     server_agent = ServerAgent(
         node="server",
@@ -426,9 +426,13 @@ def attach_stream_collectors(
     scheduler.on_event = on_event
 
 
+#: how long after the last cursor sample a run may drain outstanding
+#: fetches, and how long it drains again once staging and samplers stop
+SETTLE_SECONDS = 60.0
+
+
 def run_testbed(
     bed: Testbed,
-    settle_seconds: float,
     horizon: Optional[float] = None,
     window: Optional[float] = None,
 ) -> Generator[None, None, RunTotals]:
@@ -436,11 +440,11 @@ def run_testbed(
 
     Starts staging and samplers, schedules every console's trace, advances
     the queue to ``horizon`` (default: the last cursor sample plus
-    ``settle_seconds``) in steps of ``window`` (default: one step) with a
-    ``yield`` after each, then stops staging and samplers so the queue
-    terminates, drains for another ``settle_seconds``, closes open spans and
-    writes each console's end-of-run figures onto its metrics.  The return
-    value is the run's :class:`RunTotals`.
+    :data:`SETTLE_SECONDS`) in steps of ``window`` (default: one step) with
+    a ``yield`` after each, then stops staging and samplers so the queue
+    terminates, drains for another :data:`SETTLE_SECONDS`, closes open
+    spans and writes each console's end-of-run figures onto its metrics.
+    The return value is the run's :class:`RunTotals`.
 
     Intermediate horizons never change what fires when: a windowed run
     fires the same events in the same order at the same times as a single
@@ -448,7 +452,7 @@ def run_testbed(
     testbeds or applies an outside input between windows.
     """
     if horizon is None:
-        horizon = max(tr.duration for tr in bed.traces) + settle_seconds
+        horizon = max(tr.duration for tr in bed.traces) + SETTLE_SECONDS
     if window is None:
         window = horizon
     if window <= 0:
@@ -476,7 +480,7 @@ def run_testbed(
         staging.stop()
     for sampler in bed.samplers:
         sampler.stop()
-    bed.queue.run_until(horizon + settle_seconds, max_events=200_000_000)
+    bed.queue.run_until(horizon + SETTLE_SECONDS, max_events=200_000_000)
     wall += time.perf_counter() - t0
     if bed.tracer is not None:
         bed.tracer.finish_open()
@@ -572,21 +576,19 @@ def build_rig(source: ViewSetSource, config: SessionConfig) -> SessionRig:
 
 def run_session(
     source: ViewSetSource, config: SessionConfig,
-    settle_seconds: float = 60.0,
     rig_hook: Optional[Callable[[SessionRig], None]] = None,
 ) -> SessionMetrics:
     """Run one full orchestrated session and return its metrics.
 
-    ``settle_seconds`` bounds how long after the last cursor sample the
-    simulation may run to drain outstanding fetches; staging is stopped at
-    the horizon so the event queue terminates.  ``rig_hook``, if given, is
+    Staging is stopped at the horizon so the event queue terminates.
+    ``rig_hook``, if given, is
     called with the wired :class:`SessionRig` before any event runs — tests
     use it to attach event-stream observers.
     """
     bed = _wire_single(source, config)
     if rig_hook is not None:
         rig_hook(_session_rig(config, bed))
-    totals = finish(run_testbed(bed, settle_seconds))
+    totals = finish(run_testbed(bed))
     # the scheduler serves this console alone, so its registry counts are
     # the session's own
     metrics = bed.metrics[0]

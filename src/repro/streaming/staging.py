@@ -72,7 +72,6 @@ class StagingPump:
         max_concurrent: int = 2,
         streams_per_copy: int = 2,
         order: str = "proximity",
-        lease_duration: float = 3600.0,
         cancel_beyond: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -94,7 +93,6 @@ class StagingPump:
         self.max_concurrent = max_concurrent
         self.streams_per_copy = max(1, streams_per_copy)
         self.order = order
-        self.lease_duration = lease_duration
         self.cancel_beyond = cancel_beyond
         self._pending: List[ViewSetKey] = list(lattice.all_viewsets())
         self._in_flight: Set[str] = set()
@@ -113,7 +111,7 @@ class StagingPump:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin staging "as soon as visualization of a dataset begins"."""
-        self._process.start(0.0)
+        self._process.start()
 
     def stop(self) -> None:
         """Halt the pump (in-flight copies complete)."""
@@ -251,8 +249,7 @@ class StagingPump:
             self.registry.complete(vid, success=False)
             return
         job = self._jobs[vid] = self.lors.augment(
-            exnode, self.lan_depot, duration=self.lease_duration, soft=True,
-            max_streams=self.streams_per_copy,
+            exnode, self.lan_depot, max_streams=self.streams_per_copy,
             priority=self._priority.get(vid, Priority.STAGING),
             span=self._spans.get(vid),
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 import numpy as np
 
@@ -98,15 +98,19 @@ class CursorTrace:
         )
 
 
+#: steps a dwell / a sweep lasts, drawn from ``[lo, hi)``
+DWELL_STEPS = (4, 10)
+SWEEP_STEPS = (2, 6)
+#: a walk that has not entered its view sets by then is an error
+MAX_SAMPLES = 100_000
+
+
 def standard_trace(
     lattice: CameraLattice,
     n_accesses: int = 58,
     step_period: float = 0.35,
     seed: int = 7,
     heading_noise: float = 0.55,
-    dwell_steps: Tuple[int, int] = (4, 10),
-    sweep_steps: Tuple[int, int] = (2, 6),
-    max_samples: int = 100_000,
 ) -> CursorTrace:
     """The orchestrated standard trace: exactly ``n_accesses`` view-set entries.
 
@@ -143,8 +147,8 @@ def standard_trace(
     lo = 1.5 * lattice.theta_step
     hi = math.pi - 1.5 * lattice.theta_step
     mode_sweep = False
-    mode_left = int(rng.integers(*dwell_steps))
-    for _ in range(max_samples):
+    mode_left = int(rng.integers(*DWELL_STEPS))
+    for _ in range(MAX_SAMPLES):
         key = viewset_containing(theta, phi)
         if key != current:
             accesses += 1
@@ -155,7 +159,7 @@ def standard_trace(
         if mode_left <= 0:
             mode_sweep = not mode_sweep
             mode_left = int(
-                rng.integers(*(sweep_steps if mode_sweep else dwell_steps))
+                rng.integers(*(SWEEP_STEPS if mode_sweep else DWELL_STEPS))
             )
             if mode_sweep:
                 # a sweep picks a fresh decisive direction
@@ -173,7 +177,7 @@ def standard_trace(
         t += step_period
     else:
         raise RuntimeError(
-            f"trace did not reach {n_accesses} accesses in {max_samples} "
+            f"trace did not reach {n_accesses} accesses in {MAX_SAMPLES} "
             "samples"
         )
     return CursorTrace(samples=samples)

@@ -65,6 +65,12 @@ def _dilate26(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+#: cells whose *maximum possible* extinction is at most this are skipped.
+#: Zero is the lossless setting: the accelerated render equals the
+#: brute-force one.
+SKIP_EXTINCTION = 0.0
+
+
 @dataclass
 class MacrocellGrid:
     """Per-macrocell scalar min/max over a :class:`VolumeGrid`.
@@ -111,19 +117,11 @@ class MacrocellGrid:
         """Macrocell counts per axis."""
         return self.minv.shape  # type: ignore[return-value]
 
-    def classify(
-        self, transfer: TransferFunction, eps: float = 0.0
-    ) -> ActiveCells:
-        """Mark cells active iff their value range can have extinction > eps.
-
-        ``eps = 0`` (the default) is the lossless setting: only cells whose
-        *maximum possible* extinction under ``transfer`` is exactly zero are
-        skipped, so the accelerated render equals the brute-force one.
-        """
-        if eps < 0:
-            raise ValueError("eps must be non-negative")
+    def classify(self, transfer: TransferFunction) -> ActiveCells:
+        """Mark cells active iff their value range can have extinction
+        above :data:`SKIP_EXTINCTION`."""
         sigma_max = transfer.max_opacity_in(self.minv, self.maxv)
-        mask = sigma_max > eps
+        mask = sigma_max > SKIP_EXTINCTION
         return ActiveCells(
             mask=mask,
             reachable=_dilate26(mask),

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = ["BLOCK", "VolumeGrid", "Workspace", "axis_terms", "lerp_cells"]
 #: points the sampling kernel handles at a time: its arrays take ≈ 2 MB,
 #: whatever the number of points
 BLOCK = 8192
+#: the central-difference offset of :meth:`VolumeGrid.gradient`, in voxels
+GRADIENT_STEP_VOXELS = 0.5
 
 
 class Workspace:
@@ -295,19 +297,17 @@ class VolumeGrid:
                        out=out[at:at + n], work=work)
         return out
 
-    def gradient(self, points: np.ndarray, h: Optional[float] = None
-                 ) -> np.ndarray:
+    def gradient(self, points: np.ndarray) -> np.ndarray:
         """Central-difference gradient of the field at ``(N, 3)`` points.
 
-        Used for shading normals.  ``h`` defaults to half a voxel.  The six
-        ``±h`` lookups share one :func:`axis_terms` pass: the pair along an
-        axis takes that axis's rows from the offset coordinates and the
-        other two axes' rows from the unmoved ones.  Blocks as in
-        :meth:`sample`.
+        Used for shading normals.  The offset ``h`` is
+        :data:`GRADIENT_STEP_VOXELS` voxels.  The six ``±h`` lookups share
+        one :func:`axis_terms` pass: the pair along an axis takes that
+        axis's rows from the offset coordinates and the other two axes'
+        rows from the unmoved ones.  Blocks as in :meth:`sample`.
         """
         pts = _as_points(points)
-        if h is None:
-            h = self._voxel * 0.5
+        h = self._voxel * GRADIENT_STEP_VOXELS
         work = self._work
         shape = self.shape
         cells = self.data.reshape(-1)

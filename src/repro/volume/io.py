@@ -18,20 +18,20 @@ from .grid import VolumeGrid
 
 __all__ = ["read_raw"]
 
+#: rescale what is read to [0, 1], the range transfer functions take
+NORMALIZE = True
+
 
 def read_raw(
     path: Union[str, Path],
     shape: Tuple[int, int, int],
     dtype: str = "uint8",
-    extent: float = 1.0,
-    name: str = "",
-    normalize: bool = True,
 ) -> VolumeGrid:
     """Load a raw volume brick (the classic volvis distribution format).
 
     ``shape`` is (nx, ny, nz) with x varying fastest on disk, matching how
-    negHip and friends were shipped.  With ``normalize`` the samples are
-    rescaled to [0, 1] for transfer-function use.
+    negHip and friends were shipped; its largest axis spans ``[-1, 1]``.
+    With :data:`NORMALIZE` the samples are rescaled to [0, 1].
     """
     for axis, n in zip("xyz", shape):
         if n < 1:
@@ -51,7 +51,5 @@ def read_raw(
         .transpose(2, 1, 0)
         .astype(np.float32)
     )
-    grid = VolumeGrid(
-        data=data, extent=extent, name=name or Path(path).stem
-    )
-    return grid.normalized() if normalize else grid
+    grid = VolumeGrid(data=data, name=Path(path).stem)
+    return grid.normalized() if NORMALIZE else grid

@@ -29,9 +29,13 @@ __all__ = [
     "lattice_points",
 ]
 
+#: negHip's charges, the share of them that is negative, and the
+#: softening length of their Coulomb potential
+N_CHARGES = 24
+NET_NEGATIVE_FRACTION = 0.65
+SOFTENING = 0.08
 # voxels whose potential one block evaluates: its temporaries are
-# _NEGHIP_BLOCK × n_charges × 3 floats (1.2 MB at 24 charges) whatever
-# the volume's size
+# _NEGHIP_BLOCK × N_CHARGES × 3 floats (1.2 MB) whatever the volume's size
 _NEGHIP_BLOCK = 2048
 
 
@@ -42,39 +46,30 @@ def lattice_points(shape: Tuple[int, int, int]) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
-def neg_hip(
-    size: int = 64,
-    n_charges: int = 24,
-    net_negative_fraction: float = 0.65,
-    softening: float = 0.08,
-    seed: int = 2003,
-) -> VolumeGrid:
+def neg_hip(size: int = 64, seed: int = 2003) -> VolumeGrid:
     """Synthetic negHip: softened Coulomb potential of a charge cluster.
 
-    Charges are placed inside a sphere of radius 0.6 (so the interesting
-    structure is well inside the bounding box, as in the protein dataset);
-    ``net_negative_fraction`` of them are negative, making the aggregate
-    potential negative-dominated like the original "negative high-energy
-    protein".  The field is normalized to [0, 1] for transfer-function use.
+    :data:`N_CHARGES` charges are placed inside a sphere of radius 0.6 (so
+    the interesting structure is well inside the bounding box, as in the
+    protein dataset); :data:`NET_NEGATIVE_FRACTION` of them are negative,
+    making the aggregate potential negative-dominated like the original
+    "negative high-energy protein".  The field is normalized to [0, 1] for
+    transfer-function use.
     """
     if size < 8:
         raise ValueError("size must be >= 8")
-    if n_charges < 1:
-        raise ValueError(f"n_charges must be >= 1, got {n_charges}")
-    if not 0.0 <= net_negative_fraction <= 1.0:
-        raise ValueError("net_negative_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     # charge sites: clustered positions, mildly correlated to mimic a chain
-    centers = np.empty((n_charges, 3))
+    centers = np.empty((N_CHARGES, 3))
     pos = rng.normal(scale=0.15, size=3)
-    for i in range(n_charges):
+    for i in range(N_CHARGES):
         step = rng.normal(scale=0.18, size=3)
         pos = np.clip(pos * 0.8 + step, -0.6, 0.6)
         centers[i] = pos
     signs = np.where(
-        rng.random(n_charges) < net_negative_fraction, -1.0, 1.0
+        rng.random(N_CHARGES) < NET_NEGATIVE_FRACTION, -1.0, 1.0
     )
-    magnitudes = rng.uniform(0.5, 1.5, size=n_charges)
+    magnitudes = rng.uniform(0.5, 1.5, size=N_CHARGES)
     charges = signs * magnitudes
 
     pts = lattice_points((size, size, size))
@@ -87,21 +82,20 @@ def neg_hip(
         diff = pts[at:at + _NEGHIP_BLOCK, None, :] - centers[None, :, :]
         r2 = np.einsum("ijk,ijk->ij", diff, diff)
         potential[at:at + _NEGHIP_BLOCK] = (
-            charges[None, :] / np.sqrt(r2 + softening**2)).sum(axis=1)
+            charges[None, :] / np.sqrt(r2 + SOFTENING**2)).sum(axis=1)
     field = potential.reshape(size, size, size)
     lo, hi = field.min(), field.max()
     field = (field - lo) / (hi - lo)
     return VolumeGrid(data=field.astype(np.float32), name="negHip-synthetic")
 
 
-def gaussian_blobs(
-    size: int = 64, n_blobs: int = 8, seed: int = 7
-) -> VolumeGrid:
-    """A fuel-injection-like dataset: superposed anisotropic Gaussians."""
+def gaussian_blobs(size: int = 64, seed: int = 7) -> VolumeGrid:
+    """A fuel-injection-like dataset: eight superposed anisotropic
+    Gaussians."""
     rng = np.random.default_rng(seed)
     pts = lattice_points((size, size, size))
     field = np.zeros(len(pts))
-    for _ in range(n_blobs):
+    for _ in range(8):
         center = rng.uniform(-0.5, 0.5, size=3)
         sigma = rng.uniform(0.08, 0.3, size=3)
         amp = rng.uniform(0.4, 1.0)
@@ -112,13 +106,13 @@ def gaussian_blobs(
     return VolumeGrid(data=field.astype(np.float32), name="blobs")
 
 
-def vortex(size: int = 64, twists: float = 3.0) -> VolumeGrid:
+def vortex(size: int = 64) -> VolumeGrid:
     """A tornado-like dataset: vorticity magnitude of a helical flow."""
     pts = lattice_points((size, size, size))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     # helical core drifting with height
-    cx = 0.3 * np.sin(twists * z)
-    cy = 0.3 * np.cos(twists * z)
+    cx = 0.3 * np.sin(3.0 * z)
+    cy = 0.3 * np.cos(3.0 * z)
     r = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
     core = np.exp(-((r / 0.25) ** 2))
     taper = np.exp(-((z / 0.9) ** 4))

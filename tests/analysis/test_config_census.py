@@ -9,6 +9,11 @@ calls that build a config — ``SessionConfig(...)``, ``MultiClientConfig(...)``
 cannot regrow silently: adding a field without a caller fails here.  A
 keyword of the same name on any other call (``lors.place(replicas=...)``)
 does not count.
+
+The ray caster's option bundle, ``RenderSettings``, is held to the stricter
+rule of the parameter census: a field counts as set only by a call in
+``src``, ``perf`` or ``benchmarks`` — one that only tests or examples turn
+is a constant of ``raycast.py`` they monkeypatch.
 """
 
 import ast
@@ -18,14 +23,18 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.render import RenderSettings
 from repro.streaming import MultiClientConfig, SessionConfig
 
 REPO = Path(repro.__file__).resolve().parents[2]
 CALLER_TREES = ("src", "benchmarks", "perf", "examples", "tests")
+#: the trees whose calls set a renderer option
+PROGRAM_TREES = ("src", "benchmarks", "perf")
 #: where the fields are declared and wired, which is not a use
-OWN_WIRING = {"session.py", "multiclient.py"}
+OWN_WIRING = {"session.py", "multiclient.py", "raycast.py"}
 #: ``replace`` under the names the repository imports it as
-BUILDERS = {"SessionConfig", "MultiClientConfig", "replace", "dc_replace"}
+BUILDERS = {"SessionConfig", "MultiClientConfig", "RenderSettings",
+            "replace", "dc_replace"}
 
 
 def _callee(call):
@@ -54,16 +63,20 @@ def config_keywords(module):
             for kw in call.keywords if kw.arg is not None}
 
 
-@pytest.fixture(scope="module")
-def passed():
-    """Every keyword name some caller passes to a config."""
+def _passed(trees):
+    """Every keyword name some caller in ``trees`` passes to a config."""
     seen = set()
-    for tree in CALLER_TREES:
+    for tree in trees:
         for path in sorted((REPO / tree).rglob("*.py")):
             if tree == "src" and path.name in OWN_WIRING:
                 continue
             seen |= config_keywords(ast.parse(path.read_text()))
     return seen
+
+
+@pytest.fixture(scope="module")
+def passed():
+    return _passed(CALLER_TREES)
 
 
 def _unset(config_class, passed):
@@ -74,6 +87,10 @@ def _unset(config_class, passed):
 def test_every_config_field_is_set_by_some_caller(passed):
     assert _unset(SessionConfig, passed) == []
     assert _unset(MultiClientConfig, passed) == []
+
+
+def test_every_renderer_option_is_set_outside_tests():
+    assert _unset(RenderSettings, _passed(PROGRAM_TREES)) == []
 
 
 def test_a_field_without_a_caller_is_reported(passed):

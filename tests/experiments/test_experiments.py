@@ -12,6 +12,7 @@ from repro.experiments.config import (
     experiment_resolutions,
     scale_name,
 )
+from repro.experiments import scenarios
 from repro.experiments.report import format_series, md_table
 from repro.experiments.scenarios import (
     _source,
@@ -23,6 +24,7 @@ from repro.experiments.scenarios import (
     viewset_size_arm,
 )
 from repro.lightfield.lattice import CameraLattice
+from repro.obs import health
 
 
 class TestReporting:
@@ -37,7 +39,7 @@ class TestReporting:
                              "| yes | 3, 4 |"]
 
     def test_series_wraps(self):
-        out = format_series("s", list(range(25)), per_line=10)
+        out = format_series("s", list(range(25)))
         assert out.count("\n") == 3
         assert "[ 11]" in out
 
@@ -149,13 +151,13 @@ class TestFigureSpecs:
             assert rates["case2_wan_rate_initial"] == (
                 sum(s in ("wan", "server") for s in head) / len(head))
 
-    def test_qgr_assembler_means_over_seeds(self):
+    def test_qgr_assembler_means_over_seeds(self, monkeypatch):
         # (case 2, 4x speed, 48², threshold 0.1 s) on the tiny rig: the
         # value PR 15's ``qgr_sweep`` printed for seeds (7, 11, 13)
+        monkeypatch.setattr(health, "QGR_THRESHOLD_S", 0.1)
         spec = replace(
             spec_named("qgr"), axes={"case": [2], "speed": [4.0]},
-            seeds=(7, 11, 13),
-            fixed={**_TINY, "resolution": 48, "threshold": 0.1},
+            seeds=(7, 11, 13), fixed={**_TINY, "resolution": 48},
         )
         result = run_sweep(spec, write_artifact=False)
         assert [r["seed"] for r in result.rows] == [7, 11, 13]
@@ -167,9 +169,9 @@ class TestFigureSpecs:
 
     def test_decompression_quarantines_the_real_inflate(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "small")
+        spec = spec_named("decompression")
         result = run_sweep(
-            spec_named("decompression").with_overrides(
-                fixed={"repeats": 1}),
+            replace(spec, fixed={**spec.fixed, "repeats": 1}),
             write_artifact=False,
         )
         modeled = [r["modeled_decompress_s"] for r in result.rows]
@@ -181,8 +183,9 @@ class TestFigureSpecs:
 
 
 class TestDrivers:
-    def test_fig07_rows_structure(self):
-        rows = [database_size_point(res, volume_size=16) for res in (16, 32)]
+    def test_fig07_rows_structure(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "VOLUME_SIZE", 16)
+        rows = [database_size_point(res) for res in (16, 32)]
         assert [r["resolution"] for r in rows] == [16, 32]
         for r in rows:
             assert r["viewset_raw_mb"] > 0
@@ -193,17 +196,19 @@ class TestDrivers:
             4 * rows[0]["viewset_raw_mb"], rel=0.05
         )
 
-    def test_text_generation_structure(self):
-        stats = generation_viewset_point(
-            resolution=16, volume_size=16, sample_viewsets=1
-        )
+    def test_text_generation_structure(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "VOLUME_SIZE", 16)
+        monkeypatch.setattr(scenarios, "SAMPLE_VIEWSETS", 1)
+        stats = generation_viewset_point(resolution=16)
         assert stats["views_rendered"] == 36
         # host timings live under the quarantined wall_clock section
         assert stats["wall_clock"]["seconds_per_viewset"] > 0
         assert stats["wall_clock"]["full_db_hours_on_32cpu"] > 0
 
-    def test_text_fps_rows(self):
-        row = fps_point(32, "nearest", frames=2, volume_size=16)
+    def test_text_fps_rows(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "VOLUME_SIZE", 16)
+        monkeypatch.setattr(scenarios, "FPS_FRAMES", 2)
+        row = fps_point(32, "nearest")
         assert (row["resolution"], row["mode"], row["frames"]) == (
             32, "nearest", 2)
         assert row["wall_clock"]["fps"] > 0
@@ -215,9 +220,10 @@ class TestDrivers:
                  for seed in (7, 11)}
         assert spans[7] != spans[11]
 
-    def test_ablation_codec_rows(self):
+    def test_ablation_codec_rows(self, monkeypatch):
         # the arms BENCH_ablations.json's codec family is built from
-        rows = [codec_arm("codec", name, resolution=24, volume_size=16)
+        monkeypatch.setattr(scenarios, "VOLUME_SIZE", 16)
+        rows = [codec_arm("codec", name, resolution=24)
                 for name in ("zlib-6", "delta-zlib-6")]
         for r in rows:
             assert r["ratio"] > 1.0

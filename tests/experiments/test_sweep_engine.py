@@ -106,9 +106,8 @@ class TestSpec:
         assert toy_spec().identity != toy_spec(seeds=(11,)).identity
 
     def test_with_overrides(self):
-        spec = toy_spec().with_overrides(seeds=[3], fixed={"y": 9})
+        spec = toy_spec().with_overrides(seeds=[3])
         assert spec.seeds == (3,)
-        assert spec.fixed["y"] == 9
 
     def test_json_roundtrip(self, tmp_path):
         spec = toy_spec(seeds=(7, 11), title="Toy sweep")

@@ -13,6 +13,8 @@ for bit.
 
 import numpy as np
 
+from repro.lightfield import synthesis
+
 
 def _corner_cameras(synth, u, v):
     """(camera code, weight) pairs for the configured interpolation."""
@@ -127,7 +129,8 @@ def _sample(synth, texels, base, code, points):
 
 def reference_synthesize(synth, origins, dirs):
     """``(colors (N,3) float32, coverage, missing keys)``, ray by ray."""
-    colors = np.full((dirs.shape[1], 3), synth.background, dtype=np.float32)
+    colors = np.full((dirs.shape[1], 3), synthesis.BACKGROUND,
+                     dtype=np.float32)
     vidx, points, u, v = synth.spheres.project(origins, dirs)
     if not len(vidx):
         return colors, 1.0, set()
@@ -145,6 +148,6 @@ def reference_synthesize(synth, origins, dirs):
     have = wsum > 1e-6
     acc *= np.float32(1.0 / 255.0) / np.where(have, wsum, np.float32(1.0))
     if not have.all():
-        acc[:, ~have] = synth.background
+        acc[:, ~have] = synthesis.BACKGROUND
     colors[vidx] = acc.T
     return colors, float(np.mean(wsum > 0.999)), missing

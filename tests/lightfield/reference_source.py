@@ -15,6 +15,7 @@ oracle they are held to.
 
 import numpy as np
 
+from repro.lightfield import source as source_module
 from repro.lightfield.database import LightFieldDatabase
 from repro.lightfield.lattice import ViewSetKey
 from repro.lightfield.source import SyntheticSource
@@ -48,8 +49,9 @@ def reference_viewset(source: SyntheticSource, key: ViewSetKey) -> ViewSet:
                 [lum, lum * 0.8, lum * 0.6 + 20.0], axis=-1
             )
             img[~disk] = 0.0
-            if source.noise_fraction > 0 and n_disk:
-                mask = (rng.random((r, r)) < source.noise_fraction) & disk
+            if source_module.NOISE_FRACTION > 0 and n_disk:
+                mask = ((rng.random((r, r)) < source_module.NOISE_FRACTION)
+                        & disk)
                 img[mask] += rng.integers(
                     -5, 6, size=(int(mask.sum()), 3)
                 )

@@ -12,6 +12,7 @@ import pytest
 from repro.lightfield.build import LightFieldBuilder
 from repro.lightfield.database import DatabaseError, LightFieldDatabase
 from repro.lightfield.lattice import CameraLattice
+from repro.lightfield import synthesis
 from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
 from repro.render.camera import Camera, orbit_camera
 from repro.render.image import rmse
@@ -207,12 +208,11 @@ class TestSynthesis:
         assert (2, 3) in partial.missing_keys
         assert partial.coverage < full.coverage
 
-    def test_empty_provider_gives_background(self, built):
+    def test_empty_provider_gives_background(self, built, monkeypatch):
         _, db = built
+        monkeypatch.setattr(synthesis, "BACKGROUND", 0.5)
         synth = LightFieldSynthesizer(
-            db.lattice, db.spheres, db.resolution, DictProvider({}),
-            background=0.5,
-        )
+            db.lattice, db.spheres, db.resolution, DictProvider({}))
         result = synth.render(self.novel_camera(db))
         np.testing.assert_allclose(result.image, 0.5, atol=1e-6)
         assert result.missing_keys  # it knows what it wanted

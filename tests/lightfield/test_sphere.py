@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lightfield import sphere
 from repro.lightfield.sphere import (
     TwoSphere,
     angles_to_cartesian,
@@ -208,11 +209,15 @@ class TestRayToSTUV:
 
 
 class TestFov:
-    def test_fov_covers_inner_sphere(self):
+    def test_fov_covers_inner_sphere(self, monkeypatch):
+        monkeypatch.setattr(sphere, "FOV_MARGIN", 1.0)
         ts = TwoSphere(r_inner=1.0, r_outer=2.5)
-        fov = np.radians(ts.camera_fov_deg(margin=1.0))
+        fov = np.radians(ts.camera_fov_deg())
         assert fov / 2 == pytest.approx(np.arcsin(1.0 / 2.5))
 
-    def test_margin_increases_fov(self):
+    def test_margin_increases_fov(self, monkeypatch):
         ts = TwoSphere(r_inner=1.0, r_outer=2.5)
-        assert ts.camera_fov_deg(1.05) > ts.camera_fov_deg(1.0)
+        monkeypatch.setattr(sphere, "FOV_MARGIN", 1.05)
+        wide = ts.camera_fov_deg()
+        monkeypatch.setattr(sphere, "FOV_MARGIN", 1.0)
+        assert wide > ts.camera_fov_deg()

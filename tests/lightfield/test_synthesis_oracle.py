@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.lightfield import CameraLattice, SyntheticSource
+from repro.lightfield import synthesis
 from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
 from repro.render.camera import orbit_camera
 
@@ -51,7 +52,8 @@ def _cameras(source):
 
 @pytest.mark.parametrize("residency", ["full", "one-missing", "empty"])
 @pytest.mark.parametrize("mode", ["quadrilinear", "uv-nearest", "nearest"])
-def test_matches_reference(source, viewsets, mode, residency):
+def test_matches_reference(source, viewsets, mode, residency, monkeypatch):
+    monkeypatch.setattr(synthesis, "BACKGROUND", 0.25)
     resident = {
         "full": viewsets,
         "one-missing": {k: v for k, v in viewsets.items() if k != HOLE},
@@ -59,9 +61,7 @@ def test_matches_reference(source, viewsets, mode, residency):
     }[residency]
     provider = DictProvider(resident)
     synth = LightFieldSynthesizer(
-        LATTICE, source.spheres, RESOLUTION, provider,
-        background=0.25, interpolation=mode,
-    )
+        LATTICE, source.spheres, RESOLUTION, provider, interpolation=mode)
     partial = False
     for name, camera in _cameras(source) * 2:
         origins, dirs = camera.rays()
@@ -84,7 +84,7 @@ def test_matches_reference(source, viewsets, mode, residency):
         assert partial
 
 
-def test_non_pinhole_ray_bundle(source, viewsets):
+def test_non_pinhole_ray_bundle(source, viewsets, monkeypatch):
     """Rays with distinct origins, some missing the volume altogether."""
     rng = np.random.default_rng(5)
     origins = rng.normal(size=(500, 3))
@@ -93,8 +93,9 @@ def test_non_pinhole_ray_bundle(source, viewsets):
     dirs = -origins + rng.normal(scale=1.2, size=(500, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     provider = DictProvider(viewsets)
+    monkeypatch.setattr(synthesis, "BACKGROUND", 0.5)
     synth = LightFieldSynthesizer(
-        LATTICE, source.spheres, RESOLUTION, provider, background=0.5)
+        LATTICE, source.spheres, RESOLUTION, provider)
     colors, coverage, missing = render_rays(synth, origins, dirs)
     want, want_coverage, want_missing = reference_render_rays(
         LATTICE, source.spheres, RESOLUTION, provider, origins, dirs,

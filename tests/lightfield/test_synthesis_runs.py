@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.lightfield import SynthesisStats
+from repro.lightfield import synthesis
 from repro.lightfield.synthesis import DictProvider, LightFieldSynthesizer
 from repro.render.camera import orbit_camera
 
@@ -64,12 +65,17 @@ def _cameras(geometry):
     ]
 
 
-def _synth(scene, residency, mode, background=0.25):
+@pytest.fixture(autouse=True)
+def _grey_background(monkeypatch):
+    """Every synthesizer here composites over 0.25."""
+    monkeypatch.setattr(synthesis, "BACKGROUND", 0.25)
+
+
+def _synth(scene, residency, mode):
     source, _ = _source(scene)
     return LightFieldSynthesizer(
         source.lattice, source.spheres, source.resolution,
-        DictProvider(_resident(scene, residency)),
-        background=background, interpolation=mode)
+        DictProvider(_resident(scene, residency)), interpolation=mode)
 
 
 def assert_bit_equal(monkeypatch, scene, residency, mode, bundles):

@@ -50,7 +50,8 @@ class TestAllocate:
             depot.allocate(0, 60.0)
 
     def test_excessive_duration_refused(self, queue):
-        d = Depot("d", queue, capacity=1000, max_duration=100.0)
+        d = Depot("d", queue, capacity=1000)
+        d.max_duration = 100.0
         with pytest.raises(IBPRefusedError):
             d.allocate(10, 101.0)
 
@@ -96,7 +97,7 @@ class TestSoftAllocations:
         rs, ws, _ = depot.allocate(100, 60.0, soft=True)
         depot.store(ws, b"ok")
         depot.allocate(800, 60.0, soft=False)
-        assert depot.load(rs, 0, 2) == b"ok"
+        assert depot.load(rs, 2) == b"ok"
 
 
 class TestStoreLoad:
@@ -104,11 +105,6 @@ class TestStoreLoad:
         r, w, _ = depot.allocate(100, 60.0)
         depot.store(w, b"hello world")
         assert depot.load(r) == b"hello world"
-
-    def test_offset_write_and_read(self, depot):
-        r, w, _ = depot.allocate(100, 60.0)
-        depot.store(w, b"abc", offset=10)
-        assert depot.load(r, offset=10, length=3) == b"abc"
 
     def test_store_past_allocation_refused(self, depot):
         _, w, _ = depot.allocate(10, 60.0)
@@ -119,7 +115,7 @@ class TestStoreLoad:
         r, w, _ = depot.allocate(10, 60.0)
         depot.store(w, b"x" * 10)
         with pytest.raises(IBPRefusedError):
-            depot.load(r, 0, 11)
+            depot.load(r, 11)
 
     def test_load_with_wrong_cap_type(self, depot):
         r, w, m = depot.allocate(10, 60.0)
@@ -137,7 +133,7 @@ class TestStoreLoad:
     def test_unwritten_bytes_read_as_zeros(self, depot):
         r, w, _ = depot.allocate(10, 60.0)
         depot.store(w, b"ab")
-        assert depot.load(r, 0, 4) == b"ab\x00\x00"
+        assert depot.load(r, 4) == b"ab\x00\x00"
 
     @given(data=st.binary(min_size=0, max_size=512))
     @settings(max_examples=50, deadline=None)
@@ -147,7 +143,7 @@ class TestStoreLoad:
         r, w, _ = d.allocate(max(1, len(data)), 60.0)
         if data:
             d.store(w, data)
-        assert d.load(r, 0, len(data)) == data
+        assert d.load(r, len(data)) == data
 
 
 class TestRefcounts:

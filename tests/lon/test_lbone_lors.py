@@ -349,7 +349,7 @@ class TestAugmentTrim:
 
         from repro.lon.simtime import Process
 
-        Process(q, check).start(0.0)
+        Process(q, check).start()
         q.run()
         assert saw_agent == []
 

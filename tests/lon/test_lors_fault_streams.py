@@ -51,8 +51,8 @@ class Rig:
         self.sha = hashlib.sha256()
         q.on_fire = lambda ev: self.sha.update(
             f"{ev.time.hex()} {ev.label}\n".encode())
-        self.scheduler = TransferScheduler(
-            self.net, policy="weighted", on_event=self._lifecycle)
+        self.scheduler = TransferScheduler(self.net, policy="weighted")
+        self.scheduler.on_event = self._lifecycle
         lbone = LBone(self.net)
         self.depots = {}
         for name in ("lan-depot", "ca1", "ca2", "ca3"):

@@ -8,6 +8,7 @@ from repro.lon.scheduler import (
     InFlightRegistry,
     Priority,
     TransferScheduler,
+    TransferSpec,
 )
 from repro.lon.simtime import EventQueue
 
@@ -24,6 +25,14 @@ def one_link():
 SIZE = int(mbps(100))  # exactly one second at line rate
 
 
+def submit(sched, src, dst, size, on_complete, on_fail=None, label="",
+           priority=Priority.DEMAND):
+    """One transfer in any class: a batch of one is admitted exactly as
+    ``TransferScheduler.submit`` admits its DEMAND transfer."""
+    return sched.submit_batch([TransferSpec(
+        src, dst, size, on_complete, on_fail, label, priority)])[0]
+
+
 class TestPolicies:
     def test_unknown_policy_rejected(self):
         _, net = one_link()
@@ -34,9 +43,9 @@ class TestPolicies:
         q, net = one_link()
         sched = TransferScheduler(net, policy="off")
         times = {}
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("d", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("d", q.now),
                      priority=Priority.DEMAND)
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("s", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("s", q.now),
                      priority=Priority.STAGING)
         q.run()
         # equal halves, exactly the seed's fair sharing
@@ -47,9 +56,9 @@ class TestPolicies:
         q, net = one_link()
         sched = TransferScheduler(net, policy="weighted")
         times = {}
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("d", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("d", q.now),
                      priority=Priority.DEMAND)
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("s", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("s", q.now),
                      priority=Priority.STAGING)
         q.run()
         # DEMAND:STAGING = 8:1 while both live -> demand drains 8/9 of the
@@ -68,9 +77,9 @@ class TestPolicies:
         q, net = one_link()
         sched = TransferScheduler(net, policy="strict")
         times = {}
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("s", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("s", q.now),
                      priority=Priority.STAGING)
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("d", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("d", q.now),
                      priority=Priority.DEMAND)
         assert sched.stats.preempted == 1
         q.run()
@@ -84,9 +93,9 @@ class TestPolicies:
         q, net = one_link()
         sched = TransferScheduler(net, policy="strict")
         times = {}
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("s1", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("s1", q.now),
                      priority=Priority.STAGING)
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("s2", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("s2", q.now),
                      priority=Priority.STAGING)
         q.run()
         assert sched.stats.preempted == 0
@@ -100,9 +109,9 @@ class TestPolicies:
         net.add_link("c", "d", mbps(100), 0.0)
         sched = TransferScheduler(net, policy="strict")
         times = {}
-        sched.submit("c", "d", SIZE, lambda f: times.setdefault("s", q.now),
+        submit(sched, "c", "d", SIZE, lambda f: times.setdefault("s", q.now),
                      priority=Priority.STAGING)
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("d", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("d", q.now),
                      priority=Priority.DEMAND)
         q.run()
         assert sched.stats.preempted == 0
@@ -116,15 +125,15 @@ class TestPolicies:
         net.add_link("c", "d", mbps(100), 0.0)
         sched = TransferScheduler(net, policy="strict")
 
-        def submit(label, src, dst, size, priority=Priority.STAGING):
-            return sched.submit(src, dst, size, lambda f: None, label=label,
-                                priority=priority)
+        def admit(label, src, dst, size, priority=Priority.STAGING):
+            return submit(sched, src, dst, size, lambda f: None, label=label,
+                          priority=priority)
 
-        submit("s1", "a", "b", SIZE)
-        submit("s2", "c", "d", SIZE // 4)  # half of c-d: retires at 0.5 s
-        submit("s3", "c", "d", SIZE)
+        admit("s1", "a", "b", SIZE)
+        admit("s2", "c", "d", SIZE // 4)  # half of c-d: retires at 0.5 s
+        admit("s3", "c", "d", SIZE)
         q.run_until(0.6)
-        submit("d1", "a", "b", SIZE // 4, Priority.DEMAND)
+        admit("d1", "a", "b", SIZE // 4, Priority.DEMAND)
         active = sched.active_handles
         assert [h.label for h in active] == ["s1", "s3", "d1"]
         assert [h.label for h in active if h.flow.paused] == ["s1"]
@@ -138,10 +147,10 @@ class TestPromotion:
         q, net = one_link()
         sched = TransferScheduler(net, policy="weighted")
         times = {}
-        bg = sched.submit("a", "b", SIZE,
+        bg = submit(sched, "a", "b", SIZE,
                           lambda f: times.setdefault("bg", q.now),
                           priority=Priority.STAGING)
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("fg", q.now),
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("fg", q.now),
                      priority=Priority.DEMAND)
         # promote the background flow at t=0: both are now DEMAND weight
         assert bg.promote(Priority.DEMAND) is True
@@ -153,7 +162,7 @@ class TestPromotion:
     def test_demote_is_refused(self):
         q, net = one_link()
         sched = TransferScheduler(net, policy="weighted")
-        h = sched.submit("a", "b", SIZE, lambda f: None,
+        h = submit(sched, "a", "b", SIZE, lambda f: None,
                          priority=Priority.DEMAND)
         assert h.promote(Priority.STAGING) is False
         assert h.priority is Priority.DEMAND
@@ -165,7 +174,7 @@ class TestCancellation:
         q, net = one_link()
         sched = TransferScheduler(net)
         fired = []
-        h = sched.submit("a", "b", SIZE, lambda f: fired.append("done"),
+        h = submit(sched, "a", "b", SIZE, lambda f: fired.append("done"),
                          on_fail=lambda f, e: fired.append("fail"))
         h.cancel()
         q.run()
@@ -177,7 +186,7 @@ class TestCancellation:
         q, net = one_link()
         sched = TransferScheduler(net)
         fired = []
-        h = sched.submit("a", "b", 1000, lambda f: fired.append("done"))
+        h = submit(sched, "a", "b", 1000, lambda f: fired.append("done"))
         q.run()
         assert fired == ["done"]
         h.cancel()  # must not raise or double-count
@@ -188,8 +197,8 @@ class TestCancellation:
         q, net = one_link()
         sched = TransferScheduler(net, policy="off")
         times = {}
-        victim = sched.submit("a", "b", SIZE, lambda f: None)
-        sched.submit("a", "b", SIZE, lambda f: times.setdefault("w", q.now))
+        victim = submit(sched, "a", "b", SIZE, lambda f: None)
+        submit(sched, "a", "b", SIZE, lambda f: times.setdefault("w", q.now))
         q.schedule(0.5, victim.cancel)
         q.run()
         # 0.5 s at half rate (25% drained) + 0.75 s at full rate
@@ -200,8 +209,9 @@ class TestLifecycleEvents:
     def test_completed_flow_event_sequence(self):
         q, net = one_link()
         events = []
-        sched = TransferScheduler(net, on_event=events.append)
-        sched.submit("a", "b", SIZE, lambda f: None, label="dl:x:0",
+        sched = TransferScheduler(net)
+        sched.on_event = events.append
+        submit(sched, "a", "b", SIZE, lambda f: None, label="dl:x:0",
                      priority=Priority.DEMAND)
         q.run()
         kinds = [e.event for e in events]
@@ -214,9 +224,10 @@ class TestLifecycleEvents:
     def test_rerated_events_on_contention(self):
         q, net = one_link()
         events = []
-        sched = TransferScheduler(net, on_event=events.append)
-        sched.submit("a", "b", SIZE, lambda f: None, label="f1")
-        sched.submit("a", "b", SIZE, lambda f: None, label="f2")
+        sched = TransferScheduler(net)
+        sched.on_event = events.append
+        submit(sched, "a", "b", SIZE, lambda f: None, label="f1")
+        submit(sched, "a", "b", SIZE, lambda f: None, label="f2")
         q.run()
         rerated = [e for e in events if e.event == "rerated"]
         # f1 is re-rated down when f2 is admitted, then up when f2's
@@ -226,8 +237,9 @@ class TestLifecycleEvents:
     def test_promoted_and_cancelled_events(self):
         q, net = one_link()
         events = []
-        sched = TransferScheduler(net, on_event=events.append)
-        h = sched.submit("a", "b", SIZE, lambda f: None, label="bg",
+        sched = TransferScheduler(net)
+        sched.on_event = events.append
+        h = submit(sched, "a", "b", SIZE, lambda f: None, label="bg",
                          priority=Priority.STAGING)
         h.promote(Priority.DEMAND)
         h.cancel()
@@ -311,8 +323,8 @@ class TestLoRSPathsUseScheduler:
             depots[name] = d
             lbone.register(d, location=loc)
         events = []
-        sched = TransferScheduler(net, policy="weighted",
-                                  on_event=events.append)
+        sched = TransferScheduler(net, policy="weighted")
+        sched.on_event = events.append
         lors = LoRS(q, net, lbone, scheduler=sched)
         return q, depots, lors, events
 

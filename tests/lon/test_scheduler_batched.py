@@ -82,7 +82,8 @@ def run_scenario(rows, min_specs, cls=Network):
         events.append((ev.time.hex(), ev.label, ev.priority,
                        ev.event, ev.detail))
 
-    sched = TransferScheduler(net, policy="weighted", on_event=on_event)
+    sched = TransferScheduler(net, policy="weighted")
+    sched.on_event = on_event
     with batch_min_specs(min_specs):
         handles = sched.submit_batch(specs)
     q.run()

@@ -15,8 +15,11 @@ into sim time is the one thing that *would* legitimately differ across
 processes.
 """
 
+import multiprocessing as mp
+
 import pytest
 
+from repro import processes
 from repro.lightfield import CameraLattice, SyntheticSource
 from repro.lon.shard import (
     partition_clients,
@@ -106,7 +109,7 @@ def assert_same_run(a, b):
                            f"{right[i:i + 1]}")
 
 
-def sharded_run(workers, cross_shard_fraction=0.0, start_method=None):
+def sharded_run(workers, cross_shard_fraction=0.0):
     """The 4-client, 2-shard rig the equivalence tests run."""
     config = MultiClientConfig(
         base=SessionConfig(case=3, n_accesses=6, trace_seed=11),
@@ -114,8 +117,7 @@ def sharded_run(workers, cross_shard_fraction=0.0, start_method=None):
     source = SyntheticSource(CameraLattice(n_theta=12, n_phi=24, l=3),
                              resolution=32, seed=2003)
     return run_sharded_session(source, config, n_shards=2, workers=workers,
-                               collect_streams=True,
-                               start_method=start_method)
+                               collect_streams=True)
 
 
 class TestShardExecution:
@@ -193,16 +195,17 @@ class TestWorkerEquivalence:
         the same events at the same times as the sequential loop."""
         assert_same_run(sharded_run(workers=1), sharded_run(workers=2))
 
-    def test_spawned_workers_bit_equal_to_sequential(self):
+    def test_spawned_workers_bit_equal_to_sequential(self, monkeypatch):
         """A spawned worker inherits nothing: the source, the exchange and
         every option reach it pickled, and it hashes ``str`` with its own
         seed (unless PYTHONHASHSEED is set).  Its streams still equal the
         sequential run's, so no result depends on a salted hash or on
         state only a forked child would see."""
+        sequential = sharded_run(workers=1, cross_shard_fraction=0.3)
+        monkeypatch.setattr(processes, "start_context",
+                            lambda: mp.get_context("spawn"))
         assert_same_run(
-            sharded_run(workers=1, cross_shard_fraction=0.3),
-            sharded_run(workers=2, cross_shard_fraction=0.3,
-                        start_method="spawn"))
+            sequential, sharded_run(workers=2, cross_shard_fraction=0.3))
 
     def test_default_config_needs_no_knob_to_agree(self):
         """Worker processes and the sequential loop agree on every latency
@@ -238,11 +241,13 @@ class TestFailures:
         from repro.lon import shard
 
         monkeypatch.setattr(shard, "BARRIER_TIMEOUT", 30.0)
+        # workers inherit the patched timeout
+        monkeypatch.setattr(processes, "start_context",
+                            lambda: mp.get_context("fork"))
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match="shard 1 failed"):
             run_sharded_session(
                 _source(), _config(4), n_shards=2, workers=2,
-                start_method="fork",  # workers inherit the patched timeout
                 faults=[{"kind": "depot-outage", "depot": "no-such-depot",
                          "start": 1.0, "duration": 1.0, "shard": 1}])
         assert time.perf_counter() - started < 15.0

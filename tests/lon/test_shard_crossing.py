@@ -55,8 +55,9 @@ class TestBoundaryExchange:
         assert ex.remote(1)[lk] == 50.0
         assert ex.remote(2)[lk] == 30.0
 
-    def test_missing_links_publish_zero(self):
-        ex = BoundaryExchange(2, links=LINKS2)
+    def test_missing_links_publish_zero(self, monkeypatch):
+        monkeypatch.setattr(shard, "BOUNDARY_LINKS", LINKS2)
+        ex = BoundaryExchange(2)
         ex.publish(0, {LINKS2[0]: 5.0})  # no entry for the second link
         assert ex.remote(1) == {LINKS2[0]: 5.0, LINKS2[1]: 0.0}
 

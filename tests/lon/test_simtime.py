@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lon import simtime
 from repro.lon.simtime import (
     EventQueue,
     Process,
@@ -18,11 +19,9 @@ class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now == 0.0
 
-    def test_custom_start(self):
-        assert SimClock(5.0).now == 5.0
-
     def test_cannot_run_backwards(self):
-        c = SimClock(10.0)
+        c = SimClock()
+        c._advance_to(10.0)
         with pytest.raises(SimulationError):
             c._advance_to(9.0)
 
@@ -230,8 +229,9 @@ class TestEventCancelBookkeeping:
 
 
 class TestHeapCompaction:
-    def test_compaction_triggers_when_garbage_dominates(self):
-        q = EventQueue(compact_min=64)
+    def test_compaction_triggers_when_garbage_dominates(self, monkeypatch):
+        monkeypatch.setattr(simtime, "COMPACT_MIN", 64)
+        q = EventQueue()
         events = [q.schedule(float(i + 1), lambda: None) for i in range(100)]
         for ev in events[:60]:
             q.cancel(ev)
@@ -242,14 +242,16 @@ class TestHeapCompaction:
         assert len(q) == 40
 
     def test_no_compaction_below_min_size(self):
-        q = EventQueue(compact_min=512)
+        q = EventQueue()
         events = [q.schedule(float(i + 1), lambda: None) for i in range(100)]
         for ev in events:
             q.cancel(ev)
         assert q.compactions == 0
 
-    def test_compaction_preserves_firing_order(self):
-        q = EventQueue(compact_min=16, compact_threshold=0.25)
+    def test_compaction_preserves_firing_order(self, monkeypatch):
+        monkeypatch.setattr(simtime, "COMPACT_MIN", 16)
+        monkeypatch.setattr(simtime, "COMPACT_THRESHOLD", 0.25)
+        q = EventQueue()
         fired = []
         keep, drop = [], []
         for i in range(200):
@@ -261,8 +263,9 @@ class TestHeapCompaction:
         q.run()
         assert fired == [i for i, _ in keep]
 
-    def test_compaction_with_interleaved_pops(self):
-        q = EventQueue(compact_min=32, compact_threshold=0.5)
+    def test_compaction_with_interleaved_pops(self, monkeypatch):
+        monkeypatch.setattr(simtime, "COMPACT_MIN", 32)
+        q = EventQueue()
         fired = []
         events = {}
         for i in range(300):
@@ -277,12 +280,6 @@ class TestHeapCompaction:
         q.run()
         assert fired == expected
         assert len(q) == 0
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue(compact_threshold=0.0)
-        with pytest.raises(ValueError):
-            EventQueue(compact_threshold=1.5)
 
     def test_fired_total_counts_lifetime_events(self):
         q = EventQueue()
@@ -303,7 +300,7 @@ class TestProcess:
             ticks.append(q.now)
             return 1.0 if len(ticks) < 3 else None
 
-        Process(q, body).start(1.0)
+        q.schedule(1.0, Process(q, body).start)
         q.run()
         assert ticks == [1.0, 2.0, 3.0]
 
@@ -316,7 +313,7 @@ class TestProcess:
             return 1.0
 
         p = Process(q, body)
-        p.start(1.0)
+        q.schedule(1.0, p.start)
         q.run_until(2.5)
         p.stop()
         q.run()
@@ -326,7 +323,7 @@ class TestProcess:
         q = EventQueue()
         ticks = []
         p = Process(q, lambda: (ticks.append(q.now), None)[1])
-        p.start(1.0)
-        p.start(0.5)
+        q.schedule(1.0, p.start)
+        q.schedule(1.0, p.start)
         q.run()
         assert ticks == [1.0]

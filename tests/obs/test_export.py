@@ -2,6 +2,7 @@
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.obs import (
 
 def _sample_tracer():
     """Two access trees (wan + hit) with stage children, plus extras."""
-    t = Tracer(lambda: 10.0)
+    clock = SimpleNamespace(now=10.0)
+    t = Tracer(clock)
     wan = t.begin("access:v1", t=0.0, category="access",
                   index=0, viewset="v1")
     t.record("request-rpc", 0.0, 0.05, parent=wan, category="stage")
@@ -38,7 +40,9 @@ def _sample_tracer():
     pf = t.begin("fetch:v3", t=0.5, category="prefetch", viewset="v3")
     pf.finish(t=0.8, source="wan")
     t.instant("prefetch-decision", cursor=3)
-    t.counter("link.wan.utilization", 0.7, t=0.5)
+    clock.now = 0.5
+    t.counter("link.wan.utilization", 0.7)
+    clock.now = 10.0
     return t
 
 

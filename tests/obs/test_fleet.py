@@ -1,5 +1,7 @@
 """Fleet telemetry: worker export and stitching."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.obs import Tracer, export_telemetry, stitch
@@ -7,12 +9,14 @@ from repro.streaming.metrics import DEMAND_MISS_SOURCES, AccessSource
 
 
 def _worker(label, n_spans, client):
-    tracer = Tracer(clock=lambda: 0.0)
+    clock = SimpleNamespace(now=0.0)
+    tracer = Tracer(clock)
     for i in range(n_spans):
         root = tracer.begin("access", t=float(i), client=client)
         tracer.begin("fetch", parent=root, t=float(i)).finish(t=i + 0.4)
         root.finish(t=i + 0.5)
-        tracer.counter(f"{label}.queue", float(i), t=float(i))
+        clock.now = float(i)
+        tracer.counter(f"{label}.queue", float(i))
     return export_telemetry(label, tracer)
 
 

@@ -4,11 +4,19 @@ import json
 
 import pytest
 
-from repro.obs import FlightRecorder, Tracer
+from types import SimpleNamespace
+
+from repro.obs import FlightRecorder, Tracer, flightrec
 
 
-def _tracer():
-    return Tracer(clock=lambda: 0.0)
+def _tracer(clock=None):
+    return Tracer(clock=clock or (lambda: 0.0))
+
+
+@pytest.fixture
+def capacity(monkeypatch):
+    """Recorders built after ``capacity(n)`` keep ``n`` spans."""
+    return lambda n: monkeypatch.setattr(flightrec, "CAPACITY", n)
 
 
 def _span(tracer, name, start, end, **attrs):
@@ -16,34 +24,34 @@ def _span(tracer, name, start, end, **attrs):
 
 
 class TestRing:
-    def test_capacity_evicts_oldest_spans(self):
+    def test_capacity_evicts_oldest_spans(self, capacity):
+        capacity(4)
         tracer = _tracer()
-        rec = FlightRecorder(capacity=4).attach(tracer)
+        rec = FlightRecorder().attach(tracer)
         for i in range(10):
             _span(tracer, f"s{i}", float(i), i + 0.5)
         assert len(rec._spans) == 4
         dump = rec.trigger("test")
         assert [s["name"] for s in dump["spans"]] == ["s6", "s7", "s8", "s9"]
 
-    def test_counter_ring_is_four_times_capacity(self):
-        tracer = _tracer()
-        rec = FlightRecorder(capacity=2).attach(tracer)
+    def test_counter_ring_is_four_times_capacity(self, capacity):
+        capacity(2)
+        clock = SimpleNamespace(now=0.0)
+        tracer = _tracer(clock)
+        rec = FlightRecorder().attach(tracer)
         for i in range(20):
-            tracer.counter("q", float(i), t=float(i))
+            clock.now = float(i)
+            tracer.counter("q", float(i))
         dump = rec.trigger("test")
         assert len(dump["counters"]) == 8
         assert dump["counters"][0]["value"] == 12.0
 
     def test_instants_ride_in_counter_ring(self):
         tracer = _tracer()
-        rec = FlightRecorder(capacity=8).attach(tracer)
-        tracer.instant("fault", t=1.0)
+        rec = FlightRecorder().attach(tracer)
+        tracer.instant("fault")
         dump = rec.trigger("test")
         assert [c["name"] for c in dump["counters"]] == ["fault"]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
 
 
 class TestListenerWiring:
@@ -88,20 +96,20 @@ class TestTrigger:
 
     def test_span_closed_by_finish_open_is_dumped_unfinished(self):
         """The flag lands before the close notifies the recorder."""
-        tracer = _tracer()
+        tracer = _tracer(lambda: 2.0)
         rec = FlightRecorder().attach(tracer)
         span = tracer.begin("xfer", t=0.5, bytes=10)
-        tracer.finish_open(t=2.0)
+        tracer.finish_open()
         (dumped,) = rec.trigger("end")["spans"]
         assert span.attrs == {"bytes": 10, "unfinished": True}
         assert dumped["attrs"] == span.attrs
         assert dumped["end"] == 2.0
 
     def test_finish_open_keeps_an_explicit_unfinished_attr(self):
-        tracer = _tracer()
+        tracer = _tracer(lambda: 2.0)
         rec = FlightRecorder().attach(tracer)
         tracer.begin("xfer", t=0.5, unfinished="cut")
-        tracer.finish_open(t=2.0)
+        tracer.finish_open()
         (dumped,) = rec.trigger("end")["spans"]
         assert dumped["attrs"] == {"unfinished": "cut"}
 

@@ -10,6 +10,7 @@ sampler ticks as rows.
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +52,8 @@ samples = st.lists(
 
 
 def _tracer(label, accesses, samples):
-    tracer = Tracer(clock=lambda: 0.0)
+    clock = SimpleNamespace(now=0.0)
+    tracer = Tracer(clock)
     for start, latency, source, finished in accesses:
         root = tracer.begin("access:v", t=start, category="access")
         tracer.record("decompress", start, start + latency, parent=root,
@@ -60,9 +62,10 @@ def _tracer(label, accesses, samples):
             root.finish(t=start + latency, source=source,
                         total_latency=latency)
     for k, (series, value) in enumerate(samples):
-        tracer.counter(f"{label}depot.d{series}.queue_depth", value,
-                       t=0.5 * k)
-    tracer.finish_open(t=200.0)
+        clock.now = 0.5 * k
+        tracer.counter(f"{label}depot.d{series}.queue_depth", value)
+    clock.now = 200.0
+    tracer.finish_open()
     return tracer
 
 

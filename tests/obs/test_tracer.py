@@ -1,5 +1,7 @@
 """Unit tests for the span tracer (repro.obs.tracer)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.lon.simtime import EventQueue
@@ -9,7 +11,7 @@ from repro.obs import NOOP_SPAN, NULL_TRACER, Tracer, series_samples
 def test_root_and_child_ids():
     t = Tracer()
     root = t.begin("root", t=1.0)
-    child = root.child("child", t=2.0)
+    child = root.child("child")
     assert root.parent_id is None
     assert child.parent_id == root.span_id
     assert child.trace_id == root.trace_id
@@ -92,10 +94,12 @@ def test_finish_open_marks_unfinished():
 
 
 def test_row_is_stored_as_one_tuple_and_read_as_samples():
-    t = Tracer(lambda: 2.0)
+    clock = SimpleNamespace(now=2.0)
+    t = Tracer(clock)
     names = ("a", "b")
     t.row(names, (1, 0.5))
-    t.counter("c", 7, t=3.0)
+    clock.now = 3.0
+    t.counter("c", 7)
     assert t.rows == [(2.0, names, (1, 0.5)), (3.0, ("c",), (7,))]
     assert t.rows[0][1] is names
     assert t.counters == [
@@ -117,6 +121,6 @@ def test_listeners_get_one_dict_per_sample_of_a_row():
 
 def test_span_context_manager():
     t = Tracer(lambda: 1.0)
-    with t.span("sync", category="c") as s:
+    with t.span("sync") as s:
         assert not s.finished
     assert s.finished

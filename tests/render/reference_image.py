@@ -7,12 +7,12 @@ transmittance or an alpha channel.
 """
 
 import re
-from dataclasses import replace
 from pathlib import Path
 from typing import Tuple, Union
 
 import numpy as np
 
+from repro.render import raycast
 from repro.render.camera import Camera
 from repro.render.raycast import RaycastRenderer
 
@@ -55,16 +55,16 @@ def render_rays_with_transmittance(
     A ray composites ``trans * background`` over its own colour, so its
     colour over a white background less its colour over black is
     ``trans``.  The colours and ``last_render_stats`` are the renderer's
-    own, from a last call with its settings as given.
+    own, from a last call over ``raycast.BACKGROUND`` as it was.
     """
-    settings = renderer.settings
+    background = raycast.BACKGROUND
     try:
-        renderer.settings = replace(settings, background=1.0)
+        raycast.BACKGROUND = 1.0
         white = renderer.render_rays(origins, dirs)
-        renderer.settings = replace(settings, background=0.0)
+        raycast.BACKGROUND = 0.0
         black = renderer.render_rays(origins, dirs)
     finally:
-        renderer.settings = settings
+        raycast.BACKGROUND = background
     trans = white[:, 0] - black[:, 0]
     return renderer.render_rays(origins, dirs), trans
 

@@ -14,6 +14,8 @@ step only.
 
 import numpy as np
 
+from repro.render import lighting, raycast
+
 
 def reference_transfer(tf, values):
     v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
@@ -26,24 +28,25 @@ def reference_transfer(tf, values):
     return rgb.astype(np.float32), alpha.astype(np.float32)
 
 
-def reference_shade(colors, gradients, view_dirs, light, gradient_floor=1e-4):
+def reference_shade(colors, gradients, view_dirs):
     colors = np.asarray(colors, dtype=np.float32)
     g = np.asarray(gradients, dtype=np.float64)
     v = -np.asarray(view_dirs, dtype=np.float64)
     mag = np.linalg.norm(g, axis=1)
-    shaded = colors * (light.ambient + light.diffuse)
-    strong = mag > gradient_floor
+    shaded = colors * (lighting.AMBIENT + lighting.DIFFUSE)
+    strong = mag > lighting.GRADIENT_FLOOR
     if strong.any():
         n = g[strong] / mag[strong, None]
-        ldir = light.unit_direction()
+        ldir = np.asarray(lighting.LIGHT_DIRECTION, dtype=np.float64)
+        ldir = ldir / np.linalg.norm(ldir)
         ndotl = np.abs(n @ ldir)
         half = ldir[None, :] + v[strong]
         half_norm = np.linalg.norm(half, axis=1, keepdims=True)
         half = np.divide(half, half_norm, out=np.zeros_like(half),
                          where=half_norm > 0)
         ndoth = np.abs(np.einsum("ij,ij->i", n, half))
-        spec = light.specular * (ndoth ** light.shininess)
-        lum = light.ambient + light.diffuse * ndotl
+        spec = lighting.SPECULAR * (ndoth ** lighting.SHININESS)
+        lum = lighting.AMBIENT + lighting.DIFFUSE * ndotl
         shaded[strong] = colors[strong] * lum[:, None].astype(np.float32)
         shaded[strong] += spec[:, None].astype(np.float32)
     return np.clip(shaded, 0.0, 1.0)
@@ -53,7 +56,7 @@ def reference_march(self, o, d, t_base, t_far, seg_t0, seg_t1, cur, hi,
                     stats):
     m = len(o)
     dt = self._step
-    cutoff = self.settings.opacity_cutoff
+    cutoff = raycast.OPACITY_CUTOFF
     col_out = np.zeros((m, 3), dtype=np.float32)
     tr_out = np.ones(m, dtype=np.float32)
 
@@ -66,7 +69,7 @@ def reference_march(self, o, d, t_base, t_far, seg_t0, seg_t1, cur, hi,
     k = np.maximum(0.0, np.floor((seg_t0[cur] - t_base) / dt))
     t_end = np.minimum(seg_t1[cur] + 0.5 * dt, t_far)
 
-    for _ in range(self.settings.max_steps):
+    for _ in range(raycast.MAX_STEPS):
         if live.size == 0:
             break
         mid = t_base + (k + 0.5) * dt
@@ -110,8 +113,7 @@ def reference_march(self, o, d, t_base, t_far, seg_t0, seg_t1, cur, hi,
             if lit.any():
                 grads = self.volume.gradient(pos[lit])
                 sample_rgb[lit] = reference_shade(
-                    sample_rgb[lit], grads, d[lit], self.light
-                )
+                    sample_rgb[lit], grads, d[lit])
         a = 1.0 - np.exp(-sigma * dt)
         w = (tr * a).astype(np.float32)
         col += w[:, None] * sample_rgb

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.render import raycast
 from repro.render.camera import orbit_camera
 from repro.render.raycast import RaycastRenderer, RenderSettings
 from repro.volume.grid import VolumeGrid
@@ -72,13 +73,13 @@ class TestParity:
         a, b = accel.render(cam), brute.render(cam)
         assert float(np.abs(a - b).max()) <= 1e-5
 
-    def test_fully_transparent_tf(self):
+    def test_fully_transparent_tf(self, monkeypatch):
         vol = neg_hip(size=20)
         tf = TransferFunction.from_list(
             [(0, 0.2, 0.2, 0.2, 0.0), (1, 0.9, 0.9, 0.9, 0.0)]
         )
-        settings = replace(SETTINGS, background=0.25)
-        accel, brute = pair(vol, tf, settings)
+        monkeypatch.setattr(raycast, "BACKGROUND", 0.25)
+        accel, brute = pair(vol, tf)
         cam = orbit_camera(1.3, 0.4, radius=4.0, resolution=24)
         a, b = accel.render(cam), brute.render(cam)
         np.testing.assert_array_equal(a, b)
@@ -116,24 +117,24 @@ class TestParity:
         assert a.shape == (24, 24, 4)
         assert float(np.abs(a - b).max()) <= 1e-5
 
-    def test_background_composites_identically(self):
+    def test_background_composites_identically(self, monkeypatch):
         vol = neg_hip(size=20)
-        settings = replace(SETTINGS, background=0.6)
-        accel, brute = pair(vol, preset("neghip"), settings)
+        monkeypatch.setattr(raycast, "BACKGROUND", 0.6)
+        accel, brute = pair(vol, preset("neghip"))
         cam = orbit_camera(2.2, 3.0, radius=4.0, resolution=24)
         a, b = accel.render(cam), brute.render(cam)
         assert float(np.abs(a - b).max()) <= 1e-5
 
 
 class TestCornerGrazing:
-    def test_grazing_ray_renders_background_in_both_paths(self):
+    def test_grazing_ray_renders_background_in_both_paths(self, monkeypatch):
         """Regression: a ray whose bbox chord is shorter than half a step
         has no sample midpoint inside the volume.  Both paths must treat it
         as a miss (pure background, full transmittance) — the brute marcher
         used to composite one vacuum sample here."""
         vol = neg_hip(size=24)
-        settings = replace(SETTINGS, background=0.3)
-        accel, brute = pair(vol, preset("neghip"), settings)
+        monkeypatch.setattr(raycast, "BACKGROUND", 0.3)
+        accel, brute = pair(vol, preset("neghip"))
         # chord clipping the (+x, -y) edge: length ~ sqrt(2) * 1e-4, far
         # below half a step (step = voxel/2 ~ 0.04)
         c = 2.0 - 1e-4
@@ -171,10 +172,9 @@ class TestStats:
         assert cells is accel.prepare()  # cached, not rebuilt
         assert brute.prepare() is None
 
-    def test_macrocell_size_validated(self):
+    def test_macrocell_size_validated(self, monkeypatch):
+        monkeypatch.setattr(raycast, "MACROCELL_SIZE", 1)
         vol = neg_hip(size=16)
-        r = RaycastRenderer(
-            vol, preset("neghip"), replace(SETTINGS, macrocell_size=1)
-        )
+        r = RaycastRenderer(vol, preset("neghip"), SETTINGS)
         with pytest.raises(ValueError):
             r.prepare()

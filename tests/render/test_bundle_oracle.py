@@ -74,8 +74,9 @@ def test_view_that_misses_the_volume():
 
 
 @pytest.mark.parametrize("accelerated", [True, False])
-def test_max_steps_cuts_every_view_alike(accelerated):
-    settings = RenderSettings(max_steps=3, accelerated=accelerated)
+def test_max_steps_cuts_every_view_alike(monkeypatch, accelerated):
+    monkeypatch.setattr(raycast, "MAX_STEPS", 3)
+    settings = RenderSettings(accelerated=accelerated)
     renderer, _ = assert_equals_per_view(ring(3, 16), settings)
     stats = renderer.last_render_stats
     assert 0 < stats.steps <= 3 * stats.marched_rays

@@ -1,10 +1,13 @@
 """Tests for image utilities and the parallel renderer."""
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import processes
 from repro.render import raycast
 from repro.render.camera import orbit_camera
 from repro.render.image import (
@@ -132,11 +135,6 @@ class TestParallelRenderer:
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
 
-    def test_invalid_start_method_rejected(self, scene):
-        vol, tf, _ = scene
-        with pytest.raises(ValueError, match="start method"):
-            ParallelRenderer(vol, tf, workers=2, start_method="threads")
-
     def test_shared_memory_render_many_matches_serial(self, scene,
                                                       small_bundles):
         """Several bundles, one pool task each, land in one flat
@@ -148,18 +146,21 @@ class TestParallelRenderer:
         ]
         assert len(raycast.view_bundles(cams, 2)) == 4
         pr = ParallelRenderer(vol, tf, workers=2)
-        assert pr.start_method == "fork"
+        assert processes.start_context().get_start_method() == "fork"
         serial = [RaycastRenderer(vol, tf).render(c) for c in cams]
         for a, b in zip(pr.render_many(cams), serial):
             np.testing.assert_array_equal(a, b)
 
-    def test_spawn_render_many_matches_serial(self, scene, small_bundles):
+    def test_spawn_render_many_matches_serial(self, scene, small_bundles,
+                                              monkeypatch):
+        monkeypatch.setattr(processes, "start_context",
+                            lambda: mp.get_context("spawn"))
         vol, tf, _ = scene
         cams = [
             orbit_camera(1.0 + 0.2 * i, 0.4 * i, radius=4.0, resolution=12)
             for i in range(3)
         ]
-        pr = ParallelRenderer(vol, tf, workers=2, start_method="spawn")
+        pr = ParallelRenderer(vol, tf, workers=2)
         serial = [RaycastRenderer(vol, tf).render(c) for c in cams]
         for a, b in zip(pr.render_many(cams), serial):
             np.testing.assert_array_equal(a, b)

@@ -14,7 +14,8 @@ import pytest
 
 from repro.render import raycast
 from repro.render.camera import Camera, orbit_camera
-from repro.render.lighting import Light, shade_blinn_phong
+from repro.render import lighting
+from repro.render.lighting import shade_blinn_phong
 from repro.render.raycast import RaycastRenderer, RenderSettings
 from repro.volume.grid import VolumeGrid
 from repro.volume.synthetic import neg_hip
@@ -53,8 +54,8 @@ def assert_equal_to_oracle(monkeypatch, cameras, settings=RenderSettings(),
 @pytest.mark.parametrize("name", sorted(_PRESETS))
 @pytest.mark.parametrize("size", sorted(VOLUMES))
 def test_matrix(monkeypatch, size, name, shaded, accelerated, max_steps):
-    settings = RenderSettings(shaded=shaded, accelerated=accelerated,
-                              max_steps=max_steps)
+    monkeypatch.setattr(raycast, "MAX_STEPS", max_steps)
+    settings = RenderSettings(shaded=shaded, accelerated=accelerated)
     camera = orbit_camera(0.4 + 0.05 * size, 0.3 * size, radius=4.0,
                           resolution=24)
     _, stats = assert_equal_to_oracle(
@@ -63,7 +64,8 @@ def test_matrix(monkeypatch, size, name, shaded, accelerated, max_steps):
 
 
 def test_one_step(monkeypatch):
-    settings = RenderSettings(max_steps=1)
+    monkeypatch.setattr(raycast, "MAX_STEPS", 1)
+    settings = RenderSettings()
     _, stats = assert_equal_to_oracle(
         monkeypatch, [orbit_camera(1.0, 0.5, 4.0, 32)], settings)
     assert 0 < stats.steps <= stats.marched_rays
@@ -113,7 +115,8 @@ def test_more_live_rays_than_the_cap(monkeypatch):
     march, more than ``BUNDLE_RAYS``, so the first pass is one step."""
     inside = Camera(eye=[0.05, 0.1, 0.15], target=[1.0, 0.2, 0.1],
                     up=[0, 1, 0], fov_deg=70.0, width=400, height=400)
-    settings = RenderSettings(accelerated=False, shaded=False, max_steps=6)
+    monkeypatch.setattr(raycast, "MAX_STEPS", 6)
+    settings = RenderSettings(accelerated=False, shaded=False)
     calls = []
     sample = VolumeGrid.sample
 
@@ -142,11 +145,12 @@ def test_shading_and_classification_equal_their_oracles():
                  [np.nan, 1, 0], [np.inf, 0, 0], [0, -2, 0], [3, 4, 0]]
     views = rng.normal(size=(400, 3))
     views /= np.linalg.norm(views, axis=1, keepdims=True)
-    views[7] = -np.asarray(Light().unit_direction())  # half vector 0
+    toward = np.asarray(lighting.LIGHT_DIRECTION, dtype=np.float64)
+    views[7] = -toward / np.linalg.norm(toward)  # half vector 0
     colors = rng.uniform(size=(400, 3)).astype(np.float32)
     with np.errstate(invalid="ignore"):
-        got = shade_blinn_phong(colors, grads, views, Light())
-        want = reference_shade(colors, grads, views, Light())
+        got = shade_blinn_phong(colors, grads, views)
+        want = reference_shade(colors, grads, views)
     assert got.tobytes() == want.tobytes()
     values = np.concatenate([rng.uniform(-0.2, 1.2, 300), [0.0, 1.0, np.nan]])
     for name in sorted(_PRESETS):

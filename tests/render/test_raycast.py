@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.render.camera import Camera, orbit_camera
-from repro.render.lighting import Light, shade_blinn_phong
+from repro.render import lighting, raycast
+from repro.render.lighting import shade_blinn_phong
 from repro.render.raycast import RaycastRenderer, RenderSettings
 from repro.volume.grid import VolumeGrid
 from repro.volume.synthetic import neg_hip
@@ -37,7 +38,7 @@ def axis_camera(res=8, dist=4.0):
 
 
 class TestBeerLambert:
-    def test_center_pixel_matches_analytic_transmittance(self):
+    def test_center_pixel_matches_analytic_transmittance(self, monkeypatch):
         """A homogeneous cube must composite to the closed-form solution.
 
         Emission-absorption through path length L with extinction s and
@@ -46,36 +47,34 @@ class TestBeerLambert:
         sigma = 1.7
         vol = uniform_volume(1.0, 16)
         tf = flat_tf((1.0, 1.0, 1.0), sigma)
-        r = RaycastRenderer(
-            vol, tf,
-            RenderSettings(shaded=False, step=vol._voxel * 0.1,
-                           opacity_cutoff=1e-7),
-        )
+        monkeypatch.setattr(raycast, "STEP_VOXELS", 0.1)
+        monkeypatch.setattr(raycast, "OPACITY_CUTOFF", 1e-7)
+        r = RaycastRenderer(vol, tf, RenderSettings(shaded=False))
         img = r.render(axis_camera(res=3))
         L = 2.0  # the cube spans [-1, 1] along the view axis
         expect = 1.0 - np.exp(-sigma * L)
         assert img[1, 1, 0] == pytest.approx(expect, rel=2e-2)
 
-    def test_step_size_independence(self):
+    def test_step_size_independence(self, monkeypatch):
         """Opacity correction makes the result nearly step-invariant."""
         vol = uniform_volume(1.0, 16)
         tf = flat_tf(sigma=3.0)
         cams = axis_camera(res=3)
+        monkeypatch.setattr(raycast, "STEP_VOXELS", 0.05)
         fine = RaycastRenderer(
-            vol, tf, RenderSettings(shaded=False, step=vol._voxel * 0.05)
-        ).render(cams)
+            vol, tf, RenderSettings(shaded=False)).render(cams)
+        monkeypatch.setattr(raycast, "STEP_VOXELS", 0.5)
         coarse = RaycastRenderer(
-            vol, tf, RenderSettings(shaded=False, step=vol._voxel * 0.5)
-        ).render(cams)
+            vol, tf, RenderSettings(shaded=False)).render(cams)
         assert abs(fine[1, 1, 0] - coarse[1, 1, 0]) < 0.03
 
-    def test_empty_volume_renders_background(self):
+    def test_empty_volume_renders_background(self, monkeypatch):
         vol = uniform_volume(0.0)
         tf = TransferFunction.from_list(
             [(0.0, 1, 0, 0, 0.0), (1.0, 1, 0, 0, 5.0)]
         )
-        r = RaycastRenderer(vol, tf, RenderSettings(shaded=False,
-                                                    background=0.25))
+        monkeypatch.setattr(raycast, "BACKGROUND", 0.25)
+        r = RaycastRenderer(vol, tf, RenderSettings(shaded=False))
         img = r.render(axis_camera())
         np.testing.assert_allclose(img, 0.25, atol=1e-5)
 
@@ -86,8 +85,7 @@ class TestBeerLambert:
             eye=np.array([0.0, 0.0, 4.0]), target=np.zeros(3),
             up=np.array([0, 1.0, 0]), fov_deg=120.0, width=9, height=9,
         )
-        r = RaycastRenderer(vol, tf, RenderSettings(shaded=False,
-                                                    background=0.0))
+        r = RaycastRenderer(vol, tf, RenderSettings(shaded=False))
         img = r.render(cam)
         assert img[0, 0, 0] == pytest.approx(0.0, abs=1e-6)  # corner misses
         assert img[4, 4, 0] > 0.9  # center hits opaque cube
@@ -111,12 +109,11 @@ class TestEarlyTermination:
         # white front, no red bleed-through
         assert center[1] > 0.9 and center[2] > 0.9
 
-    def test_max_steps_bounds_work(self):
+    def test_max_steps_bounds_work(self, monkeypatch):
         vol = uniform_volume(1.0, 8)
         tf = flat_tf(sigma=0.0)  # fully transparent: no early exit
-        r = RaycastRenderer(
-            vol, tf, RenderSettings(shaded=False, max_steps=3)
-        )
+        monkeypatch.setattr(raycast, "MAX_STEPS", 3)
+        r = RaycastRenderer(vol, tf, RenderSettings(shaded=False))
         img = r.render(axis_camera(res=2))  # must terminate quickly
         assert np.isfinite(img).all()
 
@@ -157,37 +154,15 @@ class TestShading:
         colors = np.array([[0.5, 0.2, 0.1]], dtype=np.float32)
         grads = np.zeros((1, 3))
         views = np.array([[0.0, 0.0, -1.0]])
-        out = shade_blinn_phong(colors, grads, views, Light())
+        out = shade_blinn_phong(colors, grads, views)
         # zero gradient: flat ambient+diffuse scaling, no specular
-        expect = colors[0] * (Light().ambient + Light().diffuse)
+        expect = colors[0] * (lighting.AMBIENT + lighting.DIFFUSE)
         np.testing.assert_allclose(out[0], expect, atol=1e-6)
 
-    def test_shade_output_clipped(self):
+    def test_shade_output_clipped(self, monkeypatch):
         colors = np.ones((4, 3), dtype=np.float32)
         grads = np.tile(np.array([0.0, 0.0, 5.0]), (4, 1))
         views = np.tile(np.array([0.0, 0.0, -1.0]), (4, 1))
-        out = shade_blinn_phong(colors, grads, views, Light(specular=5.0))
+        monkeypatch.setattr(lighting, "SPECULAR", 5.0)
+        out = shade_blinn_phong(colors, grads, views)
         assert out.max() <= 1.0
-
-    def test_zero_light_direction_raises(self):
-        with pytest.raises(ValueError):
-            Light(direction=(0, 0, 0)).unit_direction()
-
-
-class TestSettingsValidation:
-    def test_negative_step_rejected(self):
-        vol = uniform_volume()
-        with pytest.raises(ValueError):
-            RaycastRenderer(vol, flat_tf(), RenderSettings(step=-0.1))
-
-    def test_explicit_default_step_renders_the_default_image(self):
-        """The default step is a numpy float64 and an explicit one a Python
-        float; opacity is composited in float64 for both, so passing the
-        default's value changes no pixel."""
-        vol, tf = neg_hip(size=32), preset("neghip")
-        cam = orbit_camera(1.0, 0.6, radius=4.0, resolution=48)
-        default = RaycastRenderer(vol, tf)
-        step = float(default._step)
-        explicit = RaycastRenderer(vol, tf, RenderSettings(step=step))
-        assert explicit.render(cam).tobytes() == default.render(cam).tobytes()
-        assert explicit.last_render_stats == default.last_render_stats

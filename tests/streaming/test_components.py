@@ -7,6 +7,8 @@ from repro.lightfield.source import SyntheticSource
 from repro.lon.exnode import ExNode, Extent, Mapping
 from repro.lon.ibp import Capability, CapType
 from repro.streaming.agent import HIT_LATENCY
+from repro.streaming import server
+from repro.streaming import dvs as dvs_module
 from repro.streaming.dvs import DVSServer
 from repro.streaming.metrics import AccessSource
 from repro.streaming.prefetch import (
@@ -55,35 +57,21 @@ class TestDVS:
         assert result.server_agent == "server-x"
         assert dvs.generation_referrals == 1
 
-    def test_specific_agent_overrides_default(self):
-        dvs = DVSServer()
-        dvs.register_server_agent("default-agent")
-        dvs.register_server_agent("special-agent", vids=["vs-1-1"])
-        assert dvs.query("vs-1-1").server_agent == "special-agent"
-        assert dvs.query("vs-2-2").server_agent == "default-agent"
-
     def test_replicas_accumulate(self):
         dvs = DVSServer()
         dvs.register_exnode("vs-0-0", make_exnode(depot="d1"))
         dvs.register_exnode("vs-0-0", make_exnode(depot="d2"))
         assert len(dvs.query("vs-0-0").exnodes) == 2
 
-    def test_hierarchical_lookup_delay_scales_with_levels(self):
-        shallow = DVSServer(levels=1)
-        deep = DVSServer(levels=4)
+    def test_hierarchical_lookup_delay_scales_with_levels(self, monkeypatch):
         ex = make_exnode()
-        shallow.register_exnode("vs-0-0", ex)
-        deep.register_exnode("vs-0-0", ex)
-        assert (
-            deep.query("vs-0-0").lookup_delay
-            > shallow.query("vs-0-0").lookup_delay
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DVSServer(levels=0)
-        with pytest.raises(ValueError):
-            DVSServer(fanout=0)
+        delays = []
+        for levels in (1, 4):
+            monkeypatch.setattr(dvs_module, "LEVELS", levels)
+            dvs = DVSServer()
+            dvs.register_exnode("vs-0-0", ex)
+            delays.append(dvs.query("vs-0-0").lookup_delay)
+        assert delays[1] > delays[0]
 
 
 class TestPolicies:
@@ -166,10 +154,10 @@ class TestServerAgent:
         assert order[1] == "vs-0-2"      # newest first
         assert order[2] == "vs-0-1"
 
-    def test_render_time_charged(self):
+    def test_render_time_charged(self, monkeypatch):
+        monkeypatch.setattr(server, "RENDER_SECONDS_PER_VIEWSET", 10.0)
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=2))
-        rig.server_agent.render_seconds = 10.0
         forget(rig.dvs, "vs-0-0")
         done_at = []
         rig.server_agent.request_viewset(

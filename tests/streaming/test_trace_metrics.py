@@ -206,14 +206,6 @@ class TestSessionMetrics:
         m.record(rec(3, AccessSource.AGENT_CACHE))
         assert m.wan_rate() == pytest.approx(2 / 3)
 
-    def test_rate_upto_prefix(self):
-        m = SessionMetrics()
-        m.record(rec(1, AccessSource.WAN_DEPOT))
-        m.record(rec(2, AccessSource.AGENT_CACHE))
-        m.record(rec(3, AccessSource.AGENT_CACHE))
-        assert m.wan_rate(upto=1) == 1.0
-        assert m.wan_rate(upto=3) == pytest.approx(1 / 3)
-
     def test_initial_phase_is_last_wan_index(self):
         m = SessionMetrics()
         m.record(rec(1, AccessSource.WAN_DEPOT))
@@ -263,36 +255,3 @@ class TestSessionMetrics:
         m.record(rec(1, AccessSource.AGENT_CACHE))
         with pytest.raises(ValueError):
             m.record(rec(3, AccessSource.AGENT_CACHE))
-
-    def test_upto_slices_by_index_not_list_position(self):
-        """Regression: with sparse indices ``upto`` must compare access
-        indices, not count list entries — index 7 is *not* among the first
-        five accesses just because five records exist."""
-        m = SessionMetrics()
-        m.record(rec(7, AccessSource.WAN_DEPOT))
-        m.record(rec(2, AccessSource.AGENT_CACHE))
-        m.record(rec(10, AccessSource.WAN_DEPOT))
-        m.record(rec(4, AccessSource.CLIENT_RESIDENT))
-        m.record(rec(5, AccessSource.LAN_DEPOT))
-        # indices <= 5: {2, 4, 5} -> no WAN, 2/3 hits
-        assert m.wan_rate(upto=5) == 0.0
-        assert m.hit_rate(upto=5) == pytest.approx(2 / 3)
-        assert m.rate(AccessSource.LAN_DEPOT, upto=5) == pytest.approx(1 / 3)
-        # indices <= 7 adds the WAN access
-        assert m.wan_rate(upto=7) == pytest.approx(1 / 4)
-        # an upto below every index is an empty pool, not a crash
-        assert m.wan_rate(upto=1) == 0.0
-        assert m.hit_rate(upto=1) == 0.0
-
-    def test_upto_unaffected_by_insertion_order(self):
-        a, b = SessionMetrics(), SessionMetrics()
-        records = [rec(3, AccessSource.WAN_DEPOT),
-                   rec(1, AccessSource.AGENT_CACHE),
-                   rec(2, AccessSource.AGENT_CACHE)]
-        for r in records:
-            a.record(r)
-        for r in sorted(records, key=lambda r: r.index):
-            b.record(r)
-        for upto in (1, 2, 3, None):
-            assert a.wan_rate(upto=upto) == b.wan_rate(upto=upto)
-            assert a.hit_rate(upto=upto) == b.hit_rate(upto=upto)

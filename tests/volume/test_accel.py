@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.volume import accel
 from repro.volume.accel import MacrocellGrid, _dilate26
 from repro.volume.grid import VolumeGrid
 from repro.volume.synthetic import neg_hip
@@ -124,11 +125,12 @@ class TestMacrocellGrid:
         )
         assert 0.0 < cells.active_fraction < 0.5
 
-    def test_classify_eps_monotone(self):
+    def test_classify_eps_monotone(self, monkeypatch):
         grid = MacrocellGrid.build(neg_hip(size=32))
         tf = preset("ramp")
-        loose = grid.classify(tf, eps=0.0).mask
-        tight = grid.classify(tf, eps=1.0).mask
+        loose = grid.classify(tf).mask
+        monkeypatch.setattr(accel, "SKIP_EXTINCTION", 1.0)
+        tight = grid.classify(tf).mask
         assert (tight <= loose).all()
 
     def test_dilate26_reaches_all_neighbors(self):

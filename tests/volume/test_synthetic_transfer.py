@@ -65,14 +65,6 @@ class TestNegHip:
         with pytest.raises(ValueError):
             neg_hip(size=4)
 
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            neg_hip(net_negative_fraction=1.5)
-
-    def test_no_charges_is_refused_by_name(self):
-        with pytest.raises(ValueError, match="n_charges"):
-            neg_hip(size=8, n_charges=0)
-
     @pytest.mark.parametrize("size", [8, 16, 32, 48, 64])
     def test_blocks_are_the_broadcast_bit_for_bit(self, size):
         got, want = neg_hip(size=size), reference_neg_hip(size=size)

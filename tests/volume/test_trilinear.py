@@ -7,12 +7,14 @@ they replaced live in ``reference_trilinear.py``.  Equality here is
 """
 
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.volume import grid
 from repro.volume.grid import VolumeGrid
 
 from .reference_trilinear import reference_gradient, reference_sample
@@ -71,7 +73,9 @@ class TestKernelEqualsOracle:
         assert out.dtype == np.float32
         assert np.array_equal(out, reference_sample(volume, pts))
         h = None if h_voxels is None else h_voxels * volume._voxel
-        grad = volume.gradient(pts, h)
+        with patch.object(grid, "GRADIENT_STEP_VOXELS",
+                          0.5 if h_voxels is None else h_voxels):
+            grad = volume.gradient(pts)
         assert grad.dtype == np.float32 and grad.flags.c_contiguous
         assert np.array_equal(grad, reference_gradient(volume, pts, h))
 
