@@ -60,11 +60,54 @@ def _volume_from_args(args):
     return factories[args.volume](size=args.size)
 
 
-def _lattice_from_args(args):
+# argparse types: a bad value exits 2 with one ``argument --flag:`` line
+def _lattice(text: str):
+    """``n_theta x n_phi x l`` as a camera lattice."""
     from .lightfield import CameraLattice
 
-    nt, np_, l = (int(x) for x in args.lattice.split("x"))
-    return CameraLattice(n_theta=nt, n_phi=np_, l=l)
+    try:
+        nt, np_, l = (int(x) for x in text.split("x"))
+        return CameraLattice(n_theta=nt, n_phi=np_, l=l)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def _cases(text: str) -> List[int]:
+    """Comma-separated paper cases, each 1, 2 or 3."""
+    cases = [c.strip() for c in text.split(",")]
+    if not all(c in ("1", "2", "3") for c in cases):
+        raise argparse.ArgumentTypeError(
+            f"cases are 1, 2 or 3, not {text!r}")
+    return [int(c) for c in cases]
+
+
+def _at_least_one(text: str) -> int:
+    """A count of 1 or more (clients, shards, workers, accesses)."""
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"needs an integer of at least 1, not {text!r}")
+    return int(text)
+
+
+def _database(text: str):
+    """A saved light-field database directory, loaded."""
+    from .lightfield import DatabaseError, LightFieldDatabase
+
+    try:
+        return LightFieldDatabase.load(text)
+    except DatabaseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _spec_name(text: str) -> str:
+    """The name of a builtin sweep spec."""
+    from .experiments import builtin_specs
+
+    names = sorted(builtin_specs())
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown sweep spec {text!r}; builtin specs: {', '.join(names)}")
+    return text
 
 
 def cmd_build(args) -> int:
@@ -73,7 +116,7 @@ def cmd_build(args) -> int:
     from .volume import preset
 
     volume = _volume_from_args(args)
-    lattice = _lattice_from_args(args)
+    lattice = args.lattice
     builder = LightFieldBuilder(
         volume,
         preset(args.transfer),
@@ -97,9 +140,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_info(args) -> int:
-    from .lightfield import LightFieldDatabase
-
-    db = LightFieldDatabase.load(args.db)
+    db = args.db
     rows, cols = db.lattice.n_viewsets
     print(f"database    : {db.name}")
     print(f"lattice     : {db.lattice.n_theta} x {db.lattice.n_phi} "
@@ -116,15 +157,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .lightfield import (
-        DictProvider,
-        LightFieldDatabase,
-        LightFieldSynthesizer,
-    )
+    from .lightfield import DictProvider, LightFieldSynthesizer
     from .render.camera import orbit_camera
     from .render.image import save_ppm
 
-    db = LightFieldDatabase.load(args.db)
+    db = args.db
     provider = DictProvider({k: db.get_viewset(k) for k in db.keys()})
     synth = LightFieldSynthesizer(
         db.lattice, db.spheres, db.resolution, provider,
@@ -150,10 +187,9 @@ def cmd_session(args) -> int:
     from .obs import write_chrome_trace
     from .streaming import SessionConfig, run_session
 
-    lattice = _lattice_from_args(args)
-    source = SyntheticSource(lattice, resolution=args.resolution)
+    source = SyntheticSource(args.lattice, resolution=args.resolution)
     rows = []
-    cases = [int(c) for c in args.cases.split(",")]
+    cases = args.cases
     tracing = args.trace is not None
     for case in cases:
         m = run_session(
@@ -190,8 +226,7 @@ def cmd_multiclient(args) -> int:
         run_multiclient_session,
     )
 
-    lattice = _lattice_from_args(args)
-    source = SyntheticSource(lattice, resolution=args.resolution)
+    source = SyntheticSource(args.lattice, resolution=args.resolution)
     tracing = args.trace is not None
     config = MultiClientConfig(
         base=SessionConfig(
@@ -269,8 +304,7 @@ def cmd_fleet_report(args) -> int:
     from .obs import fleet_health
     from .streaming import MultiClientConfig, SessionConfig
 
-    lattice = _lattice_from_args(args)
-    source = SyntheticSource(lattice, resolution=args.resolution)
+    source = SyntheticSource(args.lattice, resolution=args.resolution)
     config = MultiClientConfig(
         base=SessionConfig(
             case=args.case,
@@ -443,20 +477,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--size", type=int, default=32,
                    help="synthetic volume size per axis")
     b.add_argument("--transfer", default="neghip")
-    b.add_argument("--lattice", default="12x24x3",
+    b.add_argument("--lattice", type=_lattice, default="12x24x3",
                    help="n_theta x n_phi x l (paper: 72x144x6)")
     b.add_argument("--resolution", type=int, default=64)
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument("--workers", type=_at_least_one, default=1)
     b.add_argument("--unshaded", action="store_true")
     b.add_argument("--out", type=Path, required=True)
     b.set_defaults(func=cmd_build)
 
     i = sub.add_parser("info", help="inspect a saved database")
-    i.add_argument("--db", type=Path, required=True)
+    i.add_argument("--db", type=_database, required=True)
     i.set_defaults(func=cmd_info)
 
     r = sub.add_parser("render", help="synthesize a novel view to PPM")
-    r.add_argument("--db", type=Path, required=True)
+    r.add_argument("--db", type=_database, required=True)
     r.add_argument("--theta", type=float, default=90.0,
                    help="polar angle in degrees")
     r.add_argument("--phi", type=float, default=0.0,
@@ -471,11 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_render)
 
     s = sub.add_parser("session", help="run a streaming experiment")
-    s.add_argument("--cases", default="1,2,3")
+    s.add_argument("--cases", type=_cases, default="1,2,3")
     s.add_argument("--resolution", type=int, default=100)
-    s.add_argument("--accesses", type=int, default=20)
+    s.add_argument("--accesses", type=_at_least_one, default=20)
     s.add_argument("--seed", type=int, default=7)
-    s.add_argument("--lattice", default="12x24x3")
+    s.add_argument("--lattice", type=_lattice, default="12x24x3")
     s.add_argument("--trace", type=Path, default=None,
                    help="run with tracing on and save a Chrome trace JSON "
                         "(per-case suffix added when multiple cases run)")
@@ -485,22 +519,22 @@ def build_parser() -> argparse.ArgumentParser:
         "multiclient",
         help="run N concurrent browsing clients on one shared depot fleet",
     )
-    mc.add_argument("--clients", type=int, default=8)
+    mc.add_argument("--clients", type=_at_least_one, default=8)
     mc.add_argument("--case", type=int, default=3, choices=[1, 2, 3])
     mc.add_argument("--resolution", type=int, default=100)
-    mc.add_argument("--accesses", type=int, default=20,
+    mc.add_argument("--accesses", type=_at_least_one, default=20,
                     help="view-set accesses per client")
     mc.add_argument("--seed", type=int, default=7)
     mc.add_argument("--seed-stride", type=int, default=101,
                     help="per-client trace-seed offset (0 = same path)")
     mc.add_argument("--stagger", type=float, default=1.0,
                     help="per-client start delay in seconds")
-    mc.add_argument("--lattice", default="12x24x3")
-    mc.add_argument("--shards", type=int, default=1,
+    mc.add_argument("--lattice", type=_lattice, default="12x24x3")
+    mc.add_argument("--shards", type=_at_least_one, default=1,
                     help="partition the fleet into N independent shards "
                          "(clients pinned to per-shard depot groups); "
                          ">1 runs one worker process per shard")
-    mc.add_argument("--shard-workers", type=int, default=None,
+    mc.add_argument("--shard-workers", type=_at_least_one, default=None,
                     help="1 = sequential, otherwise one process per shard "
                          "(the default)")
     mc.add_argument("--shard-window", type=float, default=30.0,
@@ -516,20 +550,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="traced sharded fleet run -> QGR, demand-miss tail latency "
              "and depot load skew (markdown)",
     )
-    fr.add_argument("--clients", type=int, default=8)
-    fr.add_argument("--shards", type=int, default=2)
-    fr.add_argument("--shard-workers", type=int, default=1,
+    fr.add_argument("--clients", type=_at_least_one, default=8)
+    fr.add_argument("--shards", type=_at_least_one, default=2)
+    fr.add_argument("--shard-workers", type=_at_least_one, default=1,
                     help="1 = sequential (the default), otherwise one "
                          "process per shard")
     fr.add_argument("--shard-window", type=float, default=30.0)
     fr.add_argument("--case", type=int, default=3, choices=[1, 2, 3])
     fr.add_argument("--resolution", type=int, default=48)
-    fr.add_argument("--accesses", type=int, default=10,
+    fr.add_argument("--accesses", type=_at_least_one, default=10,
                     help="view-set accesses per client")
     fr.add_argument("--seed", type=int, default=7)
     fr.add_argument("--seed-stride", type=int, default=101)
     fr.add_argument("--stagger", type=float, default=1.0)
-    fr.add_argument("--lattice", default="9x18x3")
+    fr.add_argument("--lattice", type=_lattice, default="9x18x3")
     fr.add_argument("--trace", type=Path, default=None,
                     help="also write the merged Chrome/Perfetto trace here")
     fr.add_argument("--flight-dir", type=Path, default=None,
@@ -566,11 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
     sl.set_defaults(func=cmd_sweep_list)
 
     def _run_args(p):
-        p.add_argument("spec", nargs="?", default=None,
+        p.add_argument("spec", nargs="?", type=_spec_name, default=None,
                        help="builtin spec name (see `sweep list`)")
         p.add_argument("--spec-file", type=Path, default=None,
                        help="load the spec from a TOML/JSON file instead")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_at_least_one, default=1,
                        help="worker processes (1 = in-process)")
         p.add_argument("--checkpoint-dir", type=Path, default=None,
                        help="directory for per-run checkpoint records")

@@ -63,9 +63,8 @@ class LightFieldBuilder:
     lattice:
         Camera lattice (72×144 at paper scale).
     resolution:
-        Sample-view resolution r (paper sweeps 200..600).
-    codec:
-        View-set codec (default: the paper's zlib).
+        Sample-view resolution r (paper sweeps 200..600); view sets are
+        compressed with the paper's zlib.
     workers:
         Ray-caster worker processes (the paper used 32).
     """
@@ -76,7 +75,6 @@ class LightFieldBuilder:
         transfer: TransferFunction,
         lattice: CameraLattice,
         resolution: int,
-        codec: Optional[ZlibCodec] = None,
         workers: int = 1,
         settings: RenderSettings = RenderSettings(),
     ) -> None:
@@ -90,7 +88,7 @@ class LightFieldBuilder:
         # a 5% margin, the outer one has 2.5x its radius
         r_in = volume.bounding_radius * 1.05
         self.spheres = TwoSphere(r_inner=r_in, r_outer=2.5 * r_in)
-        self.codec = codec if codec is not None else ZlibCodec()
+        self.codec = ZlibCodec()
         # the parallel renderer builds the macrocell acceleration structure
         # once here (in the parent) and shares it with render workers; all
         # l² sample views of a view set land in one shared-memory stack

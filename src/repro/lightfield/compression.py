@@ -189,11 +189,8 @@ class DeltaZlibCodec:
     """
 
     tag = b"D1"
-
-    def __init__(self, level: int = 6) -> None:
-        if not 0 <= level <= 9:
-            raise ValueError("zlib level must be 0..9")
-        self.level = level
+    #: the zlib level the deltas compress at
+    level = 6
 
     def compress(self, viewset: ViewSet) -> CompressionResult:
         """Compress a view set; returns payload + accounting.

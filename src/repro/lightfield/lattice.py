@@ -228,10 +228,6 @@ class CameraLattice:
         qj = -1 if fj - vj * self.l <= half else 1
         return (vi, vj), (qi, qj)
 
-    def quadrant(self, theta: float, phi: float) -> Tuple[int, int]:
-        """Quadrant of the containing view set holding (theta, phi)."""
-        return self.locate(theta, phi)[1]
-
     def quadrant_side(
         self, key: ViewSetKey, quadrant: Tuple[int, int]
     ) -> List[ViewSetKey]:

@@ -18,7 +18,7 @@ This substitution is recorded in DESIGN.md §2.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+from typing import Dict, Protocol
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class ViewSetSource(Protocol):
 #: figures' sizes, inside the paper's 5-7× band) but 3.9-4.9× at 64² (the
 #: test and benchmark size, below it).
 NOISE_FRACTION = 0.13
+#: the seed every view set's pattern and noise derive from
+SEED = 2003
 
 
 class SyntheticSource:
@@ -57,7 +59,7 @@ class SyntheticSource:
     shaded negHip renders) plus low-amplitude deterministic noise that keeps
     zlib from over-compressing; adjacent views drift slowly, mimicking view
     coherence.  Payloads are produced lazily, cached, and deterministic in
-    ``(key, seed)``.
+    ``(key, SEED)``.
 
     :data:`NOISE_FRACTION` sets the compression ratio.
 
@@ -70,16 +72,13 @@ class SyntheticSource:
         self,
         lattice: CameraLattice,
         resolution: int,
-        seed: int = 2003,
-        codec: Optional[ZlibCodec] = None,
     ) -> None:
         if resolution < 1:
             raise ValueError("resolution must be positive")
         self.lattice = lattice
         self.resolution = int(resolution)
         self.spheres = TwoSphere(1.0, 2.5)
-        self.seed = seed
-        self.codec = codec if codec is not None else ZlibCodec()
+        self.codec = ZlibCodec()
         self._cache: Dict[ViewSetKey, bytes] = {}
 
     # ------------------------------------------------------------------
@@ -94,7 +93,7 @@ class SyntheticSource:
         vi, vj = key
         l, r = self.lattice.l, self.resolution
         rng = np.random.default_rng(
-            (self.seed * 1_000_003 + vi * 1009 + vj) & 0x7FFFFFFF
+            (SEED * 1_000_003 + vi * 1009 + vj) & 0x7FFFFFFF
         )
         span = np.linspace(-1.0, 1.0, r, dtype=np.float32)
         xx, yy = np.meshgrid(span, span)
@@ -141,7 +140,3 @@ class SyntheticSource:
         payload = self._cache[key] = self.codec.compress(
             self.viewset(key)).payload
         return payload
-
-    def raw_size(self) -> int:
-        """Uncompressed bytes of one view set (all are identical in size)."""
-        return ViewSet.payload_size(self.lattice.l, self.resolution)

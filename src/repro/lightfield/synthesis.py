@@ -112,11 +112,6 @@ class SynthesisStats:
     rays: int = 0
     runs: int = 0
 
-    @property
-    def runs_per_frame(self) -> float:
-        """Mean runs of equal lead camera per frame."""
-        return self.runs / self.frames if self.frames else 0.0
-
 
 def _lattice_bases(lattice: CameraLattice, radius: float) -> np.ndarray:
     """``(12, n_cameras)`` float32: eye, right, up, forward (xyz each).

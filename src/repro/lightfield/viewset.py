@@ -93,12 +93,6 @@ class ViewSet:
         """Uncompressed pixel payload size."""
         return self.images.nbytes
 
-    def view(self, a: int, b: int) -> np.ndarray:
-        """The (r, r, 3) sample view at local offset (a, b) — zero copy."""
-        if not (0 <= a < self.l and 0 <= b < self.l):
-            raise IndexError(f"local view ({a}, {b}) outside l={self.l}")
-        return self.images[a, b]
-
     # ------------------------------------------------------------------
     # wire format
     # ------------------------------------------------------------------

@@ -33,11 +33,6 @@ class DepotRecord:
     depot: Depot
     location: str = ""
 
-    @property
-    def name(self) -> str:
-        """Node name (doubles as registry key)."""
-        return self.depot.name
-
 
 class LBone:
     """Directory of depots over a simulated network.

@@ -212,10 +212,6 @@ class InFlightRegistry:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> Optional[InFlightEntry]:
-        """The in-flight entry for ``key``, if any."""
-        return self._entries.get(key)
-
     def register(
         self,
         key: str,

@@ -62,20 +62,6 @@ class Event:
     label: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
     fired: bool = field(default=False, compare=False)
-    queue: Optional["EventQueue"] = field(default=None, compare=False,
-                                          repr=False)
-
-    def cancel(self) -> None:
-        """Cancel through the owning queue so live-count bookkeeping holds.
-
-        Both cancellation paths (``event.cancel()`` and
-        ``queue.cancel(event)``) route through :meth:`EventQueue.cancel`;
-        a detached event (no queue) just flips its flag.
-        """
-        if self.queue is not None:
-            self.queue.cancel(self)
-        elif not self.fired:
-            self.cancelled = True
 
 
 class SimClock:
@@ -171,7 +157,7 @@ class EventQueue:
                 )
             time = now
         seq = next(self._seq)
-        ev = Event(time, seq, callback, label, False, False, self)
+        ev = Event(time, seq, callback, label, False, False)
         heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
@@ -211,10 +197,6 @@ class EventQueue:
             heapq.heappop(self._heap)
             self._garbage -= 1
 
-    def step(self) -> bool:
-        """Fire the next event.  Returns False if the queue was empty."""
-        return self._dispatch(_INF, 1) == 1
-
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until the queue drains.  Returns the number of events fired."""
         fired = self._dispatch(_INF, max_events)
@@ -242,7 +224,7 @@ class EventQueue:
 
     def _dispatch(self, horizon: float, max_events: int) -> int:
         """Fire up to ``max_events`` events due at or before ``horizon``:
-        the one loop behind :meth:`step`, :meth:`run` and :meth:`run_until`.
+        the one loop behind :meth:`run` and :meth:`run_until`.
         """
         heappop = heapq.heappop
         clock = self.clock

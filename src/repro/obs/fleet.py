@@ -88,22 +88,6 @@ class FleetTrace:
     counters: List[Dict[str, object]]
     instants: List[Dict[str, object]]
 
-    @property
-    def n_workers(self) -> int:
-        return len(self.workers)
-
-    def clients(self) -> List[str]:
-        """Every client node that contributed an access root span."""
-        out = []
-        seen = set()
-        for s in self.spans:
-            attrs = cast(Dict[str, object], s.get("attrs") or {})
-            client = attrs.get("client")
-            if client is not None and client not in seen:
-                seen.add(client)
-                out.append(str(client))
-        return out
-
     def write_chrome(
         self, path_or_file: Union[str, os.PathLike, IO[str]]
     ) -> int:

@@ -184,29 +184,6 @@ class FleetHealth:
     load_skew_gini: float
     depots: List[DepotStat] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready summary (depot list included)."""
-        return {
-            "n_clients": self.n_clients,
-            "accesses": self.accesses,
-            "qgr": round(self.qgr, 4),
-            "misses": self.misses,
-            "demand_miss_p50_s": round(self.demand_miss_p50_s, 6),
-            "demand_miss_p99_s": round(self.demand_miss_p99_s, 6),
-            "load_skew_max_over_mean": round(
-                self.load_skew_max_over_mean, 4
-            ),
-            "load_skew_gini": round(self.load_skew_gini, 4),
-            "depots": [
-                {
-                    "name": d.name,
-                    "bytes_served": d.bytes_served,
-                    "queue_depth_peak": d.queue_depth_peak,
-                }
-                for d in self.depots
-            ],
-        }
-
 
 def fleet_health(
     result: ShardedResult,

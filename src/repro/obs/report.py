@@ -37,6 +37,9 @@ STAGE_ORDER = [
     "decompress",
 ]
 
+#: characters of a waterfall bar: the whole access window
+WATERFALL_WIDTH = 48
+
 
 def _duration(span: SpanDict) -> float:
     return float(cast(float, span["end"])) - float(cast(float, span["start"]))
@@ -148,13 +151,16 @@ def render_breakdown_table(
 def render_waterfall(
     spans: Iterable[SpanDict],
     max_accesses: Optional[int] = None,
-    width: int = 48,
 ) -> str:
     """Per-access waterfall: one block per access, one bar row per stage.
 
     Bars are positioned within the access's own [start, end] window, so a
-    1 s WAN access and a 0.2 ms cache hit are each readable at full width.
+    1 s WAN access and a 0.2 ms cache hit are each readable at full width;
+    a block pads its stage names to its longest, so its bars line up.  A
+    root span that names its ``client`` (a stitched fleet trace) shows it
+    in the block's header.
     """
+    width = WATERFALL_WIDTH
     spans = list(spans)
     children = _children_by_parent(spans)
     roots = access_roots(spans)
@@ -167,8 +173,9 @@ def render_waterfall(
         index = attrs.get("index", "?")
         source = attrs.get("source", "?")
         vid = attrs.get("viewset", attrs.get("vid", ""))
+        client = f"client={attrs['client']}  " if "client" in attrs else ""
         lines.append(
-            f"access #{index}  {vid}  source={source}  "
+            f"access #{index}  {vid}  {client}source={source}  "
             f"total={total * 1e3:.3f} ms  "
             f"(t={float(cast(float, root['start'])):.3f}s)"
         )
@@ -179,6 +186,7 @@ def render_waterfall(
         t0 = float(cast(float, root["start"]))
         t1 = float(cast(float, root["end"]))
         window = max(t1 - t0, 1e-12)
+        pad = max((len(str(child["name"])) for child in kids), default=0)
         for child in kids:
             s = (float(cast(float, child["start"])) - t0) / window
             e = (float(cast(float, child["end"])) - t0) / window
@@ -186,7 +194,7 @@ def render_waterfall(
             b = max(a, int(round(e * width)))
             bar = " " * a + "#" * max(b - a, 1 if e > s else 0)
             lines.append(
-                f"  {str(child['name']):<18} |{bar:<{width}}| "
+                f"  {str(child['name']):<{pad}} |{bar:<{width}}| "
                 f"{_duration(child) * 1e3:>10.3f} ms"
             )
         lines.append("")

@@ -121,16 +121,6 @@ class Span:
         self.events: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        """True once :meth:`finish` (or a closed record) set the end time."""
-        return self.end is not None
-
-    @property
-    def duration(self) -> float:
-        """Seconds between start and end (0.0 while still open)."""
-        return 0.0 if self.end is None else self.end - self.start
-
     def annotate(self, **attrs: object) -> Span:
         """Attach key-value attributes (later keys overwrite earlier)."""
         self.attrs.update(attrs)
@@ -207,9 +197,6 @@ class NoopSpan:
 
     def child(self, name: str, **attrs: object) -> NoopSpan:
         return self
-
-    def to_dict(self) -> Dict[str, object]:
-        return {}
 
 
 #: shared do-nothing span handed out by disabled tracers.
@@ -390,10 +377,6 @@ class Tracer:
             for name, value in zip(names, values):
                 self._notify("counter", {"name": name, "t": t, "value": value})
 
-    def counter(self, name: str, value: float) -> None:
-        """One sample of a named time series: a one-sample row."""
-        self.row((name,), (value,))
-
     @property
     def counters(self) -> List[Dict[str, object]]:
         """Every series sample as a dict (:func:`series_samples` of
@@ -418,10 +401,6 @@ class Tracer:
     def span_dicts(self) -> List[SpanDict]:
         """All spans as plain dicts (report/export input)."""
         return [s.to_dict() for s in self.spans]
-
-    def roots(self) -> List[Span]:
-        """Spans with no parent, in creation order."""
-        return [s for s in self.spans if s.parent_id is None]
 
 
 #: shared disabled tracer: instrument against this by default.

@@ -11,7 +11,7 @@ from .image import (
     to_uint8,
 )
 from .lighting import shade_blinn_phong
-from .parallel import ParallelRenderer, default_worker_count
+from .parallel import ParallelRenderer
 from .raycast import RaycastRenderer, RenderSettings
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "ParallelRenderer",
     "RaycastRenderer",
     "RenderSettings",
-    "default_worker_count",
     "look_at",
     "orbit_camera",
     "psnr",

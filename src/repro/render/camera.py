@@ -81,11 +81,6 @@ class Camera:
             raise ValueError("eye and target coincide")
         self._basis = look_at(self.eye, self.target, self.up)
 
-    @property
-    def basis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(right, up, forward) orthonormal basis."""
-        return self._basis
-
     # class-level cache of camera-local pixel grids, keyed by geometry —
     # browsing sessions render thousands of frames at one (w, h, fov)
     _GRID_CACHE: ClassVar[Dict[Tuple[int, int, float], np.ndarray]] = {}

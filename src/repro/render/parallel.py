@@ -20,7 +20,6 @@ Data movement is kept out of the inner loops on both sides of the fence:
 
 from __future__ import annotations
 
-import os
 from multiprocessing import shared_memory
 from multiprocessing.pool import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,17 +34,12 @@ from .raycast import (
     RaycastRenderer, RenderSettings, split_frames, view_bundles,
 )
 
-__all__ = ["ParallelRenderer", "default_worker_count"]
+__all__ = ["ParallelRenderer"]
 
 # per-process renderer installed by the pool initializer
 _WORKER_RENDERER: Optional[RaycastRenderer] = None
 # per-process cache of attached shared-memory segments, keyed by name
 _WORKER_SHM: Dict[str, shared_memory.SharedMemory] = {}
-
-
-def default_worker_count() -> int:
-    """Worker count: all cores minus one, at least 1."""
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 def _init_worker(renderer: RaycastRenderer) -> None:
@@ -95,12 +89,13 @@ class ParallelRenderer:
         volume: VolumeGrid,
         transfer: TransferFunction,
         settings: RenderSettings = RenderSettings(),
-        workers: Optional[int] = None,
+        *,
+        workers: int,
     ) -> None:
         self.volume = volume
         self.transfer = transfer
         self.settings = settings
-        self.workers = workers if workers is not None else default_worker_count()
+        self.workers = workers
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self._inline = RaycastRenderer(volume, transfer, settings)

@@ -145,11 +145,6 @@ class RenderStats:
             accelerated=self.accelerated,
         )
 
-    @property
-    def steps_per_ray(self) -> float:
-        """Mean marched samples per ray over the whole bundle."""
-        return self.steps / self.rays if self.rays else 0.0
-
 
 class RaycastRenderer:
     """Renders a :class:`VolumeGrid` through a transfer function."""

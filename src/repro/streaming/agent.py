@@ -44,6 +44,10 @@ __all__ = ["ClientAgent", "AgentStats"]
 #: data-access latency of an agent cache hit (memory copy), Figure 12's floor
 HIT_LATENCY = 1e-4
 
+#: on a cursor retarget, in-flight prefetches farther than this view-set
+#: grid distance from the new cursor are cancelled
+PREFETCH_CANCEL_BEYOND = 2
+
 
 @dataclass
 class AgentStats:
@@ -110,12 +114,8 @@ class ClientAgent:
         server_agents: Optional[Dict[str, ServerAgent]] = None,
         cache_bytes: Optional[int] = None,
         max_streams: int = 8,
-        prefetch_cancel_beyond: Optional[int] = 2,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        """``prefetch_cancel_beyond``: on a cursor retarget, in-flight
-        prefetches farther than this view-set grid distance from the new
-        cursor are cancelled (``None`` disables cancellation)."""
         self.node = node
         self.queue = queue
         self.network = network
@@ -128,7 +128,6 @@ class ClientAgent:
         self.server_agents = dict(server_agents or {})
         self.cache_bytes = cache_bytes
         self.max_streams = max_streams
-        self.prefetch_cancel_beyond = prefetch_cancel_beyond
         self._payloads: OrderedDict[str, bytes] = OrderedDict()
         self._payload_total = 0
         self._exnodes: Dict[str, ExNode] = {}
@@ -144,10 +143,6 @@ class ClientAgent:
     # ------------------------------------------------------------------
     # cache
     # ------------------------------------------------------------------
-    def cached(self, vid: str) -> bool:
-        """True if the payload is in the agent cache."""
-        return vid in self._payloads
-
     def _cache_put(self, vid: str, payload: bytes) -> None:
         if vid in self._payloads:
             self._payload_total -= len(self._payloads.pop(vid))
@@ -342,13 +337,11 @@ class ClientAgent:
 
     def retarget(self, key: ViewSetKey) -> None:
         """Cursor moved: cancel speculative fetches now far from it."""
-        if self.prefetch_cancel_beyond is None:
-            return
         for vid, flight in list(self._flights.items()):
             if not flight.prefetch_only or flight.foreign:
                 continue
             if (self.lattice.viewset_distance(key, parse_viewset_id(vid))
-                    > self.prefetch_cancel_beyond):
+                    > PREFETCH_CANCEL_BEYOND):
                 self.registry.cancel(vid)
 
     # -- resolution pipeline ---------------------------------------------

@@ -36,6 +36,12 @@ __all__ = ["Client"]
 #: local bookkeeping cost of switching to an already-resident view set
 RESIDENT_SWAP_LATENCY = 1e-4
 
+#: view sets kept on the console.  1 models a PDA ("for those low-end
+#: devices ... without any local caching on the client at all" beyond the
+#: current view set, ``examples/pda_client.py``); larger values model
+#: workstations.
+RESIDENT_CAPACITY = 2
+
 #: modelled decompression cost — roughly a 2003-era workstation inflating
 #: zlib at ~500 MB/s.  Every committed figure charges it; this host's
 #: measured inflate is 8.5-8.9x slower (``BENCH_decompression.json``).
@@ -47,11 +53,6 @@ class Client:
 
     Parameters
     ----------
-    resident_capacity:
-        Number of view sets kept on the console.  1 models a PDA ("for
-        those low-end devices ... without any local caching on the client
-        at all" beyond the current view set); larger values model
-        workstations.
     cpu_seconds_per_byte:
         Decompression delay charged per payload byte, in simulated seconds
         (a larger value models a slower console CPU; 0 makes inflation
@@ -67,14 +68,11 @@ class Client:
         agent: ClientAgent,
         lattice: CameraLattice,
         metrics: SessionMetrics,
-        resident_capacity: int = 2,
         policy: Optional[PrefetchPolicy] = None,
         cpu_seconds_per_byte: float = CPU_SECONDS_PER_BYTE,
         on_cursor: Optional[Callable[[ViewSetKey], None]] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if resident_capacity < 1:
-            raise ValueError("resident_capacity must be >= 1")
         if cpu_seconds_per_byte < 0:
             raise ValueError("cpu_seconds_per_byte must be non-negative")
         self.node = node
@@ -84,7 +82,6 @@ class Client:
         self.scheduler = agent.lors.scheduler
         self.lattice = lattice
         self.metrics = metrics
-        self.resident_capacity = resident_capacity
         self.policy = policy if policy is not None else QuadrantPolicy()
         self.cpu_seconds_per_byte = cpu_seconds_per_byte
         self.on_cursor = on_cursor
@@ -118,7 +115,7 @@ class Client:
     def _keep(self, key: ViewSetKey, payload: bytes) -> None:
         self._resident[key] = payload
         self._resident.move_to_end(key)
-        while len(self._resident) > self.resident_capacity:
+        while len(self._resident) > RESIDENT_CAPACITY:
             self._resident.popitem(last=False)
 
     # ------------------------------------------------------------------

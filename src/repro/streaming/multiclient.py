@@ -87,9 +87,6 @@ class MultiClientConfig:
     #: only on the *global* index — sharded runs see the same split.  0.0
     #: adds no nodes or links (bit-identical to the classic topology).
     cross_shard_fraction: float = 0.0
-    #: bandwidth of the ``xs-switch`` ↔ ``wan-router`` backbone uplink
-    #: (None = ``base.wan_bandwidth``); its latency is ``base.wan_latency``
-    backbone_bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_clients < 1:
@@ -197,9 +194,7 @@ def build_multiclient_rig(
                 f"case{base.case}-client{g}", trace, config.crosses(g))
         for g, trace in enumerate(traces, first)
     ]
-    bed = wire_testbed(
-        source, base, consoles, config.backbone_bandwidth,
-        config.obs_namespace)
+    bed = wire_testbed(source, base, consoles, config.obs_namespace)
     return MultiClientRig(**vars(bed), config=config)
 
 

@@ -109,7 +109,6 @@ class SessionConfig:
     # agent / client
     agent_cache_bytes: Optional[int] = None
     max_streams: int = 4
-    resident_capacity: int = 2
     #: simulated seconds of console CPU charged per arriving payload byte;
     #: a larger value models a slower client (``examples/pda_client.py``)
     cpu_seconds_per_byte: float = CPU_SECONDS_PER_BYTE
@@ -130,12 +129,6 @@ class SessionConfig:
     #   "strict"   — weighted + background flows sharing a link with a live
     #                demand flow are paused until it drains.
     scheduling_policy: str = "weighted"
-    #: cancel in-flight staging copies farther than this grid distance from
-    #: the cursor on a retarget (None = never cancel; progress is kept)
-    staging_cancel_beyond: Optional[int] = None
-    #: cancel in-flight prefetches farther than this grid distance from the
-    #: cursor on a retarget (None = never cancel)
-    prefetch_cancel_beyond: Optional[int] = 2
     #: enable end-to-end tracing + periodic samplers (repro.obs); off by
     #: default — the disabled tracer's overhead is a no-op method call
     tracing: bool = False
@@ -228,6 +221,10 @@ LAN_LATENCY = 0.0002
 N_LAN_DEPOTS = 4
 N_WAN_DEPOTS = 3
 DEPOT_CAPACITY = 16 << 30
+#: bandwidth of the ``xs-switch`` ↔ ``wan-router`` backbone uplink that
+#: crossing consoles share (None: the config's ``wan_bandwidth``); its
+#: latency is always the WAN's
+BACKBONE_BANDWIDTH: Optional[float] = None
 
 
 def session_trace(
@@ -248,7 +245,6 @@ def wire_testbed(
     source: ViewSetSource,
     config: SessionConfig,
     consoles: Sequence[Console],
-    backbone_bandwidth: Optional[float] = None,
     obs_namespace: str = "",
 ) -> Testbed:
     """Wire the testbed for ``consoles`` (no events run yet).
@@ -256,9 +252,9 @@ def wire_testbed(
     Every console and agent hangs off the department LAN switch, so N
     consoles contend for the same WAN bottleneck — the shared-infrastructure
     regime the paper argues depots are for.  Crossing consoles live on a
-    second campus switch with its own backbone uplink (bandwidth ``None`` =
-    the WAN figure; latency always the WAN's); with none crossing no node or
-    link is added.
+    second campus switch with its own backbone uplink
+    (:data:`BACKBONE_BANDWIDTH`); with none crossing no node or link is
+    added.
     ``obs_namespace`` prefixes every sampled series name of a traced testbed.
     """
     queue = EventQueue()
@@ -284,8 +280,8 @@ def wire_testbed(
         net.add_link("xs-switch", "lan-switch", LAN_BANDWIDTH, LAN_LATENCY)
         net.add_link(
             "xs-switch", "wan-router",
-            (config.wan_bandwidth if backbone_bandwidth is None
-             else backbone_bandwidth),
+            (config.wan_bandwidth if BACKBONE_BANDWIDTH is None
+             else BACKBONE_BANDWIDTH),
             config.wan_latency,
         )
     wan_hosts = [f"ca-depot-{i}" for i in range(N_WAN_DEPOTS)]
@@ -353,7 +349,6 @@ def wire_testbed(
             server_agents={"server": server_agent},
             cache_bytes=config.agent_cache_bytes,
             max_streams=config.max_streams,
-            prefetch_cancel_beyond=config.prefetch_cancel_beyond,
             tracer=tracer,
         )
         staging: Optional[StagingPump] = None
@@ -368,7 +363,6 @@ def wire_testbed(
                 max_concurrent=config.staging_concurrency,
                 streams_per_copy=config.staging_streams,
                 order=config.staging_order,
-                cancel_beyond=config.staging_cancel_beyond,
                 tracer=tracer,
             )
             bed.stagings.append(staging)
@@ -379,7 +373,6 @@ def wire_testbed(
             agent=agent,
             lattice=source.lattice,
             metrics=metrics,
-            resident_capacity=config.resident_capacity,
             policy=policy_by_name(config.prefetch_policy),
             cpu_seconds_per_byte=config.cpu_seconds_per_byte,
             on_cursor=(staging.update_cursor if staging is not None

@@ -42,7 +42,8 @@ class StagingStats:
     reorders: int = 0
     deduped: int = 0     # copies suppressed: bytes already in flight elsewhere
     promoted: int = 0    # copies promoted to DEMAND by an early user arrival
-    cancelled: int = 0   # copies cancelled by a cursor retarget (requeued)
+    #: always 0: a retarget re-sorts the queue and never cancels a copy
+    cancelled: int = 0
 
 
 class StagingPump:
@@ -72,13 +73,8 @@ class StagingPump:
         max_concurrent: int = 2,
         streams_per_copy: int = 2,
         order: str = "proximity",
-        cancel_beyond: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        """``cancel_beyond``: on a cursor move, in-flight copies farther
-        than this view-set grid distance from the new cursor are cancelled
-        and requeued (``None`` — the default — disables cancellation;
-        promoted copies someone is waiting on are never cancelled)."""
         if order not in ("proximity", "fifo"):
             raise ValueError("order must be 'proximity' or 'fifo'")
         if max_concurrent < 1:
@@ -93,15 +89,12 @@ class StagingPump:
         self.max_concurrent = max_concurrent
         self.streams_per_copy = max(1, streams_per_copy)
         self.order = order
-        self.cancel_beyond = cancel_beyond
         self._pending: List[ViewSetKey] = list(lattice.all_viewsets())
         self._in_flight: Set[str] = set()
         self._done: Set[str] = set()
         self._cursor_key: Optional[ViewSetKey] = None
-        self._inflight_keys: Dict[str, ViewSetKey] = {}
         self._jobs: Dict[str, CopyJob] = {}
         self._priority: Dict[str, Priority] = {}
-        self._cancelled: Set[str] = set()
         self.stats = StagingStats()
         self._process = Process(queue, self._tick, "staging-pump")
         self._sorted = False
@@ -123,12 +116,10 @@ class StagingPump:
         return not self._pending and not self._in_flight
 
     def update_cursor(self, key: ViewSetKey) -> None:
-        """Dynamic retarget: re-sort the queue and drop far in-flight work.
+        """Dynamic retarget: re-sort the queue around the new cursor.
 
-        The queue re-sorts around the new cursor; with ``cancel_beyond``
-        set, in-flight copies now farther than that distance are cancelled
-        (and requeued) so their bandwidth goes to nearer view sets.  Copies
-        promoted to DEMAND are exempt — a user is waiting on them.
+        Copies already in flight run to completion; only the order of what
+        is still queued follows the cursor.
         """
         if key == self._cursor_key:
             return
@@ -136,14 +127,6 @@ class StagingPump:
         if self.order == "proximity":
             self._sorted = False
             self.stats.reorders += 1
-        if self.cancel_beyond is None:
-            return
-        for vid, k in list(self._inflight_keys.items()):
-            entry = self.registry.get(vid)
-            if entry is None or entry.priority < Priority.STAGING:
-                continue
-            if self.lattice.viewset_distance(key, k) > self.cancel_beyond:
-                self.registry.cancel(vid)
 
     # ------------------------------------------------------------------
     def _tick(self) -> Optional[float]:
@@ -174,14 +157,12 @@ class StagingPump:
                 self._pending.insert(0, key)
                 break
             self._in_flight.add(vid)
-            self._inflight_keys[vid] = key
             span = self.tracer.begin(f"stage:{vid}", category="staging",
                                      viewset=vid)
             self._spans[vid] = span
             self.registry.register(
                 vid, "staging", Priority.STAGING,
                 promote_cb=lambda p, v=vid: self._promote(v, p),
-                cancel_cb=lambda v=vid, k=key: self._cancel(v, k),
                 span=span,
             )
             self._stage_one(key, vid)
@@ -194,17 +175,8 @@ class StagingPump:
         if job is not None:
             job.promote(priority)
 
-    def _cancel(self, vid: str, key: ViewSetKey) -> None:
-        """Registry cancel hook: tear down the copy, requeue the key."""
-        self._cancelled.add(vid)
-        job = self._jobs.get(vid)
-        if job is not None:
-            job.cancel()  # rejects the deferred; done() sees _cancelled
-        # pre-copy phases (DVS query in flight) unwind in _copy/_release
-
     def _release(self, vid: str, key: ViewSetKey, requeue: bool) -> None:
         self._in_flight.discard(vid)
-        self._inflight_keys.pop(vid, None)
         self._jobs.pop(vid, None)
         self._priority.pop(vid, None)
         span = self._spans.pop(vid, None)
@@ -228,7 +200,6 @@ class StagingPump:
                 # not yet generated: skip — demand path will trigger the
                 # server; retry staging later
                 self._release(vid, key, requeue=True)
-                self._cancelled.discard(vid)
                 self.registry.complete(vid, success=False)
                 return
             ex = result.exnodes[0].read_only_view()
@@ -241,13 +212,6 @@ class StagingPump:
         self.queue.schedule_in(delay, do_query, f"stage-dvs:{vid}")
 
     def _copy(self, key: ViewSetKey, vid: str, exnode: ExNode) -> None:
-        if vid in self._cancelled:
-            # cancelled while still looking up the exNode: nothing started
-            self._cancelled.discard(vid)
-            self.stats.cancelled += 1
-            self._release(vid, key, requeue=True)
-            self.registry.complete(vid, success=False)
-            return
         job = self._jobs[vid] = self.lors.augment(
             exnode, self.lan_depot, max_streams=self.streams_per_copy,
             priority=self._priority.get(vid, Priority.STAGING),
@@ -255,13 +219,6 @@ class StagingPump:
         )
 
         def done(dfd: Deferred) -> None:
-            if vid in self._cancelled:
-                # a cursor retarget killed this copy: requeue quietly (the
-                # registry entry is completed by the cancel path)
-                self._cancelled.discard(vid)
-                self.stats.cancelled += 1
-                self._release(vid, key, requeue=True)
-                return
             if dfd.failed:
                 self.stats.failed += 1
                 # requeue at the back; depot pressure may clear

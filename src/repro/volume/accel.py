@@ -112,11 +112,6 @@ class MacrocellGrid:
             cell_world=float(cell_size * volume._voxel),
         )
 
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """Macrocell counts per axis."""
-        return self.minv.shape  # type: ignore[return-value]
-
     def classify(self, transfer: TransferFunction) -> ActiveCells:
         """Mark cells active iff their value range can have extinction
         above :data:`SKIP_EXTINCTION`."""

@@ -75,11 +75,6 @@ class Workspace:
             self._buffers[name] = buf
         return buf[:size].reshape(shape)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by all buffers."""
-        return sum(buf.nbytes for buf in self._buffers.values())
-
 
 def _as_points(points: np.ndarray) -> np.ndarray:
     """``points`` as a float64 ``(N, 3)`` array, or ``ValueError``."""

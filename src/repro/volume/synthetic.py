@@ -37,6 +37,8 @@ SOFTENING = 0.08
 # voxels whose potential one block evaluates: its temporaries are
 # _NEGHIP_BLOCK × N_CHARGES × 3 floats (1.2 MB) whatever the volume's size
 _NEGHIP_BLOCK = 2048
+#: the seed negHip's charge sites and signs are drawn from
+NEG_HIP_SEED = 2003
 
 
 def lattice_points(shape: Tuple[int, int, int]) -> np.ndarray:
@@ -46,7 +48,7 @@ def lattice_points(shape: Tuple[int, int, int]) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
-def neg_hip(size: int = 64, seed: int = 2003) -> VolumeGrid:
+def neg_hip(size: int = 64) -> VolumeGrid:
     """Synthetic negHip: softened Coulomb potential of a charge cluster.
 
     :data:`N_CHARGES` charges are placed inside a sphere of radius 0.6 (so
@@ -58,7 +60,7 @@ def neg_hip(size: int = 64, seed: int = 2003) -> VolumeGrid:
     """
     if size < 8:
         raise ValueError("size must be >= 8")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NEG_HIP_SEED)
     # charge sites: clustered positions, mildly correlated to mimic a chain
     centers = np.empty((N_CHARGES, 3))
     pos = rng.normal(scale=0.15, size=3)
@@ -89,10 +91,10 @@ def neg_hip(size: int = 64, seed: int = 2003) -> VolumeGrid:
     return VolumeGrid(data=field.astype(np.float32), name="negHip-synthetic")
 
 
-def gaussian_blobs(size: int = 64, seed: int = 7) -> VolumeGrid:
+def gaussian_blobs(size: int = 64) -> VolumeGrid:
     """A fuel-injection-like dataset: eight superposed anisotropic
     Gaussians."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     pts = lattice_points((size, size, size))
     field = np.zeros(len(pts))
     for _ in range(8):

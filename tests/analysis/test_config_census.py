@@ -2,18 +2,17 @@
 
 ``SessionConfig`` holds "everything that varies between experiment runs";
 a field nobody outside the wiring ever passes does not vary, and belongs
-next to its one reader as a constant.  This walks the repository for the
-calls that build a config — ``SessionConfig(...)``, ``MultiClientConfig(...)``,
-``dataclasses.replace(...)`` and, file by file, any helper that forwards
-``**kwargs`` into one of those (``scenarios._run``) — so the config surface
-cannot regrow silently: adding a field without a caller fails here.  A
-keyword of the same name on any other call (``lors.place(replicas=...)``)
-does not count.
-
-The ray caster's option bundle, ``RenderSettings``, is held to the stricter
-rule of the parameter census: a field counts as set only by a call in
-``src``, ``perf`` or ``benchmarks`` — one that only tests or examples turn
-is a constant of ``raycast.py`` they monkeypatch.
+next to its one reader as a constant.  This walks ``src``, ``perf`` and
+``benchmarks`` for the calls that build a config — ``SessionConfig(...)``,
+``MultiClientConfig(...)``, ``dataclasses.replace(...)`` and, file by
+file, any helper that forwards ``**kwargs`` into one of those
+(``scenarios._run``) — so the config surface cannot regrow silently:
+adding a field without a caller fails here.  A keyword of the same name on
+any other call (``lors.place(replicas=...)``) does not count.  Tests and
+examples are no callers, as in the parameter census: a field only they
+turn has one value in use, and becomes a constant beside its reader that
+they monkeypatch.  The ray caster's option bundle,
+``RenderSettings``, is held to the same rule.
 """
 
 import ast
@@ -27,8 +26,7 @@ from repro.render import RenderSettings
 from repro.streaming import MultiClientConfig, SessionConfig
 
 REPO = Path(repro.__file__).resolve().parents[2]
-CALLER_TREES = ("src", "benchmarks", "perf", "examples", "tests")
-#: the trees whose calls set a renderer option
+#: the trees whose calls set a config field
 PROGRAM_TREES = ("src", "benchmarks", "perf")
 #: where the fields are declared and wired, which is not a use
 OWN_WIRING = {"session.py", "multiclient.py", "raycast.py"}
@@ -76,7 +74,7 @@ def _passed(trees):
 
 @pytest.fixture(scope="module")
 def passed():
-    return _passed(CALLER_TREES)
+    return _passed(PROGRAM_TREES)
 
 
 def _unset(config_class, passed):
@@ -89,8 +87,8 @@ def test_every_config_field_is_set_by_some_caller(passed):
     assert _unset(MultiClientConfig, passed) == []
 
 
-def test_every_renderer_option_is_set_outside_tests():
-    assert _unset(RenderSettings, _passed(PROGRAM_TREES)) == []
+def test_every_renderer_option_is_set_outside_tests(passed):
+    assert _unset(RenderSettings, passed) == []
 
 
 def test_a_field_without_a_caller_is_reported(passed):

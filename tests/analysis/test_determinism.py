@@ -25,7 +25,7 @@ FAST = SessionConfig(case=3, n_accesses=6, trace_seed=7, tracing=True)
 
 def _source():
     return SyntheticSource(CameraLattice(n_theta=12, n_phi=24, l=3),
-                           resolution=16, seed=2003)
+                           resolution=16)
 
 
 def session_streams(config=FAST, rig_hook=None):

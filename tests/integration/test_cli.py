@@ -205,6 +205,33 @@ class TestTraceReport:
         assert "\n" not in message
 
 
+class TestInputErrors:
+    """A bad value exits 2 before any work, with one error line that names
+    its flag, never a traceback."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["session", "--cases", "4"], "--cases"),
+        (["session", "--lattice", "5x12x3"], "--lattice"),
+        (["multiclient", "--clients", "0"], "--clients"),
+        (["fleet-report", "--shards", "0"], "--shards"),
+        (["session", "--accesses", "0"], "--accesses"),
+        (["build", "--workers", "0", "--out", "{missing}"], "--workers"),
+        (["sweep", "run", "nosuch"], "spec"),
+        (["render", "--db", "{missing}", "--out", "{missing}.ppm"], "--db"),
+    ], ids=["cases", "lattice", "clients", "shards", "accesses", "workers",
+         "spec", "db"])
+    def test_a_bad_value_exits_2_naming_its_flag(self, argv, flag, tmp_path,
+                                                 capsys):
+        argv = [a.format(missing=tmp_path / "nosuch") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: " in errors[0]
+
+
 class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):

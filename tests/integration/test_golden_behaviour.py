@@ -26,6 +26,7 @@ calendar renumbers it and nothing else.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.streaming import (
     SessionConfig,
     run_multiclient_session,
     run_session,
+    session,
 )
 
 GOLDEN = {
@@ -76,7 +78,7 @@ CONTENDED_STREAM = (
 
 def _source():
     return SyntheticSource(CameraLattice(n_theta=12, n_phi=24, l=3),
-                           resolution=64, seed=2003)
+                           resolution=64)
 
 
 def _digest(result):
@@ -137,10 +139,11 @@ def run_crossing():
             prefetch_policy="all-neighbors",
         ),
         n_clients=12, seed_stride=101, start_stagger=0.25,
-        cross_shard_fraction=0.1, backbone_bandwidth=mbps(1.0),
+        cross_shard_fraction=0.1,
     )
-    return run_sharded_session(_source(), config, n_shards=2, workers=1,
-                               window=0.5)
+    with mock.patch.object(session, "BACKBONE_BANDWIDTH", mbps(1.0)):
+        return run_sharded_session(_source(), config, n_shards=2,
+                                   workers=1, window=0.5)
 
 
 def test_contended_rig_matches_recorded_digest():

@@ -26,7 +26,7 @@ def reference_viewset(source: SyntheticSource, key: ViewSetKey) -> ViewSet:
     vi, vj = key
     l, r = source.lattice.l, source.resolution
     rng = np.random.default_rng(
-        (source.seed * 1_000_003 + vi * 1009 + vj) & 0x7FFFFFFF
+        (source_module.SEED * 1_000_003 + vi * 1009 + vj) & 0x7FFFFFFF
     )
     span = np.linspace(-1.0, 1.0, r, dtype=np.float32)
     xx, yy = np.meshgrid(span, span)

@@ -142,7 +142,7 @@ class TestQuadrants:
         ph_lo = (key[1] * small.l + 0.2) * small.phi_step
         ph_hi = (key[1] * small.l + small.l - 1.2) * small.phi_step
         quads = {
-            small.quadrant(th, ph)
+            small.locate(th, ph)[1]
             for th in (th_lo, th_hi)
             for ph in (ph_lo, ph_hi)
         }
@@ -195,7 +195,7 @@ class TestPhiSeamQuadrantDefect:
     def test_scalar_path_gives_todays_answer(self, scalar):
         lat, theta, phi = self.lattice, scalar(self.theta), scalar(self.phi)
         assert lat.viewset_containing(theta, phi) == (2, 0)
-        assert lat.quadrant(theta, phi) == (-1, +1)          # should be -1
+        assert lat.locate(theta, phi)[1] == (-1, +1)          # should be -1
         assert lat.quadrant_side(*lat.locate(theta, phi)) == [
             (1, 0), (2, 1), (1, 1)]                # should be (2, 7), (1, 7)
 

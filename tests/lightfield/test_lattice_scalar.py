@@ -47,7 +47,7 @@ def assert_matches_everywhere(lat: CameraLattice, theta, phi) -> None:
     assert camera == (i, j) == ref.nearest_camera(lat, theta, phi)
     key = lat.viewset_containing(theta, phi)
     assert key == ref.viewset_containing(lat, theta, phi)
-    quadrant = lat.quadrant(theta, phi)
+    quadrant = lat.locate(theta, phi)[1]
     assert quadrant == ref.quadrant(lat, theta, phi)
     side = lat.quadrant_side(*lat.locate(theta, phi))
     assert side == ref.quadrant_neighbors(lat, theta, phi)

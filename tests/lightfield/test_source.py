@@ -34,14 +34,17 @@ class TestSyntheticSource:
         assert vs.resolution == 48
         assert vs.l == lattice.l
 
-    def test_deterministic(self, lattice):
-        a = SyntheticSource(lattice, resolution=32, seed=5).payload((0, 1))
-        b = SyntheticSource(lattice, resolution=32, seed=5).payload((0, 1))
+    def test_deterministic(self, lattice, monkeypatch):
+        monkeypatch.setattr(source_module, "SEED", 5)
+        a = SyntheticSource(lattice, resolution=32).payload((0, 1))
+        b = SyntheticSource(lattice, resolution=32).payload((0, 1))
         assert a == b
 
-    def test_seed_changes_content(self, lattice):
-        a = SyntheticSource(lattice, resolution=32, seed=5).payload((0, 1))
-        b = SyntheticSource(lattice, resolution=32, seed=6).payload((0, 1))
+    def test_seed_changes_content(self, lattice, monkeypatch):
+        monkeypatch.setattr(source_module, "SEED", 5)
+        a = SyntheticSource(lattice, resolution=32).payload((0, 1))
+        monkeypatch.setattr(source_module, "SEED", 6)
+        b = SyntheticSource(lattice, resolution=32).payload((0, 1))
         assert a != b
 
     def test_different_keys_differ(self, lattice):
@@ -56,16 +59,17 @@ class TestSyntheticSource:
         """The calibrated generator must land near the paper's 5-7x."""
         src = SyntheticSource(lattice, resolution=200)
         payload = src.payload((1, 1))
-        ratio = src.raw_size() / len(payload)
+        ratio = ViewSet.payload_size(lattice.l, 200) / len(payload)
         assert 4.0 < ratio < 8.5
 
     def test_noise_fraction_controls_ratio(self, lattice, monkeypatch):
         monkeypatch.setattr(source_module, "NOISE_FRACTION", 0.0)
         smooth = SyntheticSource(lattice, resolution=96)
-        r_smooth = smooth.raw_size() / len(smooth.payload((0, 0)))
+        raw = ViewSet.payload_size(lattice.l, 96)
+        r_smooth = raw / len(smooth.payload((0, 0)))
         monkeypatch.setattr(source_module, "NOISE_FRACTION", 0.5)
         noisy = SyntheticSource(lattice, resolution=96)
-        r_noisy = noisy.raw_size() / len(noisy.payload((0, 0)))
+        r_noisy = raw / len(noisy.payload((0, 0)))
         assert r_smooth > r_noisy
 
     def test_silhouette_background_is_black(self, lattice):
@@ -78,10 +82,6 @@ class TestSyntheticSource:
     def test_validation(self, lattice):
         with pytest.raises(ValueError):
             SyntheticSource(lattice, resolution=0)
-
-    def test_raw_size_matches_wire_format(self, lattice):
-        src = SyntheticSource(lattice, resolution=32)
-        assert src.raw_size() == ViewSet.payload_size(lattice.l, 32)
 
 
 #: sha256 over the per-payload sha256 digests, in ``all_viewsets()`` order, of
@@ -131,9 +131,9 @@ class TestPayloadBytesPinned:
         vj=st.integers(0, 11),
     )
     def test_equals_reference(self, resolution, l, noise, seed, vi, vj):
-        src = SyntheticSource(CameraLattice(6 * l, 12 * l, l), resolution,
-                              seed=seed)
-        with patch.object(source_module, "NOISE_FRACTION", noise):
+        src = SyntheticSource(CameraLattice(6 * l, 12 * l, l), resolution)
+        with patch.object(source_module, "NOISE_FRACTION", noise), \
+                patch.object(source_module, "SEED", seed):
             assert src.viewset((vi, vj)) == reference_viewset(src, (vi, vj))
 
 

@@ -186,8 +186,6 @@ def test_stats_count_frames_rays_and_runs():
             want.rays += len(u)
             want.runs += len(np.unique(lead))
         assert synth.stats == want, mode
-        assert synth.stats.runs_per_frame == want.runs / len(cameras)
-    assert SynthesisStats().runs_per_frame == 0.0
 
 
 class _WrongKeyProvider(DictProvider):

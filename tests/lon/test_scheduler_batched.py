@@ -233,7 +233,7 @@ class TestRegistryCancelResubmit:
 
         reg.register("k", "staging", Priority.STAGING, cancel_cb=teardown)
         assert reg.cancel("k")
-        assert reg.get("k") is fresh["entry"]
+        assert reg._entries["k"] is fresh["entry"]
         assert "k" in reg
 
     def test_non_resubmitting_teardown_still_dropped(self):

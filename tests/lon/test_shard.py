@@ -115,7 +115,7 @@ def sharded_run(workers, cross_shard_fraction=0.0):
         base=SessionConfig(case=3, n_accesses=6, trace_seed=11),
         n_clients=4, cross_shard_fraction=cross_shard_fraction)
     source = SyntheticSource(CameraLattice(n_theta=12, n_phi=24, l=3),
-                             resolution=32, seed=2003)
+                             resolution=32)
     return run_sharded_session(source, config, n_shards=2, workers=workers,
                                collect_streams=True)
 

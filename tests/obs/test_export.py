@@ -41,7 +41,7 @@ def _sample_tracer():
     pf.finish(t=0.8, source="wan")
     t.instant("prefetch-decision", cursor=3)
     clock.now = 0.5
-    t.counter("link.wan.utilization", 0.7)
+    t.row(("link.wan.utilization",), (0.7,))
     clock.now = 10.0
     return t
 
@@ -143,3 +143,21 @@ def test_render_report_text(tmp_path):
     assert "1 more accesses" in text
     no_wf = trace_report(str(out), waterfall=False)
     assert "waterfall" not in no_wf
+
+
+def test_waterfall_bars_of_a_block_line_up():
+    """A stage name longer than the rest (a traced transfer's) moves every
+    bar of its block, not its own alone; a stitched root shows its client."""
+    t = Tracer(SimpleNamespace(now=1.0))
+    root = t.begin("access:v1", t=0.0, category="access", index=0,
+                   viewset="v1", client="client-7")
+    for name, start in (("request-rpc", 0.0),
+                        ("xfer:to-client:vs-1-5-and-then-some", 0.2),
+                        ("decompress", 0.6)):
+        t.record(name, start, start + 0.2, parent=root, category="stage")
+    root.finish(t=1.0)
+    lines = render_waterfall(t.span_dicts()).splitlines()
+    assert "client=client-7" in lines[0]
+    bars = [line for line in lines[1:] if "|" in line]
+    assert len(bars) == 3
+    assert len({line.index("|") for line in bars}) == 1

@@ -16,7 +16,7 @@ def _worker(label, n_spans, client):
         tracer.begin("fetch", parent=root, t=float(i)).finish(t=i + 0.4)
         root.finish(t=i + 0.5)
         clock.now = float(i)
-        tracer.counter(f"{label}.queue", float(i))
+        tracer.row((f"{label}.queue",), (float(i),))
     return export_telemetry(label, tracer)
 
 
@@ -47,7 +47,8 @@ class TestStitch:
     def test_clients_collected_from_span_attrs(self):
         fleet = stitch([_worker("shard0", 1, "client-0"),
                         _worker("shard1", 1, "client-7")])
-        assert fleet.clients() == ["client-0", "client-7"]
+        assert [s["attrs"]["client"] for s in fleet.spans
+                if "client" in s["attrs"]] == ["client-0", "client-7"]
 
     def test_counters_keep_namespaced_series(self):
         fleet = stitch([_worker("shard0", 1, "c0"),

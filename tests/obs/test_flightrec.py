@@ -41,7 +41,7 @@ class TestRing:
         rec = FlightRecorder().attach(tracer)
         for i in range(20):
             clock.now = float(i)
-            tracer.counter("q", float(i))
+            tracer.row(("q",), (float(i),))
         dump = rec.trigger("test")
         assert len(dump["counters"]) == 8
         assert dump["counters"][0]["value"] == 12.0

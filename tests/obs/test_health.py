@@ -128,7 +128,5 @@ class TestFleetHealth:
         assert 0.0 <= fh.qgr <= 1.0
         assert fh.demand_miss_p99_s >= fh.demand_miss_p50_s
         assert fh.load_skew_max_over_mean == pytest.approx(1.8)
-        d = fh.to_dict()
-        assert d["n_clients"] == 1
-        assert [x["name"] for x in d["depots"]] == [
+        assert [d.name for d in fh.depots] == [
             "shard0.depot.d0", "shard0.depot.d1"]

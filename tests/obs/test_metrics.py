@@ -61,7 +61,7 @@ def test_histogram_empty_and_bad_args():
 
 def test_registry_snapshot_shape():
     t = Tracer(clock=lambda: 0.0)
-    t.counter("b", 1.5)
+    t.row(("b",), (1.5,))
     t.record("access:v1", 0.0, 0.01, category="access",
              source="wan", total_latency=0.01)
     t.record("access:v2", 1.0, 1.0001, category="access",

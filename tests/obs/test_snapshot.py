@@ -63,7 +63,7 @@ def _tracer(label, accesses, samples):
                         total_latency=latency)
     for k, (series, value) in enumerate(samples):
         clock.now = 0.5 * k
-        tracer.counter(f"{label}depot.d{series}.queue_depth", value)
+        tracer.row((f"{label}depot.d{series}.queue_depth",), (value,))
     clock.now = 200.0
     tracer.finish_open()
     return tracer

@@ -163,7 +163,7 @@ class TestStats:
         assert sa.skipped_rays > 0 and sb.skipped_rays == 0
         assert sa.marched_rays + sa.skipped_rays <= sa.rays
         assert 0 < sa.steps < sb.steps
-        assert sa.steps_per_ray < sb.steps_per_ray
+        assert sa.steps / sa.rays < sb.steps / sb.rays
 
     def test_prepare_idempotent_and_off_when_disabled(self):
         vol = neg_hip(size=16)

@@ -96,7 +96,7 @@ class TestOrbitCamera:
     def test_eye_on_sphere_looking_inward(self, theta, phi):
         cam = orbit_camera(theta, phi, radius=5.0, resolution=4)
         assert np.linalg.norm(cam.eye) == pytest.approx(5.0)
-        _, _, forward = cam.basis
+        _, _, forward = cam._basis
         # looking at the origin: forward ≈ -eye/|eye|
         np.testing.assert_allclose(forward, -cam.eye / 5.0, atol=1e-9)
 

@@ -17,7 +17,7 @@ from repro.render.image import (
     to_float,
     to_uint8,
 )
-from repro.render.parallel import ParallelRenderer, default_worker_count
+from repro.render.parallel import ParallelRenderer
 from repro.render.raycast import RaycastRenderer
 from repro.volume.synthetic import neg_hip
 from repro.volume.transfer import preset
@@ -131,9 +131,6 @@ class TestParallelRenderer:
         vol, tf, _ = scene
         with pytest.raises(ValueError):
             ParallelRenderer(vol, tf, workers=0)
-
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
 
     def test_shared_memory_render_many_matches_serial(self, scene,
                                                       small_bundles):

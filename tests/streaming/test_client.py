@@ -41,10 +41,11 @@ class TestClientResidency:
         sources = [a.source for a in rig.metrics.accesses]
         assert sources[2] is AccessSource.CLIENT_RESIDENT
 
-    def test_eviction_beyond_capacity(self):
+    def test_eviction_beyond_capacity(self, monkeypatch):
+        monkeypatch.setattr(client_module, "RESIDENT_CAPACITY", 1)
         lattice = CameraLattice(n_theta=6, n_phi=12, l=3)
         source = SyntheticSource(lattice, resolution=32)
-        rig = build_rig(source, SessionConfig(case=1, resident_capacity=1))
+        rig = build_rig(source, SessionConfig(case=1))
         trace = samples_for_keys(
             lattice, [(0, 0), (0, 1), (0, 0)], period=3.0
         )
@@ -67,8 +68,6 @@ class TestClientResidency:
     def test_validation(self):
         lattice = CameraLattice(n_theta=6, n_phi=12, l=3)
         source = SyntheticSource(lattice, resolution=32)
-        with pytest.raises(ValueError):
-            build_rig(source, SessionConfig(case=1, resident_capacity=0))
         with pytest.raises(ValueError):
             build_rig(source,
                       SessionConfig(case=1, cpu_seconds_per_byte=-1e-9))
@@ -100,7 +99,7 @@ class TestDecodeOnDemand:
         monkeypatch.setattr(client_module, "codec_for_payload", counting)
         lattice = CameraLattice(n_theta=6, n_phi=12, l=3)
         source = SyntheticSource(lattice, resolution=32)
-        rig = build_rig(source, SessionConfig(case=1, resident_capacity=2))
+        rig = build_rig(source, SessionConfig(case=1))
         rig.client.schedule_trace(samples_for_keys(
             lattice, [(0, 0), (0, 1), (0, 2)], period=3.0))
         rig.queue.run_until(60.0)

@@ -207,8 +207,8 @@ class TestClientAgent:
         rig.queue.run()
         agent.request("vs-0-1", lambda *a: None)
         rig.queue.run()
-        assert not agent.cached("vs-0-0")  # evicted
-        assert agent.cached("vs-0-1")
+        assert "vs-0-0" not in agent._payloads  # evicted
+        assert "vs-0-1" in agent._payloads
         assert agent.stats.evictions >= 1
 
     def test_prefetch_marks_and_counts(self):

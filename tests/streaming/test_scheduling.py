@@ -9,9 +9,10 @@ from collections import Counter
 
 import pytest
 
-from repro.lightfield.lattice import CameraLattice
+from repro.lightfield.lattice import CameraLattice, parse_viewset_id
 from repro.lightfield.source import SyntheticSource
 from repro.lon.scheduler import Priority
+from repro.streaming import agent as agent_module
 from repro.streaming.metrics import AccessSource
 from repro.streaming.session import SessionConfig, build_rig, run_session
 
@@ -39,10 +40,11 @@ class TestCrossLayerDedup:
         reg = rig.lors.scheduler.registry
         rig.staging.start()
         assert advance_until(
-            rig.queue, lambda: len(rig.staging._inflight_keys) > 0
+            rig.queue, lambda: rig.staging._in_flight
         )
-        vid, key = next(iter(rig.staging._inflight_keys.items()))
-        assert reg.get(vid).kind == "staging"
+        vid = min(rig.staging._in_flight)
+        key = parse_viewset_id(vid)
+        assert reg._entries[vid].kind == "staging"
         rig.client_agent.prefetch([key])
         assert rig.client_agent.stats.deduped == 1
         assert reg.stats.deduped >= 1
@@ -58,7 +60,7 @@ class TestCrossLayerDedup:
         agent.prefetch([(0, 0)])
         vid = src.lattice.viewset_id((0, 0))
         assert advance_until(rig.queue, lambda: vid in reg, limit=10.0)
-        assert reg.get(vid).kind == "prefetch"
+        assert reg._entries[vid].kind == "prefetch"
         # make (0, 0) the pump's next pick, then let it collide
         rig.staging.update_cursor((0, 0))
         rig.staging.start()
@@ -68,7 +70,7 @@ class TestCrossLayerDedup:
         # exactly one party moved the bytes across the WAN
         assert agent.stats.wan_fetches <= 1
         rig.queue.run_until(rig.queue.now + 120.0)
-        assert agent.cached(vid)
+        assert vid in agent._payloads
 
     def test_overlap_produces_single_wan_fetch(self):
         """Regression: demand + staging overlap must not double-fetch."""
@@ -76,9 +78,10 @@ class TestCrossLayerDedup:
         rig = build_rig(src, SessionConfig(case=3))
         rig.staging.start()
         assert advance_until(
-            rig.queue, lambda: len(rig.staging._inflight_keys) > 0
+            rig.queue, lambda: rig.staging._in_flight
         )
-        vid, key = next(iter(rig.staging._inflight_keys.items()))
+        vid = min(rig.staging._in_flight)
+        key = parse_viewset_id(vid)
         got = []
         rig.client_agent.request(
             vid, lambda p, s, c: got.append((p, s, c))
@@ -103,15 +106,16 @@ class TestPromotion:
         reg = rig.lors.scheduler.registry
         rig.staging.start()
         assert advance_until(
-            rig.queue, lambda: len(rig.staging._inflight_keys) > 0
+            rig.queue, lambda: rig.staging._in_flight
         )
-        vid, key = next(iter(rig.staging._inflight_keys.items()))
+        vid = min(rig.staging._in_flight)
+        key = parse_viewset_id(vid)
         got = []
         rig.client_agent.request(vid, lambda p, s, c: got.append(p))
         # promoted in place — same registry entry, now DEMAND-hot
         assert reg.stats.promoted == 1
         assert rig.client_agent.stats.promoted == 1
-        assert reg.get(vid).priority is Priority.DEMAND
+        assert reg._entries[vid].priority is Priority.DEMAND
         assert rig.staging.stats.promoted == 1
         rig.queue.run_until(rig.queue.now + 120.0)
         assert got and got[0] == src.payload(key)
@@ -131,7 +135,7 @@ class TestPromotion:
         agent.request(vid, lambda p, s, c: got.append(p))
         assert agent.stats.coalesced == 1
         assert agent.stats.promoted == 1
-        assert reg.get(vid).priority is Priority.DEMAND
+        assert reg._entries[vid].priority is Priority.DEMAND
         assert agent._flights[vid].priority is Priority.DEMAND
         rig.queue.run()
         assert got and got[0] == src.payload((0, 0))
@@ -139,11 +143,10 @@ class TestPromotion:
 
 
 class TestRetargetCancellation:
-    def test_cursor_move_cancels_stale_prefetch(self):
+    def test_cursor_move_cancels_stale_prefetch(self, monkeypatch):
+        monkeypatch.setattr(agent_module, "PREFETCH_CANCEL_BEYOND", 0)
         src = tiny_source()
-        rig = build_rig(
-            src, SessionConfig(case=2, prefetch_cancel_beyond=0)
-        )
+        rig = build_rig(src, SessionConfig(case=2))
         agent = rig.client_agent
         reg = rig.lors.scheduler.registry
         agent.prefetch([(1, 2)])
@@ -153,48 +156,7 @@ class TestRetargetCancellation:
         assert vid not in reg
         assert agent.stats.cancelled == 1
         rig.queue.run_until(rig.queue.now + 60.0)
-        assert not agent.cached(vid)
-
-    def test_cursor_move_retargets_staging_and_cancels_far_copies(self):
-        src = tiny_source()
-        rig = build_rig(
-            src, SessionConfig(case=3, staging_cancel_beyond=0)
-        )
-        reg = rig.lors.scheduler.registry
-        rig.staging.update_cursor((0, 0))
-        rig.staging.start()
-        assert advance_until(
-            rig.queue, lambda: len(rig.staging._inflight_keys) > 0
-        )
-        # every in-flight copy is farther than 0 from a fresh far cursor
-        before = reg.stats.cancelled
-        rig.staging.update_cursor((1, 2))
-        assert reg.stats.cancelled > before
-        # cancelled keys are requeued, not lost: the database still
-        # localizes fully
-        rig.queue.run_until(rig.queue.now + 400.0)
-        rows, cols = src.lattice.n_viewsets
-        assert rig.staging.stats.staged == rows * cols
-
-    def test_promoted_staging_survives_retarget(self):
-        """A user is waiting on it — retarget must not cancel it."""
-        src = tiny_source()
-        rig = build_rig(
-            src, SessionConfig(case=3, staging_cancel_beyond=0)
-        )
-        reg = rig.lors.scheduler.registry
-        rig.staging.start()
-        assert advance_until(
-            rig.queue, lambda: len(rig.staging._inflight_keys) > 0
-        )
-        vid, key = next(iter(rig.staging._inflight_keys.items()))
-        got = []
-        rig.client_agent.request(vid, lambda p, s, c: got.append(p))
-        assert reg.get(vid).priority is Priority.DEMAND
-        rig.staging.update_cursor((1, 2))  # far away from everything
-        assert vid in reg  # demand-promoted copy kept alive
-        rig.queue.run_until(rig.queue.now + 120.0)
-        assert got and got[0] == src.payload(key)
+        assert vid not in agent._payloads
 
 
 class TestPerPathRouting:

@@ -26,7 +26,7 @@ LATTICE = CameraLattice(n_theta=12, n_phi=24, l=3)
 
 
 def _source():
-    return SyntheticSource(LATTICE, resolution=32, seed=2003)
+    return SyntheticSource(LATTICE, resolution=32)
 
 
 def _config(case, **kw):
@@ -95,7 +95,7 @@ class CountingSource(SyntheticSource):
 def test_a_run_asks_the_source_for_each_payload_once(run):
     """``pre_distribute`` synthesizes every payload while wiring; no run
     function asks for them again."""
-    source = CountingSource(LATTICE, resolution=32, seed=2003)
+    source = CountingSource(LATTICE, resolution=32)
     run(source, MultiClientConfig(base=_config(3), n_clients=2))
     assert source.calls == dict.fromkeys(LATTICE.all_viewsets(), 1)
 

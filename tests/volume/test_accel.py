@@ -86,7 +86,7 @@ class TestMacrocellGrid:
         grid = MacrocellGrid.build(vol, cell_size=4)
         cs = grid.cell_size
         data = vol.data
-        for c in np.ndindex(grid.shape):
+        for c in np.ndindex(grid.minv.shape):
             sl = tuple(
                 slice(ci * cs, min((ci + 1) * cs + 1, n))
                 for ci, n in zip(c, data.shape)
@@ -101,7 +101,7 @@ class TestMacrocellGrid:
         data = np.zeros((9, 9, 9), dtype=np.float32)
         data[4, 4, 4] = 1.0  # voxel 4 is the boundary plane for cs=4
         grid = MacrocellGrid.build(VolumeGrid(data), cell_size=4)
-        assert grid.shape == (2, 2, 2)
+        assert grid.minv.shape == (2, 2, 2)
         assert grid.maxv[0, 0, 0] == 1.0
         assert grid.maxv[1, 1, 1] == 1.0
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.volume import synthetic
 from repro.volume.synthetic import (
     gaussian_blobs,
     hydrogen_orbital,
@@ -40,14 +41,17 @@ class TestNegHip:
         assert lo == pytest.approx(0.0)
         assert hi == pytest.approx(1.0)
 
-    def test_deterministic_by_seed(self):
-        a = neg_hip(size=16, seed=5)
-        b = neg_hip(size=16, seed=5)
+    def test_deterministic_by_seed(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "NEG_HIP_SEED", 5)
+        a = neg_hip(size=16)
+        b = neg_hip(size=16)
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_different_seeds_differ(self):
-        a = neg_hip(size=16, seed=5)
-        b = neg_hip(size=16, seed=6)
+    def test_different_seeds_differ(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "NEG_HIP_SEED", 5)
+        a = neg_hip(size=16)
+        monkeypatch.setattr(synthetic, "NEG_HIP_SEED", 6)
+        b = neg_hip(size=16)
         assert not np.array_equal(a.data, b.data)
 
     def test_structure_is_interior(self):
