@@ -347,11 +347,11 @@ def builtin_specs() -> Dict[str, SweepSpec]:
             title="Section 4.1 — database generation",
             scenario=f"{_S}.generation_zlib_point",
             points=[
-                {"stage": "kernel", SCENARIO_KEY: f"{_S}.generation_kernel_point"},
-                {"stage": "zlib-1", "level": 1},
-                {"stage": "zlib-6", "level": 6},
-                {"stage": "zlib-9", "level": 9},
-                {"stage": "viewset", SCENARIO_KEY: f"{_S}.generation_viewset_point"},
+                {SCENARIO_KEY: f"{_S}.generation_kernel_point"},
+                {"level": 1},
+                {"level": 6},
+                {"level": 9},
+                {SCENARIO_KEY: f"{_S}.generation_viewset_point"},
             ],
             artifact="generation",
             assemble=f"{_A}.assemble_generation",
@@ -383,9 +383,8 @@ def builtin_specs() -> Dict[str, SweepSpec]:
                 [{
                     "resolution": 48 if small else 64,
                     "n_accesses": 20 if small else 30,
-                    "repeats": 3,
                 }]
-                + [{"n_clients": n, "n_shards": 8,
+                + [{"n_clients": n,
                     SCENARIO_KEY: f"{_S}.fleet_observability_point"}
                    for n in ([8, 64] if small else [8, 64, 256])]
             ),
@@ -407,26 +406,24 @@ def builtin_specs() -> Dict[str, SweepSpec]:
             title="Design-choice ablations",
             scenario="",
             points=(
-                [{"family": "prefetch", "policy": p, "case": 2,
-                  "resolution": res0,
+                [{"policy": p, "resolution": res0,
                   SCENARIO_KEY: f"{_S}.prefetch_arm"}
                  for p in ("quadrant", "all-neighbors", "none")]
-                + [{"family": "staging", "order": o, "concurrency": c,
+                + [{"order": o, "concurrency": c,
                     "resolution": res1,
                     SCENARIO_KEY: f"{_S}.staging_arm"}
                    for o in ("proximity", "fifo") for c in (1, 4, 8)]
-                + [{"family": "stripe", "width": w, "resolution": res0,
+                + [{"width": w, "resolution": res0,
                     SCENARIO_KEY: f"{_S}.stripe_arm"}
                    for w in (1, 2, 3)]
-                + [{"family": "codec", "codec": c,
+                + [{"codec": c,
                     "resolution": 64 if small else 128,
                     SCENARIO_KEY: f"{_S}.codec_arm"}
                    for c in ("zlib-1", "zlib-6", "zlib-9", "delta-zlib-6")]
-                + [{"family": "agent_cache", "payloads": b, "case": 2,
-                    "resolution": res0,
+                + [{"payloads": b, "resolution": res0,
                     SCENARIO_KEY: f"{_S}.agent_cache_arm"}
                    for b in (2, 6, 0)]
-                + [{"family": "viewset_size", "l": l,
+                + [{"l": l,
                     "resolution": 64 if small else 128,
                     SCENARIO_KEY: f"{_S}.viewset_size_arm"}
                    for l in (2, 3, 6)]

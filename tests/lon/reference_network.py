@@ -19,6 +19,7 @@ imports.  ``stats.full_recomputes`` counts the oracle's passes.
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.lon.network import AdmissionPlan, Flow, Network
+from repro.lon.simtime import EventQueue
 
 
 def reference_maxmin_rates(
@@ -124,6 +125,12 @@ def accounting_matches_membership(net: Network) -> bool:
             f"row {row}: {net._row_unc[row]} uncapped counted, {unc} present")
         assert net._row_over[row] == (unc > 0 or got > bw), f"row {row}: over"
     return True
+
+
+def step(queue: EventQueue) -> bool:
+    """Fire the next due event, if any: the one place tests single-step the
+    queue's private dispatch loop (production only runs it to a horizon)."""
+    return queue._dispatch(float("inf"), 1) == 1
 
 
 class ReferenceNetwork(Network):
