@@ -393,6 +393,10 @@ class Network:
         self._row_capload: List[float] = []
         self._row_unc: List[int] = []
         self._row_over: List[bool] = []
+        # link_utilization's read order: the (a, b) pairs sorted, and each
+        # row's slot in them with its link; rebuilt after add_link
+        self._utilization_order: Optional[Tuple[
+            Tuple[Tuple[str, str], ...], Dict[int, Tuple[int, Link]]]] = None
 
     # ------------------------------------------------------------------
     # topology
@@ -407,6 +411,7 @@ class Network:
         """Create a duplex link; replaces any existing a<->b link."""
         link = Link(a=a, b=b, bandwidth=bandwidth, latency=latency)
         self._links[link.key] = link
+        self._utilization_order = None
         self._join(a, b, latency)
         self._route_cache.clear()
         self._path_cache.clear()
@@ -566,8 +571,12 @@ class Network:
             return self.RPC_OVERHEAD
         return 2.0 * self.path_latency(src, dst) + self.RPC_OVERHEAD
 
-    def link_utilization(self) -> Dict[Tuple[str, str], float]:
-        """Instantaneous utilization (allocated rate / capacity) per link.
+    def link_utilization(
+        self,
+    ) -> Tuple[Tuple[Tuple[str, str], ...], Tuple[float, ...]]:
+        """Instantaneous utilization (allocated rate / capacity) per link,
+        as ``(links, values)``: every link's ``(a, b)`` pair, sorted, and
+        its utilization at the same index.
 
         Served from the rebalancer's cached membership and rate map (after
         flushing any pending rebalance) instead of re-deriving fair shares,
@@ -575,19 +584,27 @@ class Network:
         propagation tail consume no bandwidth; a downed link reads 0.
         Values are clamped to [0, 1] (transient float excess from
         water-filling rounds down).  Only a link with contending members
-        is summed; the rest read 0.0 (the obs link sampler calls this
-        every tick).
+        is summed; the rest read 0.0.  ``links`` is the same tuple object
+        until :meth:`add_link` runs, so the obs link sampler, which calls
+        this every tick, names its series once.
         """
         self.flush()
-        members = self._members
-        row_of = self._row_of
-        out: Dict[Tuple[str, str], float] = {}
-        for key, link in self._links.items():
-            row = row_of[key]
-            out[(link.a, link.b)] = (
-                min(1.0, self._row_load(row) / link.bandwidth)
-                if link.up and row in members else 0.0)
-        return out
+        order = self._utilization_order
+        if order is None:
+            ordered = sorted(self._links.values(),
+                             key=lambda link: (link.a, link.b))
+            order = self._utilization_order = (
+                tuple((link.a, link.b) for link in ordered),
+                {self._row_of[link.key]: (i, link)
+                 for i, link in enumerate(ordered)},
+            )
+        links, slot_of = order
+        values = [0.0] * len(links)
+        for row in self._members:
+            i, link = slot_of[row]
+            if link.up:
+                values[i] = min(1.0, self._row_load(row) / link.bandwidth)
+        return links, tuple(values)
 
     def _row_load(self, row: int) -> float:
         """Allocated rate over one link row (bytes/s), as of the last

@@ -247,7 +247,8 @@ class InFlightRegistry:
             return False
         entry.priority = priority
         self.stats.promoted += 1
-        entry.span.event("promoted", priority=Priority(priority).name)
+        if entry.span is not NOOP_SPAN:
+            entry.span.event("promoted", priority=Priority(priority)._name_)
         if entry.promote_cb is not None:
             entry.promote_cb(priority)
         return True
@@ -426,9 +427,10 @@ class TransferScheduler:
                 parent=spec.span,
                 category="transfer",
                 src=spec.src, dst=spec.dst, bytes=spec.size,
-                priority=priority.name,
+                priority=priority._name_,
             )
-        self._emit("queued", handle)
+        if self.on_event is not None:
+            self._emit("queued", handle)
         self.stats.submitted += 1
         on_complete = spec.on_complete
         on_fail = spec.on_fail
@@ -505,8 +507,10 @@ class TransferScheduler:
     def _retire(self, handle: TransferHandle, event: str,
                 detail: str = "") -> None:
         self._active.pop(handle, None)
-        self._emit(event, handle, detail=detail)
-        handle.span.finish(state=handle.state)
+        if self.on_event is not None:
+            self._emit(event, handle, detail=detail)
+        if handle.span is not NOOP_SPAN:
+            handle.span.finish(state=handle.state)
         if self.policy == "strict":
             self._apply_strict()
 
@@ -548,11 +552,11 @@ class TransferScheduler:
     def _emit(self, event: str, handle: TransferHandle,
               detail: str = "") -> None:
         span = handle.span
-        if self.on_event is None and span is NOOP_SPAN:
-            return  # nobody records this step
-        # span events are kept distinct from the open/close pair; "queued"
-        # and the terminal event already bound the span itself
-        if event not in ("queued", "completed", "cancelled", "failed"):
+        # span events are kept distinct from the open/close pair: "queued"
+        # and the terminal events, which come here only for ``on_event``,
+        # already bound the span itself
+        if span is not NOOP_SPAN and event not in (
+                "queued", "completed", "cancelled", "failed"):
             span.event(event, detail=detail)
         if self.on_event is None:
             return

@@ -248,21 +248,19 @@ class ShardedResult(RunTotals):
         """Per-client metrics in global client order."""
         return [m for s in self.shards for m in s.per_client]
 
-    def _per_shard(self, attr: str, missing: str) -> List[Any]:
-        """Every shard's optional ``attr`` in shard order; all must have it."""
-        for s in self.shards:
-            if getattr(s, attr) is None:
-                raise ValueError(f"shard {s.shard_id} {missing}")
-        return [getattr(s, attr) for s in self.shards]
-
     def telemetries(self) -> List[WorkerTelemetry]:
         """Every shard's :class:`WorkerTelemetry`, in shard order.
 
         Requires the run to have been traced (``base.tracing=True``).
         """
-        return self._per_shard(
-            "telemetry", "ran without tracing; enable config.base.tracing "
-                         "to stitch a fleet trace")
+        out = []
+        for s in self.shards:
+            if s.telemetry is None:
+                raise ValueError(
+                    f"shard {s.shard_id} ran without tracing; enable "
+                    "config.base.tracing to stitch a fleet trace")
+            out.append(s.telemetry)
+        return out
 
     def stitched(self) -> FleetTrace:
         """Merge every shard's telemetry into one fleet timeline (the

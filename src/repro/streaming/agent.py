@@ -43,6 +43,8 @@ __all__ = ["ClientAgent", "AgentStats"]
 
 #: data-access latency of an agent cache hit (memory copy), Figure 12's floor
 HIT_LATENCY = 1e-4
+#: network node of the DVS the agents (and their staging pumps) query
+DVS_NODE = "dvs"
 
 #: on a cursor retarget, in-flight prefetches farther than this view-set
 #: grid distance from the new cursor are cancelled
@@ -109,7 +111,6 @@ class ClientAgent:
         network: Network,
         lors: LoRS,
         dvs: DVSServer,
-        dvs_node: str,
         lattice: CameraLattice,
         server_agents: Optional[Dict[str, ServerAgent]] = None,
         cache_bytes: Optional[int] = None,
@@ -123,7 +124,6 @@ class ClientAgent:
         self.scheduler = lors.scheduler
         self.registry: InFlightRegistry = lors.scheduler.registry
         self.dvs = dvs
-        self.dvs_node = dvs_node
         self.lattice = lattice
         self.server_agents = dict(server_agents or {})
         self.cache_bytes = cache_bytes
@@ -274,6 +274,8 @@ class ClientAgent:
         Demand fetches hang under the client's access span; prefetches have
         no demand parent and become roots in the "prefetch" track.
         """
+        if not self.tracer.enabled:
+            return NOOP_SPAN
         return self.tracer.begin(
             f"fetch:{vid}",
             parent=parent,
@@ -355,19 +357,21 @@ class ClientAgent:
             self._download_classified(vid, exnode)
             return
         # DVS query: RPC to the DVS node + hierarchical lookup delay
-        delay = self.network.rpc_delay(self.node, self.dvs_node)
+        delay = self.network.rpc_delay(self.node, DVS_NODE)
         flight = self._flights.get(vid)
         fspan = flight.span if flight is not None else NOOP_SPAN
-        dvs_span = fspan.child("dvs-query", viewset=vid)
+        dvs_span = (fspan.child("dvs-query", viewset=vid)
+                    if self.tracer.enabled else NOOP_SPAN)
 
         def do_query() -> None:
             result = self.dvs.query(vid)
 
             def after_lookup() -> None:
-                dvs_span.finish(
-                    found="exnode" if result.exnodes
-                    else ("server" if result.server_agent else "nothing"),
-                )
+                if dvs_span is not NOOP_SPAN:
+                    dvs_span.finish(
+                        found="exnode" if result.exnodes
+                        else ("server" if result.server_agent else "nothing"),
+                    )
                 if result.exnodes:
                     ex = result.exnodes[0].read_only_view()
                     self._exnodes[vid] = ex
@@ -468,13 +472,15 @@ class ClientAgent:
         self.registry.complete(vid, success=True)
         if flight is None:
             return
-        if self.tracer.enabled and any(not w.prefetch for w in flight.waiters):
-            # only demand deliveries leave a mark: the client's on_payload is
-            # the one consumer, so prefetch-only deliveries would leak stale
-            # boundary times into a later cache hit's stage spans
-            self._marks[vid] = {"t_first_flow": flight.t_first_flow}
-        flight.span.finish(source=source.value, bytes=len(payload),
-                           waiters=len(flight.waiters))
+        if self.tracer.enabled:
+            if not flight.prefetch_only:
+                # only demand deliveries leave a mark: the client's
+                # on_payload is the one consumer, so prefetch-only
+                # deliveries would leak stale boundary times into a later
+                # cache hit's stage spans
+                self._marks[vid] = {"t_first_flow": flight.t_first_flow}
+            flight.span.finish(source=source.value, bytes=len(payload),
+                               waiters=len(flight.waiters))
         if flight.prefetch_only:
             self._prefetched.add(vid)
         now = self.queue.now

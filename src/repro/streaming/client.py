@@ -25,7 +25,7 @@ from ..lightfield.lattice import CameraLattice, ViewSetKey
 from ..lightfield.viewset import ViewSet
 from ..lon.network import Network
 from ..lon.simtime import EventQueue
-from ..obs.tracer import NULL_TRACER, SpanLike, Tracer
+from ..obs.tracer import NOOP_SPAN, NULL_TRACER, SpanLike, Tracer
 from .agent import ClientAgent
 from .metrics import AccessRecord, AccessSource, SessionMetrics
 from .prefetch import PrefetchPolicy, QuadrantPolicy
@@ -199,10 +199,11 @@ class Client:
                 )
             )
             return
-        root = self.tracer.begin(f"access:{vid}", t=t0, category="access",
-                                 index=index, viewset=vid, client=self.node)
+        root: SpanLike = NOOP_SPAN
         if self.tracer.enabled:
-            self._access_spans[index] = root
+            root = self._access_spans[index] = self.tracer.begin(
+                f"access:{vid}", t=t0, category="access",
+                index=index, viewset=vid, client=self.node)
         pending = self._outstanding.get(vid)
         if pending is not None:
             # the user re-entered a view set that is still in flight: the

@@ -37,6 +37,8 @@ __all__ = ["GenerationRequest", "ServerAgent"]
 RENDER_SECONDS_PER_VIEWSET = 25.0
 #: lease on a view set's server-depot blocks: a day, the session's span
 LEASE_SECONDS = 24 * 3600.0
+#: network node the server agent (and its generator) lives at
+SERVER_NODE = "server"
 
 
 @dataclass
@@ -55,10 +57,10 @@ class GenerationRequest:
 class ServerAgent:
     """Front end for one or more generation servers.
 
+    It lives at :data:`SERVER_NODE`.
+
     Parameters
     ----------
-    node:
-        Network node the agent (and its generator) lives at.
     source:
         Where view-set payloads come from (rendered database or synthetic).
     depots:
@@ -67,7 +69,6 @@ class ServerAgent:
 
     def __init__(
         self,
-        node: str,
         queue: EventQueue,
         network: Network,
         lors: LoRS,
@@ -78,7 +79,6 @@ class ServerAgent:
         block_size: int = 1 << 20,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.node = node
         self.queue = queue
         self.network = network
         self.lors = lors
@@ -120,7 +120,7 @@ class ServerAgent:
             self.dvs.register_exnode(vid, exnode)
             out[vid] = exnode
             self.predistributed += 1
-        self.dvs.register_server_agent(self.node)
+        self.dvs.register_server_agent(SERVER_NODE)
         return out
 
     # ------------------------------------------------------------------
@@ -172,16 +172,17 @@ class ServerAgent:
         payload = self.source.payload(parse_viewset_id(req.vid))
         self.generated += 1
         now = self.queue.now
-        self.tracer.record("gen-queue-wait", req.arrival, t_started,
-                           parent=req.span, viewset=req.vid)
-        self.tracer.record("render", t_started, now,
-                           parent=req.span, viewset=req.vid,
-                           bytes=len(payload))
+        if self.tracer.enabled:
+            self.tracer.record("gen-queue-wait", req.arrival, t_started,
+                               parent=req.span, viewset=req.vid)
+            self.tracer.record("render", t_started, now,
+                               parent=req.span, viewset=req.vid,
+                               bytes=len(payload))
         if req.on_first_flow is not None:
             req.on_first_flow(now)
         # 1. direct copy to the requesting client agent (a user waits on it)
         self.lors.scheduler.submit(
-            self.node,
+            SERVER_NODE,
             req.reply_node,
             len(payload),
             on_complete=lambda fl: req.on_payload(payload),
@@ -193,7 +194,7 @@ class ServerAgent:
         up = self.lors.upload(
             req.vid,
             payload,
-            self.node,
+            SERVER_NODE,
             self.depots,
             stripe_width=self.stripe_width,
             block_size=self.block_size,

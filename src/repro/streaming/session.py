@@ -43,12 +43,12 @@ from ..lon.scheduler import (
 from ..lon.simtime import Event, EventQueue
 from ..obs.samplers import PeriodicSampler, standard_samplers
 from ..obs.tracer import Tracer
-from .agent import ClientAgent
+from .agent import DVS_NODE, ClientAgent
 from .client import CPU_SECONDS_PER_BYTE, Client
 from .dvs import DVSServer
 from .metrics import SessionMetrics
 from .prefetch import policy_by_name
-from .server import ServerAgent
+from .server import SERVER_NODE, ServerAgent
 from .staging import StagingPump
 from .trace import CursorTrace, standard_trace
 
@@ -285,7 +285,7 @@ def wire_testbed(
             config.wan_latency,
         )
     wan_hosts = [f"ca-depot-{i}" for i in range(N_WAN_DEPOTS)]
-    wan_hosts += ["server", "dvs"]
+    wan_hosts += [SERVER_NODE, DVS_NODE]
     for h in wan_hosts:
         net.add_link(h, "wan-router", config.depot_access_bandwidth, 0.002)
 
@@ -311,7 +311,6 @@ def wire_testbed(
     dvs = DVSServer()
     home_depots = lan_depots if config.case == 1 else wan_depots
     server_agent = ServerAgent(
-        node="server",
         queue=queue,
         network=net,
         lors=lors,
@@ -344,9 +343,8 @@ def wire_testbed(
             network=net,
             lors=lors,
             dvs=dvs,
-            dvs_node="dvs",
             lattice=source.lattice,
-            server_agents={"server": server_agent},
+            server_agents={SERVER_NODE: server_agent},
             cache_bytes=config.agent_cache_bytes,
             max_streams=config.max_streams,
             tracer=tracer,

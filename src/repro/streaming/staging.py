@@ -25,8 +25,8 @@ from ..lon.ibp import Depot
 from ..lon.lors import CopyJob, Deferred, LoRS
 from ..lon.scheduler import Priority
 from ..lon.simtime import EventQueue, Process
-from ..obs.tracer import NULL_TRACER, Tracer
-from .agent import ClientAgent
+from ..obs.tracer import NOOP_SPAN, NULL_TRACER, Tracer
+from .agent import DVS_NODE, ClientAgent
 from .dvs import DVSServer
 
 __all__ = ["StagingPump", "StagingStats"]
@@ -157,8 +157,9 @@ class StagingPump:
                 self._pending.insert(0, key)
                 break
             self._in_flight.add(vid)
-            span = self.tracer.begin(f"stage:{vid}", category="staging",
-                                     viewset=vid)
+            span = (self.tracer.begin(f"stage:{vid}", category="staging",
+                                      viewset=vid)
+                    if self.tracer.enabled else NOOP_SPAN)
             self._spans[vid] = span
             self.registry.register(
                 vid, "staging", Priority.STAGING,
@@ -191,8 +192,7 @@ class StagingPump:
             self._copy(key, vid, exnode)
             return
         # third-party staging still needs the exNode: ask the DVS
-        delay = self.agent.network.rpc_delay(self.agent.node,
-                                             self.agent.dvs_node)
+        delay = self.agent.network.rpc_delay(self.agent.node, DVS_NODE)
 
         def do_query() -> None:
             result = self.dvs.query(vid)
