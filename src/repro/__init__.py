@@ -15,7 +15,7 @@ Subpackages
     Logistical Networking substrate: IBP depots, exNodes, L-Bone, LoRS over
     a discrete-event network simulator.
 ``repro.streaming``
-    The LoN-Enabled Browser: client/agent/server/DVS, quadrant prefetching,
+    The LoN-Enabled Browser: client/agent/DVS, quadrant prefetching,
     aggressive two-stage staging, and the Cases 1-3 session harness.
 ``repro.experiments``
     Drivers that regenerate every figure and in-text claim of Section 4.

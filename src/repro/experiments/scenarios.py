@@ -256,18 +256,19 @@ def _traced_cost(
     """Wall cost of ``run(tracing)`` off vs on, and the last traced result.
 
     Best (min) of ``repeats`` each — min, not mean, because the question
-    is intrinsic cost, and scheduler noise only ever adds time.
+    is intrinsic cost, and scheduler noise only ever adds time.  The
+    repeats run in pairs that alternate which side goes first (ABBA), so
+    host drift over the run lands on both sides, not in the ratio.
     """
-    def timed(tracing: bool) -> Tuple[float, _R]:
-        with wall_timer() as t:
-            out = run(tracing)
-        return t.seconds, out
-
-    untraced = min(timed(False)[0] for _ in range(repeats))
-    traced = float("inf")
-    for _ in range(repeats):
-        dt, result = timed(True)
-        traced = min(traced, dt)
+    best = {False: float("inf"), True: float("inf")}
+    for i in range(repeats):
+        for tracing in ((False, True) if i % 2 == 0 else (True, False)):
+            with wall_timer() as t:
+                out = run(tracing)
+            best[tracing] = min(best[tracing], t.seconds)
+            if tracing:
+                result = out
+    untraced, traced = best[False], best[True]
     return {
         "untraced_s": round(untraced, 6),
         "traced_s": round(traced, 6),
@@ -416,11 +417,8 @@ def generation_kernel_point(seed: int = 7) -> Row:
     import numpy as np
 
     from ..render.camera import orbit_camera
-    from ..render.raycast import (
-        MACROCELL_SIZE,
-        RaycastRenderer,
-        RenderSettings,
-    )
+    from ..render.raycast import RaycastRenderer, RenderSettings
+    from ..volume.accel import MACROCELL_SIZE
     from ..volume.synthetic import neg_hip
     from ..volume.transfer import preset
 

@@ -143,8 +143,7 @@ class LightFieldBuilder:
         """Render + compress view sets into a database.
 
         ``keys=None`` builds the complete lattice.  Passing a subset supports
-        the paper's runtime-generation mode (view sets rendered on demand)
-        and the extrapolated Figure 7 size measurement.
+        the extrapolated Figure 7 size measurement.
         """
         db = LightFieldDatabase(
             self.lattice,

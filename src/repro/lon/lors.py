@@ -583,15 +583,15 @@ class LoRS:
     # ------------------------------------------------------------------
     # online operations
     # ------------------------------------------------------------------
+    # no session uploads; kept because perf/trace.py wraps it by name
     def upload(
         self,
         name: str,
         data: bytes,
         source: str,
         depots: Sequence[Depot],
-        stripe_width: int = 1,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        duration: float = 3600.0,
+        stripe_width: int,
+        block_size: int,
     ) -> Deferred:
         """Asynchronous upload from ``source``: place + pay for the flows.
 
@@ -603,7 +603,7 @@ class LoRS:
         deferred = Deferred()
         try:
             exnode = self.place(name, data, depots, stripe_width,
-                                block_size=block_size, duration=duration)
+                                block_size=block_size)
         except (LoRSError, IBPError) as exc:
             deferred.reject(exc)
             return deferred

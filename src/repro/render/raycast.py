@@ -42,10 +42,9 @@ __all__ = ["BUNDLE_RAYS", "RaycastRenderer", "RenderSettings", "RenderStats"]
 
 # Most rays one ``render_rays`` call marches for ``render_many``, and most
 # points one ``_march`` pass samples while fewer rays than this are live.
-# Bundling views pays because a pass costs per call, not per ray; the
-# curve at 64², 200² and 400² (``benchmarks/bench_bundle_rays.py``, in
-# DESIGN.md §7) puts this within 20 % of the fastest cap everywhere.  A
-# view larger than this is its own bundle.
+# Bundling views pays because a pass costs per call, not per ray; the cap
+# table at 64², 200² and 400² (DESIGN.md §7) puts this within 20 % of the
+# fastest cap everywhere.  A view larger than this is its own bundle.
 BUNDLE_RAYS = 1 << 16
 
 
@@ -102,8 +101,6 @@ OPACITY_CUTOFF = 1e-3
 MAX_STEPS = 4096
 #: the colour a ray composites over
 BACKGROUND = 0.0
-#: macrocell edge, in voxels
-MACROCELL_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -176,9 +173,7 @@ class RaycastRenderer:
         if not self.settings.accelerated:
             return None
         if self._cells is None:
-            grid = MacrocellGrid.build(
-                self.volume, cell_size=MACROCELL_SIZE
-            )
+            grid = MacrocellGrid.build(self.volume)
             self._cells = grid.classify(self.transfer)
         return self._cells
 

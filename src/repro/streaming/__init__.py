@@ -1,5 +1,5 @@
 """The LoN-Enabled Browser of Image Based Databases: streaming model,
-client/agent/server roles, DVS name service, prefetching and aggressive
+client/agent roles over a pre-distributed database, DVS name service, prefetching and aggressive
 two-stage staging, plus the session harness for the paper's Cases 1-3.
 """
 
@@ -21,7 +21,6 @@ from .prefetch import (
     QuadrantPolicy,
     policy_by_name,
 )
-from .server import GenerationRequest, ServerAgent
 from .session import SessionConfig, SessionRig, build_rig, run_session
 from .staging import StagingPump, StagingStats
 from .trace import CursorSample, CursorTrace, standard_trace
@@ -37,7 +36,6 @@ __all__ = [
     "CursorTrace",
     "DVSResult",
     "DVSServer",
-    "GenerationRequest",
     "HIT_LATENCY",
     "MultiClientConfig",
     "MultiClientResult",
@@ -45,7 +43,6 @@ __all__ = [
     "NoPrefetchPolicy",
     "PrefetchPolicy",
     "QuadrantPolicy",
-    "ServerAgent",
     "SessionConfig",
     "SessionMetrics",
     "SessionRig",

@@ -9,9 +9,10 @@ modules".  Its request path mirrors the paper exactly:
    the LAN depot placed by aggressive staging: LoRS downloads from the LAN,
    bypassing "the relatively slower wide area network";
 3. **WAN** — otherwise the exNode's wide-area replicas serve the blocks
-   (multi-stream, replica-ranked by proximity);
-4. **server runtime** — the DVS knows no exNode: the request is forwarded to
-   the server agent for generation.
+   (multi-stream, replica-ranked by proximity).
+
+The database is pre-distributed, so the DVS knows every view set; a query it
+cannot answer fails the request loudly.
 
 All in-flight fetches live in the scheduler's shared
 :class:`~repro.lon.scheduler.InFlightRegistry`: duplicate requests coalesce
@@ -37,7 +38,6 @@ from ..lon.simtime import EventQueue
 from ..obs.tracer import NOOP_SPAN, NULL_TRACER, Tracer
 from .dvs import DVSServer
 from .metrics import AccessSource
-from .server import ServerAgent
 
 __all__ = ["ClientAgent", "AgentStats"]
 
@@ -59,7 +59,6 @@ class AgentStats:
     hits: int = 0
     lan_depot_fetches: int = 0
     wan_fetches: int = 0
-    server_generations: int = 0
     prefetches_issued: int = 0
     prefetch_hits: int = 0           # demand requests served by prefetched data
     coalesced: int = 0
@@ -112,7 +111,6 @@ class ClientAgent:
         lors: LoRS,
         dvs: DVSServer,
         lattice: CameraLattice,
-        server_agents: Optional[Dict[str, ServerAgent]] = None,
         cache_bytes: Optional[int] = None,
         max_streams: int = 8,
         tracer: Optional[Tracer] = None,
@@ -125,7 +123,6 @@ class ClientAgent:
         self.registry: InFlightRegistry = lors.scheduler.registry
         self.dvs = dvs
         self.lattice = lattice
-        self.server_agents = dict(server_agents or {})
         self.cache_bytes = cache_bytes
         self.max_streams = max_streams
         self._payloads: OrderedDict[str, bytes] = OrderedDict()
@@ -369,19 +366,14 @@ class ClientAgent:
             def after_lookup() -> None:
                 if dvs_span is not NOOP_SPAN:
                     dvs_span.finish(
-                        found="exnode" if result.exnodes
-                        else ("server" if result.server_agent else "nothing"),
-                    )
+                        found="exnode" if result.exnodes else "nothing")
                 if result.exnodes:
                     ex = result.exnodes[0].read_only_view()
                     self._exnodes[vid] = ex
                     self._download_classified(vid, ex)
-                elif result.server_agent is not None:
-                    self._generate(vid, result.server_agent)
                 else:
                     self._fail(vid, RuntimeError(
-                        f"DVS has no exNode or server agent for {vid}"
-                    ))
+                        f"DVS has no exNode for {vid}"))
 
             self.queue.schedule_in(result.lookup_delay, after_lookup,
                                    f"dvs-lookup:{vid}")
@@ -434,36 +426,6 @@ class ClientAgent:
             if self.lors.lbone.latency_from(self.node, depot.name) < 0.005:
                 out.append(depot.name)
         return out
-
-    def _generate(self, vid: str, agent_node: str) -> None:
-        server = self.server_agents.get(agent_node)
-        if server is None:
-            self._fail(vid, RuntimeError(
-                f"unknown server agent {agent_node!r} for {vid}"
-            ))
-            return
-        self.stats.server_generations += 1
-        flight = self._flights.get(vid)
-        fspan = flight.span if flight is not None else NOOP_SPAN
-
-        def note_first_flow(t: float) -> None:
-            if flight is not None and flight.t_first_flow is None:
-                flight.t_first_flow = t
-
-        delay = self.network.path_latency(self.node, agent_node)
-        self.queue.schedule_in(
-            delay,
-            lambda: server.request_viewset(
-                vid,
-                self.node,
-                lambda payload: self._deliver(
-                    vid, payload, AccessSource.SERVER_RUNTIME
-                ),
-                span=fspan,
-                on_first_flow=note_first_flow,
-            ),
-            f"gen-req:{vid}",
-        )
 
     def _deliver(self, vid: str, payload: bytes,
                  source: AccessSource) -> None:

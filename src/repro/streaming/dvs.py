@@ -1,8 +1,8 @@
 """Dictionary of View Sets (DVS): the system's name service.
 
-The DVS maps view-set identifiers to exNodes (one per replica) and, for view
-sets that have never been rendered, to the server agent responsible for
-generating them — "quite similar to the Domain Name Service" (Section 3.6).
+The DVS maps view-set identifiers to exNodes (one per replica) — "quite
+similar to the Domain Name Service" (Section 3.6).  The database is
+pre-distributed, so every view set is registered before a session starts.
 
 It is implemented hierarchically: queries enter at the root level and recurse
 toward leaves; each level that must be traversed adds a lookup delay, which
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..lon.exnode import ExNode
 
@@ -34,22 +34,18 @@ class DVSResult:
     """Outcome of a DVS query."""
 
     viewset_id: str
-    exnodes: List[ExNode]
-    server_agent: Optional[str]    # set when generation is required
+    exnodes: List[ExNode]          # empty when the view set is unknown
     levels_visited: int
     lookup_delay: float            # seconds of simulated service time
 
 
 class DVSServer:
-    """Hierarchical exNode tables plus the server agent that generates
-    what they lack."""
+    """Hierarchical exNode tables."""
 
     def __init__(self) -> None:
         # leaf tables: path tuple -> {vid: [exnodes]}
         self._exnode_tables: Dict[Tuple[int, ...], Dict[str, List[ExNode]]] = {}
-        self._agent: Optional[str] = None
         self.queries = 0
-        self.generation_referrals = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -68,33 +64,22 @@ class DVSServer:
         table = self._exnode_tables.setdefault(self._leaf_path(vid), {})
         table.setdefault(vid, []).append(exnode)
 
-    def register_server_agent(self, agent_node: str) -> None:
-        """Route generation requests to an agent."""
-        self._agent = agent_node
-
     # ------------------------------------------------------------------
     # query
     # ------------------------------------------------------------------
     def query(self, vid: str) -> DVSResult:
         """Resolve a view-set id.
 
-        Walks the hierarchy to the leaf that owns ``vid``.  If exNodes exist
-        there, they are returned; otherwise the server-agent table supplies
-        the generation target (the caller forwards the request).
+        Walks the hierarchy to the leaf that owns ``vid`` and returns the
+        exNodes registered there (none for an unknown view set).
         """
         self.queries += 1
         path = self._leaf_path(vid)
         levels_visited = 1 + len(path)
         table = self._exnode_tables.get(path, {})
-        exnodes = list(table.get(vid, []))
-        agent = None
-        if not exnodes:
-            agent = self._agent
-            self.generation_referrals += 1
         return DVSResult(
             viewset_id=vid,
-            exnodes=exnodes,
-            server_agent=agent,
+            exnodes=list(table.get(vid, [])),
             levels_visited=levels_visited,
             lookup_delay=levels_visited * LEVEL_DELAY,
         )

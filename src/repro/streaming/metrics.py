@@ -36,7 +36,7 @@ class AccessSource(str, Enum):
     AGENT_CACHE = "hit"             # client agent cache hit
     LAN_DEPOT = "lan-depot"         # prestaged replica on the LAN depot
     WAN_DEPOT = "wan"               # fetched across the wide area
-    SERVER_RUNTIME = "server"       # rendered on demand by the server
+    SERVER_RUNTIME = "server"       # never produced; perf/workloads.py names it
 
 
 #: the demand-miss pool: sources that missed every local tier.  A tuple, so
@@ -137,7 +137,7 @@ class SessionMetrics:
         return hits / len(self.accesses)
 
     def wan_rate(self) -> float:
-        """Fraction of accesses that went to the WAN (or server)."""
+        """Fraction of accesses that went to the WAN."""
         if not self.accesses:
             return 0.0
         wan = sum(1 for a in self.accesses if a.source in WAN_SOURCES)
@@ -158,7 +158,7 @@ class SessionMetrics:
         return sum(a.total_latency for a in pool) / len(pool), len(pool)
 
     def initial_phase_length(self) -> int:
-        """Index of the last WAN/server access (0 if none).
+        """Index of the last WAN access (0 if none).
 
         The paper's "initial phase" ends when the system stops touching the
         wide area; afterwards latency is LAN-class.

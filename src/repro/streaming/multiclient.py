@@ -9,7 +9,7 @@ with its own node pair, client agent, cache, cursor trace and (case 3)
 staging pump — and hands them to the session engine
 (:func:`~repro.streaming.session.wire_testbed` /
 :func:`~repro.streaming.session.run_testbed`), which puts them on one
-simulated network, one LAN + WAN depot fleet, one DVS, one server agent and
+simulated network, one LAN + WAN depot fleet, one DVS and
 one :class:`~repro.lon.scheduler.TransferScheduler`.
 
 Because every agent routes transfers through the shared scheduler's in-flight

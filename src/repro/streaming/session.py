@@ -17,7 +17,7 @@ those two:
 
 Topology (matching the paper's testbed): consoles + client agents + four
 LAN depots on a 1 Gb/s department LAN; a WAN path to California (shared
-bottleneck); three server depots + DVS + server agent at the remote site.
+bottleneck); three server depots, the DVS and the server at the remote site.
 Section 3.5 allows "one client agent per console and several consoles per
 LAN", so the single-console session is the fleet's N = 1 case, not a
 second testbed.
@@ -31,6 +31,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..lightfield.lattice import CameraLattice
 from ..lightfield.source import ViewSetSource
+from ..lon.exnode import ExNode
 from ..lon.ibp import Depot
 from ..lon.lbone import LBone
 from ..lon.lors import LoRS
@@ -48,7 +49,6 @@ from .client import CPU_SECONDS_PER_BYTE, Client
 from .dvs import DVSServer
 from .metrics import SessionMetrics
 from .prefetch import policy_by_name
-from .server import SERVER_NODE, ServerAgent
 from .staging import StagingPump
 from .trace import CursorTrace, standard_trace
 
@@ -63,6 +63,7 @@ __all__ = [
     "attach_stream_collectors",
     "build_rig",
     "finish",
+    "pre_distribute",
     "run_session",
     "run_testbed",
     "session_trace",
@@ -170,7 +171,6 @@ class Testbed:
     lors: LoRS
     scheduler: TransferScheduler
     dvs: DVSServer
-    server_agent: ServerAgent
     clients: List[Client]
     client_agents: List[ClientAgent]
     metrics: List[SessionMetrics]
@@ -225,6 +225,45 @@ DEPOT_CAPACITY = 16 << 30
 #: crossing consoles share (None: the config's ``wan_bandwidth``); its
 #: latency is always the WAN's
 BACKBONE_BANDWIDTH: Optional[float] = None
+
+
+#: lease on a view set's server-depot blocks: a day, the session's span
+LEASE_SECONDS = 24 * 3600.0
+#: network node of the server that generated the database; it serves no
+#: request, but its WAN link is part of the modelled testbed
+SERVER_NODE = "server"
+
+
+def pre_distribute(
+    lors: LoRS,
+    dvs: DVSServer,
+    source: ViewSetSource,
+    depots: Sequence[Depot],
+    stripe_width: int,
+    block_size: int,
+) -> Dict[str, ExNode]:
+    """Upload every view set to ``depots`` and register it with the DVS.
+
+    Offline: no simulated time elapses (the paper renders and uploads the
+    database before the visualization session, Section 3.4).  Returns the
+    exNode per view-set id.
+    """
+    lattice = source.lattice
+    out: Dict[str, ExNode] = {}
+    for key in lattice.all_viewsets():
+        vid = lattice.viewset_id(key)
+        exnode = lors.place(
+            vid,
+            source.payload(key),
+            depots,
+            stripe_width=stripe_width,
+            block_size=block_size,
+            duration=LEASE_SECONDS,
+            metadata={"resolution": str(source.resolution)},
+        )
+        dvs.register_exnode(vid, exnode)
+        out[vid] = exnode
+    return out
 
 
 def session_trace(
@@ -307,26 +346,17 @@ def wire_testbed(
     )
     lors = LoRS(queue, net, lbone, scheduler=scheduler)
 
-    # --- name service + server ------------------------------------------
+    # --- name service + the pre-distributed database -----------------
     dvs = DVSServer()
     home_depots = lan_depots if config.case == 1 else wan_depots
-    server_agent = ServerAgent(
-        queue=queue,
-        network=net,
-        lors=lors,
-        dvs=dvs,
-        source=source,
-        depots=home_depots,
-        stripe_width=min(config.stripe_width, len(home_depots)),
-        block_size=config.block_size,
-        tracer=tracer,
-    )
-    server_agent.pre_distribute()
+    pre_distribute(lors, dvs, source, home_depots,
+                   stripe_width=min(config.stripe_width, len(home_depots)),
+                   block_size=config.block_size)
 
     # --- consoles ---------------------------------------------------------
     bed = Testbed(
         queue=queue, network=net, lbone=lbone, lors=lors,
-        scheduler=scheduler, dvs=dvs, server_agent=server_agent,
+        scheduler=scheduler, dvs=dvs,
         clients=[], client_agents=[], metrics=[], stagings=[], traces=[],
         lan_depots=lan_depots, wan_depots=wan_depots,
         tracer=tracer,
@@ -344,7 +374,6 @@ def wire_testbed(
             lors=lors,
             dvs=dvs,
             lattice=source.lattice,
-            server_agents={SERVER_NODE: server_agent},
             cache_bytes=config.agent_cache_bytes,
             max_streams=config.max_streams,
             tracer=tracer,
@@ -517,7 +546,6 @@ class SessionRig:
     lbone: LBone
     lors: LoRS
     dvs: DVSServer
-    server_agent: ServerAgent
     client_agent: ClientAgent
     client: Client
     metrics: SessionMetrics
@@ -547,7 +575,6 @@ def _session_rig(config: SessionConfig, bed: Testbed) -> SessionRig:
         lbone=bed.lbone,
         lors=bed.lors,
         dvs=bed.dvs,
-        server_agent=bed.server_agent,
         client_agent=bed.client_agents[0],
         client=bed.clients[0],
         metrics=bed.metrics[0],

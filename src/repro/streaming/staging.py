@@ -197,8 +197,8 @@ class StagingPump:
         def do_query() -> None:
             result = self.dvs.query(vid)
             if not result.exnodes:
-                # not yet generated: skip — demand path will trigger the
-                # server; retry staging later
+                # unknown to the DVS (the database is pre-distributed, so
+                # only a dropped entry gets here): retry staging later
                 self._release(vid, key, requeue=True)
                 self.registry.complete(vid, success=False)
                 return

@@ -7,8 +7,8 @@ maps to zero extinction, yet the brute-force marcher samples it anyway.
 
 This module provides the classic fix — a *macrocell* grid (Levoy-style
 min-max octree flattened to one level): the volume is partitioned into
-``cell_size``³-voxel cells storing the scalar min/max over each cell, and a
-transfer function's exact range-maximum opacity query
+:data:`MACROCELL_SIZE`³-voxel cells storing the scalar min/max over each
+cell, and a transfer function's exact range-maximum opacity query
 (:meth:`~repro.volume.transfer.TransferFunction.max_opacity_in`) classifies
 cells as active/inactive *without touching voxels*.  The ray caster then
 clips each ray's march to the span of active cells it can intersect.
@@ -69,6 +69,11 @@ def _dilate26(mask: np.ndarray) -> np.ndarray:
 #: Zero is the lossless setting: the accelerated render equals the
 #: brute-force one.
 SKIP_EXTINCTION = 0.0
+#: macrocell edge, in voxels.  Classic macrocell practice uses ~8³, but the
+#: interval pass queries a mask dilated by one full cell, so smaller cells
+#: keep the conservative envelope much tighter: on the 64³ negHip scene, 4
+#: skips ~2× more samples than 8 at negligible extra build cost
+MACROCELL_SIZE = 4
 
 
 @dataclass
@@ -87,17 +92,10 @@ class MacrocellGrid:
     cell_world: float       # world-space edge length of one macrocell
 
     @classmethod
-    def build(cls, volume: VolumeGrid, cell_size: int = 4) -> MacrocellGrid:
-        """Compute the min-max grid for ``volume``.
-
-        ``cell_size`` is in voxels per cell edge.  Classic macrocell
-        practice uses ~8³, but the interval pass queries a mask dilated by
-        one full cell, so smaller cells keep the conservative envelope much
-        tighter: on the 64³ negHip scene, cell_size 4 skips ~2× more
-        samples than 8 at negligible extra build cost, hence the default.
-        """
-        if cell_size < 2:
-            raise ValueError("cell_size must be >= 2")
+    def build(cls, volume: VolumeGrid) -> MacrocellGrid:
+        """Compute the min-max grid for ``volume``, in cells of
+        :data:`MACROCELL_SIZE` voxels a side."""
+        cell_size = MACROCELL_SIZE
         data = volume.data
         minv = data
         maxv = data
@@ -105,7 +103,7 @@ class MacrocellGrid:
             minv = _reduce_axis(minv, axis, cell_size, np.min)
             maxv = _reduce_axis(maxv, axis, cell_size, np.max)
         return cls(
-            cell_size=int(cell_size),
+            cell_size=cell_size,
             minv=np.ascontiguousarray(minv, dtype=np.float32),
             maxv=np.ascontiguousarray(maxv, dtype=np.float32),
             world_min=volume.world_min.copy(),

@@ -27,7 +27,8 @@ tests call moves into ``tests/`` as an oracle, or it goes.
 
 Parameters: a defaulted parameter of a ``def`` under ``src/repro`` is set
 when a call in the package, ``perf/`` or ``benchmarks/`` passes it, by
-keyword or by position, something other than its default literal.  Calls
+keyword or by position, something other than its default literal (a
+module-level name bound once, to a literal, stands for that literal).  Calls
 match by name (``Name`` id or ``Attribute`` attr; a class name calls its
 ``__init__``, ``super().__init__`` the bases'; a ``__call__`` takes any
 call no ``def`` answers to).  Also set: a builtin spec's key, which the
@@ -318,12 +319,42 @@ def _literal(node):
         return False, None
 
 
-def _is_default(value, default):
+def _constants(trees):
+    """``name -> literal`` of every module-level name the trees bind once
+    (no other assignment or parameter of that name), to a literal: a module
+    constant a call may pass where it means the default."""
+    bindings = Counter(
+        node.id if isinstance(node, ast.Name) else node.arg
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.arg) or (isinstance(node, ast.Name)
+                                         and isinstance(node.ctx, ast.Store)))
+    found = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                target = node.target
+            else:
+                continue
+            ok, value = _literal(node.value)
+            if ok and isinstance(target, ast.Name) and \
+                    bindings[target.id] == 1:
+                found[target.id] = value
+    return found
+
+
+def _is_default(value, default, constants):
     """Whether ``value`` is the default: the same expression, or a literal
-    of the same type and value."""
+    or a name bound once to one (``constants``) of the same type and
+    value."""
     if ast.dump(value) == ast.dump(default):
         return True
-    (ok_v, v), (ok_d, d) = _literal(value), _literal(default)
+    if isinstance(value, ast.Name) and value.id in constants:
+        ok_v, v = True, constants[value.id]
+    else:
+        ok_v, v = _literal(value)
+    ok_d, d = _literal(default)
     return ok_v and ok_d and type(v) is type(d) and v == d
 
 
@@ -519,6 +550,7 @@ def unset_parameters(package_dir, caller_files, spec_file, seams=()):
                     defs[id(node)] = d
     qualnames = {id(node): name for path in sources
                  for name, node in _definitions(trees[path], dunders=True)}
+    constants = _constants(trees.values())
 
     def label(i, name):
         return f"{defs[i].rel}:{qualnames[i]}.{name}"
@@ -566,7 +598,8 @@ def unset_parameters(package_dir, caller_files, spec_file, seams=()):
         if i is not None and key in defs[i].required:
             keyed.setdefault((i, key), []).extend(values)
         if i is not None and key in defs[i].defaults and not all(
-                _is_default(v, defs[i].defaults[key]) for v in values):
+                _is_default(v, defs[i].defaults[key], constants)
+                for v in values):
             is_set.add((i, key))
     one_valued = set()
     for (i, name), values in keyed.items():
@@ -583,7 +616,7 @@ def unset_parameters(package_dir, caller_files, spec_file, seams=()):
                 continue
             default = defs[i].defaults[name]
             for value, caller in values:
-                if _is_default(value, default) or (
+                if _is_default(value, default, constants) or (
                         isinstance(value, ast.Name) and caller is not None
                         and value.id in caller.defaults
                         and (id(caller.node), value.id) not in is_set):
@@ -658,6 +691,34 @@ def test_a_parameter_only_tests_set_is_reported(tmp_path):
     assert unset_parameters(
         tmp_path / "pkg", [tmp_path / "bench" / "run.py"], spec) == [
         "core.py:passed_default.knob", "core.py:tested.knob"]
+
+
+def test_a_constant_equal_to_the_default_is_the_default(tmp_path):
+    _write(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/core.py": (
+            "CELL = 4\n"
+            "WIDE = 8\n"
+            "TWICE = 4\n"
+            "SHADOWED = 4\n"
+            "def build(v, cell=4): return v * cell\n"
+            "def wide(v, cell=4): return v * cell\n"
+            "def rebound(v, cell=4): return v * cell\n"
+            "def inner(v, cell=4): return v * cell\n"
+            "def outer(v, SHADOWED): return inner(v, cell=SHADOWED)\n"
+            "def caller():\n"
+            "    build(1, cell=CELL)\n"
+            "    wide(1, cell=WIDE)\n"
+            "    rebound(1, cell=TWICE)\n"
+            "    outer(1, 5)\n"),
+        "pkg/other.py": "TWICE = 4\n",
+    })
+    spec = tmp_path / "spec.py"
+    spec.write_text("")
+    # a name bound twice may hold either value, so it counts as a second
+    # one; so does a parameter named like a constant
+    assert unset_parameters(tmp_path / "pkg", [], spec) == [
+        "core.py:build.cell"]
 
 
 def test_spec_keys_indirect_keywords_and_forwarding_set(tmp_path):

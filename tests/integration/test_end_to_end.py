@@ -18,7 +18,7 @@ from repro.streaming.session import SessionConfig, build_rig
 from repro.volume import neg_hip, preset
 
 from ..lightfield.reference_source import DatabaseSource
-from ..streaming.reference_rig import forget, resident_keys
+from ..streaming.reference_rig import resident_keys
 
 
 @pytest.fixture(scope="module")
@@ -103,25 +103,3 @@ class TestEndToEnd:
         assert shared
         for key in shared:
             assert resident[2][key] == resident[3][key]
-
-    def test_runtime_generation_round_trip(self, rendered_db):
-        """A view set missing from the DVS is rendered on demand and the
-        client still receives correct bytes (the zoom-in path)."""
-        _, _, db = rendered_db
-        source = DatabaseSource(db)
-        rig = build_rig(source, SessionConfig(case=2, n_accesses=6,
-                                              trace_seed=41))
-        # wipe one view set the trace will touch from the DVS
-        first_key = rig.trace.viewset_accesses(source.lattice)[0]
-        vid = source.lattice.viewset_id(first_key)
-        forget(rig.dvs, vid)
-        rig.client.schedule_trace(rig.trace)
-        rig.queue.run_until(rig.trace.duration + 120.0)
-        served = {a.viewset_id: a for a in rig.metrics.accesses}
-        assert vid in served
-        assert served[vid].source.value == "server"
-        # delivered bytes decode to the same view set
-        vs = rig.client.get_resident(first_key)
-        if vs is not None:
-            assert vs == db.get_viewset(first_key)
-        assert rig.server_agent.generated >= 1

@@ -8,7 +8,9 @@ import pytest
 from repro.lon.exnode import ExNode, Extent, Mapping
 from repro.lon.ibp import Depot
 from repro.lon.lbone import LBone, LBoneError
-from repro.lon.lors import Deferred, DownloadJob, LoRS, LoRSError
+from repro.lon.lors import (
+    DEFAULT_BLOCK_SIZE, Deferred, DownloadJob, LoRS, LoRSError,
+)
 from repro.lon.network import Flow, gbps
 from repro.lon.simtime import EventQueue
 
@@ -452,6 +454,7 @@ class TestUploadOnline:
         t0 = q.now
         deferred = lors.upload(
             "f", data, "agent", [depots["ca1"]], stripe_width=1,
+            block_size=DEFAULT_BLOCK_SIZE,
         )
         q.run()
         ex = deferred.result()

@@ -362,7 +362,7 @@ class TestLoRSPathsUseScheduler:
         q, depots, lors, events = rig
         data = bytes(range(256)) * 256  # 64 KiB
         up = lors.upload("f", data, "agent", [depots["ca1"]],
-                         block_size=16384)
+                         stripe_width=1, block_size=16384)
         q.run()
         exnode = up.result()
         job = lors.download(exnode, "agent", priority=Priority.PREFETCH)
@@ -376,7 +376,7 @@ class TestLoRSPathsUseScheduler:
         q, depots, lors, events = rig
         data = bytes(range(256)) * 256
         up = lors.upload("f", data, "agent", [depots["ca1"]],
-                         block_size=16384)
+                         stripe_width=1, block_size=16384)
         q.run()
         exnode = up.result()
         dl = lors.download(exnode, "agent")

@@ -171,10 +171,3 @@ class TestStats:
         cells = accel.prepare()
         assert cells is accel.prepare()  # cached, not rebuilt
         assert brute.prepare() is None
-
-    def test_macrocell_size_validated(self, monkeypatch):
-        monkeypatch.setattr(raycast, "MACROCELL_SIZE", 1)
-        vol = neg_hip(size=16)
-        r = RaycastRenderer(vol, preset("neghip"), SETTINGS)
-        with pytest.raises(ValueError):
-            r.prepare()

@@ -1,8 +1,8 @@
 """Test-side fixtures that reach into a streaming rig.
 
 The program never drops a view set from the DVS or lists a console's
-residency; tests do both, to force the runtime generation path and to
-compare what landed.
+residency; tests do both, to check how a view set the DVS lacks fails and
+to compare what landed.
 """
 
 from repro.streaming.client import Client

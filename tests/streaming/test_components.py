@@ -1,4 +1,4 @@
-"""Unit tests for DVS, server agent, client agent, staging and policies."""
+"""Unit tests for DVS, pre-distribution, client agent, staging and policies."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.lightfield.source import SyntheticSource
 from repro.lon.exnode import ExNode, Extent, Mapping
 from repro.lon.ibp import Capability, CapType
 from repro.streaming.agent import HIT_LATENCY
-from repro.streaming import server
 from repro.streaming import dvs as dvs_module
 from repro.streaming.dvs import DVSServer
 from repro.streaming.metrics import AccessSource
@@ -17,7 +16,7 @@ from repro.streaming.prefetch import (
     QuadrantPolicy,
     policy_by_name,
 )
-from repro.streaming.session import SessionConfig, build_rig
+from repro.streaming.session import SessionConfig, build_rig, pre_distribute
 
 from .reference_rig import forget
 
@@ -47,15 +46,6 @@ class TestDVS:
         dvs.register_exnode("vs-0-0", ex)
         result = dvs.query("vs-0-0")
         assert result.exnodes == [ex]
-        assert result.server_agent is None
-
-    def test_unknown_vid_refers_to_server_agent(self):
-        dvs = DVSServer()
-        dvs.register_server_agent("server-x")
-        result = dvs.query("vs-9-9")
-        assert result.exnodes == []
-        assert result.server_agent == "server-x"
-        assert dvs.generation_referrals == 1
 
     def test_replicas_accumulate(self):
         dvs = DVSServer()
@@ -101,11 +91,16 @@ class TestPolicies:
 
 
 class TestServerAgent:
+    """Pre-distribution: every view set is placed and registered with the
+    DVS before a session starts."""
+
     def test_pre_distribute_registers_everything(self):
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=2))
         rows, cols = src.lattice.n_viewsets
-        assert rig.server_agent.predistributed == rows * cols
+        placed = pre_distribute(rig.lors, DVSServer(), src, rig.wan_depots,
+                                stripe_width=3, block_size=1 << 20)
+        assert len(placed) == rows * cols
         assert all(rig.dvs.query(src.lattice.viewset_id(key)).exnodes
                    for key in src.lattice.all_viewsets())
 
@@ -123,48 +118,6 @@ class TestServerAgent:
         vid = "vs-0-0"
         ex = rig.dvs.query(vid).exnodes[0]
         assert all(d.startswith("lan-depot") for d in ex.depots())
-
-    def test_runtime_generation_delivers_and_registers(self):
-        src = tiny_source()
-        rig = build_rig(src, SessionConfig(case=2))
-        vid = "vs-0-0"
-        forget(rig.dvs, vid)  # force the generation path
-        got = []
-        rig.server_agent.request_viewset(vid, "agent", got.append)
-        rig.queue.run()
-        assert len(got) == 1
-        assert got[0] == src.payload((0, 0))
-        assert len(rig.dvs.query(vid).exnodes) == 1
-        assert rig.server_agent.generated == 1
-
-    def test_scheduler_serves_latest_first(self):
-        src = tiny_source()
-        rig = build_rig(src, SessionConfig(case=2))
-        for vid in ("vs-0-0", "vs-0-1", "vs-0-2"):
-            forget(rig.dvs, vid)
-        order = []
-        # issue three requests back to back; the first starts immediately,
-        # then the LATEST queued one must run next
-        for vid in ("vs-0-0", "vs-0-1", "vs-0-2"):
-            rig.server_agent.request_viewset(
-                vid, "agent", lambda p, v=vid: order.append(v)
-            )
-        rig.queue.run()
-        assert order[0] == "vs-0-0"      # already running
-        assert order[1] == "vs-0-2"      # newest first
-        assert order[2] == "vs-0-1"
-
-    def test_render_time_charged(self, monkeypatch):
-        monkeypatch.setattr(server, "RENDER_SECONDS_PER_VIEWSET", 10.0)
-        src = tiny_source()
-        rig = build_rig(src, SessionConfig(case=2))
-        forget(rig.dvs, "vs-0-0")
-        done_at = []
-        rig.server_agent.request_viewset(
-            "vs-0-0", "agent", lambda p: done_at.append(rig.queue.now)
-        )
-        rig.queue.run()
-        assert done_at[0] > 10.0
 
 
 class TestClientAgent:
@@ -210,6 +163,22 @@ class TestClientAgent:
         assert "vs-0-0" not in agent._payloads  # evicted
         assert "vs-0-1" in agent._payloads
         assert agent.stats.evictions >= 1
+
+    def test_a_view_set_the_dvs_lacks_fails_by_name(self):
+        src = tiny_source()
+        rig = build_rig(src, SessionConfig(case=2))
+        agent = rig.client_agent
+        vid = "vs-0-1"
+        forget(rig.dvs, vid)
+        agent.prefetch([(0, 1)])
+        rig.queue.run()
+        assert vid not in agent._flights
+        assert vid not in agent.registry
+        agent.request(vid, lambda *a: None)
+        with pytest.raises(RuntimeError, match=vid):
+            rig.queue.run()
+        assert vid not in agent._flights
+        assert vid not in agent.registry
 
     def test_prefetch_marks_and_counts(self):
         src = tiny_source()

@@ -182,9 +182,9 @@ class TestPerPathRouting:
         """Static check: flows for view-set data are scheduler-made."""
         import inspect
 
-        from repro.streaming import agent, client, prefetch, server, staging
+        from repro.streaming import agent, client, prefetch, session, staging
 
-        for mod in (agent, client, prefetch, server, staging):
+        for mod in (agent, client, prefetch, session, staging):
             source = inspect.getsource(mod)
             assert ".transfer(" not in source, (
                 f"{mod.__name__} bypasses the TransferScheduler"

@@ -83,7 +83,7 @@ class TestMaxOpacityIn:
 class TestMacrocellGrid:
     def test_minmax_bounds_every_voxel(self):
         vol = neg_hip(size=21)  # not a multiple of cell_size
-        grid = MacrocellGrid.build(vol, cell_size=4)
+        grid = MacrocellGrid.build(vol)
         cs = grid.cell_size
         data = vol.data
         for c in np.ndindex(grid.minv.shape):
@@ -100,14 +100,10 @@ class TestMacrocellGrid:
         trilinear samples on either side interpolate from that plane."""
         data = np.zeros((9, 9, 9), dtype=np.float32)
         data[4, 4, 4] = 1.0  # voxel 4 is the boundary plane for cs=4
-        grid = MacrocellGrid.build(VolumeGrid(data), cell_size=4)
+        grid = MacrocellGrid.build(VolumeGrid(data))
         assert grid.minv.shape == (2, 2, 2)
         assert grid.maxv[0, 0, 0] == 1.0
         assert grid.maxv[1, 1, 1] == 1.0
-
-    def test_rejects_tiny_cells(self):
-        with pytest.raises(ValueError):
-            MacrocellGrid.build(neg_hip(size=8), cell_size=1)
 
     def test_classify_transparent_tf_all_inactive(self):
         vol = neg_hip(size=16)
@@ -145,7 +141,7 @@ class TestRaySegments:
     @pytest.fixture(scope="class")
     def scene(self):
         vol = neg_hip(size=32)
-        cells = MacrocellGrid.build(vol, cell_size=4).classify(
+        cells = MacrocellGrid.build(vol).classify(
             preset("neghip")
         )
         return vol, cells
