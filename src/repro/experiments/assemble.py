@@ -262,9 +262,7 @@ def assemble_observability(
 # ----------------------------------------------------------------------
 _CONTENDED_KEYS = ("accesses", "events_fired", "recomputes", "vectorized",
                    "coalesced", "component_flows", "flows_rerated",
-                   "events_rescheduled", "admission_batches_flushed",
-                   "admission_submissions_coalesced",
-                   "admission_scalar_fallbacks")
+                   "events_rescheduled")
 
 
 def assemble_scale(
@@ -322,10 +320,8 @@ def assemble_scale(
             "runs": {
                 str(r["cross_fraction"]): {
                     k: r[k] for k in (
-                        "events_fired", "accesses",
-                        "admission_batches_flushed",
-                        "admission_submissions_coalesced",
-                        "boundary_windows", "boundary_staleness_bound",
+                        "events_fired", "accesses", "boundary_windows",
+                        "boundary_staleness_bound",
                         "boundary_max_oversubscription",
                     ) if k in r
                 }

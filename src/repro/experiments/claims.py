@@ -497,8 +497,7 @@ _SCALE = (
     # the contended rig runs the optimized paths: none is dead code
     Claim("scale.contended_paths_live", "Scale", None,
           lambda d: [d["contended"][k] for k in (
-              "vectorized", "coalesced", "admission_batches_flushed",
-              "admission_submissions_coalesced", "component_flows")],
+              "vectorized", "coalesced", "component_flows")],
           lambda m, _: all(n > 0 for n in m)),
     # a flush arms one drain check per calendar, so fewer get armed than
     # events fire; one per flushed member would not be

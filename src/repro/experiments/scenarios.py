@@ -659,8 +659,7 @@ def _scale_config(regime: str, n_clients: int, seed: int) -> "object":
         # bandwidth-scarce flash crowds: big windows over a thin WAN
         # defeat the quiet fast paths (flushes, coalescing and large
         # components really occur) while small blocks and wide stream fans
-        # make every pump a same-timestamp submission batch, so the
-        # admission plan forms real batches too
+        # make every pump a same-timestamp submission batch
         base = SessionConfig(
             case=3,
             n_accesses=8,
@@ -703,14 +702,9 @@ def multiclient_point(regime: str, n_clients: int, seed: int = 7) -> Row:
     result = run_multiclient_session(_scale_source(), config)  # type: ignore[arg-type]
     agg = result.aggregate()
     reb = result.rebalance
-    adm = result.admission
     return {
         "regime": regime,
         "n_clients": n_clients,
-        "admission_batches_flushed": adm.get("batches_flushed", 0),
-        "admission_submissions_coalesced": adm.get(
-            "submissions_coalesced", 0),
-        "admission_scalar_fallbacks": adm.get("scalar_fallbacks", 0),
         "events_fired": result.events_fired,
         "sim_s": round(result.sim_seconds, 2),
         "accesses": agg["accesses"],
@@ -745,7 +739,7 @@ def sharded_point(
     backbone (``xs-switch`` <-> ``wan-router`` boundary link), so shards
     stop being link-disjoint and exchange boundary-load summaries at the
     windowed barrier; the row then reports the measured bounded-staleness
-    figures alongside the admission-batch counters.
+    figures.
     """
     from dataclasses import replace as dc_replace
 
@@ -765,10 +759,6 @@ def sharded_point(
         "cross_fraction": cross_fraction,
         "events_fired": sharded.events_fired,
         "accesses": agg["accesses"],
-        "admission_batches_flushed": agg.get(
-            "admission_batches_flushed", 0),
-        "admission_submissions_coalesced": agg.get(
-            "admission_submissions_coalesced", 0),
         WALL_CLOCK_KEY: {
             "makespan_s": round(sharded.wall_seconds, 4),
             "cpu_s": round(sharded.cpu_seconds, 4),

@@ -253,9 +253,9 @@ class _BlockJob(Deferred):
         """Launch blocks into the free stream slots.
 
         Blocks whose delays are identical (the common case: replicas striped
-        across equidistant depots) arrive together and admit as one
-        :meth:`TransferScheduler.submit_batch` — the flash-crowd batch the
-        planned admission path is built for.
+        across equidistant depots) arrive together: one ``lors-dl-rpc``
+        event per delay admits the group through
+        :meth:`TransferScheduler.submit_batch`, one flow per block.
         """
         groups: Dict[Optional[float], List[_Block]] = {}
         while (

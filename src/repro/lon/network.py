@@ -23,7 +23,9 @@ the paper's evaluation depends on:
 
 Routing is shortest-path by latency over an adjacency dict.  Transfers
 deliver their completion callback after ``path propagation latency +
-serialization time at the allocated rate``.
+serialization time at the allocated rate``.  :meth:`Network.transfer` is the
+only way a flow is admitted: flows that start at one instant (a LoRS
+download's streams) are that many calls, one flow at a time.
 
 Re-rating is incremental.  Per-link flow membership is tracked; a change
 marks its links dirty, triggers at the same timestamp coalesce into one
@@ -66,7 +68,7 @@ from .rates import maxmin_rates
 from .simtime import Event, EventQueue
 
 __all__ = ["Link", "Flow", "Network", "NetworkError", "NoRouteError",
-           "RebalanceStats", "AdmissionPlan", "RATE_EPSILON", "mbps", "gbps"]
+           "RebalanceStats", "RATE_EPSILON", "mbps", "gbps"]
 
 #: relative rate change below which a flow keeps its drain deadline (the
 #: drain check self-corrects sub-epsilon drift in either direction)
@@ -246,87 +248,6 @@ class RebalanceStats:
                                  # flow's links all had cap-sum headroom
 
 
-class AdmissionPlan:
-    """Planned same-timestamp admission over one batch of transfers.
-
-    Built by :meth:`Network.admission_plan` from the ``(src, dst, size)``
-    triples of one scheduler batch.  Path resolution, TCP-window initial
-    rate seeding, completion ETAs and the interleaved quiet-link verdicts
-    are all precomputed for the whole batch, each in the scalar path's own
-    float expression; :meth:`admit` then commits flows one at a time, in
-    submission order, producing exactly the event schedule the scalar
-    :meth:`Network.transfer` path would have (the fingerprint suite holds
-    this line).
-
-    The per-item quiet verdicts are exact, not heuristic: during a batch
-    of pure admissions with finite rate caps, a row's cap-sum load only
-    grows, so "the first item index at which each row goes over" fully
-    determines every interleaved scalar ``_quiet`` answer.
-
-    ``vector_ok`` is False when the batch cannot be planned (no TCP
-    window, a same-node or unroutable item);
-    :meth:`admit` then simply delegates to scalar ``transfer``.
-    """
-
-    __slots__ = (
-        "net", "items", "vector_ok",
-        "_links", "_props", "_caps", "_etas", "_row_ids", "_quiet_flags",
-    )
-
-    def __init__(self, net: "Network",
-                 items: List[Tuple[str, str, int]]) -> None:
-        self.net = net
-        self.items = items
-        self.vector_ok = False
-        self._links: List[Tuple[FrozenSet[str], ...]] = []
-        self._props: List[float] = []
-        self._caps: List[float] = []
-        self._etas: List[float] = []
-        self._row_ids: List[Tuple[int, ...]] = []
-        self._quiet_flags: List[bool] = []
-
-    def admit(
-        self,
-        j: int,
-        on_complete: Callable[[Flow], None],
-        on_fail: Optional[Callable[[Flow, Exception], None]],
-        label: str,
-        weight: float,
-    ) -> Flow:
-        """Commit planned item ``j`` (bit-equal to scalar ``transfer``)."""
-        net = self.net
-        src, dst, size = self.items[j]
-        if not self.vector_ok:
-            return net.transfer(src, dst, size, on_complete=on_complete,
-                                on_fail=on_fail, label=label, weight=weight)
-        now = net.queue.now
-        flow = Flow(src, dst, size, self._links[j], on_complete, on_fail,
-                    label, rate_cap=self._caps[j], weight=weight,
-                    link_row_ids=self._row_ids[j])
-        flow.fid = next(net._fid_counter)
-        flow.start_time = now
-        flow.last_update = now
-        flow.prop_latency = self._props[j]
-        net._flows[flow.fid] = flow
-        net._admit(flow)
-        if self._quiet_flags[j]:
-            flow.rate = flow.rate_cap
-            net.stats.flows_rerated += 1
-            net.stats.fast_rated += 1
-            # scalar _reschedule with the precomputed ETA: a brand-new
-            # flow holds no event, sits on no calendar and has a finite
-            # positive rate
-            flow._completion_event = net.queue.schedule(
-                self._etas[j],
-                lambda fl=flow: net._drain_check(fl),
-                f"flow:{label}",
-            )
-            net.stats.events_rescheduled += 1
-        else:
-            net._poke(self._row_ids[j])
-        return flow
-
-
 class Network:
     """Topology container + flow scheduler.
 
@@ -361,9 +282,9 @@ class Network:
         self._fid_counter = itertools.count()
         self._route_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         # (path links, propagation latency, link row ids) per endpoint
-        # pair: transfer(), admission_plan() and rpc_delay() resolve their
-        # whole path in one dict hit instead of re-walking link objects per
-        # call.  Route-derived only, so it invalidates with the route cache.
+        # pair: transfer() and rpc_delay() resolve their whole path in one
+        # dict hit instead of re-walking link objects per call.
+        # Route-derived only, so it invalidates with the route cache.
         self._path_cache: Dict[Tuple[str, str], _ResolvedPath] = {}
         # rebalance state: link row -> ascending ids of *contending* flows
         # (admitted, not paused, not drained), the dirty row seeds,
@@ -536,10 +457,10 @@ class Network:
         """(path link keys, one-way propagation latency, link row ids),
         cached.
 
-        transfer(), admission_plan() and rpc_delay() need the same facts
-        about an endpoint pair; resolving them through one dict hit keeps
-        the per-call cost off the hot path (the cache is invalidated with
-        the route cache on any topology change).
+        transfer() and rpc_delay() need the same facts about an endpoint
+        pair; resolving them through one dict hit keeps the per-call cost
+        off the hot path (the cache is invalidated with the route cache on
+        any topology change).
         """
         key = (src, dst)
         hit = self._path_cache.get(key)
@@ -740,80 +661,9 @@ class Network:
             self._poke(rows)
         return flow
 
-    def admission_plan(
-        self, items: Sequence[Tuple[str, str, int]]
-    ) -> AdmissionPlan:
-        """Precompute an admission plan for one same-timestamp batch of
-        ``(src, dst, size)`` transfers.
-
-        All per-batch work happens here — path/row resolution, initial
-        rate seeding (``tcp_window / rtt``), serialization ETAs and the
-        interleaved quiet-link verdicts — so
-        :meth:`AdmissionPlan.admit` only commits per-flow state.  Falls
-        back to a pass-through plan (``vector_ok`` False) when any item
-        cannot be planned; the batch then admits through scalar
-        :meth:`transfer` item by item.
-        """
-        plan = AdmissionPlan(self, list(items))
-        n = len(plan.items)
-        if n == 0 or self.tcp_window is None:
-            return plan
-        links_list: List[Tuple[FrozenSet[str], ...]] = []
-        props: List[float] = []
-        caps_list: List[float] = []
-        row_ids: List[Tuple[int, ...]] = []
-        for src, dst, size in plan.items:
-            if src == dst or size < 0:
-                return plan
-            try:
-                links, prop, rows = self._resolve_path(src, dst)
-            except NoRouteError:
-                return plan
-            links_list.append(links)
-            props.append(prop)
-            # the exact scalar expression of transfer(), per item, so
-            # planned and scalar admissions stay bit-equal
-            caps_list.append(self.tcp_window / max(2.0 * prop, 1e-6))
-            row_ids.append(rows)
-        # interleaved quiet verdicts: walk the batch once, accumulating each
-        # row's simulated cap-sum load from its live value in item order —
-        # the same left-fold float accumulation scalar _admit performs, so
-        # every verdict equals the interleaved scalar _quiet answer.  A row
-        # that crosses its bandwidth stays over for the rest of the batch
-        # (cap-sum load only grows during pure admission), exactly like the
-        # live _row_over latch.
-        capload, unc, over, bw = (
-            self._row_capload, self._row_unc, self._row_over, self._row_bw,
-        )
-        sim: Dict[int, float] = {}
-        flags: List[bool] = []
-        for i in range(n):
-            cap = caps_list[i]
-            quiet = True
-            for r in row_ids[i]:
-                if unc[r] > 0 or over[r]:
-                    quiet = False  # over before the batch even starts
-                    continue
-                load = sim.get(r)
-                if load is None:
-                    load = capload[r]
-                load += cap
-                sim[r] = load
-                if load > bw[r]:
-                    quiet = False
-            flags.append(quiet)
-        plan._quiet_flags = flags
-        # a quiet item's drain check: _reschedule's expression at the
-        # window-ceiling rate transfer() seeds
-        now = self.queue.now
-        plan._etas = [max(now + float(size) / cap, now)
-                      for (_, _, size), cap in zip(plan.items, caps_list)]
-        plan._links = links_list
-        plan._props = props
-        plan._caps = caps_list
-        plan._row_ids = row_ids
-        plan.vector_ok = True
-        return plan
+    # kept because perf/ reads it by name; goes with ROADMAP 1(b)
+    def admission_plan(self, items: Sequence[Tuple[str, str, int]]) -> None:
+        """No-op with no caller: every flow is admitted by :meth:`transfer`."""
 
     def cancel_flow(self, flow: Flow) -> None:
         """Abort an in-flight transfer without invoking callbacks."""

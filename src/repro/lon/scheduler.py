@@ -33,7 +33,7 @@ from enum import IntEnum
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..obs.tracer import NOOP_SPAN, NULL_TRACER, SpanLike, Tracer
-from .network import AdmissionPlan, Flow, Network
+from .network import Flow, Network
 
 __all__ = [
     "Priority",
@@ -47,7 +47,6 @@ __all__ = [
     "TransferScheduler",
     "DEFAULT_CLASS_WEIGHTS",
     "SCHEDULING_POLICIES",
-    "BATCH_MIN_SPECS",
 ]
 
 
@@ -79,10 +78,6 @@ DEFAULT_CLASS_WEIGHTS: Dict[Priority, float] = {
 #: recognized scheduling policies (the experiment ablation knob).
 SCHEDULING_POLICIES = ("off", "weighted", "strict")
 
-#: batch size (specs) from which :meth:`TransferScheduler.submit_batch`
-#: takes the array admission path; smaller batches loop scalar ``submit``
-BATCH_MIN_SPECS = 6
-
 
 @dataclass
 class TransferEvent:
@@ -111,14 +106,13 @@ class SchedulerStats:
     preempted: int = 0   # strict-policy pauses
     resumed: int = 0
     rerates: int = 0
-    # batched-admission counters (see TransferScheduler.submit_batch):
-    batches_flushed: int = 0        # batches admitted through one plan
-    submissions_coalesced: int = 0  # specs admitted through planned batches
-    scalar_fallbacks: int = 0       # specs that fell back to scalar submit
-                                    # (below threshold, strict policy, or
-                                    # an unplannable batch)
-    #: per-class spec counts over planned batches, keys in Priority order
-    batched_by_class: Dict[str, int] = field(default_factory=dict)
+    # the three below always read 0: there is no batch admission path
+    # kept because perf/ reads it by name; goes with ROADMAP 1(b)
+    batches_flushed: int = 0
+    # kept because perf/ reads it by name; goes with ROADMAP 1(b)
+    submissions_coalesced: int = 0
+    # kept because perf/ reads it by name; goes with ROADMAP 1(b)
+    scalar_fallbacks: int = 0
 
 
 class TransferHandle:
@@ -154,9 +148,11 @@ class TransferHandle:
 
 @dataclass
 class TransferSpec:
-    """One transfer request, as an inert value for batched admission.
+    """One transfer request, as an inert value for
+    :meth:`TransferScheduler.submit_batch`.
 
-    Field-for-field the arguments of :meth:`TransferScheduler.submit`.
+    Field-for-field the arguments of :meth:`TransferScheduler.submit`, plus
+    the priority class and an ``on_fail`` callback.
     """
 
     src: str
@@ -368,57 +364,18 @@ class TransferScheduler:
     def submit_batch(
         self, specs: Sequence[TransferSpec]
     ) -> List[TransferHandle]:
-        """Admit a same-timestamp batch of transfers through one plan.
+        """Admit transfers that start at one instant, in spec order.
 
-        Below :data:`BATCH_MIN_SPECS` specs (or under the ``strict``
-        policy, whose pause/resume interleaving is inherently scalar) this
-        is exactly a loop of :meth:`submit` calls.  At or above it, the
-        network plans the whole batch's paths, rate seeds, ETAs and quiet
-        verdicts at once (:meth:`Network.admission_plan`), feeding its
-        single coalesced rebalance flush.  Event streams,
-        transfer events, stats other than the batch counters, and every
-        float are bit-identical to the scalar loop
-        (``tests/lon/test_scheduler_batched.py`` holds this line).
-
-        Handles are returned in spec order.  Like :meth:`submit`,
-        ``NoRouteError`` propagates from the offending spec's position;
-        earlier specs remain admitted.
+        A loop of the one admission sequence :meth:`submit` runs, each spec
+        at its own priority.  Handles are returned in spec order; like
+        :meth:`submit`, ``NoRouteError`` propagates from the offending
+        spec's position and earlier specs remain admitted.
         """
-        specs = list(specs)
-        n = len(specs)
-        if n == 0:
-            return []
-        if n < BATCH_MIN_SPECS or self.policy == "strict":
-            self.stats.scalar_fallbacks += n
-            return [self._submit_spec(s) for s in specs]
+        return [self._submit_spec(s) for s in specs]
 
-        # the network plans the batch's paths, rate seeds and quiet verdicts
-        # before any callback runs
-        plan = self.network.admission_plan(
-            [(s.src, s.dst, s.size) for s in specs]
-        )
-        if plan.vector_ok:
-            self.stats.batches_flushed += 1
-            self.stats.submissions_coalesced += n
-            class_counts = [0] * len(Priority)
-            for s in specs:
-                class_counts[_priority(s.priority)] += 1
-            by_class = self.stats.batched_by_class
-            for p, c in zip(Priority, class_counts):
-                if c:
-                    by_class[p.name] = by_class.get(p.name, 0) + c
-        else:
-            self.stats.scalar_fallbacks += n
-        return [self._submit_spec(s, plan, i) for i, s in enumerate(specs)]
-
-    def _submit_spec(
-        self,
-        spec: TransferSpec,
-        plan: Optional[AdmissionPlan] = None,
-        item: int = 0,
-    ) -> TransferHandle:
-        """The one admission sequence both paths share: the flow is admitted
-        by ``Network.transfer``, or as ``item`` of a batch's ``plan``."""
+    def _submit_spec(self, spec: TransferSpec) -> TransferHandle:
+        """The one admission sequence: open the span, emit ``queued``,
+        admit the flow through ``Network.transfer`` and emit ``admitted``."""
         priority = _priority(spec.priority)
         handle = TransferHandle(self, priority, spec.label)
         if self.tracer.enabled:
@@ -452,14 +409,10 @@ class TransferScheduler:
             if on_fail is not None:
                 on_fail(flow, exc)
 
-        weight = self.weight_for(priority)
-        if plan is None:
-            flow = self.network.transfer(
-                spec.src, spec.dst, spec.size, on_complete=_complete,
-                on_fail=_fail, label=spec.label, weight=weight,
-            )
-        else:
-            flow = plan.admit(item, _complete, _fail, spec.label, weight)
+        flow = self.network.transfer(
+            spec.src, spec.dst, spec.size, on_complete=_complete,
+            on_fail=_fail, label=spec.label, weight=self.weight_for(priority),
+        )
         handle.flow = flow
         handle.state = "active"
         if self.on_event is not None:

@@ -303,7 +303,6 @@ def merge_shards(
         queue_compactions=sum(s.queue_compactions for s in shards),
         deduped_transfers=sum(s.deduped_transfers for s in shards),
         promoted_transfers=sum(s.promoted_transfers for s in shards),
-        admission=_sum_counts(s.admission for s in shards),
         shards=shards, workers=workers, window=window,
     )
 

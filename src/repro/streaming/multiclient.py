@@ -151,7 +151,6 @@ def fleet_summary(
         "deduped_transfers": totals.deduped_transfers,
         "promoted_transfers": totals.promoted_transfers,
         **{f"rebalance_{k}": v for k, v in totals.rebalance.items()},
-        **{f"admission_{k}": v for k, v in totals.admission.items()},
     }
 
 

@@ -196,9 +196,6 @@ class RunTotals:
     #: shared-scheduler registry effects: cross-console dedup + promotions
     deduped_transfers: int
     promoted_transfers: int
-    #: scheduler admission counters (batches flushed, submissions
-    #: coalesced, scalar fallbacks) — proves the planned path is live
-    admission: Dict[str, int]
 
     @property
     def events_per_second(self) -> float:
@@ -518,11 +515,6 @@ def run_testbed(
         queue_compactions=bed.queue.compactions,
         deduped_transfers=sched.registry.stats.deduped,
         promoted_transfers=sched.registry.stats.promoted,
-        admission={
-            "batches_flushed": sched.stats.batches_flushed,
-            "submissions_coalesced": sched.stats.submissions_coalesced,
-            "scalar_fallbacks": sched.stats.scalar_fallbacks,
-        },
     )
 
 

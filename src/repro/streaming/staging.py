@@ -112,7 +112,8 @@ class StagingPump:
 
     @property
     def complete(self) -> bool:
-        """True once the whole database is localized."""
+        """True once every view set is localized, or given up because the
+        DVS lacks it."""
         return not self._pending and not self._in_flight
 
     def update_cursor(self, key: ViewSetKey) -> None:
@@ -176,14 +177,17 @@ class StagingPump:
         if job is not None:
             job.promote(priority)
 
-    def _release(self, vid: str, key: ViewSetKey, requeue: bool) -> None:
+    def _release(self, vid: str, key: ViewSetKey, state: str) -> None:
+        """Free ``vid``'s copy slot and close its span as ``state``
+        (``staged``, ``requeued`` or ``missing``); only a requeued view
+        set goes back on the queue."""
         self._in_flight.discard(vid)
         self._jobs.pop(vid, None)
         self._priority.pop(vid, None)
         span = self._spans.pop(vid, None)
         if span is not None:
-            span.finish(state="requeued" if requeue else "staged")
-        if requeue:
+            span.finish(state=state)
+        if state == "requeued":
             self._pending.insert(0, key)
 
     def _stage_one(self, key: ViewSetKey, vid: str) -> None:
@@ -198,8 +202,10 @@ class StagingPump:
             result = self.dvs.query(vid)
             if not result.exnodes:
                 # unknown to the DVS (the database is pre-distributed, so
-                # only a dropped entry gets here): retry staging later
-                self._release(vid, key, requeue=True)
+                # only a dropped entry gets here): asking again would find
+                # nothing either, so the view set is given up, not requeued
+                self.stats.failed += 1
+                self._release(vid, key, "missing")
                 self.registry.complete(vid, success=False)
                 return
             ex = result.exnodes[0].read_only_view()
@@ -222,7 +228,7 @@ class StagingPump:
             if dfd.failed:
                 self.stats.failed += 1
                 # requeue at the back; depot pressure may clear
-                self._release(vid, key, requeue=True)
+                self._release(vid, key, "requeued")
                 self.registry.complete(vid, success=False)
                 return
             mappings: List[Mapping] = dfd.result()
@@ -232,13 +238,13 @@ class StagingPump:
             )
             if not lan_only.is_fully_covered():
                 self.stats.failed += 1
-                self._release(vid, key, requeue=True)
+                self._release(vid, key, "requeued")
                 self.registry.complete(vid, success=False)
                 return
             self._done.add(vid)
             self.stats.staged += 1
             self.stats.bytes_staged += exnode.length
-            self._release(vid, key, requeue=False)
+            self._release(vid, key, "staged")
             self.agent.note_staged(vid, lan_only, mappings)
             self.registry.complete(vid, success=True)
             self._launch_copies()

@@ -1,22 +1,22 @@
 """Cross-commit golden: the simulator's answers, pinned as recorded digests.
 
 Every other equivalence check in the suite compares two things *inside one
-commit* (array vs scalar admission, workers vs lockstep, production vs the
-reference oracle).  This module is the check across commits: two small rigs
-whose ``events_fired`` and sha256 over the float-hex access latencies were
-recorded at the commit *before* the rebalancer collapsed to one path
-(64e692a, ``network_rebalance="incremental"``, thresholds 24/6).  A PR that
+commit* (workers vs lockstep, production vs the reference oracle).  This
+module is the check across commits: two small rigs whose ``events_fired``
+and sha256 over the float-hex access latencies were recorded at the commit
+*before* the rebalancer collapsed to one path (64e692a,
+``network_rebalance="incremental"``, thresholds 24/6).  A PR that
 claims "same behaviour" — deleting a mode, a fast path, a knob — must leave
 them untouched; a PR that changes behaviour on purpose re-records them and
 says why.
 
 The contended rig flushes components below 24 live flows and from 24 up
 (``RebalanceStats.vectorized`` counts the large ones; one pure-Python
-fill rates every size, so no result depends on the BLAS build) and runs
-array admission batches; the crossing rig runs the lockstep driver with
-``set_remote_load`` re-rating every window.  Decompression cost is
-modeled, so nothing here depends on the host's speed (re-record with
-``python tests/integration/test_golden_behaviour.py``).
+fill rates every size, so no result depends on the BLAS build) and admits
+its LoRS stream fans as same-instant batches; the crossing rig runs the
+lockstep driver with ``set_remote_load`` re-rating every window.
+Decompression cost is modeled, so nothing here depends on the host's speed
+(re-record with ``python tests/integration/test_golden_behaviour.py``).
 
 ``CONTENDED_STREAM`` is the stronger witness for the contended rig: every
 fired event's ``(time, label)`` in firing order, recorded at ffc09b5 — the
@@ -152,7 +152,6 @@ def test_contended_rig_matches_recorded_digest():
     # components (one fill rates both)
     stats = result.rebalance
     assert 0 < stats["vectorized"] < stats["recomputes"]
-    assert result.admission["batches_flushed"] > 0
     assert _digest(result) == GOLDEN["contended"]
 
 

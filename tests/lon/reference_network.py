@@ -18,7 +18,7 @@ imports.  ``stats.full_recomputes`` counts the oracle's passes.
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.lon.network import AdmissionPlan, Flow, Network
+from repro.lon.network import Flow, Network
 from repro.lon.simtime import EventQueue
 
 
@@ -135,13 +135,6 @@ def step(queue: EventQueue) -> bool:
 
 class ReferenceNetwork(Network):
     """``Network`` with every trigger answered by a full recompute."""
-
-    def admission_plan(
-        self, items: Sequence[Tuple[str, str, int]]
-    ) -> AdmissionPlan:
-        # never planned (vector_ok stays False): admit() delegates to
-        # scalar transfer(), one synchronous recompute per item
-        return AdmissionPlan(self, list(items))
 
     def _quiet(self, flow: Flow) -> bool:
         return False

@@ -74,36 +74,3 @@ class TestContendedFlush:
         assert len(done) == 12
         assert net.stats.recomputes > 0
         assert net.stats.full_recomputes == 0
-
-
-class TestFullModeAdmissionPlan:
-    """The reference oracle has no quiet fast path and no deferred flush:
-    its admission plan is a pass-through, every admit pays a synchronous
-    full recompute exactly like scalar ``transfer``."""
-
-    ITEMS = [("leaf0", "leaf3", 300_000), ("leaf1", "leaf4", 500_000),
-             ("leaf2", "leaf5", 250_000), ("leaf0", "leaf4", 400_000)]
-
-    def _run(self, batched):
-        q = EventQueue()
-        net = star(q, n_leaves=6, bandwidth=mbps(5), cls=ReferenceNetwork)
-        done = []
-        if batched:
-            plan = net.admission_plan(self.ITEMS)
-            assert not plan.vector_ok
-            for j in range(len(self.ITEMS)):
-                plan.admit(j, lambda f: done.append(f.finish_time),
-                           None, f"x{j}", 1.0)
-        else:
-            for j, (src, dst, size) in enumerate(self.ITEMS):
-                net.transfer(src, dst, size,
-                             lambda f: done.append(f.finish_time),
-                             label=f"x{j}")
-        q.run()
-        return net, done
-
-    def test_completions_bit_equal_to_scalar(self):
-        s_net, scalar = self._run(batched=False)
-        b_net, batched = self._run(batched=True)
-        assert [t.hex() for t in scalar] == [t.hex() for t in batched]
-        assert s_net.stats.full_recomputes == b_net.stats.full_recomputes

@@ -300,6 +300,40 @@ class TestRegistry:
         assert reg.cancel("v") is False
 
 
+class TestRegistryCancelResubmit:
+    """Regression: cancel() must only clean up *its own* entry."""
+
+    def test_resubmitting_teardown_survives_cleanup(self):
+        """A teardown that completes the old entry and synchronously
+        re-registers the key (retarget racing a fresh demand) must leave
+        the new entry in flight — the stale-cleanup bug tore it down and
+        made the resource permanently unfetchable."""
+        reg = InFlightRegistry()
+        fresh = {}
+
+        def teardown():
+            reg.complete("k", success=False)
+            fresh["entry"] = reg.register("k", "demand", Priority.DEMAND)
+
+        reg.register("k", "staging", Priority.STAGING, cancel_cb=teardown)
+        assert reg.cancel("k")
+        assert reg._entries["k"] is fresh["entry"]
+        assert "k" in reg
+
+    def test_non_resubmitting_teardown_still_dropped(self):
+        reg = InFlightRegistry()
+        outcomes = []
+        reg.register("k", "staging", Priority.STAGING,
+                     cancel_cb=lambda: None)
+        reg.subscribe("k", outcomes.append)
+        assert reg.cancel("k")
+        assert "k" not in reg
+        assert outcomes == [False]
+
+    def test_cancel_missing_key_is_false(self):
+        assert InFlightRegistry().cancel("nope") is False
+
+
 class TestLoRSPathsUseScheduler:
     """Every LoRS byte-moving path reports through the scheduler."""
 

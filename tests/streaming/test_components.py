@@ -206,6 +206,28 @@ class TestStaging:
         # LAN depot now holds every staged byte
         assert rig.lan_depots[0].used > 0
 
+    def test_a_view_set_the_dvs_lacks_is_given_up_once(self):
+        src = tiny_source()
+        rig = build_rig(src, SessionConfig(case=3))
+        vid = "vs-1-2"
+        assert forget(rig.dvs, vid) > 0
+        queried = []
+        query = rig.dvs.query
+
+        def counting_query(v):
+            queried.append(v)
+            return query(v)
+
+        rig.dvs.query = counting_query
+        rig.staging.start()
+        rig.queue.run_until(400.0)
+        assert rig.staging.complete
+        assert queried.count(vid) == 1
+        rows, cols = src.lattice.n_viewsets
+        assert rig.staging.stats.staged == rows * cols - 1
+        assert rig.staging.stats.failed == 1
+        assert len(rig.staging.registry) == 0
+
     def test_staged_requests_served_from_lan(self):
         src = tiny_source()
         rig = build_rig(src, SessionConfig(case=3))
